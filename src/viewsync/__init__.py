@@ -55,6 +55,7 @@ from .simnet import (
     Envelope,
     SimConfig,
     Simulation,
+    SimulationError,
     check_dagger,
     default_resilience,
     delivery_time,

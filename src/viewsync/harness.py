@@ -172,6 +172,11 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
         path = Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             write_trace(records, fh)
+    return _row(digest, records, metrics)
+
+
+def _row(digest: Optional[str], records, metrics) -> dict[str, Any]:
+    """The flat metrics record of one cell, from its trace and analysis."""
     cfg = records[0]["config"]
     return {
         "config": digest,
@@ -204,22 +209,8 @@ def replay_cell(trace_path) -> dict[str, Any]:
 
     records = read_trace(trace_path)
     metrics = analyze(records)
-    cfg = records[0]["config"]
-    return {
-        "config": Path(trace_path).stem.split("-")[1] if "-" in Path(trace_path).stem else None,
-        "seed": cfg["seed"],
-        "n": cfg["n"],
-        "t": cfg["t"],
-        "f": len(cfg["corruptions"]),
-        "f_star": metrics.f_star,
-        "gst": cfg["gst"],
-        "delta": cfg["delta_actual"],
-        "t_star": None if metrics.t_star is None else frac_str(metrics.t_star),
-        "latency": None if metrics.latency is None else frac_str(metrics.latency),
-        "words": metrics.words_counted,
-        "violations_count": len(metrics.violations),
-        "violations": [list(v) for v in metrics.violations],
-    }
+    stem = Path(trace_path).stem
+    return _row(stem.split("-")[1] if "-" in stem else None, records, metrics)
 
 
 def summarize(rows: list[dict[str, Any]]) -> dict[str, Any]:

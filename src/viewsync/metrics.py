@@ -24,7 +24,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
 from .simnet import subseed
-from .timeutil import Time, from_ticks, to_frac
+from .timeutil import Time, from_ticks, parse_ticks, to_frac
 from .trace import Record
 
 
@@ -61,6 +61,9 @@ INF = math.inf
 
 def _ticks(value, grid: int, seq: int) -> Time:
     """Parse a rational time string into (possibly fractional) ticks."""
+    ticks = parse_ticks(value, grid)
+    if ticks is not None:
+        return ticks
     try:
         return int(value) * grid
     except (ValueError, TypeError):
@@ -397,16 +400,34 @@ class _Analyzer:
         return -(-self.max_initial // self.period) * self.period
 
     def check_first_entry(self, entries) -> None:
+        """At each boundary view v, the first entries at or above v enter v
+        itself, and no correct clock is already past v's boundary then.
+
+        One sweep down the views gives each boundary's first-entry time tau
+        as a running minimum; the entries at tau come from a time index.
+        """
         if not entries:
             return
-        max_view = max(v for _, v, _, _ in entries)
-        for cv in range(self._clean_start(), max_view * self.gamma + 1, self.period):
+        at_time: dict[Any, list] = {}
+        for e in entries:
+            at_time.setdefault(e[0], []).append(e)
+        by_view = sorted(entries, key=lambda e: e[1], reverse=True)
+        boundaries = range(self._clean_start(), by_view[0][1] * self.gamma + 1, self.period)
+        taus = []
+        tau = None
+        i = 0
+        for cv in reversed(boundaries):
             v = cv // self.gamma
-            at_or_above = [e for e in entries if e[1] >= v]
-            if not at_or_above:
+            while i < len(by_view) and by_view[i][1] >= v:
+                if tau is None or by_view[i][0] < tau:
+                    tau = by_view[i][0]
+                i += 1
+            taus.append(tau)
+        for cv, tau in zip(boundaries, reversed(taus)):
+            if tau is None:
                 continue
-            tau = min(e[0] for e in at_or_above)
-            firsts = [e for e in at_or_above if e[0] == tau]
+            v = cv // self.gamma
+            firsts = [e for e in at_time[tau] if e[1] >= v]
             entry_seq = min(e[2] for e in firsts)
             for _when, view, seq, _p in firsts:
                 if view != v:
@@ -461,6 +482,11 @@ class _Analyzer:
         if self.windows is not None:
             return
         clean = self._clean_start()
+        # entry views strictly increase per processor (_scan_stamp only
+        # appends a higher view), so the first entry at or above v + k bisects
+        entry_views = {
+            p: [view for _when, view, _seq in self.procs[p].entries] for p in self.never_corrupted
+        }
         for v in sorted(v for v in t_of if v % self.k == 0):
             if v * self.gamma < clean:
                 continue
@@ -469,13 +495,10 @@ class _Analyzer:
             needed = range(v, v + self.k - 2)
             for p in self.never_corrupted:
                 pr = self.procs[p]
-                advance = next(
-                    ((when, seq) for when, view, seq in pr.entries if view >= v + self.k),
-                    None,
-                )
-                if advance is None:
+                i = bisect_left(entry_views[p], v + self.k)
+                if i == len(pr.entries):
                     continue
-                _when, adv_seq = advance
+                adv_seq = pr.entries[i][2]
                 for u in needed:
                     got = pr.qc_receipt.get(u)
                     if got is None or got[1] >= adv_seq:

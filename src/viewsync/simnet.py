@@ -55,7 +55,7 @@ from .core import (
     on_vc,
     on_view_message,
 )
-from .timeutil import Time, frac_str, from_ticks, grid_of, to_frac, to_ticks
+from .timeutil import Time, frac_str, grid_of, ticks_str, to_frac, to_ticks
 from .trace import TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
@@ -72,6 +72,14 @@ DEFAULT_CLUSTER_GAP = 1000
 _PRIO_CORRUPT = 0
 _PRIO_DELIVER = 1
 _PRIO_THRESHOLD = 2
+
+
+class SimulationError(Exception):
+    """The simulator broke one of its own protocol invariants: a program bug.
+
+    Deliberately not a ValueError, so a sweep never reports it as an
+    unsatisfiable cell.
+    """
 
 
 def subseed(seed: int, label: str) -> int:
@@ -131,15 +139,6 @@ def check_dagger(clocks: Sequence[Time], gamma: Time, t: int) -> bool:
     if len(top) <= t:
         return False
     return top[t] >= top[0] - gamma
-
-
-def check_dagger_quantified(clocks: Sequence[Time], gamma: Time, t: int) -> bool:
-    """Literal form: every clock sees at least t+1 clocks within gamma above
-    it. Equivalent to check_dagger; kept as a cross-check oracle."""
-    for c in clocks:
-        if sum(1 for c2 in clocks if c2 >= c - gamma) < t + 1:
-            return False
-    return True
 
 
 def _lattice_collision(offsets: Sequence[int], period: int) -> Optional[tuple[int, int]]:
@@ -217,8 +216,9 @@ def generate_initial_offsets(
                     offsets[p] += 1
                     break
         else:
-            raise AssertionError("could not clear boundary-lattice collisions")
-        assert check_dagger([offsets[p] for p in correct], gamma, t)
+            raise SimulationError("could not clear boundary-lattice collisions")
+        if not check_dagger([offsets[p] for p in correct], gamma, t):
+            raise SimulationError("generated offsets violate the dispersion condition")
         return offsets
     raise ValueError(f"unknown offset mode {mode!r}")
 
@@ -544,7 +544,7 @@ class Simulation:
         self.records.append(rec)
 
     def _real(self, ticks: Time) -> str:
-        return frac_str(from_ticks(ticks, self.grid))
+        return ticks_str(ticks, self.grid)
 
     def _push(self, when: Time, prio: int, a: int, b: int, kind: str, data) -> None:
         if when > self.horizon_ticks:
@@ -557,12 +557,13 @@ class Simulation:
     # -- sending ------------------------------------------------------------
 
     def send(self, sender: int, to, payload, now: Time) -> None:
-        if isinstance(payload, ViewMessage):
-            assert payload.signer == sender, "cannot send another processor's signature"
-            self.ledger.record(sender, SIGN_VIEW, payload.view)
-        elif isinstance(payload, Vote):
-            assert payload.signer == sender, "cannot send another processor's signature"
-            self.ledger.record(sender, SIGN_VOTE, payload.view)
+        if isinstance(payload, (ViewMessage, Vote)):
+            if payload.signer != sender:
+                raise SimulationError(
+                    f"processor {sender} cannot send processor {payload.signer}'s signature"
+                )
+            sign = SIGN_VIEW if isinstance(payload, ViewMessage) else SIGN_VOTE
+            self.ledger.record(sender, sign, payload.view)
         recipients = range(self.n) if to == ALL else [to]
         for q in recipients:
             if q == sender:
@@ -649,7 +650,7 @@ class Simulation:
                 ):
                     self._next_sync_done = True
             else:
-                raise AssertionError(f"unhandled action {act!r}")
+                raise SimulationError(f"unhandled action {act!r}")
 
     def _enter_view(self, p: int, view: int, now: Time) -> list:
         actions = on_enter_view(self.states[p], self.subs[p], view, self.params)
@@ -663,20 +664,25 @@ class Simulation:
         state, sub = self.states[p], self.subs[p]
         state.clock = self.local_clock(p, now)
         if isinstance(payload, ViewMessage):
-            assert self.ledger.holds(payload.signer, SIGN_VIEW, payload.view)
+            self._require(self.ledger.holds(payload.signer, SIGN_VIEW, payload.view), payload)
             return on_view_message(state, payload, self.params)
         if isinstance(payload, ViewCertificate):
-            assert validate_vc(payload, self.n, self.t, self.ledger)
+            self._require(validate_vc(payload, self.n, self.t, self.ledger), payload)
             return on_vc(state, payload, self.params)
         if isinstance(payload, QuorumCertificate):
-            assert validate_qc(payload, self.n, self.t, self.ledger)
+            self._require(validate_qc(payload, self.n, self.t, self.ledger), payload)
             return on_qc(state, payload, self.params)
         if isinstance(payload, Proposal):
             return on_proposal(state, sub, payload, self.params)
         if isinstance(payload, Vote):
-            assert self.ledger.holds(payload.signer, SIGN_VOTE, payload.view)
+            self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
             return on_vote(state, sub, payload, self.params)
-        raise AssertionError(f"unhandled payload {payload!r}")
+        raise SimulationError(f"unhandled payload {payload!r}")
+
+    @staticmethod
+    def _require(valid: bool, payload) -> None:
+        if not valid:
+            raise SimulationError(f"delivered {payload!r} carries signatures nobody made")
 
     def _handle_delivery(self, env: Envelope, now: Time) -> None:
         p = env.recipient
@@ -845,7 +851,7 @@ class Simulation:
             elif kind == "wake":
                 self._handle_wake(a, data, when)
             else:
-                raise AssertionError(f"unhandled event kind {kind!r}")
+                raise SimulationError(f"unhandled event kind {kind!r}")
             stop_reason = self._should_stop()
             if stop_reason is not None:
                 stop_time = when

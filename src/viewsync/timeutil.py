@@ -4,13 +4,21 @@ All protocol-visible quantities (global time, local clocks, delays) are exact
 rationals. Internally the simulator works on an integer tick grid so the hot
 loop stays on machine ints; Fraction values appear only where clock rates
 other than 1 force them. Mixed int/Fraction arithmetic is exact either way.
+
+Traces carry times in real units as rational strings, so ticks cross that
+boundary twice per value: the simulator writes them, the analyzer reads them
+back. On the grid both directions are integer arithmetic: ``ticks_str``
+reduces ``ticks/grid`` by their gcd, and ``parse_ticks`` splits an ASCII
+``"p"`` or ``"p/q"`` (the form ``frac_str`` writes) and divides ``p * grid``
+by ``q``. Fraction ticks and every other spelling of a number go through
+``fractions.Fraction`` instead, which gives the same values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Union
+from math import gcd, lcm
+from typing import Optional, Union
 
 Time = Union[int, Fraction]
 
@@ -53,3 +61,38 @@ def to_ticks(value: Fraction, grid: int) -> int:
 
 def from_ticks(ticks: Time, grid: int) -> Fraction:
     return Fraction(ticks, 1) / grid if isinstance(ticks, Fraction) else Fraction(ticks, grid)
+
+
+def ticks_str(ticks: Time, grid: int) -> str:
+    """``frac_str(from_ticks(ticks, grid))``, without a Fraction for int ticks."""
+    if type(ticks) is int:
+        d = gcd(ticks, grid)
+        if d == grid:
+            return str(ticks // grid)
+        return f"{ticks // d}/{grid // d}"
+    return frac_str(from_ticks(ticks, grid))
+
+
+def parse_ticks(text: object, grid: int) -> Optional[Time]:
+    """Ticks of an ASCII ``-?[0-9]+(/[0-9]+)?`` string with a nonzero
+    denominator, equal to ``Fraction(text) * grid``: an int when whole, a
+    Fraction otherwise. None for any other input, which callers parse the
+    general way.
+    """
+    if type(text) is not str or not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    # isdigit() alone would admit "²", which int() rejects; the text is ASCII here
+    if not digits.isdigit():
+        return None
+    if not slash:
+        return int(num) * grid
+    if not den.isdigit():
+        return None
+    q = int(den)
+    if q == 0:
+        return None
+    scaled = int(num) * grid
+    whole, rest = divmod(scaled, q)
+    return whole if rest == 0 else Fraction(scaled, q)

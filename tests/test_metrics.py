@@ -5,10 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule
 from viewsync.metrics import (
     TraceAnalysisError,
+    _Analyzer,
     analyze,
     assert_invariants,
     compute_f_star,
@@ -62,8 +65,78 @@ def rfind(records, pred):
     raise AssertionError("no matching record")
 
 
+class QuadraticAnalyzer(_Analyzer):
+    """The analyzer with its first-entry and advance checks as first written:
+    every boundary rescans every entry, every group rescans each processor's
+    entries. Oracle for the linear passes, which must flag the same list."""
+
+    def check_first_entry(self, entries) -> None:
+        if not entries:
+            return
+        max_view = max(v for _, v, _, _ in entries)
+        for cv in range(self._clean_start(), max_view * self.gamma + 1, self.period):
+            v = cv // self.gamma
+            at_or_above = [e for e in entries if e[1] >= v]
+            if not at_or_above:
+                continue
+            tau = min(e[0] for e in at_or_above)
+            firsts = [e for e in at_or_above if e[0] == tau]
+            entry_seq = min(e[2] for e in firsts)
+            for _when, view, seq, _p in firsts:
+                if view != v:
+                    self.flag(
+                        "first_entry_order",
+                        max(seq, 0),
+                        f"first crossing of view {v} entered {view} instead",
+                    )
+            for q in range(self.n):
+                pr = self.procs[q]
+                if not pr.correct_at(tau):
+                    continue
+                if pr.clock_before(tau, entry_seq) > cv:
+                    self.flag(
+                        "first_entry_clocks",
+                        max(entry_seq, 0),
+                        f"processor {q} clock above {cv} when view {v} first entered",
+                    )
+
+    def check_qc_before_advance(self, t_of) -> None:
+        if self.windows is not None:
+            return
+        clean = self._clean_start()
+        for v in sorted(v for v in t_of if v % self.k == 0):
+            if v * self.gamma < clean:
+                continue
+            if self.leader(v) not in self.never_corrupted or t_of[v] < self.gst:
+                continue
+            for p in self.never_corrupted:
+                pr = self.procs[p]
+                advance = next(
+                    ((when, seq) for when, view, seq in pr.entries if view >= v + self.k),
+                    None,
+                )
+                if advance is None:
+                    continue
+                _when, adv_seq = advance
+                for u in range(v, v + self.k - 2):
+                    got = pr.qc_receipt.get(u)
+                    if got is None or got[1] >= adv_seq:
+                        self.flag(
+                            "qc_before_advance",
+                            max(adv_seq, 0),
+                            f"processor {p} reached view {v + self.k} without the quorum for {u}",
+                        )
+
+
+def violations(records):
+    """The analyzer's violations, checked against the quadratic oracle."""
+    found = analyze(records).violations
+    assert found == QuadraticAnalyzer(records).analyze().violations
+    return found
+
+
 def ids(records):
-    return {v.invariant for v in analyze(records).violations}
+    return {v.invariant for v in violations(records)}
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +167,7 @@ def test_conforming_run_with_faults_is_clean():
 def test_backward_clock_detected(base):
     i = rfind(base, lambda r: r["kind"] == "deliver")
     bad = mutated(base, i, proc_clock="-5")
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "clock_monotonicity" and v.seq == i for v in found)
 
 
@@ -103,7 +176,7 @@ def test_backward_view_detected(base):
         base, lambda r: r["kind"] == "deliver" and r["proc_view"] > 0
     )
     bad = mutated(base, i, proc_view=0)
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "view_monotonicity" and v.seq == i for v in found)
 
 
@@ -120,7 +193,7 @@ def test_premature_view_message_detected(base):
     )
     bad = copy.deepcopy(list(base))
     bad[i]["payload"]["view"] += 30
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "signing_clock" and v.seq == i for v in found)
 
 
@@ -128,7 +201,7 @@ def test_vote_outside_current_view_detected(base):
     i = find(base, lambda r: r["kind"] == "send" and r["payload"]["type"] == "vote")
     bad = copy.deepcopy(list(base))
     bad[i]["payload"]["view"] += 17
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "vote_view" and v.seq == i for v in found)
 
 
@@ -153,14 +226,14 @@ def test_late_delivery_detected(base):
         and to_frac(r["time"]) > 3,
     )
     bad = mutated(base, i, send_time="0")
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
 
 def test_delayed_self_delivery_detected(base):
     i = find(base, lambda r: r["kind"] == "deliver" and r["sender"] == r["recipient"])
     bad = mutated(base, i, send_time=str(to_frac(base[i]["time"]) - 1))
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
 
@@ -174,14 +247,14 @@ def test_malformed_certificate_detected(base):
     i = find(base, lambda r: r["kind"] == "form_qc")
     signers = list(base[i]["signers"])
     bad = mutated(base, i, signers=[signers[0]] + signers[:-1])
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "certificate_signatures" and v.seq == i for v in found)
 
 
 def test_unsigned_certificate_detected(base):
     i = find(base, lambda r: r["kind"] == "form_vc")
     bad = mutated(base, i, view=base[i]["view"] + 99)
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "certificate_signatures" and v.seq == i for v in found)
 
 
@@ -192,7 +265,7 @@ def test_certificate_without_correct_signer_detected(base):
     bad[0]["config"]["corruptions"] = [
         {"proc": s, "strategy": "silent", "time": "0"} for s in signers
     ]
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "vc_honesty" and v.seq == i for v in found)
 
 
@@ -203,8 +276,83 @@ def test_quorum_without_enough_correct_signers_detected(base):
     bad[0]["config"]["corruptions"] = [
         {"proc": p, "strategy": "silent", "time": "0"} for p in (0, 1, 2)
     ]
-    found = analyze(bad).violations
+    found = violations(bad)
     assert any(v.invariant == "qc_honesty" and v.seq == i for v in found)
+
+
+def scanned(records):
+    analyzer = _Analyzer(records)
+    analyzer.scan()
+    return analyzer
+
+
+def first_entry_at_or_above(records, view):
+    """(time, view, seq, proc) of the first correct entry into view or beyond."""
+    return next(e for e in scanned(records).all_entries() if e[1] >= view)
+
+
+def test_first_entry_into_a_later_view_detected(base):
+    v = 6  # the boundary view of group 2
+    _when, _view, seq, _p = first_entry_at_or_above(base, v)
+    bad = mutated(base, seq, proc_view=v + 1)
+    found = violations(bad)
+    assert ("first_entry_order", seq) in {(x.invariant, x.seq) for x in found}
+
+
+def test_clock_past_boundary_at_first_entry_detected(base):
+    v = 6
+    _when, _view, seq, entrant = first_entry_at_or_above(base, v)
+    # forward another processor's clock far ahead shortly before the entry
+    j = rfind(
+        base[:seq],
+        lambda r: r["kind"] == "deliver" and r["recipient"] != entrant,
+    )
+    bad = mutated(base, j, proc_clock="1000")
+    found = violations(bad)
+    assert ("first_entry_clocks", seq) in {(x.invariant, x.seq) for x in found}
+
+
+def test_advance_before_quorum_detected(base):
+    v, p = 6, 2
+    _when, receipt = scanned(base).procs[p].qc_receipt[v]
+    # processor p claims the next group's view before it holds the quorum for v
+    j = rfind(base[:receipt], lambda r: r["kind"] == "deliver" and r["recipient"] == p)
+    bad = mutated(base, j, proc_view=v + 3)
+    found = violations(bad)
+    assert ("qc_before_advance", j) in {(x.invariant, x.seq) for x in found}
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(stop="horizon", horizon=60),
+        dict(corruptions=(Corruption(0, "silent"), Corruption(4, "vote_stuffer")),
+             network="uniform_random", gst=13, seed=3),
+        dict(corruptions=(Corruption(0, "silent"),), gst=11),
+        dict(network="uniform_random", seed=9, gst=7),
+        dict(leaders="random_permutations", seed=4, offsets="adversarial_spread"),
+        dict(offsets="two_cluster", network="fixed_delta", delta_actual="1/5",
+             stop="horizon", horizon=40),
+        dict(drift_epsilon="1/20", offsets="adversarial_spread", seed=2, gst=9),
+        dict(sync_windows=[(5, 20), (40, None)], gst=5, network="uniform_random", seed=1),
+    ],
+)
+def test_linear_passes_match_quadratic_oracle(kw):
+    violations(run_records(**kw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_linear_passes_match_quadratic_oracle_on_random_edits(base, data):
+    stamps = [i for i, r in enumerate(base) if r["kind"] in ("deliver", "threshold")]
+    bad = copy.deepcopy(list(base))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        i = data.draw(st.sampled_from(stamps))
+        if data.draw(st.booleans()):
+            bad[i]["proc_view"] = data.draw(st.integers(min_value=0, max_value=16))
+        elif bad[i]["kind"] == "deliver":
+            bad[i]["proc_clock"] = str(data.draw(st.integers(min_value=0, max_value=90)))
+    violations(bad)
 
 
 # -- structural rejection ------------------------------------------------------

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewsync import simnet
+from viewsync.certificates import ViewMessage
+from viewsync.core import ALL
+from viewsync.harness import _worker
 from viewsync.simnet import (
     Corruption,
     SimConfig,
     Simulation,
+    SimulationError,
     check_dagger,
-    check_dagger_quantified,
     default_resilience,
     delivery_time,
     generate_initial_offsets,
@@ -31,6 +35,15 @@ def sim_config(**kw):
 
 
 # -- resilience and dispersion check ------------------------------------------
+
+
+def check_dagger_quantified(clocks, gamma, t) -> bool:
+    """Literal form of the dispersion condition: every clock sees at least
+    t+1 clocks within gamma above it. Oracle for check_dagger."""
+    for c in clocks:
+        if sum(1 for c2 in clocks if c2 >= c - gamma) < t + 1:
+            return False
+    return True
 
 
 def test_default_resilience_values():
@@ -197,3 +210,25 @@ def test_subseed_is_stable_and_label_sensitive():
     assert subseed(7, "net") == subseed(7, "net")
     assert subseed(7, "net") != subseed(7, "offsets")
     assert subseed(7, "net") != subseed(8, "net")
+
+
+# -- the simulator's own protocol checks ---------------------------------------
+
+
+def test_forged_signature_send_raises_simulation_error():
+    sim = Simulation(sim_config())
+    with pytest.raises(SimulationError, match="cannot send processor 1's signature"):
+        sim.send(0, ALL, ViewMessage(3, 1), 0)
+
+
+def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeypatch):
+    # a certificate that fails validation on delivery means the simulator
+    # fabricated it; the check must hold under python -O and must not be
+    # reported as an unsatisfiable cell
+    monkeypatch.setattr(simnet, "validate_qc", lambda *args: False)
+    assert not issubclass(SimulationError, ValueError)
+    with pytest.raises(SimulationError, match="carries signatures nobody made"):
+        Simulation(sim_config(stop="horizon", horizon=30)).run()
+    cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
+    _index, row = _worker((0, cell, None))
+    assert row["error"].startswith("SimulationError: delivered QuorumCertificate")
