@@ -46,13 +46,11 @@ from .metrics import (
     Violation,
     analyze,
     assert_invariants,
-    compute_f_star,
-    compute_t_star,
-    count_words,
 )
 from .simnet import (
     Corruption,
     Envelope,
+    Resolved,
     SimConfig,
     Simulation,
     SimulationError,
@@ -60,7 +58,7 @@ from .simnet import (
     default_resilience,
     delivery_time,
     generate_initial_offsets,
-    run,
+    resolve,
     subseed,
 )
 from .trace import Record, TraceParseError, parse_jsonl, read_trace, to_jsonl, write_trace

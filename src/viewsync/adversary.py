@@ -59,14 +59,15 @@ class ByzantineControl:
 
     def on_corrupt(self, host, now) -> None:
         """One-shot behavior at corruption time (signature floods)."""
+        run = host.resolved
         if self.strategy == EARLY_SIGNER:
-            params = host.params
-            for v in range(0, host.max_flood_view + 1, params.k):
+            params = run.params
+            for v in range(0, run.max_flood_view + 1, params.k):
                 host.ledger.record(self.proc, SIGN_VIEW, v)
                 host.send(self.proc, leader_of(v, params), ViewMessage(v, self.proc), now)
         elif self.strategy == VOTE_STUFFER:
-            params = host.params
-            for v in range(0, host.max_flood_view + 1):
+            params = run.params
+            for v in range(0, run.max_flood_view + 1):
                 host.ledger.record(self.proc, SIGN_VOTE, v)
                 host.send(self.proc, leader_of(v, params), Vote(v, self.proc), now)
 
@@ -121,5 +122,5 @@ class ByzantineControl:
         others = [q for q in range(self.n) if q != self.proc]
         size = self.rng.randint(1, len(others))
         subset = sorted(self.rng.sample(others, size))
-        delay = self.rng.randint(host.delta_cap_ticks, host.params.k * host.gamma_ticks)
+        delay = self.rng.randint(host.resolved.delta_cap, host.resolved.period)
         host.schedule_wake(self.proc, (qc, subset), now + delay)

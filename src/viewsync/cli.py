@@ -11,9 +11,11 @@ Verbs:
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
-bounds, corruption times) multiples of delta_cap; delta_cap itself is always
-absolute. Outputs land under --out: metrics.jsonl, summary.csv, summary.json,
-and traces/*.jsonl when the spec sets ``traces: true``.
+bounds, corruption times) multiples of the base delta_cap; delta_cap itself
+is always absolute, and such a spec may not sweep it. Spec values are read by
+``simnet.coerce``, the same reading every config gets. Outputs land under
+--out: metrics.jsonl, summary.csv, summary.json, and traces/*.jsonl when the
+spec sets ``traces: true``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import yaml
@@ -32,11 +33,9 @@ from .harness import (
     replay_cell,
     run_experiment,
 )
+from .simnet import coerce
 from .timeutil import to_frac
 from .trace import TraceParseError
-
-# Fields interpreted as clock/wall times when delta_units is on.
-_TIME_FIELDS = {"gst", "delta_actual", "horizon"}
 
 _SPEC_KEYS = {
     "base",
@@ -50,45 +49,20 @@ _SPEC_KEYS = {
 }
 
 
-def _scale_value(field: str, value, factor: Fraction):
-    if value is None:
-        return None
-    if field in _TIME_FIELDS:
-        return to_frac(value) * factor
-    if field == "offsets" and not isinstance(value, str):
-        seq = list(value)
-        if seq and isinstance(seq[0], str):  # ("two_cluster", gap)
-            return [seq[0]] + [to_frac(v) * factor for v in seq[1:]]
-        return [to_frac(v) * factor for v in seq]
-    if field == "sync_windows":
-        return [
-            [to_frac(s) * factor, None if e is None else to_frac(e) * factor]
-            for s, e in value
-        ]
-    if field == "corruptions":
-        out = []
-        for c in value:
-            c = dict(c)
-            if "time" in c:
-                c["time"] = to_frac(c["time"]) * factor
-            out.append(c)
-        return out
-    return value
-
-
 def _apply_delta_units(doc: dict) -> dict:
+    sweeps = dict(doc.get("sweeps", {}))
+    if "delta_cap" in sweeps:
+        raise ExperimentError(
+            "delta_units: delta_cap is the unit the other times are read in, so it cannot be swept"
+        )
     base = dict(doc.get("base", {}))
-    factor = to_frac(base.get("delta_cap", 1))
-    for field in list(base):
-        base[field] = _scale_value(field, base[field], factor)
-    sweeps = {
-        field: [_scale_value(field, v, factor) for v in values]
-        for field, values in dict(doc.get("sweeps", {})).items()
-    }
+    unit = coerce("delta_cap", base.get("delta_cap", 1))
     out = dict(doc)
-    out["base"] = base
+    out["base"] = {field: coerce(field, value, unit) for field, value in base.items()}
     if sweeps:
-        out["sweeps"] = sweeps
+        out["sweeps"] = {
+            field: [coerce(field, v, unit) for v in values] for field, values in sweeps.items()
+        }
     return out
 
 

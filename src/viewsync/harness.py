@@ -11,6 +11,7 @@ reported as error rows without aborting the batch.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -22,8 +23,8 @@ from typing import Any, Optional
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .metrics import analyze
-from .simnet import Corruption, SimConfig, Simulation
-from .timeutil import frac_str, to_frac
+from .simnet import Corruption, Resolved, SimConfig, Simulation, coerce
+from .timeutil import frac_str, ticks_str, to_frac
 from .trace import write_trace
 
 
@@ -33,28 +34,14 @@ class ExperimentError(Exception):
 
 DEFAULT_MAX_CELLS = 20_000
 
-# SimConfig fields a spec may set or sweep; "f" is a convenience knob that
-# expands to silent corruption of the first f processors (the round-robin
-# leaders of the first f groups).
-_CONFIG_FIELDS = {
-    "n",
-    "delta_cap",
-    "t",
-    "k",
-    "x",
-    "delta_actual",
-    "gst",
-    "offsets",
-    "corruptions",
-    "network",
-    "leaders",
-    "drift_epsilon",
-    "drift_rates",
-    "sync_windows",
-    "stop",
-    "horizon",
-    "seed",
-}
+def _check_fields(keys) -> None:
+    """Refuse keys that are neither a SimConfig field nor ``f``, a knob that
+    expands to silent corruption of the first f processors (the round-robin
+    leaders of the first f groups)."""
+    known = {f.name for f in dataclasses.fields(SimConfig)}
+    for key in keys:
+        if key not in known and key != "f":
+            raise ExperimentError(f"unknown config field {key!r}")
 
 
 @dataclass
@@ -72,9 +59,7 @@ class ExperimentSpec:
             raise ExperimentError(f"unknown mode {self.mode!r}")
         if self.seeds < 1:
             raise ExperimentError("seeds must be >= 1")
-        for key in list(self.base) + list(self.sweeps):
-            if key not in _CONFIG_FIELDS and key != "f":
-                raise ExperimentError(f"unknown config field {key!r}")
+        _check_fields(list(self.base) + list(self.sweeps))
         size = self.cell_count()
         if size > self.max_cells:
             raise ExperimentError(
@@ -99,47 +84,20 @@ class ExperimentSpec:
         return out
 
 
-def _normalize_corruptions(raw) -> tuple[Corruption, ...]:
-    out = []
-    for item in raw:
-        if isinstance(item, Corruption):
-            out.append(item)
-        elif isinstance(item, dict):
-            out.append(
-                Corruption(item["proc"], item["strategy"], to_frac(item.get("time", 0)))
-            )
-        else:
-            proc, strategy = item[0], item[1]
-            when = to_frac(item[2]) if len(item) > 2 else Fraction(0)
-            out.append(Corruption(proc, strategy, when))
-    return tuple(out)
-
-
 def build_config(cell: dict[str, Any]) -> SimConfig:
-    """Expand one cell description into a SimConfig."""
+    """Expand one cell description into a SimConfig of canonical values."""
+    _check_fields(cell)
     kwargs = dict(cell)
+    if "n" not in kwargs:
+        raise ExperimentError("missing config field 'n'")
     f = kwargs.pop("f", None)
     if f is not None:
         if kwargs.get("corruptions"):
             raise ExperimentError("give either f or corruptions, not both")
+        if isinstance(f, bool) or not isinstance(f, int):
+            raise ExperimentError(f"f: expected an integer, got {f!r}")
         kwargs["corruptions"] = tuple(Corruption(i, "silent") for i in range(f))
-    elif kwargs.get("corruptions"):
-        kwargs["corruptions"] = _normalize_corruptions(kwargs["corruptions"])
-    off = kwargs.get("offsets")
-    if off is not None and not isinstance(off, str):
-        seq = list(off)
-        if seq and isinstance(seq[0], str):  # ("two_cluster", gap) form
-            kwargs["offsets"] = (seq[0], *(to_frac(v) for v in seq[1:]))
-        else:
-            kwargs["offsets"] = tuple(to_frac(o) for o in seq)
-    if kwargs.get("sync_windows") is not None:
-        kwargs["sync_windows"] = tuple(
-            (to_frac(s), None if e is None else to_frac(e)) for s, e in kwargs["sync_windows"]
-        )
-    for key in ("delta_cap", "delta_actual", "gst", "horizon", "drift_epsilon"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = to_frac(kwargs[key])
-    return SimConfig(**kwargs)
+    return SimConfig(**{key: coerce(key, value) for key, value in kwargs.items()})
 
 
 def config_hash(config: SimConfig) -> str:
@@ -163,30 +121,30 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
     """One simulation plus analysis, reduced to the flat metrics record."""
     try:
         config = build_config(cell)
-        records = Simulation(config).run()
+        sim = Simulation(config)
+        records = sim.run()
         metrics = analyze(records)
-    except (ExperimentError, ValueError, TypeError, KeyError) as exc:
+    except (ExperimentError, ValueError) as exc:
         return {"error": str(exc), "cell": {k: str(v) for k, v in cell.items()}}
     digest = config_hash(config)
     if traces_dir is not None:
         path = Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             write_trace(records, fh)
-    return _row(digest, records, metrics)
+    return _row(digest, sim.resolved, metrics)
 
 
-def _row(digest: Optional[str], records, metrics) -> dict[str, Any]:
-    """The flat metrics record of one cell, from its trace and analysis."""
-    cfg = records[0]["config"]
+def _row(digest: Optional[str], run: Resolved, metrics) -> dict[str, Any]:
+    """The flat metrics record of one cell, from its run and analysis."""
     return {
         "config": digest,
-        "seed": cfg["seed"],
-        "n": cfg["n"],
-        "t": cfg["t"],
-        "f": len(cfg["corruptions"]),
+        "seed": run.seed,
+        "n": run.n,
+        "t": run.t,
+        "f": len(run.corruptions),
         "f_star": metrics.f_star,
-        "gst": cfg["gst"],
-        "delta": cfg["delta_actual"],
+        "gst": ticks_str(run.gst, run.grid),
+        "delta": ticks_str(run.delta_actual, run.grid),
         "t_star": None if metrics.t_star is None else frac_str(metrics.t_star),
         "latency": None if metrics.latency is None else frac_str(metrics.latency),
         "words": metrics.words_counted,
@@ -210,7 +168,9 @@ def replay_cell(trace_path) -> dict[str, Any]:
     records = read_trace(trace_path)
     metrics = analyze(records)
     stem = Path(trace_path).stem
-    return _row(stem.split("-")[1] if "-" in stem else None, records, metrics)
+    return _row(
+        stem.split("-")[1] if "-" in stem else None, Resolved.from_header(records[0]), metrics
+    )
 
 
 def summarize(rows: list[dict[str, Any]]) -> dict[str, Any]:

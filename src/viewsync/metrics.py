@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
-from .core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
-from .simnet import subseed
-from .timeutil import Time, from_ticks, parse_ticks, to_frac
+from .core import leader_of
+from .simnet import Resolved, check_dagger, sync_start
+from .timeutil import Time, from_ticks, parse_ticks
 from .trace import Record
 
 
@@ -115,47 +115,13 @@ class _Analyzer:
     def __init__(self, records: Sequence[Record]):
         if not records or records[0].get("kind") != "header":
             raise TraceAnalysisError("trace must start with a header record")
-        header = records[0]
         try:
-            cfg = header["config"]
-            self.records = records
-            self.grid = header["grid"]
-            self.n = cfg["n"]
-            self.t = cfg["t"]
-            self.k = cfg["k"]
-            self.seed = cfg["seed"]
-            self.network = cfg["network"]
-            g = self.grid
-            self.gamma = _ticks(cfg["gamma"], g, 0)
-            self.delta_cap = _ticks(cfg["delta_cap"], g, 0)
-            self.delta_actual = _ticks(cfg["delta_actual"], g, 0)
-            self.gst = _ticks(cfg["gst"], g, 0)
-            self.horizon = _ticks(cfg["horizon"], g, 0)
-            self.windows = None
-            if cfg.get("sync_windows") is not None:
-                self.windows = [
-                    (_ticks(s, g, 0), None if e is None else _ticks(e, g, 0))
-                    for s, e in cfg["sync_windows"]
-                ]
-            if cfg["leaders"] == "round_robin":
-                schedule = RoundRobinSchedule(self.n)
-            else:
-                schedule = PermutationSchedule(self.n, subseed(self.seed, "leaders"))
-            self.params = ProtocolParams(
-                n=self.n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule
-            )
-            rates = [to_frac(r) for r in cfg["rates"]]
-            offsets = [_ticks(o, g, 0) for o in cfg["offsets"]]
-            self.corruption_time = {
-                c["proc"]: _ticks(c["time"], g, 0) for c in cfg["corruptions"]
-            }
-        except (KeyError, TypeError) as exc:
-            raise TraceAnalysisError(f"header is missing or malformed: {exc}") from None
-        self.period = self.k * self.gamma
-        self.uniform_rates = all(r == 1 for r in rates)
-        self.procs = [_Proc(offsets[p], 1 if rates[p] == 1 else rates[p]) for p in range(self.n)]
-        self.never_corrupted = frozenset(range(self.n)) - set(self.corruption_time)
-        self.max_initial = max(offsets[p] for p in self.never_corrupted)
+            r = self.resolved = Resolved.from_header(records[0])
+        except ValueError as exc:
+            raise TraceAnalysisError(str(exc)) from None
+        self.records = records
+        self.procs = [_Proc(off, 1 if rate == 1 else rate) for off, rate in zip(r.offsets, r.rates)]
+        self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
 
         self.violations: list[Violation] = []
         self.signatures: set[tuple[int, str, int]] = set()
@@ -166,7 +132,7 @@ class _Analyzer:
         self.underlying_deliveries: dict[int, list] = {}
         self.qc_deliveries: dict[int, list] = {}
         self.end_seq: int = records[-1]["seq"]
-        self.end_time: Time = _ticks(records[-1]["time"], self.grid, self.end_seq)
+        self.end_time: Time = _ticks(records[-1]["time"], r.grid, self.end_seq)
         self._gst_seq: Optional[int] = None
 
     # -- helpers -------------------------------------------------------------
@@ -175,24 +141,11 @@ class _Analyzer:
         self.violations.append(Violation(invariant, seq, detail))
 
     def leader(self, view: int) -> int:
-        return leader_of(view, self.params)
-
-    def _sync_start(self, send: Any) -> Any:
-        if self.windows is None:
-            return self.gst
-        for start, end in self.windows:
-            if end is not None and send >= end:
-                continue
-            return start
-        return INF
+        return leader_of(view, self.resolved.params)
 
     def _check_dagger_now(self, now, seq: int) -> None:
-        clocks = sorted(
-            (pr.clock(now) for pr in self.procs if pr.correct_at(now)), reverse=True
-        )
-        if not clocks:
-            return
-        if len(clocks) <= self.t or clocks[self.t] < clocks[0] - self.gamma:
+        clocks = [pr.clock(now) for pr in self.procs if pr.correct_at(now)]
+        if not check_dagger(clocks, self.resolved.gamma, self.resolved.t):
             self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
 
     def _check_certificate(self, kind: str, view: int, signers: Sequence[int], seq: int) -> None:
@@ -200,13 +153,14 @@ class _Analyzer:
         if key in self.checked_certs:
             return
         self.checked_certs.add(key)
+        r = self.resolved
         distinct = set(signers)
         sig_kind = "view_msg" if kind == "vc" else "vote"
-        needed = self.t + 1 if kind == "vc" else self.n - self.t
+        needed = r.t + 1 if kind == "vc" else r.n - r.t
         if (
             len(distinct) != len(signers)
             or len(signers) != needed
-            or any(not 0 <= s < self.n for s in signers)
+            or any(not 0 <= s < r.n for s in signers)
         ):
             self.flag(
                 "certificate_signatures", seq, f"malformed {kind} for view {view}: {signers}"
@@ -217,10 +171,10 @@ class _Analyzer:
                 self.flag(
                     "certificate_signatures", seq, f"signer {s} never signed view {view}"
                 )
-        honest = len(distinct & self.never_corrupted)
+        honest = len(distinct & r.never_corrupted)
         if kind == "vc" and honest < 1:
             self.flag("vc_honesty", seq, f"view certificate {view} lacks a correct signer")
-        if kind == "qc" and honest < self.t + 1:
+        if kind == "qc" and honest < r.t + 1:
             self.flag(
                 "qc_honesty", seq, f"quorum certificate {view} has {honest} correct signers"
             )
@@ -228,7 +182,8 @@ class _Analyzer:
     # -- the scan ------------------------------------------------------------
 
     def scan(self) -> None:
-        g = self.grid
+        r = self.resolved
+        g, period, uniform_rates = r.grid, r.period, r.uniform_rates
         recheck_dagger = True
         for rec in self.records:
             seq = rec["seq"]
@@ -251,7 +206,7 @@ class _Analyzer:
                 self._scan_deliver(rec, now, seq)
             elif kind == "threshold":
                 boundary = _ticks(rec["boundary_clock"], g, seq)
-                if boundary % self.period != 0:
+                if boundary % period != 0:
                     self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
                 if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
                     recheck_dagger = True
@@ -263,7 +218,7 @@ class _Analyzer:
                 pass
             else:
                 raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
-            if recheck_dagger or not self.uniform_rates:
+            if recheck_dagger or not uniform_rates:
                 self._check_dagger_now(now, seq)
                 recheck_dagger = False
 
@@ -282,11 +237,10 @@ class _Analyzer:
                 elif view in pr.sent_view_msgs:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
-                if pr.clock(now) < view * self.gamma:
+                floor = view * self.resolved.gamma
+                if pr.clock(now) < floor:
                     self.flag(
-                        "signing_clock",
-                        seq,
-                        f"view message {view} signed below clock {view * self.gamma}",
+                        "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
         elif ptype == "vote":
             self.signatures.add((payload["signer"], "vote", payload["view"]))
@@ -330,31 +284,33 @@ class _Analyzer:
         return forwarded
 
     def _scan_deliver(self, rec: Record, now, seq: int) -> None:
-        g = self.grid
-        send_time = _ticks(rec["send_time"], g, seq)
+        r = self.resolved
+        send_time = _ticks(rec["send_time"], r.grid, seq)
         sender, recipient = rec["sender"], rec["recipient"]
         payload = rec["payload"]
         if sender == recipient:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")
         else:
-            sync = self._sync_start(send_time)
-            bound = max(sync, send_time) + self.delta_cap
+            sync = sync_start(send_time, r.gst, r.windows)
+            if sync is None:  # sent after the final window closed: no upper bound
+                sync = INF
+            bound = max(sync, send_time) + r.delta_cap
             if now <= send_time or now > bound:
                 self.flag(
                     "delivery_bound", seq, f"delivery at {now} outside ({send_time}, {bound}]"
                 )
             elif (
-                self.network != "worst_case_max_delay"
+                r.network != "worst_case_max_delay"
                 and sync <= send_time
-                and now > send_time + self.delta_actual
+                and now > send_time + r.delta_actual
             ):
                 self.flag("delivery_bound", seq, "post-stabilisation delivery exceeded delta")
         ptype = payload["type"]
         view = payload["view"]
         if ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
-            if recipient in self.never_corrupted:
+            if recipient in r.never_corrupted:
                 self.procs[recipient].qc_receipt.setdefault(view, (now, seq))
                 if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
                     self.qc_first_sight[view] = now
@@ -362,14 +318,14 @@ class _Analyzer:
         elif ptype == "view_certificate":
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype in ("proposal", "vote"):
-            if recipient in self.never_corrupted:
+            if recipient in r.never_corrupted:
                 self.underlying_deliveries.setdefault(view, []).append((send_time, now, sender))
 
     def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
         view, proc = rec["view"], rec["proc"]
         self._check_certificate("qc", view, rec["signers"], seq)
         self.qc_formations.append((now, proc, view, seq))
-        if proc in self.never_corrupted:
+        if proc in self.resolved.never_corrupted:
             self.procs[proc].qc_receipt.setdefault(view, (now, seq))
             if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
                 self.qc_first_sight[view] = now
@@ -378,7 +334,7 @@ class _Analyzer:
 
     def all_entries(self) -> list[tuple[Any, int, int, int]]:
         out = []
-        for p in self.never_corrupted:
+        for p in self.resolved.never_corrupted:
             for when, view, seq in self.procs[p].entries:
                 out.append((when, view, seq, p))
         out.sort(key=lambda e: (e[0], e[2]))
@@ -397,7 +353,8 @@ class _Analyzer:
         Boundary views below a correct starting clock are already stale when
         the run begins, so the entry-ordering claims only apply from here up.
         """
-        return -(-self.max_initial // self.period) * self.period
+        r = self.resolved
+        return -(-self.max_initial // r.period) * r.period
 
     def check_first_entry(self, entries) -> None:
         """At each boundary view v, the first entries at or above v enter v
@@ -406,18 +363,19 @@ class _Analyzer:
         One sweep down the views gives each boundary's first-entry time tau
         as a running minimum; the entries at tau come from a time index.
         """
+        r = self.resolved
         if not entries:
             return
         at_time: dict[Any, list] = {}
         for e in entries:
             at_time.setdefault(e[0], []).append(e)
         by_view = sorted(entries, key=lambda e: e[1], reverse=True)
-        boundaries = range(self._clean_start(), by_view[0][1] * self.gamma + 1, self.period)
+        boundaries = range(self._clean_start(), by_view[0][1] * r.gamma + 1, r.period)
         taus = []
         tau = None
         i = 0
         for cv in reversed(boundaries):
-            v = cv // self.gamma
+            v = cv // r.gamma
             while i < len(by_view) and by_view[i][1] >= v:
                 if tau is None or by_view[i][0] < tau:
                     tau = by_view[i][0]
@@ -426,7 +384,7 @@ class _Analyzer:
         for cv, tau in zip(boundaries, reversed(taus)):
             if tau is None:
                 continue
-            v = cv // self.gamma
+            v = cv // r.gamma
             firsts = [e for e in at_time[tau] if e[1] >= v]
             entry_seq = min(e[2] for e in firsts)
             for _when, view, seq, _p in firsts:
@@ -436,7 +394,7 @@ class _Analyzer:
                         max(seq, 0),
                         f"first crossing of view {v} entered {view} instead",
                     )
-            for q in range(self.n):
+            for q in range(r.n):
                 pr = self.procs[q]
                 if not pr.correct_at(tau):
                     continue
@@ -454,23 +412,24 @@ class _Analyzer:
         by the previous first entrant running one full group, or by someone
         forwarded off a certificate sighting and running out the remainder.
         """
-        if not self.uniform_rates:
+        r = self.resolved
+        if not r.uniform_rates:
             return
         clean = self._clean_start()
-        for v in sorted(v for v in t_of if v % self.k == 0):
-            if v * self.gamma < clean or v + self.k not in t_of:
+        for v in sorted(v for v in t_of if v % r.k == 0):
+            if v * r.gamma < clean or v + r.k not in t_of:
                 continue
-            candidates = [t_of[v] + self.period]
-            for j in range(self.k):
+            candidates = [t_of[v] + r.period]
+            for j in range(r.k):
                 s_j = self.qc_first_sight.get(v + j)
                 if s_j is not None:
-                    candidates.append(s_j + (self.k - 1 - j) * self.gamma)
+                    candidates.append(s_j + (r.k - 1 - j) * r.gamma)
             want = min(candidates)
-            if t_of[v + self.k] != want:
+            if t_of[v + r.k] != want:
                 self.flag(
                     "entry_time_identity",
                     self.end_seq,
-                    f"entry into {v + self.k} at {t_of[v + self.k]}, recurrence gives {want}",
+                    f"entry into {v + r.k} at {t_of[v + r.k]}, recurrence gives {want}",
                 )
 
     def check_qc_before_advance(self, t_of: dict[int, Any]) -> None:
@@ -479,23 +438,24 @@ class _Analyzer:
         Needs uninterrupted timeliness from the group entry onward, so it is
         not applied to runs whose synchrony comes in windows.
         """
-        if self.windows is not None:
+        r = self.resolved
+        if r.windows is not None:
             return
         clean = self._clean_start()
         # entry views strictly increase per processor (_scan_stamp only
         # appends a higher view), so the first entry at or above v + k bisects
         entry_views = {
-            p: [view for _when, view, _seq in self.procs[p].entries] for p in self.never_corrupted
+            p: [view for _when, view, _seq in self.procs[p].entries] for p in r.never_corrupted
         }
-        for v in sorted(v for v in t_of if v % self.k == 0):
-            if v * self.gamma < clean:
+        for v in sorted(v for v in t_of if v % r.k == 0):
+            if v * r.gamma < clean:
                 continue
-            if self.leader(v) not in self.never_corrupted or t_of[v] < self.gst:
+            if self.leader(v) not in r.never_corrupted or t_of[v] < r.gst:
                 continue
-            needed = range(v, v + self.k - 2)
-            for p in self.never_corrupted:
+            needed = range(v, v + r.k - 2)
+            for p in r.never_corrupted:
                 pr = self.procs[p]
-                i = bisect_left(entry_views[p], v + self.k)
+                i = bisect_left(entry_views[p], v + r.k)
                 if i == len(pr.entries):
                     continue
                 adv_seq = pr.entries[i][2]
@@ -505,29 +465,32 @@ class _Analyzer:
                         self.flag(
                             "qc_before_advance",
                             max(adv_seq, 0),
-                            f"processor {p} reached view {v + self.k} without the quorum for {u}",
+                            f"processor {p} reached view {v + r.k} without the quorum for {u}",
                         )
 
     def compute_t_star(self):
+        r = self.resolved
         for when, proc, view, seq in self.qc_formations:
-            if when > self.gst and proc in self.never_corrupted and proc == self.leader(view):
+            if when > r.gst and proc in r.never_corrupted and proc == self.leader(view):
                 return when, view, seq
         return None, None, None
 
     def count_words(self, t_star) -> int:
-        lo = self.gst + self.delta_cap
+        r = self.resolved
+        lo = r.gst + r.delta_cap
         hi = t_star if t_star is not None else INF
         return sum(w for when, w in self.word_events if lo <= when <= hi)
 
     def _gst_record_seq(self) -> int:
         """Sequence number of the last record stamped at or before gst."""
+        r = self.resolved
         if self._gst_seq is None:
-            g = self.grid
+            g = r.grid
             last = -1
             for rec in self.records:
                 if rec["kind"] == "header":
                     continue
-                if _ticks(rec["time"], g, rec["seq"]) > self.gst:
+                if _ticks(rec["time"], g, rec["seq"]) > r.gst:
                     break
                 last = rec["seq"]
             self._gst_seq = last
@@ -541,74 +504,82 @@ class _Analyzer:
         pending). The pivot group is charged if corrupted-led, as is every
         further group up to the first with a never-corrupted leader.
         """
+        r = self.resolved
         at_seq = self._gst_record_seq()
         best = None
-        for p in sorted(self.never_corrupted):
+        for p in sorted(r.never_corrupted):
             pr = self.procs[p]
-            clock = pr.clock_before(self.gst, at_seq + 1)
+            clock = pr.clock_before(r.gst, at_seq + 1)
             if best is None or clock > best[0]:
                 best = (clock, p)
         clock, p_star = best
         view = max(
-            (v for when, v, _seq in self.procs[p_star].entries if when <= self.gst), default=0
+            (v for when, v, _seq in self.procs[p_star].entries if when <= r.gst), default=0
         )
-        pivot = max(view // self.k, int(clock // self.period))
+        pivot = max(view // r.k, int(clock // r.period))
         group = pivot + 1
-        limit = pivot + 2 * self.n + 2
-        while self.leader(group * self.k) not in self.never_corrupted:
+        limit = pivot + 2 * r.n + 2
+        while self.leader(group * r.k) not in r.never_corrupted:
             group += 1
             if group > limit:
                 raise TraceAnalysisError("no correct leader in the groups above the pivot")
         f_star = group - pivot - 1
-        if self.leader(pivot * self.k) not in self.never_corrupted:
+        if self.leader(pivot * r.k) not in r.never_corrupted:
             f_star += 1
         return f_star
 
     def check_bounds(self, t_star, t_star_seq, f_star: int, words: int) -> None:
-        bound = self.k * (f_star + 3) * self.gamma
+        r = self.resolved
+        bound = r.k * (f_star + 3) * r.gamma
         if t_star is not None:
-            if t_star - self.gst > bound:
+            if t_star - r.gst > bound:
                 self.flag(
                     "latency_bound",
                     t_star_seq,
-                    f"latency {t_star - self.gst} exceeds {bound} ticks",
+                    f"latency {t_star - r.gst} exceeds {bound} ticks",
                 )
-            if words > WORD_RATE_W * (f_star + 3) * self.n:
+            if words > WORD_RATE_W * (f_star + 3) * r.n:
                 self.flag(
                     "word_bound",
                     t_star_seq,
-                    f"{words} words exceed {WORD_RATE_W * (f_star + 3) * self.n}",
+                    f"{words} words exceed {WORD_RATE_W * (f_star + 3) * r.n}",
                 )
-        elif self.horizon >= self.gst + bound:
+        elif r.horizon >= r.gst + bound:
             self.flag("latency_bound", self.end_seq, "no correct-leader quorum within the bound")
-        if (
-            t_star is not None
-            and not self.corruption_time
-            and self.network != "worst_case_max_delay"
-            and self.delta_actual * 10 <= self.delta_cap
-            and len({pr.offset_log[0][1] for pr in self.procs}) == 1
-        ):
-            resp = RESPONSE_STEPS_C * self.delta_actual + self.gamma + self.delta_cap
-            if t_star - self.gst > resp:
+        if t_star is not None and self.responsive():
+            resp = RESPONSE_STEPS_C * r.delta_actual + r.gamma + r.delta_cap
+            if t_star - r.gst > resp:
                 self.flag(
                     "responsiveness",
                     t_star_seq,
-                    f"latency {t_star - self.gst} exceeds responsive bound {resp}",
+                    f"latency {t_star - r.gst} exceeds responsive bound {resp}",
                 )
 
-    def check_post_sync(self, t_star, t_star_view) -> None:
-        """Steady-state pace: consecutive correct-led groups after the first
-        synchronised quorum stay within the per-gap latency and word budget."""
-        if t_star is None or self.windows is not None or not self.uniform_rates:
-            return
-        delta_eff = self.delta_cap if self.network == "worst_case_max_delay" else self.delta_actual
+    def responsive(self) -> bool:
+        """Whether the responsive latency bound applies: no corruptions, a
+        network that uses the actual delay, that delay at most a tenth of the
+        cap, and every clock starting at the same value."""
+        r = self.resolved
+        return (
+            not r.corruptions
+            and r.network != "worst_case_max_delay"
+            and r.delta_actual * 10 <= r.delta_cap
+            and len(set(r.offsets)) == 1
+        )
+
+    def pace_gaps(self, t_star_view: int) -> list[tuple[int, int, Any, int]]:
+        """Steady-state pace from t_star's group on, as ``(ga, gb, elapsed,
+        words)``: for each two consecutive correct-led groups where both
+        leaders formed a post-gst quorum, the ticks between the first such
+        quorums and the words correct processors sent between them."""
+        r = self.resolved
         group_qc: dict[int, Any] = {}
         for when, proc, view, _seq in self.qc_formations:
-            if when <= self.gst or proc not in self.never_corrupted:
+            if when <= r.gst or proc not in r.never_corrupted:
                 continue
             if proc != self.leader(view):
                 continue
-            group = view // self.k
+            group = view // r.k
             if group not in group_qc or when < group_qc[group]:
                 group_qc[group] = when
         words_sorted = sorted(self.word_events)
@@ -616,33 +587,40 @@ class _Analyzer:
         cum = [0]
         for _when, w in words_sorted:
             cum.append(cum[-1] + w)
-
-        def words_between(lo, hi) -> int:
-            return cum[bisect_right(times, hi)] - cum[bisect_left(times, lo)]
-
         correct_led = [
             g
-            for g in range(t_star_view // self.k, max(group_qc) + 1)
-            if self.leader(g * self.k) in self.never_corrupted
+            for g in range(t_star_view // r.k, max(group_qc) + 1)
+            if self.leader(g * r.k) in r.never_corrupted
         ]
+        gaps = []
         for ga, gb in zip(correct_led, correct_led[1:]):
             if ga not in group_qc or gb not in group_qc:
-                continue
-            gap = gb - ga - 1
-            elapsed = group_qc[gb] - group_qc[ga]
-            allowed = self.k * (gap + 1) * self.gamma + RESPONSE_STEPS_C * delta_eff
+                continue  # a group without its quorum is not paired across
+            lo, hi = group_qc[ga], group_qc[gb]
+            words = cum[bisect_right(times, hi)] - cum[bisect_left(times, lo)]
+            gaps.append((ga, gb, hi - lo, words))
+        return gaps
+
+    def check_post_sync(self, t_star, t_star_view) -> None:
+        """Steady-state pace: consecutive correct-led groups after the first
+        synchronised quorum stay within the per-gap latency and word budget."""
+        r = self.resolved
+        if t_star is None or r.windows is not None or not r.uniform_rates:
+            return
+        for ga, gb, elapsed, words in self.pace_gaps(t_star_view):
+            groups = gb - ga
+            allowed = r.k * groups * r.gamma + RESPONSE_STEPS_C * r.delta_eff
             if elapsed > allowed:
                 self.flag(
                     "post_sync_latency",
                     self.end_seq,
                     f"groups {ga}->{gb} took {elapsed} ticks, allowed {allowed}",
                 )
-            w = words_between(group_qc[ga], group_qc[gb])
-            if w > WORD_RATE_W * (gap + 1) * self.n:
+            if words > WORD_RATE_W * groups * r.n:
                 self.flag(
                     "post_sync_words",
                     self.end_seq,
-                    f"groups {ga}->{gb} sent {w} words, allowed {WORD_RATE_W * (gap + 1) * self.n}",
+                    f"groups {ga}->{gb} sent {words} words, allowed {WORD_RATE_W * groups * r.n}",
                 )
 
     def check_underlying_contract(self) -> None:
@@ -651,10 +629,11 @@ class _Analyzer:
         them, provided they hold the view and the view's traffic met the
         actual delay, every never-corrupted processor holds the quorum
         certificate within three message delays."""
-        delta = self.delta_cap if self.network == "worst_case_max_delay" else self.delta_actual
-        need = self.n - self.t
+        r = self.resolved
+        delta = r.delta_eff
+        need = r.n - r.t
         intervals: dict[int, list[tuple[Any, Any, int]]] = {}
-        for p in self.never_corrupted:
+        for p in r.never_corrupted:
             ents = self.procs[p].entries
             for i, (when, view, _seq) in enumerate(ents):
                 until = ents[i + 1][0] if i + 1 < len(ents) else INF
@@ -663,14 +642,14 @@ class _Analyzer:
             if len(spans) < need:
                 continue
             lead = self.leader(view)
-            if lead not in self.never_corrupted:
+            if lead not in r.never_corrupted:
                 continue
             lead_span = next((s for s in spans if s[2] == lead), None)
             if lead_span is None:
                 continue
             # membership only grows at span starts, so checking gst and each
             # later start finds the earliest instant with a full quorum
-            candidates = sorted({self.gst} | {s[0] for s in spans if s[0] > self.gst})
+            candidates = sorted({r.gst} | {s[0] for s in spans if s[0] > r.gst})
             s = None
             for cand in candidates:
                 if sum(1 for start, until, _p in spans if start <= cand < until) >= need:
@@ -682,11 +661,11 @@ class _Analyzer:
             if deadline >= self.end_time:
                 continue  # the trace stops before the conclusion is due
             timely = all(
-                now <= max(self.gst, send) + delta
+                now <= max(r.gst, send) + delta
                 for send, now, sender in self.underlying_deliveries.get(view, ())
                 if self.procs[sender].correct_at(send)
             ) and all(
-                now <= max(self.gst, send) + delta
+                now <= max(r.gst, send) + delta
                 for send, now, sender in self.qc_deliveries.get(view, ())
                 if self.procs[sender].correct_at(send)
             )
@@ -699,7 +678,7 @@ class _Analyzer:
             )
             if not held:
                 continue
-            for p in self.never_corrupted:
+            for p in r.never_corrupted:
                 got = self.procs[p].qc_receipt.get(view)
                 if got is None or got[0] > deadline:
                     self.flag(
@@ -711,6 +690,7 @@ class _Analyzer:
     # -- orchestration -------------------------------------------------------
 
     def analyze(self) -> RunMetrics:
+        r = self.resolved
         self.scan()
         entries = self.all_entries()
         t_of = self.first_entry_times()
@@ -724,8 +704,8 @@ class _Analyzer:
         self.check_post_sync(t_star, t_star_view)
         self.check_underlying_contract()
         return RunMetrics(
-            t_star=None if t_star is None else from_ticks(t_star, self.grid),
-            latency=None if t_star is None else from_ticks(t_star - self.gst, self.grid),
+            t_star=None if t_star is None else from_ticks(t_star, r.grid),
+            latency=None if t_star is None else from_ticks(t_star - r.gst, r.grid),
             words_counted=words,
             f_star=f_star,
             first_sync_view=t_star_view,
@@ -740,65 +720,13 @@ def analyze(records: Sequence[Record]) -> RunMetrics:
 
 def assert_invariants(records: Sequence[Record], config=None) -> list[Violation]:
     """All invariant violations in a trace (empty list = conforming run)."""
-    if config is not None:
-        header = records[0].get("config", {}) if records else {}
-        for field_name, want in (("n", config.n), ("seed", config.seed)):
-            if header.get(field_name) != want:
-                raise TraceAnalysisError(
-                    f"trace header {field_name}={header.get(field_name)!r} does not match config"
-                )
-    return analyze(records).violations
-
-
-def compute_t_star(records: Sequence[Record], gst, params: ProtocolParams):
-    """Independent check: first post-gst quorum formed by a correct leader.
-
-    Deliberately a flat scan over raw records rather than a call into the
-    analyzer, so tests can cross-check the two paths against each other.
-    Returns a real-unit Fraction, or math.inf when no such event exists.
-    """
-    if not records or records[0].get("kind") != "header":
-        raise TraceAnalysisError("trace must start with a header record")
-    corrupted = {c["proc"] for c in records[0]["config"]["corruptions"]}
-    gst = to_frac(gst)
-    for rec in records:
-        if rec["kind"] != "form_qc":
-            continue
-        when = to_frac(rec["time"])
-        if when <= gst or rec["proc"] in corrupted:
-            continue
-        if rec["proc"] == leader_of(rec["view"], params):
-            return when
-    return INF
-
-
-def count_words(records: Sequence[Record], gst, delta_cap, t_star) -> int:
-    """Independent check: words from correct senders in [gst+delta, t_star]."""
-    if not records or records[0].get("kind") != "header":
-        raise TraceAnalysisError("trace must start with a header record")
-    corruption_at = {
-        c["proc"]: to_frac(c["time"]) for c in records[0]["config"]["corruptions"]
-    }
-    lo = to_frac(gst) + to_frac(delta_cap)
-    hi = INF if t_star is None or t_star is INF else to_frac(t_star)
-    total = 0
-    for rec in records:
-        if rec["kind"] != "send" or not rec["words"]:
-            continue
-        when = to_frac(rec["time"])
-        if not lo <= when <= hi:
-            continue
-        cut = corruption_at.get(rec["sender"])
-        if cut is not None and when >= cut:
-            continue
-        total += rec["words"]
-    return total
-
-
-def compute_f_star(records: Sequence[Record], params: ProtocolParams) -> int:
-    """Corrupted-leader groups charged by the bounds; see the analyzer."""
     analyzer = _Analyzer(records)
-    if (analyzer.n, analyzer.t, analyzer.k) != (params.n, params.t, params.k):
-        raise TraceAnalysisError("params do not match the trace header")
-    analyzer.scan()
-    return analyzer.compute_f_star()
+    if config is not None:
+        for field_name in ("n", "seed"):
+            got, want = getattr(analyzer.resolved, field_name), getattr(config, field_name)
+            if got != want:
+                raise TraceAnalysisError(
+                    f"trace header {field_name}={got!r} does not match config"
+                )
+    return analyzer.analyze().violations
+

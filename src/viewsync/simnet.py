@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Optional, Sequence, Union
 
 from .adversary import BYZANTINE_STRATEGIES, ByzantineControl
@@ -55,14 +56,14 @@ from .core import (
     on_vc,
     on_view_message,
 )
-from .timeutil import Time, frac_str, grid_of, ticks_str, to_frac, to_ticks
+from .timeutil import Time, frac_str, grid_of, parse_ticks, ticks_str, to_frac, to_ticks
 from .trace import TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
 NETWORK_STRATEGIES = ("fixed_delta", "worst_case_max_delay", "uniform_random")
 OFFSET_MODES = ("all_zero", "two_cluster", "adversarial_spread")
 LEADER_MODES = ("round_robin", "random_permutations")
-STOP_MODES = ("t_star", "sync_plus", "next_sync", "horizon")
+STOP_MODES = ("t_star", "sync_plus", "horizon")
 
 # Ticks the maximum delay must span, so sub-delay jitter stays on-grid.
 MIN_TICKS_PER_CAP = 60
@@ -123,6 +124,96 @@ class SimConfig:
     stop: str = "t_star"
     horizon: Union[int, str, Fraction, None] = None
     seed: int = 0
+
+
+# Fields holding times: with a unit, coerce reads these (and offset values,
+# window bounds and corruption times) as multiples of it.
+_TIME_FIELDS = ("delta_actual", "gst", "horizon")
+_INT_FIELDS = ("n", "t", "k", "x", "seed")
+
+
+def _number(value, where: str, unit: Optional[Fraction] = None) -> Fraction:
+    try:
+        number = to_frac(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return number if unit is None else number * unit
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _items(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where}: expected a list, got {value!r}")
+    return list(value)
+
+
+def _corruption(item, where: str, unit: Optional[Fraction]) -> Corruption:
+    if isinstance(item, Corruption):
+        proc, strategy, when = item.proc, item.strategy, item.time
+    elif isinstance(item, dict):
+        for key in ("proc", "strategy"):
+            if key not in item:
+                raise ValueError(f"{where}: missing {key!r}")
+        proc, strategy, when = item["proc"], item["strategy"], item.get("time", 0)
+    elif isinstance(item, (list, tuple)) and len(item) in (2, 3):
+        proc, strategy, when = (*item, 0)[:3]
+    else:
+        raise ValueError(f"{where}: expected {{proc, strategy, time}} or [proc, strategy, time]")
+    proc = _integer(proc, f"{where}.proc")
+    return Corruption(proc, strategy, _number(when, f"{where}.time", unit))
+
+
+def coerce(name: str, value, unit: Optional[Fraction] = None):
+    """The canonical form of one SimConfig field, the form config_hash digests.
+
+    Numbers become Fractions, sequences tuples and corruption entries
+    (``{proc, strategy, time}`` mappings or ``[proc, strategy, time]`` lists)
+    ``Corruption`` objects. Idempotent; other names pass through unchanged.
+    A ValueError names the field, and the item, that cannot be read.
+    """
+    if value is None:
+        return None
+    if name in _INT_FIELDS:
+        return _integer(value, name)
+    if name in _TIME_FIELDS:
+        return _number(value, name, unit)
+    if name in ("delta_cap", "drift_epsilon"):
+        return _number(value, name)
+    if name == "offsets":
+        if isinstance(value, str):
+            return value
+        items = _items(value, name)
+        if items and isinstance(items[0], str):
+            if len(items) != 2:
+                raise ValueError(f"offsets: expected [mode, gap], got {value!r}")
+            return (items[0], _number(items[1], "offsets[1]", unit))
+        return tuple(_number(v, f"offsets[{i}]", unit) for i, v in enumerate(items))
+    if name == "sync_windows":
+        windows = []
+        for i, window in enumerate(_items(value, name)):
+            where = f"sync_windows[{i}]"
+            bounds = _items(window, where)
+            if len(bounds) != 2:
+                raise ValueError(f"{where}: expected [start, end], got {window!r}")
+            start, end = bounds
+            windows.append(
+                (_number(start, where, unit), None if end is None else _number(end, where, unit))
+            )
+        return tuple(windows)
+    if name == "corruptions":
+        return tuple(
+            _corruption(c, f"corruptions[{i}]", unit) for i, c in enumerate(_items(value, name))
+        )
+    if name == "drift_rates":
+        for i, rate in enumerate(_items(value, name)):
+            _number(rate, f"drift_rates[{i}]")
+        return value  # kept as written, which is what config_hash has always digested
+    return value
 
 
 def default_resilience(n: int) -> int:
@@ -223,7 +314,7 @@ def generate_initial_offsets(
     raise ValueError(f"unknown offset mode {mode!r}")
 
 
-def _sync_start(send_time: Time, gst: Time, windows) -> Optional[Time]:
+def sync_start(send_time: Time, gst: Time, windows) -> Optional[Time]:
     """Earliest time >= send at which the network is (or becomes) synchronous.
 
     Returns the enclosing window's start when already inside one, the next
@@ -259,7 +350,7 @@ def delivery_time(
         raise ValueError(f"unknown network strategy {strategy!r}")
     if delta_actual is None:
         delta_actual = delta_cap
-    sync = _sync_start(send_time, gst, sync_windows)
+    sync = sync_start(send_time, gst, sync_windows)
     if sync is None:
         return None
     anchor = max(sync, send_time)
@@ -273,6 +364,298 @@ def delivery_time(
     if latest < 1:
         return upper
     return send_time + rng.randint(1, latest)
+
+
+# Header config entries written as they are, and those written as times.
+_HEADER_PLAIN = ("n", "t", "k", "x", "seed", "network", "leaders", "stop")
+_HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """One run, validated and fixed on its tick grid: every time is in ticks.
+
+    ``resolve`` builds it from a SimConfig, ``header`` writes it as the
+    trace's header record and ``from_header`` reads it back, so the
+    simulator and the analyzer work from the same description. Corruption
+    times are ticks too, in the order the header lists them (by time, then
+    processor). Rates are 1 or exact Fractions.
+    """
+
+    grid: int
+    n: int
+    t: int
+    k: int
+    x: int
+    seed: int
+    network: str
+    leaders: str
+    stop: str
+    gamma: Time
+    delta_cap: Time
+    delta_actual: Time
+    gst: Time
+    horizon: Time
+    offsets: tuple[Time, ...]
+    rates: tuple[Time, ...]
+    corruptions: tuple[Corruption, ...]
+    windows: Optional[tuple[tuple[Time, Optional[Time]], ...]]
+
+    @cached_property
+    def params(self) -> ProtocolParams:
+        if self.leaders == "round_robin":
+            schedule = RoundRobinSchedule(self.n)
+        else:
+            schedule = PermutationSchedule(self.n, subseed(self.seed, "leaders"))
+        return ProtocolParams(n=self.n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule)
+
+    @cached_property
+    def period(self) -> Time:
+        """Clock ticks between two boundary views."""
+        return self.k * self.gamma
+
+    @cached_property
+    def uniform_rates(self) -> bool:
+        return all(r == 1 for r in self.rates)
+
+    @cached_property
+    def never_corrupted(self) -> frozenset[int]:
+        return frozenset(range(self.n)) - {c.proc for c in self.corruptions}
+
+    @cached_property
+    def delta_eff(self) -> Time:
+        """The longest delay the network strategy gives a message sent after
+        stabilisation."""
+        return self.delta_cap if self.network == "worst_case_max_delay" else self.delta_actual
+
+    @cached_property
+    def max_flood_view(self) -> int:
+        """Highest view a signature flood at corruption time has to cover."""
+        top_clock = max(self.offsets) + math.ceil(self.horizon * max(self.rates))
+        return top_clock // self.gamma + 2 * self.k
+
+    def header(self) -> Record:
+        """The trace's header record, without its seq."""
+
+        def real(ticks: Time) -> str:
+            return ticks_str(ticks, self.grid)
+
+        config = {name: getattr(self, name) for name in _HEADER_PLAIN}
+        config.update({name: real(getattr(self, name)) for name in _HEADER_TIMES})
+        config.update(
+            offsets=[real(o) for o in self.offsets],
+            rates=[frac_str(r) for r in self.rates],
+            corruptions=[
+                {"proc": c.proc, "strategy": c.strategy, "time": real(c.time)}
+                for c in self.corruptions
+            ],
+            sync_windows=None
+            if self.windows is None
+            else [[real(s), None if e is None else real(e)] for s, e in self.windows],
+        )
+        return {
+            "kind": "header",
+            "version": TRACE_VERSION,
+            "time": real(0),
+            "grid": self.grid,
+            "config": config,
+        }
+
+    @classmethod
+    def from_header(cls, header: Record) -> Resolved:
+        """The description a header record carries. Only its shape is
+        checked: a trace of a run that broke the resilience or dispersion
+        bounds still reads, so the analyzer can flag it. ValueError if the
+        header is missing something or malformed."""
+        try:
+            cfg, grid = header["config"], header["grid"]
+            if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+                raise ValueError(f"grid must be a positive integer, got {grid!r}")
+
+            def ticks(text) -> int:
+                value = parse_ticks(text, grid)
+                return value if type(value) is int else to_ticks(to_frac(text), grid)
+
+            def rate(text) -> Time:
+                value = parse_ticks(text, 1)
+                return to_frac(text) if value is None else value
+
+            windows = cfg.get("sync_windows")
+            desc = cls(
+                grid=grid,
+                **{name: coerce(name, cfg[name]) for name in _HEADER_PLAIN},
+                **{name: ticks(cfg[name]) for name in _HEADER_TIMES},
+                offsets=tuple(ticks(o) for o in cfg["offsets"]),
+                rates=tuple(rate(r) for r in cfg["rates"]),
+                corruptions=tuple(
+                    Corruption(c["proc"], c["strategy"], ticks(c["time"]))
+                    for c in cfg["corruptions"]
+                ),
+                windows=None
+                if windows is None
+                else tuple((ticks(s), None if e is None else ticks(e)) for s, e in windows),
+            )
+            if len(desc.offsets) != desc.n or len(desc.rates) != desc.n:
+                raise ValueError("need one offset and one rate per processor")
+            desc.params  # ProtocolParams checks n, t, k and gamma
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"header is missing or malformed: {exc}") from None
+        return desc
+
+
+def resolve(config: SimConfig) -> Resolved:
+    """Validate one configuration and fix it on its tick grid.
+
+    Every field goes through ``coerce`` first, so a SimConfig written by hand
+    with ints, strings or Fractions resolves like one built from a spec.
+    A ValueError says what makes the configuration unusable.
+    """
+    cfg = SimConfig(**{name: coerce(name, value) for name, value in vars(config).items()})
+    n = cfg.n
+    if n < 2:
+        raise ValueError("need at least two processors")
+    t = default_resilience(n) if cfg.t is None else cfg.t
+    if not 0 <= t or not 3 * t < n:
+        raise ValueError(f"resilience t={t} incompatible with n={n}")
+    if cfg.k < 3:
+        raise ValueError("views per leader must be at least 3")
+    if cfg.x < 2:
+        raise ValueError("clock spacing multiplier must be at least 2")
+    if cfg.network not in NETWORK_STRATEGIES:
+        raise ValueError(f"unknown network strategy {cfg.network!r}")
+    if cfg.leaders not in LEADER_MODES:
+        raise ValueError(f"unknown leader mode {cfg.leaders!r}")
+    if cfg.stop not in STOP_MODES:
+        raise ValueError(f"unknown stop mode {cfg.stop!r}")
+
+    delta_cap = cfg.delta_cap
+    if delta_cap <= 0:
+        raise ValueError("maximum network delay must be positive")
+    delta_actual = delta_cap if cfg.delta_actual is None else cfg.delta_actual
+    if not 0 < delta_actual <= delta_cap:
+        raise ValueError("actual delay must lie in (0, delta_cap]")
+    gamma = cfg.x * delta_cap
+    gst = cfg.gst
+    if gst < 0:
+        raise ValueError("stabilisation time cannot be negative")
+
+    corruptions = sorted(cfg.corruptions, key=lambda c: (c.time, c.proc))
+    if len({c.proc for c in corruptions}) != len(corruptions):
+        raise ValueError("duplicate corruption target")
+    if len(corruptions) > t:
+        raise ValueError("more corruptions than the resilience bound allows")
+    for c in corruptions:
+        if not 0 <= c.proc < n:
+            raise ValueError(f"corruption target {c.proc} out of range")
+        if c.strategy not in BYZANTINE_STRATEGIES:
+            raise ValueError(f"unknown byzantine strategy {c.strategy!r}")
+        if c.time < 0:
+            raise ValueError("corruption time cannot be negative")
+
+    horizon = gst + 3 * cfg.k * (t + 3) * gamma if cfg.horizon is None else cfg.horizon
+    if horizon <= gst:
+        raise ValueError("horizon must extend past the stabilisation time")
+
+    windows = cfg.sync_windows
+    if windows is not None:
+        if not windows:
+            raise ValueError("sync_windows given but empty")
+        for i, (start, end) in enumerate(windows):
+            if end is not None and end <= start:
+                raise ValueError("empty synchronous window")
+            if i and windows[i - 1][1] is None:
+                raise ValueError("only the final synchronous window may be open")
+            if i and start < windows[i - 1][1]:
+                raise ValueError("synchronous windows must be disjoint and ordered")
+        if windows[0][0] != gst:
+            raise ValueError("gst must equal the first synchronous window start")
+
+    mode, gap, explicit = cfg.offsets, None, None
+    if isinstance(mode, tuple) and mode and isinstance(mode[0], str):
+        mode, gap = mode
+    elif isinstance(mode, tuple):
+        mode, explicit = None, mode
+    elif mode == "two_cluster":
+        gap = Fraction(DEFAULT_CLUSTER_GAP)
+
+    on_grid = [delta_cap, delta_actual, gst, horizon, *(c.time for c in corruptions)]
+    for start, end in windows or ():
+        on_grid.append(start)
+        if end is not None:
+            on_grid.append(end)
+    if gap is not None:
+        on_grid.append(gap)
+    on_grid.extend(explicit or ())
+    grid = grid_of(on_grid, floor=math.ceil(Fraction(MIN_TICKS_PER_CAP) / delta_cap))
+
+    def tick(value: Fraction) -> int:
+        return to_ticks(value, grid)
+
+    eps = cfg.drift_epsilon
+    if eps < 0:
+        raise ValueError("drift bound cannot be negative")
+    if cfg.drift_rates is not None:
+        rates = tuple(_number(r, f"drift_rates[{i}]") for i, r in enumerate(cfg.drift_rates))
+        if len(rates) != n:
+            raise ValueError("need one clock rate per processor")
+        if any(r <= 0 for r in rates):
+            raise ValueError("clock rates must be positive")
+    elif eps > 0:
+        rng = random.Random(subseed(cfg.seed, "drift"))
+        rates = tuple(1 + eps * Fraction(rng.randint(-16, 16), 16) for _ in range(n))
+    else:
+        rates = (1,) * n
+
+    desc = Resolved(
+        grid=grid,
+        n=n,
+        t=t,
+        k=cfg.k,
+        x=cfg.x,
+        seed=cfg.seed,
+        network=cfg.network,
+        leaders=cfg.leaders,
+        stop=cfg.stop,
+        gamma=tick(gamma),
+        delta_cap=tick(delta_cap),
+        delta_actual=tick(delta_actual),
+        gst=tick(gst),
+        horizon=tick(horizon),
+        offsets=(),  # drawn below, from the correct set and the period
+        rates=rates,
+        corruptions=tuple(Corruption(c.proc, c.strategy, tick(c.time)) for c in corruptions),
+        windows=None
+        if windows is None
+        else tuple((tick(s), None if e is None else tick(e)) for s, e in windows),
+    )
+    correct = sorted(desc.never_corrupted)
+    if explicit is not None:
+        if len(explicit) != n:
+            raise ValueError("need one initial clock per processor")
+        if any(v < 0 for v in explicit):
+            raise ValueError("initial clocks cannot be negative")
+        offsets = [tick(v) for v in explicit]
+        correct_offs = [offsets[p] for p in correct]
+        if not check_dagger(correct_offs, desc.gamma, t):
+            raise ValueError("initial clocks violate the dispersion condition")
+        if desc.uniform_rates:
+            hit = _lattice_collision(correct_offs, desc.period)
+            if hit is not None:
+                raise ValueError(
+                    f"initial clocks {hit} collide on the boundary lattice; nudge one by a tick"
+                )
+    else:
+        offsets = generate_initial_offsets(
+            n,
+            t,
+            desc.gamma,
+            mode,
+            subseed(cfg.seed, "offsets"),
+            correct=correct,
+            period=desc.period,
+            gap=None if gap is None else tick(gap),
+        )
+    return dataclasses.replace(desc, offsets=tuple(offsets))
 
 
 def payload_to_dict(payload) -> dict:
@@ -289,21 +672,6 @@ def payload_to_dict(payload) -> dict:
     raise TypeError(f"cannot serialise payload {payload!r}")
 
 
-def payload_from_dict(d: dict):
-    kind = d["type"]
-    if kind == "view_message":
-        return ViewMessage(d["view"], d["signer"])
-    if kind == "view_certificate":
-        return ViewCertificate(d["view"], tuple(d["signers"]))
-    if kind == "quorum_certificate":
-        return QuorumCertificate(d["view"], tuple(d["signers"]))
-    if kind == "proposal":
-        return Proposal(d["view"], d["leader"])
-    if kind == "vote":
-        return Vote(d["view"], d["signer"])
-    raise ValueError(f"unknown payload type {kind!r}")
-
-
 @dataclass(frozen=True)
 class Envelope:
     sender: int
@@ -318,223 +686,45 @@ class Simulation:
     """One configured run. Build, then call run() for the trace records."""
 
     def __init__(self, config: SimConfig):
-        self.config = config
-        self._resolve(config)
+        r = self.resolved = resolve(config)
         self.records: list[Record] = []
         self.seq = 0
         self.heap: list = []
         self.counter = itertools.count()
-        self.net_rng = random.Random(subseed(config.seed, "net"))
+        self.net_rng = random.Random(subseed(r.seed, "net"))
         self.ledger = SignatureLedger()
-        self.states = [ProcessorState(id=p, clock=self.offsets[p]) for p in range(self.n)]
-        self.subs = [UnderlyingState() for _ in range(self.n)]
-        self.offset: list[Time] = list(self.offsets)  # clock model intercepts
-        self.gen = [0] * self.n
-        self.next_boundary = [0] * self.n
-        self.corrupted = [False] * self.n
+        self.states = [ProcessorState(id=p, clock=r.offsets[p]) for p in range(r.n)]
+        self.subs = [UnderlyingState() for _ in range(r.n)]
+        self.offset: list[Time] = list(r.offsets)  # clock model intercepts
+        self.gen = [0] * r.n
+        self.next_boundary = [0] * r.n
+        self.corrupted = [False] * r.n
         self.controls = {
             c.proc: ByzantineControl(
-                c.proc, c.strategy, self.n, random.Random(subseed(config.seed, f"byz:{c.proc}"))
+                c.proc, c.strategy, r.n, random.Random(subseed(r.seed, f"byz:{c.proc}"))
             )
-            for c in self.corruption_list
+            for c in r.corruptions
         }
         self.t_star_ticks: Optional[Time] = None
-        self.t_star_view: Optional[int] = None
         self._sync_target_view: Optional[int] = None
-        self._next_sync_done = False
-        self._stop_reason: Optional[str] = None
-
-    # -- configuration -----------------------------------------------------
-
-    def _resolve(self, cfg: SimConfig) -> None:
-        if cfg.n < 2:
-            raise ValueError("need at least two processors")
-        self.n = cfg.n
-        self.t = default_resilience(cfg.n) if cfg.t is None else cfg.t
-        if not 0 <= self.t or not 3 * self.t < self.n:
-            raise ValueError(f"resilience t={self.t} incompatible with n={self.n}")
-        if cfg.k < 3:
-            raise ValueError("views per leader must be at least 3")
-        if cfg.x < 2:
-            raise ValueError("clock spacing multiplier must be at least 2")
-        if cfg.network not in NETWORK_STRATEGIES:
-            raise ValueError(f"unknown network strategy {cfg.network!r}")
-        if cfg.leaders not in LEADER_MODES:
-            raise ValueError(f"unknown leader mode {cfg.leaders!r}")
-        if cfg.stop not in STOP_MODES:
-            raise ValueError(f"unknown stop mode {cfg.stop!r}")
-
-        delta_cap = to_frac(cfg.delta_cap)
-        if delta_cap <= 0:
-            raise ValueError("maximum network delay must be positive")
-        delta_actual = delta_cap if cfg.delta_actual is None else to_frac(cfg.delta_actual)
-        if not 0 < delta_actual <= delta_cap:
-            raise ValueError("actual delay must lie in (0, delta_cap]")
-        gamma = cfg.x * delta_cap
-        gst = to_frac(cfg.gst)
-        if gst < 0:
-            raise ValueError("stabilisation time cannot be negative")
-
-        self.corruption_list = sorted(cfg.corruptions, key=lambda c: (to_frac(c.time), c.proc))
-        if len({c.proc for c in self.corruption_list}) != len(self.corruption_list):
-            raise ValueError("duplicate corruption target")
-        if len(self.corruption_list) > self.t:
-            raise ValueError("more corruptions than the resilience bound allows")
-        for c in self.corruption_list:
-            if not 0 <= c.proc < self.n:
-                raise ValueError(f"corruption target {c.proc} out of range")
-            if c.strategy not in BYZANTINE_STRATEGIES:
-                raise ValueError(f"unknown byzantine strategy {c.strategy!r}")
-            if to_frac(c.time) < 0:
-                raise ValueError("corruption time cannot be negative")
-        self.never_corrupted = frozenset(range(self.n)) - {c.proc for c in self.corruption_list}
-
-        horizon = (
-            gst + 3 * cfg.k * (self.t + 3) * gamma
-            if cfg.horizon is None
-            else to_frac(cfg.horizon)
-        )
-        if horizon <= gst:
-            raise ValueError("horizon must extend past the stabilisation time")
-
-        windows = None
-        if cfg.sync_windows is not None:
-            windows = []
-            prev_end = None
-            for start, end in cfg.sync_windows:
-                start = to_frac(start)
-                end = None if end is None else to_frac(end)
-                if end is not None and end <= start:
-                    raise ValueError("empty synchronous window")
-                if prev_end is None and windows:
-                    raise ValueError("only the final synchronous window may be open")
-                if windows and start < prev_end:
-                    raise ValueError("synchronous windows must be disjoint and ordered")
-                windows.append((start, end))
-                prev_end = end
-            if not windows:
-                raise ValueError("sync_windows given but empty")
-            if windows[0][0] != gst:
-                raise ValueError("gst must equal the first synchronous window start")
-
-        grid_values = [delta_cap, delta_actual, gst, horizon]
-        for c in self.corruption_list:
-            grid_values.append(to_frac(c.time))
-        if windows:
-            for start, end in windows:
-                grid_values.append(start)
-                if end is not None:
-                    grid_values.append(end)
-        explicit_offsets = None
-        gap = None
-        offsets_mode = cfg.offsets
-        if isinstance(cfg.offsets, (list, tuple)) and cfg.offsets and isinstance(cfg.offsets[0], str):
-            offsets_mode, gap = cfg.offsets
-            gap = to_frac(gap)
-            grid_values.append(gap)
-        elif isinstance(cfg.offsets, (list, tuple)):
-            explicit_offsets = [to_frac(v) for v in cfg.offsets]
-            grid_values.extend(explicit_offsets)
-        elif cfg.offsets == "two_cluster":
-            offsets_mode = "two_cluster"
-            gap = to_frac(DEFAULT_CLUSTER_GAP)
-
-        floor = math.ceil(Fraction(MIN_TICKS_PER_CAP) / delta_cap)
-        self.grid = grid_of(grid_values, floor=floor)
-
-        self.delta_cap_ticks = to_ticks(delta_cap, self.grid)
-        self.delta_actual_ticks = to_ticks(delta_actual, self.grid)
-        self.gamma_ticks = to_ticks(gamma, self.grid)
-        self.gst_ticks = to_ticks(gst, self.grid)
-        self.horizon_ticks = to_ticks(horizon, self.grid)
-        self.windows_ticks = None
-        if windows:
-            self.windows_ticks = [
-                (to_ticks(s, self.grid), None if e is None else to_ticks(e, self.grid))
-                for s, e in windows
-            ]
-        self.corruption_ticks = {
-            c.proc: to_ticks(to_frac(c.time), self.grid) for c in self.corruption_list
-        }
-
-        if cfg.leaders == "round_robin":
-            schedule = RoundRobinSchedule(self.n)
-        else:
-            schedule = PermutationSchedule(self.n, subseed(cfg.seed, "leaders"))
-        self.params = ProtocolParams(
-            n=self.n, t=self.t, k=cfg.k, gamma=self.gamma_ticks, schedule=schedule
-        )
-        self.period = cfg.k * self.gamma_ticks
-
-        eps = to_frac(cfg.drift_epsilon)
-        if eps < 0:
-            raise ValueError("drift bound cannot be negative")
-        if cfg.drift_rates is not None:
-            rates = [to_frac(r) for r in cfg.drift_rates]
-            if len(rates) != self.n:
-                raise ValueError("need one clock rate per processor")
-            if any(r <= 0 for r in rates):
-                raise ValueError("clock rates must be positive")
-        elif eps > 0:
-            rng = random.Random(subseed(cfg.seed, "drift"))
-            rates = [1 + eps * Fraction(rng.randint(-16, 16), 16) for _ in range(self.n)]
-        else:
-            rates = [1] * self.n
-        self.rates = rates
-        self.uniform_rates = all(r == 1 for r in rates)
-
-        if explicit_offsets is not None:
-            if len(explicit_offsets) != self.n:
-                raise ValueError("need one initial clock per processor")
-            if any(v < 0 for v in explicit_offsets):
-                raise ValueError("initial clocks cannot be negative")
-            offs = [to_ticks(v, self.grid) for v in explicit_offsets]
-            correct_offs = [offs[p] for p in sorted(self.never_corrupted)]
-            if not check_dagger(correct_offs, self.gamma_ticks, self.t):
-                raise ValueError("initial clocks violate the dispersion condition")
-            if self.uniform_rates:
-                hit = _lattice_collision(correct_offs, self.period)
-                if hit is not None:
-                    raise ValueError(
-                        f"initial clocks {hit} collide on the boundary lattice; "
-                        "nudge one by a tick"
-                    )
-            self.offsets = offs
-        else:
-            if offsets_mode not in OFFSET_MODES:
-                raise ValueError(f"unknown offset mode {offsets_mode!r}")
-            gap_ticks = None if gap is None else to_ticks(gap, self.grid)
-            self.offsets = generate_initial_offsets(
-                self.n,
-                self.t,
-                self.gamma_ticks,
-                offsets_mode,
-                subseed(cfg.seed, "offsets"),
-                correct=sorted(self.never_corrupted),
-                period=self.period,
-                gap=gap_ticks,
-            )
-
-        max_rate = max(self.rates)
-        top_clock = max(self.offsets) + math.ceil(self.horizon_ticks * max_rate)
-        self.max_flood_view = top_clock // self.gamma_ticks + 2 * cfg.k
 
     # -- clock model --------------------------------------------------------
 
     def local_clock(self, p: int, now: Time) -> Time:
-        return self.offset[p] + self.rates[p] * now
+        return self.offset[p] + self.resolved.rates[p] * now
 
     def _first_boundary(self, p: int) -> int:
-        off = self.offsets[p]
-        if off % self.period == 0:
+        off, period = self.resolved.offsets[p], self.resolved.period
+        if off % period == 0:
             return off
-        return (off // self.period + 1) * self.period
+        return (off // period + 1) * period
 
     def _threshold_time(self, p: int, boundary: int) -> Time:
         lag = boundary - self.offset[p]
-        if self.rates[p] == 1:
+        rate = self.resolved.rates[p]
+        if rate == 1:
             return lag
-        return Fraction(lag) / self.rates[p]
+        return Fraction(lag) / rate
 
     # -- record plumbing ----------------------------------------------------
 
@@ -544,10 +734,10 @@ class Simulation:
         self.records.append(rec)
 
     def _real(self, ticks: Time) -> str:
-        return ticks_str(ticks, self.grid)
+        return ticks_str(ticks, self.resolved.grid)
 
     def _push(self, when: Time, prio: int, a: int, b: int, kind: str, data) -> None:
-        if when > self.horizon_ticks:
+        if when > self.resolved.horizon:
             return
         heapq.heappush(self.heap, (when, prio, a, b, next(self.counter), kind, data))
 
@@ -564,23 +754,24 @@ class Simulation:
                 )
             sign = SIGN_VIEW if isinstance(payload, ViewMessage) else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
-        recipients = range(self.n) if to == ALL else [to]
+        r = self.resolved
+        recipients = range(r.n) if to == ALL else [to]
         for q in recipients:
             if q == sender:
                 when, words = now, 0
             else:
                 when = delivery_time(
-                    self.config.network,
+                    r.network,
                     now,
-                    gst=self.gst_ticks,
-                    delta_cap=self.delta_cap_ticks,
-                    delta_actual=self.delta_actual_ticks,
+                    gst=r.gst,
+                    delta_cap=r.delta_cap,
+                    delta_actual=r.delta_actual,
                     rng=self.net_rng,
-                    sync_windows=self.windows_ticks,
+                    sync_windows=r.windows,
                 )
                 words = 1
                 if when is None:
-                    when = self.horizon_ticks + self.delta_cap_ticks + 1
+                    when = r.horizon + r.delta_cap + 1
             env = Envelope(sender, q, payload, now, when, words)
             self._emit(
                 {
@@ -598,22 +789,22 @@ class Simulation:
     # -- action dispatch ----------------------------------------------------
 
     def _dispatch(self, p: int, actions: list, now: Time) -> None:
-        state = self.states[p]
+        state, r = self.states[p], self.resolved
         for act in actions:
             if isinstance(act, Send):
                 self.send(p, act.to, act.payload, now)
             elif isinstance(act, ForwardClock):
                 target = act.to
-                self.offset[p] = target - self.rates[p] * now
+                self.offset[p] = target - r.rates[p] * now
                 state.clock = target
                 self.gen[p] += 1
-                self.next_boundary[p] = (target // self.period + 1) * self.period
+                self.next_boundary[p] = (target // r.period + 1) * r.period
                 self._schedule_threshold(p)
             elif isinstance(act, EnterView):
                 extra = self._enter_view(p, act.view, now)
                 self._dispatch(p, extra, now)
             elif isinstance(act, FormVC):
-                signers = sorted(state.collected_view_msgs[act.view][: self.t + 1])
+                signers = sorted(state.collected_view_msgs[act.view][: r.t + 1])
                 self._emit(
                     {
                         "kind": "form_vc",
@@ -624,7 +815,7 @@ class Simulation:
                     }
                 )
             elif isinstance(act, FormQC):
-                signers = sorted(self.subs[p].votes[act.view][: self.n - self.t])
+                signers = sorted(self.subs[p].votes[act.view][: r.n - r.t])
                 self._emit(
                     {
                         "kind": "form_qc",
@@ -636,24 +827,16 @@ class Simulation:
                 )
                 if (
                     self.t_star_ticks is None
-                    and p in self.never_corrupted
-                    and now > self.gst_ticks
+                    and p in r.never_corrupted
+                    and now > r.gst
                 ):
                     self.t_star_ticks = now
-                    self.t_star_view = act.view
-                    group_start = (act.view // self.params.k) * self.params.k
-                    self._sync_target_view = group_start + self.params.k
-                elif (
-                    self.t_star_ticks is not None
-                    and p in self.never_corrupted
-                    and act.view // self.params.k > self.t_star_view // self.params.k
-                ):
-                    self._next_sync_done = True
+                    self._sync_target_view = (act.view // r.k + 1) * r.k
             else:
                 raise SimulationError(f"unhandled action {act!r}")
 
     def _enter_view(self, p: int, view: int, now: Time) -> list:
-        actions = on_enter_view(self.states[p], self.subs[p], view, self.params)
+        actions = on_enter_view(self.states[p], self.subs[p], view, self.resolved.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
         return actions
@@ -661,22 +844,22 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _receive_correct(self, p: int, payload, now: Time) -> list:
-        state, sub = self.states[p], self.subs[p]
+        state, sub, r = self.states[p], self.subs[p], self.resolved
         state.clock = self.local_clock(p, now)
         if isinstance(payload, ViewMessage):
             self._require(self.ledger.holds(payload.signer, SIGN_VIEW, payload.view), payload)
-            return on_view_message(state, payload, self.params)
+            return on_view_message(state, payload, r.params)
         if isinstance(payload, ViewCertificate):
-            self._require(validate_vc(payload, self.n, self.t, self.ledger), payload)
-            return on_vc(state, payload, self.params)
+            self._require(validate_vc(payload, r.n, r.t, self.ledger), payload)
+            return on_vc(state, payload, r.params)
         if isinstance(payload, QuorumCertificate):
-            self._require(validate_qc(payload, self.n, self.t, self.ledger), payload)
-            return on_qc(state, payload, self.params)
+            self._require(validate_qc(payload, r.n, r.t, self.ledger), payload)
+            return on_qc(state, payload, r.params)
         if isinstance(payload, Proposal):
-            return on_proposal(state, sub, payload, self.params)
+            return on_proposal(state, sub, payload, r.params)
         if isinstance(payload, Vote):
             self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
-            return on_vote(state, sub, payload, self.params)
+            return on_vote(state, sub, payload, r.params)
         raise SimulationError(f"unhandled payload {payload!r}")
 
     @staticmethod
@@ -718,7 +901,7 @@ class Simulation:
             return
         state = self.states[p]
         state.clock = boundary
-        actions = on_clock_reaches(state, boundary, self.params)
+        actions = on_clock_reaches(state, boundary, self.resolved.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
         self._emit(
@@ -730,7 +913,7 @@ class Simulation:
                 "proc_view": state.view,
             }
         )
-        self.next_boundary[p] = boundary + self.period
+        self.next_boundary[p] = boundary + self.resolved.period
         self._schedule_threshold(p)
         self._dispatch(p, actions, now)
 
@@ -760,86 +943,45 @@ class Simulation:
     # -- stop conditions ----------------------------------------------------
 
     def _should_stop(self) -> Optional[str]:
-        mode = self.config.stop
         if self.t_star_ticks is None:
             return None
+        mode = self.resolved.stop
         if mode == "t_star":
             return "t_star"
         if mode == "sync_plus":
             target = self._sync_target_view
-            if all(self.states[p].view >= target for p in self.never_corrupted):
+            if all(self.states[p].view >= target for p in self.resolved.never_corrupted):
                 return "sync_plus"
             return None
-        if mode == "next_sync":
-            return "next_sync" if self._next_sync_done else None
         return None
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> list[Record]:
-        cfg = self.config
-        self._emit(
-            {
-                "kind": "header",
-                "version": TRACE_VERSION,
-                "time": self._real(0),
-                "grid": self.grid,
-                "config": {
-                    "n": self.n,
-                    "t": self.t,
-                    "k": cfg.k,
-                    "x": cfg.x,
-                    "seed": cfg.seed,
-                    "gamma": self._real(self.gamma_ticks),
-                    "delta_cap": self._real(self.delta_cap_ticks),
-                    "delta_actual": self._real(self.delta_actual_ticks),
-                    "gst": self._real(self.gst_ticks),
-                    "horizon": self._real(self.horizon_ticks),
-                    "network": cfg.network,
-                    "leaders": cfg.leaders,
-                    "stop": cfg.stop,
-                    "offsets": [self._real(o) for o in self.offsets],
-                    "rates": [frac_str(r) for r in self.rates],
-                    "corruptions": [
-                        {
-                            "proc": c.proc,
-                            "strategy": c.strategy,
-                            "time": self._real(self.corruption_ticks[c.proc]),
-                        }
-                        for c in self.corruption_list
-                    ],
-                    "sync_windows": None
-                    if self.windows_ticks is None
-                    else [
-                        [self._real(s), None if e is None else self._real(e)]
-                        for s, e in self.windows_ticks
-                    ],
-                },
-            }
-        )
+        r = self.resolved
+        self._emit(r.header())
 
-        for c in self.corruption_list:
-            when = self.corruption_ticks[c.proc]
-            if when == 0:
+        for c in r.corruptions:
+            if c.time == 0:
                 self._apply_corruption(c.proc, c.strategy, 0)
             else:
-                self._push(when, _PRIO_CORRUPT, c.proc, c.proc, "corrupt", c.strategy)
+                self._push(c.time, _PRIO_CORRUPT, c.proc, c.proc, "corrupt", c.strategy)
 
         # Everyone starts in view 0; the view-0 leader proposes immediately.
-        for p in range(self.n):
+        for p in range(r.n):
             if self.corrupted[p] and self.controls[p].passive:
                 continue
             actions = self._enter_view(p, 0, 0)
             self._dispatch(p, actions, 0)
-        for p in range(self.n):
+        for p in range(r.n):
             self.next_boundary[p] = self._first_boundary(p)
             self._schedule_threshold(p)
 
         stop_reason = None
-        stop_time: Time = self.horizon_ticks
+        stop_time: Time = r.horizon
         while self.heap:
             when, prio, a, b, _, kind, data = heapq.heappop(self.heap)
-            if when > self.horizon_ticks:
+            if when > r.horizon:
                 break
             if kind == "corrupt":
                 self._apply_corruption(a, data, when)
@@ -858,18 +1000,8 @@ class Simulation:
                 break
         if stop_reason is None:
             stop_reason = "horizon"
-            stop_time = self.horizon_ticks
+            stop_time = r.horizon
 
         self._emit({"kind": "end", "time": self._real(stop_time), "reason": stop_reason})
         return self.records
 
-
-def run(config: SimConfig, horizon: Union[int, str, Fraction, None] = None):
-    """Simulate one configuration; returns (trace records, analysed metrics)."""
-    if horizon is not None:
-        config = dataclasses.replace(config, horizon=horizon)
-    sim = Simulation(config)
-    records = sim.run()
-    from .metrics import analyze  # deferred: metrics imports this module
-
-    return records, analyze(records)

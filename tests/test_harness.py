@@ -1,6 +1,7 @@
 """Batch runner and command-line behavior: sweeps, hashing, replay, exit codes."""
 
 import json
+import re
 
 import pytest
 import yaml
@@ -15,7 +16,8 @@ from viewsync.harness import (
     run_cell,
     run_experiment,
 )
-from viewsync.simnet import Corruption
+from viewsync import harness
+from viewsync.simnet import Corruption, coerce
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
 
@@ -59,6 +61,42 @@ def test_corruption_dicts_normalised():
         {**BASE, "corruptions": [{"proc": 1, "strategy": "crash_leader", "time": 4}], "seed": 0}
     )
     assert cfg.corruptions == (Corruption(1, "crash_leader", 4),)
+
+
+def test_corruption_without_proc_is_a_located_error_row():
+    row = run_cell({"n": 4, "corruptions": [{"strategy": "silent"}], "seed": 0})
+    assert row["error"] == "corruptions[0]: missing 'proc'"
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("gst", [1, 2], "gst"),
+        ("n", "4", "n"),
+        ("offsets", 5, "offsets"),
+        ("offsets", ["two_cluster"], "offsets"),
+        ("offsets", [0, "x", 1, 1], "offsets[1]"),
+        ("sync_windows", [[1]], "sync_windows[0]"),
+        ("corruptions", [[0, "silent", "1/0"]], "corruptions[0].time"),
+        ("corruptions", [{"proc": "0", "strategy": "silent"}], "corruptions[0].proc"),
+        ("drift_rates", [1, None], "drift_rates[1]"),
+    ],
+)
+def test_unreadable_values_name_their_field(field, value, where):
+    with pytest.raises(ValueError, match=rf"^{re.escape(where)}: "):
+        coerce(field, value)
+
+
+def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
+    def broken(records):
+        raise TypeError("analysis bug")
+
+    monkeypatch.setattr(harness, "analyze", broken)
+    cell = {**BASE, "seed": 0}
+    with pytest.raises(TypeError, match="analysis bug"):
+        run_cell(cell)
+    _index, row = harness._worker((0, cell, None))
+    assert row["error"].startswith("TypeError: analysis bug")
 
 
 # -- config hashing -------------------------------------------------------------
@@ -160,6 +198,14 @@ def test_load_spec_delta_units(tmp_path):
     assert spec.seeds == 2 and spec.base_seed == 5
 
 
+def test_delta_units_refuses_swept_delta_cap(tmp_path):
+    # every other time is read in units of the base delta_cap, which a swept
+    # delta_cap would silently contradict
+    doc = {"delta_units": True, "base": {"n": 4, "gst": 3}, "sweeps": {"delta_cap": [1, 2]}}
+    with pytest.raises(ExperimentError, match="delta_cap"):
+        load_spec(write_spec(tmp_path / "s.yaml", doc))
+
+
 def test_load_spec_rejects_unknown_keys(tmp_path):
     with pytest.raises(ExperimentError, match="unknown spec keys"):
         load_spec(write_spec(tmp_path / "s.yaml", {"base": {"n": 4}, "plots": True}))
@@ -228,6 +274,13 @@ def test_cli_rejects_bad_spec_file(tmp_path, capsys):
     path.write_text("base: {n: 4, latency: 2}\n", encoding="utf-8")
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "bad spec" in capsys.readouterr().err
+
+
+def test_cli_rejects_unreadable_time_in_delta_units(tmp_path, capsys):
+    doc = {"delta_units": True, "base": {"n": 4, "delta_cap": 2, "gst": [1, 2]}}
+    path = write_spec(tmp_path / "bad.yaml", doc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "bad spec: gst: " in capsys.readouterr().err
 
 
 def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):

@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule
-from viewsync.metrics import (
-    TraceAnalysisError,
-    _Analyzer,
-    analyze,
-    assert_invariants,
-    compute_f_star,
-    compute_t_star,
-    count_words,
-)
+from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
+from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, analyze, assert_invariants
 from viewsync.simnet import Corruption, SimConfig, Simulation, subseed
 from viewsync.timeutil import to_frac
 
@@ -65,6 +57,60 @@ def rfind(records, pred):
     raise AssertionError("no matching record")
 
 
+def compute_t_star(records: list, gst, params: ProtocolParams):
+    """Independent oracle: first post-gst quorum formed by a correct leader.
+
+    Deliberately a flat scan over raw records rather than a call into the
+    analyzer, so the two paths cross-check each other. Returns a real-unit
+    Fraction, or math.inf when no such event exists.
+    """
+    if not records or records[0].get("kind") != "header":
+        raise TraceAnalysisError("trace must start with a header record")
+    corrupted = {c["proc"] for c in records[0]["config"]["corruptions"]}
+    gst = to_frac(gst)
+    for rec in records:
+        if rec["kind"] != "form_qc":
+            continue
+        when = to_frac(rec["time"])
+        if when <= gst or rec["proc"] in corrupted:
+            continue
+        if rec["proc"] == leader_of(rec["view"], params):
+            return when
+    return INF
+
+
+def count_words(records: list, gst, delta_cap, t_star) -> int:
+    """Independent oracle: words from correct senders in [gst+delta, t_star]."""
+    if not records or records[0].get("kind") != "header":
+        raise TraceAnalysisError("trace must start with a header record")
+    corruption_at = {
+        c["proc"]: to_frac(c["time"]) for c in records[0]["config"]["corruptions"]
+    }
+    lo = to_frac(gst) + to_frac(delta_cap)
+    hi = INF if t_star is None or t_star is INF else to_frac(t_star)
+    total = 0
+    for rec in records:
+        if rec["kind"] != "send" or not rec["words"]:
+            continue
+        when = to_frac(rec["time"])
+        if not lo <= when <= hi:
+            continue
+        cut = corruption_at.get(rec["sender"])
+        if cut is not None and when >= cut:
+            continue
+        total += rec["words"]
+    return total
+
+
+def compute_f_star(records: list, params: ProtocolParams) -> int:
+    """Corrupted-leader groups charged by the bounds; see the analyzer."""
+    analyzer = _Analyzer(records)
+    r = analyzer.resolved
+    if (r.n, r.t, r.k) != (params.n, params.t, params.k):
+        raise TraceAnalysisError("params do not match the trace header")
+    analyzer.scan()
+    return analyzer.compute_f_star()
+
 class QuadraticAnalyzer(_Analyzer):
     """The analyzer with its first-entry and advance checks as first written:
     every boundary rescans every entry, every group rescans each processor's
@@ -74,8 +120,8 @@ class QuadraticAnalyzer(_Analyzer):
         if not entries:
             return
         max_view = max(v for _, v, _, _ in entries)
-        for cv in range(self._clean_start(), max_view * self.gamma + 1, self.period):
-            v = cv // self.gamma
+        for cv in range(self._clean_start(), max_view * self.resolved.gamma + 1, self.resolved.period):
+            v = cv // self.resolved.gamma
             at_or_above = [e for e in entries if e[1] >= v]
             if not at_or_above:
                 continue
@@ -89,7 +135,7 @@ class QuadraticAnalyzer(_Analyzer):
                         max(seq, 0),
                         f"first crossing of view {v} entered {view} instead",
                     )
-            for q in range(self.n):
+            for q in range(self.resolved.n):
                 pr = self.procs[q]
                 if not pr.correct_at(tau):
                     continue
@@ -101,30 +147,30 @@ class QuadraticAnalyzer(_Analyzer):
                     )
 
     def check_qc_before_advance(self, t_of) -> None:
-        if self.windows is not None:
+        if self.resolved.windows is not None:
             return
         clean = self._clean_start()
-        for v in sorted(v for v in t_of if v % self.k == 0):
-            if v * self.gamma < clean:
+        for v in sorted(v for v in t_of if v % self.resolved.k == 0):
+            if v * self.resolved.gamma < clean:
                 continue
-            if self.leader(v) not in self.never_corrupted or t_of[v] < self.gst:
+            if self.leader(v) not in self.resolved.never_corrupted or t_of[v] < self.resolved.gst:
                 continue
-            for p in self.never_corrupted:
+            for p in self.resolved.never_corrupted:
                 pr = self.procs[p]
                 advance = next(
-                    ((when, seq) for when, view, seq in pr.entries if view >= v + self.k),
+                    ((when, seq) for when, view, seq in pr.entries if view >= v + self.resolved.k),
                     None,
                 )
                 if advance is None:
                     continue
                 _when, adv_seq = advance
-                for u in range(v, v + self.k - 2):
+                for u in range(v, v + self.resolved.k - 2):
                     got = pr.qc_receipt.get(u)
                     if got is None or got[1] >= adv_seq:
                         self.flag(
                             "qc_before_advance",
                             max(adv_seq, 0),
-                            f"processor {p} reached view {v + self.k} without the quorum for {u}",
+                            f"processor {p} reached view {v + self.resolved.k} without the quorum for {u}",
                         )
 
 
@@ -361,6 +407,24 @@ def test_linear_passes_match_quadratic_oracle_on_random_edits(base, data):
 def test_headerless_trace_rejected(base):
     with pytest.raises(TraceAnalysisError):
         analyze(base[1:])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cfg: cfg.pop("gamma"),
+        lambda cfg: cfg.update(offsets=cfg["offsets"][:-1]),
+        lambda cfg: cfg.update(gst="1/7"),  # off the 1/30 grid
+        lambda cfg: cfg.update(horizon=[3]),
+        lambda cfg: cfg.update(t=3),  # 3t >= n
+        lambda cfg: cfg.update(corruptions=[{"proc": 1}]),
+    ],
+)
+def test_malformed_header_rejected(base, edit):
+    bad = copy.deepcopy(list(base))
+    edit(bad[0]["config"])
+    with pytest.raises(TraceAnalysisError, match="header is missing or malformed"):
+        analyze(bad)
 
 
 def test_unknown_record_kind_rejected(base):

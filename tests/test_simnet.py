@@ -1,5 +1,7 @@
 """Frozen examples and properties for the simulator: offsets, delivery, runs."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -8,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewsync import simnet
+from viewsync.adversary import BYZANTINE_STRATEGIES
 from viewsync.certificates import ViewMessage
 from viewsync.core import ALL
 from viewsync.harness import _worker
+from viewsync.metrics import analyze
 from viewsync.simnet import (
     Corruption,
+    Resolved,
     SimConfig,
     Simulation,
     SimulationError,
@@ -20,7 +25,7 @@ from viewsync.simnet import (
     default_resilience,
     delivery_time,
     generate_initial_offsets,
-    run,
+    resolve,
     subseed,
 )
 from viewsync.trace import to_jsonl
@@ -178,12 +183,12 @@ def test_run_seed_changes_trace():
     assert a != b
 
 
-def test_run_helper_overrides_horizon():
+def test_replaced_horizon_reaches_the_header():
     cfg = sim_config(stop="horizon", horizon=30)
-    records, metrics = run(cfg, horizon=12)
+    records = Simulation(dataclasses.replace(cfg, horizon=12)).run()
     assert records[0]["config"]["horizon"] == "12"
     assert records[-1]["kind"] == "end"
-    assert metrics.violations == []
+    assert analyze(records).violations == []
 
 
 def test_silent_first_leader_pushes_first_qc_to_next_group():
@@ -206,10 +211,66 @@ def test_horizon_must_clear_gst():
         Simulation(sim_config(gst=50, stop="horizon", horizon=40))
 
 
+def test_next_sync_is_an_unknown_stop_mode():
+    with pytest.raises(ValueError, match="unknown stop mode 'next_sync'"):
+        Simulation(sim_config(stop="next_sync"))
+
+
 def test_subseed_is_stable_and_label_sensitive():
     assert subseed(7, "net") == subseed(7, "net")
     assert subseed(7, "net") != subseed(7, "offsets")
     assert subseed(7, "net") != subseed(8, "net")
+
+
+# -- the resolved run description ----------------------------------------------
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(min_value=4, max_value=10))
+    delta_cap = draw(st.sampled_from([1, 2, Fraction(3, 2), Fraction(5, 7)]))
+    gst = draw(st.sampled_from([0, 3, Fraction(22, 3)]))
+    procs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=default_resilience(n)))
+    corruptions = tuple(
+        Corruption(
+            p,
+            draw(st.sampled_from(BYZANTINE_STRATEGIES)),
+            draw(st.sampled_from([0, 2, "7/2"])),
+        )
+        for p in procs
+    )
+    offsets = draw(
+        st.sampled_from(
+            ["all_zero", "two_cluster", "adversarial_spread", ("two_cluster", "5/2"), None]
+        )
+    )
+    if offsets is None:  # explicit and equal, so dispersed by nothing
+        offsets = [draw(st.sampled_from([0, Fraction(1, 3), 4]))] * n
+    windows = draw(st.sampled_from([None, [(gst, gst + 10), (gst + 30, None)], [(gst, gst + 5)]]))
+    rates = draw(st.sampled_from([None, [1, "101/100"] + ["99/100"] * (n - 2)]))
+    return SimConfig(
+        n=n,
+        delta_cap=delta_cap,
+        delta_actual=draw(st.sampled_from([None, delta_cap, Fraction(delta_cap) / 3])),
+        gst=gst,
+        offsets=offsets,
+        corruptions=corruptions,
+        network=draw(st.sampled_from(simnet.NETWORK_STRATEGIES)),
+        leaders=draw(st.sampled_from(simnet.LEADER_MODES)),
+        drift_epsilon=draw(st.sampled_from([0, Fraction(1, 100)])),
+        drift_rates=rates,
+        sync_windows=windows,
+        stop=draw(st.sampled_from(simnet.STOP_MODES)),
+        seed=draw(st.integers(min_value=0, max_value=50)),
+    )
+
+
+@given(cfg=configs())
+@settings(max_examples=60, deadline=None)
+def test_header_round_trip(cfg):
+    desc = resolve(cfg)
+    assert Resolved.from_header(desc.header()) == desc
+    assert Resolved.from_header(json.loads(json.dumps(desc.header()))) == desc
 
 
 # -- the simulator's own protocol checks ---------------------------------------

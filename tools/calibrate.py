@@ -36,50 +36,27 @@ STRATEGIES = (
 
 
 def measure(records):
-    """Worst-case ratios for one trace: global words, pace latency, pace words."""
+    """Worst-case ratios for one trace: global words, pace latency, pace words.
+
+    The pace pairs and the responsive predicate are the analyzer's own, so
+    the ratios measure exactly what check_post_sync and check_bounds bound.
+    """
     an = _Analyzer(records)
     an.scan()
+    r = an.resolved
     t_star, t_star_view, _seq = an.compute_t_star()
     f_star = an.compute_f_star()
     out = {}
     if t_star is not None:
-        out["w_global"] = Fraction(an.count_words(t_star), (f_star + 3) * an.n)
-        delta_eff = (
-            an.delta_cap if an.network == "worst_case_max_delay" else an.delta_actual
-        )
-        group_qc = {}
-        for when, proc, view, _s in an.qc_formations:
-            if when <= an.gst or proc not in an.never_corrupted:
-                continue
-            if proc != an.leader(view):
-                continue
-            g = view // an.k
-            if g not in group_qc or when < group_qc[g]:
-                group_qc[g] = when
-        led = [
-            g
-            for g in range(t_star_view // an.k, max(group_qc) + 1)
-            if an.leader(g * an.k) in an.never_corrupted and g in group_qc
-        ]
-        words = sorted(an.word_events)
-        for ga, gb in zip(led, led[1:]):
-            gap = gb - ga - 1
-            elapsed = group_qc[gb] - group_qc[ga]
-            slack = elapsed - an.k * (gap + 1) * an.gamma
-            out["c_pace"] = max(out.get("c_pace", 0), Fraction(slack, delta_eff))
-            in_window = sum(w for when, w in words if group_qc[ga] <= when <= group_qc[gb])
-            out["w_pace"] = max(
-                out.get("w_pace", 0), Fraction(in_window, (gap + 1) * an.n)
-            )
-        responsive = (
-            not an.corruption_time
-            and an.network != "worst_case_max_delay"
-            and an.delta_actual * 10 <= an.delta_cap
-            and len({pr.offset_log[0][1] for pr in an.procs}) == 1
-        )
-        if responsive:
-            slack = (t_star - an.gst) - an.gamma - an.delta_cap
-            out["c_resp"] = Fraction(slack, an.delta_actual)
+        out["w_global"] = Fraction(an.count_words(t_star), (f_star + 3) * r.n)
+        for ga, gb, elapsed, words in an.pace_gaps(t_star_view):
+            groups = gb - ga
+            slack = elapsed - r.k * groups * r.gamma
+            out["c_pace"] = max(out.get("c_pace", 0), Fraction(slack, r.delta_eff))
+            out["w_pace"] = max(out.get("w_pace", 0), Fraction(words, groups * r.n))
+        if an.responsive():
+            slack = (t_star - r.gst) - r.gamma - r.delta_cap
+            out["c_resp"] = Fraction(slack, r.delta_actual)
     return out
 
 
