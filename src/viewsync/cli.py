@@ -6,8 +6,8 @@ Verbs:
   verify <spec>   like sweep, but exit 1 if any invariant violation or any
                   cell error turns up (CI gate)
   replay <trace>  recompute metrics from a stored trace; exit 2 on parse
-                  errors (reported with line number), 1 if the trace holds
-                  invariant violations
+                  errors (reported with line number) or an unusable header
+                  or time, 1 if the trace holds invariant violations
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
@@ -33,6 +33,7 @@ from .harness import (
     replay_cell,
     run_experiment,
 )
+from .metrics import TraceAnalysisError
 from .simnet import coerce
 from .timeutil import to_frac
 from .trace import TraceParseError
@@ -49,21 +50,30 @@ _SPEC_KEYS = {
 }
 
 
-def _apply_delta_units(doc: dict) -> dict:
-    sweeps = dict(doc.get("sweeps", {}))
+def _apply_delta_units(base: dict, sweeps: dict) -> tuple[dict, dict]:
     if "delta_cap" in sweeps:
         raise ExperimentError(
             "delta_units: delta_cap is the unit the other times are read in, so it cannot be swept"
         )
-    base = dict(doc.get("base", {}))
     unit = coerce("delta_cap", base.get("delta_cap", 1))
-    out = dict(doc)
-    out["base"] = {field: coerce(field, value, unit) for field, value in base.items()}
-    if sweeps:
-        out["sweeps"] = {
-            field: [coerce(field, v, unit) for v in values] for field, values in sweeps.items()
-        }
-    return out
+    return (
+        {field: coerce(field, value, unit) for field, value in base.items()},
+        {field: [coerce(field, v, unit) for v in values] for field, values in sweeps.items()},
+    )
+
+
+def _mapping(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ExperimentError(f"{key}: expected a mapping, got {value!r}")
+    return dict(value)
+
+
+def _integer(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ExperimentError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
 def load_spec(path, *, seed=None, horizon=None, mode=None, drop_sweeps=False):
@@ -75,22 +85,22 @@ def load_spec(path, *, seed=None, horizon=None, mode=None, drop_sweeps=False):
     unknown = set(doc) - _SPEC_KEYS
     if unknown:
         raise ExperimentError(f"{path}: unknown spec keys {sorted(unknown)}")
-    base = dict(doc.get("base", {}))
+    base, sweeps = _mapping(doc, "base"), _mapping(doc, "sweeps")
+    for key, values in sweeps.items():
+        if not isinstance(values, list):
+            raise ExperimentError(f"sweeps.{key}: expected a list, got {values!r}")
     if horizon is not None:  # applied before unit scaling, so spec-file units
         base["horizon"] = horizon
         base.setdefault("stop", "horizon")
-    doc = dict(doc)
-    doc["base"] = base
     if doc.get("delta_units"):
-        doc = _apply_delta_units(doc)
-    base = doc["base"]
+        base, sweeps = _apply_delta_units(base, sweeps)
     spec = ExperimentSpec(
         base=base,
-        sweeps={} if drop_sweeps else {k: list(v) for k, v in dict(doc.get("sweeps", {})).items()},
-        seeds=int(doc.get("seeds", 1)),
-        base_seed=int(doc.get("base_seed", 0)) if seed is None else seed,
+        sweeps={} if drop_sweeps else sweeps,
+        seeds=_integer(doc, "seeds", 1),
+        base_seed=_integer(doc, "base_seed", 0) if seed is None else seed,
         mode=mode or doc.get("mode", "measure"),
-        max_cells=int(doc.get("max_cells", ExperimentSpec.max_cells)),
+        max_cells=_integer(doc, "max_cells", ExperimentSpec.max_cells),
     )
     return spec, bool(doc.get("traces", False))
 
@@ -177,7 +187,7 @@ def _cmd_replay(args) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
-    except TraceParseError as exc:
+    except (TraceParseError, TraceAnalysisError) as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(row, indent=2, sort_keys=True)

@@ -24,7 +24,7 @@ from typing import Any, Optional
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .metrics import analyze
 from .simnet import Corruption, Resolved, SimConfig, Simulation, coerce
-from .timeutil import frac_str, ticks_str, to_frac
+from .timeutil import frac_str, from_ticks, to_frac
 from .trace import write_trace
 
 
@@ -143,8 +143,8 @@ def _row(digest: Optional[str], run: Resolved, metrics) -> dict[str, Any]:
         "t": run.t,
         "f": len(run.corruptions),
         "f_star": metrics.f_star,
-        "gst": ticks_str(run.gst, run.grid),
-        "delta": ticks_str(run.delta_actual, run.grid),
+        "gst": frac_str(from_ticks(run.gst, run.grid)),
+        "delta": frac_str(from_ticks(run.delta_actual, run.grid)),
         "t_star": None if metrics.t_star is None else frac_str(metrics.t_star),
         "latency": None if metrics.latency is None else frac_str(metrics.latency),
         "words": metrics.words_counted,

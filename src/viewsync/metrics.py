@@ -24,7 +24,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .core import leader_of
 from .simnet import Resolved, check_dagger, sync_start
-from .timeutil import Time, from_ticks, parse_ticks
+from .timeutil import Time, from_ticks, load_ticks
 from .trace import Record
 
 
@@ -59,20 +59,12 @@ class RunMetrics:
 INF = math.inf
 
 
-def _ticks(value, grid: int, seq: int) -> Time:
-    """Parse a rational time string into (possibly fractional) ticks."""
-    ticks = parse_ticks(value, grid)
-    if ticks is not None:
-        return ticks
+def _ticks(value, seq: int) -> Time:
+    """One record time, in ticks: an int, or a Fraction for a ``"p/q"`` string."""
     try:
-        return int(value) * grid
-    except (ValueError, TypeError):
-        pass
-    try:
-        f = Fraction(value) * grid
-    except (ValueError, ZeroDivisionError, TypeError):
+        return load_ticks(value)
+    except ValueError:
         raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}") from None
-    return f.numerator if f.denominator == 1 else f
 
 
 class _Proc:
@@ -120,7 +112,7 @@ class _Analyzer:
         except ValueError as exc:
             raise TraceAnalysisError(str(exc)) from None
         self.records = records
-        self.procs = [_Proc(off, 1 if rate == 1 else rate) for off, rate in zip(r.offsets, r.rates)]
+        self.procs = [_Proc(off, rate) for off, rate in zip(r.offsets, r.rates)]
         self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
 
         self.violations: list[Violation] = []
@@ -132,8 +124,8 @@ class _Analyzer:
         self.underlying_deliveries: dict[int, list] = {}
         self.qc_deliveries: dict[int, list] = {}
         self.end_seq: int = records[-1]["seq"]
-        self.end_time: Time = _ticks(records[-1]["time"], r.grid, self.end_seq)
-        self._gst_seq: Optional[int] = None
+        self.end_time: Time = _ticks(records[-1]["time"], self.end_seq)
+        self.gst_seq = -1  # the last record before the first stamped after gst
 
     # -- helpers -------------------------------------------------------------
 
@@ -183,15 +175,21 @@ class _Analyzer:
 
     def scan(self) -> None:
         r = self.resolved
-        g, period, uniform_rates = r.grid, r.period, r.uniform_rates
+        gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
         recheck_dagger = True
+        before_gst = True
         for rec in self.records:
             seq = rec["seq"]
             kind = rec["kind"]
             if kind == "header":
                 self._check_dagger_now(0, seq)
                 continue
-            now = _ticks(rec["time"], g, seq)
+            now = _ticks(rec["time"], seq)
+            if before_gst:
+                if now > gst:
+                    before_gst = False
+                else:
+                    self.gst_seq = seq
             if kind == "corrupt":
                 p = rec["proc"]
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
@@ -200,12 +198,12 @@ class _Analyzer:
                 self._scan_send(rec, now, seq)
             elif kind == "deliver":
                 if self._scan_stamp(
-                    rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], g, seq), now, seq
+                    rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
                 ):
                     recheck_dagger = True
                 self._scan_deliver(rec, now, seq)
             elif kind == "threshold":
-                boundary = _ticks(rec["boundary_clock"], g, seq)
+                boundary = _ticks(rec["boundary_clock"], seq)
                 if boundary % period != 0:
                     self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
                 if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
@@ -285,7 +283,7 @@ class _Analyzer:
 
     def _scan_deliver(self, rec: Record, now, seq: int) -> None:
         r = self.resolved
-        send_time = _ticks(rec["send_time"], r.grid, seq)
+        send_time = _ticks(rec["send_time"], seq)
         sender, recipient = rec["sender"], rec["recipient"]
         payload = rec["payload"]
         if sender == recipient:
@@ -340,9 +338,10 @@ class _Analyzer:
         out.sort(key=lambda e: (e[0], e[2]))
         return out
 
-    def first_entry_times(self) -> dict[int, Any]:
+    def first_entry_times(self, entries) -> dict[int, Any]:
+        """Each view's first correct entry time, from ``all_entries``."""
         t_of: dict[int, Any] = {}
-        for when, view, _seq, _p in self.all_entries():
+        for when, view, _seq, _p in entries:
             if view not in t_of:
                 t_of[view] = when
         return t_of
@@ -481,21 +480,6 @@ class _Analyzer:
         hi = t_star if t_star is not None else INF
         return sum(w for when, w in self.word_events if lo <= when <= hi)
 
-    def _gst_record_seq(self) -> int:
-        """Sequence number of the last record stamped at or before gst."""
-        r = self.resolved
-        if self._gst_seq is None:
-            g = r.grid
-            last = -1
-            for rec in self.records:
-                if rec["kind"] == "header":
-                    continue
-                if _ticks(rec["time"], g, rec["seq"]) > r.gst:
-                    break
-                last = rec["seq"]
-            self._gst_seq = last
-        return self._gst_seq
-
     def compute_f_star(self) -> int:
         """Corrupted-leader groups chargeable against the recovery bounds.
 
@@ -505,11 +489,10 @@ class _Analyzer:
         further group up to the first with a never-corrupted leader.
         """
         r = self.resolved
-        at_seq = self._gst_record_seq()
         best = None
         for p in sorted(r.never_corrupted):
             pr = self.procs[p]
-            clock = pr.clock_before(r.gst, at_seq + 1)
+            clock = pr.clock_before(r.gst, self.gst_seq + 1)
             if best is None or clock > best[0]:
                 best = (clock, p)
         clock, p_star = best
@@ -693,7 +676,7 @@ class _Analyzer:
         r = self.resolved
         self.scan()
         entries = self.all_entries()
-        t_of = self.first_entry_times()
+        t_of = self.first_entry_times(entries)
         self.check_first_entry(entries)
         self.check_entry_identity(t_of)
         self.check_qc_before_advance(t_of)

@@ -56,7 +56,7 @@ from .core import (
     on_vc,
     on_view_message,
 )
-from .timeutil import Time, frac_str, grid_of, parse_ticks, ticks_str, to_frac, to_ticks
+from .timeutil import Time, dump_ticks, grid_of, load_ticks, to_frac, to_ticks
 from .trace import TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
@@ -435,28 +435,20 @@ class Resolved:
         return top_clock // self.gamma + 2 * self.k
 
     def header(self) -> Record:
-        """The trace's header record, without its seq."""
-
-        def real(ticks: Time) -> str:
-            return ticks_str(ticks, self.grid)
-
-        config = {name: getattr(self, name) for name in _HEADER_PLAIN}
-        config.update({name: real(getattr(self, name)) for name in _HEADER_TIMES})
+        """The trace's header record, without its seq. Times are in ticks."""
+        config = {name: getattr(self, name) for name in (*_HEADER_PLAIN, *_HEADER_TIMES)}
         config.update(
-            offsets=[real(o) for o in self.offsets],
-            rates=[frac_str(r) for r in self.rates],
+            offsets=list(self.offsets),
+            rates=[dump_ticks(r) for r in self.rates],
             corruptions=[
-                {"proc": c.proc, "strategy": c.strategy, "time": real(c.time)}
-                for c in self.corruptions
+                {"proc": c.proc, "strategy": c.strategy, "time": c.time} for c in self.corruptions
             ],
-            sync_windows=None
-            if self.windows is None
-            else [[real(s), None if e is None else real(e)] for s, e in self.windows],
+            sync_windows=None if self.windows is None else [list(w) for w in self.windows],
         )
         return {
             "kind": "header",
             "version": TRACE_VERSION,
-            "time": real(0),
+            "time": 0,
             "grid": self.grid,
             "config": config,
         }
@@ -466,34 +458,32 @@ class Resolved:
         """The description a header record carries. Only its shape is
         checked: a trace of a run that broke the resilience or dispersion
         bounds still reads, so the analyzer can flag it. ValueError if the
-        header is missing something or malformed."""
+        header is missing something or malformed, a time that is not a
+        whole number of ticks included."""
         try:
             cfg, grid = header["config"], header["grid"]
             if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
                 raise ValueError(f"grid must be a positive integer, got {grid!r}")
-
-            def ticks(text) -> int:
-                value = parse_ticks(text, grid)
-                return value if type(value) is int else to_ticks(to_frac(text), grid)
-
-            def rate(text) -> Time:
-                value = parse_ticks(text, 1)
-                return to_frac(text) if value is None else value
-
             windows = cfg.get("sync_windows")
             desc = cls(
                 grid=grid,
                 **{name: coerce(name, cfg[name]) for name in _HEADER_PLAIN},
-                **{name: ticks(cfg[name]) for name in _HEADER_TIMES},
-                offsets=tuple(ticks(o) for o in cfg["offsets"]),
-                rates=tuple(rate(r) for r in cfg["rates"]),
+                **{name: _integer(cfg[name], name) for name in _HEADER_TIMES},
+                offsets=tuple(_integer(o, f"offsets[{i}]") for i, o in enumerate(cfg["offsets"])),
+                rates=tuple(load_ticks(r) for r in cfg["rates"]),
                 corruptions=tuple(
-                    Corruption(c["proc"], c["strategy"], ticks(c["time"]))
-                    for c in cfg["corruptions"]
+                    Corruption(c["proc"], c["strategy"], _integer(c["time"], f"corruptions[{i}]"))
+                    for i, c in enumerate(cfg["corruptions"])
                 ),
                 windows=None
                 if windows is None
-                else tuple((ticks(s), None if e is None else ticks(e)) for s, e in windows),
+                else tuple(
+                    (
+                        _integer(start, "sync_windows"),
+                        None if end is None else _integer(end, "sync_windows"),
+                    )
+                    for start, end in windows
+                ),
             )
             if len(desc.offsets) != desc.n or len(desc.rates) != desc.n:
                 raise ValueError("need one offset and one rate per processor")
@@ -733,8 +723,9 @@ class Simulation:
         self.seq += 1
         self.records.append(rec)
 
-    def _real(self, ticks: Time) -> str:
-        return ticks_str(ticks, self.resolved.grid)
+    def _real(self, ticks: Time) -> Union[int, str]:
+        """A time as the trace records it: ticks, by ``dump_ticks``."""
+        return dump_ticks(ticks)
 
     def _push(self, when: Time, prio: int, a: int, b: int, kind: str, data) -> None:
         if when > self.resolved.horizon:

@@ -5,20 +5,20 @@ rationals. Internally the simulator works on an integer tick grid so the hot
 loop stays on machine ints; Fraction values appear only where clock rates
 other than 1 force them. Mixed int/Fraction arithmetic is exact either way.
 
-Traces carry times in real units as rational strings, so ticks cross that
-boundary twice per value: the simulator writes them, the analyzer reads them
-back. On the grid both directions are integer arithmetic: ``ticks_str``
-reduces ``ticks/grid`` by their gcd, and ``parse_ticks`` splits an ASCII
-``"p"`` or ``"p/q"`` (the form ``frac_str`` writes) and divides ``p * grid``
-by ``q``. Fraction ticks and every other spelling of a number go through
-``fractions.Fraction`` instead, which gives the same values.
+Traces (version 2) carry every time as a count of ticks on the grid their
+header names, so the simulator writes and the analyzer reads the values it
+computes with: ``dump_ticks`` writes a whole count as a JSON int and only a
+drifted clock's non-whole Fraction as a ``"p/q"`` string, and ``load_ticks``
+reads exactly those two forms back. Clock rates, which have no unit, use
+the same two forms. Real units appear only at the edges: config input and
+the reported metrics (``from_ticks``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Union
+from math import lcm
+from typing import Union
 
 Time = Union[int, Fraction]
 
@@ -63,36 +63,26 @@ def from_ticks(ticks: Time, grid: int) -> Fraction:
     return Fraction(ticks, 1) / grid if isinstance(ticks, Fraction) else Fraction(ticks, grid)
 
 
-def ticks_str(ticks: Time, grid: int) -> str:
-    """``frac_str(from_ticks(ticks, grid))``, without a Fraction for int ticks."""
+def dump_ticks(ticks: Time) -> Union[int, str]:
+    """The trace form of a tick value: a whole count as a JSON int, any
+    other (a drifted clock's) as a ``"p/q"`` string."""
     if type(ticks) is int:
-        d = gcd(ticks, grid)
-        if d == grid:
-            return str(ticks // grid)
-        return f"{ticks // d}/{grid // d}"
-    return frac_str(from_ticks(ticks, grid))
+        return ticks
+    if ticks.denominator == 1:
+        return ticks.numerator
+    return f"{ticks.numerator}/{ticks.denominator}"
 
 
-def parse_ticks(text: object, grid: int) -> Optional[Time]:
-    """Ticks of an ASCII ``-?[0-9]+(/[0-9]+)?`` string with a nonzero
-    denominator, equal to ``Fraction(text) * grid``: an int when whole, a
-    Fraction otherwise. None for any other input, which callers parse the
-    general way.
-    """
-    if type(text) is not str or not text.isascii():
-        return None
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    # isdigit() alone would admit "²", which int() rejects; the text is ASCII here
-    if not digits.isdigit():
-        return None
-    if not slash:
-        return int(num) * grid
-    if not den.isdigit():
-        return None
-    q = int(den)
-    if q == 0:
-        return None
-    scaled = int(num) * grid
-    whole, rest = divmod(scaled, q)
-    return whole if rest == 0 else Fraction(scaled, q)
+def load_ticks(value: object) -> Time:
+    """The tick value ``dump_ticks`` wrote: an int (not a bool) as it is, an
+    ASCII ``-?[0-9]+/[0-9]+`` string with a nonzero denominator as a
+    Fraction. ValueError for anything else."""
+    if type(value) is int:
+        return value
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        # isdigit() alone would admit "²", which int() rejects; the text is ASCII here
+        if slash and digits.isdigit() and den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
+    raise ValueError(f"{value!r} is not a tick count")

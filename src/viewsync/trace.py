@@ -1,9 +1,13 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
-A trace is a list of flat dict records, one per simulation event, with exact
-times carried as rational strings ("7", "64/3"). The serialized form is the
-canonical identity of a run: determinism and replay guarantees are stated over
-these bytes, so serialization sorts keys and never emits floats.
+A trace is a list of flat dict records, one per simulation event. Version 2
+carries every time as a JSON integer count of ticks on the grid the header
+names; only a value that is not whole (a drifted clock's) is a ``"p/q"``
+tick string, and clock rates take the same two forms (``timeutil.dump_ticks``).
+Version 1 traces, with times as rational strings in real units, are not read.
+The serialized form is the canonical identity of a run: determinism and
+replay guarantees are stated over these bytes, so serialization sorts keys
+and never emits floats.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO, Iterable
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 Record = dict[str, Any]
 

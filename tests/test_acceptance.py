@@ -21,7 +21,7 @@ from viewsync.core import ProtocolParams, RoundRobinSchedule, leader_of
 from viewsync.harness import build_config, run_cell
 from viewsync.metrics import analyze
 from viewsync.simnet import Simulation, subseed
-from viewsync.timeutil import to_frac
+from viewsync.timeutil import load_ticks, to_frac
 from viewsync.trace import parse_jsonl, to_jsonl
 
 DELTA = 2
@@ -348,12 +348,13 @@ def test_criterion_8_drift_with_oscillating_synchrony():
         records = Simulation(build_config(cell)).run()
         metrics = analyze(records)
         assert metrics.violations == [], (seed, metrics.violations[:3])
+        grid = records[0]["grid"]
         for lo, hi in windows[:3]:
             hit = any(
                 r["kind"] == "form_qc"
                 and r["proc"] != 0
                 and r["proc"] == leader_of(r["view"], params)
-                and lo <= to_frac(r["time"]) <= hi
+                and lo * grid <= load_ticks(r["time"]) <= hi * grid
                 for r in records
             )
             assert hit, f"seed {seed}: no correct-leader quorum in window [{lo}, {hi}]"

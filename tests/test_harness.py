@@ -283,6 +283,25 @@ def test_cli_rejects_unreadable_time_in_delta_units(tmp_path, capsys):
     assert "bad spec: gst: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra,key",
+    [
+        ({"sweeps": {"gst": 3}}, "sweeps.gst: expected a list"),
+        ({"sweeps": [{"gst": [0, 3]}]}, "sweeps: expected a mapping"),
+        ({"base": [4]}, "base: expected a mapping"),
+        ({"seeds": "many"}, "seeds: expected an integer"),
+        ({"seeds": 2.5}, "seeds: expected an integer"),
+        ({"base_seed": [1]}, "base_seed: expected an integer"),
+        ({"max_cells": None}, "max_cells: expected an integer"),
+    ],
+)
+def test_cli_rejects_malformed_spec_values(tmp_path, capsys, extra, key):
+    doc = {"base": {"n": 4, "delta_cap": 2}, **extra}
+    path = write_spec(tmp_path / "bad.yaml", doc)
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"bad spec: {key}" in capsys.readouterr().err
+
+
 def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])
@@ -309,21 +328,43 @@ def test_cli_replay_reports_parse_error_line(spec_file, tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):
+def edited_trace(spec_file, tmp_path, edit):
+    """A trace from the spec's sweep, its records passed through edit."""
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])
     trace = sorted((out / "traces").glob("*.jsonl"))[0]
-    lines = trace.read_text().splitlines()
-    recs = [json.loads(l) for l in lines]
-    corrupted = {c["proc"] for c in recs[0]["config"]["corruptions"]}
-    for r in recs:
-        if r["kind"] == "deliver" and r["recipient"] not in corrupted:
-            r["proc_clock"] = "-5"
-            break
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    edit(recs)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(json.dumps(r, sort_keys=True) for r in recs) + "\n")
+    bad.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+    return str(bad)
+
+
+def test_cli_replay_reports_malformed_header(spec_file, tmp_path, capsys):
+    bad = edited_trace(spec_file, tmp_path, lambda recs: recs[0]["config"].pop("gamma"))
     capsys.readouterr()
-    assert main(["replay", str(bad)]) == 1
+    assert main(["replay", bad]) == 2
+    assert "malformed trace: header is missing or malformed" in capsys.readouterr().err
+
+
+def test_cli_replay_refuses_version_1_traces(spec_file, tmp_path, capsys):
+    bad = edited_trace(spec_file, tmp_path, lambda recs: recs[0].update(version=1))
+    capsys.readouterr()
+    assert main(["replay", bad]) == 2
+    assert "unsupported trace version 1" in capsys.readouterr().err
+
+
+def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):
+    def backward_clock(recs):
+        corrupted = {c["proc"] for c in recs[0]["config"]["corruptions"]}
+        for r in recs:
+            if r["kind"] == "deliver" and r["recipient"] not in corrupted:
+                r["proc_clock"] = -5 * recs[0]["grid"]
+                break
+
+    bad = edited_trace(spec_file, tmp_path, backward_clock)
+    capsys.readouterr()
+    assert main(["replay", bad]) == 1
     row = json.loads(capsys.readouterr().out)
     assert row["violations_count"] >= 1
     assert row["violations"][0][0] == "clock_monotonicity"

@@ -2,16 +2,16 @@
 
 import copy
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewsync.constants import RESPONSE_STEPS_C
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
 from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, analyze, assert_invariants
 from viewsync.simnet import Corruption, SimConfig, Simulation, subseed
-from viewsync.timeutil import to_frac
+from viewsync.timeutil import from_ticks, load_ticks
 
 
 def run_records(**kw):
@@ -26,7 +26,7 @@ def params_from(records) -> ProtocolParams:
         schedule = RoundRobinSchedule(cfg["n"])
     else:
         schedule = PermutationSchedule(cfg["n"], subseed(cfg["seed"], "leaders"))
-    return ProtocolParams(cfg["n"], cfg["t"], cfg["k"], to_frac(cfg["gamma"]), schedule)
+    return ProtocolParams(cfg["n"], cfg["t"], cfg["k"], cfg["gamma"], schedule)
 
 
 def mutated(records, index, **changes):
@@ -61,17 +61,16 @@ def compute_t_star(records: list, gst, params: ProtocolParams):
     """Independent oracle: first post-gst quorum formed by a correct leader.
 
     Deliberately a flat scan over raw records rather than a call into the
-    analyzer, so the two paths cross-check each other. Returns a real-unit
-    Fraction, or math.inf when no such event exists.
+    analyzer, so the two paths cross-check each other. Takes and returns
+    ticks; math.inf when no such event exists.
     """
     if not records or records[0].get("kind") != "header":
         raise TraceAnalysisError("trace must start with a header record")
     corrupted = {c["proc"] for c in records[0]["config"]["corruptions"]}
-    gst = to_frac(gst)
     for rec in records:
         if rec["kind"] != "form_qc":
             continue
-        when = to_frac(rec["time"])
+        when = load_ticks(rec["time"])
         if when <= gst or rec["proc"] in corrupted:
             continue
         if rec["proc"] == leader_of(rec["view"], params):
@@ -80,19 +79,18 @@ def compute_t_star(records: list, gst, params: ProtocolParams):
 
 
 def count_words(records: list, gst, delta_cap, t_star) -> int:
-    """Independent oracle: words from correct senders in [gst+delta, t_star]."""
+    """Independent oracle: words from correct senders in [gst+delta, t_star],
+    all in ticks."""
     if not records or records[0].get("kind") != "header":
         raise TraceAnalysisError("trace must start with a header record")
-    corruption_at = {
-        c["proc"]: to_frac(c["time"]) for c in records[0]["config"]["corruptions"]
-    }
-    lo = to_frac(gst) + to_frac(delta_cap)
-    hi = INF if t_star is None or t_star is INF else to_frac(t_star)
+    corruption_at = {c["proc"]: c["time"] for c in records[0]["config"]["corruptions"]}
+    lo = gst + delta_cap
+    hi = INF if t_star is None else t_star
     total = 0
     for rec in records:
         if rec["kind"] != "send" or not rec["words"]:
             continue
-        when = to_frac(rec["time"])
+        when = load_ticks(rec["time"])
         if not lo <= when <= hi:
             continue
         cut = corruption_at.get(rec["sender"])
@@ -212,7 +210,7 @@ def test_conforming_run_with_faults_is_clean():
 
 def test_backward_clock_detected(base):
     i = rfind(base, lambda r: r["kind"] == "deliver")
-    bad = mutated(base, i, proc_clock="-5")
+    bad = mutated(base, i, proc_clock=-5 * base[0]["grid"])
     found = violations(bad)
     assert any(v.invariant == "clock_monotonicity" and v.seq == i for v in found)
 
@@ -228,7 +226,7 @@ def test_backward_view_detected(base):
 
 def test_dispersed_initial_clocks_detected(base):
     bad = copy.deepcopy(list(base))
-    bad[0]["config"]["offsets"][-1] = "100"
+    bad[0]["config"]["offsets"][-1] = 100 * base[0]["grid"]
     assert "dagger" in ids(bad)
 
 
@@ -269,23 +267,23 @@ def test_late_delivery_detected(base):
         base,
         lambda r: r["kind"] == "deliver"
         and r["sender"] != r["recipient"]
-        and to_frac(r["time"]) > 3,
+        and r["time"] > 3 * base[0]["grid"],
     )
-    bad = mutated(base, i, send_time="0")
+    bad = mutated(base, i, send_time=0)
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
 
 def test_delayed_self_delivery_detected(base):
     i = find(base, lambda r: r["kind"] == "deliver" and r["sender"] == r["recipient"])
-    bad = mutated(base, i, send_time=str(to_frac(base[i]["time"]) - 1))
+    bad = mutated(base, i, send_time=base[i]["time"] - base[0]["grid"])
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
 
 def test_off_boundary_threshold_detected(base):
     i = find(base, lambda r: r["kind"] == "threshold")
-    bad = mutated(base, i, boundary_clock="7")
+    bad = mutated(base, i, boundary_clock=7 * base[0]["grid"])
     assert "threshold_alignment" in ids(bad)
 
 
@@ -309,7 +307,7 @@ def test_certificate_without_correct_signer_detected(base):
     signers = base[i]["signers"]
     bad = copy.deepcopy(list(base))
     bad[0]["config"]["corruptions"] = [
-        {"proc": s, "strategy": "silent", "time": "0"} for s in signers
+        {"proc": s, "strategy": "silent", "time": 0} for s in signers
     ]
     found = violations(bad)
     assert any(v.invariant == "vc_honesty" and v.seq == i for v in found)
@@ -320,7 +318,7 @@ def test_quorum_without_enough_correct_signers_detected(base):
     bad = copy.deepcopy(list(base))
     bad[i]["signers"] = [0, 1, 2, 3, 4]
     bad[0]["config"]["corruptions"] = [
-        {"proc": p, "strategy": "silent", "time": "0"} for p in (0, 1, 2)
+        {"proc": p, "strategy": "silent", "time": 0} for p in (0, 1, 2)
     ]
     found = violations(bad)
     assert any(v.invariant == "qc_honesty" and v.seq == i for v in found)
@@ -353,7 +351,7 @@ def test_clock_past_boundary_at_first_entry_detected(base):
         base[:seq],
         lambda r: r["kind"] == "deliver" and r["recipient"] != entrant,
     )
-    bad = mutated(base, j, proc_clock="1000")
+    bad = mutated(base, j, proc_clock=1000 * base[0]["grid"])
     found = violations(bad)
     assert ("first_entry_clocks", seq) in {(x.invariant, x.seq) for x in found}
 
@@ -366,6 +364,76 @@ def test_advance_before_quorum_detected(base):
     bad = mutated(base, j, proc_view=v + 3)
     found = violations(bad)
     assert ("qc_before_advance", j) in {(x.invariant, x.seq) for x in found}
+
+
+@pytest.mark.parametrize("gst", [0, 4, "13/3"])
+def test_gst_seq_is_the_last_record_before_the_first_after_gst(gst):
+    records = run_records(gst=gst)
+    analyzer = scanned(records)
+    want = -1
+    for rec in records[1:]:
+        if load_ticks(rec["time"]) > analyzer.resolved.gst:
+            break
+        want = rec["seq"]
+    assert analyzer.gst_seq == want
+
+
+def first_leader_qc(records, group):
+    """Index of the first quorum a group's leader forms after gst."""
+    cfg = records[0]["config"]
+    params = params_from(records)
+    return find(
+        records,
+        lambda r: r["kind"] == "form_qc"
+        and r["view"] // cfg["k"] == group
+        and r["proc"] == leader_of(r["view"], params)
+        and r["time"] > cfg["gst"],
+    )
+
+
+def test_late_first_quorum_breaks_latency_bound(base):
+    i = first_leader_qc(base, 0)  # t_star's record: gst is 0
+    gamma = base[0]["config"]["gamma"]
+    bad = mutated(base, i, time=base[i]["time"] + 100 * gamma)
+    found = violations(bad)
+    assert ("latency_bound", i) in {(x.invariant, x.seq) for x in found}
+
+
+def test_words_before_first_quorum_break_word_bound(base):
+    cfg = base[0]["config"]
+    t_star = base[first_leader_qc(base, 0)]["time"]
+    # a correct send counted against the bound: in [gst + delta_cap, t_star]
+    i = find(
+        base,
+        lambda r: r["kind"] == "send"
+        and r["words"]
+        and cfg["gst"] + cfg["delta_cap"] <= r["time"] <= t_star,
+    )
+    bad = mutated(base, i, words=10**6)
+    found = violations(bad)
+    assert ("word_bound", first_leader_qc(base, 0)) in {(x.invariant, x.seq) for x in found}
+
+
+def test_slow_first_quorum_breaks_responsiveness():
+    records = run_records(network="fixed_delta", delta_actual="1/5")
+    cfg = records[0]["config"]
+    i = first_leader_qc(records, 0)
+    # silent at the responsive bound, firing one tick past it, well inside
+    # the latency bound
+    resp = RESPONSE_STEPS_C * cfg["delta_actual"] + cfg["gamma"] + cfg["delta_cap"]
+    assert violations(mutated(records, i, time=cfg["gst"] + resp)) == []
+    bad = mutated(records, i, time=cfg["gst"] + resp + 1)
+    found = {(x.invariant, x.seq) for x in violations(bad)}
+    assert ("responsiveness", i) in found
+    assert ("latency_bound", i) not in found
+
+
+def test_words_between_group_quorums_break_post_sync_words(base):
+    lo, hi = (base[first_leader_qc(base, g)]["time"] for g in (2, 3))
+    i = find(base, lambda r: r["kind"] == "send" and r["words"] and lo < r["time"] < hi)
+    bad = mutated(base, i, words=10**6)
+    found = violations(bad)
+    assert ("post_sync_words", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
 
 
 @pytest.mark.parametrize(
@@ -397,7 +465,8 @@ def test_linear_passes_match_quadratic_oracle_on_random_edits(base, data):
         if data.draw(st.booleans()):
             bad[i]["proc_view"] = data.draw(st.integers(min_value=0, max_value=16))
         elif bad[i]["kind"] == "deliver":
-            bad[i]["proc_clock"] = str(data.draw(st.integers(min_value=0, max_value=90)))
+            clock = data.draw(st.integers(min_value=0, max_value=90))
+            bad[i]["proc_clock"] = clock * base[0]["grid"]
     violations(bad)
 
 
@@ -414,7 +483,8 @@ def test_headerless_trace_rejected(base):
     [
         lambda cfg: cfg.pop("gamma"),
         lambda cfg: cfg.update(offsets=cfg["offsets"][:-1]),
-        lambda cfg: cfg.update(gst="1/7"),  # off the 1/30 grid
+        lambda cfg: cfg.update(gst="1/7"),  # off the grid: not whole ticks
+        lambda cfg: cfg["offsets"].__setitem__(0, 1.5),
         lambda cfg: cfg.update(horizon=[3]),
         lambda cfg: cfg.update(t=3),  # 3t >= n
         lambda cfg: cfg.update(corruptions=[{"proc": 1}]),
@@ -445,7 +515,7 @@ def test_config_mismatch_rejected(base):
 def test_first_sync_is_strictly_after_stabilisation(base):
     params = params_from(base)
     forms = [
-        (to_frac(r["time"]), r["view"])
+        (load_ticks(r["time"]), r["view"])
         for r in base
         if r["kind"] == "form_qc"
     ]
@@ -471,10 +541,8 @@ def test_analyzer_matches_standalone_oracles():
         if m.t_star is None:
             assert t_star == math.inf
         else:
-            assert t_star == m.t_star
-        assert m.words_counted == count_words(
-            records, cfg["gst"], cfg["delta_cap"], m.t_star
-        )
+            assert from_ticks(t_star, records[0]["grid"]) == m.t_star
+        assert m.words_counted == count_words(records, cfg["gst"], cfg["delta_cap"], t_star)
         assert m.f_star == compute_f_star(records, params)
         assert m.violations == []
 

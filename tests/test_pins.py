@@ -5,8 +5,14 @@ header moved into one place in ``simnet``; a refactor of that path has to
 reproduce them exactly. ``config_hash`` names every stored trace file and
 the trace bytes are the identity of a run, so a changed digest here is a
 changed run, not a cosmetic difference.
+
+The trace digests were first recorded in trace version 1, which wrote times
+as rational strings in real units. ``as_v1`` spells a version 2 trace (ticks
+on the header's grid) that way again, so the same runs still match those
+digests; each cell also pins its version 2 digest.
 """
 
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -15,7 +21,44 @@ import yaml
 from viewsync.cli import load_spec
 from viewsync.harness import build_config, config_hash
 from viewsync.simnet import Corruption, Simulation
+from viewsync.timeutil import frac_str, from_ticks, load_ticks
 from viewsync.trace import to_jsonl
+
+RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
+HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def as_v1(records):
+    """A version 2 trace rewritten in version 1 spelling: every time as the
+    rational string of its real value, rates as rational strings."""
+    grid = records[0]["grid"]
+
+    def real(value):
+        return frac_str(from_ticks(load_ticks(value), grid))
+
+    out = copy.deepcopy(list(records))
+    for rec in out:
+        for name in RECORD_TIMES:
+            if name in rec:
+                rec[name] = real(rec[name])
+    head = out[0]
+    head["version"] = 1
+    cfg = head["config"]
+    for name in HEADER_TIMES:
+        cfg[name] = real(cfg[name])
+    cfg["offsets"] = [real(o) for o in cfg["offsets"]]
+    cfg["rates"] = [frac_str(load_ticks(r)) for r in cfg["rates"]]
+    for c in cfg["corruptions"]:
+        c["time"] = real(c["time"])
+    if cfg["sync_windows"] is not None:
+        cfg["sync_windows"] = [
+            [real(start), None if end is None else real(end)] for start, end in cfg["sync_windows"]
+        ]
+    return out
+
+
+def sha256(records) -> str:
+    return hashlib.sha256(to_jsonl(records).encode()).hexdigest()
 
 # cell -> config_hash, one cell per input form a spec or a caller may use
 HASHED_CELLS = [
@@ -84,7 +127,7 @@ DELTA_UNITS_HASHES = [
     "a86f82dbd8b69bbf",
 ]
 
-# cell -> (records, SHA-256 of the JSONL trace)
+# cell -> (records, SHA-256 of the trace as_v1, SHA-256 of the version 2 trace)
 TRACED_CELLS = [
     (
         {
@@ -98,6 +141,7 @@ TRACED_CELLS = [
         },
         393,
         "943c02cadcff239488fd6adc1515ce9981927464978417856b5e0c8a70ae0ea3",
+        "bb576b1ad5bee28f52ed903f547e990a118ecc118b2c3ffdcb754c47dc65e80d",
     ),
     (
         {
@@ -112,6 +156,7 @@ TRACED_CELLS = [
         },
         1385,
         "e6d20ee41a4b8445ea31cc3bd4612ad5a8abad4ffacaecd3185b9e658b3390a7",
+        "4bcad9d2333ebeff3479ef7f9b83a9cf621cfad5f1111e42257a8ab1c1059a67",
     ),
     (
         {
@@ -123,6 +168,7 @@ TRACED_CELLS = [
         },
         140,
         "e3dc28bc2094dcb0461112ccf7cb3cd4c0c09fca24afe901f08c9e6ced45e91e",
+        "b30552d52c4ee6eadbca9110647065ab6582155c4fc36089270b441d97495067",
     ),
     (
         {
@@ -136,6 +182,7 @@ TRACED_CELLS = [
         },
         232,
         "1cbc477fac5b0e5e3741191f3363ccd3f5be9d8265fdfe7784fab3aa38729ca7",
+        "22a4eae993a4a9efbefc8bb1758225accfa1b865970fcdc5a5b117506d3001a1",
     ),
     (
         {
@@ -147,6 +194,7 @@ TRACED_CELLS = [
         },
         37,
         "4a5ce8947266ce31ffa44fa033ff2fd3c400bb5adb75b33bc0d6773723e29ed4",
+        "94ab8a1ebcb731e5f685d0e747e66545befb57b961ed032895024a9e32becadc",
     ),
     (
         {
@@ -161,6 +209,7 @@ TRACED_CELLS = [
         },
         828,
         "efe4b83e5868b7d639132ffd754f53371bc13930834808718dca726a9c9cda33",
+        "4bf75dd5e0dade7354d958ceee139b5202ff45f86a4e07c74bd3cc108e56c3d8",
     ),
 ]
 
@@ -180,7 +229,7 @@ def test_delta_units_config_hash_pins(tmp_path):
 
 def test_trace_sha256_pins():
     got = []
-    for cell, _, _ in TRACED_CELLS:
+    for cell, _, _, _ in TRACED_CELLS:
         records = Simulation(build_config(cell)).run()
-        got.append((len(records), hashlib.sha256(to_jsonl(records).encode()).hexdigest()))
-    assert got == [(count, digest) for _, count, digest in TRACED_CELLS]
+        got.append((len(records), sha256(as_v1(records)), sha256(records)))
+    assert got == [(count, v1, v2) for _, count, v1, v2 in TRACED_CELLS]

@@ -186,7 +186,7 @@ def test_run_seed_changes_trace():
 def test_replaced_horizon_reaches_the_header():
     cfg = sim_config(stop="horizon", horizon=30)
     records = Simulation(dataclasses.replace(cfg, horizon=12)).run()
-    assert records[0]["config"]["horizon"] == "12"
+    assert records[0]["config"]["horizon"] == 12 * records[0]["grid"]
     assert records[-1]["kind"] == "end"
     assert analyze(records).violations == []
 

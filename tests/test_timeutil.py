@@ -1,5 +1,11 @@
-"""Exactness of the integer tick <-> trace string conversions."""
+"""Exactness of the tick values a trace carries, and strictness in reading them.
 
+The test names date from trace v1, where ``ticks_str``/``parse_ticks`` turned
+ticks into real-unit strings and back; each test now checks the same concern
+on the v2 pair ``dump_ticks``/``load_ticks`` and on ``metrics._ticks``.
+"""
+
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,48 +14,54 @@ from hypothesis import strategies as st
 
 from viewsync.metrics import TraceAnalysisError, _ticks, analyze
 from viewsync.simnet import SimConfig, Simulation
-from viewsync.timeutil import frac_str, from_ticks, parse_ticks, ticks_str
+from viewsync.timeutil import dump_ticks, frac_str, from_ticks, load_ticks
 
 grids = st.integers(min_value=1, max_value=10**6)
+ints = st.integers(min_value=-(10**12), max_value=10**12)
+
+# The v2 rule, written independently of load_ticks: an int that is not a bool,
+# or an ASCII "p/q" string with a nonzero denominator.
+TICK_TEXT = re.compile(r"-?[0-9]+/[0-9]+", re.ASCII)
 
 
-def fraction_ticks(value, grid, seq):
-    """The Fraction-only parse that the integer fast path must reproduce."""
-    try:
-        return int(value) * grid
-    except (ValueError, TypeError):
-        pass
-    try:
-        f = Fraction(value) * grid
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}") from None
-    return f.numerator if f.denominator == 1 else f
+def expected_ticks(value):
+    """The tick value a trace field holds, or None where it must be rejected."""
+    if type(value) is int:
+        return value
+    if type(value) is str and TICK_TEXT.fullmatch(value) and int(value.partition("/")[2]):
+        return Fraction(value)
+    return None
 
 
-def same_outcome(value, grid):
-    """_ticks and the Fraction-only parse agree: equal value and type, or both reject."""
-    try:
-        want = fraction_ticks(value, grid, 7)
-    except TraceAnalysisError as exc:
+def same_outcome(value):
+    """_ticks reads a v2 value as Fraction reads it and rejects every other value, naming the seq."""
+    want = expected_ticks(value)
+    if want is None:
         with pytest.raises(TraceAnalysisError) as got:
-            _ticks(value, grid, 7)
-        assert str(got.value) == str(exc)
+            _ticks(value, 7)
+        assert str(got.value) == f"malformed time {value!r} at seq 7"
         return
-    got = _ticks(value, grid, 7)
+    got = _ticks(value, 7)
     assert got == want and type(got) is type(want)
 
 
-# -- ticks -> string -----------------------------------------------------------
+# -- ticks -> trace value ------------------------------------------------------
 
 
-@given(ticks=st.integers(min_value=-(10**12), max_value=10**12), grid=grids)
+@given(ticks=ints, grid=grids)
 def test_ticks_str_matches_fraction_formatting(ticks, grid):
-    assert ticks_str(ticks, grid) == frac_str(from_ticks(ticks, grid))
+    # a whole count is written as the JSON int itself and read back unchanged
+    assert dump_ticks(ticks) is ticks
+    assert dump_ticks(Fraction(ticks)) == ticks and type(dump_ticks(Fraction(ticks))) is int
+    assert load_ticks(ticks) is ticks
+    # and it spells in real units as the v1 trace string did
+    assert frac_str(from_ticks(load_ticks(dump_ticks(ticks)), grid)) == frac_str(Fraction(ticks, grid))
 
 
 @pytest.mark.parametrize("ticks,grid,text", [(0, 300, "0"), (-600, 300, "-2"), (-450, 300, "-3/2")])
 def test_ticks_str_examples(ticks, grid, text):
-    assert ticks_str(ticks, grid) == text
+    assert dump_ticks(ticks) == ticks
+    assert frac_str(from_ticks(load_ticks(dump_ticks(ticks)), grid)) == text
 
 
 @given(
@@ -59,21 +71,22 @@ def test_ticks_str_examples(ticks, grid, text):
 )
 def test_ticks_str_fraction_ticks_fall_back(num, den, grid):
     ticks = Fraction(num, den)
-    assert ticks_str(ticks, grid) == frac_str(from_ticks(ticks, grid))
+    value = dump_ticks(ticks)
+    if ticks.denominator == 1:
+        assert value == ticks.numerator and type(value) is int
+    else:
+        assert value == f"{ticks.numerator}/{ticks.denominator}"
+    assert load_ticks(value) == ticks
+    assert frac_str(from_ticks(load_ticks(value), grid)) == frac_str(from_ticks(ticks, grid))
 
 
-# -- string -> ticks -----------------------------------------------------------
+# -- trace value -> ticks ------------------------------------------------------
 
 
-@given(
-    num=st.integers(min_value=-(10**12), max_value=10**12),
-    den=st.integers(min_value=1, max_value=10**6),
-    grid=grids,
-)
-def test_parse_ticks_of_canonical_strings_is_exact(num, den, grid):
-    text = frac_str(Fraction(num, den))
-    want = Fraction(text) * grid
-    got = parse_ticks(text, grid)
+@given(num=ints, den=st.integers(min_value=1, max_value=10**6))
+def test_parse_ticks_of_canonical_strings_is_exact(num, den):
+    want = Fraction(num, den)
+    got = load_ticks(dump_ticks(want))
     assert got == want
     assert type(got) is (int if want.denominator == 1 else Fraction)
 
@@ -82,29 +95,33 @@ def test_parse_ticks_of_canonical_strings_is_exact(num, den, grid):
     "text", [" 3", "+3", "1_0", "1.5", "٣/2", "²", "3/0", "3/-2", "-", "", "x"]
 )
 def test_parse_ticks_leaves_other_spellings_to_the_general_path(text):
-    assert parse_ticks(text, 10) is None
+    # v2 has no general (Fraction) path left: these spellings are not tick values
+    with pytest.raises(ValueError):
+        load_ticks(text)
 
 
 def test_parse_ticks_reduces_unreduced_ascii_fractions():
-    assert parse_ticks("3/06", 10) == 5
-    assert parse_ticks("-007", 10) == -70
+    assert load_ticks("3/06") == Fraction(1, 2)
+    assert load_ticks("-007/7") == -1
 
 
 @pytest.mark.parametrize(
     "value",
-    [" 3", "+3", "1_0", "1.5", "3/06", "٣/2", "²", " 3/2 ", "-0", "007", "1/0", "x", "", None, 4],
+    [" 3", "+3", "1_0", "1.5", "3/06", "٣/2", "²", " 3/2 ", "-0", "007", "1/0", "x", "", None, 4]
+    + ["3", " 3/2", "+3/2", "1_0/3", "1.5/2", "²/1", "3/-2", "-/2", "/2", "-3/4", True, False]
+    + [pytest.param(v, id=f"{type(v).__name__}-{v}") for v in (1.5, [1], Fraction(1, 2))],
 )
 def test_ticks_accepts_and_rejects_as_fraction_does(value):
-    same_outcome(value, 300)
+    same_outcome(value)
 
 
-@given(text=st.text(alphabet="0123456789-+/_. e٣²", max_size=8), grid=grids)
-def test_ticks_matches_fraction_parse_on_any_spelling(text, grid):
-    same_outcome(text, grid)
+@given(text=st.text(alphabet="0123456789-+/_. e٣²", max_size=8))
+def test_ticks_matches_fraction_parse_on_any_spelling(text):
+    same_outcome(text)
 
 
 @pytest.mark.parametrize("field", ["time", "send_time", "proc_clock"])
-@pytest.mark.parametrize("value", ["x", "1/0", ""])
+@pytest.mark.parametrize("value", ["x", "1/0", "", True, 1.5])
 def test_malformed_deliver_time_names_its_seq(field, value):
     records = Simulation(SimConfig(n=4, delta_cap=2, gst=0)).run()
     i = next(i for i, r in enumerate(records) if r["kind"] == "deliver")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from viewsync.simnet import SimConfig, Simulation
+from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
     TRACE_VERSION,
     TraceParseError,
@@ -22,6 +22,23 @@ def trace_text():
 
 def test_roundtrip_is_identity(trace_text):
     assert to_jsonl(parse_jsonl(trace_text)) == trace_text
+
+
+def test_records_in_memory_are_their_json_values():
+    # drifted clocks give "p/q" ticks; windows and corruptions fill the header
+    cfg = SimConfig(
+        n=4,
+        delta_cap=2,
+        gst=3,
+        drift_epsilon="1/100",
+        sync_windows=[(3, 40), (80, None)],
+        corruptions=[Corruption(3, "silent", "5/2")],
+        stop="horizon",
+        horizon=100,
+    )
+    records = Simulation(cfg).run()
+    assert any(isinstance(r["time"], str) for r in records)
+    assert parse_jsonl(to_jsonl(records)) == records
 
 
 def test_write_trace_matches_to_jsonl(trace_text, tmp_path):
