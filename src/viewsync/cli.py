@@ -30,6 +30,7 @@ import yaml
 from .harness import (
     ExperimentError,
     ExperimentSpec,
+    check_shape,
     replay_cell,
     run_experiment,
 )
@@ -62,13 +63,6 @@ def _apply_delta_units(base: dict, sweeps: dict) -> tuple[dict, dict]:
     )
 
 
-def _mapping(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ExperimentError(f"{key}: expected a mapping, got {value!r}")
-    return dict(value)
-
-
 def _integer(doc: dict, key: str, default: int) -> int:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -85,10 +79,9 @@ def load_spec(path, *, seed=None, horizon=None, mode=None, drop_sweeps=False):
     unknown = set(doc) - _SPEC_KEYS
     if unknown:
         raise ExperimentError(f"{path}: unknown spec keys {sorted(unknown)}")
-    base, sweeps = _mapping(doc, "base"), _mapping(doc, "sweeps")
-    for key, values in sweeps.items():
-        if not isinstance(values, list):
-            raise ExperimentError(f"sweeps.{key}: expected a list, got {values!r}")
+    base, sweeps = doc.get("base", {}), doc.get("sweeps", {})
+    check_shape(base, sweeps)
+    base, sweeps = dict(base), dict(sweeps)
     if horizon is not None:  # applied before unit scaling, so spec-file units
         base["horizon"] = horizon
         base.setdefault("stop", "horizon")

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -44,6 +45,17 @@ def _check_fields(keys) -> None:
             raise ExperimentError(f"unknown config field {key!r}")
 
 
+def check_shape(base, sweeps) -> None:
+    """Refuse a ``base`` or ``sweeps`` that is not a mapping, and a sweep
+    value that is not a list or tuple (a string included)."""
+    for name, value in (("base", base), ("sweeps", sweeps)):
+        if not isinstance(value, Mapping):
+            raise ExperimentError(f"{name}: expected a mapping, got {value!r}")
+    for key, values in sweeps.items():
+        if not isinstance(values, (list, tuple)):
+            raise ExperimentError(f"sweeps.{key}: expected a list or tuple, got {values!r}")
+
+
 @dataclass
 class ExperimentSpec:
     base: dict[str, Any] = field(default_factory=dict)
@@ -59,6 +71,7 @@ class ExperimentSpec:
             raise ExperimentError(f"unknown mode {self.mode!r}")
         if self.seeds < 1:
             raise ExperimentError("seeds must be >= 1")
+        check_shape(self.base, self.sweeps)
         _check_fields(list(self.base) + list(self.sweeps))
         size = self.cell_count()
         if size > self.max_cells:

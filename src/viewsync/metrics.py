@@ -67,6 +67,70 @@ def _ticks(value, seq: int) -> Time:
         raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}") from None
 
 
+# What the scan reads from each record kind besides "seq" and "time", and
+# from each payload type besides "type" and "view", with the shape each value
+# must have. Consulted only to name the field once a read has failed.
+_RECORD_FIELDS = {
+    "corrupt": {"proc": "proc"},
+    "send": {"sender": "proc", "payload": "payload", "words": "int"},
+    "deliver": {
+        "recipient": "proc",
+        "proc_view": "int",
+        "proc_clock": "tick",
+        "send_time": "tick",
+        "sender": "proc",
+        "payload": "payload",
+    },
+    "threshold": {"proc": "proc", "proc_view": "int", "boundary_clock": "tick"},
+    "form_vc": {"view": "int", "signers": "signers"},
+    "form_qc": {"view": "int", "proc": "proc", "signers": "signers"},
+}
+_PAYLOAD_FIELDS = {
+    "view_message": {"signer": "int"},
+    "vote": {"signer": "int"},
+    "proposal": {},
+    "view_certificate": {"signers": "signers"},
+    "quorum_certificate": {"signers": "signers"},
+}
+
+
+def _fits(value, shape: str, n: int) -> bool:
+    if shape == "int":
+        return isinstance(value, int)
+    if shape == "proc":
+        return isinstance(value, int) and 0 <= value < n
+    if shape == "signers":
+        return isinstance(value, list) and all(isinstance(s, int) for s in value)
+    return True  # a tick: _ticks names a malformed one itself
+
+
+def _unreadable_field(rec, n: int) -> Optional[tuple[str, str]]:
+    """The first field the scan reads from ``rec`` that is absent or not in
+    its shape, as ``(name, problem)`` (``payload.<name>`` inside the
+    payload); None if there is none."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("kind"), str):
+        return "kind", "is missing or not a string"
+    fields = {"seq": "int", "time": "tick", **_RECORD_FIELDS.get(rec["kind"], {})}
+    for name, shape in fields.items():
+        if name not in rec:
+            return name, "is missing"
+        value = rec[name]
+        if shape != "payload":
+            if not _fits(value, shape, n):
+                return name, f"is malformed: {value!r}"
+            continue
+        if not isinstance(value, dict):
+            return name, f"is not an object: {value!r}"
+        if not isinstance(value.get("type"), str):
+            return "payload.type", "is missing or not a string"
+        for sub, sub_shape in {"view": "int", **_PAYLOAD_FIELDS.get(value["type"], {})}.items():
+            if sub not in value:
+                return f"payload.{sub}", "is missing"
+            if not _fits(value[sub], sub_shape, n):
+                return f"payload.{sub}", f"is malformed: {value[sub]!r}"
+    return None
+
+
 class _Proc:
     __slots__ = (
         "rate",
@@ -178,47 +242,58 @@ class _Analyzer:
         gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
         recheck_dagger = True
         before_gst = True
-        for rec in self.records:
-            seq = rec["seq"]
-            kind = rec["kind"]
-            if kind == "header":
-                self._check_dagger_now(0, seq)
-                continue
-            now = _ticks(rec["time"], seq)
-            if before_gst:
-                if now > gst:
-                    before_gst = False
+        try:
+            for rec in self.records:
+                seq = rec["seq"]
+                kind = rec["kind"]
+                if kind == "header":
+                    self._check_dagger_now(0, seq)
+                    continue
+                now = _ticks(rec["time"], seq)
+                if before_gst:
+                    if now > gst:
+                        before_gst = False
+                    else:
+                        self.gst_seq = seq
+                if kind == "corrupt":
+                    p = rec["proc"]
+                    self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                    recheck_dagger = True
+                elif kind == "send":
+                    self._scan_send(rec, now, seq)
+                elif kind == "deliver":
+                    if self._scan_stamp(
+                        rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
+                    ):
+                        recheck_dagger = True
+                    self._scan_deliver(rec, now, seq)
+                elif kind == "threshold":
+                    boundary = _ticks(rec["boundary_clock"], seq)
+                    if boundary % period != 0:
+                        self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                    if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
+                        recheck_dagger = True
+                elif kind == "form_vc":
+                    self._check_certificate("vc", rec["view"], rec["signers"], seq)
+                elif kind == "form_qc":
+                    self._scan_form_qc(rec, now, seq)
+                elif kind in ("wake", "end"):
+                    pass
                 else:
-                    self.gst_seq = seq
-            if kind == "corrupt":
-                p = rec["proc"]
-                self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
-                recheck_dagger = True
-            elif kind == "send":
-                self._scan_send(rec, now, seq)
-            elif kind == "deliver":
-                if self._scan_stamp(
-                    rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
-                ):
-                    recheck_dagger = True
-                self._scan_deliver(rec, now, seq)
-            elif kind == "threshold":
-                boundary = _ticks(rec["boundary_clock"], seq)
-                if boundary % period != 0:
-                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
-                    recheck_dagger = True
-            elif kind == "form_vc":
-                self._check_certificate("vc", rec["view"], rec["signers"], seq)
-            elif kind == "form_qc":
-                self._scan_form_qc(rec, now, seq)
-            elif kind in ("wake", "end"):
-                pass
+                    raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
+                if recheck_dagger or not uniform_rates:
+                    self._check_dagger_now(now, seq)
+                    recheck_dagger = False
+        except (KeyError, TypeError, IndexError) as exc:
+            found = _unreadable_field(rec, r.n)
+            if found is None:
+                raise  # every field the scan reads is there: not the trace's fault
+            name, problem = found
+            if name in ("seq", "kind"):
+                where = f"record {next(i for i, x in enumerate(self.records) if x is rec)}"
             else:
-                raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
-            if recheck_dagger or not uniform_rates:
-                self._check_dagger_now(now, seq)
-                recheck_dagger = False
+                where = f"{rec['kind']} record at seq {rec['seq']}"
+            raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]

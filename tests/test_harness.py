@@ -49,6 +49,24 @@ def test_unknown_mode_refused():
         ExperimentSpec(base=BASE, mode="explore")
 
 
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(sweeps={"gst": 3}), "sweeps.gst: expected a list"),
+        (dict(sweeps={"gst": "abc"}), "sweeps.gst: expected a list"),
+        (dict(sweeps=[("gst", [0, 3])]), "sweeps: expected a mapping"),
+        (dict(base=[("n", 4)]), "base: expected a mapping"),
+    ],
+)
+def test_spec_shape_refused_with_the_key(kw, message):
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        ExperimentSpec(**{"base": BASE, **kw})
+
+
+def test_spec_sweep_values_may_be_a_tuple():
+    assert ExperimentSpec(base=BASE, sweeps={"gst": (0, 3)}).cell_count() == 2
+
+
 def test_f_knob_expands_to_silent_leaders():
     cfg = build_config({**BASE, "f": 1, "seed": 0})
     assert cfg.corruptions == (Corruption(0, "silent", 0),)
@@ -352,6 +370,29 @@ def test_cli_replay_refuses_version_1_traces(spec_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", bad]) == 2
     assert "unsupported trace version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,edit,message",
+    [
+        ("deliver", lambda r: r.pop("proc_clock"), "field 'proc_clock' is missing"),
+        ("deliver", lambda r: r.update(payload="vote"), "field 'payload' is not an object"),
+        ("send", lambda r: r.pop("sender"), "field 'sender' is missing"),
+    ],
+)
+def test_cli_replay_locates_a_malformed_record(spec_file, tmp_path, capsys, kind, edit, message):
+    seqs = []
+
+    def break_first(recs):
+        rec = next(r for r in recs if r["kind"] == kind)
+        seqs.append(rec["seq"])
+        edit(rec)
+
+    bad = edited_trace(spec_file, tmp_path, break_first)
+    capsys.readouterr()
+    assert main(["replay", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed trace: {kind} record at seq {seqs[0]}: {message}" in err
 
 
 def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):

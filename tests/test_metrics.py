@@ -335,6 +335,12 @@ def first_entry_at_or_above(records, view):
     return next(e for e in scanned(records).all_entries() if e[1] >= view)
 
 
+def first_entry_times(records):
+    """Each view's first correct entry time."""
+    analyzer = scanned(records)
+    return analyzer.first_entry_times(analyzer.all_entries())
+
+
 def test_first_entry_into_a_later_view_detected(base):
     v = 6  # the boundary view of group 2
     _when, _view, seq, _p = first_entry_at_or_above(base, v)
@@ -434,6 +440,79 @@ def test_words_between_group_quorums_break_post_sync_words(base):
     bad = mutated(base, i, words=10**6)
     found = violations(bad)
     assert ("post_sync_words", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+
+
+def test_early_boundary_entry_breaks_entry_time_identity(base):
+    v = 6  # the boundary view of group 2
+    t_of = first_entry_times(base)
+    # a processor claims view v between the entries into v - 1 and v, before
+    # any certificate or its own clock could take it there
+    j = rfind(
+        base,
+        lambda r: r["kind"] == "deliver" and t_of[v - 1] < r["time"] < t_of[v],
+    )
+    bad = mutated(base, j, proc_view=v)
+    found = violations(bad)
+    assert ("entry_time_identity", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+
+
+def test_slow_group_quorum_breaks_post_sync_latency(base):
+    cfg = base[0]["config"]
+    params = params_from(base)
+    lo = base[first_leader_qc(base, 2)]["time"]
+    # one group's pace budget; the actual delay on this network is delta_cap
+    allowed = cfg["k"] * cfg["gamma"] + RESPONSE_STEPS_C * cfg["delta_cap"]
+
+    def group_3_quorums_at(when):
+        # every quorum group 3's leader forms is stamped no earlier than when
+        out = copy.deepcopy(list(base))
+        for r in out:
+            if (
+                r["kind"] == "form_qc"
+                and r["view"] // cfg["k"] == 3
+                and r["proc"] == leader_of(r["view"], params)
+            ):
+                r["time"] = max(r["time"], when)
+        return out
+
+    # silent at the allowed pace gap, firing one tick past it
+    silent = {(x.invariant, x.seq) for x in violations(group_3_quorums_at(lo + allowed))}
+    assert ("post_sync_latency", base[-1]["seq"]) not in silent
+    found = violations(group_3_quorums_at(lo + allowed + 1))
+    assert ("post_sync_latency", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+
+
+def test_lost_quorum_certificate_breaks_underlying_contract(base):
+    cfg = base[0]["config"]
+    v = 7
+    p = (leader_of(v, params_from(base)) + 1) % cfg["n"]
+    t_of = first_entry_times(base)
+    hold = t_of[v] + cfg["k"] * cfg["gamma"]
+    # processor p never receives view v's quorum certificate, so it stays in
+    # v a whole group's time after the view began
+    bad = [
+        copy.deepcopy(r)
+        for r in base
+        if not (
+            r["kind"] == "deliver"
+            and r["recipient"] == p
+            and r["payload"]["type"] == "quorum_certificate"
+            and r["payload"]["view"] == v
+        )
+    ]
+    assert len(bad) < len(base)
+    for i, r in enumerate(bad):
+        r["seq"] = i
+        own = r["kind"] == "deliver" and r["recipient"] == p or r.get("proc") == p
+        if own and "proc_view" in r and r["time"] <= hold:
+            r["proc_view"] = min(r["proc_view"], v)
+    found = violations(bad)
+    assert any(
+        x.invariant == "underlying_contract"
+        and x.seq == bad[-1]["seq"]
+        and f"processor {p} lacked the view {v} quorum" in x.detail
+        for x in found
+    )
 
 
 @pytest.mark.parametrize(

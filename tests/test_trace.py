@@ -1,7 +1,14 @@
 """Round-trip and strict-parsing behavior of the ND-JSON trace format."""
 
-import pytest
+import copy
+import functools
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viewsync import trace
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
     TRACE_VERSION,
@@ -97,3 +104,134 @@ def test_rejects_record_without_kind(trace_text):
     lines.insert(3, '{"time":"0"}')
     err = pytest.raises(TraceParseError, parse_jsonl, "\n".join(lines) + "\n").value
     assert err.line_no == 4
+
+
+# -- the writer: dumps_record is json.dumps with sorted keys -------------------
+
+
+def reference(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@functools.lru_cache(maxsize=None)
+def sample_runs():
+    """Records of runs that between them write every payload shape, drifted
+    ``"p/q"`` ticks, sync windows, corruptions and a 31-way broadcast."""
+    configs = [
+        SimConfig(
+            n=4,
+            delta_cap=2,
+            gst=3,
+            drift_epsilon="1/100",
+            sync_windows=[(3, 40), (80, None)],
+            corruptions=[Corruption(3, "silent", "5/2")],
+            network="uniform_random",
+            stop="horizon",
+            horizon=100,
+        ),
+        SimConfig(
+            n=31,
+            delta_cap=2,
+            gst=3,
+            network="uniform_random",
+            seed=5,
+            corruptions=(
+                Corruption(0, "crash_leader"),
+                Corruption(3, "vote_stuffer"),
+                Corruption(6, "early_signer"),
+                Corruption(9, "selective_vc"),
+                Corruption(12, "late_qc_relayer"),
+            ),
+        ),
+    ]
+    return tuple(r for cfg in configs for r in Simulation(cfg).run())
+
+
+def hot(records):
+    return [r for r in records if r["kind"] in ("send", "deliver")]
+
+
+# values to put in any field: floats json.dumps refuses (NaN, inf), types no
+# send or deliver field has, and two that some fields may hold ("3/7" as a
+# tick, a big int)
+ODD = [True, False, 1.0, -0.0, float("nan"), float("inf"), None, "é", '"\\\n', "3/7", [1], {}, 2**70]
+ODD_VALUES = st.sampled_from(ODD)
+
+
+@st.composite
+def edited_records(draw):
+    """A record of the sample runs, whole or with one edit the simulator
+    never makes: an odd value, a missing or an extra key, a tuple of
+    signers, an unknown payload type."""
+    record = copy.deepcopy(draw(st.sampled_from(sample_runs())))
+    payload = record.get("payload")
+    edit = draw(st.sampled_from(["none", "value", "drop", "extra", "payload", "signers", "type"]))
+    if edit == "value":
+        record[draw(st.sampled_from(sorted(record)))] = draw(ODD_VALUES)
+    elif edit == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif edit == "extra":
+        record[draw(st.sampled_from(["zz", "a", "payloads", "\u00e9"]))] = draw(ODD_VALUES)
+    elif edit == "payload" and payload is not None:
+        key = draw(st.sampled_from(sorted(payload) + ["extra"]))
+        if draw(st.booleans()) and key in payload:
+            del payload[key]
+        else:
+            payload[key] = draw(ODD_VALUES)
+    elif edit == "signers" and payload is not None and "signers" in payload:
+        payload["signers"] = tuple(payload["signers"])
+    elif edit == "type" and payload is not None:
+        payload["type"] = draw(st.sampled_from(["telemetry", "Vote", "vote\u00e9"]))
+    return record
+
+
+def agrees_with_reference(record):
+    try:
+        want = reference(record)
+    except ValueError as exc:  # NaN and infinities
+        with pytest.raises(ValueError) as got:
+            dumps_record(record)
+        assert str(got.value) == str(exc)
+        return
+    assert dumps_record(record) == want, record
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=edited_records())
+def test_dumps_record_is_json_dumps(record):
+    agrees_with_reference(record)
+
+
+def test_every_odd_value_in_every_hot_field_matches_json_dumps():
+    # one record per (kind, payload type, whole or "p/q" time), every field
+    # of it and of its payload set to every odd value in turn
+    shapes = {}
+    for r in hot(sample_runs()):
+        shapes.setdefault((r["kind"], r["payload"]["type"], type(r["time"])), r)
+    assert len(shapes) == 20
+    for record in shapes.values():
+        for key in list(record) + [f"payload.{k}" for k in record["payload"]]:
+            for value in ODD:
+                bad = copy.deepcopy(record)
+                if key.startswith("payload."):
+                    bad["payload"][key[len("payload."):]] = value
+                else:
+                    bad[key] = value
+                agrees_with_reference(bad)
+
+
+class HotKindsRefused(json.JSONEncoder):
+    def encode(self, o):
+        assert o.get("kind") not in ("send", "deliver"), o
+        return super().encode(o)
+
+
+def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
+    refusing = HotKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    monkeypatch.setattr(trace, "_ENCODER", refusing)
+    records = sample_runs()
+    types = {r["payload"]["type"] for r in hot(records)}
+    assert types == {"view_message", "vote", "proposal", "view_certificate", "quorum_certificate"}
+    for field in ("time", "send_time", "deliver_time", "proc_clock"):
+        assert any(isinstance(r.get(field), str) for r in hot(records)), field
+    assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
