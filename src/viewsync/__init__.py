@@ -45,11 +45,9 @@ from .metrics import (
     TraceAnalysisError,
     Violation,
     analyze,
-    assert_invariants,
 )
 from .simnet import (
     Corruption,
-    Envelope,
     Resolved,
     SimConfig,
     Simulation,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -113,23 +115,50 @@ def build_config(cell: dict[str, Any]) -> SimConfig:
     return SimConfig(**{key: coerce(key, value) for key, value in kwargs.items()})
 
 
+def _enc(value):
+    """One config value in the JSON form config_hash digests."""
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, Corruption):
+        return {"proc": value.proc, "strategy": value.strategy, "time": frac_str(value.time)}
+    if isinstance(value, tuple):
+        return [_enc(v) for v in value]
+    return value
+
+
 def config_hash(config: SimConfig) -> str:
     """Stable digest of a fully resolved configuration."""
-
-    def enc(value):
-        if isinstance(value, Fraction):
-            return frac_str(value)
-        if isinstance(value, Corruption):
-            return {"proc": value.proc, "strategy": value.strategy, "time": frac_str(value.time)}
-        if isinstance(value, tuple):
-            return [enc(v) for v in value]
-        return value
-
-    doc = {k: enc(v) for k, v in sorted(vars(config).items())}
+    doc = {k: _enc(v) for k, v in sorted(vars(config).items())}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _without_cyclic_gc(cell_fn):
+    """Run each call of ``cell_fn`` with the cyclic garbage collector off.
+
+    A cell frees its record dicts through reference counts and leaves no
+    reference cycle behind (tests/test_harness.py checks every kind of
+    cell), so collection passes over its records only cost time. The
+    collector is switched back on only if it was on at entry, and only once
+    ``cell_fn`` has returned and freed its records, with nothing allocated
+    in between: a collection started there would traverse every record
+    still alive.
+    """
+
+    @functools.wraps(cell_fn)
+    def cell(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cell_fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return cell
+
+
+@_without_cyclic_gc
 def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str, Any]:
     """One simulation plus analysis, reduced to the flat metrics record."""
     try:
@@ -174,6 +203,7 @@ def _worker(args):
         return index, {"error": f"{type(exc).__name__}: {exc}", "cell": {k: str(v) for k, v in cell.items()}}
 
 
+@_without_cyclic_gc
 def replay_cell(trace_path) -> dict[str, Any]:
     """Recompute the flat metrics record from a stored trace alone."""
     from .trace import read_trace

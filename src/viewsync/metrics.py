@@ -242,58 +242,47 @@ class _Analyzer:
         gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
         recheck_dagger = True
         before_gst = True
-        try:
-            for rec in self.records:
-                seq = rec["seq"]
-                kind = rec["kind"]
-                if kind == "header":
-                    self._check_dagger_now(0, seq)
-                    continue
-                now = _ticks(rec["time"], seq)
-                if before_gst:
-                    if now > gst:
-                        before_gst = False
-                    else:
-                        self.gst_seq = seq
-                if kind == "corrupt":
-                    p = rec["proc"]
-                    self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
-                    recheck_dagger = True
-                elif kind == "send":
-                    self._scan_send(rec, now, seq)
-                elif kind == "deliver":
-                    if self._scan_stamp(
-                        rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
-                    ):
-                        recheck_dagger = True
-                    self._scan_deliver(rec, now, seq)
-                elif kind == "threshold":
-                    boundary = _ticks(rec["boundary_clock"], seq)
-                    if boundary % period != 0:
-                        self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                    if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
-                        recheck_dagger = True
-                elif kind == "form_vc":
-                    self._check_certificate("vc", rec["view"], rec["signers"], seq)
-                elif kind == "form_qc":
-                    self._scan_form_qc(rec, now, seq)
-                elif kind in ("wake", "end"):
-                    pass
+        for rec in self.records:
+            seq = rec["seq"]
+            kind = rec["kind"]
+            if kind == "header":
+                self._check_dagger_now(0, seq)
+                continue
+            now = _ticks(rec["time"], seq)
+            if before_gst:
+                if now > gst:
+                    before_gst = False
                 else:
-                    raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
-                if recheck_dagger or not uniform_rates:
-                    self._check_dagger_now(now, seq)
-                    recheck_dagger = False
-        except (KeyError, TypeError, IndexError) as exc:
-            found = _unreadable_field(rec, r.n)
-            if found is None:
-                raise  # every field the scan reads is there: not the trace's fault
-            name, problem = found
-            if name in ("seq", "kind"):
-                where = f"record {next(i for i, x in enumerate(self.records) if x is rec)}"
+                    self.gst_seq = seq
+            if kind == "corrupt":
+                p = rec["proc"]
+                self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                recheck_dagger = True
+            elif kind == "send":
+                self._scan_send(rec, now, seq)
+            elif kind == "deliver":
+                if self._scan_stamp(
+                    rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
+                ):
+                    recheck_dagger = True
+                self._scan_deliver(rec, now, seq)
+            elif kind == "threshold":
+                boundary = _ticks(rec["boundary_clock"], seq)
+                if boundary % period != 0:
+                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
+                    recheck_dagger = True
+            elif kind == "form_vc":
+                self._check_certificate("vc", rec["view"], rec["signers"], seq)
+            elif kind == "form_qc":
+                self._scan_form_qc(rec, now, seq)
+            elif kind in ("wake", "end"):
+                pass
             else:
-                where = f"{rec['kind']} record at seq {rec['seq']}"
-            raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
+                raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
+            if recheck_dagger or not uniform_rates:
+                self._check_dagger_now(now, seq)
+                recheck_dagger = False
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
@@ -772,19 +761,25 @@ class _Analyzer:
 
 
 def analyze(records: Sequence[Record]) -> RunMetrics:
-    """Full analysis of one trace: headline metrics plus every invariant."""
-    return _Analyzer(records).analyze()
+    """Full analysis of one trace: headline metrics plus every invariant.
 
-
-def assert_invariants(records: Sequence[Record], config=None) -> list[Violation]:
-    """All invariant violations in a trace (empty list = conforming run)."""
-    analyzer = _Analyzer(records)
-    if config is not None:
-        for field_name in ("n", "seed"):
-            got, want = getattr(analyzer.resolved, field_name), getattr(config, field_name)
-            if got != want:
-                raise TraceAnalysisError(
-                    f"trace header {field_name}={got!r} does not match config"
+    A TraceAnalysisError names the first record field that is absent or not
+    in its shape, wherever in the analysis the bad value made a read fail.
+    A failed read with every field in shape is a bug here, and propagates.
+    """
+    try:
+        return _Analyzer(records).analyze()
+    except (KeyError, TypeError, IndexError) as exc:
+        n = Resolved.from_header(records[0]).n  # _Analyzer read it before anything failed
+        for i, rec in enumerate(records):
+            found = _unreadable_field(rec, n)
+            if found is not None:
+                name, problem = found
+                where = (
+                    f"record {i}"
+                    if name in ("seq", "kind")
+                    else f"{rec['kind']} record at seq {rec['seq']}"
                 )
-    return analyzer.analyze().violations
+                raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
+        raise
 

@@ -15,6 +15,10 @@ Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
 hashing, so changing one dimension of a configuration never perturbs the
 draws of another.
+
+The records ``run`` returns are read-only. All the records one ``send()``
+call writes, its ``send`` records and their ``deliver`` records, share one
+payload dict, so copy a record (``copy.deepcopy`` it alone) before editing it.
 """
 
 from __future__ import annotations
@@ -662,16 +666,6 @@ def payload_to_dict(payload) -> dict:
     raise TypeError(f"cannot serialise payload {payload!r}")
 
 
-@dataclass(frozen=True)
-class Envelope:
-    sender: int
-    recipient: int
-    payload: Any
-    send_time: Time
-    deliver_time: Time
-    words: int
-
-
 class Simulation:
     """One configured run. Build, then call run() for the trace records."""
 
@@ -746,6 +740,8 @@ class Simulation:
             sign = SIGN_VIEW if isinstance(payload, ViewMessage) else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
         r = self.resolved
+        # One payload dict for every record of this send, deliveries included.
+        payload_dict = payload_to_dict(payload)
         recipients = range(r.n) if to == ALL else [to]
         for q in recipients:
             if q == sender:
@@ -763,19 +759,19 @@ class Simulation:
                 words = 1
                 if when is None:
                     when = r.horizon + r.delta_cap + 1
-            env = Envelope(sender, q, payload, now, when, words)
             self._emit(
                 {
                     "kind": "send",
                     "time": self._real(now),
                     "sender": sender,
                     "recipient": q,
-                    "payload": payload_to_dict(payload),
+                    "payload": payload_dict,
                     "deliver_time": self._real(when),
                     "words": words,
                 }
             )
-            self._push(when, _PRIO_DELIVER, sender, q, "dlv", env)
+            envelope = (sender, q, payload, now, payload_dict)
+            self._push(when, _PRIO_DELIVER, sender, q, "dlv", envelope)
 
     # -- action dispatch ----------------------------------------------------
 
@@ -858,27 +854,29 @@ class Simulation:
         if not valid:
             raise SimulationError(f"delivered {payload!r} carries signatures nobody made")
 
-    def _handle_delivery(self, env: Envelope, now: Time) -> None:
-        p = env.recipient
+    def _handle_delivery(self, envelope: tuple, now: Time) -> None:
+        """``envelope`` is ``(sender, recipient, payload, send_time, payload_dict)``,
+        where ``payload_dict`` is the dict the send's records carry."""
+        sender, p, payload, send_time, payload_dict = envelope
         actions: list = []
         if self.corrupted[p]:
             ctl = self.controls[p]
             if not ctl.passive:
-                actions = self._receive_correct(p, env.payload, now)
+                actions = self._receive_correct(p, payload, now)
                 actions = ctl.transform(actions, self, now)
-            if isinstance(env.payload, QuorumCertificate):
-                ctl.saw_qc(env.payload, self, now)
+            if isinstance(payload, QuorumCertificate):
+                ctl.saw_qc(payload, self, now)
         else:
-            actions = self._receive_correct(p, env.payload, now)
+            actions = self._receive_correct(p, payload, now)
         state = self.states[p]
         self._emit(
             {
                 "kind": "deliver",
                 "time": self._real(now),
-                "send_time": self._real(env.send_time),
-                "sender": env.sender,
+                "send_time": self._real(send_time),
+                "sender": sender,
                 "recipient": p,
-                "payload": payload_to_dict(env.payload),
+                "payload": payload_dict,
                 "proc_view": state.view,
                 "proc_clock": self._real(state.clock),
             }

@@ -1,5 +1,6 @@
 """Batch runner and command-line behavior: sweeps, hashing, replay, exit codes."""
 
+import gc
 import json
 import re
 
@@ -16,8 +17,11 @@ from viewsync.harness import (
     run_cell,
     run_experiment,
 )
-from viewsync import harness
-from viewsync.simnet import Corruption, coerce
+from viewsync import harness, metrics
+from viewsync.adversary import BYZANTINE_STRATEGIES
+from viewsync.metrics import TraceAnalysisError, analyze
+from viewsync.simnet import Corruption, Simulation, coerce
+from viewsync.trace import parse_jsonl, to_jsonl
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
 
@@ -105,16 +109,109 @@ def test_unreadable_values_name_their_field(field, value, where):
         coerce(field, value)
 
 
-def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
-    def broken(records):
-        raise TypeError("analysis bug")
+def analysis_bug(records):
+    raise TypeError("analysis bug")
 
-    monkeypatch.setattr(harness, "analyze", broken)
+
+def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
+    monkeypatch.setattr(harness, "analyze", analysis_bug)
     cell = {**BASE, "seed": 0}
     with pytest.raises(TypeError, match="analysis bug"):
         run_cell(cell)
     _index, row = harness._worker((0, cell, None))
     assert row["error"].startswith("TypeError: analysis bug")
+
+
+# -- garbage collection around a cell -------------------------------------------
+
+GC_CELLS = [
+    pytest.param({"n": 4, "seed": 0}, id="default"),
+    pytest.param(
+        {
+            "n": 4,
+            "delta_cap": 2,
+            "corruptions": [{"proc": 0, "strategy": "silent"}],
+            "sync_windows": [[0, 72], [792, 864], [1584, None]],
+            "drift_epsilon": "1/1152",
+            "stop": "horizon",
+            "horizon": 1656,
+            "seed": 0,
+        },
+        id="drift",
+    ),
+    *(
+        pytest.param(
+            {
+                "n": 7,
+                "corruptions": [{"proc": 0, "strategy": strategy}],
+                "network": "uniform_random",
+                "offsets": "adversarial_spread",
+                "seed": 0,
+            },
+            id=strategy,
+        )
+        for strategy in BYZANTINE_STRATEGIES
+    ),
+    pytest.param({"n": 4, "t": 2, "seed": 0}, id="error_row"),
+]
+
+
+@pytest.mark.parametrize("cell", GC_CELLS)
+def test_a_cell_leaves_no_cyclic_garbage(cell, tmp_path):
+    # The cyclic collector is off while a cell runs, so any cycle a cell
+    # left behind would pile up until some later collection.
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        row = run_cell(cell, str(tmp_path))
+        traces = list(tmp_path.glob("*.jsonl"))
+        for trace in traces:
+            assert replay_cell(trace) == row
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(traces) == (0 if "error" in row else 1)
+    assert unreachable == 0
+
+
+@pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+def callers_gc(request):
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_cells_leave_the_callers_gc_setting(callers_gc, tmp_path, monkeypatch):
+    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
+    assert "error" not in row and gc.isenabled() is callers_gc
+    trace = next(tmp_path.glob("*.jsonl"))
+    assert replay_cell(trace) == row and gc.isenabled() is callers_gc
+
+    assert "error" in run_cell({**BASE, "t": 2, "seed": 0})
+    assert gc.isenabled() is callers_gc
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text(trace.read_text().replace('"gamma":', '"gammo":', 1))
+    with pytest.raises(TraceAnalysisError, match="header is missing or malformed"):
+        replay_cell(malformed)
+    assert gc.isenabled() is callers_gc
+
+    monkeypatch.setattr(harness, "analyze", analysis_bug)
+    with pytest.raises(TypeError, match="analysis bug"):
+        run_cell({**BASE, "seed": 0})
+    assert gc.isenabled() is callers_gc
+    with pytest.raises(TypeError, match="analysis bug"):
+        replay_cell(trace)
+    assert gc.isenabled() is callers_gc
+
+
+def test_library_calls_leave_gc_alone(callers_gc):
+    records = Simulation(build_config({**BASE, "seed": 0})).run()
+    assert gc.isenabled() is callers_gc
+    analyze(parse_jsonl(to_jsonl(records)))
+    assert gc.isenabled() is callers_gc
 
 
 # -- config hashing -------------------------------------------------------------
@@ -393,6 +490,40 @@ def test_cli_replay_locates_a_malformed_record(spec_file, tmp_path, capsys, kind
     assert main(["replay", bad]) == 2
     err = capsys.readouterr().err
     assert f"malformed trace: {kind} record at seq {seqs[0]}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "kind,index,edit,message",
+    [
+        ("send", 0, lambda r: r.update(words="1"), "field 'words' is malformed: '1'"),
+        ("end", -1, lambda r: r.pop("time"), "field 'time' is missing"),
+        ("deliver", -1, lambda r: r.update(proc_view=1.5), "field 'proc_view' is malformed: 1.5"),
+    ],
+)
+def test_cli_replay_locates_a_value_that_passes_the_scan(
+    tmp_path, capsys, kind, index, edit, message
+):
+    # each of these values gets through the scan and fails in a later pass
+    run_cell({**BASE, "f": 0, "seed": 0}, str(tmp_path))
+    trace = next(tmp_path.glob("*.jsonl"))
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    rec = [r for r in recs if r["kind"] == kind][index]
+    edit(rec)
+    trace.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed trace: {kind} record at seq {rec['seq']}: {message}" in err
+
+
+def test_analyzer_bug_propagates_from_analyze(monkeypatch):
+    records = Simulation(build_config({**BASE, "seed": 0})).run()
+
+    def broken(self, *args):
+        raise KeyError("analysis bug")
+
+    monkeypatch.setattr(metrics._Analyzer, "check_bounds", broken)
+    with pytest.raises(KeyError, match="analysis bug"):
+        analyze(records)
 
 
 def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from viewsync.constants import RESPONSE_STEPS_C
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
-from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, analyze, assert_invariants
+from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, analyze
 from viewsync.simnet import Corruption, SimConfig, Simulation, subseed
 from viewsync.timeutil import from_ticks, load_ticks
 
@@ -29,14 +29,21 @@ def params_from(records) -> ProtocolParams:
     return ProtocolParams(cfg["n"], cfg["t"], cfg["k"], cfg["gamma"], schedule)
 
 
+def copied(records):
+    """An editable copy of a trace, record by record. The records of one
+    send() share their payload dict, and a deepcopy of the whole list would
+    keep it shared, so one planted edit would reach every copy of it."""
+    return [copy.deepcopy(r) for r in records]
+
+
 def mutated(records, index, **changes):
-    out = copy.deepcopy(list(records))
+    out = copied(records)
     out[index].update(changes)
     return out
 
 
 def duplicated(records, index):
-    out = copy.deepcopy(list(records))
+    out = copied(records)
     out.insert(index + 1, copy.deepcopy(out[index]))
     for i, r in enumerate(out):
         r["seq"] = i
@@ -172,6 +179,18 @@ class QuadraticAnalyzer(_Analyzer):
                         )
 
 
+def assert_invariants(records, config=None):
+    """All invariant violations in a trace, after checking that its header
+    describes config's run (same n and seed)."""
+    analyzer = _Analyzer(records)
+    if config is not None:
+        for name in ("n", "seed"):
+            got, want = getattr(analyzer.resolved, name), getattr(config, name)
+            if got != want:
+                raise TraceAnalysisError(f"trace header {name}={got!r} does not match config")
+    return analyzer.analyze().violations
+
+
 def violations(records):
     """The analyzer's violations, checked against the quadratic oracle."""
     found = analyze(records).violations
@@ -225,9 +244,17 @@ def test_backward_view_detected(base):
 
 
 def test_dispersed_initial_clocks_detected(base):
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     bad[0]["config"]["offsets"][-1] = 100 * base[0]["grid"]
     assert "dagger" in ids(bad)
+
+
+def test_one_payload_edit_changes_one_record(base):
+    i = find(base, lambda r: r["kind"] == "send" and r["payload"]["type"] == "view_certificate")
+    assert sum(r.get("payload") is base[i]["payload"] for r in base) > 1
+    bad = copied(base)
+    bad[i]["payload"]["view"] += 30
+    assert [j for j, (a, b) in enumerate(zip(base, bad)) if a != b] == [i]
 
 
 def test_premature_view_message_detected(base):
@@ -235,7 +262,7 @@ def test_premature_view_message_detected(base):
         base,
         lambda r: r["kind"] == "send" and r["payload"]["type"] == "view_message",
     )
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     bad[i]["payload"]["view"] += 30
     found = violations(bad)
     assert any(v.invariant == "signing_clock" and v.seq == i for v in found)
@@ -243,7 +270,7 @@ def test_premature_view_message_detected(base):
 
 def test_vote_outside_current_view_detected(base):
     i = find(base, lambda r: r["kind"] == "send" and r["payload"]["type"] == "vote")
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     bad[i]["payload"]["view"] += 17
     found = violations(bad)
     assert any(v.invariant == "vote_view" and v.seq == i for v in found)
@@ -305,7 +332,7 @@ def test_unsigned_certificate_detected(base):
 def test_certificate_without_correct_signer_detected(base):
     i = find(base, lambda r: r["kind"] == "form_vc")
     signers = base[i]["signers"]
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     bad[0]["config"]["corruptions"] = [
         {"proc": s, "strategy": "silent", "time": 0} for s in signers
     ]
@@ -315,7 +342,7 @@ def test_certificate_without_correct_signer_detected(base):
 
 def test_quorum_without_enough_correct_signers_detected(base):
     i = find(base, lambda r: r["kind"] == "form_qc")
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     bad[i]["signers"] = [0, 1, 2, 3, 4]
     bad[0]["config"]["corruptions"] = [
         {"proc": p, "strategy": "silent", "time": 0} for p in (0, 1, 2)
@@ -465,7 +492,7 @@ def test_slow_group_quorum_breaks_post_sync_latency(base):
 
     def group_3_quorums_at(when):
         # every quorum group 3's leader forms is stamped no earlier than when
-        out = copy.deepcopy(list(base))
+        out = copied(base)
         for r in out:
             if (
                 r["kind"] == "form_qc"
@@ -538,7 +565,7 @@ def test_linear_passes_match_quadratic_oracle(kw):
 @given(data=st.data())
 def test_linear_passes_match_quadratic_oracle_on_random_edits(base, data):
     stamps = [i for i, r in enumerate(base) if r["kind"] in ("deliver", "threshold")]
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         i = data.draw(st.sampled_from(stamps))
         if data.draw(st.booleans()):
@@ -570,7 +597,7 @@ def test_headerless_trace_rejected(base):
     ],
 )
 def test_malformed_header_rejected(base, edit):
-    bad = copy.deepcopy(list(base))
+    bad = copied(base)
     edit(bad[0]["config"])
     with pytest.raises(TraceAnalysisError, match="header is missing or malformed"):
         analyze(bad)
