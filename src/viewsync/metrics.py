@@ -8,6 +8,12 @@ counts. Checks that depend on a hypothesis (a timely window, an uncorrupted
 leader) are evaluated against the recorded data and skipped as vacuous when
 the hypothesis fails, never silently weakened.
 
+Each ``deliver`` record is joined to the ``send`` record it names, for the
+send's time, sender and payload; one that names no earlier send listing its
+recipient makes the trace unusable. Word counting reads the summed ``words``
+of each ``send`` record: every word window (the first-quorum budget and the
+pace gaps) is keyed on send time, which all recipients of one send share.
+
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
 in the trace it came from.
@@ -72,25 +78,18 @@ def _ticks(value, seq: int) -> Time:
 # must have. Consulted only to name the field once a read has failed.
 _RECORD_FIELDS = {
     "corrupt": {"proc": "proc"},
-    "send": {"sender": "proc", "payload": "payload", "words": "int"},
-    "deliver": {
-        "recipient": "proc",
-        "proc_view": "int",
-        "proc_clock": "tick",
-        "send_time": "tick",
-        "sender": "proc",
-        "payload": "payload",
-    },
+    "send": {"sender": "proc", "payload": "payload", "words": "int", "recipients": "ints"},
+    "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     "threshold": {"proc": "proc", "proc_view": "int", "boundary_clock": "tick"},
-    "form_vc": {"view": "int", "signers": "signers"},
-    "form_qc": {"view": "int", "proc": "proc", "signers": "signers"},
+    "form_vc": {"view": "int", "signers": "ints"},
+    "form_qc": {"view": "int", "proc": "proc", "signers": "ints"},
 }
 _PAYLOAD_FIELDS = {
     "view_message": {"signer": "int"},
     "vote": {"signer": "int"},
     "proposal": {},
-    "view_certificate": {"signers": "signers"},
-    "quorum_certificate": {"signers": "signers"},
+    "view_certificate": {"signers": "ints"},
+    "quorum_certificate": {"signers": "ints"},
 }
 
 
@@ -99,7 +98,7 @@ def _fits(value, shape: str, n: int) -> bool:
         return isinstance(value, int)
     if shape == "proc":
         return isinstance(value, int) and 0 <= value < n
-    if shape == "signers":
+    if shape == "ints":
         return isinstance(value, list) and all(isinstance(s, int) for s in value)
     return True  # a tick: _ticks names a malformed one itself
 
@@ -183,6 +182,7 @@ class _Analyzer:
         self.signatures: set[tuple[int, str, int]] = set()
         self.checked_certs: set[tuple] = set()
         self.word_events: list[tuple[Any, int]] = []  # (send_time, words), correct senders
+        self.sends: dict[int, tuple] = {}  # seq -> (send_time, sender, payload, recipients)
         self.qc_first_sight: dict[int, Any] = {}  # view -> first correct sighting time
         self.qc_formations: list[tuple[Any, int, int, int]] = []  # (time, proc, view, seq)
         self.underlying_deliveries: dict[int, list] = {}
@@ -240,6 +240,7 @@ class _Analyzer:
     def scan(self) -> None:
         r = self.resolved
         gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
+        sends = self.sends
         recheck_dagger = True
         before_gst = True
         for rec in self.records:
@@ -261,11 +262,12 @@ class _Analyzer:
             elif kind == "send":
                 self._scan_send(rec, now, seq)
             elif kind == "deliver":
-                if self._scan_stamp(
-                    rec["recipient"], rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq
-                ):
+                p, sent = rec["recipient"], sends.get(rec["send"])
+                if sent is None or p not in sent[3]:
+                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
+                if self._scan_stamp(p, rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq):
                     recheck_dagger = True
-                self._scan_deliver(rec, now, seq)
+                self._scan_deliver(sent, p, now, seq)
             elif kind == "threshold":
                 boundary = _ticks(rec["boundary_clock"], seq)
                 if boundary % period != 0:
@@ -283,6 +285,13 @@ class _Analyzer:
             if recheck_dagger or not uniform_rates:
                 self._check_dagger_now(now, seq)
                 recheck_dagger = False
+
+    def _unjoined(self, rec: Record) -> str:
+        """Why a ``deliver`` record has no send in the index to join."""
+        src = rec["send"]
+        if src not in self.sends:
+            return f"field 'send' names no earlier send record: {src!r}"
+        return f"send record at seq {src} does not list recipient {rec['recipient']!r}"
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
@@ -321,6 +330,7 @@ class _Analyzer:
             self._check_certificate("qc", payload["view"], payload["signers"], seq)
         if correct and rec["words"]:
             self.word_events.append((now, rec["words"]))
+        self.sends[seq] = (now, sender, payload, rec["recipients"])
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -338,18 +348,20 @@ class _Analyzer:
             pr.offset = clock - pr.rate * now
             pr.offset_log.append((seq, pr.offset))
             forwarded = True
-        if view < pr.view:
-            self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
-        elif view > pr.view:
-            pr.view = view
-            pr.entries.append((now, view, seq))
+        if view != pr.view:
+            if not isinstance(view, int):
+                raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
+            if view < pr.view:
+                self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
+            else:
+                pr.view = view
+                pr.entries.append((now, view, seq))
         return forwarded
 
-    def _scan_deliver(self, rec: Record, now, seq: int) -> None:
+    def _scan_deliver(self, sent: tuple, recipient: int, now, seq: int) -> None:
+        """One delivery of ``sent``, the send index's entry for its send."""
         r = self.resolved
-        send_time = _ticks(rec["send_time"], seq)
-        sender, recipient = rec["sender"], rec["recipient"]
-        payload = rec["payload"]
+        send_time, sender, payload, _recipients = sent
         if sender == recipient:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")

@@ -16,9 +16,9 @@ schedule, clock rates, per-adversary choices) derived from the run seed by
 hashing, so changing one dimension of a configuration never perturbs the
 draws of another.
 
-The records ``run`` returns are read-only. All the records one ``send()``
-call writes, its ``send`` records and their ``deliver`` records, share one
-payload dict, so copy a record (``copy.deepcopy`` it alone) before editing it.
+The records ``run`` returns are read-only. Each ``send()`` call writes one
+``send`` record, naming every recipient, and each delivery a ``deliver``
+record that points at it by seq.
 """
 
 from __future__ import annotations
@@ -740,12 +740,13 @@ class Simulation:
             sign = SIGN_VIEW if isinstance(payload, ViewMessage) else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
         r = self.resolved
-        # One payload dict for every record of this send, deliveries included.
-        payload_dict = payload_to_dict(payload)
-        recipients = range(r.n) if to == ALL else [to]
+        send_seq = self.seq  # nothing is emitted before this send's record
+        recipients = list(range(r.n)) if to == ALL else [to]
+        deliver_times = []
+        words = 0
         for q in recipients:
             if q == sender:
-                when, words = now, 0
+                when = now
             else:
                 when = delivery_time(
                     r.network,
@@ -756,22 +757,22 @@ class Simulation:
                     rng=self.net_rng,
                     sync_windows=r.windows,
                 )
-                words = 1
+                words += 1
                 if when is None:
                     when = r.horizon + r.delta_cap + 1
-            self._emit(
-                {
-                    "kind": "send",
-                    "time": self._real(now),
-                    "sender": sender,
-                    "recipient": q,
-                    "payload": payload_dict,
-                    "deliver_time": self._real(when),
-                    "words": words,
-                }
-            )
-            envelope = (sender, q, payload, now, payload_dict)
-            self._push(when, _PRIO_DELIVER, sender, q, "dlv", envelope)
+            deliver_times.append(self._real(when))
+            self._push(when, _PRIO_DELIVER, sender, q, "dlv", (send_seq, q, payload))
+        self._emit(
+            {
+                "kind": "send",
+                "time": self._real(now),
+                "sender": sender,
+                "recipients": recipients,
+                "payload": payload_to_dict(payload),
+                "deliver_times": deliver_times,
+                "words": words,
+            }
+        )
 
     # -- action dispatch ----------------------------------------------------
 
@@ -855,9 +856,9 @@ class Simulation:
             raise SimulationError(f"delivered {payload!r} carries signatures nobody made")
 
     def _handle_delivery(self, envelope: tuple, now: Time) -> None:
-        """``envelope`` is ``(sender, recipient, payload, send_time, payload_dict)``,
-        where ``payload_dict`` is the dict the send's records carry."""
-        sender, p, payload, send_time, payload_dict = envelope
+        """``envelope`` is ``(send_seq, recipient, payload)``, where
+        ``send_seq`` is the seq of the ``send`` record it belongs to."""
+        send_seq, p, payload = envelope
         actions: list = []
         if self.corrupted[p]:
             ctl = self.controls[p]
@@ -873,10 +874,8 @@ class Simulation:
             {
                 "kind": "deliver",
                 "time": self._real(now),
-                "send_time": self._real(send_time),
-                "sender": sender,
+                "send": send_seq,
                 "recipient": p,
-                "payload": payload_dict,
                 "proc_view": state.view,
                 "proc_clock": self._real(state.clock),
             }

@@ -1,10 +1,23 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
-A trace is a list of flat dict records, one per simulation event. Version 2
-carries every time as a JSON integer count of ticks on the grid the header
-names; only a value that is not whole (a drifted clock's) is a ``"p/q"``
-tick string, and clock rates take the same two forms (``timeutil.dump_ticks``).
-Version 1 traces, with times as rational strings in real units, are not read.
+A trace is a list of flat dict records, one per simulation event, each with
+its position ``seq``. Version 3 carries every time as a JSON integer count of
+ticks on the grid the header names; only a value that is not whole (a
+drifted clock's) is a ``"p/q"`` tick string, and clock rates take the same
+two forms (``timeutil.dump_ticks``). Each ``send()`` call is one ``send``
+record, and each of its deliveries one ``deliver`` record that names it by
+seq instead of repeating it::
+
+    {"deliver_times":[…],"kind":"send","payload":{…},"recipients":[…],
+     "sender":s,"seq":N,"time":T,"words":W}
+    {"kind":"deliver","proc_clock":C,"proc_view":V,"recipient":p,"send":S,
+     "seq":N,"time":T}
+
+``deliver_times`` lists when each of ``recipients`` is due, and ``words`` is
+the send's cost: one per recipient other than the sender. Versions 1 and 2,
+which wrote one ``send`` record per recipient and repeated the sender,
+payload and send time in every ``deliver``, are not read.
+
 The serialized form is the canonical identity of a run: determinism and
 replay guarantees are stated over these bytes. A record's canonical line is
 ``json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
@@ -20,7 +33,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, IO, Iterable
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 Record = dict[str, Any]
 
@@ -35,12 +48,21 @@ class TraceParseError(ValueError):
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 _INT = {int}
+_TICK = {int, str}
 
 
 def _str_tick(value) -> str | None:
     """A tick field that is not an int, as JSON: a quoted ``"p/q"`` string;
     None for any other type."""
     return _quote(value) if type(value) is str else None
+
+
+def _ints(values) -> str | None:
+    """A list of exact ints as JSON; None for anything else."""
+    if type(values) is not list or not {*map(type, values)} <= _INT:
+        return None
+    # the repr of a list of exact ints is its JSON with spaces
+    return str(values).replace(" ", "")
 
 
 def _payload(p) -> str | None:
@@ -64,16 +86,27 @@ def _payload(p) -> str | None:
                 return None
             return f'{{"leader":{leader},"type":"proposal","view":{view}}}'
         if ptype == "view_certificate" or ptype == "quorum_certificate":
-            signers = p["signers"]
-            if type(signers) is not list or not {*map(type, signers)} <= _INT:
+            signers = _ints(p["signers"])
+            if signers is None:
                 return None
-            # the repr of a list of exact ints is its JSON with spaces
-            signers = str(signers).replace(" ", "")
             if ptype == "view_certificate":
                 return f'{{"signers":{signers},"type":"view_certificate","view":{view}}}'
             return f'{{"signers":{signers},"type":"quorum_certificate","view":{view}}}'
     except KeyError:
         pass
+    return None
+
+
+def _tick_list(values) -> str | None:
+    """A list of tick fields as JSON, each an int or a ``"p/q"`` string;
+    None for anything else."""
+    if type(values) is not list:
+        return None
+    kinds = {*map(type, values)}
+    if kinds <= _INT:
+        return str(values).replace(" ", "")
+    if kinds <= _TICK:
+        return "[" + ",".join(str(v) if type(v) is int else _quote(v) for v in values) + "]"
     return None
 
 
@@ -86,60 +119,53 @@ def _send(r: Record) -> str | None:
     if len(r) != 8:
         return None
     try:
-        payload, deliver_time, time = _payload(r["payload"]), r["deliver_time"], r["time"]
-        recipient, sender, seq, words = r["recipient"], r["sender"], r["seq"], r["words"]
+        payload, deliver_times, time = _payload(r["payload"]), r["deliver_times"], r["time"]
+        recipients, sender, seq, words = r["recipients"], r["sender"], r["seq"], r["words"]
     except KeyError:
         return None
-    if type(deliver_time) is not int:
-        deliver_time = _str_tick(deliver_time)
+    deliver_times, recipients = _tick_list(deliver_times), _ints(recipients)
     if type(time) is not int:
         time = _str_tick(time)
     if (
         payload is None
-        or deliver_time is None
+        or deliver_times is None
+        or recipients is None
         or time is None
-        or type(recipient) is not int
         or type(sender) is not int
         or type(seq) is not int
         or type(words) is not int
     ):
         return None
     return (
-        f'{{"deliver_time":{deliver_time},"kind":"send","payload":{payload},'
-        f'"recipient":{recipient},"sender":{sender},"seq":{seq},"time":{time},"words":{words}}}'
+        f'{{"deliver_times":{deliver_times},"kind":"send","payload":{payload},'
+        f'"recipients":{recipients},"sender":{sender},"seq":{seq},"time":{time},"words":{words}}}'
     )
 
 
 def _deliver(r: Record) -> str | None:
-    if len(r) != 9:
+    if len(r) != 7:
         return None
     try:
-        payload, proc_clock, proc_view = _payload(r["payload"]), r["proc_clock"], r["proc_view"]
-        recipient, send_time, sender = r["recipient"], r["send_time"], r["sender"]
-        seq, time = r["seq"], r["time"]
+        proc_clock, proc_view, recipient = r["proc_clock"], r["proc_view"], r["recipient"]
+        send, seq, time = r["send"], r["seq"], r["time"]
     except KeyError:
         return None
     if type(proc_clock) is not int:
         proc_clock = _str_tick(proc_clock)
-    if type(send_time) is not int:
-        send_time = _str_tick(send_time)
     if type(time) is not int:
         time = _str_tick(time)
     if (
-        payload is None
-        or proc_clock is None
-        or send_time is None
+        proc_clock is None
         or time is None
         or type(proc_view) is not int
         or type(recipient) is not int
-        or type(sender) is not int
+        or type(send) is not int
         or type(seq) is not int
     ):
         return None
     return (
-        f'{{"kind":"deliver","payload":{payload},"proc_clock":{proc_clock},'
-        f'"proc_view":{proc_view},"recipient":{recipient},"send_time":{send_time},'
-        f'"sender":{sender},"seq":{seq},"time":{time}}}'
+        f'{{"kind":"deliver","proc_clock":{proc_clock},"proc_view":{proc_view},'
+        f'"recipient":{recipient},"send":{send},"seq":{seq},"time":{time}}}'
     )
 
 

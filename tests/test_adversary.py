@@ -87,7 +87,7 @@ def test_selective_vc_narrows_certificate_broadcast():
         if r["payload"]["type"] == "view_certificate"
     ]
     if vc_sends:  # strategy only bites when a VC actually formed
-        recipients = {r["recipient"] for r in vc_sends}
+        recipients = {q for r in vc_sends for q in r["recipients"]}
         assert len(recipients) < 4
 
 

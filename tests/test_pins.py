@@ -7,9 +7,12 @@ the trace bytes are the identity of a run, so a changed digest here is a
 changed run, not a cosmetic difference.
 
 The trace digests were first recorded in trace version 1, which wrote times
-as rational strings in real units. ``as_v1`` spells a version 2 trace (ticks
-on the header's grid) that way again, so the same runs still match those
-digests; each cell also pins its version 2 digest.
+as rational strings in real units, and then in version 2, which wrote ticks
+on the header's grid but still one ``send`` record per recipient and the
+send's sender, payload and time in every ``deliver``. ``as_v2`` expands a
+version 3 trace back into that shape and ``as_v1`` spells a version 2 trace
+in real units again, so the same runs still match the digests of both; each
+cell also pins its version 3 digest.
 """
 
 import copy
@@ -26,6 +29,50 @@ from viewsync.trace import to_jsonl
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def as_v2(records):
+    """A version 3 trace expanded into version 2: one ``send`` record per
+    recipient (``words`` 0 to the sender itself, 1 to anyone else), every
+    ``deliver`` with its send's ``sender``, ``payload`` and ``send_time``
+    back, and the records renumbered."""
+    out = []
+    sends = {}
+    for rec in records:
+        if rec["kind"] == "send":
+            sends[rec["seq"]] = rec
+            for q, when in zip(rec["recipients"], rec["deliver_times"]):
+                out.append(
+                    {
+                        "kind": "send",
+                        "time": rec["time"],
+                        "sender": rec["sender"],
+                        "recipient": q,
+                        "payload": copy.deepcopy(rec["payload"]),
+                        "deliver_time": when,
+                        "words": int(q != rec["sender"]),
+                    }
+                )
+        elif rec["kind"] == "deliver":
+            src = sends[rec["send"]]
+            out.append(
+                {
+                    "kind": "deliver",
+                    "time": rec["time"],
+                    "send_time": src["time"],
+                    "sender": src["sender"],
+                    "recipient": rec["recipient"],
+                    "payload": copy.deepcopy(src["payload"]),
+                    "proc_view": rec["proc_view"],
+                    "proc_clock": rec["proc_clock"],
+                }
+            )
+        else:
+            out.append(copy.deepcopy(rec))
+    for seq, rec in enumerate(out):
+        rec["seq"] = seq
+    out[0]["version"] = 2
+    return out
 
 
 def as_v1(records):
@@ -127,7 +174,8 @@ DELTA_UNITS_HASHES = [
     "a86f82dbd8b69bbf",
 ]
 
-# cell -> (records, SHA-256 of the trace as_v1, SHA-256 of the version 2 trace)
+# cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
+#          records, SHA-256 of the version 3 trace)
 TRACED_CELLS = [
     (
         {
@@ -142,6 +190,8 @@ TRACED_CELLS = [
         393,
         "943c02cadcff239488fd6adc1515ce9981927464978417856b5e0c8a70ae0ea3",
         "bb576b1ad5bee28f52ed903f547e990a118ecc118b2c3ffdcb754c47dc65e80d",
+        303,
+        "4f56a324a48497a3317e65e82f5efdd681148a508f68b0979a5ed789a5568901",
     ),
     (
         {
@@ -157,6 +207,8 @@ TRACED_CELLS = [
         1385,
         "e6d20ee41a4b8445ea31cc3bd4612ad5a8abad4ffacaecd3185b9e658b3390a7",
         "4bcad9d2333ebeff3479ef7f9b83a9cf621cfad5f1111e42257a8ab1c1059a67",
+        1073,
+        "befcb53442f2996a0a7520a8e05e9ca6d253b129b13fb80231ecdef4486b54bf",
     ),
     (
         {
@@ -169,6 +221,8 @@ TRACED_CELLS = [
         140,
         "e3dc28bc2094dcb0461112ccf7cb3cd4c0c09fca24afe901f08c9e6ced45e91e",
         "b30552d52c4ee6eadbca9110647065ab6582155c4fc36089270b441d97495067",
+        104,
+        "32b4c5633c4088674d0731c3df6e8a40c8a8f6719e11da1724ece6c233f2797c",
     ),
     (
         {
@@ -183,6 +237,8 @@ TRACED_CELLS = [
         232,
         "1cbc477fac5b0e5e3741191f3363ccd3f5be9d8265fdfe7784fab3aa38729ca7",
         "22a4eae993a4a9efbefc8bb1758225accfa1b865970fcdc5a5b117506d3001a1",
+        178,
+        "f9537a082461409132387ab7efa4e8cb8777688839f4c05a7d4c5ddf3c955320",
     ),
     (
         {
@@ -195,6 +251,8 @@ TRACED_CELLS = [
         37,
         "4a5ce8947266ce31ffa44fa033ff2fd3c400bb5adb75b33bc0d6773723e29ed4",
         "94ab8a1ebcb731e5f685d0e747e66545befb57b961ed032895024a9e32becadc",
+        28,
+        "5a6ed176181a7c2ab127d5c215ba471aae8f72ba462d2e2af4cca6fbb437ba7a",
     ),
     (
         {
@@ -210,6 +268,8 @@ TRACED_CELLS = [
         828,
         "efe4b83e5868b7d639132ffd754f53371bc13930834808718dca726a9c9cda33",
         "4bf75dd5e0dade7354d958ceee139b5202ff45f86a4e07c74bd3cc108e56c3d8",
+        651,
+        "739cfb60b64e5691d96bc572132f659f0d79b848324fa1cc308a6daf693c0a41",
     ),
 ]
 
@@ -229,7 +289,8 @@ def test_delta_units_config_hash_pins(tmp_path):
 
 def test_trace_sha256_pins():
     got = []
-    for cell, _, _, _ in TRACED_CELLS:
+    for cell, *_ in TRACED_CELLS:
         records = Simulation(build_config(cell)).run()
-        got.append((len(records), sha256(as_v1(records)), sha256(records)))
-    assert got == [(count, v1, v2) for _, count, v1, v2 in TRACED_CELLS]
+        v2 = as_v2(records)
+        got.append((len(v2), sha256(as_v1(v2)), sha256(v2), len(records), sha256(records)))
+    assert got == [tuple(pins) for _, *pins in TRACED_CELLS]

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -293,3 +297,42 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
     _index, row = _worker((0, cell, None))
     assert row["error"].startswith("SimulationError: delivered QuorumCertificate")
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from viewsync import simnet
+from viewsync.certificates import ViewMessage
+from viewsync.core import ALL
+from viewsync.simnet import SimConfig, Simulation, SimulationError
+
+if not sys.flags.optimize:
+    sys.exit("assert statements are on")
+try:
+    Simulation(SimConfig(n=4)).send(0, ALL, ViewMessage(3, 1), 0)
+except SimulationError as exc:
+    print("forged:", exc)
+simnet.validate_qc = lambda *args: False
+try:
+    Simulation(SimConfig(n=4, stop="horizon", horizon=30)).run()
+except SimulationError as exc:
+    print("invalid:", exc)
+"""
+
+
+def test_protocol_checks_survive_python_O():
+    src = str(Path(simnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2, done.stdout
+    assert lines[0].startswith("forged: processor 0 cannot send processor 1's signature")
+    assert lines[1].startswith("invalid: delivered QuorumCertificate")

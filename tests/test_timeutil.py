@@ -125,6 +125,8 @@ def test_ticks_matches_fraction_parse_on_any_spelling(text):
 def test_malformed_deliver_time_names_its_seq(field, value):
     records = Simulation(SimConfig(n=4, delta_cap=2, gst=0)).run()
     i = next(i for i, r in enumerate(records) if r["kind"] == "deliver")
-    records[i][field] = value
+    if field == "send_time":  # a delivery's send time is its send record's time
+        i, field = records[i]["send"], "time"
+    records[i] = {**records[i], field: value}
     with pytest.raises(TraceAnalysisError, match=f"at seq {records[i]['seq']}$"):
         analyze(records)

@@ -161,17 +161,29 @@ ODD_VALUES = st.sampled_from(ODD)
 @st.composite
 def edited_records(draw):
     """A record of the sample runs, whole or with one edit the simulator
-    never makes: an odd value, a missing or an extra key, a tuple of
-    signers, an unknown payload type."""
+    never makes: an odd value, a missing or an extra key, an odd item in a
+    list, a tuple of signers, recipients or deliver times, an unknown payload
+    type."""
     record = copy.deepcopy(draw(st.sampled_from(sample_runs())))
     payload = record.get("payload")
-    edit = draw(st.sampled_from(["none", "value", "drop", "extra", "payload", "signers", "type"]))
+    lists = [k for k in ("recipients", "deliver_times") if k in record]
+    edit = draw(
+        st.sampled_from(
+            ["none", "value", "drop", "extra", "item", "tuple", "payload", "signers", "type"]
+        )
+    )
     if edit == "value":
         record[draw(st.sampled_from(sorted(record)))] = draw(ODD_VALUES)
     elif edit == "drop":
         del record[draw(st.sampled_from(sorted(record)))]
     elif edit == "extra":
         record[draw(st.sampled_from(["zz", "a", "payloads", "\u00e9"]))] = draw(ODD_VALUES)
+    elif edit == "item" and lists:
+        items = record[draw(st.sampled_from(lists))]
+        items[draw(st.integers(0, len(items) - 1))] = draw(ODD_VALUES)
+    elif edit == "tuple" and lists:
+        key = draw(st.sampled_from(lists))
+        record[key] = tuple(record[key])
     elif edit == "payload" and payload is not None:
         key = draw(st.sampled_from(sorted(payload) + ["extra"]))
         if draw(st.booleans()) and key in payload:
@@ -204,19 +216,23 @@ def test_dumps_record_is_json_dumps(record):
 
 def test_every_odd_value_in_every_hot_field_matches_json_dumps():
     # one record per (kind, payload type, whole or "p/q" time), every field
-    # of it and of its payload set to every odd value in turn
+    # of it, of its payload and the last item of each list set to every odd
+    # value in turn
     shapes = {}
     for r in hot(sample_runs()):
-        shapes.setdefault((r["kind"], r["payload"]["type"], type(r["time"])), r)
-    assert len(shapes) == 20
+        shapes.setdefault((r["kind"], r.get("payload", {}).get("type"), type(r["time"])), r)
+    assert len(shapes) == 12
     for record in shapes.values():
-        for key in list(record) + [f"payload.{k}" for k in record["payload"]]:
+        keys = [(k,) for k in record]
+        keys += [("payload", k) for k in record.get("payload", ())]
+        keys += [(k, -1) for k in ("recipients", "deliver_times") if k in record]
+        for key in keys:
             for value in ODD:
                 bad = copy.deepcopy(record)
-                if key.startswith("payload."):
-                    bad["payload"][key[len("payload."):]] = value
-                else:
-                    bad[key] = value
+                where = bad
+                for step in key[:-1]:
+                    where = where[step]
+                where[key[-1]] = value
                 agrees_with_reference(bad)
 
 
@@ -230,8 +246,10 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
     refusing = HotKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
     monkeypatch.setattr(trace, "_ENCODER", refusing)
     records = sample_runs()
-    types = {r["payload"]["type"] for r in hot(records)}
+    types = {r["payload"]["type"] for r in hot(records) if r["kind"] == "send"}
     assert types == {"view_message", "vote", "proposal", "view_certificate", "quorum_certificate"}
-    for field in ("time", "send_time", "deliver_time", "proc_clock"):
+    for field in ("time", "proc_clock"):
         assert any(isinstance(r.get(field), str) for r in hot(records)), field
+    assert any(str in map(type, r.get("deliver_times", ())) for r in records)
+    assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
