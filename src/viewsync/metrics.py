@@ -9,8 +9,10 @@ leader) are evaluated against the recorded data and skipped as vacuous when
 the hypothesis fails, never silently weakened.
 
 Each ``deliver`` record is joined to the ``send`` record it names, for the
-send's time, sender and payload; one that names no earlier send listing its
-recipient makes the trace unusable. Word counting reads the summed ``words``
+send's time, sender and payload. A ``deliver`` makes the trace unusable if it
+names no earlier send listing its recipient, if its time is not the send's
+``deliver_times`` entry for that recipient, or if that recipient already had
+this send delivered. Word counting reads the summed ``words``
 of each ``send`` record: every word window (the first-quorum budget and the
 pace gaps) is keyed on send time, which all recipients of one send share.
 
@@ -78,7 +80,13 @@ def _ticks(value, seq: int) -> Time:
 # must have. Consulted only to name the field once a read has failed.
 _RECORD_FIELDS = {
     "corrupt": {"proc": "proc"},
-    "send": {"sender": "proc", "payload": "payload", "words": "int", "recipients": "ints"},
+    "send": {
+        "sender": "proc",
+        "payload": "payload",
+        "words": "int",
+        "recipients": "ints",
+        "deliver_times": "ticks",  # one per recipient
+    },
     "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     "threshold": {"proc": "proc", "proc_view": "int", "boundary_clock": "tick"},
     "form_vc": {"view": "int", "signers": "ints"},
@@ -100,6 +108,8 @@ def _fits(value, shape: str, n: int) -> bool:
         return isinstance(value, int) and 0 <= value < n
     if shape == "ints":
         return isinstance(value, list) and all(isinstance(s, int) for s in value)
+    if shape == "ticks":
+        return isinstance(value, list)  # _ticks names a malformed item itself
     return True  # a tick: _ticks names a malformed one itself
 
 
@@ -117,6 +127,8 @@ def _unreadable_field(rec, n: int) -> Optional[tuple[str, str]]:
         if shape != "payload":
             if not _fits(value, shape, n):
                 return name, f"is malformed: {value!r}"
+            if shape == "ticks" and len(value) != len(rec["recipients"]):
+                return name, f"has {len(value)} entries for {len(rec['recipients'])} recipients"
             continue
         if not isinstance(value, dict):
             return name, f"is not an object: {value!r}"
@@ -154,9 +166,6 @@ class _Proc:
         self.sent_votes: set[int] = set()
         self.qc_receipt: dict[int, tuple[Any, int]] = {}  # view -> (time, seq)
 
-    def clock(self, now):
-        return self.offset + self.rate * now
-
     def clock_before(self, now, seq: int):
         """Clock value using the offset in force just before record seq."""
         idx = max(bisect_right(self.offset_log, (seq - 1, INF)) - 1, 0)
@@ -182,11 +191,15 @@ class _Analyzer:
         self.signatures: set[tuple[int, str, int]] = set()
         self.checked_certs: set[tuple] = set()
         self.word_events: list[tuple[Any, int]] = []  # (send_time, words), correct senders
-        self.sends: dict[int, tuple] = {}  # seq -> (send_time, sender, payload, recipients)
+        # seq -> [send_time, sender, payload, recipients, deliver_times, delivered],
+        # where delivered has bit i set once recipients[i] had the send delivered
+        self.sends: dict[int, list] = {}
         self.qc_first_sight: dict[int, Any] = {}  # view -> first correct sighting time
         self.qc_formations: list[tuple[Any, int, int, int]] = []  # (time, proc, view, seq)
-        self.underlying_deliveries: dict[int, list] = {}
-        self.qc_deliveries: dict[int, list] = {}
+        # view -> (send_time, sender) of each proposal, vote or quorum
+        # certificate a never-corrupted processor received after
+        # max(gst, send_time) + delta_eff
+        self.late_deliveries: dict[int, list[tuple[Any, int]]] = {}
         self.end_seq: int = records[-1]["seq"]
         self.end_time: Time = _ticks(records[-1]["time"], self.end_seq)
         self.gst_seq = -1  # the last record before the first stamped after gst
@@ -199,10 +212,13 @@ class _Analyzer:
     def leader(self, view: int) -> int:
         return leader_of(view, self.resolved.params)
 
-    def _check_dagger_now(self, now, seq: int) -> None:
-        clocks = [pr.clock(now) for pr in self.procs if pr.correct_at(now)]
-        if not check_dagger(clocks, self.resolved.gamma, self.resolved.t):
+    def _check_dagger_now(self, now, seq: int) -> bool:
+        """Flag the dispersion condition at ``now`` if it fails; return whether it held."""
+        clocks = [pr.offset + pr.rate * now for pr in self.procs if now < pr.corrupted_at]
+        held = check_dagger(clocks, self.resolved.gamma, self.resolved.t)
+        if not held:
             self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
+        return held
 
     def _check_certificate(self, kind: str, view: int, signers: Sequence[int], seq: int) -> None:
         key = (kind, view, tuple(signers))
@@ -240,40 +256,42 @@ class _Analyzer:
     def scan(self) -> None:
         r = self.resolved
         gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
-        sends = self.sends
-        recheck_dagger = True
+        scan_send, scan_deliver, scan_stamp = self._scan_send, self._scan_deliver, self._scan_stamp
+        check_dagger_now = self._check_dagger_now
+        recheck_dagger = True  # a clock was forwarded or a processor corrupted
+        dagger_at = dagger_held = None  # the instant of the last check and its result
         before_gst = True
         for rec in self.records:
             seq = rec["seq"]
             kind = rec["kind"]
             if kind == "header":
-                self._check_dagger_now(0, seq)
+                check_dagger_now(0, seq)
                 continue
-            now = _ticks(rec["time"], seq)
+            now = rec["time"]
+            if type(now) is not int:
+                now = _ticks(now, seq)
             if before_gst:
                 if now > gst:
                     before_gst = False
                 else:
                     self.gst_seq = seq
-            if kind == "corrupt":
+            if kind == "deliver":
+                if scan_deliver(rec, now, seq):
+                    recheck_dagger = True
+            elif kind == "send":
+                scan_send(rec, now, seq)
+            elif kind == "threshold":
+                boundary = rec["boundary_clock"]
+                if type(boundary) is not int:
+                    boundary = _ticks(boundary, seq)
+                if boundary % period != 0:
+                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                if scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
+                    recheck_dagger = True
+            elif kind == "corrupt":
                 p = rec["proc"]
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
                 recheck_dagger = True
-            elif kind == "send":
-                self._scan_send(rec, now, seq)
-            elif kind == "deliver":
-                p, sent = rec["recipient"], sends.get(rec["send"])
-                if sent is None or p not in sent[3]:
-                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
-                if self._scan_stamp(p, rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq):
-                    recheck_dagger = True
-                self._scan_deliver(sent, p, now, seq)
-            elif kind == "threshold":
-                boundary = _ticks(rec["boundary_clock"], seq)
-                if boundary % period != 0:
-                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
-                    recheck_dagger = True
             elif kind == "form_vc":
                 self._check_certificate("vc", rec["view"], rec["signers"], seq)
             elif kind == "form_qc":
@@ -283,7 +301,10 @@ class _Analyzer:
             else:
                 raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
             if recheck_dagger or not uniform_rates:
-                self._check_dagger_now(now, seq)
+                if recheck_dagger or now != dagger_at:
+                    dagger_at, dagger_held = now, check_dagger_now(now, seq)
+                elif not dagger_held:  # the same clocks as at the last check
+                    self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
                 recheck_dagger = False
 
     def _unjoined(self, rec: Record) -> str:
@@ -296,27 +317,32 @@ class _Analyzer:
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
         payload = rec["payload"]
-        ptype = payload["type"]
+        recipients, deliver_times = rec["recipients"], rec["deliver_times"]
+        if (
+            type(recipients) is not list
+            or type(deliver_times) is not list
+            or len(deliver_times) != len(recipients)
+        ):
+            raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+        ptype, view = payload["type"], payload["view"]
         pr = self.procs[sender]
-        correct = pr.correct_at(now)
+        correct = now < pr.corrupted_at
         if ptype == "view_message":
-            self.signatures.add((payload["signer"], "view_msg", payload["view"]))
+            self.signatures.add((payload["signer"], "view_msg", view))
             if correct:
-                view = payload["view"]
                 if payload["signer"] != sender:
                     self.flag("signing_clock", seq, "correct sender signed for another id")
                 elif view in pr.sent_view_msgs:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
                 floor = view * self.resolved.gamma
-                if pr.clock(now) < floor:
+                if pr.offset + pr.rate * now < floor:
                     self.flag(
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
         elif ptype == "vote":
-            self.signatures.add((payload["signer"], "vote", payload["view"]))
+            self.signatures.add((payload["signer"], "vote", view))
             if correct:
-                view = payload["view"]
                 if payload["signer"] != sender:
                     self.flag("vote_view", seq, "correct sender voted for another id")
                 elif view in pr.sent_votes:
@@ -325,12 +351,12 @@ class _Analyzer:
                 if pr.view != view:
                     self.flag("vote_view", seq, f"vote for {view} while in view {pr.view}")
         elif ptype == "view_certificate":
-            self._check_certificate("vc", payload["view"], payload["signers"], seq)
+            self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
-            self._check_certificate("qc", payload["view"], payload["signers"], seq)
+            self._check_certificate("qc", view, payload["signers"], seq)
         if correct and rec["words"]:
             self.word_events.append((now, rec["words"]))
-        self.sends[seq] = (now, sender, payload, rec["recipients"])
+        self.sends[seq] = [now, sender, payload, recipients, deliver_times, 0]
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -338,9 +364,9 @@ class _Analyzer:
         Returns True when the processor's clock was forwarded here.
         """
         pr = self.procs[p]
-        if not pr.correct_at(now):
+        if not now < pr.corrupted_at:
             return False
-        expected = pr.clock(now)
+        expected = pr.offset + pr.rate * now
         forwarded = False
         if clock < expected:
             self.flag("clock_monotonicity", seq, f"processor {p} clock moved backwards")
@@ -358,11 +384,42 @@ class _Analyzer:
                 pr.entries.append((now, view, seq))
         return forwarded
 
-    def _scan_deliver(self, sent: tuple, recipient: int, now, seq: int) -> None:
-        """One delivery of ``sent``, the send index's entry for its send."""
+    def _scan_deliver(self, rec: Record, now, seq: int) -> bool:
+        """One ``deliver`` record, joined to the send it names: its
+        recipient's snapshot, then the delivery itself. Returns True when
+        the recipient's clock was forwarded here."""
+        p = rec["recipient"]
+        src = rec["send"]
+        try:
+            sent = self.sends[src]
+            i = sent[3].index(p)
+        except (KeyError, ValueError):
+            why = self._unjoined(rec)
+            raise TraceAnalysisError(f"deliver record at seq {seq}: {why}") from None
+        send_time, sender, payload, _recipients, deliver_times, delivered = sent
+        if delivered >> i & 1:
+            raise TraceAnalysisError(
+                f"deliver record at seq {seq}: send record at seq {src} "
+                f"was already delivered to recipient {p!r}"
+            )
+        sent[5] = delivered | 1 << i
+        due = deliver_times[i]
+        # a "p/q" string equal to the deliver's own time needs no second parse
+        if type(due) is not str or due != rec["time"]:
+            if type(due) is not int:
+                due = _ticks(due, src)
+            if due != now:
+                raise TraceAnalysisError(
+                    f"deliver record at seq {seq}: field 'time' is {rec['time']!r}, but send "
+                    f"record at seq {src} lists {deliver_times[i]!r} for recipient {p!r}"
+                )
+        proc_view, clock = rec["proc_view"], rec["proc_clock"]
+        if type(clock) is not int:
+            clock = _ticks(clock, seq)
+        forwarded = self._scan_stamp(p, proc_view, clock, now, seq)
+
         r = self.resolved
-        send_time, sender, payload, _recipients = sent
-        if sender == recipient:
+        if sender == p:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")
         else:
@@ -380,20 +437,19 @@ class _Analyzer:
                 and now > send_time + r.delta_actual
             ):
                 self.flag("delivery_bound", seq, "post-stabilisation delivery exceeded delta")
-        ptype = payload["type"]
-        view = payload["view"]
+        if p not in r.never_corrupted:
+            return forwarded
+        ptype, view = payload["type"], payload["view"]
         if ptype == "quorum_certificate":
-            self._check_certificate("qc", view, payload["signers"], seq)
-            if recipient in r.never_corrupted:
-                self.procs[recipient].qc_receipt.setdefault(view, (now, seq))
-                if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
-                    self.qc_first_sight[view] = now
-                self.qc_deliveries.setdefault(view, []).append((send_time, now, sender))
-        elif ptype == "view_certificate":
-            self._check_certificate("vc", view, payload["signers"], seq)
-        elif ptype in ("proposal", "vote"):
-            if recipient in r.never_corrupted:
-                self.underlying_deliveries.setdefault(view, []).append((send_time, now, sender))
+            self.procs[p].qc_receipt.setdefault(view, (now, seq))
+            if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
+                self.qc_first_sight[view] = now
+        elif ptype != "proposal" and ptype != "vote":
+            return forwarded  # a certificate's signers were checked with its send record
+        # only a late delivery can make view v untimely in check_underlying_contract
+        if now > max(r.gst, send_time) + r.delta_eff:
+            self.late_deliveries.setdefault(view, []).append((send_time, sender))
+        return forwarded
 
     def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
         view, proc = rec["view"], rec["proc"]
@@ -719,16 +775,12 @@ class _Analyzer:
             deadline = s + 3 * delta
             if deadline >= self.end_time:
                 continue  # the trace stops before the conclusion is due
-            timely = all(
-                now <= max(r.gst, send) + delta
-                for send, now, sender in self.underlying_deliveries.get(view, ())
-                if self.procs[sender].correct_at(send)
-            ) and all(
-                now <= max(r.gst, send) + delta
-                for send, now, sender in self.qc_deliveries.get(view, ())
-                if self.procs[sender].correct_at(send)
-            )
-            if not timely:
+            # untimely: a late proposal, vote or certificate from a sender
+            # still correct when it sent
+            if any(
+                self.procs[sender].correct_at(send)
+                for send, sender in self.late_deliveries.get(view, ())
+            ):
                 continue
             quorum = [sp for sp in spans if sp[0] <= s < sp[1]]
             held = all(

@@ -25,6 +25,18 @@ replay guarantees are stated over these bytes. A record's canonical line is
 directly into those same bytes by one f-string each over their fixed sorted
 key order; a record of another kind, or one whose keys or value types are
 not exactly the simulator's, goes through the JSON encoder instead.
+
+The reader splits the text with ``str.splitlines`` and parses each line on
+its own, so a record is one line and an error names its line. It calls the
+JSON scanner of a default ``JSONDecoder`` at index 0 and keeps the result
+only when that scan consumes the whole line. That is exactly what
+``json.loads(line)`` returns: for a line with no leading whitespace it runs
+the same scan at the same index, and then only checks that nothing but
+whitespace follows. Any other line (leading or trailing whitespace, a BOM,
+a second value, bad JSON, a blank line) goes through the blank-line check
+and ``json.loads`` itself, for the same record or the same error. One
+``json.loads`` over the whole text would not be exact: a bracket left open
+on one line can swallow the next, and one line can hold two records.
 """
 
 from __future__ import annotations
@@ -47,6 +59,8 @@ class TraceParseError(ValueError):
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# The scanner json.loads uses: a fresh decoder has the default one's settings.
+_scan_once = json.JSONDecoder().scan_once
 _INT = {int}
 _TICK = {int, str}
 
@@ -192,12 +206,19 @@ def parse_jsonl(text: str) -> list[Record]:
     """Parse a whole trace, validating shape enough to fail loudly, not deeply."""
     records: list[Record] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            raise TraceParseError(line_no, "blank line inside trace")
+        # a scan that ends at the line's end is json.loads(line)'s record
+        # (see the module docstring); any other line goes to json.loads
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+            rec, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                raise TraceParseError(line_no, "blank line inside trace")
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(rec, dict) or "kind" not in rec:
             raise TraceParseError(line_no, "record is not an object with a 'kind'")
         records.append(rec)

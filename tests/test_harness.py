@@ -494,13 +494,47 @@ def drop_the_recipient(recs, deliver):
     return f"send record at seq {send['seq']} does not list recipient {deliver['recipient']}"
 
 
-@pytest.mark.parametrize("unjoin", [point_at_header, point_at_a_later_send, drop_the_recipient])
+def announce_another_time(recs, deliver):
+    send = next(r for r in recs if r["seq"] == deliver["send"])
+    send["deliver_times"][send["recipients"].index(deliver["recipient"])] = 10**6
+    return (
+        f"field 'time' is {deliver['time']}, but send record at seq {send['seq']} "
+        f"lists 1000000 for recipient {deliver['recipient']}"
+    )
+
+
+def deliver_twice(recs, deliver):
+    # a copy goes in first, so deliver itself, renumbered, is the repeat
+    at = recs.index(deliver)
+    first = dict(deliver)
+    for r in recs[at:]:
+        r["seq"] += 1
+        if r["kind"] == "deliver" and r["send"] >= first["seq"]:
+            r["send"] += 1
+    recs.insert(at, first)
+    return (
+        f"send record at seq {deliver['send']} "
+        f"was already delivered to recipient {deliver['recipient']}"
+    )
+
+
+@pytest.mark.parametrize(
+    "unjoin",
+    [
+        point_at_header,
+        point_at_a_later_send,
+        drop_the_recipient,
+        announce_another_time,
+        deliver_twice,
+    ],
+)
 def test_cli_replay_locates_a_deliver_without_its_send(spec_file, tmp_path, capsys, unjoin):
     where = []
 
     def edit(recs):
         deliver = next(r for r in recs if r["kind"] == "deliver")
-        where.append(f"deliver record at seq {deliver['seq']}: {unjoin(recs, deliver)}")
+        reason = unjoin(recs, deliver)
+        where.append(f"deliver record at seq {deliver['seq']}: {reason}")
 
     bad = edited_trace(spec_file, tmp_path, edit)
     capsys.readouterr()

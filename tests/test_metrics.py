@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from viewsync.constants import RESPONSE_STEPS_C
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
-from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, analyze
-from viewsync.simnet import Corruption, SimConfig, Simulation, subseed
+from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, _Proc, _ticks, analyze
+from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
 from viewsync.timeutil import from_ticks, load_ticks
+from viewsync.trace import Record
 
 
 def run_records(**kw):
@@ -195,6 +197,248 @@ class QuadraticAnalyzer(_Analyzer):
                         )
 
 
+class _ReferenceProc(_Proc):
+    __slots__ = ()
+
+    def clock(self, now):
+        return self.offset + self.rate * now
+
+
+class ReferenceAnalyzer(_Analyzer):
+    """The scan and the underlying-contract check as first written for
+    trace v3: the dispersion check is computed afresh at every record it
+    runs at, and every proposal, vote and certificate delivery is kept and
+    re-walked for timeliness. Oracle for the lighter scan, which must give
+    the same metrics and violations wherever neither raises."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        r = self.resolved
+        self.procs = [_ReferenceProc(off, rate) for off, rate in zip(r.offsets, r.rates)]
+        self.underlying_deliveries: dict[int, list] = {}
+        self.qc_deliveries: dict[int, list] = {}
+
+    def _check_dagger_now(self, now, seq: int) -> None:
+        clocks = [pr.clock(now) for pr in self.procs if pr.correct_at(now)]
+        if not check_dagger(clocks, self.resolved.gamma, self.resolved.t):
+            self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
+
+    def scan(self) -> None:
+        r = self.resolved
+        gst, period, uniform_rates = r.gst, r.period, r.uniform_rates
+        sends = self.sends
+        recheck_dagger = True
+        before_gst = True
+        for rec in self.records:
+            seq = rec["seq"]
+            kind = rec["kind"]
+            if kind == "header":
+                self._check_dagger_now(0, seq)
+                continue
+            now = _ticks(rec["time"], seq)
+            if before_gst:
+                if now > gst:
+                    before_gst = False
+                else:
+                    self.gst_seq = seq
+            if kind == "corrupt":
+                p = rec["proc"]
+                self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                recheck_dagger = True
+            elif kind == "send":
+                self._scan_send(rec, now, seq)
+            elif kind == "deliver":
+                p, sent = rec["recipient"], sends.get(rec["send"])
+                if sent is None or p not in sent[3]:
+                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
+                if self._scan_stamp(p, rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq):
+                    recheck_dagger = True
+                self._scan_deliver(sent, p, now, seq)
+            elif kind == "threshold":
+                boundary = _ticks(rec["boundary_clock"], seq)
+                if boundary % period != 0:
+                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                if self._scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
+                    recheck_dagger = True
+            elif kind == "form_vc":
+                self._check_certificate("vc", rec["view"], rec["signers"], seq)
+            elif kind == "form_qc":
+                self._scan_form_qc(rec, now, seq)
+            elif kind in ("wake", "end"):
+                pass
+            else:
+                raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
+            if recheck_dagger or not uniform_rates:
+                self._check_dagger_now(now, seq)
+                recheck_dagger = False
+
+    def _scan_send(self, rec: Record, now, seq: int) -> None:
+        sender = rec["sender"]
+        payload = rec["payload"]
+        ptype = payload["type"]
+        pr = self.procs[sender]
+        correct = pr.correct_at(now)
+        if ptype == "view_message":
+            self.signatures.add((payload["signer"], "view_msg", payload["view"]))
+            if correct:
+                view = payload["view"]
+                if payload["signer"] != sender:
+                    self.flag("signing_clock", seq, "correct sender signed for another id")
+                elif view in pr.sent_view_msgs:
+                    self.flag("duplicate_view_message", seq, f"second view message for {view}")
+                pr.sent_view_msgs.add(view)
+                floor = view * self.resolved.gamma
+                if pr.clock(now) < floor:
+                    self.flag(
+                        "signing_clock", seq, f"view message {view} signed below clock {floor}"
+                    )
+        elif ptype == "vote":
+            self.signatures.add((payload["signer"], "vote", payload["view"]))
+            if correct:
+                view = payload["view"]
+                if payload["signer"] != sender:
+                    self.flag("vote_view", seq, "correct sender voted for another id")
+                elif view in pr.sent_votes:
+                    self.flag("duplicate_vote", seq, f"second vote for {view}")
+                pr.sent_votes.add(view)
+                if pr.view != view:
+                    self.flag("vote_view", seq, f"vote for {view} while in view {pr.view}")
+        elif ptype == "view_certificate":
+            self._check_certificate("vc", payload["view"], payload["signers"], seq)
+        elif ptype == "quorum_certificate":
+            self._check_certificate("qc", payload["view"], payload["signers"], seq)
+        if correct and rec["words"]:
+            self.word_events.append((now, rec["words"]))
+        self.sends[seq] = (now, sender, payload, rec["recipients"])
+
+    def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
+        """Fold one observed (view, clock) snapshot into the replayed model.
+
+        Returns True when the processor's clock was forwarded here.
+        """
+        pr = self.procs[p]
+        if not pr.correct_at(now):
+            return False
+        expected = pr.clock(now)
+        forwarded = False
+        if clock < expected:
+            self.flag("clock_monotonicity", seq, f"processor {p} clock moved backwards")
+        elif clock > expected:
+            pr.offset = clock - pr.rate * now
+            pr.offset_log.append((seq, pr.offset))
+            forwarded = True
+        if view != pr.view:
+            if not isinstance(view, int):
+                raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
+            if view < pr.view:
+                self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
+            else:
+                pr.view = view
+                pr.entries.append((now, view, seq))
+        return forwarded
+
+    def _scan_deliver(self, sent: tuple, recipient: int, now, seq: int) -> None:
+        """One delivery of ``sent``, the send index's entry for its send."""
+        r = self.resolved
+        send_time, sender, payload, _recipients = sent
+        if sender == recipient:
+            if now != send_time:
+                self.flag("delivery_bound", seq, "self delivery not instantaneous")
+        else:
+            sync = sync_start(send_time, r.gst, r.windows)
+            if sync is None:  # sent after the final window closed: no upper bound
+                sync = INF
+            bound = max(sync, send_time) + r.delta_cap
+            if now <= send_time or now > bound:
+                self.flag(
+                    "delivery_bound", seq, f"delivery at {now} outside ({send_time}, {bound}]"
+                )
+            elif (
+                r.network != "worst_case_max_delay"
+                and sync <= send_time
+                and now > send_time + r.delta_actual
+            ):
+                self.flag("delivery_bound", seq, "post-stabilisation delivery exceeded delta")
+        ptype = payload["type"]
+        view = payload["view"]
+        if ptype == "quorum_certificate":
+            self._check_certificate("qc", view, payload["signers"], seq)
+            if recipient in r.never_corrupted:
+                self.procs[recipient].qc_receipt.setdefault(view, (now, seq))
+                if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
+                    self.qc_first_sight[view] = now
+                self.qc_deliveries.setdefault(view, []).append((send_time, now, sender))
+        elif ptype == "view_certificate":
+            self._check_certificate("vc", view, payload["signers"], seq)
+        elif ptype in ("proposal", "vote"):
+            if recipient in r.never_corrupted:
+                self.underlying_deliveries.setdefault(view, []).append((send_time, now, sender))
+
+    def check_underlying_contract(self) -> None:
+        """Quorum liveness inside one view: from the first post-gst instant
+        with n-t correct processors in view v and its correct leader among
+        them, provided they hold the view and the view's traffic met the
+        actual delay, every never-corrupted processor holds the quorum
+        certificate within three message delays."""
+        r = self.resolved
+        delta = r.delta_eff
+        need = r.n - r.t
+        intervals: dict[int, list[tuple[Any, Any, int]]] = {}
+        for p in r.never_corrupted:
+            ents = self.procs[p].entries
+            for i, (when, view, _seq) in enumerate(ents):
+                until = ents[i + 1][0] if i + 1 < len(ents) else INF
+                intervals.setdefault(view, []).append((when, until, p))
+        for view, spans in intervals.items():
+            if len(spans) < need:
+                continue
+            lead = self.leader(view)
+            if lead not in r.never_corrupted:
+                continue
+            lead_span = next((s for s in spans if s[2] == lead), None)
+            if lead_span is None:
+                continue
+            # membership only grows at span starts, so checking gst and each
+            # later start finds the earliest instant with a full quorum
+            candidates = sorted({r.gst} | {s[0] for s in spans if s[0] > r.gst})
+            s = None
+            for cand in candidates:
+                if sum(1 for start, until, _p in spans if start <= cand < until) >= need:
+                    s = cand
+                    break
+            if s is None or not lead_span[0] <= s < lead_span[1]:
+                continue
+            deadline = s + 3 * delta
+            if deadline >= self.end_time:
+                continue  # the trace stops before the conclusion is due
+            timely = all(
+                now <= max(r.gst, send) + delta
+                for send, now, sender in self.underlying_deliveries.get(view, ())
+                if self.procs[sender].correct_at(send)
+            ) and all(
+                now <= max(r.gst, send) + delta
+                for send, now, sender in self.qc_deliveries.get(view, ())
+                if self.procs[sender].correct_at(send)
+            )
+            if not timely:
+                continue
+            quorum = [sp for sp in spans if sp[0] <= s < sp[1]]
+            held = all(
+                until >= min(self.procs[p].qc_receipt.get(view, (INF,))[0], deadline)
+                for _start, until, p in quorum
+            )
+            if not held:
+                continue
+            for p in r.never_corrupted:
+                got = self.procs[p].qc_receipt.get(view)
+                if got is None or got[0] > deadline:
+                    self.flag(
+                        "underlying_contract",
+                        self.end_seq,
+                        f"processor {p} lacked the view {view} quorum by {deadline} ticks",
+                    )
+
+
 def assert_invariants(records, config=None):
     """All invariant violations in a trace, after checking that its header
     describes config's run (same n and seed)."""
@@ -208,10 +452,12 @@ def assert_invariants(records, config=None):
 
 
 def violations(records):
-    """The analyzer's violations, checked against the quadratic oracle."""
-    found = analyze(records).violations
-    assert found == QuadraticAnalyzer(records).analyze().violations
-    return found
+    """The analyzer's violations, checked against the quadratic oracle, with
+    every metric checked against the reference scan."""
+    got = analyze(records)
+    assert got.violations == QuadraticAnalyzer(records).analyze().violations
+    assert got == ReferenceAnalyzer(records).analyze()
+    return got.violations
 
 
 def ids(records):
@@ -263,6 +509,26 @@ def test_dispersed_initial_clocks_detected(base):
     bad = copied(base)
     bad[0]["config"]["offsets"][-1] = 100 * base[0]["grid"]
     assert "dagger" in ids(bad)
+
+
+def test_fast_drifting_clock_detected_once_dispersed():
+    # one clock runs at twice its rate: dispersion breaks partway through
+    # the run and stays broken
+    bad = copied(run_records(drift_epsilon="1/20", stop="horizon", horizon=30))
+    bad[0]["config"]["rates"][-1] = 2
+    flagged = [v.seq for v in violations(bad) if v.invariant == "dagger"]
+    assert flagged == list(range(flagged[0], len(bad))) and flagged[0] > 0
+
+
+def test_dispersed_drifting_clocks_detected_at_every_record():
+    # drifting clocks are checked at every record, and several records share
+    # an instant: each of them is flagged, as the reference scan flags them
+    records = run_records(drift_epsilon="1/20", stop="horizon", horizon=30)
+    bad = copied(records)
+    bad[0]["config"]["offsets"][-1] = 100 * records[0]["grid"]
+    flagged = [v.seq for v in violations(bad) if v.invariant == "dagger"]
+    assert flagged == [r["seq"] for r in bad]
+    assert len({load_ticks(r["time"]) for r in bad[1:]}) < len(bad) // 2
 
 
 def test_no_two_records_share_a_payload(base):
@@ -527,14 +793,16 @@ def test_slow_group_quorum_breaks_post_sync_latency(base):
     assert ("post_sync_latency", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
 
 
-def test_lost_quorum_certificate_breaks_underlying_contract(base):
+def lost_quorum_certificate(base):
+    """``base`` with view v's quorum certificate never reaching processor p,
+    which so stays in v a whole group's time after the view began, as
+    ``(records, v, p)``."""
     cfg = base[0]["config"]
     v = 7
     p = (leader_of(v, params_from(base)) + 1) % cfg["n"]
     t_of = first_entry_times(base)
     hold = t_of[v] + cfg["k"] * cfg["gamma"]
-    # processor p never receives view v's quorum certificate, so it stays in
-    # v a whole group's time after the view began
+
     def lost(r):
         if r["kind"] != "deliver" or r["recipient"] != p:
             return False
@@ -547,10 +815,73 @@ def test_lost_quorum_certificate_breaks_underlying_contract(base):
         own = r["kind"] == "deliver" and r["recipient"] == p or r.get("proc") == p
         if own and "proc_view" in r and r["time"] <= hold:
             r["proc_view"] = min(r["proc_view"], v)
+    return bad, v, p
+
+
+def test_lost_quorum_certificate_breaks_underlying_contract(base):
+    bad, v, p = lost_quorum_certificate(base)
     found = violations(bad)
     assert any(
         x.invariant == "underlying_contract"
         and x.seq == bad[-1]["seq"]
+        and f"processor {p} lacked the view {v} quorum" in x.detail
+        for x in found
+    )
+
+
+@pytest.mark.parametrize("ptype", ["proposal", "vote", "quorum_certificate"])
+def test_late_delivery_makes_the_view_untimely(base, ptype):
+    # the lost-quorum fault, plus one delivery of view v's traffic one tick
+    # past its bound: the view's traffic missed the actual delay, so the
+    # contract does not apply to v
+    bad, v, _p = lost_quorum_certificate(base)
+    i = find(
+        bad,
+        lambda r: r["kind"] == "deliver"
+        and sent(bad, r)["payload"]["type"] == ptype
+        and sent(bad, r)["payload"]["view"] == v
+        and sent(bad, r)["sender"] != r["recipient"],
+    )
+    send = sent(bad, bad[i])
+    assert send["sender"] not in {c["proc"] for c in bad[0]["config"]["corruptions"]}
+    send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
+    bad[i]["time"] += 1
+    bad[i]["proc_clock"] += 1  # the recipient's clock ran on with it
+    found = violations(bad)
+    assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
+    assert not any(
+        x.invariant == "underlying_contract" and f"view {v} quorum" in x.detail for x in found
+    )
+
+
+def test_late_delivery_from_a_corrupted_sender_leaves_the_view_timely(base):
+    # as above, with a vote of view v one tick late, but from a processor
+    # corrupted since the start: the contract still applies, and p still
+    # lacks the quorum
+    bad, v, p = lost_quorum_certificate(base)
+    lead = leader_of(v, params_from(bad))
+
+    def late_vote(recs):
+        return find(
+            recs,
+            lambda r: r["kind"] == "deliver"
+            and sent(recs, r)["payload"]["type"] == "vote"
+            and sent(recs, r)["payload"]["view"] == v
+            and sent(recs, r)["sender"] not in (lead, p),
+        )
+
+    q = sent(bad, bad[late_vote(bad)])["sender"]
+    bad[0]["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": 0}]
+    bad = renumbered([bad[0], {"kind": "corrupt", "seq": -1, "time": 0, "proc": q}, *bad[1:]])
+    i = late_vote(bad)
+    send = sent(bad, bad[i])
+    send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
+    bad[i]["time"] += 1
+    bad[i]["proc_clock"] += 1
+    found = violations(bad)
+    assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
+    assert any(
+        x.invariant == "underlying_contract"
         and f"processor {p} lacked the view {v} quorum" in x.detail
         for x in found
     )
@@ -617,10 +948,15 @@ def test_malformed_header_rejected(base, edit):
         analyze(bad)
 
 
+def found_run():
+    """The n=4, horizon-30, seed-0 run the record-level faults below edit."""
+    return Simulation(SimConfig(n=4, stop="horizon", horizon=30, seed=0)).run()
+
+
 def test_every_non_integer_view_is_located():
     # each deliver's proc_view off the integers in turn: every one is named,
     # also where the edited view breaks no invariant
-    records = Simulation(SimConfig(n=4, stop="horizon", horizon=30, seed=0)).run()
+    records = found_run()
     delivers = [i for i, r in enumerate(records) if r["kind"] == "deliver"]
     assert len(delivers) == 195
     for i in delivers:
@@ -629,6 +965,57 @@ def test_every_non_integer_view_is_located():
         message = f"deliver record at seq {i}: field 'proc_view' is malformed"
         with pytest.raises(TraceAnalysisError, match=message):
             analyze(bad)
+
+
+def test_delivery_off_its_announced_time_rejected():
+    # every entry of one broadcast's deliver_times moved far out, so its
+    # first delivery is not when the send record says
+    records = copied(found_run())
+    i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) > 1)
+    records[i]["deliver_times"] = [10**6] * len(records[i]["recipients"])
+    j = find(records, lambda r: r["kind"] == "deliver" and r["send"] == i)
+    message = (
+        f"deliver record at seq {j}: field 'time' is {records[j]['time']}, but send record "
+        f"at seq {i} lists 1000000 for recipient {records[j]['recipient']}"
+    )
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+    assert ReferenceAnalyzer(records).analyze().violations == []  # the old scan saw nothing
+
+
+def test_duplicate_delivery_rejected():
+    # one non-self deliver record repeated right after itself
+    records = found_run()
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver" and sent(records, r)["sender"] != r["recipient"],
+    )
+    bad = duplicated(records, i)
+    message = (
+        f"deliver record at seq {i + 1}: send record at seq {bad[i]['send']} "
+        f"was already delivered to recipient {bad[i]['recipient']}"
+    )
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(bad)
+    assert ReferenceAnalyzer(bad).analyze().violations == []  # the old scan saw nothing
+
+
+@pytest.mark.parametrize(
+    "edit,problem",
+    [
+        (lambda r: r.pop("deliver_times"), "is missing"),
+        (lambda r: r["deliver_times"].pop(), "has 6 entries for 7 recipients"),
+        (lambda r: r["deliver_times"].append(0), "has 8 entries for 7 recipients"),
+        (lambda r: r.update(deliver_times=5), "is malformed: 5"),
+    ],
+)
+def test_malformed_deliver_times_is_named(base, edit, problem):
+    i = find(base, lambda r: r["kind"] == "send" and len(r["recipients"]) == 7)
+    bad = copied(base)
+    edit(bad[i])
+    message = f"send record at seq {i}: field 'deliver_times' {problem}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(bad)
 
 
 def test_unknown_record_kind_rejected(base):

@@ -253,3 +253,133 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
     assert any(str in map(type, r.get("deliver_times", ())) for r in records)
     assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
+
+
+# -- the reader: parse_jsonl is a json.loads per line ---------------------------
+
+
+def reference_parse(text):
+    """The reader as a plain json.loads per line."""
+    records = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            raise TraceParseError(line_no, "blank line inside trace")
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(rec, dict) or "kind" not in rec:
+            raise TraceParseError(line_no, "record is not an object with a 'kind'")
+        records.append(rec)
+    if not records:
+        raise TraceParseError(1, "empty trace")
+    head = records[0]
+    if head.get("kind") != "header":
+        raise TraceParseError(1, "first record must be the header")
+    if head.get("version") != TRACE_VERSION:
+        raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
+    if records[-1].get("kind") != "end":
+        raise TraceParseError(len(records), "trace truncated: no end record")
+    return records
+
+
+def outcome(parse, text):
+    """What a reader makes of text: its records (as a repr, so NaN equals
+    NaN and 1 differs from 1.0), or the line and message of its error."""
+    try:
+        return repr(parse(text))
+    except TraceParseError as exc:
+        return ("error", exc.line_no, str(exc))
+
+
+def reads_like_json_loads(text):
+    got = outcome(parse_jsonl, text)
+    assert got == outcome(reference_parse, text)
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def short_trace_lines():
+    cfg = SimConfig(n=4, delta_cap=2, gst=0, stop="horizon", horizon=6)
+    return tuple(to_jsonl(Simulation(cfg).run()).splitlines())
+
+
+def with_line(at, edit):
+    """The short trace with line ``at`` replaced by ``edit(line)``, whose
+    result may hold several lines."""
+    lines = list(short_trace_lines())
+    lines[at] = edit(lines[at])
+    return "\n".join(lines) + "\n"
+
+
+ODD_LINES = {
+    "leading spaces": with_line(2, lambda s: "  " + s),
+    "leading tab": with_line(2, lambda s: "\t" + s),
+    "trailing spaces": with_line(2, lambda s: s + "  "),
+    "trailing spaces on the header": with_line(0, lambda s: s + " "),
+    "CRLF line ends": "\r\n".join(short_trace_lines()) + "\r\n",
+    "CR inside a record": with_line(2, lambda s: s[:5] + "\r" + s[5:]),
+    "UTF-8 BOM": "\ufeff" + "\n".join(short_trace_lines()) + "\n",
+    "BOM inside": with_line(2, lambda s: "\ufeff" + s),
+    "NaN": with_line(2, lambda s: '{"kind":"wake","seq":2,"time":NaN}'),
+    "Infinity in a list": with_line(2, lambda s: '{"kind":"wake","seq":2,"x":[-Infinity]}'),
+    "raw U+2028 in a string": with_line(2, lambda s: '{"kind":"wake","s":"a\u2028b"}'),
+    "raw U+0085 in a string": with_line(2, lambda s: '{"kind":"wake","s":"a\x85b"}'),
+    "escaped U+2028": with_line(2, lambda s: '{"kind":"wake","s":"a\\u2028b"}'),
+    "unterminated string": with_line(2, lambda s: '{"kind":"wake","s":"abc'),
+    "unterminated object": with_line(2, lambda s: s[:-1]),
+    "control character in a string": with_line(2, lambda s: '{"kind":"wake","s":"a\x01b"}'),
+    "two objects on a line": with_line(2, lambda s: s + s),
+    "two objects with a comma": with_line(2, lambda s: s + "," + s),
+    "trailing garbage": with_line(2, lambda s: s + "x"),
+    "blank line": with_line(2, lambda s: ""),
+    "whitespace line": with_line(2, lambda s: " \t "),
+    "a list": with_line(2, lambda s: "[" + s + "]"),
+    "a string": with_line(2, lambda s: '"kind"'),
+    "a number": with_line(2, lambda s: "3"),
+    "null": with_line(2, lambda s: "null"),
+    "no kind": with_line(2, lambda s: '{"time":0}'),
+    "merge and split": with_line(
+        2, lambda s: '{"kind":"x","a":[{}\n{"kind":"q"}]}\n{"kind":"y"},{"kind":"z"}'
+    ),
+    "duplicate keys": with_line(2, lambda s: '{"kind":"wake","kind":"end"}'),
+    "big int": with_line(2, lambda s: '{"kind":"wake","x":' + "9" * 40 + "}"),
+    "float forms": with_line(2, lambda s: '{"kind":"wake","x":[1.0,-0.0,1e3,1E-2]}'),
+    "no header": "\n".join(short_trace_lines()[1:]) + "\n",
+    "no end": "\n".join(short_trace_lines()[:-1]) + "\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", ODD_LINES.values(), ids=list(ODD_LINES))
+def test_reader_matches_json_loads_per_line(text):
+    reads_like_json_loads(text)
+
+
+def test_reader_matches_json_loads_on_canonical_traces(trace_text):
+    for text in (trace_text, to_jsonl(sample_runs()[:1]) + to_jsonl(sample_runs()[-1:])):
+        assert isinstance(reads_like_json_loads(text), str)
+
+
+FRAGMENTS = [
+    " ", "\t", "\r", "\n", "\ufeff", "\u2028", "\x85", "\x1c", "\x00", "NaN", "Infinity",
+    '"', "\\", "{", "}", "[", "]", ",", ":", "1", "-", ".", "e", "é", '{"kind":"z"}',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_matches_json_loads_on_random_edits(data):
+    lines = list(short_trace_lines())
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        pos = data.draw(st.integers(0, len(line)))
+        edit = data.draw(st.sampled_from(["insert", "delete", "join"]))
+        if edit == "insert":
+            lines[at] = line[:pos] + data.draw(st.sampled_from(FRAGMENTS)) + line[pos:]
+        elif edit == "delete":
+            lines[at] = line[:pos] + line[pos + 1:]
+        elif at + 1 < len(lines):
+            lines[at : at + 2] = [line + lines[at + 1]]
+    reads_like_json_loads("\n".join(lines) + "\n")
