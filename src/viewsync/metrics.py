@@ -12,9 +12,11 @@ Each ``deliver`` record is joined to the ``send`` record it names, for the
 send's time, sender and payload. A ``deliver`` makes the trace unusable if it
 names no earlier send listing its recipient, if its time is not the send's
 ``deliver_times`` entry for that recipient, or if that recipient already had
-this send delivered. Word counting reads the summed ``words``
-of each ``send`` record: every word window (the first-quorum budget and the
-pace gaps) is keyed on send time, which all recipients of one send share.
+this send delivered. So does a ``sender``, ``recipients`` entry or ``proc``
+that is not a processor id in ``[0, n)``. Word counting reads the summed
+``words`` of each ``send`` record: every word window (the first-quorum budget
+and the pace gaps) is keyed on send time, which all recipients of one send
+share.
 
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
@@ -27,6 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
@@ -84,12 +87,12 @@ _RECORD_FIELDS = {
         "sender": "proc",
         "payload": "payload",
         "words": "int",
-        "recipients": "ints",
+        "recipients": "procs",
         "deliver_times": "ticks",  # one per recipient
     },
     "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     "threshold": {"proc": "proc", "proc_view": "int", "boundary_clock": "tick"},
-    "form_vc": {"view": "int", "signers": "ints"},
+    "form_vc": {"view": "int", "proc": "proc", "signers": "ints"},
     "form_qc": {"view": "int", "proc": "proc", "signers": "ints"},
 }
 _PAYLOAD_FIELDS = {
@@ -106,6 +109,8 @@ def _fits(value, shape: str, n: int) -> bool:
         return isinstance(value, int)
     if shape == "proc":
         return isinstance(value, int) and 0 <= value < n
+    if shape == "procs":
+        return isinstance(value, list) and all(_fits(s, "proc", n) for s in value)
     if shape == "ints":
         return isinstance(value, list) and all(isinstance(s, int) for s in value)
     if shape == "ticks":
@@ -140,6 +145,36 @@ def _unreadable_field(rec, n: int) -> Optional[tuple[str, str]]:
             if not _fits(value[sub], sub_shape, n):
                 return f"payload.{sub}", f"is malformed: {value[sub]!r}"
     return None
+
+
+def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]:
+    """The earliest instant at or after gst that lies inside at least
+    ``need`` of the ``(start, until, proc)`` spans, with each of those spans'
+    processor mapped to its ``until``; None if there is no such instant.
+
+    One sweep over the starts and the ends in time order. Membership only
+    grows at a start, so the instant is gst or a later start. A processor
+    has at most one span per view, so it names its span.
+    """
+    starts = sorted(spans)
+    ends = sorted(spans, key=itemgetter(1))
+    members: dict[int, Any] = {}
+    i = j = 0
+    at = gst
+    while True:
+        while i < len(starts) and starts[i][0] <= at:
+            _start, until, p = starts[i]
+            if until > at:
+                members[p] = until
+            i += 1
+        while j < len(ends) and ends[j][1] <= at:
+            members.pop(ends[j][2], None)
+            j += 1
+        if len(members) >= need:
+            return at, members
+        if i == len(starts):
+            return None
+        at = starts[i][0]
 
 
 class _Proc:
@@ -184,6 +219,7 @@ class _Analyzer:
         except ValueError as exc:
             raise TraceAnalysisError(str(exc)) from None
         self.records = records
+        self.ids = frozenset(range(r.n))  # every id a record may name a processor by
         self.procs = [_Proc(off, rate) for off, rate in zip(r.offsets, r.rates)]
         self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
 
@@ -286,13 +322,20 @@ class _Analyzer:
                     boundary = _ticks(boundary, seq)
                 if boundary % period != 0:
                     self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                if scan_stamp(rec["proc"], rec["proc_view"], boundary, now, seq):
+                p = rec["proc"]
+                if p not in self.ids:
+                    raise IndexError(f"proc {p} at seq {seq}")  # analyze() names the field
+                if scan_stamp(p, rec["proc_view"], boundary, now, seq):
                     recheck_dagger = True
             elif kind == "corrupt":
                 p = rec["proc"]
+                if p not in self.ids:
+                    raise IndexError(f"proc {p} at seq {seq}")  # analyze() names the field
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
                 recheck_dagger = True
             elif kind == "form_vc":
+                if rec["proc"] not in self.ids:
+                    raise IndexError(f"proc {rec['proc']} at seq {seq}")  # analyze() names it
                 self._check_certificate("vc", rec["view"], rec["signers"], seq)
             elif kind == "form_qc":
                 self._scan_form_qc(rec, now, seq)
@@ -324,6 +367,10 @@ class _Analyzer:
             or len(deliver_times) != len(recipients)
         ):
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+        # a negative id would index from the end; a deliver's recipient is
+        # one of these, so the join covers it
+        if sender < 0 or not self.ids.issuperset(recipients):
+            raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
         ptype, view = payload["type"], payload["view"]
         pr = self.procs[sender]
         correct = now < pr.corrupted_at
@@ -453,6 +500,8 @@ class _Analyzer:
 
     def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
         view, proc = rec["view"], rec["proc"]
+        if proc not in self.ids:
+            raise IndexError(f"proc {proc} at seq {seq}")  # analyze() names the field
         self._check_certificate("qc", view, rec["signers"], seq)
         self.qc_formations.append((now, proc, view, seq))
         if proc in self.resolved.never_corrupted:
@@ -759,18 +808,11 @@ class _Analyzer:
             lead = self.leader(view)
             if lead not in r.never_corrupted:
                 continue
-            lead_span = next((s for s in spans if s[2] == lead), None)
-            if lead_span is None:
+            found = _first_quorum(spans, need, r.gst)
+            if found is None:
                 continue
-            # membership only grows at span starts, so checking gst and each
-            # later start finds the earliest instant with a full quorum
-            candidates = sorted({r.gst} | {s[0] for s in spans if s[0] > r.gst})
-            s = None
-            for cand in candidates:
-                if sum(1 for start, until, _p in spans if start <= cand < until) >= need:
-                    s = cand
-                    break
-            if s is None or not lead_span[0] <= s < lead_span[1]:
+            s, quorum = found
+            if lead not in quorum:
                 continue
             deadline = s + 3 * delta
             if deadline >= self.end_time:
@@ -782,10 +824,9 @@ class _Analyzer:
                 for send, sender in self.late_deliveries.get(view, ())
             ):
                 continue
-            quorum = [sp for sp in spans if sp[0] <= s < sp[1]]
             held = all(
                 until >= min(self.procs[p].qc_receipt.get(view, (INF,))[0], deadline)
-                for _start, until, p in quorum
+                for p, until in quorum.items()
             )
             if not held:
                 continue

@@ -8,8 +8,10 @@ exact and runs are bit-reproducible.
 
 The event heap orders simultaneous events by class: corruptions first, then
 message deliveries and adversary wakeups, then clock thresholds. Within a
-class, insertion order breaks ties. Self-addressed messages are delivered in
-the same instant and cost nothing.
+class, the two processors an event names break ties: a delivery's sender and
+then its recipient (a wakeup, threshold or corruption names its processor
+twice), and insertion order only after those. Self-addressed messages are
+delivered in the same instant and cost nothing.
 
 Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from heapq import heappop, heappush
 from typing import Any, Optional, Sequence, Union
 
 from .adversary import BYZANTINE_STRATEGIES, ByzantineControl
@@ -491,6 +493,9 @@ class Resolved:
             )
             if len(desc.offsets) != desc.n or len(desc.rates) != desc.n:
                 raise ValueError("need one offset and one rate per processor")
+            for i, c in enumerate(desc.corruptions):
+                if not 0 <= _integer(c.proc, f"corruptions[{i}].proc") < desc.n:
+                    raise ValueError(f"corruptions[{i}].proc: {c.proc} is not a processor")
             desc.params  # ProtocolParams checks n, t, k and gamma
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"header is missing or malformed: {exc}") from None
@@ -676,7 +681,20 @@ class Simulation:
         self.heap: list = []
         self.counter = itertools.count()
         self.net_rng = random.Random(subseed(r.seed, "net"))
+        # delivery time of a message sent at a given instant to another processor
+        self._arrival = partial(
+            delivery_time,
+            r.network,
+            gst=r.gst,
+            delta_cap=r.delta_cap,
+            delta_actual=r.delta_actual,
+            rng=self.net_rng,
+            sync_windows=r.windows,
+        )
         self.ledger = SignatureLedger()
+        # certificates that passed validation; the ledger is append-only, so
+        # a certificate valid once stays valid
+        self.valid_certs: set = set()
         self.states = [ProcessorState(id=p, clock=r.offsets[p]) for p in range(r.n)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
         self.offset: list[Time] = list(r.offsets)  # clock model intercepts
@@ -693,9 +711,6 @@ class Simulation:
         self._sync_target_view: Optional[int] = None
 
     # -- clock model --------------------------------------------------------
-
-    def local_clock(self, p: int, now: Time) -> Time:
-        return self.offset[p] + self.resolved.rates[p] * now
 
     def _first_boundary(self, p: int) -> int:
         off, period = self.resolved.offsets[p], self.resolved.period
@@ -724,7 +739,7 @@ class Simulation:
     def _push(self, when: Time, prio: int, a: int, b: int, kind: str, data) -> None:
         if when > self.resolved.horizon:
             return
-        heapq.heappush(self.heap, (when, prio, a, b, next(self.counter), kind, data))
+        heappush(self.heap, (when, prio, a, b, next(self.counter), kind, data))
 
     def schedule_wake(self, proc: int, payload, when: Time) -> None:
         self._push(when, _PRIO_DELIVER, proc, proc, "wake", payload)
@@ -732,37 +747,37 @@ class Simulation:
     # -- sending ------------------------------------------------------------
 
     def send(self, sender: int, to, payload, now: Time) -> None:
-        if isinstance(payload, (ViewMessage, Vote)):
+        ptype = type(payload)
+        if ptype is Vote or ptype is ViewMessage:
             if payload.signer != sender:
                 raise SimulationError(
                     f"processor {sender} cannot send processor {payload.signer}'s signature"
                 )
-            sign = SIGN_VIEW if isinstance(payload, ViewMessage) else SIGN_VOTE
+            sign = SIGN_VIEW if ptype is ViewMessage else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
         r = self.resolved
         send_seq = self.seq  # nothing is emitted before this send's record
         recipients = list(range(r.n)) if to == ALL else [to]
+        # uniform_random draws once per other recipient, in recipient order;
+        # every other network gives all of them one time
+        draws = r.network == "uniform_random"
+        arrival = self._arrival
+        far = None if draws or to == sender else arrival(now)
+        horizon, heap, counter = r.horizon, self.heap, self.counter
         deliver_times = []
-        words = 0
         for q in recipients:
             if q == sender:
                 when = now
             else:
-                when = delivery_time(
-                    r.network,
-                    now,
-                    gst=r.gst,
-                    delta_cap=r.delta_cap,
-                    delta_actual=r.delta_actual,
-                    rng=self.net_rng,
-                    sync_windows=r.windows,
-                )
-                words += 1
+                when = arrival(now) if draws else far
                 if when is None:
-                    when = r.horizon + r.delta_cap + 1
-            deliver_times.append(self._real(when))
-            self._push(when, _PRIO_DELIVER, sender, q, "dlv", (send_seq, q, payload))
-        self._emit(
+                    when = horizon + r.delta_cap + 1
+            deliver_times.append(when if type(when) is int else self._real(when))
+            if when <= horizon:
+                envelope = (send_seq, q, payload)
+                heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
+        self.seq = send_seq + 1
+        self.records.append(
             {
                 "kind": "send",
                 "time": self._real(now),
@@ -770,7 +785,8 @@ class Simulation:
                 "recipients": recipients,
                 "payload": payload_to_dict(payload),
                 "deliver_times": deliver_times,
-                "words": words,
+                "words": len(recipients) - (sender in recipients),
+                "seq": send_seq,
             }
         )
 
@@ -779,30 +795,21 @@ class Simulation:
     def _dispatch(self, p: int, actions: list, now: Time) -> None:
         state, r = self.states[p], self.resolved
         for act in actions:
-            if isinstance(act, Send):
+            kind = type(act)
+            if kind is Send:
                 self.send(p, act.to, act.payload, now)
-            elif isinstance(act, ForwardClock):
+            elif kind is ForwardClock:
                 target = act.to
                 self.offset[p] = target - r.rates[p] * now
                 state.clock = target
                 self.gen[p] += 1
                 self.next_boundary[p] = (target // r.period + 1) * r.period
                 self._schedule_threshold(p)
-            elif isinstance(act, EnterView):
+            elif kind is EnterView:
                 extra = self._enter_view(p, act.view, now)
-                self._dispatch(p, extra, now)
-            elif isinstance(act, FormVC):
-                signers = sorted(state.collected_view_msgs[act.view][: r.t + 1])
-                self._emit(
-                    {
-                        "kind": "form_vc",
-                        "time": self._real(now),
-                        "proc": p,
-                        "view": act.view,
-                        "signers": signers,
-                    }
-                )
-            elif isinstance(act, FormQC):
+                if extra:
+                    self._dispatch(p, extra, now)
+            elif kind is FormQC:
                 signers = sorted(self.subs[p].votes[act.view][: r.n - r.t])
                 self._emit(
                     {
@@ -820,6 +827,17 @@ class Simulation:
                 ):
                     self.t_star_ticks = now
                     self._sync_target_view = (act.view // r.k + 1) * r.k
+            elif kind is FormVC:
+                signers = sorted(state.collected_view_msgs[act.view][: r.t + 1])
+                self._emit(
+                    {
+                        "kind": "form_vc",
+                        "time": self._real(now),
+                        "proc": p,
+                        "view": act.view,
+                        "signers": signers,
+                    }
+                )
             else:
                 raise SimulationError(f"unhandled action {act!r}")
 
@@ -832,22 +850,27 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _receive_correct(self, p: int, payload, now: Time) -> list:
-        state, sub, r = self.states[p], self.subs[p], self.resolved
-        state.clock = self.local_clock(p, now)
-        if isinstance(payload, ViewMessage):
+        state, r = self.states[p], self.resolved
+        state.clock = self.offset[p] + r.rates[p] * now
+        kind = type(payload)
+        if kind is Vote:
+            self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
+            return on_vote(state, self.subs[p], payload, r.params)
+        if kind is Proposal:
+            return on_proposal(state, self.subs[p], payload, r.params)
+        if kind is QuorumCertificate:
+            if payload not in self.valid_certs:
+                self._require(validate_qc(payload, r.n, r.t, self.ledger), payload)
+                self.valid_certs.add(payload)
+            return on_qc(state, payload, r.params)
+        if kind is ViewMessage:
             self._require(self.ledger.holds(payload.signer, SIGN_VIEW, payload.view), payload)
             return on_view_message(state, payload, r.params)
-        if isinstance(payload, ViewCertificate):
-            self._require(validate_vc(payload, r.n, r.t, self.ledger), payload)
+        if kind is ViewCertificate:
+            if payload not in self.valid_certs:
+                self._require(validate_vc(payload, r.n, r.t, self.ledger), payload)
+                self.valid_certs.add(payload)
             return on_vc(state, payload, r.params)
-        if isinstance(payload, QuorumCertificate):
-            self._require(validate_qc(payload, r.n, r.t, self.ledger), payload)
-            return on_qc(state, payload, r.params)
-        if isinstance(payload, Proposal):
-            return on_proposal(state, sub, payload, r.params)
-        if isinstance(payload, Vote):
-            self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
-            return on_vote(state, sub, payload, r.params)
         raise SimulationError(f"unhandled payload {payload!r}")
 
     @staticmethod
@@ -870,17 +893,22 @@ class Simulation:
         else:
             actions = self._receive_correct(p, payload, now)
         state = self.states[p]
-        self._emit(
+        clock = state.clock
+        seq = self.seq
+        self.seq = seq + 1
+        self.records.append(
             {
                 "kind": "deliver",
-                "time": self._real(now),
+                "time": now if type(now) is int else self._real(now),
                 "send": send_seq,
                 "recipient": p,
                 "proc_view": state.view,
-                "proc_clock": self._real(state.clock),
+                "proc_clock": clock if type(clock) is int else self._real(clock),
+                "seq": seq,
             }
         )
-        self._dispatch(p, actions, now)
+        if actions:
+            self._dispatch(p, actions, now)
 
     def _handle_threshold(self, p: int, boundary: int, gen: int, now: Time) -> None:
         if gen != self.gen[p]:
@@ -903,7 +931,8 @@ class Simulation:
         )
         self.next_boundary[p] = boundary + self.resolved.period
         self._schedule_threshold(p)
-        self._dispatch(p, actions, now)
+        if actions:
+            self._dispatch(p, actions, now)
 
     def _schedule_threshold(self, p: int) -> None:
         if self.corrupted[p] and self.controls[p].passive:
@@ -967,25 +996,28 @@ class Simulation:
 
         stop_reason = None
         stop_time: Time = r.horizon
-        while self.heap:
-            when, prio, a, b, _, kind, data = heapq.heappop(self.heap)
-            if when > r.horizon:
+        heap, horizon, may_stop = self.heap, r.horizon, r.stop != "horizon"
+        handle_delivery = self._handle_delivery
+        while heap:
+            when, _prio, a, _b, _, kind, data = heappop(heap)
+            if when > horizon:
                 break
-            if kind == "corrupt":
-                self._apply_corruption(a, data, when)
-            elif kind == "dlv":
-                self._handle_delivery(data, when)
+            if kind == "dlv":
+                handle_delivery(data, when)
             elif kind == "thr":
                 boundary, gen = data
                 self._handle_threshold(a, boundary, gen, when)
             elif kind == "wake":
                 self._handle_wake(a, data, when)
+            elif kind == "corrupt":
+                self._apply_corruption(a, data, when)
             else:
                 raise SimulationError(f"unhandled event kind {kind!r}")
-            stop_reason = self._should_stop()
-            if stop_reason is not None:
-                stop_time = when
-                break
+            if may_stop:
+                stop_reason = self._should_stop()
+                if stop_reason is not None:
+                    stop_time = when
+                    break
         if stop_reason is None:
             stop_reason = "horizon"
             stop_time = r.horizon

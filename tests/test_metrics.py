@@ -7,13 +7,24 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import matrix_cells
 
 from viewsync.constants import RESPONSE_STEPS_C
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
-from viewsync.metrics import INF, TraceAnalysisError, _Analyzer, _Proc, _ticks, analyze
+from viewsync.cli import main
+from viewsync.harness import build_config
+from viewsync.metrics import (
+    INF,
+    TraceAnalysisError,
+    _Analyzer,
+    _first_quorum,
+    _Proc,
+    _ticks,
+    analyze,
+)
 from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
 from viewsync.timeutil import from_ticks, load_ticks
-from viewsync.trace import Record
+from viewsync.trace import Record, to_jsonl
 
 
 def run_records(**kw):
@@ -135,9 +146,11 @@ def compute_f_star(records: list, params: ProtocolParams) -> int:
     return analyzer.compute_f_star()
 
 class QuadraticAnalyzer(_Analyzer):
-    """The analyzer with its first-entry and advance checks as first written:
-    every boundary rescans every entry, every group rescans each processor's
-    entries. Oracle for the linear passes, which must flag the same list."""
+    """The analyzer with its first-entry, advance and underlying-contract
+    checks as first written: every boundary rescans every entry, every group
+    rescans each processor's entries, and every candidate instant of a view
+    recounts the view's spans. Oracle for the linear passes, which must give
+    the same metrics and flag the same list."""
 
     def check_first_entry(self, entries) -> None:
         if not entries:
@@ -195,6 +208,66 @@ class QuadraticAnalyzer(_Analyzer):
                             max(adv_seq, 0),
                             f"processor {p} reached view {v + self.resolved.k} without the quorum for {u}",
                         )
+
+    def check_underlying_contract(self) -> None:
+        """Quorum liveness inside one view: from the first post-gst instant
+        with n-t correct processors in view v and its correct leader among
+        them, provided they hold the view and the view's traffic met the
+        actual delay, every never-corrupted processor holds the quorum
+        certificate within three message delays."""
+        r = self.resolved
+        delta = r.delta_eff
+        need = r.n - r.t
+        intervals: dict[int, list[tuple[Any, Any, int]]] = {}
+        for p in r.never_corrupted:
+            ents = self.procs[p].entries
+            for i, (when, view, _seq) in enumerate(ents):
+                until = ents[i + 1][0] if i + 1 < len(ents) else INF
+                intervals.setdefault(view, []).append((when, until, p))
+        for view, spans in intervals.items():
+            if len(spans) < need:
+                continue
+            lead = self.leader(view)
+            if lead not in r.never_corrupted:
+                continue
+            lead_span = next((s for s in spans if s[2] == lead), None)
+            if lead_span is None:
+                continue
+            # membership only grows at span starts, so checking gst and each
+            # later start finds the earliest instant with a full quorum
+            candidates = sorted({r.gst} | {s[0] for s in spans if s[0] > r.gst})
+            s = None
+            for cand in candidates:
+                if sum(1 for start, until, _p in spans if start <= cand < until) >= need:
+                    s = cand
+                    break
+            if s is None or not lead_span[0] <= s < lead_span[1]:
+                continue
+            deadline = s + 3 * delta
+            if deadline >= self.end_time:
+                continue  # the trace stops before the conclusion is due
+            # untimely: a late proposal, vote or certificate from a sender
+            # still correct when it sent
+            if any(
+                self.procs[sender].correct_at(send)
+                for send, sender in self.late_deliveries.get(view, ())
+            ):
+                continue
+            quorum = [sp for sp in spans if sp[0] <= s < sp[1]]
+            held = all(
+                until >= min(self.procs[p].qc_receipt.get(view, (INF,))[0], deadline)
+                for _start, until, p in quorum
+            )
+            if not held:
+                continue
+            for p in r.never_corrupted:
+                got = self.procs[p].qc_receipt.get(view)
+                if got is None or got[0] > deadline:
+                    self.flag(
+                        "underlying_contract",
+                        self.end_seq,
+                        f"processor {p} lacked the view {view} quorum by {deadline} ticks",
+                    )
 
 
 class _ReferenceProc(_Proc):
@@ -452,10 +525,10 @@ def assert_invariants(records, config=None):
 
 
 def violations(records):
-    """The analyzer's violations, checked against the quadratic oracle, with
-    every metric checked against the reference scan."""
+    """The analyzer's violations, with every metric checked against the
+    quadratic oracle and the reference scan."""
     got = analyze(records)
-    assert got.violations == QuadraticAnalyzer(records).analyze().violations
+    assert got == QuadraticAnalyzer(records).analyze()
     assert got == ReferenceAnalyzer(records).analyze()
     return got.violations
 
@@ -829,6 +902,28 @@ def test_lost_quorum_certificate_breaks_underlying_contract(base):
     )
 
 
+def test_leader_outside_the_first_quorum_leaves_the_view_unchecked(base):
+    # the lost-quorum fault, with view v's leader entering v only after the
+    # others hold a quorum there: the contract needs the leader among the
+    # first n-t, so it says nothing about v
+    bad, v, _p = lost_quorum_certificate(base)
+    lead = leader_of(v, params_from(base))
+    t_v = first_entry_times(bad)[v]
+
+    def leaders_view_v(r):
+        own = r["kind"] == "deliver" and r["recipient"] == lead or r.get("proc") == lead
+        return own and r.get("proc_view") == v
+
+    for r in bad:
+        if leaders_view_v(r) and r["time"] == t_v:
+            r["proc_view"] = v - 1
+    assert find(bad, lambda r: leaders_view_v(r) and r["time"] > t_v)  # it enters v later
+    found = violations(bad)
+    assert not any(
+        x.invariant == "underlying_contract" and f"the view {v} quorum" in x.detail for x in found
+    )
+
+
 @pytest.mark.parametrize("ptype", ["proposal", "vote", "quorum_certificate"])
 def test_late_delivery_makes_the_view_untimely(base, ptype):
     # the lost-quorum fault, plus one delivery of view v's traffic one tick
@@ -998,6 +1093,98 @@ def test_duplicate_delivery_rejected():
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
         analyze(bad)
     assert ReferenceAnalyzer(bad).analyze().violations == []  # the old scan saw nothing
+
+
+def recounted_quorum(spans, need, gst):
+    """``_first_quorum`` as first written: every candidate instant recounts
+    every span."""
+    candidates = sorted({gst} | {s[0] for s in spans if s[0] > gst})
+    for cand in candidates:
+        members = {p: until for start, until, p in spans if start <= cand < until}
+        if len(members) >= need:
+            return cand, members
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bounds=st.lists(
+        st.tuples(st.integers(0, 12), st.one_of(st.integers(0, 14), st.just(INF))), max_size=8
+    ),
+    need=st.integers(1, 6),
+    gst=st.integers(0, 10),
+)
+def test_first_quorum_matches_a_recount(bounds, need, gst):
+    # spans may be empty or end before they start, as an edited trace's can
+    spans = [(start, until, p) for p, (start, until) in enumerate(bounds)]
+    assert _first_quorum(spans, need, gst) == recounted_quorum(spans, need, gst)
+
+
+def test_quorum_sweep_matches_quadratic_oracle_over_acceptance_matrix():
+    for cell in matrix_cells():
+        records = Simulation(build_config(cell)).run()
+        assert analyze(records) == QuadraticAnalyzer(records).analyze(), cell
+
+
+def negative_recipient(records):
+    """One deliver's recipient, and its send's matching recipients entry, as -1."""
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver"
+        and r["recipient"] == 3
+        and sent(records, r)["sender"] != 3,
+    )
+    src = sent(records, records[i])
+    src["recipients"][src["recipients"].index(3)] = -1
+    records[i]["recipient"] = -1
+    return src["seq"], "recipients"
+
+
+def negative_sender(records):
+    """One send's sender, 3, as -1."""
+    i = find(records, lambda r: r["kind"] == "send" and r["sender"] == 3)
+    records[i]["sender"] = -1
+    return i, "sender"
+
+
+@pytest.mark.parametrize("edit", [negative_recipient, negative_sender])
+def test_negative_processor_id_is_located(edit, tmp_path, capsys):
+    # Python reads a negative index from the end, so -1 would be processor n-1
+    records = copied(found_run())
+    seq, name = edit(records)
+    assert ReferenceAnalyzer(records).analyze()  # the old scan raised nothing
+    message = f"send record at seq {seq}: field '{name}' is malformed"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(to_jsonl(records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert f"malformed trace: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["threshold", "form_vc", "form_qc", "corrupt"])
+@pytest.mark.parametrize("proc", [-1, 4])
+def test_processor_id_out_of_range_is_located(kind, proc):
+    records = copied(
+        Simulation(
+            SimConfig(n=4, corruptions=[Corruption(3, "silent", 2)], stop="horizon", horizon=30)
+        ).run()
+    )
+    i = find(records, lambda r: r["kind"] == kind)
+    records[i]["proc"] = proc
+    message = f"{kind} record at seq {i}: field 'proc' is malformed: {proc}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+
+
+def test_header_corruption_out_of_range_rejected():
+    records = copied(
+        Simulation(SimConfig(n=4, corruptions=[Corruption(3, "silent")], seed=0)).run()
+    )
+    records[0]["config"]["corruptions"][0]["proc"] = -1
+    with pytest.raises(TraceAnalysisError, match="corruptions\\[0\\].proc: -1 is not a processor"):
+        analyze(records)
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,40 @@ TRACED_CELLS = [
         651,
         "739cfb60b64e5691d96bc572132f659f0d79b848324fa1cc308a6daf693c0a41",
     ),
+    (
+        {
+            "n": 7,
+            "delta_cap": 2,
+            "delta_actual": 1,
+            "gst": 4,
+            "network": "worst_case_max_delay",
+            "corruptions": [[1, "crash_leader", 3]],
+            "stop": "horizon",
+            "horizon": 100,
+            "seed": 6,
+        },
+        946,
+        "41cde5949732621aacb1c0333e57d837d6d7a250f66b360189d33bf03a1752bc",
+        "b00dc09829c34b26de57896bba45131006ed158387ce6693f212001226581633",
+        700,
+        "cb45fceb28c154edf238685d05863282cea6da57f82c15e2a546be498caf7667",
+    ),
+    (
+        {
+            "n": 31,
+            "delta_actual": "1/2",
+            "gst": 5,
+            "network": "uniform_random",
+            "corruptions": [[5, "vote_stuffer"], [17, "vote_stuffer", "3/2"]],
+            "stop": "sync_plus",
+            "seed": 11,
+        },
+        1332,
+        "40be0b872061bb74ca280a0d48ca1e6f595937f8a1f6337e4674f3d2a0c052ba",
+        "1c0f58009fcbc31080dc02d8e274dfc1caf04d110073a21870e75805de2edcbf",
+        1062,
+        "a31f4048aeafc1673db95c4299ce88e7e7e9f9a1ff2c2c1cbdbe894e56028840",
+    ),
 ]
 
 

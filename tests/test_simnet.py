@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,11 +16,18 @@ from hypothesis import strategies as st
 
 from viewsync import simnet
 from viewsync.adversary import BYZANTINE_STRATEGIES
-from viewsync.certificates import ViewMessage
+from viewsync.certificates import (
+    SIGN_VIEW,
+    SIGN_VOTE,
+    QuorumCertificate,
+    ViewCertificate,
+    ViewMessage,
+)
 from viewsync.core import ALL
 from viewsync.harness import _worker
 from viewsync.metrics import analyze
 from viewsync.simnet import (
+    NETWORK_STRATEGIES,
     Corruption,
     Resolved,
     SimConfig,
@@ -32,6 +40,7 @@ from viewsync.simnet import (
     resolve,
     subseed,
 )
+from viewsync.timeutil import dump_ticks, load_ticks
 from viewsync.trace import to_jsonl
 
 GAMMA = 6  # matches delta_cap=2, x=3
@@ -297,6 +306,109 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
     _index, row = _worker((0, cell, None))
     assert row["error"].startswith("SimulationError: delivered QuorumCertificate")
+
+
+def test_each_certificate_is_validated_once(monkeypatch):
+    validated = []
+
+    def counted(check):
+        def wrapper(cert, *args):
+            validated.append(cert)
+            return check(cert, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(simnet, "validate_qc", counted(simnet.validate_qc))
+    monkeypatch.setattr(simnet, "validate_vc", counted(simnet.validate_vc))
+    sim = Simulation(sim_config(n=7, stop="horizon", horizon=60))
+    sim.run()
+    assert {type(c) for c in validated} == {QuorumCertificate, ViewCertificate}
+    assert len(validated) == len(set(validated))
+    assert set(validated) == sim.valid_certs
+
+
+@pytest.mark.parametrize("kind", ["qc", "vc"])
+def test_forged_certificate_raises_after_a_valid_one_is_cached(kind):
+    # processor 3 is silent from time 0, so it never signs anything: a
+    # certificate naming it is forged, whatever is cached for its view
+    sim = Simulation(
+        sim_config(corruptions=[Corruption(3, "silent")], stop="horizon", horizon=30)
+    )
+    records = sim.run()
+    formed = next(r for r in records if r["kind"] == f"form_{kind}")
+    view, signers = formed["view"], formed["signers"]
+    make, sign = (QuorumCertificate, SIGN_VOTE) if kind == "qc" else (ViewCertificate, SIGN_VIEW)
+    valid = make(view, tuple(signers))
+    forged = make(view, tuple(sorted([*signers[1:], 3])))
+    assert not sim.ledger.holds(3, sign, view)
+    now = load_ticks(records[-1]["time"])
+    sim._receive_correct(0, valid, now)
+    assert valid in sim.valid_certs
+    for _ in range(2):  # a failure is never cached
+        with pytest.raises(SimulationError, match="carries signatures nobody made"):
+            sim._receive_correct(0, forged, now)
+    assert forged not in sim.valid_certs
+
+
+ANNOUNCED_DELIVERIES = [
+    *(
+        sim_config(
+            network=network,
+            delta_actual="1/2",
+            gst=5,
+            sync_windows=[(5, 20), (40, 60)],
+            stop="horizon",
+            horizon=80,
+            seed=3,
+        )
+        for network in NETWORK_STRATEGIES
+    ),
+    SimConfig(
+        n=31,
+        delta_actual="1/2",
+        gst=5,
+        network="uniform_random",
+        corruptions=[Corruption(5, "vote_stuffer"), Corruption(17, "late_qc_relayer", 3)],
+        stop="sync_plus",
+        seed=11,
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg", ANNOUNCED_DELIVERIES, ids=[*NETWORK_STRATEGIES, "n31"])
+def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
+    # whatever the simulator computes once per send, the times it announces
+    # are those of one delivery_time call per other recipient, in order, on
+    # the network's random stream
+    sim = Simulation(cfg)
+    r = sim.resolved
+    rng = random.Random()
+    rng.setstate(sim.net_rng.getstate())
+    records = sim.run()
+    never = r.horizon + r.delta_cap + 1  # no bound applies: after the last event
+    unbounded = 0
+    for rec in records:
+        if rec["kind"] != "send":
+            continue
+        now = load_ticks(rec["time"])
+        want = []
+        for q in rec["recipients"]:
+            when = now
+            if q != rec["sender"]:
+                when = delivery_time(
+                    r.network,
+                    now,
+                    gst=r.gst,
+                    delta_cap=r.delta_cap,
+                    delta_actual=r.delta_actual,
+                    rng=rng,
+                    sync_windows=r.windows,
+                )
+                unbounded += when is None
+            want.append(dump_ticks(never if when is None else when))
+        assert rec["deliver_times"] == want, rec["seq"]
+    assert rng.getstate() == sim.net_rng.getstate()
+    assert unbounded or r.windows is None
 
 
 OPTIMIZED_CHECKS = """
