@@ -44,7 +44,6 @@ _SPEC_KEYS = {
     "sweeps",
     "seeds",
     "base_seed",
-    "mode",
     "max_cells",
     "traces",
     "delta_units",
@@ -70,7 +69,7 @@ def _integer(doc: dict, key: str, default: int) -> int:
     return value
 
 
-def load_spec(path, *, seed=None, horizon=None, mode=None, drop_sweeps=False):
+def load_spec(path, *, seed=None, horizon=None, mode="measure", drop_sweeps=False):
     """Parse a spec file into an ExperimentSpec plus the traces flag."""
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -92,7 +91,7 @@ def load_spec(path, *, seed=None, horizon=None, mode=None, drop_sweeps=False):
         sweeps={} if drop_sweeps else sweeps,
         seeds=_integer(doc, "seeds", 1),
         base_seed=_integer(doc, "base_seed", 0) if seed is None else seed,
-        mode=mode or doc.get("mode", "measure"),
+        mode=mode,
         max_cells=_integer(doc, "max_cells", ExperimentSpec.max_cells),
     )
     return spec, bool(doc.get("traces", False))

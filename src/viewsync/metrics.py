@@ -12,11 +12,13 @@ Each ``deliver`` record is joined to the ``send`` record it names, for the
 send's time, sender and payload. A ``deliver`` makes the trace unusable if it
 names no earlier send listing its recipient, if its time is not the send's
 ``deliver_times`` entry for that recipient, or if that recipient already had
-this send delivered. So does a ``sender``, ``recipients`` entry or ``proc``
-that is not a processor id in ``[0, n)``. Word counting reads the summed
-``words`` of each ``send`` record: every word window (the first-quorum budget
-and the pace gaps) is keyed on send time, which all recipients of one send
-share.
+this send delivered. So does a ``sender``, ``recipients`` entry, recipient,
+``proc`` or signer that is not a processor id: an int, not a bool or a
+float, and in ``[0, n)`` except for signers, whose range is an invariant.
+Such an error, like any failed read of a record, names the field through
+``trace.malformed_field``. Word counting reads the summed ``words`` of each
+``send`` record: every word window (the first-quorum budget and the pace
+gaps) is keyed on send time, which all recipients of one send share.
 
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
@@ -36,7 +38,7 @@ from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .core import leader_of
 from .simnet import Resolved, check_dagger, sync_start
 from .timeutil import Time, from_ticks, load_ticks
-from .trace import Record
+from .trace import Record, malformed_field
 
 
 class TraceAnalysisError(Exception):
@@ -68,6 +70,7 @@ class RunMetrics:
 
 
 INF = math.inf
+_INT = {int}
 
 
 def _ticks(value, seq: int) -> Time:
@@ -76,75 +79,6 @@ def _ticks(value, seq: int) -> Time:
         return load_ticks(value)
     except ValueError:
         raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}") from None
-
-
-# What the scan reads from each record kind besides "seq" and "time", and
-# from each payload type besides "type" and "view", with the shape each value
-# must have. Consulted only to name the field once a read has failed.
-_RECORD_FIELDS = {
-    "corrupt": {"proc": "proc"},
-    "send": {
-        "sender": "proc",
-        "payload": "payload",
-        "words": "int",
-        "recipients": "procs",
-        "deliver_times": "ticks",  # one per recipient
-    },
-    "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
-    "threshold": {"proc": "proc", "proc_view": "int", "boundary_clock": "tick"},
-    "form_vc": {"view": "int", "proc": "proc", "signers": "ints"},
-    "form_qc": {"view": "int", "proc": "proc", "signers": "ints"},
-}
-_PAYLOAD_FIELDS = {
-    "view_message": {"signer": "int"},
-    "vote": {"signer": "int"},
-    "proposal": {},
-    "view_certificate": {"signers": "ints"},
-    "quorum_certificate": {"signers": "ints"},
-}
-
-
-def _fits(value, shape: str, n: int) -> bool:
-    if shape == "int":
-        return isinstance(value, int)
-    if shape == "proc":
-        return isinstance(value, int) and 0 <= value < n
-    if shape == "procs":
-        return isinstance(value, list) and all(_fits(s, "proc", n) for s in value)
-    if shape == "ints":
-        return isinstance(value, list) and all(isinstance(s, int) for s in value)
-    if shape == "ticks":
-        return isinstance(value, list)  # _ticks names a malformed item itself
-    return True  # a tick: _ticks names a malformed one itself
-
-
-def _unreadable_field(rec, n: int) -> Optional[tuple[str, str]]:
-    """The first field the scan reads from ``rec`` that is absent or not in
-    its shape, as ``(name, problem)`` (``payload.<name>`` inside the
-    payload); None if there is none."""
-    if not isinstance(rec, dict) or not isinstance(rec.get("kind"), str):
-        return "kind", "is missing or not a string"
-    fields = {"seq": "int", "time": "tick", **_RECORD_FIELDS.get(rec["kind"], {})}
-    for name, shape in fields.items():
-        if name not in rec:
-            return name, "is missing"
-        value = rec[name]
-        if shape != "payload":
-            if not _fits(value, shape, n):
-                return name, f"is malformed: {value!r}"
-            if shape == "ticks" and len(value) != len(rec["recipients"]):
-                return name, f"has {len(value)} entries for {len(rec['recipients'])} recipients"
-            continue
-        if not isinstance(value, dict):
-            return name, f"is not an object: {value!r}"
-        if not isinstance(value.get("type"), str):
-            return "payload.type", "is missing or not a string"
-        for sub, sub_shape in {"view": "int", **_PAYLOAD_FIELDS.get(value["type"], {})}.items():
-            if sub not in value:
-                return f"payload.{sub}", "is missing"
-            if not _fits(value[sub], sub_shape, n):
-                return f"payload.{sub}", f"is malformed: {value[sub]!r}"
-    return None
 
 
 def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]:
@@ -257,6 +191,9 @@ class _Analyzer:
         return held
 
     def _check_certificate(self, kind: str, view: int, signers: Sequence[int], seq: int) -> None:
+        # before the cache: (True, 2, 3) and (1.0, 2, 3) hash like (1, 2, 3)
+        if not _INT.issuperset(map(type, signers)):
+            raise TypeError(f"signers at seq {seq}")  # analyze() names the field
         key = (kind, view, tuple(signers))
         if key in self.checked_certs:
             return
@@ -265,11 +202,7 @@ class _Analyzer:
         distinct = set(signers)
         sig_kind = "view_msg" if kind == "vc" else "vote"
         needed = r.t + 1 if kind == "vc" else r.n - r.t
-        if (
-            len(distinct) != len(signers)
-            or len(signers) != needed
-            or any(not 0 <= s < r.n for s in signers)
-        ):
+        if len(distinct) != len(signers) or len(signers) != needed or not distinct <= self.ids:
             self.flag(
                 "certificate_signatures", seq, f"malformed {kind} for view {view}: {signers}"
             )
@@ -322,20 +255,14 @@ class _Analyzer:
                     boundary = _ticks(boundary, seq)
                 if boundary % period != 0:
                     self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                p = rec["proc"]
-                if p not in self.ids:
-                    raise IndexError(f"proc {p} at seq {seq}")  # analyze() names the field
-                if scan_stamp(p, rec["proc_view"], boundary, now, seq):
+                if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
                     recheck_dagger = True
             elif kind == "corrupt":
-                p = rec["proc"]
-                if p not in self.ids:
-                    raise IndexError(f"proc {p} at seq {seq}")  # analyze() names the field
+                p = self._proc(rec, seq)
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
                 recheck_dagger = True
             elif kind == "form_vc":
-                if rec["proc"] not in self.ids:
-                    raise IndexError(f"proc {rec['proc']} at seq {seq}")  # analyze() names it
+                self._proc(rec, seq)
                 self._check_certificate("vc", rec["view"], rec["signers"], seq)
             elif kind == "form_qc":
                 self._scan_form_qc(rec, now, seq)
@@ -349,6 +276,13 @@ class _Analyzer:
                 elif not dagger_held:  # the same clocks as at the last check
                     self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
                 recheck_dagger = False
+
+    def _proc(self, rec: Record, seq: int) -> int:
+        """The ``proc`` of a record, which must be a processor id."""
+        p = rec["proc"]
+        if type(p) is not int or p not in self.ids:
+            raise IndexError(f"proc {p!r} at seq {seq}")  # analyze() names the field
+        return p
 
     def _unjoined(self, rec: Record) -> str:
         """Why a ``deliver`` record has no send in the index to join."""
@@ -367,17 +301,23 @@ class _Analyzer:
             or len(deliver_times) != len(recipients)
         ):
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
-        # a negative id would index from the end; a deliver's recipient is
-        # one of these, so the join covers it
-        if sender < 0 or not self.ids.issuperset(recipients):
+        # a negative id would index from the end, and a bool or a float
+        # would pass for an int; a deliver's recipient is one of these
+        if type(sender) is not int or sender < 0 or not self.ids.issuperset(recipients):
             raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+        if not _INT.issuperset(map(type, recipients)):
+            raise TypeError(f"recipients at seq {seq}")  # analyze() names the field
         ptype, view = payload["type"], payload["view"]
         pr = self.procs[sender]
         correct = now < pr.corrupted_at
+        if ptype == "view_message" or ptype == "vote":
+            signer = payload["signer"]
+            if type(signer) is not int:
+                raise TypeError(f"signer at seq {seq}")  # analyze() names the field
         if ptype == "view_message":
-            self.signatures.add((payload["signer"], "view_msg", view))
+            self.signatures.add((signer, "view_msg", view))
             if correct:
-                if payload["signer"] != sender:
+                if signer != sender:
                     self.flag("signing_clock", seq, "correct sender signed for another id")
                 elif view in pr.sent_view_msgs:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
@@ -388,9 +328,9 @@ class _Analyzer:
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
         elif ptype == "vote":
-            self.signatures.add((payload["signer"], "vote", view))
+            self.signatures.add((signer, "vote", view))
             if correct:
-                if payload["signer"] != sender:
+                if signer != sender:
                     self.flag("vote_view", seq, "correct sender voted for another id")
                 elif view in pr.sent_votes:
                     self.flag("duplicate_vote", seq, f"second vote for {view}")
@@ -422,7 +362,7 @@ class _Analyzer:
             pr.offset_log.append((seq, pr.offset))
             forwarded = True
         if view != pr.view:
-            if not isinstance(view, int):
+            if type(view) is not int:
                 raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
             if view < pr.view:
                 self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
@@ -437,6 +377,8 @@ class _Analyzer:
         the recipient's clock was forwarded here."""
         p = rec["recipient"]
         src = rec["send"]
+        if type(p) is not int or type(src) is not int:  # True would join as 1
+            raise TypeError(f"recipient or send at seq {seq}")  # analyze() names it
         try:
             sent = self.sends[src]
             i = sent[3].index(p)
@@ -499,9 +441,7 @@ class _Analyzer:
         return forwarded
 
     def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
-        view, proc = rec["view"], rec["proc"]
-        if proc not in self.ids:
-            raise IndexError(f"proc {proc} at seq {seq}")  # analyze() names the field
+        view, proc = rec["view"], self._proc(rec, seq)
         self._check_certificate("qc", view, rec["signers"], seq)
         self.qc_formations.append((now, proc, view, seq))
         if proc in self.resolved.never_corrupted:
@@ -869,7 +809,8 @@ def analyze(records: Sequence[Record]) -> RunMetrics:
     """Full analysis of one trace: headline metrics plus every invariant.
 
     A TraceAnalysisError names the first record field that is absent or not
-    in its shape, wherever in the analysis the bad value made a read fail.
+    in its shape (``trace.malformed_field``), wherever in the analysis the
+    bad value made a read fail.
     A failed read with every field in shape is a bug here, and propagates.
     """
     try:
@@ -877,7 +818,7 @@ def analyze(records: Sequence[Record]) -> RunMetrics:
     except (KeyError, TypeError, IndexError) as exc:
         n = Resolved.from_header(records[0]).n  # _Analyzer read it before anything failed
         for i, rec in enumerate(records):
-            found = _unreadable_field(rec, n)
+            found = malformed_field(rec, n)
             if found is not None:
                 name, problem = found
                 where = (

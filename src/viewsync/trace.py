@@ -18,6 +18,16 @@ the send's cost: one per recipient other than the sender. Versions 1 and 2,
 which wrote one ``send`` record per recipient and repeated the sender,
 payload and send time in every ``deliver``, are not read.
 
+Two tables define every record but the header (whose one writer and reader
+are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
+each kind's fields and their shapes, and ``PAYLOAD_FIELDS`` each payload
+type's. Derived from them are the payload formatter and ``malformed_field``,
+which the analyzer calls to name the first absent or malformed field once a
+read has failed. The hot code is written out and tested against them, since
+table-driven versions measured slower: the simulator's record literals and
+``simnet.payload_to_dict``, the ``send`` and ``deliver`` formatters, and the
+analyzer's scan.
+
 The serialized form is the canonical identity of a run: determinism and
 replay guarantees are stated over these bytes. A record's canonical line is
 ``json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
@@ -64,6 +74,88 @@ _scan_once = json.JSONDecoder().scan_once
 _INT = {int}
 _TICK = {int, str}
 
+# -- the record format ---------------------------------------------------------
+
+# Each kind the simulator writes, with its fields besides "kind", "seq" (an
+# int) and "time" (a tick), in the order the simulator writes them. Shapes
+# are exact types, so a bool is not an int:
+#   int      an int
+#   proc     a processor id: an int in [0, n)
+#   tick     an int or a "p/q" string (timeutil.load_ticks reads it)
+#   str      a string
+#   payload  an object with a "type" string, an int "view" and the fields
+#            PAYLOAD_FIELDS gives that type
+#   procs, ints, ticks
+#            a list of the shape without the "s"; "ticks" has one entry
+#            per entry of "recipients"
+RECORD_FIELDS = {
+    "send": {
+        "sender": "proc",
+        "recipients": "procs",
+        "payload": "payload",
+        "deliver_times": "ticks",
+        "words": "int",
+    },
+    "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
+    "threshold": {"proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
+    "corrupt": {"proc": "proc", "strategy": "str"},
+    "form_qc": {"proc": "proc", "view": "int", "signers": "ints"},
+    "form_vc": {"proc": "proc", "view": "int", "signers": "ints"},
+    "wake": {"proc": "proc"},
+    "end": {"reason": "str"},
+}
+# Each payload type's fields besides "type" and "view": exactly one, whose
+# name sorts before both, which _payload relies on.
+PAYLOAD_FIELDS = {
+    "view_message": {"signer": "int"},
+    "vote": {"signer": "int"},
+    "proposal": {"leader": "int"},
+    "view_certificate": {"signers": "ints"},
+    "quorum_certificate": {"signers": "ints"},
+}
+_PAYLOAD_FIELD = {t: next(iter(fields.items())) for t, fields in PAYLOAD_FIELDS.items()}
+_SCALAR_TYPES = {"int": _INT, "tick": _TICK, "str": {str}, "payload": {dict}}
+
+
+def _fits(value, shape: str, n: int) -> bool:
+    if shape in ("procs", "ints", "ticks"):
+        return type(value) is list and all(_fits(v, shape[:-1], n) for v in value)
+    if shape == "proc":
+        return type(value) is int and 0 <= value < n
+    return type(value) in _SCALAR_TYPES[shape]
+
+
+def malformed_field(rec, n: int) -> tuple[str, str] | None:
+    """The first field of ``rec`` that is absent or not in its shape, as
+    ``(name, problem)`` (``payload.<name>`` inside the payload), with
+    processor ids checked against ``[0, n)``; None if there is none. A kind
+    or payload type the tables do not list has its common fields checked."""
+    if type(rec) is not dict or type(rec.get("kind")) is not str:
+        return "kind", "is missing or not a string"
+    fields = {"seq": "int", "time": "tick", **RECORD_FIELDS.get(rec["kind"], {})}
+    for name, shape in fields.items():
+        if name not in rec:
+            return name, "is missing"
+        value = rec[name]
+        if not _fits(value, shape, n):
+            problem = "is not an object" if shape == "payload" else "is malformed"
+            return name, f"{problem}: {value!r}"
+        if shape == "ticks" and len(value) != len(rec["recipients"]):
+            return name, f"has {len(value)} entries for {len(rec['recipients'])} recipients"
+        if shape != "payload":
+            continue
+        if type(value.get("type")) is not str:
+            return "payload.type", "is missing or not a string"
+        for sub, sub_shape in {"view": "int", **PAYLOAD_FIELDS.get(value["type"], {})}.items():
+            if sub not in value:
+                return f"payload.{sub}", "is missing"
+            if not _fits(value[sub], sub_shape, n):
+                return f"payload.{sub}", f"is malformed: {value[sub]!r}"
+    return None
+
+
+# -- the writer ----------------------------------------------------------------
+
 
 def _str_tick(value) -> str | None:
     """A tick field that is not an int, as JSON: a quoted ``"p/q"`` string;
@@ -80,35 +172,19 @@ def _ints(values) -> str | None:
 
 
 def _payload(p) -> str | None:
-    """A payload as JSON, for the five shapes the simulator writes; None otherwise."""
+    """A payload as JSON, for the shapes PAYLOAD_FIELDS gives; None otherwise."""
     if type(p) is not dict or len(p) != 3:
         return None
     try:
         ptype, view = p["type"], p["view"]
-        if type(view) is not int:
-            return None
-        if ptype == "view_message" or ptype == "vote":
-            signer = p["signer"]
-            if type(signer) is not int:
-                return None
-            if ptype == "vote":
-                return f'{{"signer":{signer},"type":"vote","view":{view}}}'
-            return f'{{"signer":{signer},"type":"view_message","view":{view}}}'
-        if ptype == "proposal":
-            leader = p["leader"]
-            if type(leader) is not int:
-                return None
-            return f'{{"leader":{leader},"type":"proposal","view":{view}}}'
-        if ptype == "view_certificate" or ptype == "quorum_certificate":
-            signers = _ints(p["signers"])
-            if signers is None:
-                return None
-            if ptype == "view_certificate":
-                return f'{{"signers":{signers},"type":"view_certificate","view":{view}}}'
-            return f'{{"signers":{signers},"type":"quorum_certificate","view":{view}}}'
-    except KeyError:
-        pass
-    return None
+        name, shape = _PAYLOAD_FIELD[ptype]
+        value = p[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable type
+        return None
+    value = _ints(value) if shape == "ints" else value if type(value) is int else None
+    if value is None or type(ptype) is not str or type(view) is not int:
+        return None
+    return f'{{"{name}":{value},"type":"{ptype}","view":{view}}}'
 
 
 def _tick_list(values) -> str | None:

@@ -391,6 +391,14 @@ def test_cli_rejects_bad_spec_file(tmp_path, capsys):
     assert "bad spec" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_mode_in_the_spec(tmp_path, capsys):
+    # the verb sets the mode, so a spec's own would be ignored
+    path = write_spec(tmp_path / "s.yaml", {"base": {"n": 4, "delta_cap": 2}, "mode": "replay"})
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad spec: " in err and "unknown spec keys ['mode']" in err
+
+
 def test_cli_rejects_unreadable_time_in_delta_units(tmp_path, capsys):
     doc = {"delta_units": True, "base": {"n": 4, "delta_cap": 2, "gst": [1, 2]}}
     path = write_spec(tmp_path / "bad.yaml", doc)

@@ -24,7 +24,7 @@ from viewsync.metrics import (
 )
 from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
 from viewsync.timeutil import from_ticks, load_ticks
-from viewsync.trace import Record, to_jsonl
+from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, Record, to_jsonl
 
 
 def run_records(**kw):
@@ -1163,8 +1163,101 @@ def test_negative_processor_id_is_located(edit, tmp_path, capsys):
     assert f"malformed trace: {message}" in capsys.readouterr().err
 
 
+def one_as(records, kind, name, value):
+    """In the first ``kind`` record whose field ``name`` (``payload.<x>``
+    inside its payload) is processor 1 or lists it, that 1 set to ``value``,
+    which compares and hashes like 1; the record's index."""
+    *inside, key = name.split(".")
+    for i, rec in enumerate(records):
+        if rec["kind"] != kind:
+            continue
+        where = rec[inside[0]] if inside else rec
+        found = where.get(key)
+        if found == 1 and type(found) is int:
+            where[key] = value
+            return i
+        if type(found) is list and 1 in found:
+            found[found.index(1)] = value
+            return i
+    raise AssertionError(f"no {kind} record names processor 1 in {name}")
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize(
+    "kind,name",
+    [
+        ("send", "sender"),
+        ("send", "recipients"),
+        ("deliver", "recipient"),
+        ("form_qc", "signers"),
+        # not processor ids, but read as such all the same
+        ("deliver", "send"),
+        ("send", "payload.signer"),
+        ("send", "payload.signers"),
+    ],
+)
+def test_a_processor_id_that_is_not_an_int_is_located(kind, name, value):
+    # JSON true and 1.0 both read back equal to 1, as a key and in a set
+    records = copied(found_run())
+    i = one_as(records, kind, name, value)
+    *inside, key = name.split(".")
+    bad = (records[i][inside[0]] if inside else records[i])[key]
+    message = f"{kind} record at seq {i}: field {name!r} is malformed: {bad!r}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+
+
+def test_a_processor_id_that_is_true_fails_replay(tmp_path, capsys):
+    records = copied(found_run())
+    i = one_as(records, "send", "sender", True)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(to_jsonl(records), encoding="utf-8")
+    assert '"sender":true' in path.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    message = f"malformed trace: send record at seq {i}: field 'sender' is malformed: True"
+    assert message in capsys.readouterr().err
+
+
+# Table fields the analysis never reads: a record without one analyzes as it did.
+UNREAD = {"corrupt.strategy", "wake.proc", "end.reason", "payload.leader"}
+
+
+def test_every_field_the_analysis_reads_is_located_when_missing():
+    # each field of the tables deleted in turn, from the first record of its
+    # kind or payload type
+    records = Simulation(
+        SimConfig(
+            n=4, corruptions=[Corruption(3, "late_qc_relayer", 2)], stop="horizon", horizon=40
+        )
+    ).run()
+    want = analyze(records)
+    first = {}
+    for i, r in enumerate(records):
+        first.setdefault(r["kind"], i)
+        if r["kind"] == "send":
+            first.setdefault(r["payload"]["type"], i)
+    fields = [(kind, name) for kind, row in RECORD_FIELDS.items() for name in row]
+    fields += [(ptype, f"payload.{name}") for ptype, row in PAYLOAD_FIELDS.items() for name in row]
+    unread = set()
+    for owner, name in fields:
+        bad = copied(records)
+        rec = bad[first[owner]]
+        *inside, key = name.split(".")
+        del (rec[inside[0]] if inside else rec)[key]
+        try:
+            got = analyze(bad)
+        except TraceAnalysisError as exc:
+            where = f"{rec['kind']} record at seq {rec['seq']}"
+            assert str(exc) == f"{where}: field {name!r} is missing", (owner, name)
+            continue
+        assert got == want, (owner, name)
+        unread.add(name if inside else f"{owner}.{name}")
+    assert unread == UNREAD
+
+
 @pytest.mark.parametrize("kind", ["threshold", "form_vc", "form_qc", "corrupt"])
-@pytest.mark.parametrize("proc", [-1, 4])
+@pytest.mark.parametrize("proc", [-1, 4, True, 1.0])  # True and 1.0 pass for 1 in a set
 def test_processor_id_out_of_range_is_located(kind, proc):
     records = copied(
         Simulation(

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from viewsync import trace
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
+    PAYLOAD_FIELDS,
+    RECORD_FIELDS,
     TRACE_VERSION,
     TraceParseError,
     dumps_record,
+    malformed_field,
     parse_jsonl,
     read_trace,
     to_jsonl,
@@ -115,8 +118,9 @@ def reference(record):
 
 @functools.lru_cache(maxsize=None)
 def sample_runs():
-    """Records of runs that between them write every payload shape, drifted
-    ``"p/q"`` ticks, sync windows, corruptions and a 31-way broadcast."""
+    """Records of runs that between them write every record kind and payload
+    shape, drifted ``"p/q"`` ticks, sync windows, corruptions and a 31-way
+    broadcast."""
     configs = [
         SimConfig(
             n=4,
@@ -142,6 +146,10 @@ def sample_runs():
                 Corruption(9, "selective_vc"),
                 Corruption(12, "late_qc_relayer"),
             ),
+        ),
+        # a relayer corrupted before its stash fills wakes up to release it
+        SimConfig(
+            n=4, corruptions=[Corruption(3, "late_qc_relayer", 2)], stop="horizon", horizon=40
         ),
     ]
     return tuple(r for cfg in configs for r in Simulation(cfg).run())
@@ -253,6 +261,68 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
     assert any(str in map(type, r.get("deliver_times", ())) for r in records)
     assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
+
+
+# -- the tables: RECORD_FIELDS and PAYLOAD_FIELDS are what the simulator writes --
+
+
+def test_the_simulator_writes_the_tables():
+    # every record but the header has "kind", "time", its kind's fields in
+    # table order and "seq"; its payload "type", "view" and its type's field;
+    # and every kind and payload type of the tables turns up
+    seen = set()
+    for r in sample_runs():
+        if r["kind"] == "header":
+            n = r["config"]["n"]
+            continue
+        assert list(r) == ["kind", "time", *RECORD_FIELDS[r["kind"]], "seq"], r
+        seen.add(r["kind"])
+        if "payload" in r:
+            assert list(r["payload"]) == ["type", "view", *PAYLOAD_FIELDS[r["payload"]["type"]]]
+            seen.add(r["payload"]["type"])
+        assert malformed_field(r, n) is None, r
+    assert seen == {*RECORD_FIELDS, *PAYLOAD_FIELDS}
+
+
+def test_each_payload_field_sorts_before_type_and_view():
+    # which lets one f-string write every payload in sorted key order
+    for fields in PAYLOAD_FIELDS.values():
+        (name,) = fields
+        assert name < "type" < "view"
+
+
+@pytest.mark.parametrize(
+    "edit,found",
+    [
+        (lambda r: r.update(sender=True), ("sender", "is malformed: True")),
+        (lambda r: r["recipients"].append(4), ("recipients", "is malformed: [0, 1, 2, 3, 4]")),
+        (lambda r: r["deliver_times"].pop(), ("deliver_times", "has 3 entries for 4 recipients")),
+        (
+            lambda r: r["deliver_times"].__setitem__(0, 0.5),
+            ("deliver_times", "is malformed: [0.5, 1, 1, 1]"),
+        ),
+        (lambda r: r.pop("words"), ("words", "is missing")),
+        (lambda r: r.update(payload=[]), ("payload", "is not an object: []")),
+        (lambda r: r["payload"].pop("type"), ("payload.type", "is missing or not a string")),
+        (lambda r: r["payload"].update(leader=False), ("payload.leader", "is malformed: False")),
+        (lambda r: r.update(time=1.0), ("time", "is malformed: 1.0")),
+        (lambda r: r.pop("kind"), ("kind", "is missing or not a string")),
+    ],
+)
+def test_malformed_field_names_the_first_field_out_of_shape(edit, found):
+    record = {
+        "kind": "send",
+        "time": 0,
+        "sender": 0,
+        "recipients": [0, 1, 2, 3],
+        "payload": {"type": "proposal", "view": 0, "leader": 0},
+        "deliver_times": [0, 1, 1, 1],
+        "words": 3,
+        "seq": 1,
+    }
+    assert malformed_field(record, 4) is None
+    edit(record)
+    assert malformed_field(record, 4) == found
 
 
 # -- the reader: parse_jsonl is a json.loads per line ---------------------------
