@@ -67,9 +67,6 @@ class SignatureLedger:
     def holds(self, signer: int, kind: str, view: int) -> bool:
         return (signer, kind, view) in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _distinct_signers(items: Iterable[tuple[int, int]], view: int, what: str) -> tuple[int, ...]:
     signers: list[int] = []

@@ -130,7 +130,7 @@ class EnterView:
 
 @dataclass(frozen=True)
 class FormVC:
-    view: int
+    vc: ViewCertificate
 
 
 Action = Send | ForwardClock | EnterView | FormVC
@@ -150,7 +150,6 @@ class ProcessorState:
     id: int
     clock: Time = 0
     view: int = 0
-    highest_qc_view: int | None = None
     sent_view_msgs: set[int] = field(default_factory=set)
     collected_view_msgs: dict[int, list[int]] = field(default_factory=dict)
     formed_vcs: set[int] = field(default_factory=set)
@@ -194,8 +193,6 @@ def on_qc(state: ProcessorState, qc: QuorumCertificate, params: ProtocolParams) 
     if qc.view in state.seen_qcs:
         return []
     state.seen_qcs.add(qc.view)
-    if state.highest_qc_view is None or qc.view > state.highest_qc_view:
-        state.highest_qc_view = qc.view
     target = qc.view + 1
     start = clock_time(target, params)
     actions: list[Action] = []
@@ -258,5 +255,5 @@ def on_view_message(state: ProcessorState, msg: ViewMessage, params: ProtocolPar
     if len(got) == params.t + 1 and msg.view not in state.formed_vcs:
         state.formed_vcs.add(msg.view)
         vc = form_vc(msg.view, [ViewMessage(msg.view, s) for s in got], params.t)
-        return [FormVC(msg.view), Send(ALL, vc)]
+        return [FormVC(vc), Send(ALL, vc)]
     return []

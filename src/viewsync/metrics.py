@@ -15,10 +15,14 @@ names no earlier send listing its recipient, if its time is not the send's
 this send delivered. So does a ``sender``, ``recipients`` entry, recipient,
 ``proc`` or signer that is not a processor id: an int, not a bool or a
 float, and in ``[0, n)`` except for signers, whose range is an invariant.
-Such an error, like any failed read of a record, names the field through
-``trace.malformed_field``. Word counting reads the summed ``words`` of each
-``send`` record: every word window (the first-quorum budget and the pace
-gaps) is keyed on send time, which all recipients of one send share.
+So does a ``send``'s ``words`` that is not an int, or a ``form_qc`` or
+``form_vc`` record's ``view`` that is not an int at least 0. Such an error,
+like any failed read of a record, names the field through
+``trace.malformed_field``. A certificate formed by anyone but its view's
+leader is an ``aggregator_leader`` violation. Word counting reads the summed
+``words`` of each ``send`` record: every word window (the first-quorum budget
+and the pace gaps) is keyed on send time, which all recipients of one send
+share.
 
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
@@ -31,6 +35,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -165,7 +171,9 @@ class _Analyzer:
         # where delivered has bit i set once recipients[i] had the send delivered
         self.sends: dict[int, list] = {}
         self.qc_first_sight: dict[int, Any] = {}  # view -> first correct sighting time
-        self.qc_formations: list[tuple[Any, int, int, int]] = []  # (time, proc, view, seq)
+        # (time, view, seq) of each quorum formed after gst by its view's
+        # never-corrupted leader, in trace order
+        self.leader_qcs: list[tuple[Any, int, int]] = []
         # view -> (send_time, sender) of each proposal, vote or quorum
         # certificate a never-corrupted processor received after
         # max(gst, send_time) + delta_eff
@@ -262,8 +270,7 @@ class _Analyzer:
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
                 recheck_dagger = True
             elif kind == "form_vc":
-                self._proc(rec, seq)
-                self._check_certificate("vc", rec["view"], rec["signers"], seq)
+                self._scan_form(rec, "vc", seq)
             elif kind == "form_qc":
                 self._scan_form_qc(rec, now, seq)
             elif kind in ("wake", "end"):
@@ -341,8 +348,11 @@ class _Analyzer:
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
-        if correct and rec["words"]:
-            self.word_events.append((now, rec["words"]))
+        words = rec["words"]
+        if type(words) is not int:
+            raise TypeError(f"words at seq {seq}")  # analyze() names the field
+        if correct and words:
+            self.word_events.append((now, words))
         self.sends[seq] = [now, sender, payload, recipients, deliver_times, 0]
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
@@ -430,9 +440,7 @@ class _Analyzer:
             return forwarded
         ptype, view = payload["type"], payload["view"]
         if ptype == "quorum_certificate":
-            self.procs[p].qc_receipt.setdefault(view, (now, seq))
-            if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
-                self.qc_first_sight[view] = now
+            self._sight_qc(p, view, now, seq)
         elif ptype != "proposal" and ptype != "vote":
             return forwarded  # a certificate's signers were checked with its send record
         # only a late delivery can make view v untimely in check_underlying_contract
@@ -440,14 +448,32 @@ class _Analyzer:
             self.late_deliveries.setdefault(view, []).append((send_time, sender))
         return forwarded
 
-    def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
+    def _sight_qc(self, p: int, view: int, now, seq: int) -> None:
+        """Never-corrupted processor p holds view's quorum certificate from now on."""
+        self.procs[p].qc_receipt.setdefault(view, (now, seq))
+        if now < self.qc_first_sight.get(view, INF):
+            self.qc_first_sight[view] = now
+
+    def _scan_form(self, rec: Record, kind: str, seq: int) -> tuple[int, int, bool]:
+        """A ``form_qc`` or ``form_vc`` record: check its certificate, and
+        that its view's leader formed it. Returns the record's view, its
+        former, and whether the former leads the view."""
         view, proc = rec["view"], self._proc(rec, seq)
-        self._check_certificate("qc", view, rec["signers"], seq)
-        self.qc_formations.append((now, proc, view, seq))
+        if type(view) is not int or view < 0:
+            raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
+        self._check_certificate(kind, view, rec["signers"], seq)
+        lead = self.leader(view)
+        if proc != lead:
+            detail = f"processor {proc} formed a {kind} for view {view}, led by {lead}"
+            self.flag("aggregator_leader", seq, detail)
+        return view, proc, proc == lead
+
+    def _scan_form_qc(self, rec: Record, now, seq: int) -> None:
+        view, proc, led = self._scan_form(rec, "qc", seq)
         if proc in self.resolved.never_corrupted:
-            self.procs[proc].qc_receipt.setdefault(view, (now, seq))
-            if view not in self.qc_first_sight or now < self.qc_first_sight[view]:
-                self.qc_first_sight[view] = now
+            self._sight_qc(proc, view, now, seq)
+            if led and now > self.resolved.gst:
+                self.leader_qcs.append((now, view, seq))
 
     # -- post-scan passes ----------------------------------------------------
 
@@ -480,50 +506,35 @@ class _Analyzer:
         """At each boundary view v, the first entries at or above v enter v
         itself, and no correct clock is already past v's boundary then.
 
-        One sweep down the views gives each boundary's first-entry time tau
-        as a running minimum; the entries at tau come from a time index.
+        One walk over the entries, which are in (time, seq) order, an instant
+        tau at a time: the entries at tau are the first at or above every
+        boundary view that is above all views entered before tau.
         """
         r = self.resolved
-        if not entries:
-            return
-        at_time: dict[Any, list] = {}
-        for e in entries:
-            at_time.setdefault(e[0], []).append(e)
-        by_view = sorted(entries, key=lambda e: e[1], reverse=True)
-        boundaries = range(self._clean_start(), by_view[0][1] * r.gamma + 1, r.period)
-        taus = []
-        tau = None
-        i = 0
-        for cv in reversed(boundaries):
-            v = cv // r.gamma
-            while i < len(by_view) and by_view[i][1] >= v:
-                if tau is None or by_view[i][0] < tau:
-                    tau = by_view[i][0]
-                i += 1
-            taus.append(tau)
-        for cv, tau in zip(boundaries, reversed(taus)):
-            if tau is None:
-                continue
-            v = cv // r.gamma
-            firsts = [e for e in at_time[tau] if e[1] >= v]
-            entry_seq = min(e[2] for e in firsts)
-            for _when, view, seq, _p in firsts:
-                if view != v:
-                    self.flag(
-                        "first_entry_order",
-                        max(seq, 0),
-                        f"first crossing of view {v} entered {view} instead",
-                    )
-            for q in range(r.n):
-                pr = self.procs[q]
-                if not pr.correct_at(tau):
-                    continue
-                if pr.clock_before(tau, entry_seq) > cv:
-                    self.flag(
-                        "first_entry_clocks",
-                        max(entry_seq, 0),
-                        f"processor {q} clock above {cv} when view {v} first entered",
-                    )
+        cv = self._clean_start()  # the lowest boundary clock not yet reached
+        for tau, at_tau in groupby(entries, key=itemgetter(0)):
+            at_tau = list(at_tau)
+            top = max(e[1] for e in at_tau) * r.gamma
+            while cv <= top:
+                v = cv // r.gamma
+                firsts = [e for e in at_tau if e[1] >= v]
+                entry_seq = firsts[0][2]
+                for _when, view, seq, _p in firsts:
+                    if view != v:
+                        self.flag(
+                            "first_entry_order",
+                            max(seq, 0),
+                            f"first crossing of view {v} entered {view} instead",
+                        )
+                for q in range(r.n):
+                    pr = self.procs[q]
+                    if pr.correct_at(tau) and pr.clock_before(tau, entry_seq) > cv:
+                        self.flag(
+                            "first_entry_clocks",
+                            max(entry_seq, 0),
+                            f"processor {q} clock above {cv} when view {v} first entered",
+                        )
+                cv += r.period
 
     def check_entry_identity(self, t_of: dict[int, Any]) -> None:
         """First-entry recurrence between consecutive boundary views.
@@ -562,11 +573,6 @@ class _Analyzer:
         if r.windows is not None:
             return
         clean = self._clean_start()
-        # entry views strictly increase per processor (_scan_stamp only
-        # appends a higher view), so the first entry at or above v + k bisects
-        entry_views = {
-            p: [view for _when, view, _seq in self.procs[p].entries] for p in r.never_corrupted
-        }
         for v in sorted(v for v in t_of if v % r.k == 0):
             if v * r.gamma < clean:
                 continue
@@ -575,7 +581,9 @@ class _Analyzer:
             needed = range(v, v + r.k - 2)
             for p in r.never_corrupted:
                 pr = self.procs[p]
-                i = bisect_left(entry_views[p], v + r.k)
+                # entry views strictly increase per processor (_scan_stamp only
+                # appends a higher view), so the first entry at or above v + k bisects
+                i = bisect_left(pr.entries, v + r.k, key=itemgetter(1))
                 if i == len(pr.entries):
                     continue
                 adv_seq = pr.entries[i][2]
@@ -589,17 +597,25 @@ class _Analyzer:
                         )
 
     def compute_t_star(self):
-        r = self.resolved
-        for when, proc, view, seq in self.qc_formations:
-            if when > r.gst and proc in r.never_corrupted and proc == self.leader(view):
-                return when, view, seq
-        return None, None, None
+        """(time, view, seq) of the first correct-leader quorum after gst."""
+        return self.leader_qcs[0] if self.leader_qcs else (None, None, None)
+
+    @cached_property
+    def _word_sums(self) -> tuple[list, list[int]]:
+        """The times of ``word_events`` in order, and the running word sums:
+        the first i events sent ``sums[i]`` words."""
+        events = sorted(self.word_events, key=itemgetter(0))
+        return [when for when, _w in events], list(accumulate((w for _, w in events), initial=0))
+
+    def words_between(self, lo, hi) -> int:
+        """Words correct processors sent at times in [lo, hi]."""
+        times, sums = self._word_sums
+        i = bisect_left(times, lo)
+        return sums[max(i, bisect_right(times, hi))] - sums[i]
 
     def count_words(self, t_star) -> int:
         r = self.resolved
-        lo = r.gst + r.delta_cap
-        hi = t_star if t_star is not None else INF
-        return sum(w for when, w in self.word_events if lo <= when <= hi)
+        return self.words_between(r.gst + r.delta_cap, INF if t_star is None else t_star)
 
     def compute_f_star(self) -> int:
         """Corrupted-leader groups chargeable against the recovery bounds.
@@ -635,28 +651,24 @@ class _Analyzer:
     def check_bounds(self, t_star, t_star_seq, f_star: int, words: int) -> None:
         r = self.resolved
         bound = r.k * (f_star + 3) * r.gamma
-        if t_star is not None:
-            if t_star - r.gst > bound:
-                self.flag(
-                    "latency_bound",
-                    t_star_seq,
-                    f"latency {t_star - r.gst} exceeds {bound} ticks",
-                )
-            if words > WORD_RATE_W * (f_star + 3) * r.n:
-                self.flag(
-                    "word_bound",
-                    t_star_seq,
-                    f"{words} words exceed {WORD_RATE_W * (f_star + 3) * r.n}",
-                )
-        elif r.horizon >= r.gst + bound:
-            self.flag("latency_bound", self.end_seq, "no correct-leader quorum within the bound")
-        if t_star is not None and self.responsive():
+        if t_star is None:
+            if r.horizon >= r.gst + bound:
+                detail = "no correct-leader quorum within the bound"
+                self.flag("latency_bound", self.end_seq, detail)
+            return
+        latency = t_star - r.gst
+        if latency > bound:
+            self.flag("latency_bound", t_star_seq, f"latency {latency} exceeds {bound} ticks")
+        budget = WORD_RATE_W * (f_star + 3) * r.n
+        if words > budget:
+            self.flag("word_bound", t_star_seq, f"{words} words exceed {budget}")
+        if self.responsive():
             resp = RESPONSE_STEPS_C * r.delta_actual + r.gamma + r.delta_cap
-            if t_star - r.gst > resp:
+            if latency > resp:
                 self.flag(
                     "responsiveness",
                     t_star_seq,
-                    f"latency {t_star - r.gst} exceeds responsive bound {resp}",
+                    f"latency {latency} exceeds responsive bound {resp}",
                 )
 
     def responsive(self) -> bool:
@@ -678,19 +690,9 @@ class _Analyzer:
         quorums and the words correct processors sent between them."""
         r = self.resolved
         group_qc: dict[int, Any] = {}
-        for when, proc, view, _seq in self.qc_formations:
-            if when <= r.gst or proc not in r.never_corrupted:
-                continue
-            if proc != self.leader(view):
-                continue
-            group = view // r.k
-            if group not in group_qc or when < group_qc[group]:
-                group_qc[group] = when
-        words_sorted = sorted(self.word_events)
-        times = [w[0] for w in words_sorted]
-        cum = [0]
-        for _when, w in words_sorted:
-            cum.append(cum[-1] + w)
+        for when, view, _seq in self.leader_qcs:
+            if when < group_qc.get(view // r.k, INF):
+                group_qc[view // r.k] = when
         correct_led = [
             g
             for g in range(t_star_view // r.k, max(group_qc) + 1)
@@ -701,8 +703,7 @@ class _Analyzer:
             if ga not in group_qc or gb not in group_qc:
                 continue  # a group without its quorum is not paired across
             lo, hi = group_qc[ga], group_qc[gb]
-            words = cum[bisect_right(times, hi)] - cum[bisect_left(times, lo)]
-            gaps.append((ga, gb, hi - lo, words))
+            gaps.append((ga, gb, hi - lo, self.words_between(lo, hi)))
         return gaps
 
     def check_post_sync(self, t_star, t_star_view) -> None:
@@ -720,11 +721,12 @@ class _Analyzer:
                     self.end_seq,
                     f"groups {ga}->{gb} took {elapsed} ticks, allowed {allowed}",
                 )
-            if words > WORD_RATE_W * groups * r.n:
+            budget = WORD_RATE_W * groups * r.n
+            if words > budget:
                 self.flag(
                     "post_sync_words",
                     self.end_seq,
-                    f"groups {ga}->{gb} sent {words} words, allowed {WORD_RATE_W * groups * r.n}",
+                    f"groups {ga}->{gb} sent {words} words, allowed {budget}",
                 )
 
     def check_underlying_contract(self) -> None:

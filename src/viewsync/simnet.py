@@ -810,14 +810,14 @@ class Simulation:
                 if extra:
                     self._dispatch(p, extra, now)
             elif kind is FormQC:
-                signers = sorted(self.subs[p].votes[act.view][: r.n - r.t])
+                qc = act.qc
                 self._emit(
                     {
                         "kind": "form_qc",
                         "time": self._real(now),
                         "proc": p,
-                        "view": act.view,
-                        "signers": signers,
+                        "view": qc.view,
+                        "signers": list(qc.signers),
                     }
                 )
                 if (
@@ -826,16 +826,16 @@ class Simulation:
                     and now > r.gst
                 ):
                     self.t_star_ticks = now
-                    self._sync_target_view = (act.view // r.k + 1) * r.k
+                    self._sync_target_view = (qc.view // r.k + 1) * r.k
             elif kind is FormVC:
-                signers = sorted(state.collected_view_msgs[act.view][: r.t + 1])
+                vc = act.vc
                 self._emit(
                     {
                         "kind": "form_vc",
                         "time": self._real(now),
                         "proc": p,
-                        "view": act.view,
-                        "signers": signers,
+                        "view": vc.view,
+                        "signers": list(vc.signers),
                     }
                 )
             else:

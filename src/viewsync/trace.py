@@ -81,6 +81,7 @@ _TICK = {int, str}
 # are exact types, so a bool is not an int:
 #   int      an int
 #   proc     a processor id: an int in [0, n)
+#   view     a view number: an int >= 0
 #   tick     an int or a "p/q" string (timeutil.load_ticks reads it)
 #   str      a string
 #   payload  an object with a "type" string, an int "view" and the fields
@@ -99,8 +100,8 @@ RECORD_FIELDS = {
     "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     "threshold": {"proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
     "corrupt": {"proc": "proc", "strategy": "str"},
-    "form_qc": {"proc": "proc", "view": "int", "signers": "ints"},
-    "form_vc": {"proc": "proc", "view": "int", "signers": "ints"},
+    "form_qc": {"proc": "proc", "view": "view", "signers": "ints"},
+    "form_vc": {"proc": "proc", "view": "view", "signers": "ints"},
     "wake": {"proc": "proc"},
     "end": {"reason": "str"},
 }
@@ -122,6 +123,8 @@ def _fits(value, shape: str, n: int) -> bool:
         return type(value) is list and all(_fits(v, shape[:-1], n) for v in value)
     if shape == "proc":
         return type(value) is int and 0 <= value < n
+    if shape == "view":
+        return type(value) is int and value >= 0
     return type(value) in _SCALAR_TYPES[shape]
 
 

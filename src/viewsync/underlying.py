@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .certificates import form_qc
+from .certificates import QuorumCertificate, form_qc
 from .core import ALL, Action, ProcessorState, ProtocolParams, Send, leader_of
 
 logger = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ class Vote:
 
 @dataclass(frozen=True)
 class FormQC:
-    view: int
+    qc: QuorumCertificate
 
 
 @dataclass
@@ -101,5 +101,5 @@ def on_vote(
     if len(got) == params.n - params.t and vote.view not in sub.formed_qcs:
         sub.formed_qcs.add(vote.view)
         qc = form_qc(vote.view, [(vote.view, s) for s in got], params.n, params.t)
-        return [FormQC(vote.view), Send(ALL, qc)]
+        return [FormQC(qc), Send(ALL, qc)]
     return []

@@ -170,7 +170,6 @@ def test_stale_qc_still_forwards_clock():
     acts = on_qc(st_, QuorumCertificate(1, (0, 1, 2)), p)
     assert st_.view == 4 and st_.clock == 12
     assert acts == [ForwardClock(12)]
-    assert st_.highest_qc_view == 1
 
 
 def test_qc_tracks_highest_seen():
@@ -178,7 +177,7 @@ def test_qc_tracks_highest_seen():
     st_ = ProcessorState(id=0, clock=100, view=5)
     on_qc(st_, QuorumCertificate(4, (0, 1, 2)), p)
     on_qc(st_, QuorumCertificate(1, (0, 1, 2)), p)
-    assert st_.highest_qc_view == 4
+    assert st_.seen_qcs == {1, 4} and st_.view == 5
 
 
 # -- view-certificate handler -------------------------------------------------
@@ -233,7 +232,8 @@ def test_leader_forms_vc_at_t_plus_1():
     st_ = ProcessorState(id=1, clock=18, view=3)  # lead(3) = 1
     assert on_view_message(st_, ViewMessage(3, 0), p) == []
     acts = on_view_message(st_, ViewMessage(3, 2), p)
-    assert acts == [FormVC(3), Send(ALL, ViewCertificate(3, (0, 2)))]
+    vc = ViewCertificate(3, (0, 2))
+    assert acts == [FormVC(vc), Send(ALL, vc)]
 
 
 def test_leader_ignores_duplicate_signer():

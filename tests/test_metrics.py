@@ -335,6 +335,13 @@ class ReferenceAnalyzer(_Analyzer):
                     recheck_dagger = True
             elif kind == "form_vc":
                 self._check_certificate("vc", rec["view"], rec["signers"], seq)
+                lead = self.leader(rec["view"])
+                if rec["proc"] != lead:
+                    self.flag(
+                        "aggregator_leader",
+                        seq,
+                        f"processor {rec['proc']} formed a vc for view {rec['view']}, led by {lead}",
+                    )
             elif kind == "form_qc":
                 self._scan_form_qc(rec, now, seq)
             elif kind in ("wake", "end"):
@@ -1216,6 +1223,48 @@ def test_a_processor_id_that_is_true_fails_replay(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     message = f"malformed trace: send record at seq {i}: field 'sender' is malformed: True"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,proc", [("form_vc", 2), ("form_qc", 1)])
+def test_a_certificate_formed_by_a_non_leader_is_flagged(kind, proc):
+    records = copied(found_run())
+    i = find(records, lambda r: r["kind"] == kind)
+    assert records[i]["proc"] == leader_of(records[i]["view"], params_from(records)) != proc
+    records[i]["proc"] = proc
+    assert [v[:2] for v in violations(records)] == [("aggregator_leader", i)]
+
+
+@pytest.mark.parametrize(
+    "kind,seq,name,value",
+    [
+        ("send", 15, "words", 1.5),
+        ("send", 15, "words", True),
+        ("form_qc", 50, "view", True),
+        ("form_qc", 50, "view", 1.0),
+        ("form_qc", 31, "view", -1),
+        ("form_vc", 21, "view", -3),
+    ],
+)
+def test_words_and_form_views_are_read_exactly(kind, seq, name, value):
+    records = copied(found_run())
+    assert records[seq]["kind"] == kind and type(records[seq][name]) is int
+    records[seq][name] = value
+    message = f"{kind} record at seq {seq}: field {name!r} is malformed: {value!r}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+
+
+def test_a_negative_form_view_fails_replay(tmp_path, capsys):
+    # leader_of refuses a negative view with a ValueError, which is no trace error
+    records = copied(found_run())
+    i = find(records, lambda r: r["kind"] == "form_qc")
+    records[i]["view"] = -1
+    path = tmp_path / "bad.jsonl"
+    path.write_text(to_jsonl(records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    message = f"malformed trace: form_qc record at seq {i}: field 'view' is malformed: -1"
     assert message in capsys.readouterr().err
 
 

@@ -69,7 +69,8 @@ def test_qc_at_exactly_n_minus_t(p):
     assert on_vote(leader, sub, Vote(5, 0), p) == []
     assert on_vote(leader, sub, Vote(5, 1), p) == []
     acts = on_vote(leader, sub, Vote(5, 2), p)
-    assert acts == [FormQC(5), Send(ALL, QuorumCertificate(5, (0, 1, 2)))]
+    qc = QuorumCertificate(5, (0, 1, 2))
+    assert acts == [FormQC(qc), Send(ALL, qc)]
 
 
 def test_no_second_qc_per_view(p):
@@ -105,7 +106,8 @@ def test_leader_accepts_votes_after_moving_on(p):
     for s in (0, 2):
         on_vote(leader, sub, Vote(5, s), p)
     acts = on_vote(leader, sub, Vote(5, 3), p)
-    assert acts == [FormQC(5), Send(ALL, QuorumCertificate(5, (0, 2, 3)))]
+    qc = QuorumCertificate(5, (0, 2, 3))
+    assert acts == [FormQC(qc), Send(ALL, qc)]
 
 
 def test_non_leader_ignores_votes(p):
