@@ -122,5 +122,7 @@ class ByzantineControl:
         others = [q for q in range(self.n) if q != self.proc]
         size = self.rng.randint(1, len(others))
         subset = sorted(self.rng.sample(others, size))
-        delay = self.rng.randint(host.resolved.delta_cap, host.resolved.period)
+        run = host.resolved
+        # a whole number of base ticks, as on a grid without drift
+        delay = run.unit * self.rng.randint(run.delta_cap // run.unit, run.period // run.unit)
         host.schedule_wake(self.proc, (qc, subset), now + delay)

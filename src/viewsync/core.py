@@ -25,7 +25,6 @@ from .certificates import (
     ViewMessage,
     form_vc,
 )
-from .timeutil import Time
 
 ALL = "*"  # broadcast recipient marker
 
@@ -69,7 +68,7 @@ class ProtocolParams:
     n: int
     t: int
     k: int
-    gamma: Time
+    gamma: int
     schedule: RoundRobinSchedule | PermutationSchedule
 
     def __post_init__(self) -> None:
@@ -81,7 +80,7 @@ class ProtocolParams:
             raise ValueError("gamma must be positive")
 
 
-def clock_time(view: int, params: ProtocolParams) -> Time:
+def clock_time(view: int, params: ProtocolParams) -> int:
     """Local-clock start time of a view."""
     if view < 0:
         raise ValueError(f"negative view {view}")
@@ -93,7 +92,7 @@ def is_boundary(view: int, params: ProtocolParams) -> bool:
     return view % params.k == 0
 
 
-def view_at(clock_value: Time, params: ProtocolParams) -> int:
+def view_at(clock_value: int, params: ProtocolParams) -> int:
     """The view whose start time equals clock_value; error if none does."""
     q, r = divmod(clock_value, params.gamma)
     if r != 0 or q < 0:
@@ -120,7 +119,7 @@ class Send:
 
 @dataclass(frozen=True)
 class ForwardClock:
-    to: Time
+    to: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ class ProcessorState:
     """
 
     id: int
-    clock: Time = 0
+    clock: int = 0
     view: int = 0
     sent_view_msgs: set[int] = field(default_factory=set)
     collected_view_msgs: dict[int, list[int]] = field(default_factory=dict)
@@ -157,7 +156,7 @@ class ProcessorState:
     seen_vcs: set[int] = field(default_factory=set)
 
 
-def on_clock_reaches(state: ProcessorState, c: Time, params: ProtocolParams) -> list[Action]:
+def on_clock_reaches(state: ProcessorState, c: int, params: ProtocolParams) -> list[Action]:
     """The local clock sits exactly on boundary view start time c.
 
     Fires both on natural clock progression and when a certificate forwards

@@ -27,7 +27,7 @@ from typing import Any, Optional
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .metrics import analyze
 from .simnet import Corruption, Resolved, SimConfig, Simulation, coerce
-from .timeutil import frac_str, from_ticks, to_frac
+from .timeutil import from_ticks, to_frac
 from .trace import write_trace
 
 
@@ -118,9 +118,9 @@ def build_config(cell: dict[str, Any]) -> SimConfig:
 def _enc(value):
     """One config value in the JSON form config_hash digests."""
     if isinstance(value, Fraction):
-        return frac_str(value)
+        return str(value)
     if isinstance(value, Corruption):
-        return {"proc": value.proc, "strategy": value.strategy, "time": frac_str(value.time)}
+        return {"proc": value.proc, "strategy": value.strategy, "time": str(value.time)}
     if isinstance(value, tuple):
         return [_enc(v) for v in value]
     return value
@@ -170,9 +170,7 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
         return {"error": str(exc), "cell": {k: str(v) for k, v in cell.items()}}
     digest = config_hash(config)
     if traces_dir is not None:
-        path = Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_trace(records, fh)
+        write_trace(records, Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl")
     return _row(digest, sim.resolved, metrics)
 
 
@@ -185,10 +183,10 @@ def _row(digest: Optional[str], run: Resolved, metrics) -> dict[str, Any]:
         "t": run.t,
         "f": len(run.corruptions),
         "f_star": metrics.f_star,
-        "gst": frac_str(from_ticks(run.gst, run.grid)),
-        "delta": frac_str(from_ticks(run.delta_actual, run.grid)),
-        "t_star": None if metrics.t_star is None else frac_str(metrics.t_star),
-        "latency": None if metrics.latency is None else frac_str(metrics.latency),
+        "gst": str(from_ticks(run.gst, run.grid)),
+        "delta": str(from_ticks(run.delta_actual, run.grid)),
+        "t_star": None if metrics.t_star is None else str(metrics.t_star),
+        "latency": None if metrics.latency is None else str(metrics.latency),
         "words": metrics.words_counted,
         "violations_count": len(metrics.violations),
         "violations": [list(v) for v in metrics.violations],

@@ -2,7 +2,10 @@
 
 The analyzer replays the clock model from the header (initial values, rates)
 and the observed forwards, so it can evaluate any processor's clock at any
-instant without trusting the simulator's bookkeeping twice. Everything else
+instant without trusting the simulator's bookkeeping twice. Every time is an
+exact int tick, and every replayed clock is kept multiplied by ``q``, the lcm
+of the rates' denominators, so that ``offset + rate * now`` is integer
+arithmetic at any int time, on the simulator's grid or off it. Everything else
 is recomputed from the records: view entries, certificate sightings, word
 counts. Checks that depend on a hypothesis (a timely window, an uncorrupted
 leader) are evaluated against the recorded data and skipped as vacuous when
@@ -15,14 +18,14 @@ names no earlier send listing its recipient, if its time is not the send's
 this send delivered. So does a ``sender``, ``recipients`` entry, recipient,
 ``proc`` or signer that is not a processor id: an int, not a bool or a
 float, and in ``[0, n)`` except for signers, whose range is an invariant.
-So does a ``send``'s ``words`` that is not an int, or a ``form_qc`` or
-``form_vc`` record's ``view`` that is not an int at least 0. Such an error,
-like any failed read of a record, names the field through
-``trace.malformed_field``. A certificate formed by anyone but its view's
-leader is an ``aggregator_leader`` violation. Word counting reads the summed
-``words`` of each ``send`` record: every word window (the first-quorum budget
-and the pace gaps) is keyed on send time, which all recipients of one send
-share.
+So does a ``form_qc`` or ``form_vc`` record's ``view`` that is not an int
+at least 0. Such an error, like any failed read of a record, names the field
+through ``trace.malformed_field``; a time that is not an exact int (a trace
+v3 ``"p/q"`` tick included) names the seq it is read at. A certificate formed by anyone but its view's
+leader is an ``aggregator_leader`` violation. A ``send`` record costs one
+word per recipient other than its sender: every word window (the
+first-quorum budget and the pace gaps) is keyed on send time, which all
+recipients of one send share.
 
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
@@ -43,7 +46,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .core import leader_of
 from .simnet import Resolved, check_dagger, sync_start
-from .timeutil import Time, from_ticks, load_ticks
+from .timeutil import from_ticks
 from .trace import Record, malformed_field
 
 
@@ -79,12 +82,11 @@ INF = math.inf
 _INT = {int}
 
 
-def _ticks(value, seq: int) -> Time:
-    """One record time, in ticks: an int, or a Fraction for a ``"p/q"`` string."""
-    try:
-        return load_ticks(value)
-    except ValueError:
-        raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}") from None
+def _ticks(value, seq: int) -> int:
+    """One record time, in ticks: an exact int, not a bool, a float or a string."""
+    if type(value) is not int:
+        raise TraceAnalysisError(f"malformed time {value!r} at seq {seq}")
+    return value
 
 
 def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]:
@@ -130,7 +132,8 @@ class _Proc:
         "qc_receipt",
     )
 
-    def __init__(self, offset: Time, rate):
+    def __init__(self, offset, rate):
+        # both times the analyzer's q, so the clock at any int time is an int
         self.rate = rate
         self.offset = offset
         self.view = 0
@@ -142,7 +145,7 @@ class _Proc:
         self.qc_receipt: dict[int, tuple[Any, int]] = {}  # view -> (time, seq)
 
     def clock_before(self, now, seq: int):
-        """Clock value using the offset in force just before record seq."""
+        """Clock value, times q, using the offset in force just before record seq."""
         idx = max(bisect_right(self.offset_log, (seq - 1, INF)) - 1, 0)
         return self.offset_log[idx][1] + self.rate * now
 
@@ -160,7 +163,11 @@ class _Analyzer:
             raise TraceAnalysisError(str(exc)) from None
         self.records = records
         self.ids = frozenset(range(r.n))  # every id a record may name a processor by
-        self.procs = [_Proc(off, rate) for off, rate in zip(r.offsets, r.rates)]
+        q = self.q = math.lcm(*(rate.denominator for rate in r.rates))
+        self.procs = [
+            _Proc(off * q, rate.numerator * (q // rate.denominator))
+            for off, rate in zip(r.offsets, r.rates)
+        ]
         self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
 
         self.violations: list[Violation] = []
@@ -179,7 +186,7 @@ class _Analyzer:
         # max(gst, send_time) + delta_eff
         self.late_deliveries: dict[int, list[tuple[Any, int]]] = {}
         self.end_seq: int = records[-1]["seq"]
-        self.end_time: Time = _ticks(records[-1]["time"], self.end_seq)
+        self.end_time = _ticks(records[-1]["time"], self.end_seq)
         self.gst_seq = -1  # the last record before the first stamped after gst
 
     # -- helpers -------------------------------------------------------------
@@ -193,7 +200,7 @@ class _Analyzer:
     def _check_dagger_now(self, now, seq: int) -> bool:
         """Flag the dispersion condition at ``now`` if it fails; return whether it held."""
         clocks = [pr.offset + pr.rate * now for pr in self.procs if now < pr.corrupted_at]
-        held = check_dagger(clocks, self.resolved.gamma, self.resolved.t)
+        held = check_dagger(clocks, self.resolved.gamma * self.q, self.resolved.t)
         if not held:
             self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
         return held
@@ -312,8 +319,8 @@ class _Analyzer:
         # would pass for an int; a deliver's recipient is one of these
         if type(sender) is not int or sender < 0 or not self.ids.issuperset(recipients):
             raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
-        if not _INT.issuperset(map(type, recipients)):
-            raise TypeError(f"recipients at seq {seq}")  # analyze() names the field
+        if not {*map(type, recipients), *map(type, deliver_times)} <= _INT:
+            raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
         ptype, view = payload["type"], payload["view"]
         pr = self.procs[sender]
         correct = now < pr.corrupted_at
@@ -330,7 +337,7 @@ class _Analyzer:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
                 floor = view * self.resolved.gamma
-                if pr.offset + pr.rate * now < floor:
+                if pr.offset + pr.rate * now < floor * self.q:
                     self.flag(
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
@@ -348,9 +355,7 @@ class _Analyzer:
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
-        words = rec["words"]
-        if type(words) is not int:
-            raise TypeError(f"words at seq {seq}")  # analyze() names the field
+        words = len(recipients) - (sender in recipients)
         if correct and words:
             self.word_events.append((now, words))
         self.sends[seq] = [now, sender, payload, recipients, deliver_times, 0]
@@ -363,6 +368,7 @@ class _Analyzer:
         pr = self.procs[p]
         if not now < pr.corrupted_at:
             return False
+        clock *= self.q
         expected = pr.offset + pr.rate * now
         forwarded = False
         if clock < expected:
@@ -402,16 +408,11 @@ class _Analyzer:
                 f"was already delivered to recipient {p!r}"
             )
         sent[5] = delivered | 1 << i
-        due = deliver_times[i]
-        # a "p/q" string equal to the deliver's own time needs no second parse
-        if type(due) is not str or due != rec["time"]:
-            if type(due) is not int:
-                due = _ticks(due, src)
-            if due != now:
-                raise TraceAnalysisError(
-                    f"deliver record at seq {seq}: field 'time' is {rec['time']!r}, but send "
-                    f"record at seq {src} lists {deliver_times[i]!r} for recipient {p!r}"
-                )
+        if deliver_times[i] != now:  # both exact ints, checked with their records
+            raise TraceAnalysisError(
+                f"deliver record at seq {seq}: field 'time' is {rec['time']!r}, but send "
+                f"record at seq {src} lists {deliver_times[i]!r} for recipient {p!r}"
+            )
         proc_view, clock = rec["proc_view"], rec["proc_clock"]
         if type(clock) is not int:
             clock = _ticks(clock, seq)
@@ -493,7 +494,7 @@ class _Analyzer:
                 t_of[view] = when
         return t_of
 
-    def _clean_start(self) -> Time:
+    def _clean_start(self) -> int:
         """Lowest boundary clock value no correct processor started beyond.
 
         Boundary views below a correct starting clock are already stale when
@@ -528,7 +529,7 @@ class _Analyzer:
                         )
                 for q in range(r.n):
                     pr = self.procs[q]
-                    if pr.correct_at(tau) and pr.clock_before(tau, entry_seq) > cv:
+                    if pr.correct_at(tau) and pr.clock_before(tau, entry_seq) > cv * self.q:
                         self.flag(
                             "first_entry_clocks",
                             max(entry_seq, 0),
@@ -636,7 +637,7 @@ class _Analyzer:
         view = max(
             (v for when, v, _seq in self.procs[p_star].entries if when <= r.gst), default=0
         )
-        pivot = max(view // r.k, int(clock // r.period))
+        pivot = max(view // r.k, clock // (r.period * self.q))
         group = pivot + 1
         limit = pivot + 2 * r.n + 2
         while self.leader(group * r.k) not in r.never_corrupted:

@@ -2,9 +2,11 @@
 
 All scheduling happens on an integer tick grid chosen per run: the grid is the
 lcm of every rational constant's denominator, refined so the maximum network
-delay spans at least sixty ticks. Event times and clock values are then plain
-ints (exact Fractions appear only when clock rates drift), so ordering is
-exact and runs are bit-reproducible.
+delay spans at least sixty ticks, and then split into ``unit`` sub-ticks per
+tick so that drifting clocks stay on it too (``Resolved.unit``). Every event
+time and clock value is a plain int, so ordering is exact and runs are
+bit-reproducible; a clock-rate division that would leave the grid is a
+``SimulationError``, never a rounding.
 
 The event heap orders simultaneous events by class: corruptions first, then
 message deliveries and adversary wakeups, then clock thresholds. Within a
@@ -62,7 +64,7 @@ from .core import (
     on_vc,
     on_view_message,
 )
-from .timeutil import Time, dump_ticks, grid_of, load_ticks, to_frac, to_ticks
+from .timeutil import dump_ticks, grid_of, load_ticks, to_frac, to_ticks
 from .trace import TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
@@ -99,7 +101,7 @@ def subseed(seed: int, label: str) -> int:
 class Corruption:
     proc: int
     strategy: str
-    time: Time = 0
+    time: Union[int, Fraction] = 0  # a Fraction in a SimConfig, ticks once resolved
 
 
 @dataclass
@@ -227,7 +229,7 @@ def default_resilience(n: int) -> int:
     return (n - 1) // 3
 
 
-def check_dagger(clocks: Sequence[Time], gamma: Time, t: int) -> bool:
+def check_dagger(clocks: Sequence[int], gamma: int, t: int) -> bool:
     """Clock-dispersion condition: the (t+1)-th most advanced clock among the
     given (correct) clocks lies within gamma of the most advanced one."""
     if not clocks:
@@ -320,7 +322,7 @@ def generate_initial_offsets(
     raise ValueError(f"unknown offset mode {mode!r}")
 
 
-def sync_start(send_time: Time, gst: Time, windows) -> Optional[Time]:
+def sync_start(send_time: int, gst: int, windows) -> Optional[int]:
     """Earliest time >= send at which the network is (or becomes) synchronous.
 
     Returns the enclosing window's start when already inside one, the next
@@ -337,20 +339,21 @@ def sync_start(send_time: Time, gst: Time, windows) -> Optional[Time]:
 
 def delivery_time(
     strategy: str,
-    send_time: Time,
+    send_time: int,
     *,
-    gst: Time,
-    delta_cap: Time,
-    delta_actual: Optional[Time] = None,
+    gst: int,
+    delta_cap: int,
+    delta_actual: Optional[int] = None,
     rng: Optional[random.Random] = None,
     sync_windows=None,
-) -> Optional[Time]:
+    unit: int = 1,
+) -> Optional[int]:
     """When one envelope arrives, in ticks. None means no bound applies
     (sent after the final synchronous window closes).
 
     ``worst_case_max_delay`` always exhausts the cap; ``fixed_delta`` always
     takes the actual network delay; ``uniform_random`` draws a whole number
-    of ticks up to whichever bound governs.
+    of ``unit`` ticks up to whichever bound governs.
     """
     if strategy not in NETWORK_STRATEGIES:
         raise ValueError(f"unknown network strategy {strategy!r}")
@@ -365,11 +368,19 @@ def delivery_time(
     if strategy == "fixed_delta":
         return anchor + delta_actual
     upper = send_time + delta_actual if sync <= send_time else anchor + delta_cap
-    span = upper - send_time
-    latest = math.floor(span)
+    latest = (upper - send_time) // unit
     if latest < 1:
         return upper
-    return send_time + rng.randint(1, latest)
+    return send_time + unit * rng.randint(1, latest)
+
+
+def _unit(rates) -> int:
+    """Sub-ticks per base tick under these clock rates: P * Q for P and Q the
+    lcm of their numerators and of their denominators (1 when every rate is
+    1). Boundaries, forward targets and delays are then multiples of P * Q,
+    so every event time is a multiple of Q (a threshold comes ``(boundary -
+    target) * den / num`` after a forward) and every clock value an int."""
+    return math.lcm(*(r.numerator for r in rates)) * math.lcm(*(r.denominator for r in rates))
 
 
 # Header config entries written as they are, and those written as times.
@@ -385,7 +396,8 @@ class Resolved:
     trace's header record and ``from_header`` reads it back, so the
     simulator and the analyzer work from the same description. Corruption
     times are ticks too, in the order the header lists them (by time, then
-    processor). Rates are 1 or exact Fractions.
+    processor). Rates are 1 or exact Fractions; ``grid`` already includes
+    their ``unit``.
     """
 
     grid: int
@@ -397,15 +409,15 @@ class Resolved:
     network: str
     leaders: str
     stop: str
-    gamma: Time
-    delta_cap: Time
-    delta_actual: Time
-    gst: Time
-    horizon: Time
-    offsets: tuple[Time, ...]
-    rates: tuple[Time, ...]
+    gamma: int
+    delta_cap: int
+    delta_actual: int
+    gst: int
+    horizon: int
+    offsets: tuple[int, ...]
+    rates: tuple[Union[int, Fraction], ...]
     corruptions: tuple[Corruption, ...]
-    windows: Optional[tuple[tuple[Time, Optional[Time]], ...]]
+    windows: Optional[tuple[tuple[int, Optional[int]], ...]]
 
     @cached_property
     def params(self) -> ProtocolParams:
@@ -416,7 +428,11 @@ class Resolved:
         return ProtocolParams(n=self.n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule)
 
     @cached_property
-    def period(self) -> Time:
+    def unit(self) -> int:
+        return _unit(self.rates)
+
+    @cached_property
+    def period(self) -> int:
         """Clock ticks between two boundary views."""
         return self.k * self.gamma
 
@@ -429,7 +445,7 @@ class Resolved:
         return frozenset(range(self.n)) - {c.proc for c in self.corruptions}
 
     @cached_property
-    def delta_eff(self) -> Time:
+    def delta_eff(self) -> int:
         """The longest delay the network strategy gives a message sent after
         stabilisation."""
         return self.delta_cap if self.network == "worst_case_max_delay" else self.delta_actual
@@ -437,8 +453,10 @@ class Resolved:
     @cached_property
     def max_flood_view(self) -> int:
         """Highest view a signature flood at corruption time has to cover."""
-        top_clock = max(self.offsets) + math.ceil(self.horizon * max(self.rates))
-        return top_clock // self.gamma + 2 * self.k
+        rate = max(self.rates)
+        # the horizon's clock reading rounded up to a whole base tick
+        reach = -(-self.horizon * rate.numerator // (rate.denominator * self.unit)) * self.unit
+        return (max(self.offsets) + reach) // self.gamma + 2 * self.k
 
     def header(self) -> Record:
         """The trace's header record, without its seq. Times are in ticks."""
@@ -585,10 +603,7 @@ def resolve(config: SimConfig) -> Resolved:
     if gap is not None:
         on_grid.append(gap)
     on_grid.extend(explicit or ())
-    grid = grid_of(on_grid, floor=math.ceil(Fraction(MIN_TICKS_PER_CAP) / delta_cap))
-
-    def tick(value: Fraction) -> int:
-        return to_ticks(value, grid)
+    base_grid = grid_of(on_grid, floor=math.ceil(Fraction(MIN_TICKS_PER_CAP) / delta_cap))
 
     eps = cfg.drift_epsilon
     if eps < 0:
@@ -604,6 +619,11 @@ def resolve(config: SimConfig) -> Resolved:
         rates = tuple(1 + eps * Fraction(rng.randint(-16, 16), 16) for _ in range(n))
     else:
         rates = (1,) * n
+    unit = _unit(rates)
+    grid = base_grid * unit
+
+    def tick(value: Fraction) -> int:
+        return to_ticks(value, grid)
 
     desc = Resolved(
         grid=grid,
@@ -644,16 +664,18 @@ def resolve(config: SimConfig) -> Resolved:
                     f"initial clocks {hit} collide on the boundary lattice; nudge one by a tick"
                 )
     else:
+        # drawn in whole base ticks, like every other random choice
         offsets = generate_initial_offsets(
             n,
             t,
-            desc.gamma,
+            desc.gamma // unit,
             mode,
             subseed(cfg.seed, "offsets"),
             correct=correct,
-            period=desc.period,
-            gap=None if gap is None else tick(gap),
+            period=desc.period // unit,
+            gap=None if gap is None else to_ticks(gap, base_grid),
         )
+        offsets = [o * unit for o in offsets]
     return dataclasses.replace(desc, offsets=tuple(offsets))
 
 
@@ -690,6 +712,7 @@ class Simulation:
             delta_actual=r.delta_actual,
             rng=self.net_rng,
             sync_windows=r.windows,
+            unit=r.unit,
         )
         self.ledger = SignatureLedger()
         # certificates that passed validation; the ledger is append-only, so
@@ -697,7 +720,9 @@ class Simulation:
         self.valid_certs: set = set()
         self.states = [ProcessorState(id=p, clock=r.offsets[p]) for p in range(r.n)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
-        self.offset: list[Time] = list(r.offsets)  # clock model intercepts
+        self.offset: list[int] = list(r.offsets)  # clock model intercepts
+        # each clock reads offset + num * now // den, an exact division on the grid
+        self.rates = [(rate.numerator, rate.denominator) for rate in r.rates]
         self.gen = [0] * r.n
         self.next_boundary = [0] * r.n
         self.corrupted = [False] * r.n
@@ -707,7 +732,7 @@ class Simulation:
             )
             for c in r.corruptions
         }
-        self.t_star_ticks: Optional[Time] = None
+        self.t_star_ticks: Optional[int] = None
         self._sync_target_view: Optional[int] = None
 
     # -- clock model --------------------------------------------------------
@@ -718,12 +743,12 @@ class Simulation:
             return off
         return (off // period + 1) * period
 
-    def _threshold_time(self, p: int, boundary: int) -> Time:
-        lag = boundary - self.offset[p]
-        rate = self.resolved.rates[p]
-        if rate == 1:
-            return lag
-        return Fraction(lag) / rate
+    def _threshold_time(self, p: int, boundary: int) -> int:
+        num, den = self.rates[p]
+        when, off_grid = divmod((boundary - self.offset[p]) * den, num)
+        if off_grid:
+            raise SimulationError(f"processor {p} reaches clock {boundary} between two ticks")
+        return when
 
     # -- record plumbing ----------------------------------------------------
 
@@ -732,21 +757,22 @@ class Simulation:
         self.seq += 1
         self.records.append(rec)
 
-    def _real(self, ticks: Time) -> Union[int, str]:
-        """A time as the trace records it: ticks, by ``dump_ticks``."""
-        return dump_ticks(ticks)
+    def _real(self, ticks: int) -> int:
+        """A time as the trace records it: its tick count. Kept as the one
+        call perfbench counts for every record time but a delivery's."""
+        return ticks
 
-    def _push(self, when: Time, prio: int, a: int, b: int, kind: str, data) -> None:
+    def _push(self, when: int, prio: int, a: int, b: int, kind: str, data) -> None:
         if when > self.resolved.horizon:
             return
         heappush(self.heap, (when, prio, a, b, next(self.counter), kind, data))
 
-    def schedule_wake(self, proc: int, payload, when: Time) -> None:
+    def schedule_wake(self, proc: int, payload, when: int) -> None:
         self._push(when, _PRIO_DELIVER, proc, proc, "wake", payload)
 
     # -- sending ------------------------------------------------------------
 
-    def send(self, sender: int, to, payload, now: Time) -> None:
+    def send(self, sender: int, to, payload, now: int) -> None:
         ptype = type(payload)
         if ptype is Vote or ptype is ViewMessage:
             if payload.signer != sender:
@@ -771,8 +797,8 @@ class Simulation:
             else:
                 when = arrival(now) if draws else far
                 if when is None:
-                    when = horizon + r.delta_cap + 1
-            deliver_times.append(when if type(when) is int else self._real(when))
+                    when = horizon + r.delta_cap + r.unit
+            deliver_times.append(when)
             if when <= horizon:
                 envelope = (send_seq, q, payload)
                 heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
@@ -785,14 +811,13 @@ class Simulation:
                 "recipients": recipients,
                 "payload": payload_to_dict(payload),
                 "deliver_times": deliver_times,
-                "words": len(recipients) - (sender in recipients),
                 "seq": send_seq,
             }
         )
 
     # -- action dispatch ----------------------------------------------------
 
-    def _dispatch(self, p: int, actions: list, now: Time) -> None:
+    def _dispatch(self, p: int, actions: list, now: int) -> None:
         state, r = self.states[p], self.resolved
         for act in actions:
             kind = type(act)
@@ -800,7 +825,8 @@ class Simulation:
                 self.send(p, act.to, act.payload, now)
             elif kind is ForwardClock:
                 target = act.to
-                self.offset[p] = target - r.rates[p] * now
+                num, den = self.rates[p]
+                self.offset[p] = target - num * now // den
                 state.clock = target
                 self.gen[p] += 1
                 self.next_boundary[p] = (target // r.period + 1) * r.period
@@ -841,7 +867,7 @@ class Simulation:
             else:
                 raise SimulationError(f"unhandled action {act!r}")
 
-    def _enter_view(self, p: int, view: int, now: Time) -> list:
+    def _enter_view(self, p: int, view: int, now: int) -> list:
         actions = on_enter_view(self.states[p], self.subs[p], view, self.resolved.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
@@ -849,9 +875,10 @@ class Simulation:
 
     # -- event handlers -----------------------------------------------------
 
-    def _receive_correct(self, p: int, payload, now: Time) -> list:
+    def _receive_correct(self, p: int, payload, now: int) -> list:
         state, r = self.states[p], self.resolved
-        state.clock = self.offset[p] + r.rates[p] * now
+        num, den = self.rates[p]
+        state.clock = self.offset[p] + num * now // den
         kind = type(payload)
         if kind is Vote:
             self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
@@ -878,7 +905,7 @@ class Simulation:
         if not valid:
             raise SimulationError(f"delivered {payload!r} carries signatures nobody made")
 
-    def _handle_delivery(self, envelope: tuple, now: Time) -> None:
+    def _handle_delivery(self, envelope: tuple, now: int) -> None:
         """``envelope`` is ``(send_seq, recipient, payload)``, where
         ``send_seq`` is the seq of the ``send`` record it belongs to."""
         send_seq, p, payload = envelope
@@ -893,24 +920,23 @@ class Simulation:
         else:
             actions = self._receive_correct(p, payload, now)
         state = self.states[p]
-        clock = state.clock
         seq = self.seq
         self.seq = seq + 1
         self.records.append(
             {
                 "kind": "deliver",
-                "time": now if type(now) is int else self._real(now),
+                "time": now,
                 "send": send_seq,
                 "recipient": p,
                 "proc_view": state.view,
-                "proc_clock": clock if type(clock) is int else self._real(clock),
+                "proc_clock": state.clock,
                 "seq": seq,
             }
         )
         if actions:
             self._dispatch(p, actions, now)
 
-    def _handle_threshold(self, p: int, boundary: int, gen: int, now: Time) -> None:
+    def _handle_threshold(self, p: int, boundary: int, gen: int, now: int) -> None:
         if gen != self.gen[p]:
             return  # superseded by a clock forward
         if self.corrupted[p] and self.controls[p].passive:
@@ -941,7 +967,7 @@ class Simulation:
         when = self._threshold_time(p, boundary)
         self._push(when, _PRIO_THRESHOLD, p, p, "thr", (boundary, self.gen[p]))
 
-    def _apply_corruption(self, proc: int, strategy: str, now: Time) -> None:
+    def _apply_corruption(self, proc: int, strategy: str, now: int) -> None:
         self.corrupted[proc] = True
         self._emit(
             {
@@ -953,7 +979,7 @@ class Simulation:
         )
         self.controls[proc].on_corrupt(self, now)
 
-    def _handle_wake(self, p: int, payload, now: Time) -> None:
+    def _handle_wake(self, p: int, payload, now: int) -> None:
         self._emit({"kind": "wake", "time": self._real(now), "proc": p})
         self.controls[p].on_wake(payload, now, self)
 
@@ -995,7 +1021,7 @@ class Simulation:
             self._schedule_threshold(p)
 
         stop_reason = None
-        stop_time: Time = r.horizon
+        stop_time = r.horizon
         heap, horizon, may_stop = self.heap, r.horizon, r.stop != "horizon"
         handle_delivery = self._handle_delivery
         while heap:

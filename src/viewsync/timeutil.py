@@ -1,17 +1,17 @@
 """Exact rational time values shared by config parsing, the simulator and trace io.
 
 All protocol-visible quantities (global time, local clocks, delays) are exact
-rationals. Internally the simulator works on an integer tick grid so the hot
-loop stays on machine ints; Fraction values appear only where clock rates
-other than 1 force them. Mixed int/Fraction arithmetic is exact either way.
+rationals. The simulator and the analyzer work on an integer tick grid fixed
+per run, so every time and every clock value is an int, drifting clocks
+included: ``simnet.resolve`` splits each tick into as many sub-ticks as the
+clock rates need for that.
 
-Traces (version 2) carry every time as a count of ticks on the grid their
-header names, so the simulator writes and the analyzer reads the values it
-computes with: ``dump_ticks`` writes a whole count as a JSON int and only a
-drifted clock's non-whole Fraction as a ``"p/q"`` string, and ``load_ticks``
-reads exactly those two forms back. Clock rates, which have no unit, use
-the same two forms. Real units appear only at the edges: config input and
-the reported metrics (``from_ticks``).
+Traces (version 4) carry every time as a JSON int count of ticks on the grid
+their header names. Only the clock rates, which have no unit and may be any
+positive rational, are written as ``"p/q"`` strings when not whole:
+``dump_ticks`` writes a rate and ``load_ticks`` reads it back. Real units
+appear only at the edges: config input and the reported metrics
+(``from_ticks``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Union
-
-Time = Union[int, Fraction]
 
 
 def to_frac(value: object) -> Fraction:
@@ -39,11 +37,6 @@ def to_frac(value: object) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def frac_str(value: Time) -> str:
-    """Canonical string form: "7", "-3" or "7/2"."""
-    return str(value)
-
-
 def grid_of(values: list[Fraction], floor: int = 1) -> int:
     """Least common tick denominator covering every value plus a resolution floor."""
     g = floor
@@ -59,22 +52,20 @@ def to_ticks(value: Fraction, grid: int) -> int:
     return scaled.numerator
 
 
-def from_ticks(ticks: Time, grid: int) -> Fraction:
-    return Fraction(ticks, 1) / grid if isinstance(ticks, Fraction) else Fraction(ticks, grid)
+def from_ticks(ticks: int, grid: int) -> Fraction:
+    return Fraction(ticks, grid)
 
 
-def dump_ticks(ticks: Time) -> Union[int, str]:
-    """The trace form of a tick value: a whole count as a JSON int, any
-    other (a drifted clock's) as a ``"p/q"`` string."""
-    if type(ticks) is int:
-        return ticks
-    if ticks.denominator == 1:
-        return ticks.numerator
-    return f"{ticks.numerator}/{ticks.denominator}"
+def dump_ticks(rate: Union[int, Fraction]) -> Union[int, str]:
+    """The trace form of a clock rate: a whole rate as a JSON int, any other
+    as a ``"p/q"`` string."""
+    if rate.denominator == 1:
+        return rate.numerator
+    return f"{rate.numerator}/{rate.denominator}"
 
 
-def load_ticks(value: object) -> Time:
-    """The tick value ``dump_ticks`` wrote: an int (not a bool) as it is, an
+def load_ticks(value: object) -> Union[int, Fraction]:
+    """The clock rate ``dump_ticks`` wrote: an int (not a bool) as it is, an
     ASCII ``-?[0-9]+/[0-9]+`` string with a nonzero denominator as a
     Fraction. ValueError for anything else."""
     if type(value) is int:
@@ -85,4 +76,4 @@ def load_ticks(value: object) -> Time:
         # isdigit() alone would admit "²", which int() rejects; the text is ASCII here
         if slash and digits.isdigit() and den.isdigit() and int(den):
             return Fraction(int(num), int(den))
-    raise ValueError(f"{value!r} is not a tick count")
+    raise ValueError(f"{value!r} is not a clock rate")

@@ -1,22 +1,23 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
 A trace is a list of flat dict records, one per simulation event, each with
-its position ``seq``. Version 3 carries every time as a JSON integer count of
-ticks on the grid the header names; only a value that is not whole (a
-drifted clock's) is a ``"p/q"`` tick string, and clock rates take the same
-two forms (``timeutil.dump_ticks``). Each ``send()`` call is one ``send``
-record, and each of its deliveries one ``deliver`` record that names it by
-seq instead of repeating it::
+its position ``seq``. Version 4 carries every time, clock value and delivery
+time as a JSON int count of ticks on the grid the header names; only the
+header's clock rates may be ``"p/q"`` strings (``timeutil.dump_ticks``). Each
+``send()`` call is one ``send`` record, and each of its deliveries one
+``deliver`` record that names it by seq instead of repeating it::
 
     {"deliver_times":[…],"kind":"send","payload":{…},"recipients":[…],
-     "sender":s,"seq":N,"time":T,"words":W}
+     "sender":s,"seq":N,"time":T}
     {"kind":"deliver","proc_clock":C,"proc_view":V,"recipient":p,"send":S,
      "seq":N,"time":T}
 
-``deliver_times`` lists when each of ``recipients`` is due, and ``words`` is
-the send's cost: one per recipient other than the sender. Versions 1 and 2,
-which wrote one ``send`` record per recipient and repeated the sender,
-payload and send time in every ``deliver``, are not read.
+``deliver_times`` lists when each of ``recipients`` is due. A send costs one
+word per recipient other than the sender, which the reader derives from
+``recipients``. Versions 1 to 3 are not read: 1 and 2 wrote one ``send``
+record per recipient and repeated the sender, payload and send time in every
+``deliver``, and 3 wrote a drifted clock's times as ``"p/q"`` strings on a
+coarser grid and stored each send's word count.
 
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
@@ -52,10 +53,9 @@ on one line can swallow the next, and one line can hold two records.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, IO, Iterable
+from typing import Any, Iterable
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 Record = dict[str, Any]
 
@@ -72,7 +72,6 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fal
 # The scanner json.loads uses: a fresh decoder has the default one's settings.
 _scan_once = json.JSONDecoder().scan_once
 _INT = {int}
-_TICK = {int, str}
 
 # -- the record format ---------------------------------------------------------
 
@@ -82,7 +81,7 @@ _TICK = {int, str}
 #   int      an int
 #   proc     a processor id: an int in [0, n)
 #   view     a view number: an int >= 0
-#   tick     an int or a "p/q" string (timeutil.load_ticks reads it)
+#   tick     an int count of ticks
 #   str      a string
 #   payload  an object with a "type" string, an int "view" and the fields
 #            PAYLOAD_FIELDS gives that type
@@ -95,7 +94,6 @@ RECORD_FIELDS = {
         "recipients": "procs",
         "payload": "payload",
         "deliver_times": "ticks",
-        "words": "int",
     },
     "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     "threshold": {"proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
@@ -115,7 +113,7 @@ PAYLOAD_FIELDS = {
     "quorum_certificate": {"signers": "ints"},
 }
 _PAYLOAD_FIELD = {t: next(iter(fields.items())) for t, fields in PAYLOAD_FIELDS.items()}
-_SCALAR_TYPES = {"int": _INT, "tick": _TICK, "str": {str}, "payload": {dict}}
+_SCALAR_TYPES = {"int": _INT, "tick": _INT, "str": {str}, "payload": {dict}}
 
 
 def _fits(value, shape: str, n: int) -> bool:
@@ -160,12 +158,6 @@ def malformed_field(rec, n: int) -> tuple[str, str] | None:
 # -- the writer ----------------------------------------------------------------
 
 
-def _str_tick(value) -> str | None:
-    """A tick field that is not an int, as JSON: a quoted ``"p/q"`` string;
-    None for any other type."""
-    return _quote(value) if type(value) is str else None
-
-
 def _ints(values) -> str | None:
     """A list of exact ints as JSON; None for anything else."""
     if type(values) is not list or not {*map(type, values)} <= _INT:
@@ -190,48 +182,32 @@ def _payload(p) -> str | None:
     return f'{{"{name}":{value},"type":"{ptype}","view":{view}}}'
 
 
-def _tick_list(values) -> str | None:
-    """A list of tick fields as JSON, each an int or a ``"p/q"`` string;
-    None for anything else."""
-    if type(values) is not list:
-        return None
-    kinds = {*map(type, values)}
-    if kinds <= _INT:
-        return str(values).replace(" ", "")
-    if kinds <= _TICK:
-        return "[" + ",".join(str(v) if type(v) is int else _quote(v) for v in values) + "]"
-    return None
-
-
 # The two hot kinds. Each reads every expected key of a record that has
 # exactly that many, checks each value's type, and writes the bytes the
 # encoder would; any other record gets None and goes to the encoder.
 
 
 def _send(r: Record) -> str | None:
-    if len(r) != 8:
+    if len(r) != 7:
         return None
     try:
         payload, deliver_times, time = _payload(r["payload"]), r["deliver_times"], r["time"]
-        recipients, sender, seq, words = r["recipients"], r["sender"], r["seq"], r["words"]
+        recipients, sender, seq = r["recipients"], r["sender"], r["seq"]
     except KeyError:
         return None
-    deliver_times, recipients = _tick_list(deliver_times), _ints(recipients)
-    if type(time) is not int:
-        time = _str_tick(time)
+    deliver_times, recipients = _ints(deliver_times), _ints(recipients)
     if (
         payload is None
         or deliver_times is None
         or recipients is None
-        or time is None
+        or type(time) is not int
         or type(sender) is not int
         or type(seq) is not int
-        or type(words) is not int
     ):
         return None
     return (
         f'{{"deliver_times":{deliver_times},"kind":"send","payload":{payload},'
-        f'"recipients":{recipients},"sender":{sender},"seq":{seq},"time":{time},"words":{words}}}'
+        f'"recipients":{recipients},"sender":{sender},"seq":{seq},"time":{time}}}'
     )
 
 
@@ -243,13 +219,9 @@ def _deliver(r: Record) -> str | None:
         send, seq, time = r["send"], r["seq"], r["time"]
     except KeyError:
         return None
-    if type(proc_clock) is not int:
-        proc_clock = _str_tick(proc_clock)
-    if type(time) is not int:
-        time = _str_tick(time)
     if (
-        proc_clock is None
-        or time is None
+        type(proc_clock) is not int
+        or type(time) is not int
         or type(proc_view) is not int
         or type(recipient) is not int
         or type(send) is not int
@@ -276,9 +248,10 @@ def to_jsonl(records: Iterable[Record]) -> str:
     return "".join(dumps_record(r) + "\n" for r in records)
 
 
-def write_trace(records: Iterable[Record], fh: IO[str]) -> None:
-    for r in records:
-        fh.write(dumps_record(r) + "\n")
+def write_trace(records: Iterable[Record], path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(dumps_record(r) + "\n")
 
 
 def parse_jsonl(text: str) -> list[Record]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import matrix_cells
 
-from viewsync.constants import RESPONSE_STEPS_C
+from viewsync.constants import RESPONSE_STEPS_C, WORD_RATE_W
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
 from viewsync.cli import main
 from viewsync.harness import build_config
@@ -23,7 +23,7 @@ from viewsync.metrics import (
     analyze,
 )
 from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
-from viewsync.timeutil import from_ticks, load_ticks
+from viewsync.timeutil import from_ticks
 from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, Record, to_jsonl
 
 
@@ -106,7 +106,7 @@ def compute_t_star(records: list, gst, params: ProtocolParams):
     for rec in records:
         if rec["kind"] != "form_qc":
             continue
-        when = load_ticks(rec["time"])
+        when = rec["time"]
         if when <= gst or rec["proc"] in corrupted:
             continue
         if rec["proc"] == leader_of(rec["view"], params):
@@ -124,15 +124,15 @@ def count_words(records: list, gst, delta_cap, t_star) -> int:
     hi = INF if t_star is None else t_star
     total = 0
     for rec in records:
-        if rec["kind"] != "send" or not rec["words"]:
+        if rec["kind"] != "send":
             continue
-        when = load_ticks(rec["time"])
+        when = rec["time"]
         if not lo <= when <= hi:
             continue
         cut = corruption_at.get(rec["sender"])
         if cut is not None and when >= cut:
             continue
-        total += rec["words"]
+        total += sum(q != rec["sender"] for q in rec["recipients"])
     return total
 
 
@@ -175,7 +175,7 @@ class QuadraticAnalyzer(_Analyzer):
                 pr = self.procs[q]
                 if not pr.correct_at(tau):
                     continue
-                if pr.clock_before(tau, entry_seq) > cv:
+                if pr.clock_before(tau, entry_seq) > cv * self.q:
                     self.flag(
                         "first_entry_clocks",
                         max(entry_seq, 0),
@@ -287,6 +287,8 @@ class ReferenceAnalyzer(_Analyzer):
     def __init__(self, records):
         super().__init__(records)
         r = self.resolved
+        # clocks as exact rationals, not scaled to ints: q is 1
+        self.q = 1
         self.procs = [_ReferenceProc(off, rate) for off, rate in zip(r.offsets, r.rates)]
         self.underlying_deliveries: dict[int, list] = {}
         self.qc_deliveries: dict[int, list] = {}
@@ -387,8 +389,9 @@ class ReferenceAnalyzer(_Analyzer):
             self._check_certificate("vc", payload["view"], payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", payload["view"], payload["signers"], seq)
-        if correct and rec["words"]:
-            self.word_events.append((now, rec["words"]))
+        words = sum(q != sender for q in rec["recipients"])
+        if correct and words:
+            self.word_events.append((now, words))
         self.sends[seq] = (now, sender, payload, rec["recipients"])
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
@@ -608,7 +611,7 @@ def test_dispersed_drifting_clocks_detected_at_every_record():
     bad[0]["config"]["offsets"][-1] = 100 * records[0]["grid"]
     flagged = [v.seq for v in violations(bad) if v.invariant == "dagger"]
     assert flagged == [r["seq"] for r in bad]
-    assert len({load_ticks(r["time"]) for r in bad[1:]}) < len(bad) // 2
+    assert len({r["time"] for r in bad[1:]}) < len(bad) // 2
 
 
 def test_no_two_records_share_a_payload(base):
@@ -769,7 +772,7 @@ def test_gst_seq_is_the_last_record_before_the_first_after_gst(gst):
     analyzer = scanned(records)
     want = -1
     for rec in records[1:]:
-        if load_ticks(rec["time"]) > analyzer.resolved.gst:
+        if rec["time"] > analyzer.resolved.gst:
             break
         want = rec["seq"]
     assert analyzer.gst_seq == want
@@ -796,19 +799,32 @@ def test_late_first_quorum_breaks_latency_bound(base):
     assert ("latency_bound", i) in {(x.invariant, x.seq) for x in found}
 
 
+def words(send):
+    return sum(q != send["sender"] for q in send["recipients"])
+
+
+def resent(records, i, copies):
+    """records with send record i repeated ``copies`` more times right after
+    it, renumbered; the copies are never delivered."""
+    return renumbered([*records[: i + 1], *[records[i]] * copies, *records[i + 1 :]])
+
+
 def test_words_before_first_quorum_break_word_bound(base):
     cfg = base[0]["config"]
     t_star = base[first_leader_qc(base, 0)]["time"]
-    # a correct send counted against the bound: in [gst + delta_cap, t_star]
+    # a correct broadcast counted against the bound: in [gst + delta_cap, t_star]
     i = find(
         base,
         lambda r: r["kind"] == "send"
-        and r["words"]
+        and words(r) == cfg["n"] - 1
         and cfg["gst"] + cfg["delta_cap"] <= r["time"] <= t_star,
     )
-    bad = mutated(base, i, words=10**6)
+    budget = WORD_RATE_W * 3 * cfg["n"]  # f_star is 0
+    assert analyze(base).words_counted <= budget
+    bad = resent(base, i, budget // words(base[i]) + 1)
     found = violations(bad)
-    assert ("word_bound", first_leader_qc(base, 0)) in {(x.invariant, x.seq) for x in found}
+    assert analyze(bad).words_counted > budget
+    assert ("word_bound", first_leader_qc(bad, 0)) in {(x.invariant, x.seq) for x in found}
 
 
 def test_slow_first_quorum_breaks_responsiveness():
@@ -827,10 +843,12 @@ def test_slow_first_quorum_breaks_responsiveness():
 
 def test_words_between_group_quorums_break_post_sync_words(base):
     lo, hi = (base[first_leader_qc(base, g)]["time"] for g in (2, 3))
-    i = find(base, lambda r: r["kind"] == "send" and r["words"] and lo < r["time"] < hi)
-    bad = mutated(base, i, words=10**6)
+    i = find(base, lambda r: r["kind"] == "send" and words(r) and lo < r["time"] < hi)
+    budget = WORD_RATE_W * base[0]["config"]["n"]  # one group apart
+    assert "post_sync_words" not in ids(base)
+    bad = resent(base, i, budget // words(base[i]) + 1)
     found = violations(bad)
-    assert ("post_sync_words", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+    assert ("post_sync_words", bad[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
 
 
 def test_early_boundary_entry_breaks_entry_time_identity(base):
@@ -1238,8 +1256,6 @@ def test_a_certificate_formed_by_a_non_leader_is_flagged(kind, proc):
 @pytest.mark.parametrize(
     "kind,seq,name,value",
     [
-        ("send", 15, "words", 1.5),
-        ("send", 15, "words", True),
         ("form_qc", 50, "view", True),
         ("form_qc", 50, "view", 1.0),
         ("form_qc", 31, "view", -1),
@@ -1266,6 +1282,56 @@ def test_a_negative_form_view_fails_replay(tmp_path, capsys):
     assert main(["replay", str(path)]) == 2
     message = f"malformed trace: form_qc record at seq {i}: field 'view' is malformed: -1"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [("send", "time"), ("deliver", "proc_clock"), ("threshold", "boundary_clock"), ("send", "deliver_times")],
+)
+def test_a_rational_tick_is_located(kind, name):
+    # trace v3 wrote a drifted clock's time between two ticks as a "p/q"
+    # string; v4 refines the grid instead and reads no such string
+    records = copied(found_run())
+    i = find(records, lambda r: r["kind"] == kind)
+    if name == "deliver_times":  # any entry, delivered or not
+        times = records[i]["deliver_times"]
+        times[-1] = f"{2 * times[-1] + 1}/2"
+        message = f"send record at seq {i}: field 'deliver_times' is malformed: {times!r}"
+    else:
+        value = records[i][name] = f"{2 * records[i][name] + 1}/2"
+        message = f"malformed time {value!r} at seq {i}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+
+
+@pytest.mark.parametrize("value", ["1/2", "x", True, 1.0])
+def test_an_undelivered_deliver_time_is_read_exactly(value):
+    # an entry that no deliver record reads is checked with its send record
+    records = copied(found_run())
+    delivered = {(r["send"], r["recipient"]) for r in records if r["kind"] == "deliver"}
+    i = find(
+        records,
+        lambda r: r["kind"] == "send" and any((r["seq"], q) not in delivered for q in r["recipients"]),
+    )
+    at = next(j for j, q in enumerate(records[i]["recipients"]) if (i, q) not in delivered)
+    records[i]["deliver_times"][at] = value
+    message = f"send record at seq {i}: field 'deliver_times' is malformed: "
+    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
+        analyze(records)
+
+
+def test_a_threshold_one_sub_tick_late_is_a_violation():
+    # drifting clocks put every time on a multiple of q, the lcm of the rates'
+    # denominators; one tick later, off that grid, the clock reads past the
+    # boundary, which the scaled clocks flag rather than fail to divide
+    records = copied(
+        run_records(drift_epsilon="1/20", offsets="adversarial_spread", stop="horizon", horizon=30)
+    )
+    q = scanned(records).q
+    i = find(records, lambda r: r["kind"] == "threshold" and r["time"] > 0)
+    assert q > 1 and records[i]["time"] % q == 0
+    records[i]["time"] += 1
+    assert ("clock_monotonicity", i) in {v[:2] for v in violations(records)}
 
 
 # Table fields the analysis never reads: a record without one analyzes as it did.
@@ -1365,7 +1431,7 @@ def test_config_mismatch_rejected(base):
 def test_first_sync_is_strictly_after_stabilisation(base):
     params = params_from(base)
     forms = [
-        (load_ticks(r["time"]), r["view"])
+        (r["time"], r["view"])
         for r in base
         if r["kind"] == "form_qc"
     ]

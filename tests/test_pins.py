@@ -9,10 +9,13 @@ changed run, not a cosmetic difference.
 The trace digests were first recorded in trace version 1, which wrote times
 as rational strings in real units, and then in version 2, which wrote ticks
 on the header's grid but still one ``send`` record per recipient and the
-send's sender, payload and time in every ``deliver``. ``as_v2`` expands a
-version 3 trace back into that shape and ``as_v1`` spells a version 2 trace
-in real units again, so the same runs still match the digests of both; each
-cell also pins its version 3 digest.
+send's sender, payload and time in every ``deliver``. Version 3 wrote one
+``send`` record per ``send()`` call with its word count, and a drifted
+clock's times as ``"p/q"`` ticks on a coarser grid than version 4's. ``as_v3``
+writes a version 4 trace in that form, ``as_v2`` expands a version 3 trace
+into version 2's shape and ``as_v1`` spells a version 2 trace in real units
+again, so the same runs still match the digests of all three; each cell also
+pins its version 4 digest.
 """
 
 import copy
@@ -23,12 +26,47 @@ import yaml
 
 from viewsync.cli import load_spec
 from viewsync.harness import build_config, config_hash
-from viewsync.simnet import Corruption, Simulation
-from viewsync.timeutil import frac_str, from_ticks, load_ticks
+from viewsync.simnet import Corruption, Resolved, Simulation
+from viewsync.timeutil import from_ticks, load_ticks
 from viewsync.trace import to_jsonl
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def as_v3(records):
+    """A version 4 trace written as version 3: every time divided by the
+    header's ``unit``, the sub-ticks per tick that drifting clocks add to the
+    grid, as an int when whole and a ``"p/q"`` string otherwise, and each
+    ``send`` with its ``words`` back (one per recipient but the sender)."""
+    unit = Resolved.from_header(records[0]).unit
+
+    def tick(value):
+        q = Fraction(value, unit)
+        return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    out = copy.deepcopy(list(records))
+    for rec in out[1:]:
+        for name in RECORD_TIMES:
+            if name in rec:
+                rec[name] = tick(rec[name])
+        if rec["kind"] == "send":
+            rec["deliver_times"] = [tick(t) for t in rec["deliver_times"]]
+            rec["words"] = sum(q != rec["sender"] for q in rec["recipients"])
+    head = out[0]
+    head["version"] = 3
+    head["grid"] //= unit
+    cfg = head["config"]
+    for name in HEADER_TIMES:
+        cfg[name] = tick(cfg[name])
+    cfg["offsets"] = [tick(o) for o in cfg["offsets"]]
+    for c in cfg["corruptions"]:
+        c["time"] = tick(c["time"])
+    if cfg["sync_windows"] is not None:
+        cfg["sync_windows"] = [
+            [tick(start), None if end is None else tick(end)] for start, end in cfg["sync_windows"]
+        ]
+    return out
 
 
 def as_v2(records):
@@ -81,7 +119,7 @@ def as_v1(records):
     grid = records[0]["grid"]
 
     def real(value):
-        return frac_str(from_ticks(load_ticks(value), grid))
+        return str(from_ticks(load_ticks(value), grid))
 
     out = copy.deepcopy(list(records))
     for rec in out:
@@ -94,7 +132,7 @@ def as_v1(records):
     for name in HEADER_TIMES:
         cfg[name] = real(cfg[name])
     cfg["offsets"] = [real(o) for o in cfg["offsets"]]
-    cfg["rates"] = [frac_str(load_ticks(r)) for r in cfg["rates"]]
+    cfg["rates"] = [str(load_ticks(r)) for r in cfg["rates"]]
     for c in cfg["corruptions"]:
         c["time"] = real(c["time"])
     if cfg["sync_windows"] is not None:
@@ -175,7 +213,7 @@ DELTA_UNITS_HASHES = [
 ]
 
 # cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
-#          records, SHA-256 of the version 3 trace)
+#          records, SHA-256 of the trace as_v3, SHA-256 of the version 4 trace)
 TRACED_CELLS = [
     (
         {
@@ -192,6 +230,7 @@ TRACED_CELLS = [
         "bb576b1ad5bee28f52ed903f547e990a118ecc118b2c3ffdcb754c47dc65e80d",
         303,
         "4f56a324a48497a3317e65e82f5efdd681148a508f68b0979a5ed789a5568901",
+        "73201971bdfb11df282741dc941d66e68c29499728e7a1a9664fc796120084cb",
     ),
     (
         {
@@ -209,6 +248,7 @@ TRACED_CELLS = [
         "4bcad9d2333ebeff3479ef7f9b83a9cf621cfad5f1111e42257a8ab1c1059a67",
         1073,
         "befcb53442f2996a0a7520a8e05e9ca6d253b129b13fb80231ecdef4486b54bf",
+        "15290b5991b9279e92073a16fce4b62c661bb433fa35a63f9f5b7467b297664d",
     ),
     (
         {
@@ -223,6 +263,7 @@ TRACED_CELLS = [
         "b30552d52c4ee6eadbca9110647065ab6582155c4fc36089270b441d97495067",
         104,
         "32b4c5633c4088674d0731c3df6e8a40c8a8f6719e11da1724ece6c233f2797c",
+        "aedbdf05bae5dad74d41a78d4e3290f3ed32eb1ef159224fc575adc6b440c3f5",
     ),
     (
         {
@@ -239,6 +280,7 @@ TRACED_CELLS = [
         "22a4eae993a4a9efbefc8bb1758225accfa1b865970fcdc5a5b117506d3001a1",
         178,
         "f9537a082461409132387ab7efa4e8cb8777688839f4c05a7d4c5ddf3c955320",
+        "6097e001a9b6d43ec525470f8c9999eb98da0cbbfe997635775dcabda4e42d31",
     ),
     (
         {
@@ -253,6 +295,7 @@ TRACED_CELLS = [
         "94ab8a1ebcb731e5f685d0e747e66545befb57b961ed032895024a9e32becadc",
         28,
         "5a6ed176181a7c2ab127d5c215ba471aae8f72ba462d2e2af4cca6fbb437ba7a",
+        "ab36afb16bbba15a0d338d7fb3559266e8e4bd75098079ddffae64812335d8a0",
     ),
     (
         {
@@ -270,6 +313,7 @@ TRACED_CELLS = [
         "4bf75dd5e0dade7354d958ceee139b5202ff45f86a4e07c74bd3cc108e56c3d8",
         651,
         "739cfb60b64e5691d96bc572132f659f0d79b848324fa1cc308a6daf693c0a41",
+        "be898c7ed3212abb24a35b1b0e35df7d07839df09f716492b303e9ed82d6c33a",
     ),
     (
         {
@@ -288,6 +332,7 @@ TRACED_CELLS = [
         "b00dc09829c34b26de57896bba45131006ed158387ce6693f212001226581633",
         700,
         "cb45fceb28c154edf238685d05863282cea6da57f82c15e2a546be498caf7667",
+        "aadb22c77cfbac18453bf2613515e6ef7aeafdfc42eae8e6e1e6c8a2dc26f1b4",
     ),
     (
         {
@@ -304,6 +349,7 @@ TRACED_CELLS = [
         "1c0f58009fcbc31080dc02d8e274dfc1caf04d110073a21870e75805de2edcbf",
         1062,
         "a31f4048aeafc1673db95c4299ce88e7e7e9f9a1ff2c2c1cbdbe894e56028840",
+        "bd0be96586478fb7c914f5c499c90b91b86d3cac973b22fa11234c3512cafe94",
     ),
 ]
 
@@ -321,10 +367,82 @@ def test_delta_units_config_hash_pins(tmp_path):
     assert [config_hash(build_config(c)) for c in spec.cells()] == DELTA_UNITS_HASHES
 
 
+# Drifting runs whose random draws (network delays, a relayer's wake-ups, the
+# initial clocks) are scaled onto the finer grid: cell -> (records, SHA-256
+# of the trace as_v3, SHA-256 of the version 4 trace). The v3 digests were
+# recorded by the version 3 simulator.
+DRAWING_DRIFT_CELLS = [
+    (
+        {
+            "n": 4,
+            "delta_cap": 2,
+            "drift_epsilon": "1/100",
+            "network": "uniform_random",
+            "gst": 3,
+            "sync_windows": [[3, 30], [60, None]],
+            "stop": "horizon",
+            "horizon": 90,
+            "seed": 3,
+        },
+        605,
+        "91fcba670eb5868b723d6f384e715f790a689b5bd0817d0585c493dafd710425",
+        "70bc031c6294c6f7ba59fda1f4ba7dcc5882e399f81f1ec1ec71abf4cf6476c1",
+    ),
+    (
+        {
+            "n": 7,
+            "drift_epsilon": "1/100",
+            "corruptions": [[1, "late_qc_relayer", "5/2"]],
+            "stop": "horizon",
+            "horizon": 60,
+            "seed": 5,
+        },
+        1058,
+        "896d3689b3921d7a3aa3d9d6763c97116ad48d1d0d6d123ab780d5674d8fd219",
+        "9ab56057ed81c3c7fdf16e30f8fa7ee544a2221b963a253fbff5547a2f5cf73d",
+    ),
+    (
+        {
+            "n": 7,
+            "drift_epsilon": "1/1152",
+            "offsets": "adversarial_spread",
+            "network": "uniform_random",
+            "stop": "sync_plus",
+            "seed": 4,
+        },
+        114,
+        "805a3ccb2048901256d6449a87eba70c8a92e6631d74a5d7b8835c6f225735d1",
+        "6a8aef7c95f812d7932661a42f03ab55bedcc5cc11921e4409786e26c3419180",
+    ),
+    (
+        {
+            "n": 4,
+            "drift_rates": ["1000003/1000000", "999983/1000000", 1, "1000033/999999"],
+            "corruptions": [[3, "early_signer", 2]],
+            "stop": "horizon",
+            "horizon": 40,
+            "seed": 1,
+        },
+        324,
+        "f10cca62098ee585739dcf7ef1395549a17bf75e5245dad310f79ef899655be9",
+        "34564b5e4e1bed8899ce77f1f0f35eef7828f3a966f7d248b1015af2bf1a3eb5",
+    ),
+]
+
+
 def test_trace_sha256_pins():
     got = []
     for cell, *_ in TRACED_CELLS:
         records = Simulation(build_config(cell)).run()
-        v2 = as_v2(records)
-        got.append((len(v2), sha256(as_v1(v2)), sha256(v2), len(records), sha256(records)))
+        v3 = as_v3(records)
+        v2 = as_v2(v3)
+        got.append((len(v2), sha256(as_v1(v2)), sha256(v2), len(v3), sha256(v3), sha256(records)))
     assert got == [tuple(pins) for _, *pins in TRACED_CELLS]
+
+
+def test_drawing_drift_trace_sha256_pins():
+    got = []
+    for cell, *_ in DRAWING_DRIFT_CELLS:
+        records = Simulation(build_config(cell)).run()
+        got.append((len(records), sha256(as_v3(records)), sha256(records)))
+    assert got == [tuple(pins) for _, *pins in DRAWING_DRIFT_CELLS]

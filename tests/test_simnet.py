@@ -25,7 +25,7 @@ from viewsync.certificates import (
 )
 from viewsync.core import ALL
 from viewsync.harness import _worker
-from viewsync.metrics import analyze
+from viewsync.metrics import _Analyzer, analyze
 from viewsync.simnet import (
     NETWORK_STRATEGIES,
     Corruption,
@@ -40,7 +40,6 @@ from viewsync.simnet import (
     resolve,
     subseed,
 )
-from viewsync.timeutil import dump_ticks, load_ticks
 from viewsync.trace import to_jsonl
 
 GAMMA = 6  # matches delta_cap=2, x=3
@@ -286,6 +285,129 @@ def test_header_round_trip(cfg):
     assert Resolved.from_header(json.loads(json.dumps(desc.header()))) == desc
 
 
+# -- one time representation: int ticks, drifting clocks included --------------
+
+# a whole rate, near-1 rates and large coprime numerators, whose lcm makes the
+# sub-tick unit hundreds of bits wide at n = 10
+RATES = [1, "101/100", "99/100", "1000003/1000000", "999983/1000000", "1000033/999999", "3/2"]
+
+
+@st.composite
+def drifting_configs(draw):
+    n = draw(st.integers(min_value=4, max_value=10))
+    rates, epsilon = None, 0
+    if draw(st.booleans()):
+        rates = draw(st.lists(st.sampled_from(RATES), min_size=n, max_size=n))
+    else:
+        epsilon = draw(st.sampled_from(["1/100", "1/1152", "1/20"]))
+    procs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=default_resilience(n)))
+    corruptions = [
+        Corruption(p, draw(st.sampled_from(BYZANTINE_STRATEGIES)), draw(st.sampled_from([0, "7/2"])))
+        for p in procs
+    ]
+    if not corruptions or draw(st.booleans()):  # the relayer's wake-ups draw delays
+        corruptions = [Corruption(0, "late_qc_relayer", draw(st.sampled_from([0, 2])))]
+    gst = draw(st.sampled_from([0, 3]))
+    return SimConfig(
+        n=n,
+        delta_cap=2,
+        delta_actual=draw(st.sampled_from([None, "1/3"])),
+        gst=gst,
+        offsets=draw(st.sampled_from(["all_zero", "two_cluster", "adversarial_spread"])),
+        corruptions=corruptions,
+        network=draw(st.sampled_from(NETWORK_STRATEGIES)),
+        drift_epsilon=epsilon,
+        drift_rates=rates,
+        sync_windows=draw(st.sampled_from([None, [(gst, gst + 20), (gst + 40, None)]])),
+        stop="horizon",
+        horizon=gst + 50,
+        seed=draw(st.integers(min_value=0, max_value=50)),
+    )
+
+
+@given(cfg=drifting_configs())
+@settings(max_examples=100, deadline=None)
+def test_drifting_runs_keep_every_time_and_clock_an_exact_int(cfg):
+    # on the grid refined by the rates' unit, every event time is a multiple
+    # of the rates' denominators' lcm, and every clock value an int
+    records = Simulation(cfg).run()
+    head = records[0]
+    r = Resolved.from_header(head)
+    q = math.lcm(*(rate.denominator for rate in r.rates))
+    assert head["grid"] % r.unit == 0
+    config = head["config"]
+    for name in ("gamma", "delta_cap", "delta_actual", "gst", "horizon"):
+        assert type(config[name]) is int and config[name] % r.unit == 0, name
+    assert {type(o) for o in config["offsets"]} == {int}
+    for rec in records[1:]:
+        times = [rec["time"], *rec.get("deliver_times", ())]
+        clocks = [rec[name] for name in ("proc_clock", "boundary_clock") if name in rec]
+        assert {*map(type, times + clocks)} == {int}, rec
+        assert all(when % q == 0 for when in times), rec
+    analyze(records)  # reads every time exactly, on the grid or not
+
+
+def counted_fractions(monkeypatch):
+    """The argument tuples of every Fraction built from now on."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return calls
+
+
+DRIFT_CELLS = [
+    # criterion 8's cell: drift across bounded synchronous windows
+    sim_config(
+        corruptions=[Corruption(0, "silent")],
+        network="fixed_delta",
+        sync_windows=[(0, 72), (792, 864), (1584, 1656), (2376, None)],
+        drift_epsilon="1/1152",
+        stop="horizon",
+        horizon=2448,
+    ),
+    # every random draw and the signature flood's horizon reading
+    SimConfig(
+        n=7,
+        delta_cap=2,
+        drift_epsilon="1/100",
+        offsets="adversarial_spread",
+        network="uniform_random",
+        corruptions=[Corruption(1, "late_qc_relayer", "5/2"), Corruption(4, "early_signer", 2)],
+        stop="horizon",
+        horizon=60,
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg", DRIFT_CELLS, ids=["windows", "draws"])
+def test_drifting_run_and_scan_build_no_fraction(cfg, monkeypatch):
+    sim = Simulation(cfg)
+    assert sim.resolved.unit > 1
+    calls = counted_fractions(monkeypatch)
+    records = sim.run()
+    assert calls == []
+    analyzer = _Analyzer(records)  # reads the header's rates as Fractions
+    calls.clear()
+    analyzer.scan()
+    assert calls == []
+
+
+def test_a_threshold_between_two_ticks_is_a_simulation_error():
+    # processor 1 runs at 3/2: from an intercept one tick off what the grid
+    # allows, its next boundary falls between two ticks, which is a bug, not
+    # a time to round
+    sim = Simulation(sim_config(drift_rates=[1, "3/2", "2/3", 1]))
+    assert sim._threshold_time(1, sim.resolved.period) * 3 == sim.resolved.period * 2
+    sim.offset[1] += 1
+    with pytest.raises(SimulationError, match="processor 1 reaches clock .* between two ticks"):
+        sim._threshold_time(1, sim.resolved.period)
+
+
 # -- the simulator's own protocol checks ---------------------------------------
 
 
@@ -341,7 +463,7 @@ def test_forged_certificate_raises_after_a_valid_one_is_cached(kind):
     valid = make(view, tuple(signers))
     forged = make(view, tuple(sorted([*signers[1:], 3])))
     assert not sim.ledger.holds(3, sign, view)
-    now = load_ticks(records[-1]["time"])
+    now = records[-1]["time"]
     sim._receive_correct(0, valid, now)
     assert valid in sim.valid_certs
     for _ in range(2):  # a failure is never cached
@@ -385,12 +507,12 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
     rng = random.Random()
     rng.setstate(sim.net_rng.getstate())
     records = sim.run()
-    never = r.horizon + r.delta_cap + 1  # no bound applies: after the last event
+    never = r.horizon + r.delta_cap + r.unit  # no bound applies: after the last event
     unbounded = 0
     for rec in records:
         if rec["kind"] != "send":
             continue
-        now = load_ticks(rec["time"])
+        now = rec["time"]
         want = []
         for q in rec["recipients"]:
             when = now
@@ -403,9 +525,10 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
                     delta_actual=r.delta_actual,
                     rng=rng,
                     sync_windows=r.windows,
+                    unit=r.unit,
                 )
                 unbounded += when is None
-            want.append(dump_ticks(never if when is None else when))
+            want.append(never if when is None else when)
         assert rec["deliver_times"] == want, rec["seq"]
     assert rng.getstate() == sim.net_rng.getstate()
     assert unbounded or r.windows is None
