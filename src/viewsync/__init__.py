@@ -59,7 +59,7 @@ from .simnet import (
     resolve,
     subseed,
 )
-from .trace import Record, TraceParseError, parse_jsonl, read_trace, to_jsonl, write_trace
+from .trace import Record, TraceParseError, iter_trace, parse_jsonl, read_trace, to_jsonl, write_trace
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
 __version__ = "0.1.0"

@@ -5,9 +5,11 @@ Verbs:
   sweep <spec>    run the full cartesian sweep from the spec file
   verify <spec>   like sweep, but exit 1 if any invariant violation or any
                   cell error turns up (CI gate)
-  replay <trace>  recompute metrics from a stored trace; exit 2 on parse
-                  errors (reported with line number) or an unusable header
-                  or time, 1 if the trace holds invariant violations
+  replay <trace>  recompute metrics from a stored trace, streamed through
+                  the analyzer; exit 2 if the file cannot be read, on parse
+                  errors (reported with line number, bytes that are not
+                  UTF-8 included) or on an unusable header, time or record
+                  field, 1 if the trace holds invariant violations
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
@@ -176,7 +178,7 @@ def _cmd_verify(args) -> int:
 def _cmd_replay(args) -> int:
     try:
         row = replay_cell(args.trace)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
     except (TraceParseError, TraceAnalysisError) as exc:

@@ -26,9 +26,9 @@ from typing import Any, Optional
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .metrics import analyze
-from .simnet import Corruption, Resolved, SimConfig, Simulation, coerce
+from .simnet import Corruption, SimConfig, Simulation, coerce
 from .timeutil import from_ticks, to_frac
-from .trace import write_trace
+from .trace import iter_trace, read_trace, write_trace
 
 
 class ExperimentError(Exception):
@@ -160,22 +160,27 @@ def _without_cyclic_gc(cell_fn):
 
 @_without_cyclic_gc
 def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str, Any]:
-    """One simulation plus analysis, reduced to the flat metrics record."""
+    """One simulation plus analysis, reduced to the flat metrics record.
+
+    Only a cell that cannot be configured is an error row here; anything
+    the run or its analysis raises is a bug, and propagates.
+    """
     try:
         config = build_config(cell)
         sim = Simulation(config)
-        records = sim.run()
-        metrics = analyze(records)
     except (ExperimentError, ValueError) as exc:
         return {"error": str(exc), "cell": {k: str(v) for k, v in cell.items()}}
+    records = sim.run()
+    metrics = analyze(records)
     digest = config_hash(config)
     if traces_dir is not None:
         write_trace(records, Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl")
-    return _row(digest, sim.resolved, metrics)
+    return _row(digest, metrics)
 
 
-def _row(digest: Optional[str], run: Resolved, metrics) -> dict[str, Any]:
-    """The flat metrics record of one cell, from its run and analysis."""
+def _row(digest: Optional[str], metrics) -> dict[str, Any]:
+    """The flat metrics record of one cell, from its analysis."""
+    run = metrics.run
     return {
         "config": digest,
         "seed": run.seed,
@@ -203,15 +208,20 @@ def _worker(args):
 
 @_without_cyclic_gc
 def replay_cell(trace_path) -> dict[str, Any]:
-    """Recompute the flat metrics record from a stored trace alone."""
-    from .trace import read_trace
+    """Recompute the flat metrics record from a stored trace alone.
 
-    records = read_trace(trace_path)
-    metrics = analyze(records)
+    Each record is analyzed as it is parsed, and dropped once the scan has
+    passed it. If that fails, the file is read again whole and analyzed
+    again, to raise what a whole read finds first: a parse error anywhere
+    in the file, then an analysis error, located as ``analyze`` locates it.
+    """
+    try:
+        metrics = analyze(iter_trace(trace_path))
+    except Exception:
+        analyze(read_trace(trace_path))
+        raise
     stem = Path(trace_path).stem
-    return _row(
-        stem.split("-")[1] if "-" in stem else None, Resolved.from_header(records[0]), metrics
-    )
+    return _row(stem.split("-")[1] if "-" in stem else None, metrics)
 
 
 def summarize(rows: list[dict[str, Any]]) -> dict[str, Any]:

@@ -27,6 +27,14 @@ word per recipient other than its sender: every word window (the
 first-quorum budget and the pace gaps) is keyed on send time, which all
 recipients of one send share.
 
+The analyzer reads the records once, in order, and keeps none once its scan
+has passed it: a ``send`` record leaves only the index entry that its
+deliveries are joined to. So a trace can be analyzed as it is parsed
+(``trace.iter_trace``), and the end record's seq and time are taken after
+the scan. Given a list, a failed analysis names a malformed end time first,
+then the analysis's own error, else the first malformed field of the whole
+trace.
+
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
 in the trace it came from.
@@ -36,12 +44,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .core import leader_of
@@ -75,6 +84,7 @@ class RunMetrics:
     words_counted: int
     f_star: int
     first_sync_view: Optional[int]
+    run: Resolved = field(repr=False)  # the run the trace's header describes
     violations: list[Violation] = field(default_factory=list)
 
 
@@ -154,14 +164,17 @@ class _Proc:
 
 
 class _Analyzer:
-    def __init__(self, records: Sequence[Record]):
-        if not records or records[0].get("kind") != "header":
+    def __init__(self, records: Iterable[Record]):
+        records = iter(records)
+        head = next(records, None)
+        if head is None or head.get("kind") != "header":
             raise TraceAnalysisError("trace must start with a header record")
         try:
-            r = self.resolved = Resolved.from_header(records[0])
+            r = self.resolved = Resolved.from_header(head)
         except ValueError as exc:
             raise TraceAnalysisError(str(exc)) from None
-        self.records = records
+        # every record, for the scan to read once: none is kept once read
+        self.records = chain((head,), records)
         self.ids = frozenset(range(r.n))  # every id a record may name a processor by
         q = self.q = math.lcm(*(rate.denominator for rate in r.rates))
         self.procs = [
@@ -185,8 +198,8 @@ class _Analyzer:
         # certificate a never-corrupted processor received after
         # max(gst, send_time) + delta_eff
         self.late_deliveries: dict[int, list[tuple[Any, int]]] = {}
-        self.end_seq: int = records[-1]["seq"]
-        self.end_time = _ticks(records[-1]["time"], self.end_seq)
+        self.end_seq: Any = None  # the last record's seq and time, once scanned
+        self.end_time: Any = None
         self.gst_seq = -1  # the last record before the first stamped after gst
 
     # -- helpers -------------------------------------------------------------
@@ -290,6 +303,8 @@ class _Analyzer:
                 elif not dagger_held:  # the same clocks as at the last check
                     self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
                 recheck_dagger = False
+        self.end_seq = rec["seq"]
+        self.end_time = _ticks(rec["time"], self.end_seq)
 
     def _proc(self, rec: Record, seq: int) -> int:
         """The ``proc`` of a record, which must be a processor id."""
@@ -805,23 +820,40 @@ class _Analyzer:
             f_star=f_star,
             first_sync_view=t_star_view,
             violations=self.violations,
+            run=r,
         )
 
 
-def analyze(records: Sequence[Record]) -> RunMetrics:
+def analyze(records: Iterable[Record]) -> RunMetrics:
     """Full analysis of one trace: headline metrics plus every invariant.
 
-    A TraceAnalysisError names the first record field that is absent or not
-    in its shape (``trace.malformed_field``), wherever in the analysis the
-    bad value made a read fail.
+    The records are read once, in order, and none is kept once the scan has
+    passed it, so ``records`` may be a stream such as ``trace.iter_trace``.
+    When it is a sequence, a failed analysis raises a TraceAnalysisError for
+    the end record's time if that is malformed, else the analysis's own
+    TraceAnalysisError, else one naming the first record field in the whole
+    trace that is absent or not in its shape (``trace.malformed_field``),
+    wherever in the analysis the bad value made a read fail. From a stream,
+    which cannot be read twice, the failed read propagates as it is.
     A failed read with every field in shape is a bug here, and propagates.
     """
+    analyzer = _Analyzer(records)
     try:
-        return _Analyzer(records).analyze()
-    except (KeyError, TypeError, IndexError) as exc:
-        n = Resolved.from_header(records[0]).n  # _Analyzer read it before anything failed
+        return analyzer.analyze()
+    except (KeyError, TypeError, IndexError, TraceAnalysisError) as exc:
+        if not isinstance(records, Sequence):
+            raise
+        # a malformed end time outranks every other fault of a whole trace
+        try:
+            end = records[-1]
+            _ticks(end["time"], end["seq"])
+        except (KeyError, TypeError):
+            pass  # located below
+        else:
+            if isinstance(exc, TraceAnalysisError):
+                raise
         for i, rec in enumerate(records):
-            found = malformed_field(rec, n)
+            found = malformed_field(rec, analyzer.resolved.n)
             if found is not None:
                 name, problem = found
                 where = (
@@ -831,4 +863,3 @@ def analyze(records: Sequence[Record]) -> RunMetrics:
                 )
                 raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
         raise
-

@@ -38,9 +38,16 @@ key order; a record of another kind, or one whose keys or value types are
 not exactly the simulator's, goes through the JSON encoder instead.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
-its own, so a record is one line and an error names its line. It calls the
-JSON scanner of a default ``JSONDecoder`` at index 0 and keeps the result
-only when that scan consumes the whole line. That is exactly what
+its own, so a record is one line and an error names its line. It yields each
+record as soon as it is parsed, and checks the header (first, and of this
+version) and the end record (last) after the last line, so reading it to the
+end raises what a whole read would, in the same order: ``parse_jsonl`` and
+``read_trace`` are lists of what it yields. ``iter_trace`` streams a file
+through it, read a block at a time and cut after a newline byte, into exactly
+the lines a whole read would give; bytes that are not UTF-8 are an error on
+their line. A line is parsed by one call of the JSON scanner of a default
+``JSONDecoder`` at index 0, whose result is kept only when that scan
+consumes the whole line. That is exactly what
 ``json.loads(line)`` returns: for a line with no leading whitespace it runs
 the same scan at the same index, and then only checks that nothing but
 whitespace follows. Any other line (leading or trailing whitespace, a BOM,
@@ -53,7 +60,8 @@ on one line can swallow the next, and one line can hold two records.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 TRACE_VERSION = 4
 
@@ -254,10 +262,18 @@ def write_trace(records: Iterable[Record], path) -> None:
             fh.write(dumps_record(r) + "\n")
 
 
-def parse_jsonl(text: str) -> list[Record]:
-    """Parse a whole trace, validating shape enough to fail loudly, not deeply."""
-    records: list[Record] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+def _records(lines: Iterable[str]) -> Iterator[Record]:
+    """The records on the lines of a whole trace, each yielded as soon as
+    its line is parsed, validating shape enough to fail loudly, not deeply.
+
+    A line that is not a record raises as it is reached. The checks on the
+    header (first, and of this version) and on the end record (last) run
+    after the last line, so a consumer that reads to the end gets the same
+    error, in the same order, as ``parse_jsonl``.
+    """
+    head = rec = None
+    line_no = 0
+    for line_no, line in enumerate(lines, start=1):
         # a scan that ends at the line's end is json.loads(line)'s record
         # (see the module docstring); any other line goes to json.loads
         try:
@@ -273,19 +289,64 @@ def parse_jsonl(text: str) -> list[Record]:
                 raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(rec, dict) or "kind" not in rec:
             raise TraceParseError(line_no, "record is not an object with a 'kind'")
-        records.append(rec)
-    if not records:
+        if head is None:
+            head = rec
+        yield rec
+    if head is None:
         raise TraceParseError(1, "empty trace")
-    head = records[0]
     if head.get("kind") != "header":
         raise TraceParseError(1, "first record must be the header")
     if head.get("version") != TRACE_VERSION:
         raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
-    if records[-1].get("kind") != "end":
-        raise TraceParseError(len(records), "trace truncated: no end record")
-    return records
+    if rec.get("kind") != "end":
+        raise TraceParseError(line_no, "trace truncated: no end record")
 
 
-def read_trace(path: str) -> list[Record]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_jsonl(fh.read())
+def parse_jsonl(text: str) -> list[Record]:
+    """Parse a whole trace text (see ``_records``)."""
+    return list(_records(text.splitlines()))
+
+
+_BLOCK = 1 << 20  # bytes of a trace file read at a time
+
+
+def _line_blocks(path) -> Iterator[list[str]]:
+    """The lines of a trace file's UTF-8 text, as ``str.splitlines`` splits
+    the whole of it, in lists of about a block's worth.
+
+    Each block is cut after its last newline byte, which is part of no other
+    UTF-8 character, so no line and no character straddles a cut. Bytes that
+    are not UTF-8 are a TraceParseError on their line, raised once the lines
+    before it are out.
+    """
+    line_no = 0
+    rest = b""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_BLOCK)
+            cut = block.rfind(b"\n") + 1
+            if block and not cut:
+                rest += block
+                continue
+            data, rest = rest + block[:cut], block[cut:]
+            try:
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                lines = (data[: exc.start].decode("utf-8") + "_").splitlines()
+                yield lines[:-1]
+                raise TraceParseError(line_no + len(lines), f"not UTF-8: {exc.reason}") from None
+            line_no += len(lines)
+            yield lines
+            if not block:
+                return
+
+
+def iter_trace(path) -> Iterator[Record]:
+    """The records of the trace file at ``path``, each parsed as it is asked
+    for, with ``read_trace``'s checks and errors. The file is opened when the
+    first record is asked for, and read a block at a time."""
+    return _records(chain.from_iterable(_line_blocks(path)))
+
+
+def read_trace(path) -> list[Record]:
+    return list(iter_trace(path))

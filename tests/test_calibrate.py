@@ -32,3 +32,10 @@ def test_measure_one_small_config():
     assert out == {"w_global": 0, "w_pace": Fraction(39, 4), "c_pace": 0, "c_resp": -398}
     assert max(out["w_global"], out["w_pace"]) <= WORD_RATE_W
     assert max(out["c_pace"], out["c_resp"]) <= RESPONSE_STEPS_C
+
+
+def test_measure_reads_a_stream():
+    cfg = SimConfig(n=4, delta_cap=1, gst=2, stop="horizon", horizon=2 + 12 * 9, seed=5)
+    records = Simulation(cfg).run()
+    calibrate = load_calibrate()
+    assert calibrate.measure(iter(records)) == calibrate.measure(records)

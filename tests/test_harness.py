@@ -17,11 +17,12 @@ from viewsync.harness import (
     run_cell,
     run_experiment,
 )
-from viewsync import harness, metrics
+from viewsync import harness, metrics, simnet
 from viewsync.adversary import BYZANTINE_STRATEGIES
+from viewsync.certificates import CertificateError
 from viewsync.metrics import TraceAnalysisError, analyze
 from viewsync.simnet import Corruption, Simulation, coerce
-from viewsync.trace import parse_jsonl, to_jsonl
+from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
 
@@ -120,6 +121,20 @@ def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
         run_cell(cell)
     _index, row = harness._worker((0, cell, None))
     assert row["error"].startswith("TypeError: analysis bug")
+
+
+def test_protocol_error_mid_run_is_not_an_unsatisfiable_cell(monkeypatch):
+    # a ValueError the protocol raises while the cell runs is a bug in the
+    # program, not a cell that cannot be configured
+    def forged(*args):
+        raise CertificateError("quorum certificate for view 1 needs 3 distinct signers, got 2")
+
+    monkeypatch.setattr(simnet, "on_vote", forged)
+    cell = {**BASE, "seed": 0}
+    with pytest.raises(CertificateError, match="needs 3 distinct signers"):
+        run_cell(cell)
+    _index, row = harness._worker((0, cell, None))
+    assert row["error"].startswith("CertificateError: quorum certificate for view 1")
 
 
 # -- garbage collection around a cell -------------------------------------------
@@ -617,6 +632,97 @@ def test_cli_replay_locates_a_value_that_passes_the_scan(
     assert main(["replay", str(trace)]) == 2
     err = capsys.readouterr().err
     assert f"malformed trace: {kind} record at seq {rec['seq']}: {message}" in err
+
+
+# -- which fault a replay reports when a trace holds several --------------------
+
+
+def dumped(recs):
+    return [json.dumps(r, sort_keys=True) for r in recs]
+
+
+def unjoin_first_deliver(recs):
+    next(r for r in recs if r["kind"] == "deliver")["send"] = recs[0]["seq"]
+
+
+def json_error_on_the_last_line(recs):
+    unjoin_first_deliver(recs)
+    lines = dumped(recs)
+    lines[-1] = lines[-1][:-1]
+    return lines, TraceParseError, f"line {len(lines)}: invalid JSON: "
+
+
+def truncated_after_an_analysis_fault(recs):
+    unjoin_first_deliver(recs)
+    lines = dumped(recs)[:-1]
+    return lines, TraceParseError, f"line {len(lines)}: trace truncated: no end record"
+
+
+def bad_version_then_json_error(recs):
+    recs[0]["version"] = 99
+    lines = dumped(recs)
+    lines[9] = "not json"
+    return lines, TraceParseError, "line 10: invalid JSON: "
+
+
+def analysis_fault_then_bad_end_time(recs):
+    # the end record's time is read before the scan
+    unjoin_first_deliver(recs)
+    recs[-1]["time"] = "x"
+    return dumped(recs), TraceAnalysisError, f"malformed time 'x' at seq {recs[-1]['seq']}"
+
+
+def field_the_scan_passes_then_one_it_fails_on(recs):
+    sends = [r for r in recs if r["kind"] == "send"]
+    first = next(r for r in sends if r["payload"]["type"] == "view_message")
+    first["payload"]["view"] = float(first["payload"]["view"])  # equal, so the scan reads it
+    sends[-1].pop("sender")
+    message = f"send record at seq {first['seq']}: field 'payload.view' is malformed: "
+    return dumped(recs), TraceAnalysisError, message + repr(first["payload"]["view"])
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        json_error_on_the_last_line,
+        truncated_after_an_analysis_fault,
+        bad_version_then_json_error,
+        analysis_fault_then_bad_end_time,
+        field_the_scan_passes_then_one_it_fails_on,
+    ],
+)
+def test_replay_reports_the_fault_a_whole_trace_read_finds_first(tmp_path, capsys, plant):
+    # A parse error anywhere beats an analysis error, and a located field
+    # is the first malformed one in the whole trace.
+    run_cell({**BASE, "seed": 0}, str(tmp_path))
+    trace = next(tmp_path.glob("*.jsonl"))
+    lines, error, message = plant([json.loads(line) for line in trace.read_text().splitlines()])
+    trace.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(error) as info:
+        replay_cell(trace)
+    assert str(info.value).startswith(message)
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err == f"malformed trace: {info.value}\n"
+
+
+def test_cli_replay_names_the_line_of_undecodable_bytes(tmp_path, capsys):
+    run_cell({**BASE, "seed": 0}, str(tmp_path))
+    trace = next(tmp_path.glob("*.jsonl"))
+    lines = trace.read_bytes().splitlines(keepends=True)
+    lines[6] = lines[6].replace(b'"kind"', b'"k\xffind"')
+    trace.write_bytes(b"".join(lines))
+    with pytest.raises(TraceParseError, match="^line 7: not UTF-8: "):
+        replay_cell(trace)
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("malformed trace: line 7: not UTF-8: ")
+
+
+def test_cli_replay_of_an_unreadable_path_exits_2(tmp_path, capsys):
+    assert main(["replay", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith("cannot read trace: [Errno 21] Is a directory")
+    assert main(["replay", str(tmp_path / "missing.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("cannot read trace: [Errno 2] No such file")
 
 
 def test_analyzer_bug_propagates_from_analyze(monkeypatch):

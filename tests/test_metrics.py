@@ -1,8 +1,10 @@
 """Planted-fault detection and oracle cross-checks for the trace analyzer."""
 
 import copy
+import gc
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +355,7 @@ class ReferenceAnalyzer(_Analyzer):
             if recheck_dagger or not uniform_rates:
                 self._check_dagger_now(now, seq)
                 recheck_dagger = False
+        self.end_seq, self.end_time = seq, _ticks(rec["time"], seq)
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
@@ -1474,3 +1477,60 @@ def test_f_star_counts_corrupted_leader_groups():
     assert compute_f_star(records, params_from(records)) == 1
     clean = run_records()
     assert compute_f_star(clean, params_from(clean)) == 0
+
+
+# -- streaming -----------------------------------------------------------------
+
+
+class WatchedRecord(dict):
+    """A record a weak reference can watch."""
+
+
+def test_streamed_analysis_retains_no_records():
+    records = run_records(
+        n=4, corruptions=(Corruption(0, "early_signer"),), stop="horizon", horizon=40
+    )
+    kinds = {r["kind"] for r in records}
+    assert {"send", "deliver", "threshold", "form_vc", "form_qc"} <= kinds
+    watched = []  # (position, weak reference) of every record but the header
+
+    def stream():
+        for i, rec in enumerate(records):
+            # the scan holds the record it is reading (i - 1), and no older one
+            held = [j for j, ref in watched if j < i - 1 and ref() is not None]
+            assert held == [], [records[j]["kind"] for j in held]
+            rec = WatchedRecord(rec)
+            if i:
+                watched.append((i, weakref.ref(rec)))
+            yield rec
+
+    was_enabled = gc.isenabled()
+    gc.disable()  # a record kept alive by a cycle counts as kept
+    try:
+        got = analyze(stream())
+        assert [j for j, ref in watched if ref() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(watched) == len(records) - 1
+    assert got == analyze(records)
+
+
+def test_every_analyzer_reads_a_stream():
+    records = run_records(
+        n=4, corruptions=(Corruption(0, "late_qc_relayer"),), stop="horizon", horizon=40
+    )
+    want = analyze(records)
+    assert analyze(iter(records)) == want
+    assert QuadraticAnalyzer(iter(records)).analyze() == want
+    assert ReferenceAnalyzer(iter(records)).analyze() == want
+    assert compute_f_star(iter(records), params_from(records)) == want.f_star
+
+
+def test_a_failed_read_of_a_stream_propagates_as_it_is(base):
+    bad = copied(base)
+    next(r for r in bad if r["kind"] == "deliver").pop("proc_clock")
+    with pytest.raises(KeyError, match="proc_clock"):
+        analyze(iter(bad))
+    with pytest.raises(TraceAnalysisError, match="field 'proc_clock' is missing"):
+        analyze(bad)

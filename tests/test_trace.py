@@ -460,3 +460,59 @@ def test_reader_matches_json_loads_on_random_edits(data):
         elif at + 1 < len(lines):
             lines[at : at + 2] = [line + lines[at + 1]]
     reads_like_json_loads("\n".join(lines) + "\n")
+
+
+# -- the file reader: read_trace reads as parse_jsonl reads the whole text -----
+
+BLOCKS = [1, 7, 4096, trace._BLOCK]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("text", ODD_LINES.values(), ids=list(ODD_LINES))
+def test_file_reader_reads_as_the_whole_text(text, block, tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(trace, "_BLOCK", block)
+    with open(path, encoding="utf-8") as fh:  # a text-mode read: universal newlines
+        whole = fh.read()
+    assert outcome(read_trace, path) == outcome(parse_jsonl, whole)
+
+
+def undecodable(newline, bad_at, bad=b"\xff", json_error_at=None):
+    """The short trace's lines joined by newline, with bad inserted into
+    line bad_at (0-based) and line json_error_at cut short."""
+    lines = [line.encode("utf-8") for line in short_trace_lines()]
+    lines[bad_at] = lines[bad_at][:9] + bad + lines[bad_at][9:]
+    if json_error_at is not None:
+        lines[json_error_at] = lines[json_error_at][:-1]
+    sep = newline.encode("utf-8")
+    return sep.join(lines) + sep
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028", "\x85"])
+@pytest.mark.parametrize("bad_at", [0, 3, -1])
+def test_undecodable_bytes_are_an_error_on_their_line(block, newline, bad_at, tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(undecodable(newline, bad_at))
+    monkeypatch.setattr(trace, "_BLOCK", block)
+    line_no = range(1, len(short_trace_lines()) + 1)[bad_at]
+    with pytest.raises(TraceParseError, match=f"^line {line_no}: not UTF-8: invalid start byte$"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_undecodable_bytes_are_read_in_line_order(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(trace, "_BLOCK", block)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(undecodable("\n", 4, json_error_at=2))
+    with pytest.raises(TraceParseError, match="^line 3: invalid JSON"):
+        read_trace(path)
+    path.write_bytes(undecodable("\n", 2, json_error_at=4))
+    with pytest.raises(TraceParseError, match="^line 3: not UTF-8"):
+        read_trace(path)
+    whole = "".join(line + "\n" for line in short_trace_lines()).encode("utf-8")
+    path.write_bytes(whole + b"\xe2\x82")  # a character cut off at the end
+    line_no = len(short_trace_lines()) + 1
+    with pytest.raises(TraceParseError, match=f"^line {line_no}: not UTF-8: unexpected end"):
+        read_trace(path)
