@@ -16,7 +16,6 @@ import functools
 import gc
 import hashlib
 import json
-import multiprocessing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -280,6 +279,8 @@ def run_experiment(
         cells = spec.cells()
         work = [(i, cell, spec.traces_dir) for i, cell in enumerate(cells)]
         if jobs > 1 and len(work) > 1:
+            import multiprocessing  # here, so that a serial run's set-up skips it
+
             with multiprocessing.Pool(jobs) as pool:
                 indexed = pool.map(_worker, work)
         else:

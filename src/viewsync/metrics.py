@@ -33,7 +33,9 @@ deliveries are joined to. So a trace can be analyzed as it is parsed
 (``trace.iter_trace``), and the end record's seq and time are taken after
 the scan. Given a list, a failed analysis names a malformed end time first,
 then the analysis's own error, else the first malformed field of the whole
-trace.
+trace. The scan also builds each view's ``(start, until, proc)`` spans as
+processors enter views, and the underlying-contract check reads them rather
+than rebuilding them from the entries.
 
 Violations are data, not exceptions: each carries the invariant id and the
 sequence number of the offending record, so a planted fault can be located
@@ -132,7 +134,6 @@ def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]
 class _Proc:
     __slots__ = (
         "rate",
-        "offset",
         "view",
         "corrupted_at",
         "offset_log",
@@ -143,9 +144,9 @@ class _Proc:
     )
 
     def __init__(self, offset, rate):
-        # both times the analyzer's q, so the clock at any int time is an int
+        # both times the analyzer's q, so the clock at any int time is an int;
+        # the offset in force is the analyzer's, in its ``offsets``
         self.rate = rate
-        self.offset = offset
         self.view = 0
         self.corrupted_at: Any = INF
         self.offset_log: list[tuple[int, Any]] = [(-1, offset)]  # (seq, offset)
@@ -177,11 +178,21 @@ class _Analyzer:
         self.records = chain((head,), records)
         self.ids = frozenset(range(r.n))  # every id a record may name a processor by
         q = self.q = math.lcm(*(rate.denominator for rate in r.rates))
+        # each processor's clock is offsets[p] + procs[p].rate * now, times q
+        self.offsets = [off * q for off in r.offsets]
         self.procs = [
-            _Proc(off * q, rate.numerator * (q // rate.denominator))
-            for off, rate in zip(r.offsets, r.rates)
+            _Proc(off, rate.numerator * (q // rate.denominator))
+            for off, rate in zip(self.offsets, r.rates)
         ]
+        self.none_corrupted = True  # until a corrupt record is scanned
         self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
+        # the run's constants, read at every record of the scan
+        self.gst, self.windows, self.uniform_rates = r.gst, r.windows, r.uniform_rates
+        self.delta_cap, self.delta_actual, self.delta_eff = r.delta_cap, r.delta_actual, r.delta_eff
+        self.never_corrupted = r.never_corrupted
+        # whether a delivery after stabilisation must also meet the actual delay
+        self.actual_bound = r.network != "worst_case_max_delay"
+        self.dagger_gamma = r.gamma * q
 
         self.violations: list[Violation] = []
         self.signatures: set[tuple[int, str, int]] = set()
@@ -198,6 +209,10 @@ class _Analyzer:
         # certificate a never-corrupted processor received after
         # max(gst, send_time) + delta_eff
         self.late_deliveries: dict[int, list[tuple[Any, int]]] = {}
+        # view -> (start, until, proc) of each never-corrupted processor's
+        # stay in it, closed as the processor enters its next view (until INF
+        # for the view it ends the trace in)
+        self.spans: dict[int, list[tuple[Any, Any, int]]] = {}
         self.end_seq: Any = None  # the last record's seq and time, once scanned
         self.end_time: Any = None
         self.gst_seq = -1  # the last record before the first stamped after gst
@@ -212,8 +227,15 @@ class _Analyzer:
 
     def _check_dagger_now(self, now, seq: int) -> bool:
         """Flag the dispersion condition at ``now`` if it fails; return whether it held."""
-        clocks = [pr.offset + pr.rate * now for pr in self.procs if now < pr.corrupted_at]
-        held = check_dagger(clocks, self.resolved.gamma * self.q, self.resolved.t)
+        if self.none_corrupted and self.uniform_rates:
+            clocks = self.offsets  # every clock is its offset plus now: compare the offsets
+        else:
+            clocks = [
+                off + pr.rate * now
+                for off, pr in zip(self.offsets, self.procs)
+                if now < pr.corrupted_at
+            ]
+        held = check_dagger(clocks, self.dagger_gamma, self.resolved.t)
         if not held:
             self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
         return held
@@ -288,6 +310,7 @@ class _Analyzer:
             elif kind == "corrupt":
                 p = self._proc(rec, seq)
                 self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                self.none_corrupted = False
                 recheck_dagger = True
             elif kind == "form_vc":
                 self._scan_form(rec, "vc", seq)
@@ -305,6 +328,9 @@ class _Analyzer:
                 recheck_dagger = False
         self.end_seq = rec["seq"]
         self.end_time = _ticks(rec["time"], self.end_seq)
+        for p in self.never_corrupted:  # the view each processor ends the trace in
+            pr = self.procs[p]
+            self.spans.setdefault(pr.view, []).append((pr.entries[-1][0], INF, p))
 
     def _proc(self, rec: Record, seq: int) -> int:
         """The ``proc`` of a record, which must be a processor id."""
@@ -334,7 +360,9 @@ class _Analyzer:
         # would pass for an int; a deliver's recipient is one of these
         if type(sender) is not int or sender < 0 or not self.ids.issuperset(recipients):
             raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
-        if not {*map(type, recipients), *map(type, deliver_times)} <= _INT:
+        if not (
+            _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
+        ):
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
         ptype, view = payload["type"], payload["view"]
         pr = self.procs[sender]
@@ -352,7 +380,7 @@ class _Analyzer:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
                 floor = view * self.resolved.gamma
-                if pr.offset + pr.rate * now < floor * self.q:
+                if self.offsets[sender] + pr.rate * now < floor * self.q:
                     self.flag(
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
@@ -384,13 +412,13 @@ class _Analyzer:
         if not now < pr.corrupted_at:
             return False
         clock *= self.q
-        expected = pr.offset + pr.rate * now
+        expected = self.offsets[p] + pr.rate * now
         forwarded = False
         if clock < expected:
             self.flag("clock_monotonicity", seq, f"processor {p} clock moved backwards")
         elif clock > expected:
-            pr.offset = clock - pr.rate * now
-            pr.offset_log.append((seq, pr.offset))
+            offset = self.offsets[p] = clock - pr.rate * now
+            pr.offset_log.append((seq, offset))
             forwarded = True
         if view != pr.view:
             if type(view) is not int:
@@ -398,6 +426,8 @@ class _Analyzer:
             if view < pr.view:
                 self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
             else:
+                if p in self.never_corrupted:
+                    self.spans.setdefault(pr.view, []).append((pr.entries[-1][0], now, p))
                 pr.view = view
                 pr.entries.append((now, view, seq))
         return forwarded
@@ -433,26 +463,25 @@ class _Analyzer:
             clock = _ticks(clock, seq)
         forwarded = self._scan_stamp(p, proc_view, clock, now, seq)
 
-        r = self.resolved
+        gst = self.gst
         if sender == p:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")
         else:
-            sync = sync_start(send_time, r.gst, r.windows)
-            if sync is None:  # sent after the final window closed: no upper bound
-                sync = INF
-            bound = max(sync, send_time) + r.delta_cap
+            if self.windows is None:
+                sync = gst
+            else:
+                sync = sync_start(send_time, gst, self.windows)
+                if sync is None:  # sent after the final window closed: no upper bound
+                    sync = INF
+            bound = (sync if sync > send_time else send_time) + self.delta_cap
             if now <= send_time or now > bound:
                 self.flag(
                     "delivery_bound", seq, f"delivery at {now} outside ({send_time}, {bound}]"
                 )
-            elif (
-                r.network != "worst_case_max_delay"
-                and sync <= send_time
-                and now > send_time + r.delta_actual
-            ):
+            elif self.actual_bound and sync <= send_time and now > send_time + self.delta_actual:
                 self.flag("delivery_bound", seq, "post-stabilisation delivery exceeded delta")
-        if p not in r.never_corrupted:
+        if p not in self.never_corrupted:
             return forwarded
         ptype, view = payload["type"], payload["view"]
         if ptype == "quorum_certificate":
@@ -460,7 +489,7 @@ class _Analyzer:
         elif ptype != "proposal" and ptype != "vote":
             return forwarded  # a certificate's signers were checked with its send record
         # only a late delivery can make view v untimely in check_underlying_contract
-        if now > max(r.gst, send_time) + r.delta_eff:
+        if now > (gst if gst > send_time else send_time) + self.delta_eff:
             self.late_deliveries.setdefault(view, []).append((send_time, sender))
         return forwarded
 
@@ -494,11 +523,12 @@ class _Analyzer:
     # -- post-scan passes ----------------------------------------------------
 
     def all_entries(self) -> list[tuple[Any, int, int, int]]:
-        out = []
-        for p in self.resolved.never_corrupted:
-            for when, view, seq in self.procs[p].entries:
-                out.append((when, view, seq, p))
-        out.sort(key=lambda e: (e[0], e[2]))
+        out = [
+            (when, view, seq, p)
+            for p in self.never_corrupted
+            for when, view, seq in self.procs[p].entries
+        ]
+        out.sort(key=itemgetter(0, 2))
         return out
 
     def first_entry_times(self, entries) -> dict[int, Any]:
@@ -528,9 +558,10 @@ class _Analyzer:
         """
         r = self.resolved
         cv = self._clean_start()  # the lowest boundary clock not yet reached
+        view_of = itemgetter(1)
         for tau, at_tau in groupby(entries, key=itemgetter(0)):
             at_tau = list(at_tau)
-            top = max(e[1] for e in at_tau) * r.gamma
+            top = max(map(view_of, at_tau)) * r.gamma
             while cv <= top:
                 v = cv // r.gamma
                 firsts = [e for e in at_tau if e[1] >= v]
@@ -694,7 +725,7 @@ class _Analyzer:
         r = self.resolved
         return (
             not r.corruptions
-            and r.network != "worst_case_max_delay"
+            and self.actual_bound
             and r.delta_actual * 10 <= r.delta_cap
             and len(set(r.offsets)) == 1
         )
@@ -754,13 +785,9 @@ class _Analyzer:
         r = self.resolved
         delta = r.delta_eff
         need = r.n - r.t
-        intervals: dict[int, list[tuple[Any, Any, int]]] = {}
-        for p in r.never_corrupted:
-            ents = self.procs[p].entries
-            for i, (when, view, _seq) in enumerate(ents):
-                until = ents[i + 1][0] if i + 1 < len(ents) else INF
-                intervals.setdefault(view, []).append((when, until, p))
-        for view, spans in intervals.items():
+        rank = {p: i for i, p in enumerate(r.never_corrupted)}
+        lacking = []  # (rank, view, deadline, processors without the quorum by then)
+        for view, spans in self.spans.items():
             if len(spans) < need:
                 continue
             lead = self.leader(view)
@@ -782,20 +809,30 @@ class _Analyzer:
                 for send, sender in self.late_deliveries.get(view, ())
             ):
                 continue
+            late = [
+                p
+                for p in r.never_corrupted
+                if self.procs[p].qc_receipt.get(view, (INF,))[0] > deadline
+            ]
+            if not late:
+                continue
+            # each member holds the view until the deadline or its certificate
             held = all(
-                until >= min(self.procs[p].qc_receipt.get(view, (INF,))[0], deadline)
+                until >= deadline or until >= self.procs[p].qc_receipt.get(view, (INF,))[0]
                 for p, until in quorum.items()
             )
-            if not held:
-                continue
-            for p in r.never_corrupted:
-                got = self.procs[p].qc_receipt.get(view)
-                if got is None or got[0] > deadline:
-                    self.flag(
-                        "underlying_contract",
-                        self.end_seq,
-                        f"processor {p} lacked the view {view} quorum by {deadline} ticks",
-                    )
+            if held:
+                # flagged in the order each never-corrupted processor's entries
+                # name the views in turn: by the first such processor in the
+                # view, then by view
+                lacking.append((min(rank[p] for _s, _u, p in spans), view, deadline, late))
+        for _rank, view, deadline, late in sorted(lacking):
+            for p in late:
+                self.flag(
+                    "underlying_contract",
+                    self.end_seq,
+                    f"processor {p} lacked the view {view} quorum by {deadline} ticks",
+                )
 
     # -- orchestration -------------------------------------------------------
 

@@ -486,6 +486,8 @@ class Resolved:
         whole number of ticks included."""
         try:
             cfg, grid = header["config"], header["grid"]
+            if type(cfg) is not dict:
+                raise ValueError(f"config must be an object, got {cfg!r}")
             if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
                 raise ValueError(f"grid must be a positive integer, got {grid!r}")
             windows = cfg.get("sync_windows")

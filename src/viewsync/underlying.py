@@ -14,13 +14,10 @@ a correct processor votes only while the proposal's view is current.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .certificates import QuorumCertificate, form_qc
 from .core import ALL, Action, ProcessorState, ProtocolParams, Send, leader_of
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,6 @@ def on_proposal(
 ) -> list[Action]:
     """Vote if the proposal's view is current; buffer if early; drop if late."""
     if prop.leader != leader_of(prop.view, params):
-        logger.debug("processor %d: proposal for view %d from non-leader %d",
-                     state.id, prop.view, prop.leader)
         return []
     if state.view > prop.view:
         return []

@@ -2,7 +2,11 @@
 
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,7 +25,7 @@ from viewsync import harness, metrics, simnet
 from viewsync.adversary import BYZANTINE_STRATEGIES
 from viewsync.certificates import CertificateError
 from viewsync.metrics import TraceAnalysisError, analyze
-from viewsync.simnet import Corruption, Simulation, coerce
+from viewsync.simnet import Corruption, SimConfig, Simulation, coerce
 from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
@@ -274,6 +278,26 @@ def test_batch_continues_past_bad_cells(tmp_path):
     assert len(table) == 2  # only the satisfiable (n, f) cell
 
 
+def test_importing_the_harness_leaves_pool_and_logging_modules_out():
+    # a serial run's set-up pays for neither: the pool's module is imported
+    # where a pool is built, and nothing logs
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = (
+        "import sys, viewsync.harness; "
+        "print(sorted({'multiprocessing', 'logging'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_parallel_batch_matches_serial(tmp_path):
     spec = ExperimentSpec(base=BASE, sweeps={"f": [0, 1]}, seeds=2)
     serial = run_experiment(spec)["rows"]
@@ -483,6 +507,18 @@ def test_cli_replay_reports_malformed_header(spec_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", bad]) == 2
     assert "malformed trace: header is missing or malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["1/2", 1.5, 3, []])
+def test_cli_replay_reports_a_config_that_is_not_an_object(tmp_path, capsys, config):
+    records = Simulation(SimConfig(n=4, stop="horizon", horizon=10)).run()
+    records[0] = {**records[0], "config": config}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["replay", str(bad)]) == 2
+    message = f"header is missing or malformed: config must be an object, got {config!r}"
+    assert capsys.readouterr().err == f"malformed trace: {message}\n"
 
 
 def test_cli_replay_refuses_version_1_traces(spec_file, tmp_path, capsys):

@@ -273,7 +273,11 @@ class QuadraticAnalyzer(_Analyzer):
 
 
 class _ReferenceProc(_Proc):
-    __slots__ = ()
+    __slots__ = ("offset",)
+
+    def __init__(self, offset, rate):
+        super().__init__(offset, rate)
+        self.offset = offset
 
     def clock(self, now):
         return self.offset + self.rate * now
@@ -668,6 +672,89 @@ def test_late_delivery_detected(base):
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
 
+def windowed_run():
+    """A run whose synchrony comes in windows: [5, 20), then from 40 on."""
+    return copied(
+        run_records(sync_windows=[(5, 20), (40, None)], gst=5, network="uniform_random",
+                    seed=1, stop="horizon", horizon=60)
+    )
+
+
+def test_late_delivery_inside_a_bounded_window_detected():
+    # a send moved back to the window's start: a delivery after start +
+    # delta_cap that is still inside the window breaks the window's bound
+    records = windowed_run()
+    g = records[0]["grid"]
+    assert violations(records) == []
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver"
+        and sent(records, r)["sender"] != r["recipient"]
+        and 5 * g < sent(records, r)["time"]
+        and 7 * g < r["time"] < 20 * g,
+    )
+    records[records[i]["send"]]["time"] = 5 * g
+    assert ("delivery_bound", i) in {v[:2] for v in violations(records)}
+
+
+@pytest.mark.parametrize("before_end", [False, True])
+def test_a_send_after_every_bounded_window_is_never_late(before_end):
+    # the header keeps only the bounded window [5, 20), and a send (to
+    # others only) of the last window is moved back to 20: its deliveries,
+    # some 20 time units on, are unbounded. One tick earlier the send is
+    # inside the window, and the same deliveries are late.
+    records = windowed_run()
+    g = records[0]["grid"]
+    records[0]["config"]["sync_windows"] = [[5 * g, 20 * g]]
+    assert violations(records) == []
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver"
+        and sent(records, r)["sender"] not in sent(records, r)["recipients"]
+        and sent(records, r)["time"] >= 40 * g,
+    )
+    records[records[i]["send"]]["time"] = 20 * g - before_end
+    found = {v.seq for v in violations(records) if v.invariant == "delivery_bound"}
+    if before_end:
+        assert i in found
+    else:
+        assert found == set()
+
+
+@pytest.mark.parametrize("network", ["worst_case_max_delay", "fixed_delta"])
+def test_a_delivery_at_the_cap_is_late_only_where_the_actual_delay_binds(network):
+    # a fixed_delta run's send (to others only) moved back so that one
+    # delivery comes delta_cap after it: the cap allows that, the actual
+    # delay does not
+    records = copied(run_records(network="fixed_delta", delta_actual="1/5", stop="horizon",
+                                 horizon=30))
+    records[0]["config"]["network"] = network
+    g = records[0]["grid"]
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver"
+        and sent(records, r)["sender"] not in sent(records, r)["recipients"]
+        and r["time"] >= 2 * g,
+    )
+    records[records[i]["send"]]["time"] = records[i]["time"] - 2 * g
+    found = [v for v in violations(records) if v.invariant == "delivery_bound"]
+    if network == "worst_case_max_delay":
+        assert found == []
+    else:
+        assert ("delivery_bound", i, "post-stabilisation delivery exceeded delta") in found
+
+
+def test_a_corrupted_processors_clock_leaves_the_dispersion_check():
+    # processor 0 starts 100 time units ahead and is corrupted at 5: the
+    # dispersion check counts its clock until then, and never after
+    records = copied(run_records(corruptions=(Corruption(0, "silent", 5),), stop="horizon",
+                                 horizon=30))
+    records[0]["config"]["offsets"][0] += 100 * records[0]["grid"]
+    c = find(records, lambda r: r["kind"] == "corrupt")
+    dagger = [v.seq for v in violations(records) if v.invariant == "dagger"]
+    assert dagger and max(dagger) < c
+
+
 def test_delayed_self_delivery_detected(base):
     # a self-delivery one time unit after its send: the send is stamped earlier
     i = find(
@@ -930,6 +1017,43 @@ def test_lost_quorum_certificate_breaks_underlying_contract(base):
     )
 
 
+def without_quorum_certificates(records, recipient, views):
+    """records without the deliveries of these views' quorum certificates
+    to recipient, renumbered."""
+    return renumbered([
+        r for r in records
+        if not (r["kind"] == "deliver" and r["recipient"] == recipient
+                and sent(records, r)["payload"]["type"] == "quorum_certificate"
+                and sent(records, r)["payload"]["view"] in views)
+    ])
+
+
+def test_underlying_contract_flags_views_in_entry_order():
+    # processor 0 skips views 5 to 20 here; without the quorum certificates
+    # of views 5 and 21 it breaks the contract in both, flagged view 21
+    # first: the views processor 0 entered come before those only later
+    # processors did, as when the spans were rebuilt processor by processor
+    records = run_records(n=4, offsets="adversarial_spread", seed=3, network="fixed_delta",
+                          delta_actual="1/5", stop="horizon", horizon=40)
+    assert [v for _t, v, _s in scanned(records).procs[0].entries][4:6] == [4, 21]
+    bad = without_quorum_certificates(records, 0, (5, 21))
+    found = [v.detail for v in violations(bad) if v.invariant == "underlying_contract"]
+    assert found == [
+        "processor 0 lacked the view 21 quorum by 236 ticks",
+        "processor 0 lacked the view 5 quorum by 90 ticks",
+    ]
+
+
+def test_a_delivery_sent_before_gst_is_late_only_after_gst_plus_delta():
+    # view 0's proposal and votes go out before gst and arrive delta_cap
+    # after it, more than delta_cap after their send: on time, so view 0 is
+    # checked, and processor 1, without its quorum certificate, is flagged
+    records = run_records(n=4, gst=3, stop="horizon", horizon=33)
+    bad = without_quorum_certificates(records, 1, (0,))
+    found = [v.detail for v in violations(bad) if v.invariant == "underlying_contract"]
+    assert found == ["processor 1 lacked the view 0 quorum by 270 ticks"]
+
+
 def test_leader_outside_the_first_quorum_leaves_the_view_unchecked(base):
     # the lost-quorum fault, with view v's leader entering v only after the
     # others hold a quorum there: the contract needs the leader among the
@@ -1152,6 +1276,26 @@ def test_quorum_sweep_matches_quadratic_oracle_over_acceptance_matrix():
     for cell in matrix_cells():
         records = Simulation(build_config(cell)).run()
         assert analyze(records) == QuadraticAnalyzer(records).analyze(), cell
+
+
+def rebuilt_spans(analyzer):
+    """Each view's ``(start, until, proc)`` spans as first written: rebuilt
+    after the scan from every never-corrupted processor's entries, each
+    entry's span ending at the processor's next entry."""
+    spans = {}
+    for p in analyzer.resolved.never_corrupted:
+        ents = analyzer.procs[p].entries
+        for i, (when, view, _seq) in enumerate(ents):
+            until = ents[i + 1][0] if i + 1 < len(ents) else INF
+            spans.setdefault(view, []).append((when, until, p))
+    return spans
+
+
+def test_scan_spans_match_a_rebuild_from_the_entries_over_acceptance_matrix():
+    for cell in matrix_cells():
+        analyzer = scanned(Simulation(build_config(cell)).run())
+        got = {view: sorted(spans) for view, spans in analyzer.spans.items()}
+        assert got == {view: sorted(spans) for view, spans in rebuilt_spans(analyzer).items()}, cell
 
 
 def negative_recipient(records):
