@@ -19,7 +19,7 @@ class CertificateError(ValueError):
     """Raised when a forming/validation precondition fails."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewMessage:
     """A processor's signed announcement that its clock reached a view's start."""
 
@@ -27,7 +27,7 @@ class ViewMessage:
     signer: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewCertificate:
     """Aggregate of t+1 distinct view messages for one view."""
 
@@ -35,7 +35,7 @@ class ViewCertificate:
     signers: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuorumCertificate:
     """Aggregate of n-t distinct votes certifying completion of one view."""
 

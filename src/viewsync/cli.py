@@ -194,6 +194,16 @@ def _cmd_replay(args) -> int:
     return 1 if row["violations_count"] else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="viewsync",
@@ -205,7 +215,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="YAML experiment spec")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker count")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument(
             "--horizon",

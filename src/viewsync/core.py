@@ -70,6 +70,8 @@ class ProtocolParams:
     k: int
     gamma: int
     schedule: RoundRobinSchedule | PermutationSchedule
+    # view -> leader, filled by leader_of
+    leaders: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or not 0 <= self.t or not 3 * self.t < self.n:
@@ -101,33 +103,42 @@ def view_at(clock_value: int, params: ProtocolParams) -> int:
 
 
 def leader_of(view: int, params: ProtocolParams) -> int:
-    """Leader id for a view: groups of k consecutive views share one leader."""
-    if view < 0:
-        raise ValueError(f"negative view {view}")
-    return params.schedule.leader_for_group(view // params.k)
+    """Leader id for a view: groups of k consecutive views share one leader.
+
+    Each view's leader is asked of the schedule once and kept on ``params``,
+    which the simulator and the analyzer each build once per run.
+    """
+    leader = params.leaders.get(view)
+    if leader is None:
+        if view < 0:
+            raise ValueError(f"negative view {view}")
+        leader = params.leaders[view] = params.schedule.leader_for_group(view // params.k)
+    return leader
 
 
 # ---------------------------------------------------------------------------
-# Actions returned by handlers for the host to perform.
+# Actions returned by handlers for the host to perform. The host reads each
+# once, so it is a plain slots class, cheaper to build than a frozen one;
+# equality still tells the classes apart.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     to: int | str  # processor id or ALL
     payload: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForwardClock:
     to: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EnterView:
     view: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FormVC:
     vc: ViewCertificate
 

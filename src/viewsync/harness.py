@@ -278,10 +278,11 @@ def run_experiment(
     else:
         cells = spec.cells()
         work = [(i, cell, spec.traces_dir) for i, cell in enumerate(cells)]
-        if jobs > 1 and len(work) > 1:
+        workers = min(jobs, len(work))  # a worker beyond one per cell would idle
+        if workers > 1:
             import multiprocessing  # here, so that a serial run's set-up skips it
 
-            with multiprocessing.Pool(jobs) as pool:
+            with multiprocessing.Pool(workers) as pool:
                 indexed = pool.map(_worker, work)
         else:
             indexed = [_worker(w) for w in work]

@@ -13,7 +13,9 @@ message deliveries and adversary wakeups, then clock thresholds. Within a
 class, the two processors an event names break ties: a delivery's sender and
 then its recipient (a wakeup, threshold or corruption names its processor
 twice), and insertion order only after those. Self-addressed messages are
-delivered in the same instant and cost nothing.
+delivered in the same instant and cost nothing. A clock forward supersedes
+its processor's queued threshold: a superseded one is skipped if popped, and
+all of them are swept out of the heap once they could be half of it.
 
 Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
@@ -35,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Optional, Sequence, Union
 
 from .adversary import BYZANTINE_STRATEGIES, ByzantineControl
@@ -681,18 +683,86 @@ def resolve(config: SimConfig) -> Resolved:
     return dataclasses.replace(desc, offsets=tuple(offsets))
 
 
+# The simulator dispatches on a payload's exact type through the two tables
+# below. They live at module level, not as bound methods kept on a
+# Simulation: an instance holding its own bound methods is a reference cycle,
+# which a cell, run with the cyclic collector off, would leave behind. Each
+# entry calls its handler by the module's global name at call time, so a
+# handler rebound on the module (as a tracer does) is the one called.
+
+# payload type -> its trace form (trace.PAYLOAD_FIELDS)
+_PAYLOAD_DICTS = {
+    ViewMessage: lambda m: {"type": "view_message", "view": m.view, "signer": m.signer},
+    ViewCertificate: lambda c: {
+        "type": "view_certificate",
+        "view": c.view,
+        "signers": list(c.signers),
+    },
+    QuorumCertificate: lambda c: {
+        "type": "quorum_certificate",
+        "view": c.view,
+        "signers": list(c.signers),
+    },
+    Proposal: lambda m: {"type": "proposal", "view": m.view, "leader": m.leader},
+    Vote: lambda m: {"type": "vote", "view": m.view, "signer": m.signer},
+}
+
+
 def payload_to_dict(payload) -> dict:
-    if isinstance(payload, ViewMessage):
-        return {"type": "view_message", "view": payload.view, "signer": payload.signer}
-    if isinstance(payload, ViewCertificate):
-        return {"type": "view_certificate", "view": payload.view, "signers": list(payload.signers)}
-    if isinstance(payload, QuorumCertificate):
-        return {"type": "quorum_certificate", "view": payload.view, "signers": list(payload.signers)}
-    if isinstance(payload, Proposal):
-        return {"type": "proposal", "view": payload.view, "leader": payload.leader}
-    if isinstance(payload, Vote):
-        return {"type": "vote", "view": payload.view, "signer": payload.signer}
-    raise TypeError(f"cannot serialise payload {payload!r}")
+    to_dict = _PAYLOAD_DICTS.get(type(payload))
+    if to_dict is None:
+        raise TypeError(f"cannot serialise payload {payload!r}")
+    return to_dict(payload)
+
+
+def _unsigned(payload) -> SimulationError:
+    return SimulationError(f"delivered {payload!r} carries signatures nobody made")
+
+
+def _receive_vote(sim: Simulation, p: int, state: ProcessorState, vote: Vote) -> list:
+    if not sim.ledger.holds(vote.signer, SIGN_VOTE, vote.view):
+        raise _unsigned(vote)
+    return on_vote(state, sim.subs[p], vote, sim.params)
+
+
+def _receive_proposal(sim: Simulation, p: int, state: ProcessorState, prop: Proposal) -> list:
+    return on_proposal(state, sim.subs[p], prop, sim.params)
+
+
+def _receive_view_message(sim: Simulation, p: int, state: ProcessorState, msg: ViewMessage) -> list:
+    if not sim.ledger.holds(msg.signer, SIGN_VIEW, msg.view):
+        raise _unsigned(msg)
+    return on_view_message(state, msg, sim.params)
+
+
+# A certificate that passed validation is kept in valid_certs: the ledger is
+# append-only, so a certificate valid once stays valid.
+
+
+def _receive_qc(sim: Simulation, p: int, state: ProcessorState, qc: QuorumCertificate) -> list:
+    if qc not in sim.valid_certs:
+        if not validate_qc(qc, sim.resolved.n, sim.resolved.t, sim.ledger):
+            raise _unsigned(qc)
+        sim.valid_certs.add(qc)
+    return on_qc(state, qc, sim.params)
+
+
+def _receive_vc(sim: Simulation, p: int, state: ProcessorState, vc: ViewCertificate) -> list:
+    if vc not in sim.valid_certs:
+        if not validate_vc(vc, sim.resolved.n, sim.resolved.t, sim.ledger):
+            raise _unsigned(vc)
+        sim.valid_certs.add(vc)
+    return on_vc(state, vc, sim.params)
+
+
+# payload type -> what a correct recipient does with it
+_RECEIVERS = {
+    Vote: _receive_vote,
+    Proposal: _receive_proposal,
+    QuorumCertificate: _receive_qc,
+    ViewMessage: _receive_view_message,
+    ViewCertificate: _receive_vc,
+}
 
 
 class Simulation:
@@ -705,7 +775,14 @@ class Simulation:
         self.heap: list = []
         self.counter = itertools.count()
         self.net_rng = random.Random(subseed(r.seed, "net"))
-        # delivery time of a message sent at a given instant to another processor
+        self.params = r.params
+        # A message to another processor arrives when _arrival says, or at
+        # _never, after the last event, when no bound applies. With one
+        # stabilisation time and no draw, that is a fixed _delay after
+        # max(now, gst), which send computes itself.
+        self._draws = r.network == "uniform_random"
+        self._never = r.horizon + r.delta_cap + r.unit
+        self._delay = None if self._draws or r.windows is not None else r.delta_eff
         self._arrival = partial(
             delivery_time,
             r.network,
@@ -717,15 +794,18 @@ class Simulation:
             unit=r.unit,
         )
         self.ledger = SignatureLedger()
-        # certificates that passed validation; the ledger is append-only, so
-        # a certificate valid once stays valid
-        self.valid_certs: set = set()
+        self.valid_certs: set = set()  # see _receive_qc
         self.states = [ProcessorState(id=p, clock=r.offsets[p]) for p in range(r.n)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
         self.offset: list[int] = list(r.offsets)  # clock model intercepts
         # each clock reads offset + num * now // den, an exact division on the grid
         self.rates = [(rate.numerator, rate.denominator) for rate in r.rates]
+        # each clock forward bumps its processor's gen, which supersedes the
+        # threshold event queued for it; _superseded counts the forwards since
+        # the last sweep, a bound on the superseded events in the heap, and
+        # _drop_superseded sweeps them out once that bound passes half of it
         self.gen = [0] * r.n
+        self._superseded = 0
         self.next_boundary = [0] * r.n
         self.corrupted = [False] * r.n
         self.controls = {
@@ -788,21 +868,29 @@ class Simulation:
         recipients = list(range(r.n)) if to == ALL else [to]
         # uniform_random draws once per other recipient, in recipient order;
         # every other network gives all of them one time
-        draws = r.network == "uniform_random"
-        arrival = self._arrival
-        far = None if draws or to == sender else arrival(now)
+        arrival, never = self._arrival, self._never
+        if self._draws:
+            far = None
+        elif self._delay is not None:
+            far = (now if now > r.gst else r.gst) + self._delay
+        else:
+            far = arrival(now)
+            if far is None:
+                far = never
         horizon, heap, counter = r.horizon, self.heap, self.counter
+        envelope = (send_seq, payload)
         deliver_times = []
         for q in recipients:
             if q == sender:
                 when = now
-            else:
-                when = arrival(now) if draws else far
+            elif far is None:
+                when = arrival(now)
                 if when is None:
-                    when = horizon + r.delta_cap + r.unit
+                    when = never
+            else:
+                when = far
             deliver_times.append(when)
             if when <= horizon:
-                envelope = (send_seq, q, payload)
                 heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
         self.seq = send_seq + 1
         self.records.append(
@@ -820,7 +908,7 @@ class Simulation:
     # -- action dispatch ----------------------------------------------------
 
     def _dispatch(self, p: int, actions: list, now: int) -> None:
-        state, r = self.states[p], self.resolved
+        r = self.resolved
         for act in actions:
             kind = type(act)
             if kind is Send:
@@ -829,8 +917,11 @@ class Simulation:
                 target = act.to
                 num, den = self.rates[p]
                 self.offset[p] = target - num * now // den
-                state.clock = target
+                self.states[p].clock = target
                 self.gen[p] += 1
+                self._superseded += 1
+                if 2 * self._superseded > len(self.heap):
+                    self._drop_superseded()
                 self.next_boundary[p] = (target // r.period + 1) * r.period
                 self._schedule_threshold(p)
             elif kind is EnterView:
@@ -870,7 +961,7 @@ class Simulation:
                 raise SimulationError(f"unhandled action {act!r}")
 
     def _enter_view(self, p: int, view: int, now: int) -> list:
-        actions = on_enter_view(self.states[p], self.subs[p], view, self.resolved.params)
+        actions = on_enter_view(self.states[p], self.subs[p], view, self.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
         return actions
@@ -878,39 +969,18 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _receive_correct(self, p: int, payload, now: int) -> list:
-        state, r = self.states[p], self.resolved
+        state = self.states[p]
         num, den = self.rates[p]
         state.clock = self.offset[p] + num * now // den
-        kind = type(payload)
-        if kind is Vote:
-            self._require(self.ledger.holds(payload.signer, SIGN_VOTE, payload.view), payload)
-            return on_vote(state, self.subs[p], payload, r.params)
-        if kind is Proposal:
-            return on_proposal(state, self.subs[p], payload, r.params)
-        if kind is QuorumCertificate:
-            if payload not in self.valid_certs:
-                self._require(validate_qc(payload, r.n, r.t, self.ledger), payload)
-                self.valid_certs.add(payload)
-            return on_qc(state, payload, r.params)
-        if kind is ViewMessage:
-            self._require(self.ledger.holds(payload.signer, SIGN_VIEW, payload.view), payload)
-            return on_view_message(state, payload, r.params)
-        if kind is ViewCertificate:
-            if payload not in self.valid_certs:
-                self._require(validate_vc(payload, r.n, r.t, self.ledger), payload)
-                self.valid_certs.add(payload)
-            return on_vc(state, payload, r.params)
-        raise SimulationError(f"unhandled payload {payload!r}")
+        receive = _RECEIVERS.get(type(payload))
+        if receive is None:
+            raise SimulationError(f"unhandled payload {payload!r}")
+        return receive(self, p, state, payload)
 
-    @staticmethod
-    def _require(valid: bool, payload) -> None:
-        if not valid:
-            raise SimulationError(f"delivered {payload!r} carries signatures nobody made")
-
-    def _handle_delivery(self, envelope: tuple, now: int) -> None:
-        """``envelope`` is ``(send_seq, recipient, payload)``, where
+    def _handle_delivery(self, p: int, envelope: tuple, now: int) -> None:
+        """Deliver ``envelope``, ``(send_seq, payload)``, to processor ``p``;
         ``send_seq`` is the seq of the ``send`` record it belongs to."""
-        send_seq, p, payload = envelope
+        send_seq, payload = envelope
         actions: list = []
         if self.corrupted[p]:
             ctl = self.controls[p]
@@ -945,7 +1015,7 @@ class Simulation:
             return
         state = self.states[p]
         state.clock = boundary
-        actions = on_clock_reaches(state, boundary, self.resolved.params)
+        actions = on_clock_reaches(state, boundary, self.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
         self._emit(
@@ -967,7 +1037,18 @@ class Simulation:
             return
         boundary = self.next_boundary[p]
         when = self._threshold_time(p, boundary)
-        self._push(when, _PRIO_THRESHOLD, p, p, "thr", (boundary, self.gen[p]))
+        if when <= self.resolved.horizon:
+            data = (boundary, self.gen[p])
+            heappush(self.heap, (when, _PRIO_THRESHOLD, p, p, next(self.counter), "thr", data))
+
+    def _drop_superseded(self) -> None:
+        """Remove the threshold events a clock forward superseded from the
+        heap, in place. Every other event keeps its key, so the events
+        still to come are popped in the same order."""
+        gen, heap = self.gen, self.heap
+        heap[:] = [e for e in heap if e[5] != "thr" or e[6][1] == gen[e[2]]]
+        heapify(heap)
+        self._superseded = 0
 
     def _apply_corruption(self, proc: int, strategy: str, now: int) -> None:
         self.corrupted[proc] = True
@@ -1027,11 +1108,11 @@ class Simulation:
         heap, horizon, may_stop = self.heap, r.horizon, r.stop != "horizon"
         handle_delivery = self._handle_delivery
         while heap:
-            when, _prio, a, _b, _, kind, data = heappop(heap)
+            when, _prio, a, b, _, kind, data = heappop(heap)
             if when > horizon:
                 break
             if kind == "dlv":
-                handle_delivery(data, when)
+                handle_delivery(b, data, when)
             elif kind == "thr":
                 boundary, gen = data
                 self._handle_threshold(a, boundary, gen, when)
@@ -1041,7 +1122,7 @@ class Simulation:
                 self._apply_corruption(a, data, when)
             else:
                 raise SimulationError(f"unhandled event kind {kind!r}")
-            if may_stop:
+            if may_stop and self.t_star_ticks is not None:
                 stop_reason = self._should_stop()
                 if stop_reason is not None:
                     stop_time = when

@@ -26,16 +26,20 @@ type's. Derived from them are the payload formatter and ``malformed_field``,
 which the analyzer calls to name the first absent or malformed field once a
 read has failed. The hot code is written out and tested against them, since
 table-driven versions measured slower: the simulator's record literals and
-``simnet.payload_to_dict``, the ``send`` and ``deliver`` formatters, and the
-analyzer's scan.
+``simnet.payload_to_dict`` (one entry per payload class), the ``send``,
+``deliver`` and ``threshold`` formatters, and the analyzer's scan.
 
 The serialized form is the canonical identity of a run: determinism and
 replay guarantees are stated over these bytes. A record's canonical line is
 ``json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
-``send`` and ``deliver`` records, nearly all of a trace, are formatted
-directly into those same bytes by one f-string each over their fixed sorted
-key order; a record of another kind, or one whose keys or value types are
-not exactly the simulator's, goes through the JSON encoder instead.
+``send``, ``deliver`` and ``threshold`` records, nearly all of a trace, are
+formatted directly into those same bytes by one f-string each over their
+fixed sorted key order. A list of exact ints is written as its repr without
+spaces, with two short paths: a list of one int (a send's one recipient and
+its delivery time) by an f-string, and ``list(range(n))`` (a broadcast's
+recipients) as a string made once per ``n``. A record of another kind, or
+one whose keys or value types are not exactly the simulator's, goes through
+the JSON encoder instead.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
 its own, so a record is one line and an error names its line. It yields each
@@ -60,6 +64,7 @@ on one line can swallow the next, and one line can hold two records.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
@@ -166,10 +171,25 @@ def malformed_field(rec, n: int) -> tuple[str, str] | None:
 # -- the writer ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _range(n: int) -> tuple[list[int], str]:
+    """``list(range(n))`` and its JSON: a broadcast's recipients."""
+    ids = list(range(n))
+    return ids, str(ids).replace(" ", "")
+
+
 def _ints(values) -> str | None:
     """A list of exact ints as JSON; None for anything else."""
-    if type(values) is not list or not {*map(type, values)} <= _INT:
+    if type(values) is not list:
         return None
+    if len(values) == 1:  # a send to one recipient
+        (value,) = values
+        return f"[{value}]" if type(value) is int else None
+    if not {*map(type, values)} <= _INT:
+        return None
+    ids, text = _range(len(values))
+    if values == ids:
+        return text
     # the repr of a list of exact ints is its JSON with spaces
     return str(values).replace(" ", "")
 
@@ -190,7 +210,7 @@ def _payload(p) -> str | None:
     return f'{{"{name}":{value},"type":"{ptype}","view":{view}}}'
 
 
-# The two hot kinds. Each reads every expected key of a record that has
+# The hot kinds. Each formatter reads every expected key of a record that has
 # exactly that many, checks each value's type, and writes the bytes the
 # encoder would; any other record gets None and goes to the encoder.
 
@@ -242,11 +262,40 @@ def _deliver(r: Record) -> str | None:
     )
 
 
+def _threshold(r: Record) -> str | None:
+    if len(r) != 6:
+        return None
+    try:
+        boundary_clock, proc, proc_view = r["boundary_clock"], r["proc"], r["proc_view"]
+        seq, time = r["seq"], r["time"]
+    except KeyError:
+        return None
+    if (
+        type(boundary_clock) is not int
+        or type(proc) is not int
+        or type(proc_view) is not int
+        or type(seq) is not int
+        or type(time) is not int
+    ):
+        return None
+    return (
+        f'{{"boundary_clock":{boundary_clock},"kind":"threshold","proc":{proc},'
+        f'"proc_view":{proc_view},"seq":{seq},"time":{time}}}'
+    )
+
+
 def dumps_record(record: Record) -> str:
     """The canonical JSON line of one record (without its newline)."""
     if type(record) is dict:
         kind = record.get("kind")
-        line = _send(record) if kind == "send" else _deliver(record) if kind == "deliver" else None
+        if kind == "deliver":
+            line = _deliver(record)
+        elif kind == "send":
+            line = _send(record)
+        elif kind == "threshold":
+            line = _threshold(record)
+        else:
+            line = None
         if line is not None:
             return line
     return _ENCODER.encode(record)

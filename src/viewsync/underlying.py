@@ -20,19 +20,19 @@ from .certificates import QuorumCertificate, form_qc
 from .core import ALL, Action, ProcessorState, ProtocolParams, Send, leader_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     view: int
     leader: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vote:
     view: int
     signer: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FormQC:
     qc: QuorumCertificate
 

@@ -58,6 +58,29 @@ def test_leader_round_robin():
     assert leader_of(12, p) == 0
 
 
+@pytest.mark.parametrize("schedule", ["round_robin", "permutation"])
+def test_leader_of_is_the_schedules_leader_in_any_query_order(schedule):
+    # leader_of keeps each view's leader on params; asked out of order, twice
+    # over, it still gives the leader of the view's group
+    def make():
+        return RoundRobinSchedule(5) if schedule == "round_robin" else PermutationSchedule(5, 7)
+
+    p = params(n=5, k=3, schedule=make())
+    views = [40, 0, 17, 3, 39, 41, 2, 100, 17, 0, 58]
+    got = [leader_of(v, p) for v in views * 2]
+    reference = make()
+    assert got == [reference.leader_for_group(v // 3) for v in views * 2]
+    assert p.leaders == {v: reference.leader_for_group(v // 3) for v in views}
+
+
+def test_leader_of_a_negative_view_is_refused_every_time():
+    p = params()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative view -3"):
+            leader_of(-3, p)
+    assert -3 not in p.leaders
+
+
 def test_boundary_views():
     p = params(k=3)
     assert [v for v in range(7) if is_boundary(v, p)] == [0, 3, 6]

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -305,6 +306,32 @@ def test_parallel_batch_matches_serial(tmp_path):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("cells,jobs,workers", [(4, 3, 3), (2, 8, 2), (1, 8, None), (4, 1, None)])
+def test_the_pool_has_no_more_workers_than_cells(monkeypatch, cells, jobs, workers):
+    sizes = []
+
+    class RecordingPool:
+        """Records the size it is asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    spec = ExperimentSpec(base=BASE, seeds=cells)
+    rows = run_experiment(spec, jobs=jobs)["rows"]
+    assert sizes == ([] if workers is None else [workers])
+    assert len(rows) == cells and not any("error" in row for row in rows)
+
+
 # -- replay ----------------------------------------------------------------------
 
 
@@ -421,6 +448,15 @@ def test_cli_verify_fails_on_cell_errors(tmp_path):
     doc = {"base": {"n": 4, "delta_cap": 2}, "sweeps": {"f": [0, 2]}}
     path = write_spec(tmp_path / "bad.yaml", doc)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_cli_refuses_jobs_below_one(spec_file, tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", spec_file, "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"--jobs: expected a positive integer, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_bad_spec_file(tmp_path, capsys):

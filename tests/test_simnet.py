@@ -41,6 +41,7 @@ from viewsync.simnet import (
     subseed,
 )
 from viewsync.trace import to_jsonl
+from viewsync.underlying import Vote
 
 GAMMA = 6  # matches delta_cap=2, x=3
 
@@ -417,6 +418,45 @@ def test_forged_signature_send_raises_simulation_error():
         sim.send(0, ALL, ViewMessage(3, 1), 0)
 
 
+# The simulator dispatches on exact types through tables; a type a table does
+# not list is the located error below, never a bare KeyError. None of these
+# checks is an assert, so each holds under python -O too.
+
+
+class Bulletin(Vote):
+    """A payload type no table lists, though it subclasses one that does."""
+
+
+@pytest.mark.parametrize("payload", [object(), Bulletin(0, 0)], ids=["object", "subclass"])
+def test_a_payload_no_correct_processor_handles_is_a_simulation_error(payload):
+    sim = Simulation(sim_config())
+    with pytest.raises(SimulationError, match="unhandled payload"):
+        sim._receive_correct(1, payload, 0)
+
+
+@pytest.mark.parametrize("payload", [object(), Bulletin(0, 0)], ids=["object", "subclass"])
+def test_a_payload_with_no_trace_form_is_a_type_error(payload):
+    sim = Simulation(sim_config())
+    with pytest.raises(TypeError, match="cannot serialise payload"):
+        sim.send(0, 1, payload, 0)
+    with pytest.raises(TypeError, match="cannot serialise payload"):
+        simnet.payload_to_dict(payload)
+
+
+def test_an_action_the_host_cannot_perform_is_a_simulation_error():
+    # a payload handed over where an action belongs
+    sim = Simulation(sim_config())
+    with pytest.raises(SimulationError, match=r"unhandled action Vote\(view=0, signer=0\)"):
+        sim._dispatch(0, [Vote(0, 0)], 0)
+
+
+def test_an_event_of_no_known_kind_is_a_simulation_error():
+    sim = Simulation(sim_config())
+    sim._push(1, simnet._PRIO_DELIVER, 0, 0, "dlv ", None)
+    with pytest.raises(SimulationError, match="unhandled event kind 'dlv '"):
+        sim.run()
+
+
 def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeypatch):
     # a certificate that fails validation on delivery means the simulator
     # fabricated it; the check must hold under python -O and must not be
@@ -494,10 +534,16 @@ ANNOUNCED_DELIVERIES = [
         stop="sync_plus",
         seed=11,
     ),
+    # one stabilisation time and no draw: the delay the simulator binds per run
+    *(
+        sim_config(network=network, delta_actual="1/2", gst=5, stop="horizon", horizon=40)
+        for network in ("fixed_delta", "worst_case_max_delay")
+    ),
 ]
+ANNOUNCED_IDS = [*NETWORK_STRATEGIES, "n31", "fixed_delta-gst", "worst_case_max_delay-gst"]
 
 
-@pytest.mark.parametrize("cfg", ANNOUNCED_DELIVERIES, ids=[*NETWORK_STRATEGIES, "n31"])
+@pytest.mark.parametrize("cfg", ANNOUNCED_DELIVERIES, ids=ANNOUNCED_IDS)
 def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
     # whatever the simulator computes once per send, the times it announces
     # are those of one delivery_time call per other recipient, in order, on
@@ -547,6 +593,24 @@ try:
     Simulation(SimConfig(n=4)).send(0, ALL, ViewMessage(3, 1), 0)
 except SimulationError as exc:
     print("forged:", exc)
+try:
+    Simulation(SimConfig(n=4))._receive_correct(1, object(), 0)
+except SimulationError as exc:
+    print("payload:", exc)
+try:
+    Simulation(SimConfig(n=4))._dispatch(0, [object()], 0)
+except SimulationError as exc:
+    print("action:", exc)
+sim = Simulation(SimConfig(n=4))
+sim._push(1, simnet._PRIO_DELIVER, 0, 0, "dlv ", None)
+try:
+    sim.run()
+except SimulationError as exc:
+    print("event:", exc)
+try:
+    Simulation(SimConfig(n=4)).send(0, 1, object(), 0)
+except TypeError as exc:
+    print("serialise:", exc)
 simnet.validate_qc = lambda *args: False
 try:
     Simulation(SimConfig(n=4, stop="horizon", horizon=30)).run()
@@ -568,6 +632,10 @@ def test_protocol_checks_survive_python_O():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 2, done.stdout
+    assert len(lines) == 6, done.stdout
     assert lines[0].startswith("forged: processor 0 cannot send processor 1's signature")
-    assert lines[1].startswith("invalid: delivered QuorumCertificate")
+    assert lines[1].startswith("payload: unhandled payload <object object")
+    assert lines[2].startswith("action: unhandled action <object object")
+    assert lines[3] == "event: unhandled event kind 'dlv '"
+    assert lines[4].startswith("serialise: cannot serialise payload <object object")
+    assert lines[5].startswith("invalid: delivered QuorumCertificate")

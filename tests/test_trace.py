@@ -1,14 +1,16 @@
 """Round-trip and strict-parsing behavior of the ND-JSON trace format."""
 
 import copy
+import dataclasses
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsync import trace
+from viewsync import simnet, trace
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
     PAYLOAD_FIELDS,
@@ -155,24 +157,28 @@ def sample_runs():
     return tuple(r for cfg in configs for r in Simulation(cfg).run())
 
 
+HOT_KINDS = ("send", "deliver", "threshold")  # the kinds formatted directly
+
+
 def hot(records):
-    return [r for r in records if r["kind"] in ("send", "deliver")]
+    return [r for r in records if r["kind"] in HOT_KINDS]
 
 
 # values to put in any field: floats json.dumps refuses (NaN, inf), types no
-# send or deliver field has, and two that some fields may hold ("3/7" as a
-# trace v3 tick, a big int)
+# hot field has, and two that some fields may hold ("3/7" as a trace v3
+# tick, a big int)
 ODD = [True, False, 1.0, -0.0, float("nan"), float("inf"), None, "é", '"\\\n', "3/7", [1], {}, 2**70]
 ODD_VALUES = st.sampled_from(ODD)
 
 
 @st.composite
-def edited_records(draw):
-    """A record of the sample runs, whole or with one edit the simulator
-    never makes: an odd value, a missing or an extra key, an odd item in a
-    list, a tuple of signers, recipients or deliver times, an unknown payload
-    type."""
-    record = copy.deepcopy(draw(st.sampled_from(sample_runs())))
+def edited_records(draw, kind=None):
+    """A record of the sample runs (of ``kind``, if given), whole or with one
+    edit the simulator never makes: an odd value, a missing or an extra key,
+    an odd item in a list, a tuple of signers, recipients or deliver times,
+    an unknown payload type."""
+    records = [r for r in sample_runs() if kind in (None, r["kind"])]
+    record = copy.deepcopy(draw(st.sampled_from(records)))
     payload = record.get("payload")
     lists = [k for k in ("recipients", "deliver_times") if k in record]
     edit = draw(
@@ -222,13 +228,20 @@ def test_dumps_record_is_json_dumps(record):
     agrees_with_reference(record)
 
 
+@settings(max_examples=400, deadline=None)
+@given(record=st.sampled_from(HOT_KINDS).flatmap(edited_records))
+def test_every_edited_hot_record_is_json_dumps(record):
+    # as many of each hot kind, though a trace holds few threshold records
+    agrees_with_reference(record)
+
+
 def test_every_odd_value_in_every_hot_field_matches_json_dumps():
     # one record per (kind, payload type), every field of it, of its payload
     # and the last item of each list set to every odd value in turn
     shapes = {}
     for r in hot(sample_runs()):
         shapes.setdefault((r["kind"], r.get("payload", {}).get("type")), r)
-    assert len(shapes) == 6
+    assert len(shapes) == 7
     for record in shapes.values():
         keys = [(k,) for k in record]
         keys += [("payload", k) for k in record.get("payload", ())]
@@ -245,7 +258,7 @@ def test_every_odd_value_in_every_hot_field_matches_json_dumps():
 
 class HotKindsRefused(json.JSONEncoder):
     def encode(self, o):
-        assert o.get("kind") not in ("send", "deliver"), o
+        assert o.get("kind") not in HOT_KINDS, o
         return super().encode(o)
 
 
@@ -262,10 +275,11 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
         assert {*map(type, times)} == {int}, r
     assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
-    send, deliver = (next(r for r in hot(records) if r["kind"] == k) for k in ("send", "deliver"))
+    send, deliver, threshold = (next(r for r in hot(records) if r["kind"] == k) for k in HOT_KINDS)
     assert trace._send({**send, "time": "1/2"}) is None
     assert trace._send({**send, "deliver_times": ["1/2", *send["deliver_times"][1:]]}) is None
     assert trace._deliver({**deliver, "proc_clock": "1/2"}) is None
+    assert trace._threshold({**threshold, "boundary_clock": "1/2"}) is None
 
 
 # -- the tables: RECORD_FIELDS and PAYLOAD_FIELDS are what the simulator writes --
@@ -287,6 +301,21 @@ def test_the_simulator_writes_the_tables():
             seen.add(r["payload"]["type"])
         assert malformed_field(r, n) is None, r
     assert seen == {*RECORD_FIELDS, *PAYLOAD_FIELDS}
+
+
+def test_the_simulators_payload_tables_are_the_payload_schema():
+    # the payload classes the simulator receives and writes are exactly those
+    # PAYLOAD_FIELDS names, each written as the type it names
+    assert set(simnet._RECEIVERS) == set(simnet._PAYLOAD_DICTS)
+    written = {}
+    for cls in simnet._PAYLOAD_DICTS:
+        fields = [f.name for f in dataclasses.fields(cls)]
+        payload = cls(*(() if name == "signers" else 0 for name in fields))
+        record = simnet.payload_to_dict(payload)
+        assert record["type"] == re.sub(r"(?<!^)([A-Z])", r"_\1", cls.__name__).lower()
+        assert list(record) == ["type", "view", *PAYLOAD_FIELDS[record["type"]]]
+        written[record["type"]] = cls
+    assert set(written) == set(PAYLOAD_FIELDS)
 
 
 def test_each_payload_field_sorts_before_type_and_view():
