@@ -88,16 +88,14 @@ def form_vc(view: int, messages: Iterable[ViewMessage], t: int) -> ViewCertifica
     return ViewCertificate(view, signers)
 
 
-def validate_vc(vc: ViewCertificate, n: int, t: int, ledger: SignatureLedger | None = None) -> bool:
-    """Check signer count, id range and (when a ledger is given) signature existence."""
+def validate_vc(vc: ViewCertificate, n: int, t: int, ledger: SignatureLedger) -> bool:
+    """Check signer count, id range and that the ledger holds every signature."""
     signers = set(vc.signers)
     if len(signers) != len(vc.signers) or len(signers) < t + 1:
         return False
     if not all(0 <= s < n for s in signers):
         return False
-    if ledger is not None:
-        return all(ledger.holds(s, SIGN_VIEW, vc.view) for s in signers)
-    return True
+    return all(ledger.holds(s, SIGN_VIEW, vc.view) for s in signers)
 
 
 def form_qc(view: int, votes: Iterable[tuple[int, int]], n: int, t: int) -> QuorumCertificate:
@@ -110,13 +108,11 @@ def form_qc(view: int, votes: Iterable[tuple[int, int]], n: int, t: int) -> Quor
     return QuorumCertificate(view, signers)
 
 
-def validate_qc(qc: QuorumCertificate, n: int, t: int, ledger: SignatureLedger | None = None) -> bool:
-    """Check signer count, id range and (when a ledger is given) signature existence."""
+def validate_qc(qc: QuorumCertificate, n: int, t: int, ledger: SignatureLedger) -> bool:
+    """Check signer count, id range and that the ledger holds every signature."""
     signers = set(qc.signers)
     if len(signers) != len(qc.signers) or len(signers) < n - t:
         return False
     if not all(0 <= s < n for s in signers):
         return False
-    if ledger is not None:
-        return all(ledger.holds(s, SIGN_VOTE, qc.view) for s in signers)
-    return True
+    return all(ledger.holds(s, SIGN_VOTE, qc.view) for s in signers)

@@ -157,6 +157,12 @@ def _without_cyclic_gc(cell_fn):
     return cell
 
 
+def _error_row(exc: Exception, cell: dict[str, Any]) -> dict[str, Any]:
+    """The row of a cell that gave no metrics: the exception, with its
+    type, and the cell as it was described."""
+    return {"error": f"{type(exc).__name__}: {exc}", "cell": {k: str(v) for k, v in cell.items()}}
+
+
 @_without_cyclic_gc
 def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str, Any]:
     """One simulation plus analysis, reduced to the flat metrics record.
@@ -168,7 +174,7 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
         config = build_config(cell)
         sim = Simulation(config)
     except (ExperimentError, ValueError) as exc:
-        return {"error": str(exc), "cell": {k: str(v) for k, v in cell.items()}}
+        return _error_row(exc, cell)
     records = sim.run()
     metrics = analyze(records)
     digest = config_hash(config)
@@ -202,7 +208,7 @@ def _worker(args):
     try:
         return index, run_cell(cell, traces_dir)
     except Exception as exc:  # isolate the batch from any single blow-up
-        return index, {"error": f"{type(exc).__name__}: {exc}", "cell": {k: str(v) for k, v in cell.items()}}
+        return index, _error_row(exc, cell)
 
 
 @_without_cyclic_gc

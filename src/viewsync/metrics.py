@@ -685,11 +685,9 @@ class _Analyzer:
         )
         pivot = max(view // r.k, clock // (r.period * self.q))
         group = pivot + 1
-        limit = pivot + 2 * r.n + 2
+        # a never-corrupted processor (Resolved guarantees one) leads within 2n groups
         while self.leader(group * r.k) not in r.never_corrupted:
             group += 1
-            if group > limit:
-                raise TraceAnalysisError("no correct leader in the groups above the pivot")
         f_star = group - pivot - 1
         if self.leader(pivot * r.k) not in r.never_corrupted:
             f_star += 1

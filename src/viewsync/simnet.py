@@ -29,14 +29,13 @@ record that points at it by seq.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Optional, Sequence, Union
 
@@ -266,11 +265,12 @@ def generate_initial_offsets(
     mode: str,
     seed: int,
     *,
-    correct: Optional[Sequence[int]] = None,
-    period: Optional[int] = None,
+    correct: Sequence[int],
+    period: int,
     gap: Optional[int] = None,
 ) -> list[int]:
-    """Initial clock values (ticks) for each processor.
+    """Initial clock values (ticks) for each processor, of which ``correct``
+    are never corrupted; ``period`` is the boundary period, in ticks.
 
     ``all_zero`` starts everyone together. ``two_cluster`` puts the t+1
     highest-id correct processors ``gap`` ahead of the rest. ``adversarial_spread``
@@ -278,13 +278,9 @@ def generate_initial_offsets(
     group of t+1 correct processors packed within gamma of the top, the
     worst dispersion the admissible-initialisation condition allows.
     """
-    if correct is None:
-        correct = list(range(n))
     correct = sorted(correct)
     if len(correct) < t + 1:
         raise ValueError("need at least t+1 correct processors")
-    if period is None:
-        period = 3 * gamma
     if mode == "all_zero":
         return [0] * n
     if mode == "two_cluster":
@@ -345,7 +341,7 @@ def delivery_time(
     *,
     gst: int,
     delta_cap: int,
-    delta_actual: Optional[int] = None,
+    delta_actual: int,
     rng: Optional[random.Random] = None,
     sync_windows=None,
     unit: int = 1,
@@ -359,8 +355,6 @@ def delivery_time(
     """
     if strategy not in NETWORK_STRATEGIES:
         raise ValueError(f"unknown network strategy {strategy!r}")
-    if delta_actual is None:
-        delta_actual = delta_cap
     sync = sync_start(send_time, gst, sync_windows)
     if sync is None:
         return None
@@ -381,13 +375,34 @@ def _unit(rates) -> int:
     lcm of their numerators and of their denominators (1 when every rate is
     1). Boundaries, forward targets and delays are then multiples of P * Q,
     so every event time is a multiple of Q (a threshold comes ``(boundary -
-    target) * den / num`` after a forward) and every clock value an int."""
+    target) * den / num`` after a forward) and every clock value an int.
+    ValueError for a rate that is not positive, which would make it 0."""
+    if any(r <= 0 for r in rates):
+        raise ValueError("clock rates must be positive")
     return math.lcm(*(r.numerator for r in rates)) * math.lcm(*(r.denominator for r in rates))
+
+
+def _check_counts(n: int, t: int, k: int, x: int) -> None:
+    """The integers the rest of a run description is computed from."""
+    if n < 2:
+        raise ValueError("need at least two processors")
+    if not 0 <= t or not 3 * t < n:
+        raise ValueError(f"resilience t={t} incompatible with n={n}")
+    if k < 3:
+        raise ValueError("views per leader must be at least 3")
+    if x < 2:
+        raise ValueError("clock spacing multiplier must be at least 2")
 
 
 # Header config entries written as they are, and those written as times.
 _HEADER_PLAIN = ("n", "t", "k", "x", "seed", "network", "leaders", "stop")
 _HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def _derived():
+    """A Resolved field that __post_init__ sets once: neither an __init__
+    argument nor part of equality."""
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -400,6 +415,24 @@ class Resolved:
     times are ticks too, in the order the header lists them (by time, then
     processor). Rates are 1 or exact Fractions; ``grid`` already includes
     their ``unit``.
+
+    Building one checks the *structural* rules, which every run meets,
+    whoever built it; a ValueError names the rule broken:
+
+    - ``network``, ``leaders`` and ``stop`` are known modes;
+    - n >= 2, 0 <= t < n/3, k >= 3, x >= 2 and gamma = x * delta_cap;
+    - 0 < delta_actual <= delta_cap, gst >= 0 and horizon > gst;
+    - synchrony windows are non-empty, ordered, disjoint, only the last one
+      open, and the first starts at gst;
+    - one offset and one positive rate per processor;
+    - corruption targets are distinct processors, each with a known
+      strategy and a time >= 0, and at least one processor is never
+      corrupted.
+
+    The *policy* rules (at most t corruptions, initial clocks within the
+    dispersion bound and off the boundary lattice) are ``resolve``'s alone:
+    a trace may break them, and the analyzer then flags it. Building one
+    also sets the derived values below, once.
     """
 
     grid: int
@@ -421,44 +454,83 @@ class Resolved:
     corruptions: tuple[Corruption, ...]
     windows: Optional[tuple[tuple[int, Optional[int]], ...]]
 
-    @cached_property
-    def params(self) -> ProtocolParams:
+    params: ProtocolParams = _derived()
+    unit: int = _derived()
+    period: int = _derived()  # clock ticks between two boundary views
+    uniform_rates: bool = _derived()
+    never_corrupted: frozenset[int] = _derived()
+    # the longest delay the network gives a message sent after stabilisation
+    delta_eff: int = _derived()
+    # the highest view a signature flood at corruption time has to cover
+    max_flood_view: int = _derived()
+
+    def __post_init__(self) -> None:
+        n = self.n
+        _check_counts(n, self.t, self.k, self.x)
+        if self.network not in NETWORK_STRATEGIES:
+            raise ValueError(f"unknown network strategy {self.network!r}")
+        if self.leaders not in LEADER_MODES:
+            raise ValueError(f"unknown leader mode {self.leaders!r}")
+        if self.stop not in STOP_MODES:
+            raise ValueError(f"unknown stop mode {self.stop!r}")
+        if self.grid < 1:
+            raise ValueError(f"grid must be positive, got {self.grid}")
+        if self.gamma != self.x * self.delta_cap:
+            raise ValueError(f"gamma must be x * delta_cap, got {self.gamma}")
+        if not 0 < self.delta_actual <= self.delta_cap:
+            raise ValueError("actual delay must lie in (0, delta_cap]")
+        if self.gst < 0:
+            raise ValueError("stabilisation time cannot be negative")
+        if self.horizon <= self.gst:
+            raise ValueError("horizon must extend past the stabilisation time")
+        windows = self.windows
+        if windows is not None:
+            if not windows:
+                raise ValueError("sync_windows given but empty")
+            for i, (start, end) in enumerate(windows):
+                if end is not None and end <= start:
+                    raise ValueError("empty synchronous window")
+                if i and windows[i - 1][1] is None:
+                    raise ValueError("only the final synchronous window may be open")
+                if i and start < windows[i - 1][1]:
+                    raise ValueError("synchronous windows must be disjoint and ordered")
+            if windows[0][0] != self.gst:
+                raise ValueError("gst must equal the first synchronous window start")
+        if len(self.offsets) != n:
+            raise ValueError("need one offset per processor")
+        if len(self.rates) != n:
+            raise ValueError("need one clock rate per processor")
+        unit = _unit(self.rates)
+        targets = set()
+        for i, c in enumerate(self.corruptions):
+            if type(c.proc) is not int or not 0 <= c.proc < n:
+                raise ValueError(f"corruptions[{i}].proc: {c.proc} is not a processor")
+            if c.proc in targets:
+                raise ValueError("duplicate corruption target")
+            targets.add(c.proc)
+            if c.strategy not in BYZANTINE_STRATEGIES:
+                raise ValueError(f"unknown byzantine strategy {c.strategy!r}")
+            if c.time < 0:
+                raise ValueError("corruption time cannot be negative")
+        if len(targets) == n:
+            raise ValueError("every processor is corrupted")
+
         if self.leaders == "round_robin":
-            schedule = RoundRobinSchedule(self.n)
+            schedule = RoundRobinSchedule(n)
         else:
-            schedule = PermutationSchedule(self.n, subseed(self.seed, "leaders"))
-        return ProtocolParams(n=self.n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule)
-
-    @cached_property
-    def unit(self) -> int:
-        return _unit(self.rates)
-
-    @cached_property
-    def period(self) -> int:
-        """Clock ticks between two boundary views."""
-        return self.k * self.gamma
-
-    @cached_property
-    def uniform_rates(self) -> bool:
-        return all(r == 1 for r in self.rates)
-
-    @cached_property
-    def never_corrupted(self) -> frozenset[int]:
-        return frozenset(range(self.n)) - {c.proc for c in self.corruptions}
-
-    @cached_property
-    def delta_eff(self) -> int:
-        """The longest delay the network strategy gives a message sent after
-        stabilisation."""
-        return self.delta_cap if self.network == "worst_case_max_delay" else self.delta_actual
-
-    @cached_property
-    def max_flood_view(self) -> int:
-        """Highest view a signature flood at corruption time has to cover."""
+            schedule = PermutationSchedule(n, subseed(self.seed, "leaders"))
         rate = max(self.rates)
         # the horizon's clock reading rounded up to a whole base tick
-        reach = -(-self.horizon * rate.numerator // (rate.denominator * self.unit)) * self.unit
-        return (max(self.offsets) + reach) // self.gamma + 2 * self.k
+        reach = -(-self.horizon * rate.numerator // (rate.denominator * unit)) * unit
+        derive = partial(object.__setattr__, self)
+        derive("params", ProtocolParams(n=n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule))
+        derive("unit", unit)
+        derive("period", self.k * self.gamma)
+        derive("uniform_rates", all(r == 1 for r in self.rates))
+        derive("never_corrupted", frozenset(range(n)) - targets)
+        worst = self.network == "worst_case_max_delay"
+        derive("delta_eff", self.delta_cap if worst else self.delta_actual)
+        derive("max_flood_view", (max(self.offsets) + reach) // self.gamma + 2 * self.k)
 
     def header(self) -> Record:
         """The trace's header record, without its seq. Times are in ticks."""
@@ -481,20 +553,21 @@ class Resolved:
 
     @classmethod
     def from_header(cls, header: Record) -> Resolved:
-        """The description a header record carries. Only its shape is
-        checked: a trace of a run that broke the resilience or dispersion
-        bounds still reads, so the analyzer can flag it. ValueError if the
-        header is missing something or malformed, a time that is not a
-        whole number of ticks included."""
+        """The description a header record carries. This reads only the
+        header's JSON shape: exact ints, rate strings and a config object.
+        Building the description checks the structural rules; the policy
+        rules are not checked, so a trace of a run that broke the
+        resilience or dispersion bounds still reads and the analyzer can
+        flag it. ValueError if the header is missing something or breaks a
+        structural rule, a time that is not a whole number of ticks
+        included."""
         try:
-            cfg, grid = header["config"], header["grid"]
+            cfg = header["config"]
             if type(cfg) is not dict:
                 raise ValueError(f"config must be an object, got {cfg!r}")
-            if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
-                raise ValueError(f"grid must be a positive integer, got {grid!r}")
             windows = cfg.get("sync_windows")
-            desc = cls(
-                grid=grid,
+            return cls(
+                grid=_integer(header["grid"], "grid"),
                 **{name: coerce(name, cfg[name]) for name in _HEADER_PLAIN},
                 **{name: _integer(cfg[name], name) for name in _HEADER_TIMES},
                 offsets=tuple(_integer(o, f"offsets[{i}]") for i, o in enumerate(cfg["offsets"])),
@@ -513,15 +586,8 @@ class Resolved:
                     for start, end in windows
                 ),
             )
-            if len(desc.offsets) != desc.n or len(desc.rates) != desc.n:
-                raise ValueError("need one offset and one rate per processor")
-            for i, c in enumerate(desc.corruptions):
-                if not 0 <= _integer(c.proc, f"corruptions[{i}].proc") < desc.n:
-                    raise ValueError(f"corruptions[{i}].proc: {c.proc} is not a processor")
-            desc.params  # ProtocolParams checks n, t, k and gamma
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"header is missing or malformed: {exc}") from None
-        return desc
 
 
 def resolve(config: SimConfig) -> Resolved:
@@ -529,67 +595,29 @@ def resolve(config: SimConfig) -> Resolved:
 
     Every field goes through ``coerce`` first, so a SimConfig written by hand
     with ints, strings or Fractions resolves like one built from a spec.
+    The structural rules are ``Resolved``'s own, checked on ticks as it is
+    built; only the checks that keep this function's arithmetic safe (n, t,
+    k and x, a positive delta_cap, positive rates) come before. The policy
+    rules are checked here alone: at most t corruptions, a drift bound of
+    at least 0, and explicit initial clocks, one per processor and none
+    negative, within the dispersion bound and off the boundary lattice.
     A ValueError says what makes the configuration unusable.
     """
     cfg = SimConfig(**{name: coerce(name, value) for name, value in vars(config).items()})
     n = cfg.n
-    if n < 2:
-        raise ValueError("need at least two processors")
     t = default_resilience(n) if cfg.t is None else cfg.t
-    if not 0 <= t or not 3 * t < n:
-        raise ValueError(f"resilience t={t} incompatible with n={n}")
-    if cfg.k < 3:
-        raise ValueError("views per leader must be at least 3")
-    if cfg.x < 2:
-        raise ValueError("clock spacing multiplier must be at least 2")
-    if cfg.network not in NETWORK_STRATEGIES:
-        raise ValueError(f"unknown network strategy {cfg.network!r}")
-    if cfg.leaders not in LEADER_MODES:
-        raise ValueError(f"unknown leader mode {cfg.leaders!r}")
-    if cfg.stop not in STOP_MODES:
-        raise ValueError(f"unknown stop mode {cfg.stop!r}")
-
+    _check_counts(n, t, cfg.k, cfg.x)
     delta_cap = cfg.delta_cap
     if delta_cap <= 0:
         raise ValueError("maximum network delay must be positive")
     delta_actual = delta_cap if cfg.delta_actual is None else cfg.delta_actual
-    if not 0 < delta_actual <= delta_cap:
-        raise ValueError("actual delay must lie in (0, delta_cap]")
-    gamma = cfg.x * delta_cap
     gst = cfg.gst
-    if gst < 0:
-        raise ValueError("stabilisation time cannot be negative")
-
     corruptions = sorted(cfg.corruptions, key=lambda c: (c.time, c.proc))
-    if len({c.proc for c in corruptions}) != len(corruptions):
-        raise ValueError("duplicate corruption target")
     if len(corruptions) > t:
         raise ValueError("more corruptions than the resilience bound allows")
-    for c in corruptions:
-        if not 0 <= c.proc < n:
-            raise ValueError(f"corruption target {c.proc} out of range")
-        if c.strategy not in BYZANTINE_STRATEGIES:
-            raise ValueError(f"unknown byzantine strategy {c.strategy!r}")
-        if c.time < 0:
-            raise ValueError("corruption time cannot be negative")
-
+    gamma = cfg.x * delta_cap
     horizon = gst + 3 * cfg.k * (t + 3) * gamma if cfg.horizon is None else cfg.horizon
-    if horizon <= gst:
-        raise ValueError("horizon must extend past the stabilisation time")
-
     windows = cfg.sync_windows
-    if windows is not None:
-        if not windows:
-            raise ValueError("sync_windows given but empty")
-        for i, (start, end) in enumerate(windows):
-            if end is not None and end <= start:
-                raise ValueError("empty synchronous window")
-            if i and windows[i - 1][1] is None:
-                raise ValueError("only the final synchronous window may be open")
-            if i and start < windows[i - 1][1]:
-                raise ValueError("synchronous windows must be disjoint and ordered")
-        if windows[0][0] != gst:
-            raise ValueError("gst must equal the first synchronous window start")
 
     mode, gap, explicit = cfg.offsets, None, None
     if isinstance(mode, tuple) and mode and isinstance(mode[0], str):
@@ -614,10 +642,6 @@ def resolve(config: SimConfig) -> Resolved:
         raise ValueError("drift bound cannot be negative")
     if cfg.drift_rates is not None:
         rates = tuple(_number(r, f"drift_rates[{i}]") for i, r in enumerate(cfg.drift_rates))
-        if len(rates) != n:
-            raise ValueError("need one clock rate per processor")
-        if any(r <= 0 for r in rates):
-            raise ValueError("clock rates must be positive")
     elif eps > 0:
         rng = random.Random(subseed(cfg.seed, "drift"))
         rates = tuple(1 + eps * Fraction(rng.randint(-16, 16), 16) for _ in range(n))
@@ -626,32 +650,10 @@ def resolve(config: SimConfig) -> Resolved:
     unit = _unit(rates)
     grid = base_grid * unit
 
-    def tick(value: Fraction) -> int:
-        return to_ticks(value, grid)
-
-    desc = Resolved(
-        grid=grid,
-        n=n,
-        t=t,
-        k=cfg.k,
-        x=cfg.x,
-        seed=cfg.seed,
-        network=cfg.network,
-        leaders=cfg.leaders,
-        stop=cfg.stop,
-        gamma=tick(gamma),
-        delta_cap=tick(delta_cap),
-        delta_actual=tick(delta_actual),
-        gst=tick(gst),
-        horizon=tick(horizon),
-        offsets=(),  # drawn below, from the correct set and the period
-        rates=rates,
-        corruptions=tuple(Corruption(c.proc, c.strategy, tick(c.time)) for c in corruptions),
-        windows=None
-        if windows is None
-        else tuple((tick(s), None if e is None else tick(e)) for s, e in windows),
-    )
-    correct = sorted(desc.never_corrupted)
+    tick = partial(to_ticks, grid=grid)
+    gamma_ticks = tick(gamma)
+    period = cfg.k * gamma_ticks
+    correct = sorted(set(range(n)) - {c.proc for c in corruptions})
     if explicit is not None:
         if len(explicit) != n:
             raise ValueError("need one initial clock per processor")
@@ -659,10 +661,10 @@ def resolve(config: SimConfig) -> Resolved:
             raise ValueError("initial clocks cannot be negative")
         offsets = [tick(v) for v in explicit]
         correct_offs = [offsets[p] for p in correct]
-        if not check_dagger(correct_offs, desc.gamma, t):
+        if not check_dagger(correct_offs, gamma_ticks, t):
             raise ValueError("initial clocks violate the dispersion condition")
-        if desc.uniform_rates:
-            hit = _lattice_collision(correct_offs, desc.period)
+        if all(r == 1 for r in rates):
+            hit = _lattice_collision(correct_offs, period)
             if hit is not None:
                 raise ValueError(
                     f"initial clocks {hit} collide on the boundary lattice; nudge one by a tick"
@@ -672,15 +674,36 @@ def resolve(config: SimConfig) -> Resolved:
         offsets = generate_initial_offsets(
             n,
             t,
-            desc.gamma // unit,
+            gamma_ticks // unit,
             mode,
             subseed(cfg.seed, "offsets"),
             correct=correct,
-            period=desc.period // unit,
+            period=period // unit,
             gap=None if gap is None else to_ticks(gap, base_grid),
         )
         offsets = [o * unit for o in offsets]
-    return dataclasses.replace(desc, offsets=tuple(offsets))
+    return Resolved(
+        grid=grid,
+        n=n,
+        t=t,
+        k=cfg.k,
+        x=cfg.x,
+        seed=cfg.seed,
+        network=cfg.network,
+        leaders=cfg.leaders,
+        stop=cfg.stop,
+        gamma=gamma_ticks,
+        delta_cap=tick(delta_cap),
+        delta_actual=tick(delta_actual),
+        gst=tick(gst),
+        horizon=tick(horizon),
+        offsets=tuple(offsets),
+        rates=rates,
+        corruptions=tuple(Corruption(c.proc, c.strategy, tick(c.time)) for c in corruptions),
+        windows=None
+        if windows is None
+        else tuple((tick(s), None if e is None else tick(e)) for s, e in windows),
+    )
 
 
 # The simulator dispatches on a payload's exact type through the two tables

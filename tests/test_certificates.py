@@ -74,10 +74,13 @@ def test_validate_vc_against_ledger():
 
 
 def test_validate_vc_structural():
-    assert validate_vc(ViewCertificate(0, (0, 1)), n=4, t=1)
-    assert not validate_vc(ViewCertificate(0, (0,)), n=4, t=1)
-    assert not validate_vc(ViewCertificate(0, (0, 9)), n=4, t=1)
-    assert not validate_vc(ViewCertificate(0, (0, 0)), n=4, t=1)
+    ledger = SignatureLedger()
+    for s in (0, 1, 9):
+        ledger.record(s, SIGN_VIEW, 0)
+    assert validate_vc(ViewCertificate(0, (0, 1)), n=4, t=1, ledger=ledger)
+    assert not validate_vc(ViewCertificate(0, (0,)), n=4, t=1, ledger=ledger)
+    assert not validate_vc(ViewCertificate(0, (0, 9)), n=4, t=1, ledger=ledger)
+    assert not validate_vc(ViewCertificate(0, (0, 0)), n=4, t=1, ledger=ledger)
 
 
 def test_validate_vc_byzantine_early_signers_pass():
@@ -126,7 +129,10 @@ def test_form_qc_threshold_is_n_minus_t(signers):
     votes = [(7, s) for s in signers]
     if len(signers) >= n - t:
         qc = form_qc(7, votes, n, t)
-        assert validate_qc(qc, n, t)
+        ledger = SignatureLedger()
+        for s in signers:
+            ledger.record(s, SIGN_VOTE, 7)
+        assert validate_qc(qc, n, t, ledger)
     else:
         with pytest.raises(CertificateError):
             form_qc(7, votes, n, t)

@@ -93,7 +93,7 @@ def test_corruption_dicts_normalised():
 
 def test_corruption_without_proc_is_a_located_error_row():
     row = run_cell({"n": 4, "corruptions": [{"strategy": "silent"}], "seed": 0})
-    assert row["error"] == "corruptions[0]: missing 'proc'"
+    assert row["error"] == "ValueError: corruptions[0]: missing 'proc'"
 
 
 @pytest.mark.parametrize(

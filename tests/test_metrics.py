@@ -1200,6 +1200,88 @@ def found_run():
     return Simulation(SimConfig(n=4, stop="horizon", horizon=30, seed=0)).run()
 
 
+def corrupting(*procs, strategy="silent", time=0):
+    return lambda cfg: cfg.update(
+        corruptions=[{"proc": p, "strategy": strategy, "time": time} for p in procs]
+    )
+
+
+# One structural fault in found_run's header per case (n=4, t=1), and
+# the message the header is refused with.
+HEADER_FAULTS = [
+    ("network", lambda cfg: cfg.update(network="pigeon"), "unknown network strategy 'pigeon'"),
+    ("leaders", lambda cfg: cfg.update(leaders="bogus"), "unknown leader mode 'bogus'"),
+    ("stop", lambda cfg: cfg.update(stop="never"), "unknown stop mode 'never'"),
+    ("x", lambda cfg: cfg.update(x=1), "clock spacing multiplier must be at least 2"),
+    ("n", lambda cfg: cfg.update(n=1, t=0), "need at least two processors"),
+    (
+        "gamma",
+        lambda cfg: cfg.update(gamma=cfg["gamma"] + 1),
+        "gamma must be x * delta_cap, got 181",
+    ),
+    ("rate-0", lambda cfg: cfg["rates"].__setitem__(0, 0), "clock rates must be positive"),
+    (
+        "rate-negative",
+        lambda cfg: cfg["rates"].__setitem__(0, "-1/2"),
+        "clock rates must be positive",
+    ),
+    ("rates", lambda cfg: cfg["rates"].pop(), "need one clock rate per processor"),
+    ("offsets", lambda cfg: cfg["offsets"].pop(), "need one offset per processor"),
+    (
+        "delta_actual",
+        lambda cfg: cfg.update(delta_actual=0),
+        "actual delay must lie in (0, delta_cap]",
+    ),
+    (
+        "horizon",
+        lambda cfg: cfg.update(horizon=0),
+        "horizon must extend past the stabilisation time",
+    ),
+    ("gst", lambda cfg: cfg.update(gst=-5), "stabilisation time cannot be negative"),
+    ("sync_windows", lambda cfg: cfg.update(sync_windows=[[100, 50]]), "empty synchronous window"),
+    ("strategy", corrupting(3, strategy="sneaky"), "unknown byzantine strategy 'sneaky'"),
+    ("duplicate", corrupting(3, 3), "duplicate corruption target"),
+    ("corruption-time", corrupting(3, time=-1), "corruption time cannot be negative"),
+    ("all-corrupted", corrupting(0, 1, 2, 3), "every processor is corrupted"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, fault", [c[1:] for c in HEADER_FAULTS], ids=[c[0] for c in HEADER_FAULTS]
+)
+def test_each_structural_header_fault_is_located(edit, fault, tmp_path, capsys):
+    records = copied(found_run())
+    edit(records[0]["config"])
+    message = f"header is missing or malformed: {fault}"
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
+        analyze(records)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(to_jsonl(records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"malformed trace: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, invariant",
+    [
+        (lambda head: head["config"]["offsets"].__setitem__(-1, 100 * head["grid"]), "dagger"),
+        (lambda head: corrupting(0, 1)(head["config"]), "qc_honesty"),  # more than t=1
+    ],
+    ids=["dispersed-offsets", "over-resilience"],
+)
+def test_policy_header_faults_still_read_and_are_flagged(edit, invariant, tmp_path, capsys):
+    records = copied(found_run())
+    edit(records[0])
+    assert invariant in ids(records)
+    path = tmp_path / "flagged.jsonl"
+    path.write_text(to_jsonl(records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 1
+    assert f'"{invariant}"' in capsys.readouterr().out
+
+
 def test_every_non_integer_view_is_located():
     # each deliver's proc_view off the integers in turn: every one is named,
     # also where the edited view breaks no invariant

@@ -24,7 +24,7 @@ from viewsync.certificates import (
     ViewMessage,
 )
 from viewsync.core import ALL
-from viewsync.harness import _worker
+from viewsync.harness import _worker, build_config, run_cell
 from viewsync.metrics import _Analyzer, analyze
 from viewsync.simnet import (
     NETWORK_STRATEGIES,
@@ -44,6 +44,8 @@ from viewsync.trace import to_jsonl
 from viewsync.underlying import Vote
 
 GAMMA = 6  # matches delta_cap=2, x=3
+PERIOD = 3 * GAMMA  # k=3
+EVERYONE = dict(correct=range(4), period=PERIOD)  # n=4, none corrupted
 
 
 def sim_config(**kw):
@@ -90,43 +92,47 @@ def test_check_dagger_matches_quantified_form(clocks, gamma, t):
 
 
 def test_offsets_all_zero():
-    assert generate_initial_offsets(4, 1, GAMMA, "all_zero", 0) == [0, 0, 0, 0]
+    assert generate_initial_offsets(4, 1, GAMMA, "all_zero", 0, **EVERYONE) == [0, 0, 0, 0]
 
 
 def test_offsets_two_cluster_places_top_correct_ahead():
-    offs = generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, gap=7)
+    offs = generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, gap=7, **EVERYONE)
     assert offs == [0, 0, 7, 7]
     # corrupted processors do not count towards the leading cluster
-    offs = generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, gap=7, correct=[0, 1, 2])
+    offs = generate_initial_offsets(
+        4, 1, GAMMA, "two_cluster", 0, gap=7, correct=[0, 1, 2], period=PERIOD
+    )
     assert offs == [0, 7, 7, 0]
 
 
 def test_offsets_two_cluster_avoids_boundary_lattice():
     # a gap that is a multiple of the boundary period gets nudged off it
-    offs = generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, gap=3 * GAMMA)
-    assert offs[-1] % (3 * GAMMA) != 0
+    offs = generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, gap=PERIOD, **EVERYONE)
+    assert offs[-1] % PERIOD != 0
 
 
 def test_offsets_two_cluster_requires_gap():
     with pytest.raises(ValueError):
-        generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0)
+        generate_initial_offsets(4, 1, GAMMA, "two_cluster", 0, **EVERYONE)
 
 
 def test_offsets_unknown_mode():
     with pytest.raises(ValueError):
-        generate_initial_offsets(4, 1, GAMMA, "sideways", 0)
+        generate_initial_offsets(4, 1, GAMMA, "sideways", 0, **EVERYONE)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40)
 def test_offsets_adversarial_spread_admissible(seed):
     n, t = 7, 2
-    offs = generate_initial_offsets(n, t, GAMMA, "adversarial_spread", seed, correct=list(range(5)))
+    offs = generate_initial_offsets(
+        n, t, GAMMA, "adversarial_spread", seed, correct=list(range(5)), period=PERIOD
+    )
     assert len(offs) == n
     assert check_dagger([offs[p] for p in range(5)], GAMMA, t)
     # deterministic in the seed
     assert offs == generate_initial_offsets(
-        n, t, GAMMA, "adversarial_spread", seed, correct=list(range(5))
+        n, t, GAMMA, "adversarial_spread", seed, correct=list(range(5)), period=PERIOD
     )
 
 
@@ -134,7 +140,7 @@ def test_offsets_adversarial_spread_admissible(seed):
 
 
 def test_delivery_worst_case_before_stabilisation():
-    assert delivery_time("worst_case_max_delay", 5, gst=100, delta_cap=2) == 102
+    assert delivery_time("worst_case_max_delay", 5, gst=100, delta_cap=2, delta_actual=1) == 102
 
 
 def test_delivery_fixed_delta_after_stabilisation():
@@ -146,13 +152,14 @@ def test_delivery_fixed_delta_after_stabilisation():
 
 def test_delivery_outside_final_window_never_arrives():
     windows = ((100, 150),)
-    assert delivery_time("fixed_delta", 160, gst=100, delta_cap=2, sync_windows=windows) is None
-    assert delivery_time("fixed_delta", 120, gst=100, delta_cap=2, sync_windows=windows) == 122
+    bounds = dict(gst=100, delta_cap=2, delta_actual=2, sync_windows=windows)
+    assert delivery_time("fixed_delta", 160, **bounds) is None
+    assert delivery_time("fixed_delta", 120, **bounds) == 122
 
 
 def test_delivery_unknown_strategy():
     with pytest.raises(ValueError):
-        delivery_time("pigeon", 0, gst=0, delta_cap=1)
+        delivery_time("pigeon", 0, gst=0, delta_cap=1, delta_actual=1)
 
 
 @given(
@@ -227,6 +234,67 @@ def test_horizon_must_clear_gst():
 def test_next_sync_is_an_unknown_stop_mode():
     with pytest.raises(ValueError, match="unknown stop mode 'next_sync'"):
         Simulation(sim_config(stop="next_sync"))
+
+
+# Every configuration fault that resolve refuses, one per cell: a ValueError
+# naming it, never another exception type, and an error row from run_cell. The
+# cells are n=4 (t=1) with delta_cap=1 and x=k=3, so gamma is 3, the boundary
+# period 9 and the grid 60 ticks per time unit, unless the case says otherwise.
+CONFIG_FAULTS = [
+    ({"n": 1}, "need at least two processors"),
+    ({"t": -1}, "resilience t=-1 incompatible with n=4"),
+    ({"t": 2}, "resilience t=2 incompatible with n=4"),
+    ({"k": 2}, "views per leader must be at least 3"),
+    ({"x": 1}, "clock spacing multiplier must be at least 2"),
+    ({"x": 0, "offsets": "two_cluster"}, "clock spacing multiplier must be at least 2"),
+    ({"network": "pigeon"}, "unknown network strategy 'pigeon'"),
+    ({"leaders": "bogus"}, "unknown leader mode 'bogus'"),
+    ({"stop": "never"}, "unknown stop mode 'never'"),
+    ({"delta_cap": 0}, "maximum network delay must be positive"),
+    ({"delta_actual": 2}, "actual delay must lie in (0, delta_cap]"),
+    ({"delta_actual": 0}, "actual delay must lie in (0, delta_cap]"),
+    ({"gst": -1}, "stabilisation time cannot be negative"),
+    ({"gst": 5, "horizon": 5}, "horizon must extend past the stabilisation time"),
+    ({"sync_windows": []}, "sync_windows given but empty"),
+    ({"sync_windows": [[0, 0]]}, "empty synchronous window"),
+    ({"sync_windows": [[0, None], [5, None]]}, "only the final synchronous window may be open"),
+    ({"sync_windows": [[0, 10], [5, None]]}, "synchronous windows must be disjoint and ordered"),
+    ({"sync_windows": [[1, None]]}, "gst must equal the first synchronous window start"),
+    ({"drift_epsilon": -1}, "drift bound cannot be negative"),
+    ({"drift_epsilon": 2}, "clock rates must be positive"),  # seed 0 draws a rate of -1/4
+    ({"drift_rates": [0, 1, 1, 1]}, "clock rates must be positive"),
+    ({"drift_rates": [-1, 1, 1, 1]}, "clock rates must be positive"),
+    ({"drift_rates": [1, 1, 1]}, "need one clock rate per processor"),
+    ({"offsets": [0, 0, 0]}, "need one initial clock per processor"),
+    ({"offsets": [0, 0, 0, -1]}, "initial clocks cannot be negative"),
+    ({"offsets": [0, 0, 0, 100]}, "initial clocks violate the dispersion condition"),
+    (
+        {"offsets": [9, 9, 0, 0]},
+        "initial clocks (0, 540) collide on the boundary lattice; nudge one by a tick",
+    ),
+    ({"n": 7, "corruptions": [[1, "silent"], [1, "silent"]]}, "duplicate corruption target"),
+    ({"corruptions": [[4, "silent"]]}, "corruptions[0].proc: 4 is not a processor"),
+    ({"corruptions": [[0, "sneaky"]]}, "unknown byzantine strategy 'sneaky'"),
+    ({"corruptions": [[0, "silent", -1]]}, "corruption time cannot be negative"),
+    (
+        {"corruptions": [[0, "silent"], [1, "silent"]]},
+        "more corruptions than the resilience bound allows",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, message", CONFIG_FAULTS, ids=[json.dumps(f) for f, _ in CONFIG_FAULTS]
+)
+def test_each_config_fault_is_a_value_error_and_an_error_row(fault, message):
+    cell = {"n": 4, "seed": 0, **fault}
+    with pytest.raises(Exception) as refused:
+        resolve(build_config(cell))
+    assert type(refused.value) is ValueError and str(refused.value) == message
+    assert run_cell(cell) == {
+        "error": f"ValueError: {message}",
+        "cell": {key: str(value) for key, value in cell.items()},
+    }
 
 
 def test_subseed_is_stable_and_label_sensitive():
