@@ -11,21 +11,24 @@ counts. Checks that depend on a hypothesis (a timely window, an uncorrupted
 leader) are evaluated against the recorded data and skipped as vacuous when
 the hypothesis fails, never silently weakened.
 
-Each ``deliver`` record is joined to the ``send`` record it names, for the
-send's time, sender and payload. A ``deliver`` makes the trace unusable if it
-names no earlier send listing its recipient, if its time is not the send's
-``deliver_times`` entry for that recipient, or if that recipient already had
-this send delivered. So does a ``sender``, ``recipients`` entry, recipient,
-``proc`` or signer that is not a processor id: an int, not a bool or a
-float, and in ``[0, n)`` except for signers, whose range is an invariant.
-So does a ``form_qc`` or ``form_vc`` record's ``view`` that is not an int
-at least 0. Such an error, like any failed read of a record, names the field
-through ``trace.malformed_field``; a time that is not an exact int (a trace
-v3 ``"p/q"`` tick included) names the seq it is read at. A certificate formed by anyone but its view's
-leader is an ``aggregator_leader`` violation. A ``send`` record costs one
-word per recipient other than its sender: every word window (the
-first-quorum budget and the pace gaps) is keyed on send time, which all
-recipients of one send share.
+A record's seq is its index in the trace, which the scan counts. Each
+``deliver`` record is joined to the ``send`` record at the seq it names, for
+the send's time, sender and payload, and for its own time: the send's
+``deliver_times`` entry for its recipient. A ``deliver`` makes the trace
+unusable if it names no earlier send listing its recipient, or if that
+recipient already had this send delivered. So does a ``sender``,
+``recipients`` entry, recipient, ``proc`` or signer that is not a processor
+id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
+whose range is an invariant. So does a ``proc_view`` or a payload's ``view``
+that is not an int, or a ``form_qc`` or ``form_vc`` record's ``view`` that
+is not an int at least 0. Such an error, like any failed read of a record,
+names the field through ``trace.malformed_field``; a time that is not an
+exact int (a trace v3 ``"p/q"`` tick included) names the seq it is read at.
+A certificate formed by anyone but its view's leader is an
+``aggregator_leader`` violation. A ``send`` record costs one word per
+recipient other than its sender: every word window (the first-quorum budget
+and the pace gaps) is keyed on send time, which all recipients of one send
+share.
 
 The analyzer reads the records once, in order, and keeps none once its scan
 has passed it: a ``send`` record leaves only the index entry that its
@@ -38,8 +41,8 @@ processors enter views, and the underlying-contract check reads them rather
 than rebuilding them from the entries.
 
 Violations are data, not exceptions: each carries the invariant id and the
-sequence number of the offending record, so a planted fault can be located
-in the trace it came from.
+seq of the offending record, so a planted fault can be located in the trace
+it came from.
 """
 
 from __future__ import annotations
@@ -280,54 +283,53 @@ class _Analyzer:
         recheck_dagger = True  # a clock was forwarded or a processor corrupted
         dagger_at = dagger_held = None  # the instant of the last check and its result
         before_gst = True
-        for rec in self.records:
-            seq = rec["seq"]
+        now = 0  # the header's time
+        for seq, rec in enumerate(self.records):
             kind = rec["kind"]
-            if kind == "header":
+            if kind == "deliver":
+                now, forwarded = scan_deliver(rec, seq)
+                if forwarded:
+                    recheck_dagger = True
+            elif kind == "header":
                 check_dagger_now(0, seq)
                 continue
-            now = rec["time"]
-            if type(now) is not int:
-                now = _ticks(now, seq)
+            else:
+                now = rec["time"]
+                if type(now) is not int:
+                    now = _ticks(now, seq)
+                if kind == "send":
+                    scan_send(rec, now, seq)
+                elif kind == "threshold":
+                    boundary = rec["boundary_clock"]
+                    if type(boundary) is not int:
+                        boundary = _ticks(boundary, seq)
+                    if boundary % period != 0:
+                        self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                    if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
+                        recheck_dagger = True
+                elif kind == "corrupt":
+                    p = self._proc(rec, seq)
+                    self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                    self.none_corrupted = False
+                    recheck_dagger = True
+                elif kind == "form_vc":
+                    self._scan_form(rec, "vc", seq)
+                elif kind == "form_qc":
+                    self._scan_form_qc(rec, now, seq)
+                elif kind != "wake" and kind != "end":
+                    raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
             if before_gst:
                 if now > gst:
                     before_gst = False
                 else:
                     self.gst_seq = seq
-            if kind == "deliver":
-                if scan_deliver(rec, now, seq):
-                    recheck_dagger = True
-            elif kind == "send":
-                scan_send(rec, now, seq)
-            elif kind == "threshold":
-                boundary = rec["boundary_clock"]
-                if type(boundary) is not int:
-                    boundary = _ticks(boundary, seq)
-                if boundary % period != 0:
-                    self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
-                    recheck_dagger = True
-            elif kind == "corrupt":
-                p = self._proc(rec, seq)
-                self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
-                self.none_corrupted = False
-                recheck_dagger = True
-            elif kind == "form_vc":
-                self._scan_form(rec, "vc", seq)
-            elif kind == "form_qc":
-                self._scan_form_qc(rec, now, seq)
-            elif kind in ("wake", "end"):
-                pass
-            else:
-                raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
             if recheck_dagger or not uniform_rates:
                 if recheck_dagger or now != dagger_at:
                     dagger_at, dagger_held = now, check_dagger_now(now, seq)
                 elif not dagger_held:  # the same clocks as at the last check
                     self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
                 recheck_dagger = False
-        self.end_seq = rec["seq"]
-        self.end_time = _ticks(rec["time"], self.end_seq)
+        self.end_seq, self.end_time = seq, now
         for p in self.never_corrupted:  # the view each processor ends the trace in
             pr = self.procs[p]
             self.spans.setdefault(pr.view, []).append((pr.entries[-1][0], INF, p))
@@ -365,6 +367,8 @@ class _Analyzer:
         ):
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
         ptype, view = payload["type"], payload["view"]
+        if type(view) is not int:
+            raise TypeError(f"payload view {view!r} at seq {seq}")  # analyze() names it
         pr = self.procs[sender]
         correct = now < pr.corrupted_at
         if ptype == "view_message" or ptype == "vote":
@@ -408,6 +412,8 @@ class _Analyzer:
 
         Returns True when the processor's clock was forwarded here.
         """
+        if type(view) is not int:
+            raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
         pr = self.procs[p]
         if not now < pr.corrupted_at:
             return False
@@ -421,8 +427,6 @@ class _Analyzer:
             pr.offset_log.append((seq, offset))
             forwarded = True
         if view != pr.view:
-            if type(view) is not int:
-                raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
             if view < pr.view:
                 self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
             else:
@@ -432,10 +436,11 @@ class _Analyzer:
                 pr.entries.append((now, view, seq))
         return forwarded
 
-    def _scan_deliver(self, rec: Record, now, seq: int) -> bool:
-        """One ``deliver`` record, joined to the send it names: its
-        recipient's snapshot, then the delivery itself. Returns True when
-        the recipient's clock was forwarded here."""
+    def _scan_deliver(self, rec: Record, seq: int) -> tuple[int, bool]:
+        """One ``deliver`` record, joined to the send it names: its time,
+        which is the send's ``deliver_times`` entry for its recipient, its
+        recipient's snapshot, then the delivery itself. Returns the time,
+        and whether the recipient's clock was forwarded here."""
         p = rec["recipient"]
         src = rec["send"]
         if type(p) is not int or type(src) is not int:  # True would join as 1
@@ -453,11 +458,7 @@ class _Analyzer:
                 f"was already delivered to recipient {p!r}"
             )
         sent[5] = delivered | 1 << i
-        if deliver_times[i] != now:  # both exact ints, checked with their records
-            raise TraceAnalysisError(
-                f"deliver record at seq {seq}: field 'time' is {rec['time']!r}, but send "
-                f"record at seq {src} lists {deliver_times[i]!r} for recipient {p!r}"
-            )
+        now = deliver_times[i]  # an exact int, checked with its send record
         proc_view, clock = rec["proc_view"], rec["proc_clock"]
         if type(clock) is not int:
             clock = _ticks(clock, seq)
@@ -482,16 +483,16 @@ class _Analyzer:
             elif self.actual_bound and sync <= send_time and now > send_time + self.delta_actual:
                 self.flag("delivery_bound", seq, "post-stabilisation delivery exceeded delta")
         if p not in self.never_corrupted:
-            return forwarded
+            return now, forwarded
         ptype, view = payload["type"], payload["view"]
         if ptype == "quorum_certificate":
             self._sight_qc(p, view, now, seq)
         elif ptype != "proposal" and ptype != "vote":
-            return forwarded  # a certificate's signers were checked with its send record
+            return now, forwarded  # a certificate's signers were checked with its send record
         # only a late delivery can make view v untimely in check_underlying_contract
         if now > (gst if gst > send_time else send_time) + self.delta_eff:
             self.late_deliveries.setdefault(view, []).append((send_time, sender))
-        return forwarded
+        return now, forwarded
 
     def _sight_qc(self, p: int, view: int, now, seq: int) -> None:
         """Never-corrupted processor p holds view's quorum certificate from now on."""
@@ -880,8 +881,7 @@ def analyze(records: Iterable[Record]) -> RunMetrics:
             raise
         # a malformed end time outranks every other fault of a whole trace
         try:
-            end = records[-1]
-            _ticks(end["time"], end["seq"])
+            _ticks(records[-1]["time"], len(records) - 1)
         except (KeyError, TypeError):
             pass  # located below
         else:
@@ -891,10 +891,6 @@ def analyze(records: Iterable[Record]) -> RunMetrics:
             found = malformed_field(rec, analyzer.resolved.n)
             if found is not None:
                 name, problem = found
-                where = (
-                    f"record {i}"
-                    if name in ("seq", "kind")
-                    else f"{rec['kind']} record at seq {rec['seq']}"
-                )
+                where = f"record {i}" if name == "kind" else f"{rec['kind']} record at seq {i}"
                 raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
         raise

@@ -22,9 +22,10 @@ schedule, clock rates, per-adversary choices) derived from the run seed by
 hashing, so changing one dimension of a configuration never perturbs the
 draws of another.
 
-The records ``run`` returns are read-only. Each ``send()`` call writes one
-``send`` record, naming every recipient, and each delivery a ``deliver``
-record that points at it by seq.
+The records ``run`` returns are read-only. A record's seq is its index in
+them, written nowhere. Each ``send()`` call writes one ``send`` record,
+naming every recipient, and each delivery a ``deliver`` record that points
+at it by seq and takes its time from it.
 """
 
 from __future__ import annotations
@@ -412,9 +413,10 @@ class Resolved:
     ``resolve`` builds it from a SimConfig, ``header`` writes it as the
     trace's header record and ``from_header`` reads it back, so the
     simulator and the analyzer work from the same description. Corruption
-    times are ticks too, in the order the header lists them (by time, then
-    processor). Rates are 1 or exact Fractions; ``grid`` already includes
-    their ``unit``.
+    times are ticks too; the corruptions are kept, and the header lists
+    them, by time and then processor, whatever order they were given in.
+    Rates are 1 or exact Fractions; ``grid`` already includes their
+    ``unit``.
 
     Building one checks the *structural* rules, which every run meets,
     whoever built it; a ValueError names the rule broken:
@@ -523,6 +525,8 @@ class Resolved:
         # the horizon's clock reading rounded up to a whole base tick
         reach = -(-self.horizon * rate.numerator // (rate.denominator * unit)) * unit
         derive = partial(object.__setattr__, self)
+        # checked above in the order given, so an error names that entry
+        derive("corruptions", tuple(sorted(self.corruptions, key=lambda c: (c.time, c.proc))))
         derive("params", ProtocolParams(n=n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule))
         derive("unit", unit)
         derive("period", self.k * self.gamma)
@@ -533,7 +537,7 @@ class Resolved:
         derive("max_flood_view", (max(self.offsets) + reach) // self.gamma + 2 * self.k)
 
     def header(self) -> Record:
-        """The trace's header record, without its seq. Times are in ticks."""
+        """The trace's header record, at seq 0. Times are in ticks."""
         config = {name: getattr(self, name) for name in (*_HEADER_PLAIN, *_HEADER_TIMES)}
         config.update(
             offsets=list(self.offsets),
@@ -612,7 +616,7 @@ def resolve(config: SimConfig) -> Resolved:
         raise ValueError("maximum network delay must be positive")
     delta_actual = delta_cap if cfg.delta_actual is None else cfg.delta_actual
     gst = cfg.gst
-    corruptions = sorted(cfg.corruptions, key=lambda c: (c.time, c.proc))
+    corruptions = cfg.corruptions
     if len(corruptions) > t:
         raise ValueError("more corruptions than the resilience bound allows")
     gamma = cfg.x * delta_cap
@@ -793,8 +797,8 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         r = self.resolved = resolve(config)
+        # a record's seq is its index here, which a deliver's "send" names
         self.records: list[Record] = []
-        self.seq = 0
         self.heap: list = []
         self.counter = itertools.count()
         self.net_rng = random.Random(subseed(r.seed, "net"))
@@ -857,11 +861,6 @@ class Simulation:
 
     # -- record plumbing ----------------------------------------------------
 
-    def _emit(self, rec: Record) -> None:
-        rec["seq"] = self.seq
-        self.seq += 1
-        self.records.append(rec)
-
     def _real(self, ticks: int) -> int:
         """A time as the trace records it: its tick count. Kept as the one
         call perfbench counts for every record time but a delivery's."""
@@ -887,7 +886,7 @@ class Simulation:
             sign = SIGN_VIEW if ptype is ViewMessage else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
         r = self.resolved
-        send_seq = self.seq  # nothing is emitted before this send's record
+        send_seq = len(self.records)  # nothing is emitted before this send's record
         recipients = list(range(r.n)) if to == ALL else [to]
         # uniform_random draws once per other recipient, in recipient order;
         # every other network gives all of them one time
@@ -915,7 +914,6 @@ class Simulation:
             deliver_times.append(when)
             if when <= horizon:
                 heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
-        self.seq = send_seq + 1
         self.records.append(
             {
                 "kind": "send",
@@ -924,7 +922,6 @@ class Simulation:
                 "recipients": recipients,
                 "payload": payload_to_dict(payload),
                 "deliver_times": deliver_times,
-                "seq": send_seq,
             }
         )
 
@@ -953,7 +950,7 @@ class Simulation:
                     self._dispatch(p, extra, now)
             elif kind is FormQC:
                 qc = act.qc
-                self._emit(
+                self.records.append(
                     {
                         "kind": "form_qc",
                         "time": self._real(now),
@@ -971,7 +968,7 @@ class Simulation:
                     self._sync_target_view = (qc.view // r.k + 1) * r.k
             elif kind is FormVC:
                 vc = act.vc
-                self._emit(
+                self.records.append(
                     {
                         "kind": "form_vc",
                         "time": self._real(now),
@@ -1015,17 +1012,14 @@ class Simulation:
         else:
             actions = self._receive_correct(p, payload, now)
         state = self.states[p]
-        seq = self.seq
-        self.seq = seq + 1
+        # due at its send's deliver_times entry for p, so no time of its own
         self.records.append(
             {
                 "kind": "deliver",
-                "time": now,
                 "send": send_seq,
                 "recipient": p,
                 "proc_view": state.view,
                 "proc_clock": state.clock,
-                "seq": seq,
             }
         )
         if actions:
@@ -1041,7 +1035,7 @@ class Simulation:
         actions = on_clock_reaches(state, boundary, self.params)
         if self.corrupted[p]:
             actions = self.controls[p].transform(actions, self, now)
-        self._emit(
+        self.records.append(
             {
                 "kind": "threshold",
                 "time": self._real(now),
@@ -1075,7 +1069,7 @@ class Simulation:
 
     def _apply_corruption(self, proc: int, strategy: str, now: int) -> None:
         self.corrupted[proc] = True
-        self._emit(
+        self.records.append(
             {
                 "kind": "corrupt",
                 "time": self._real(now),
@@ -1086,7 +1080,7 @@ class Simulation:
         self.controls[proc].on_corrupt(self, now)
 
     def _handle_wake(self, p: int, payload, now: int) -> None:
-        self._emit({"kind": "wake", "time": self._real(now), "proc": p})
+        self.records.append({"kind": "wake", "time": self._real(now), "proc": p})
         self.controls[p].on_wake(payload, now, self)
 
     # -- stop conditions ----------------------------------------------------
@@ -1108,7 +1102,7 @@ class Simulation:
 
     def run(self) -> list[Record]:
         r = self.resolved
-        self._emit(r.header())
+        self.records.append(r.header())
 
         for c in r.corruptions:
             if c.time == 0:
@@ -1154,6 +1148,6 @@ class Simulation:
             stop_reason = "horizon"
             stop_time = r.horizon
 
-        self._emit({"kind": "end", "time": self._real(stop_time), "reason": stop_reason})
+        self.records.append({"kind": "end", "time": self._real(stop_time), "reason": stop_reason})
         return self.records
 

@@ -1,23 +1,26 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
-A trace is a list of flat dict records, one per simulation event, each with
-its position ``seq``. Version 4 carries every time, clock value and delivery
-time as a JSON int count of ticks on the grid the header names; only the
-header's clock rates may be ``"p/q"`` strings (``timeutil.dump_ticks``). Each
-``send()`` call is one ``send`` record, and each of its deliveries one
-``deliver`` record that names it by seq instead of repeating it::
+A trace is a list of flat dict records, one per simulation event. A record's
+seq is its 0-based line index, the header's 0, and is not written. Version 5
+carries every time, clock value and delivery time as a JSON int count of
+ticks on the grid the header names; only the header's clock rates may be
+``"p/q"`` strings (``timeutil.dump_ticks``). Each ``send()`` call is one
+``send`` record, and each of its deliveries one ``deliver`` record that
+names it by seq instead of repeating it::
 
     {"deliver_times":[…],"kind":"send","payload":{…},"recipients":[…],
-     "sender":s,"seq":N,"time":T}
-    {"kind":"deliver","proc_clock":C,"proc_view":V,"recipient":p,"send":S,
-     "seq":N,"time":T}
+     "sender":s,"time":T}
+    {"kind":"deliver","proc_clock":C,"proc_view":V,"recipient":p,"send":S}
 
-``deliver_times`` lists when each of ``recipients`` is due. A send costs one
-word per recipient other than the sender, which the reader derives from
-``recipients``. Versions 1 to 3 are not read: 1 and 2 wrote one ``send``
+``deliver_times`` lists when each of ``recipients`` is due, and a
+``deliver`` record has no time of its own: it happens at its send's entry
+for its recipient. Every other record has a ``time``. A send costs one word
+per recipient other than the sender, which the reader derives from
+``recipients``. Versions 1 to 4 are not read: 1 and 2 wrote one ``send``
 record per recipient and repeated the sender, payload and send time in every
-``deliver``, and 3 wrote a drifted clock's times as ``"p/q"`` strings on a
-coarser grid and stored each send's word count.
+``deliver``, 3 wrote a drifted clock's times as ``"p/q"`` strings on a
+coarser grid and stored each send's word count, and 4 wrote every record's
+seq and every deliver's time.
 
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
@@ -68,7 +71,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 Record = dict[str, Any]
 
@@ -88,9 +91,9 @@ _INT = {int}
 
 # -- the record format ---------------------------------------------------------
 
-# Each kind the simulator writes, with its fields besides "kind", "seq" (an
-# int) and "time" (a tick), in the order the simulator writes them. Shapes
-# are exact types, so a bool is not an int:
+# Each kind the simulator writes, with its fields besides "kind", in the
+# order the simulator writes them: every kind but "deliver" has a "time".
+# Shapes are exact types, so a bool is not an int:
 #   int      an int
 #   proc     a processor id: an int in [0, n)
 #   view     a view number: an int >= 0
@@ -103,18 +106,19 @@ _INT = {int}
 #            per entry of "recipients"
 RECORD_FIELDS = {
     "send": {
+        "time": "tick",
         "sender": "proc",
         "recipients": "procs",
         "payload": "payload",
         "deliver_times": "ticks",
     },
     "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
-    "threshold": {"proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
-    "corrupt": {"proc": "proc", "strategy": "str"},
-    "form_qc": {"proc": "proc", "view": "view", "signers": "ints"},
-    "form_vc": {"proc": "proc", "view": "view", "signers": "ints"},
-    "wake": {"proc": "proc"},
-    "end": {"reason": "str"},
+    "threshold": {"time": "tick", "proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
+    "corrupt": {"time": "tick", "proc": "proc", "strategy": "str"},
+    "form_qc": {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"},
+    "form_vc": {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"},
+    "wake": {"time": "tick", "proc": "proc"},
+    "end": {"time": "tick", "reason": "str"},
 }
 # Each payload type's fields besides "type" and "view": exactly one, whose
 # name sorts before both, which _payload relies on.
@@ -143,11 +147,11 @@ def malformed_field(rec, n: int) -> tuple[str, str] | None:
     """The first field of ``rec`` that is absent or not in its shape, as
     ``(name, problem)`` (``payload.<name>`` inside the payload), with
     processor ids checked against ``[0, n)``; None if there is none. A kind
-    or payload type the tables do not list has its common fields checked."""
+    the table does not list has only its kind checked, and a payload type it
+    does not list only its type and view."""
     if type(rec) is not dict or type(rec.get("kind")) is not str:
         return "kind", "is missing or not a string"
-    fields = {"seq": "int", "time": "tick", **RECORD_FIELDS.get(rec["kind"], {})}
-    for name, shape in fields.items():
+    for name, shape in RECORD_FIELDS.get(rec["kind"], {}).items():
         if name not in rec:
             return name, "is missing"
         value = rec[name]
@@ -216,11 +220,11 @@ def _payload(p) -> str | None:
 
 
 def _send(r: Record) -> str | None:
-    if len(r) != 7:
+    if len(r) != 6:
         return None
     try:
         payload, deliver_times, time = _payload(r["payload"]), r["deliver_times"], r["time"]
-        recipients, sender, seq = r["recipients"], r["sender"], r["seq"]
+        recipients, sender = r["recipients"], r["sender"]
     except KeyError:
         return None
     deliver_times, recipients = _ints(deliver_times), _ints(recipients)
@@ -230,57 +234,53 @@ def _send(r: Record) -> str | None:
         or recipients is None
         or type(time) is not int
         or type(sender) is not int
-        or type(seq) is not int
     ):
         return None
     return (
         f'{{"deliver_times":{deliver_times},"kind":"send","payload":{payload},'
-        f'"recipients":{recipients},"sender":{sender},"seq":{seq},"time":{time}}}'
+        f'"recipients":{recipients},"sender":{sender},"time":{time}}}'
     )
 
 
 def _deliver(r: Record) -> str | None:
-    if len(r) != 7:
+    if len(r) != 5:
         return None
     try:
-        proc_clock, proc_view, recipient = r["proc_clock"], r["proc_view"], r["recipient"]
-        send, seq, time = r["send"], r["seq"], r["time"]
+        proc_clock, proc_view = r["proc_clock"], r["proc_view"]
+        recipient, send = r["recipient"], r["send"]
     except KeyError:
         return None
     if (
         type(proc_clock) is not int
-        or type(time) is not int
         or type(proc_view) is not int
         or type(recipient) is not int
         or type(send) is not int
-        or type(seq) is not int
     ):
         return None
     return (
         f'{{"kind":"deliver","proc_clock":{proc_clock},"proc_view":{proc_view},'
-        f'"recipient":{recipient},"send":{send},"seq":{seq},"time":{time}}}'
+        f'"recipient":{recipient},"send":{send}}}'
     )
 
 
 def _threshold(r: Record) -> str | None:
-    if len(r) != 6:
+    if len(r) != 5:
         return None
     try:
         boundary_clock, proc, proc_view = r["boundary_clock"], r["proc"], r["proc_view"]
-        seq, time = r["seq"], r["time"]
+        time = r["time"]
     except KeyError:
         return None
     if (
         type(boundary_clock) is not int
         or type(proc) is not int
         or type(proc_view) is not int
-        or type(seq) is not int
         or type(time) is not int
     ):
         return None
     return (
         f'{{"boundary_clock":{boundary_clock},"kind":"threshold","proc":{proc},'
-        f'"proc_view":{proc_view},"seq":{seq},"time":{time}}}'
+        f'"proc_view":{proc_view},"time":{time}}}'
     )
 
 

@@ -22,9 +22,9 @@ def run_with(strategy, *, proc=0, when=0, n=4, **kw):
 
 def sends_from(records, proc, *, after=None):
     out = []
-    for r in records:
+    for seq, r in enumerate(records):
         if r["kind"] == "send" and r["sender"] == proc:
-            if after is None or r["seq"] > after:
+            if after is None or seq > after:
                 out.append(r)
     return out
 
@@ -46,13 +46,13 @@ def test_every_strategy_yields_a_conforming_run():
 
 def test_silent_processor_stops_sending():
     records = run_with("silent")
-    corrupt_seq = next(r["seq"] for r in records if r["kind"] == "corrupt")
+    corrupt_seq = next(i for i, r in enumerate(records) if r["kind"] == "corrupt")
     assert sends_from(records, 0, after=corrupt_seq) == []
 
 
 def test_early_signer_floods_boundary_view_messages():
     records = run_with("early_signer")
-    corrupt_seq = next(r["seq"] for r in records if r["kind"] == "corrupt")
+    corrupt_seq = next(i for i, r in enumerate(records) if r["kind"] == "corrupt")
     flood = sends_from(records, 0, after=corrupt_seq)
     assert flood, "flood expected at corruption time"
     views = {r["payload"]["view"] for r in flood}
@@ -63,7 +63,7 @@ def test_early_signer_floods_boundary_view_messages():
 
 def test_vote_stuffer_floods_votes_for_every_view():
     records = run_with("vote_stuffer")
-    corrupt_seq = next(r["seq"] for r in records if r["kind"] == "corrupt")
+    corrupt_seq = next(i for i, r in enumerate(records) if r["kind"] == "corrupt")
     flood = sends_from(records, 0, after=corrupt_seq)
     assert flood and all(r["payload"]["type"] == "vote" for r in flood)
     views = {r["payload"]["view"] for r in flood}

@@ -580,13 +580,13 @@ def test_cli_replay_refuses_version_3_traces(spec_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind,name", [("deliver", "proc_clock"), ("end", "time")])
 def test_cli_replay_refuses_a_rational_tick(spec_file, tmp_path, capsys, kind, name):
-    # the v3 spelling of a time between two ticks, which v4 has no form for
+    # the v3 spelling of a time between two ticks, which v5 has no form for
     where = []
 
     def edit(recs):
-        rec = next(r for r in recs if r["kind"] == kind)
+        seq, rec = next((i, r) for i, r in enumerate(recs) if r["kind"] == kind)
         rec[name] = f"{2 * rec[name] + 1}/2"
-        where.append(f"malformed time {rec[name]!r} at seq {rec['seq']}")
+        where.append(f"malformed time {rec[name]!r} at seq {seq}")
 
     bad = edited_trace(spec_file, tmp_path, edit)
     capsys.readouterr()
@@ -594,42 +594,36 @@ def test_cli_replay_refuses_a_rational_tick(spec_file, tmp_path, capsys, kind, n
     assert f"malformed trace: {where[0]}" in capsys.readouterr().err
 
 
-def point_at_header(recs, deliver):
-    deliver["send"] = recs[0]["seq"]
-    return f"field 'send' names no earlier send record: {recs[0]['seq']}"
+# Each takes the trace and the index of its first deliver record, and
+# unjoins that record from its send; a record's seq is its index.
 
 
-def point_at_a_later_send(recs, deliver):
-    later = next(r for r in recs if r["kind"] == "send" and r["seq"] > deliver["seq"])
-    deliver["send"] = later["seq"]
-    return f"field 'send' names no earlier send record: {later['seq']}"
+def point_at_header(recs, at):
+    recs[at]["send"] = 0
+    return "field 'send' names no earlier send record: 0"
 
 
-def drop_the_recipient(recs, deliver):
-    send = next(r for r in recs if r["seq"] == deliver["send"])
-    at = send["recipients"].index(deliver["recipient"])
-    del send["recipients"][at], send["deliver_times"][at]
-    return f"send record at seq {send['seq']} does not list recipient {deliver['recipient']}"
+def point_at_a_later_send(recs, at):
+    later = next(i for i in range(at + 1, len(recs)) if recs[i]["kind"] == "send")
+    recs[at]["send"] = later
+    return f"field 'send' names no earlier send record: {later}"
 
 
-def announce_another_time(recs, deliver):
-    send = next(r for r in recs if r["seq"] == deliver["send"])
-    send["deliver_times"][send["recipients"].index(deliver["recipient"])] = 10**6
-    return (
-        f"field 'time' is {deliver['time']}, but send record at seq {send['seq']} "
-        f"lists 1000000 for recipient {deliver['recipient']}"
-    )
+def drop_the_recipient(recs, at):
+    deliver = recs[at]
+    send = recs[deliver["send"]]
+    i = send["recipients"].index(deliver["recipient"])
+    del send["recipients"][i], send["deliver_times"][i]
+    return f"send record at seq {deliver['send']} does not list recipient {deliver['recipient']}"
 
 
-def deliver_twice(recs, deliver):
-    # a copy goes in first, so deliver itself, renumbered, is the repeat
-    at = recs.index(deliver)
-    first = dict(deliver)
+def deliver_twice(recs, at):
+    # a copy goes in first, so the record itself, one further on, is the repeat
+    deliver = recs[at]
     for r in recs[at:]:
-        r["seq"] += 1
-        if r["kind"] == "deliver" and r["send"] >= first["seq"]:
+        if r["kind"] == "deliver" and r["send"] >= at:
             r["send"] += 1
-    recs.insert(at, first)
+    recs.insert(at, dict(deliver))
     return (
         f"send record at seq {deliver['send']} "
         f"was already delivered to recipient {deliver['recipient']}"
@@ -642,7 +636,6 @@ def deliver_twice(recs, deliver):
         point_at_header,
         point_at_a_later_send,
         drop_the_recipient,
-        announce_another_time,
         deliver_twice,
     ],
 )
@@ -650,9 +643,11 @@ def test_cli_replay_locates_a_deliver_without_its_send(spec_file, tmp_path, caps
     where = []
 
     def edit(recs):
-        deliver = next(r for r in recs if r["kind"] == "deliver")
-        reason = unjoin(recs, deliver)
-        where.append(f"deliver record at seq {deliver['seq']}: {reason}")
+        at = next(i for i, r in enumerate(recs) if r["kind"] == "deliver")
+        deliver = recs[at]
+        reason = unjoin(recs, at)
+        seq = next(i for i, r in enumerate(recs) if r is deliver)
+        where.append(f"deliver record at seq {seq}: {reason}")
 
     bad = edited_trace(spec_file, tmp_path, edit)
     capsys.readouterr()
@@ -672,8 +667,8 @@ def test_cli_replay_locates_a_malformed_record(spec_file, tmp_path, capsys, kind
     seqs = []
 
     def break_first(recs):
-        rec = next(r for r in recs if r["kind"] == kind)
-        seqs.append(rec["seq"])
+        seq, rec = next((i, r) for i, r in enumerate(recs) if r["kind"] == kind)
+        seqs.append(seq)
         edit(rec)
 
     bad = edited_trace(spec_file, tmp_path, break_first)
@@ -693,17 +688,17 @@ def test_cli_replay_locates_a_malformed_record(spec_file, tmp_path, capsys, kind
 def test_cli_replay_locates_a_value_that_passes_the_scan(
     tmp_path, capsys, kind, index, edit, message
 ):
-    # no read in the scan fails on these values: the missing time fails
-    # before the scan, the view where it changes the held view
+    # the end record is the last the scan reads, and the view is the last
+    # deliver's: a streamed replay fails on each, and the whole read locates it
     run_cell({**BASE, "f": 0, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
     recs = [json.loads(line) for line in trace.read_text().splitlines()]
-    rec = [r for r in recs if r["kind"] == kind][index]
+    seq, rec = [(i, r) for i, r in enumerate(recs) if r["kind"] == kind][index]
     edit(rec)
     trace.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
     assert main(["replay", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert f"malformed trace: {kind} record at seq {rec['seq']}: {message}" in err
+    assert f"malformed trace: {kind} record at seq {seq}: {message}" in err
 
 
 # -- which fault a replay reports when a trace holds several --------------------
@@ -714,7 +709,7 @@ def dumped(recs):
 
 
 def unjoin_first_deliver(recs):
-    next(r for r in recs if r["kind"] == "deliver")["send"] = recs[0]["seq"]
+    next(r for r in recs if r["kind"] == "deliver")["send"] = 0  # the header
 
 
 def json_error_on_the_last_line(recs):
@@ -741,16 +736,16 @@ def analysis_fault_then_bad_end_time(recs):
     # the end record's time is read before the scan
     unjoin_first_deliver(recs)
     recs[-1]["time"] = "x"
-    return dumped(recs), TraceAnalysisError, f"malformed time 'x' at seq {recs[-1]['seq']}"
+    return dumped(recs), TraceAnalysisError, f"malformed time 'x' at seq {len(recs) - 1}"
 
 
 def field_the_scan_passes_then_one_it_fails_on(recs):
-    sends = [r for r in recs if r["kind"] == "send"]
-    first = next(r for r in sends if r["payload"]["type"] == "view_message")
-    first["payload"]["view"] = float(first["payload"]["view"])  # equal, so the scan reads it
-    sends[-1].pop("sender")
-    message = f"send record at seq {first['seq']}: field 'payload.view' is malformed: "
-    return dumped(recs), TraceAnalysisError, message + repr(first["payload"]["view"])
+    sends = [i for i, r in enumerate(recs) if r["kind"] == "send"]
+    first = next(i for i in sends if recs[i]["payload"]["type"] == "proposal")
+    recs[first]["payload"]["leader"] = 0.0  # which the scan does not read
+    recs[sends[-1]].pop("sender")
+    message = f"send record at seq {first}: field 'payload.leader' is malformed: 0.0"
+    return dumped(recs), TraceAnalysisError, message
 
 
 @pytest.mark.parametrize(

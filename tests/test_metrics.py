@@ -50,23 +50,34 @@ def copied(records):
     return [copy.deepcopy(r) for r in records]
 
 
-def renumbered(records):
-    """A copy of records with seqs 0, 1, ... in list order, and each
-    deliver's ``send`` pointing at its send record's new seq."""
-    out = copied(records)
+def renumbered(records, source):
+    """A copy of ``records``, which lists records of the trace ``source``
+    (some repeated, some left out) and new ones, with each deliver's
+    ``send`` pointing at its send record's new seq, its index."""
+    records = list(records)
     new_seq = {}
-    for i, r in enumerate(out):
-        new_seq.setdefault(r["seq"], i)  # a duplicate's deliveries stay with the first
-    for i, r in enumerate(out):
-        r["seq"] = i
+    for i, r in enumerate(records):
+        new_seq.setdefault(id(r), i)  # a duplicate's deliveries stay with the first
+    moved = [new_seq.get(id(r)) for r in source]
+    out = copied(records)
+    for r in out:
         if r["kind"] == "deliver":
-            r["send"] = new_seq[r["send"]]
+            r["send"] = moved[r["send"]]
     return out
 
 
 def sent(records, deliver):
-    """The send record a deliver record joins, in records numbered by position."""
+    """The send record a deliver record joins: the one at the seq it names."""
     return records[deliver["send"]]
+
+
+def time_of(records, rec):
+    """A record's time; a deliver's is its send's deliver_times entry for its
+    recipient."""
+    if rec["kind"] != "deliver":
+        return rec["time"]
+    src = sent(records, rec)
+    return src["deliver_times"][src["recipients"].index(rec["recipient"])]
 
 
 def mutated(records, index, **changes):
@@ -78,7 +89,7 @@ def mutated(records, index, **changes):
 def duplicated(records, index):
     out = list(records)
     out.insert(index + 1, records[index])
-    return renumbered(out)
+    return renumbered(out, records)
 
 
 def find(records, pred):
@@ -310,13 +321,18 @@ class ReferenceAnalyzer(_Analyzer):
         sends = self.sends
         recheck_dagger = True
         before_gst = True
-        for rec in self.records:
-            seq = rec["seq"]
+        for seq, rec in enumerate(self.records):
             kind = rec["kind"]
             if kind == "header":
                 self._check_dagger_now(0, seq)
                 continue
-            now = _ticks(rec["time"], seq)
+            if kind == "deliver":  # due when its send record says
+                p, sent = rec["recipient"], sends.get(rec["send"])
+                if sent is None or p not in sent[3]:
+                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
+                now = sent[4][sent[3].index(p)]
+            else:
+                now = _ticks(rec["time"], seq)
             if before_gst:
                 if now > gst:
                     before_gst = False
@@ -329,9 +345,6 @@ class ReferenceAnalyzer(_Analyzer):
             elif kind == "send":
                 self._scan_send(rec, now, seq)
             elif kind == "deliver":
-                p, sent = rec["recipient"], sends.get(rec["send"])
-                if sent is None or p not in sent[3]:
-                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
                 if self._scan_stamp(p, rec["proc_view"], _ticks(rec["proc_clock"], seq), now, seq):
                     recheck_dagger = True
                 self._scan_deliver(sent, p, now, seq)
@@ -359,7 +372,7 @@ class ReferenceAnalyzer(_Analyzer):
             if recheck_dagger or not uniform_rates:
                 self._check_dagger_now(now, seq)
                 recheck_dagger = False
-        self.end_seq, self.end_time = seq, _ticks(rec["time"], seq)
+        self.end_seq, self.end_time = seq, now
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
@@ -399,7 +412,7 @@ class ReferenceAnalyzer(_Analyzer):
         words = sum(q != sender for q in rec["recipients"])
         if correct and words:
             self.word_events.append((now, words))
-        self.sends[seq] = (now, sender, payload, rec["recipients"])
+        self.sends[seq] = (now, sender, payload, rec["recipients"], rec["deliver_times"])
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -430,7 +443,7 @@ class ReferenceAnalyzer(_Analyzer):
     def _scan_deliver(self, sent: tuple, recipient: int, now, seq: int) -> None:
         """One delivery of ``sent``, the send index's entry for its send."""
         r = self.resolved
-        send_time, sender, payload, _recipients = sent
+        send_time, sender, payload, _recipients, _deliver_times = sent
         if sender == recipient:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")
@@ -617,8 +630,8 @@ def test_dispersed_drifting_clocks_detected_at_every_record():
     bad = copied(records)
     bad[0]["config"]["offsets"][-1] = 100 * records[0]["grid"]
     flagged = [v.seq for v in violations(bad) if v.invariant == "dagger"]
-    assert flagged == [r["seq"] for r in bad]
-    assert len({r["time"] for r in bad[1:]}) < len(bad) // 2
+    assert flagged == list(range(len(bad)))
+    assert len({time_of(bad, r) for r in bad[1:]}) < len(bad) // 2
 
 
 def test_no_two_records_share_a_payload(base):
@@ -665,7 +678,7 @@ def test_late_delivery_detected(base):
         base,
         lambda r: r["kind"] == "deliver"
         and sent(base, r)["sender"] != r["recipient"]
-        and r["time"] > 3 * base[0]["grid"],
+        and time_of(base, r) > 3 * base[0]["grid"],
     )
     bad = mutated(base, base[i]["send"], time=0)
     found = violations(bad)
@@ -691,7 +704,7 @@ def test_late_delivery_inside_a_bounded_window_detected():
         lambda r: r["kind"] == "deliver"
         and sent(records, r)["sender"] != r["recipient"]
         and 5 * g < sent(records, r)["time"]
-        and 7 * g < r["time"] < 20 * g,
+        and 7 * g < time_of(records, r) < 20 * g,
     )
     records[records[i]["send"]]["time"] = 5 * g
     assert ("delivery_bound", i) in {v[:2] for v in violations(records)}
@@ -734,9 +747,9 @@ def test_a_delivery_at_the_cap_is_late_only_where_the_actual_delay_binds(network
         records,
         lambda r: r["kind"] == "deliver"
         and sent(records, r)["sender"] not in sent(records, r)["recipients"]
-        and r["time"] >= 2 * g,
+        and time_of(records, r) >= 2 * g,
     )
-    records[records[i]["send"]]["time"] = records[i]["time"] - 2 * g
+    records[records[i]["send"]]["time"] = time_of(records, records[i]) - 2 * g
     found = [v for v in violations(records) if v.invariant == "delivery_bound"]
     if network == "worst_case_max_delay":
         assert found == []
@@ -760,7 +773,7 @@ def test_delayed_self_delivery_detected(base):
     i = find(
         base, lambda r: r["kind"] == "deliver" and sent(base, r)["sender"] == r["recipient"]
     )
-    bad = mutated(base, base[i]["send"], time=base[i]["time"] - base[0]["grid"])
+    bad = mutated(base, base[i]["send"], time=time_of(base, base[i]) - base[0]["grid"])
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
@@ -861,10 +874,10 @@ def test_gst_seq_is_the_last_record_before_the_first_after_gst(gst):
     records = run_records(gst=gst)
     analyzer = scanned(records)
     want = -1
-    for rec in records[1:]:
-        if rec["time"] > analyzer.resolved.gst:
+    for seq, rec in enumerate(records[1:], start=1):
+        if time_of(records, rec) > analyzer.resolved.gst:
             break
-        want = rec["seq"]
+        want = seq
     assert analyzer.gst_seq == want
 
 
@@ -896,7 +909,7 @@ def words(send):
 def resent(records, i, copies):
     """records with send record i repeated ``copies`` more times right after
     it, renumbered; the copies are never delivered."""
-    return renumbered([*records[: i + 1], *[records[i]] * copies, *records[i + 1 :]])
+    return renumbered([*records[: i + 1], *[records[i]] * copies, *records[i + 1 :]], records)
 
 
 def test_words_before_first_quorum_break_word_bound(base):
@@ -938,7 +951,7 @@ def test_words_between_group_quorums_break_post_sync_words(base):
     assert "post_sync_words" not in ids(base)
     bad = resent(base, i, budget // words(base[i]) + 1)
     found = violations(bad)
-    assert ("post_sync_words", bad[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+    assert ("post_sync_words", len(bad) - 1) in {(x.invariant, x.seq) for x in found}
 
 
 def test_early_boundary_entry_breaks_entry_time_identity(base):
@@ -948,11 +961,11 @@ def test_early_boundary_entry_breaks_entry_time_identity(base):
     # any certificate or its own clock could take it there
     j = rfind(
         base,
-        lambda r: r["kind"] == "deliver" and t_of[v - 1] < r["time"] < t_of[v],
+        lambda r: r["kind"] == "deliver" and t_of[v - 1] < time_of(base, r) < t_of[v],
     )
     bad = mutated(base, j, proc_view=v)
     found = violations(bad)
-    assert ("entry_time_identity", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+    assert ("entry_time_identity", len(base) - 1) in {(x.invariant, x.seq) for x in found}
 
 
 def test_slow_group_quorum_breaks_post_sync_latency(base):
@@ -976,9 +989,9 @@ def test_slow_group_quorum_breaks_post_sync_latency(base):
 
     # silent at the allowed pace gap, firing one tick past it
     silent = {(x.invariant, x.seq) for x in violations(group_3_quorums_at(lo + allowed))}
-    assert ("post_sync_latency", base[-1]["seq"]) not in silent
+    assert ("post_sync_latency", len(base) - 1) not in silent
     found = violations(group_3_quorums_at(lo + allowed + 1))
-    assert ("post_sync_latency", base[-1]["seq"]) in {(x.invariant, x.seq) for x in found}
+    assert ("post_sync_latency", len(base) - 1) in {(x.invariant, x.seq) for x in found}
 
 
 def lost_quorum_certificate(base):
@@ -997,11 +1010,11 @@ def lost_quorum_certificate(base):
         payload = sent(base, r)["payload"]
         return payload["type"] == "quorum_certificate" and payload["view"] == v
 
-    bad = renumbered(r for r in base if not lost(r))
+    bad = renumbered((r for r in base if not lost(r)), base)
     assert len(bad) < len(base)
     for r in bad:
         own = r["kind"] == "deliver" and r["recipient"] == p or r.get("proc") == p
-        if own and "proc_view" in r and r["time"] <= hold:
+        if own and "proc_view" in r and time_of(bad, r) <= hold:
             r["proc_view"] = min(r["proc_view"], v)
     return bad, v, p
 
@@ -1011,7 +1024,7 @@ def test_lost_quorum_certificate_breaks_underlying_contract(base):
     found = violations(bad)
     assert any(
         x.invariant == "underlying_contract"
-        and x.seq == bad[-1]["seq"]
+        and x.seq == len(bad) - 1
         and f"processor {p} lacked the view {v} quorum" in x.detail
         for x in found
     )
@@ -1025,7 +1038,7 @@ def without_quorum_certificates(records, recipient, views):
         if not (r["kind"] == "deliver" and r["recipient"] == recipient
                 and sent(records, r)["payload"]["type"] == "quorum_certificate"
                 and sent(records, r)["payload"]["view"] in views)
-    ])
+    ], records)
 
 
 def test_underlying_contract_flags_views_in_entry_order():
@@ -1067,9 +1080,9 @@ def test_leader_outside_the_first_quorum_leaves_the_view_unchecked(base):
         return own and r.get("proc_view") == v
 
     for r in bad:
-        if leaders_view_v(r) and r["time"] == t_v:
+        if leaders_view_v(r) and time_of(bad, r) == t_v:
             r["proc_view"] = v - 1
-    assert find(bad, lambda r: leaders_view_v(r) and r["time"] > t_v)  # it enters v later
+    assert find(bad, lambda r: leaders_view_v(r) and time_of(bad, r) > t_v)  # it enters v later
     found = violations(bad)
     assert not any(
         x.invariant == "underlying_contract" and f"the view {v} quorum" in x.detail for x in found
@@ -1092,7 +1105,6 @@ def test_late_delivery_makes_the_view_untimely(base, ptype):
     send = sent(bad, bad[i])
     assert send["sender"] not in {c["proc"] for c in bad[0]["config"]["corruptions"]}
     send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
-    bad[i]["time"] += 1
     bad[i]["proc_clock"] += 1  # the recipient's clock ran on with it
     found = violations(bad)
     assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
@@ -1119,11 +1131,10 @@ def test_late_delivery_from_a_corrupted_sender_leaves_the_view_timely(base):
 
     q = sent(bad, bad[late_vote(bad)])["sender"]
     bad[0]["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": 0}]
-    bad = renumbered([bad[0], {"kind": "corrupt", "seq": -1, "time": 0, "proc": q}, *bad[1:]])
+    bad = renumbered([bad[0], {"kind": "corrupt", "time": 0, "proc": q}, *bad[1:]], bad)
     i = late_vote(bad)
     send = sent(bad, bad[i])
     send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
-    bad[i]["time"] += 1
     bad[i]["proc_clock"] += 1
     found = violations(bad)
     assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
@@ -1296,20 +1307,23 @@ def test_every_non_integer_view_is_located():
             analyze(bad)
 
 
-def test_delivery_off_its_announced_time_rejected():
-    # every entry of one broadcast's deliver_times moved far out, so its
-    # first delivery is not when the send record says
+def test_a_delivery_happens_at_its_announced_time():
+    # a deliver record has no time of its own: with every entry of one
+    # broadcast's deliver_times moved far out, each of its deliveries is read
+    # there, and each is flagged, the sender's own for not being instantaneous
     records = copied(found_run())
     i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) > 1)
     records[i]["deliver_times"] = [10**6] * len(records[i]["recipients"])
-    j = find(records, lambda r: r["kind"] == "deliver" and r["send"] == i)
-    message = (
-        f"deliver record at seq {j}: field 'time' is {records[j]['time']}, but send record "
-        f"at seq {i} lists 1000000 for recipient {records[j]['recipient']}"
-    )
-    with pytest.raises(TraceAnalysisError, match=re.escape(message)):
-        analyze(records)
-    assert ReferenceAnalyzer(records).analyze().violations == []  # the old scan saw nothing
+    delivered = {
+        j: r["recipient"] for j, r in enumerate(records) if r["kind"] == "deliver" and r["send"] == i
+    }
+    assert len(delivered) == len(records[i]["recipients"])
+    found = {v.seq: v.detail for v in violations(records) if v.invariant == "delivery_bound"}
+    for j, p in delivered.items():
+        if p == records[i]["sender"]:
+            assert found[j] == "self delivery not instantaneous"
+        else:
+            assert found[j].startswith("delivery at 1000000 outside ")
 
 
 def test_duplicate_delivery_rejected():
@@ -1391,7 +1405,7 @@ def negative_recipient(records):
     src = sent(records, records[i])
     src["recipients"][src["recipients"].index(3)] = -1
     records[i]["recipient"] = -1
-    return src["seq"], "recipients"
+    return records[i]["send"], "recipients"
 
 
 def negative_sender(records):
@@ -1489,12 +1503,17 @@ def test_a_certificate_formed_by_a_non_leader_is_flagged(kind, proc):
         ("form_qc", 50, "view", 1.0),
         ("form_qc", 31, "view", -1),
         ("form_vc", 21, "view", -3),
+        # equal to the view held and the view sent: no view changes here
+        ("deliver", 4, "proc_view", 0.0),
+        ("send", 6, "payload.view", 0.0),
     ],
 )
 def test_words_and_form_views_are_read_exactly(kind, seq, name, value):
     records = copied(found_run())
-    assert records[seq]["kind"] == kind and type(records[seq][name]) is int
-    records[seq][name] = value
+    *inside, key = name.split(".")
+    where = records[seq][inside[0]] if inside else records[seq]
+    assert records[seq]["kind"] == kind and type(where[key]) is int
+    where[key] = value
     message = f"{kind} record at seq {seq}: field {name!r} is malformed: {value!r}"
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
         analyze(records)
@@ -1538,9 +1557,10 @@ def test_an_undelivered_deliver_time_is_read_exactly(value):
     # an entry that no deliver record reads is checked with its send record
     records = copied(found_run())
     delivered = {(r["send"], r["recipient"]) for r in records if r["kind"] == "deliver"}
-    i = find(
-        records,
-        lambda r: r["kind"] == "send" and any((r["seq"], q) not in delivered for q in r["recipients"]),
+    i = next(
+        i
+        for i, r in enumerate(records)
+        if r["kind"] == "send" and any((i, q) not in delivered for q in r["recipients"])
     )
     at = next(j for j, q in enumerate(records[i]["recipients"]) if (i, q) not in delivered)
     records[i]["deliver_times"][at] = value
@@ -1592,7 +1612,7 @@ def test_every_field_the_analysis_reads_is_located_when_missing():
         try:
             got = analyze(bad)
         except TraceAnalysisError as exc:
-            where = f"{rec['kind']} record at seq {rec['seq']}"
+            where = f"{rec['kind']} record at seq {first[owner]}"
             assert str(exc) == f"{where}: field {name!r} is missing", (owner, name)
             continue
         assert got == want, (owner, name)

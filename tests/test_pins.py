@@ -11,27 +11,44 @@ as rational strings in real units, and then in version 2, which wrote ticks
 on the header's grid but still one ``send`` record per recipient and the
 send's sender, payload and time in every ``deliver``. Version 3 wrote one
 ``send`` record per ``send()`` call with its word count, and a drifted
-clock's times as ``"p/q"`` ticks on a coarser grid than version 4's. ``as_v3``
-writes a version 4 trace in that form, ``as_v2`` expands a version 3 trace
-into version 2's shape and ``as_v1`` spells a version 2 trace in real units
-again, so the same runs still match the digests of all three; each cell also
-pins its version 4 digest.
+clock's times as ``"p/q"`` ticks on a coarser grid than version 4's. Version
+4 wrote every record's seq and every deliver's time, which version 5 leaves
+for the reader to derive. ``as_v4`` writes a version 5 trace in version 4's
+form, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2`` expands a
+version 3 trace into version 2's shape and ``as_v1`` spells a version 2 trace
+in real units again, so the same runs still match the digests of all four;
+each cell also pins its version 5 digest.
 """
 
 import copy
 import hashlib
 from fractions import Fraction
 
+import pytest
 import yaml
 
-from viewsync.cli import load_spec
+from viewsync.cli import load_spec, main
 from viewsync.harness import build_config, config_hash
 from viewsync.simnet import Corruption, Resolved, Simulation
 from viewsync.timeutil import from_ticks, load_ticks
-from viewsync.trace import to_jsonl
+from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def as_v4(records):
+    """A version 5 trace written as version 4: every record with its seq, its
+    index in the trace, and each ``deliver`` with its time, its send's
+    ``deliver_times`` entry for its recipient."""
+    out = copy.deepcopy(list(records))
+    for seq, rec in enumerate(out):
+        rec["seq"] = seq
+        if rec["kind"] == "deliver":
+            src = out[rec["send"]]
+            rec["time"] = src["deliver_times"][src["recipients"].index(rec["recipient"])]
+    out[0]["version"] = 4
+    return out
 
 
 def as_v3(records):
@@ -213,7 +230,8 @@ DELTA_UNITS_HASHES = [
 ]
 
 # cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
-#          records, SHA-256 of the trace as_v3, SHA-256 of the version 4 trace)
+#          records, SHA-256 of the trace as_v3, SHA-256 of the trace as_v4,
+#          SHA-256 of the version 5 trace)
 TRACED_CELLS = [
     (
         {
@@ -231,6 +249,7 @@ TRACED_CELLS = [
         303,
         "4f56a324a48497a3317e65e82f5efdd681148a508f68b0979a5ed789a5568901",
         "73201971bdfb11df282741dc941d66e68c29499728e7a1a9664fc796120084cb",
+        "206e9c5687bfc09365b6df8c2125a448cdce92a1253f837e931eb178310a5f6f",
     ),
     (
         {
@@ -249,6 +268,7 @@ TRACED_CELLS = [
         1073,
         "befcb53442f2996a0a7520a8e05e9ca6d253b129b13fb80231ecdef4486b54bf",
         "15290b5991b9279e92073a16fce4b62c661bb433fa35a63f9f5b7467b297664d",
+        "fb9978adad47b39c1a025888bd251775f6b03b62b783ae754982927ca742a654",
     ),
     (
         {
@@ -264,6 +284,7 @@ TRACED_CELLS = [
         104,
         "32b4c5633c4088674d0731c3df6e8a40c8a8f6719e11da1724ece6c233f2797c",
         "aedbdf05bae5dad74d41a78d4e3290f3ed32eb1ef159224fc575adc6b440c3f5",
+        "f2d8a4548575cb226773f9b4d6f6ea2cfc5bbfaee65037ac926044321fccbe41",
     ),
     (
         {
@@ -281,6 +302,7 @@ TRACED_CELLS = [
         178,
         "f9537a082461409132387ab7efa4e8cb8777688839f4c05a7d4c5ddf3c955320",
         "6097e001a9b6d43ec525470f8c9999eb98da0cbbfe997635775dcabda4e42d31",
+        "308dcfdb052e42f3630903aa536424a14ff7e30cd09a1d7a8929447779f150e0",
     ),
     (
         {
@@ -296,6 +318,7 @@ TRACED_CELLS = [
         28,
         "5a6ed176181a7c2ab127d5c215ba471aae8f72ba462d2e2af4cca6fbb437ba7a",
         "ab36afb16bbba15a0d338d7fb3559266e8e4bd75098079ddffae64812335d8a0",
+        "f12c939ac79d65c70286536fb118e3c80eeb44d9d19a2fede42b8d0e1de092a1",
     ),
     (
         {
@@ -314,6 +337,7 @@ TRACED_CELLS = [
         651,
         "739cfb60b64e5691d96bc572132f659f0d79b848324fa1cc308a6daf693c0a41",
         "be898c7ed3212abb24a35b1b0e35df7d07839df09f716492b303e9ed82d6c33a",
+        "62a8bd3ba39e02a6c14b6a41e7b88c61d99815ef5740dcd13f85f8fd3350d91a",
     ),
     (
         {
@@ -333,6 +357,7 @@ TRACED_CELLS = [
         700,
         "cb45fceb28c154edf238685d05863282cea6da57f82c15e2a546be498caf7667",
         "aadb22c77cfbac18453bf2613515e6ef7aeafdfc42eae8e6e1e6c8a2dc26f1b4",
+        "f743c2d8efc333096aebd08274b81ee58e826cda4269994705aab17ad216302a",
     ),
     (
         {
@@ -350,6 +375,7 @@ TRACED_CELLS = [
         1062,
         "a31f4048aeafc1673db95c4299ce88e7e7e9f9a1ff2c2c1cbdbe894e56028840",
         "bd0be96586478fb7c914f5c499c90b91b86d3cac973b22fa11234c3512cafe94",
+        "ca93dcba3509a32125b1f59ad98b426815620dc66481e39a821a711a706f6a4a",
     ),
 ]
 
@@ -369,8 +395,9 @@ def test_delta_units_config_hash_pins(tmp_path):
 
 # Drifting runs whose random draws (network delays, a relayer's wake-ups, the
 # initial clocks) are scaled onto the finer grid: cell -> (records, SHA-256
-# of the trace as_v3, SHA-256 of the version 4 trace). The v3 digests were
-# recorded by the version 3 simulator.
+# of the trace as_v3, SHA-256 of the trace as_v4, SHA-256 of the version 5
+# trace). The v3 digests were recorded by the version 3 simulator, and the
+# v4 digests by the version 4 one.
 DRAWING_DRIFT_CELLS = [
     (
         {
@@ -387,6 +414,7 @@ DRAWING_DRIFT_CELLS = [
         605,
         "91fcba670eb5868b723d6f384e715f790a689b5bd0817d0585c493dafd710425",
         "70bc031c6294c6f7ba59fda1f4ba7dcc5882e399f81f1ec1ec71abf4cf6476c1",
+        "2881f568a1b18ceb69b446dcc301b098fc2b2224719be26f59c86f8a47586df0",
     ),
     (
         {
@@ -400,6 +428,7 @@ DRAWING_DRIFT_CELLS = [
         1058,
         "896d3689b3921d7a3aa3d9d6763c97116ad48d1d0d6d123ab780d5674d8fd219",
         "9ab56057ed81c3c7fdf16e30f8fa7ee544a2221b963a253fbff5547a2f5cf73d",
+        "c1640c411d456f65eb9705a6419d530907c478968dbf18e6f0eb4af26b1323cb",
     ),
     (
         {
@@ -413,6 +442,7 @@ DRAWING_DRIFT_CELLS = [
         114,
         "805a3ccb2048901256d6449a87eba70c8a92e6631d74a5d7b8835c6f225735d1",
         "6a8aef7c95f812d7932661a42f03ab55bedcc5cc11921e4409786e26c3419180",
+        "0cff4be9011708f3f438ce79cc8c8beabbd606d4d340dde3951a85938a44ec3e",
     ),
     (
         {
@@ -426,6 +456,7 @@ DRAWING_DRIFT_CELLS = [
         324,
         "f10cca62098ee585739dcf7ef1395549a17bf75e5245dad310f79ef899655be9",
         "34564b5e4e1bed8899ce77f1f0f35eef7828f3a966f7d248b1015af2bf1a3eb5",
+        "c1330b70e956608780e2f2d61fdbede9a5083b43e38b83fdb1fb6b00bba9400a",
     ),
 ]
 
@@ -434,9 +465,20 @@ def test_trace_sha256_pins():
     got = []
     for cell, *_ in TRACED_CELLS:
         records = Simulation(build_config(cell)).run()
-        v3 = as_v3(records)
+        v4 = as_v4(records)
+        v3 = as_v3(v4)
         v2 = as_v2(v3)
-        got.append((len(v2), sha256(as_v1(v2)), sha256(v2), len(v3), sha256(v3), sha256(records)))
+        got.append(
+            (
+                len(v2),
+                sha256(as_v1(v2)),
+                sha256(v2),
+                len(v3),
+                sha256(v3),
+                sha256(v4),
+                sha256(records),
+            )
+        )
     assert got == [tuple(pins) for _, *pins in TRACED_CELLS]
 
 
@@ -444,5 +486,18 @@ def test_drawing_drift_trace_sha256_pins():
     got = []
     for cell, *_ in DRAWING_DRIFT_CELLS:
         records = Simulation(build_config(cell)).run()
-        got.append((len(records), sha256(as_v3(records)), sha256(records)))
+        v4 = as_v4(records)
+        got.append((len(records), sha256(as_v3(v4)), sha256(v4), sha256(records)))
     assert got == [tuple(pins) for _, *pins in DRAWING_DRIFT_CELLS]
+
+
+def test_a_version_4_trace_is_refused(tmp_path, capsys):
+    cell, *_ = TRACED_CELLS[2]
+    text = to_jsonl(as_v4(Simulation(build_config(cell)).run()))
+    with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 4$"):
+        parse_jsonl(text)
+    path = tmp_path / "v4.jsonl"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 4\n"

@@ -274,6 +274,11 @@ CONFIG_FAULTS = [
     ),
     ({"n": 7, "corruptions": [[1, "silent"], [1, "silent"]]}, "duplicate corruption target"),
     ({"corruptions": [[4, "silent"]]}, "corruptions[0].proc: 4 is not a processor"),
+    # the config's own entry is named, though the run keeps them by time
+    (
+        {"n": 7, "corruptions": [[0, "silent", 5], [9, "silent", 1]]},
+        "corruptions[1].proc: 9 is not a processor",
+    ),
     ({"corruptions": [[0, "sneaky"]]}, "unknown byzantine strategy 'sneaky'"),
     ({"corruptions": [[0, "silent", -1]]}, "corruption time cannot be negative"),
     (
@@ -409,7 +414,9 @@ def test_drifting_runs_keep_every_time_and_clock_an_exact_int(cfg):
         assert type(config[name]) is int and config[name] % r.unit == 0, name
     assert {type(o) for o in config["offsets"]} == {int}
     for rec in records[1:]:
-        times = [rec["time"], *rec.get("deliver_times", ())]
+        times = [*rec.get("deliver_times", ())]
+        if rec["kind"] != "deliver":  # a delivery's time is its send's entry
+            times.append(rec["time"])
         clocks = [rec[name] for name in ("proc_clock", "boundary_clock") if name in rec]
         assert {*map(type, times + clocks)} == {int}, rec
         assert all(when % q == 0 for when in times), rec
@@ -623,7 +630,7 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
     records = sim.run()
     never = r.horizon + r.delta_cap + r.unit  # no bound applies: after the last event
     unbounded = 0
-    for rec in records:
+    for seq, rec in enumerate(records):
         if rec["kind"] != "send":
             continue
         now = rec["time"]
@@ -643,7 +650,7 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
                 )
                 unbounded += when is None
             want.append(never if when is None else when)
-        assert rec["deliver_times"] == want, rec["seq"]
+        assert rec["deliver_times"] == want, seq
     assert rng.getstate() == sim.net_rng.getstate()
     assert unbounded or r.windows is None
 

@@ -111,10 +111,21 @@ def test_ticks_matches_fraction_parse_on_any_spelling(text):
 @pytest.mark.parametrize("field", ["time", "send_time", "proc_clock"])
 @pytest.mark.parametrize("value", ["x", "1/0", "", True, 1.5, "1/2"])
 def test_malformed_deliver_time_names_its_seq(field, value):
+    # a delivery's time is its send record's deliver_times entry for its
+    # recipient, and its send time that record's time
     records = Simulation(SimConfig(n=4, delta_cap=2, gst=0)).run()
     i = next(i for i, r in enumerate(records) if r["kind"] == "deliver")
-    if field == "send_time":  # a delivery's send time is its send record's time
-        i, field = records[i]["send"], "time"
+    src = records[i]["send"]
+    if field == "time":
+        times = list(records[src]["deliver_times"])
+        times[records[src]["recipients"].index(records[i]["recipient"])] = value
+        i, field = src, "deliver_times"
+        value = times
+        want = f"^send record at seq {i}: field 'deliver_times' is malformed: "
+    else:
+        if field == "send_time":
+            i, field = src, "time"
+        want = f"at seq {i}$"
     records[i] = {**records[i], field: value}
-    with pytest.raises(TraceAnalysisError, match=f"at seq {records[i]['seq']}$"):
+    with pytest.raises(TraceAnalysisError, match=want):
         analyze(records)
