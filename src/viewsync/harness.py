@@ -16,6 +16,7 @@ import functools
 import gc
 import hashlib
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,6 +212,10 @@ def _worker(args):
         return index, _error_row(exc, cell)
 
 
+# the name run_cell gives a trace: its config digest and seed
+_TRACE_NAME = re.compile(r"trace-([0-9a-f]{16})-s-?[0-9]+\.jsonl")
+
+
 @_without_cyclic_gc
 def replay_cell(trace_path) -> dict[str, Any]:
     """Recompute the flat metrics record from a stored trace alone.
@@ -219,14 +224,16 @@ def replay_cell(trace_path) -> dict[str, Any]:
     passed it. If that fails, the file is read again whole and analyzed
     again, to raise what a whole read finds first: a parse error anywhere
     in the file, then an analysis error, located as ``analyze`` locates it.
+    The row's ``config`` is the digest in the file's name if that is the
+    name ``run_cell`` gives a trace, and None otherwise.
     """
     try:
         metrics = analyze(iter_trace(trace_path))
     except Exception:
         analyze(read_trace(trace_path))
         raise
-    stem = Path(trace_path).stem
-    return _row(stem.split("-")[1] if "-" in stem else None, metrics)
+    named = _TRACE_NAME.fullmatch(Path(trace_path).name)
+    return _row(named and named[1], metrics)
 
 
 def summarize(rows: list[dict[str, Any]]) -> dict[str, Any]:

@@ -19,16 +19,18 @@ unusable if it names no earlier send listing its recipient, or if that
 recipient already had this send delivered. So does a ``sender``,
 ``recipients`` entry, recipient, ``proc`` or signer that is not a processor
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
-whose range is an invariant. So does a ``proc_view`` or a payload's ``view``
-that is not an int, or a ``form_qc`` or ``form_vc`` record's ``view`` that
-is not an int at least 0. Such an error, like any failed read of a record,
-names the field through ``trace.malformed_field``; a time that is not an
-exact int (a trace v3 ``"p/q"`` tick included) names the seq it is read at.
-A certificate formed by anyone but its view's leader is an
-``aggregator_leader`` violation. A ``send`` record costs one word per
-recipient other than its sender: every word window (the first-quorum budget
-and the pace gaps) is keyed on send time, which all recipients of one send
-share.
+whose range is an invariant. So does a ``proc_view``, a payload's ``view``
+or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
+``form_vc`` record's ``view`` that is not an int at least 0. Such an error,
+like any failed read of a record, names the field through
+``trace.malformed_field``; a time that is not an exact int (a trace v3
+``"p/q"`` tick included) names the seq it is read at. A certificate formed
+by anyone but its view's leader is an ``aggregator_leader`` violation, and a
+proposal that a correct sender makes for a view it does not lead, or naming
+another leader, a ``proposal_leader`` one. A ``send`` record costs one word
+per recipient other than its sender: every word window (the first-quorum
+budget and the pace gaps) is keyed on send time, which all recipients of
+one send share.
 
 The analyzer reads the records once, in order, and keeps none once its scan
 has passed it: a ``send`` record leaves only the index entry that its
@@ -398,6 +400,13 @@ class _Analyzer:
                 pr.sent_votes.add(view)
                 if pr.view != view:
                     self.flag("vote_view", seq, f"vote for {view} while in view {pr.view}")
+        elif ptype == "proposal":
+            leader = payload["leader"]
+            if type(leader) is not int:
+                raise TypeError(f"leader at seq {seq}")  # analyze() names the field
+            if correct and (leader != sender or view < 0 or self.leader(view) != sender):
+                detail = f"processor {sender} proposed view {view} naming leader {leader}"
+                self.flag("proposal_leader", seq, detail)
         elif ptype == "view_certificate":
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":

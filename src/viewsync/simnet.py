@@ -67,7 +67,7 @@ from .core import (
     on_view_message,
 )
 from .timeutil import dump_ticks, grid_of, load_ticks, to_frac, to_ticks
-from .trace import TRACE_VERSION, Record
+from .trace import PAYLOAD_FIELDS, TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
 NETWORK_STRATEGIES = ("fixed_delta", "worst_case_max_delay", "uniform_random")
@@ -710,6 +710,19 @@ def resolve(config: SimConfig) -> Resolved:
     )
 
 
+def _payload_dict(ptype: str):
+    """The function that writes a payload of type ``ptype`` as its trace
+    form: "type", "view" and the fields PAYLOAD_FIELDS gives it, a tuple of
+    ints as a list. It is compiled from source text built here, so it runs
+    as a handwritten lambda would."""
+    values = "".join(
+        f", {name!r}: list(m.{name})" if shape == "ints" else f", {name!r}: m.{name}"
+        for name, shape in PAYLOAD_FIELDS[ptype].items()
+    )
+    source = f'lambda m: {{"type": {ptype!r}, "view": m.view{values}}}'
+    return eval(compile(source, f"<payload dict: {ptype}>", "eval"))
+
+
 # The simulator dispatches on a payload's exact type through the two tables
 # below. They live at module level, not as bound methods kept on a
 # Simulation: an instance holding its own bound methods is a reference cycle,
@@ -717,21 +730,10 @@ def resolve(config: SimConfig) -> Resolved:
 # entry calls its handler by the module's global name at call time, so a
 # handler rebound on the module (as a tracer does) is the one called.
 
-# payload type -> its trace form (trace.PAYLOAD_FIELDS)
+# payload class -> its trace form; each class is named for its type in
+# CamelCase ("view_message" is ViewMessage)
 _PAYLOAD_DICTS = {
-    ViewMessage: lambda m: {"type": "view_message", "view": m.view, "signer": m.signer},
-    ViewCertificate: lambda c: {
-        "type": "view_certificate",
-        "view": c.view,
-        "signers": list(c.signers),
-    },
-    QuorumCertificate: lambda c: {
-        "type": "quorum_certificate",
-        "view": c.view,
-        "signers": list(c.signers),
-    },
-    Proposal: lambda m: {"type": "proposal", "view": m.view, "leader": m.leader},
-    Vote: lambda m: {"type": "vote", "view": m.view, "signer": m.signer},
+    globals()[ptype.title().replace("_", "")]: _payload_dict(ptype) for ptype in PAYLOAD_FIELDS
 }
 
 
@@ -847,10 +849,8 @@ class Simulation:
     # -- clock model --------------------------------------------------------
 
     def _first_boundary(self, p: int) -> int:
-        off, period = self.resolved.offsets[p], self.resolved.period
-        if off % period == 0:
-            return off
-        return (off // period + 1) * period
+        period = self.resolved.period
+        return -(-self.resolved.offsets[p] // period) * period  # rounded up to a boundary
 
     def _threshold_time(self, p: int, boundary: int) -> int:
         num, den = self.rates[p]
@@ -1095,7 +1095,6 @@ class Simulation:
             target = self._sync_target_view
             if all(self.states[p].view >= target for p in self.resolved.never_corrupted):
                 return "sync_plus"
-            return None
         return None
 
     # -- main loop ----------------------------------------------------------
@@ -1120,8 +1119,7 @@ class Simulation:
             self.next_boundary[p] = self._first_boundary(p)
             self._schedule_threshold(p)
 
-        stop_reason = None
-        stop_time = r.horizon
+        stop_reason, stop_time = "horizon", r.horizon
         heap, horizon, may_stop = self.heap, r.horizon, r.stop != "horizon"
         handle_delivery = self._handle_delivery
         while heap:
@@ -1140,14 +1138,10 @@ class Simulation:
             else:
                 raise SimulationError(f"unhandled event kind {kind!r}")
             if may_stop and self.t_star_ticks is not None:
-                stop_reason = self._should_stop()
-                if stop_reason is not None:
-                    stop_time = when
+                reason = self._should_stop()
+                if reason is not None:
+                    stop_reason, stop_time = reason, when
                     break
-        if stop_reason is None:
-            stop_reason = "horizon"
-            stop_time = r.horizon
-
         self.records.append({"kind": "end", "time": self._real(stop_time), "reason": stop_reason})
         return self.records
 

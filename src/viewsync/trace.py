@@ -25,24 +25,29 @@ seq and every deliver's time.
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
 each kind's fields and their shapes, and ``PAYLOAD_FIELDS`` each payload
-type's. Derived from them are the payload formatter and ``malformed_field``,
-which the analyzer calls to name the first absent or malformed field once a
-read has failed. The hot code is written out and tested against them, since
-table-driven versions measured slower: the simulator's record literals and
-``simnet.payload_to_dict`` (one entry per payload class), the ``send``,
-``deliver`` and ``threshold`` formatters, and the analyzer's scan.
+type's. Built from them are ``malformed_field``, which the analyzer calls to
+name the first absent or malformed field once a read has failed, the payload
+formatter, and the fast paths of the writer and of ``simnet.payload_to_dict``.
+Each fast path is a function compiled at import from source text generated
+from a table row, the way ``dataclasses`` builds its methods, so it runs as
+the handwritten one did. Two readers of the tables stay written out, and are
+tested against them: the simulator's record literals, as a dict display is
+the quickest way to build a record, and the analyzer's scan, whose per-kind
+code is the invariants, not the schema.
 
 The serialized form is the canonical identity of a run: determinism and
 replay guarantees are stated over these bytes. A record's canonical line is
 ``json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
-``send``, ``deliver`` and ``threshold`` records, nearly all of a trace, are
-formatted directly into those same bytes by one f-string each over their
-fixed sorted key order. A list of exact ints is written as its repr without
-spaces, with two short paths: a list of one int (a send's one recipient and
-its delivery time) by an f-string, and ``list(range(n))`` (a broadcast's
-recipients) as a string made once per ``n``. A record of another kind, or
-one whose keys or value types are not exactly the simulator's, goes through
-the JSON encoder instead.
+Every kind with no string field (``send``, ``deliver``, ``threshold``,
+``form_qc``, ``form_vc`` and ``wake``: all of a trace but its header, its
+corruptions and its end) has a formatter that writes those same bytes with
+one f-string over its fixed sorted key order. A list of exact ints is
+written as its repr without spaces, with two short paths: a list of one int
+(a send's one recipient and its delivery time) by an f-string, and
+``list(range(n))`` (a broadcast's recipients) as a string made once per
+``n``. A record of another kind, or one whose keys or value types are not
+exactly its row's, goes through the JSON encoder instead, which also escapes
+strings.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
 its own, so a record is one line and an error names its line. It yields each
@@ -214,90 +219,69 @@ def _payload(p) -> str | None:
     return f'{{"{name}":{value},"type":"{ptype}","view":{view}}}'
 
 
-# The hot kinds. Each formatter reads every expected key of a record that has
-# exactly that many, checks each value's type, and writes the bytes the
-# encoder would; any other record gets None and goes to the encoder.
+# The function a formatter passes a field of each shape through: a list or a
+# payload becomes its JSON, or None if it is not in its shape. A field of any
+# other shape must be an exact int.
+_CONVERT = {"procs": "_ints", "ints": "_ints", "ticks": "_ints", "payload": "_payload"}
 
 
-def _send(r: Record) -> str | None:
-    if len(r) != 6:
-        return None
-    try:
-        payload, deliver_times, time = _payload(r["payload"]), r["deliver_times"], r["time"]
-        recipients, sender = r["recipients"], r["sender"]
-    except KeyError:
-        return None
-    deliver_times, recipients = _ints(deliver_times), _ints(recipients)
-    if (
-        payload is None
-        or deliver_times is None
-        or recipients is None
-        or type(time) is not int
-        or type(sender) is not int
-    ):
-        return None
-    return (
-        f'{{"deliver_times":{deliver_times},"kind":"send","payload":{payload},'
-        f'"recipients":{recipients},"sender":{sender},"time":{time}}}'
+def _formatter(kind: str, fields: dict[str, str]):
+    """The formatter of a ``kind`` record with exactly ``fields``, a
+    RECORD_FIELDS row with no "str" field, compiled from source text built
+    here, the way ``dataclasses`` builds its methods. Field names are local
+    names in that source, so each must be an identifier other than ``r`` and
+    the builtins it calls.
+
+    It reads every field of a record that has exactly those keys and "kind",
+    checks each value's type, and writes the bytes the encoder would, with
+    one f-string over the sorted keys; any other record gets None.
+    """
+    names = sorted(fields)
+    converted = [n for n in names if fields[n] in _CONVERT]
+    checks = [f"{n} is None" if n in converted else f"type({n}) is not int" for n in names]
+    values = {"kind": f'"{kind}"', **{n: f"{{{n}}}" for n in names}}
+    line = "{{" + ",".join(f'"{k}":{values[k]}' for k in sorted(values)) + "}}"
+    source = "\n".join(
+        [
+            f"def _{kind}(r):",
+            f"    if len(r) != {len(names) + 1}:",
+            "        return None",
+            "    try:",
+            # one statement a field: unpacking more than three builds a tuple
+            *(f"        {n} = r[{n!r}]" for n in names),
+            "    except KeyError:",
+            "        return None",
+            *(f"    {n} = {_CONVERT[fields[n]]}({n})" for n in converted),
+            f"    if {' or '.join(checks)}:",
+            "        return None",
+            f"    return f{line!r}",
+        ]
     )
+    made: dict[str, Any] = {}
+    exec(compile(source, f"<trace formatter: {kind}>", "exec"), globals(), made)
+    return made[f"_{kind}"]
 
 
-def _deliver(r: Record) -> str | None:
-    if len(r) != 5:
-        return None
-    try:
-        proc_clock, proc_view = r["proc_clock"], r["proc_view"]
-        recipient, send = r["recipient"], r["send"]
-    except KeyError:
-        return None
-    if (
-        type(proc_clock) is not int
-        or type(proc_view) is not int
-        or type(recipient) is not int
-        or type(send) is not int
-    ):
-        return None
-    return (
-        f'{{"kind":"deliver","proc_clock":{proc_clock},"proc_view":{proc_view},'
-        f'"recipient":{recipient},"send":{send}}}'
-    )
-
-
-def _threshold(r: Record) -> str | None:
-    if len(r) != 5:
-        return None
-    try:
-        boundary_clock, proc, proc_view = r["boundary_clock"], r["proc"], r["proc_view"]
-        time = r["time"]
-    except KeyError:
-        return None
-    if (
-        type(boundary_clock) is not int
-        or type(proc) is not int
-        or type(proc_view) is not int
-        or type(time) is not int
-    ):
-        return None
-    return (
-        f'{{"boundary_clock":{boundary_clock},"kind":"threshold","proc":{proc},'
-        f'"proc_view":{proc_view},"time":{time}}}'
-    )
+# kind -> its formatter, for each kind with no string field, whose escaping
+# is the encoder's: every record of a trace but the header, corrupt and end
+_FORMATTERS = {
+    kind: _formatter(kind, fields)
+    for kind, fields in RECORD_FIELDS.items()
+    if "str" not in fields.values()
+}
+_send, _deliver, _threshold = (_FORMATTERS[k] for k in ("send", "deliver", "threshold"))
 
 
 def dumps_record(record: Record) -> str:
     """The canonical JSON line of one record (without its newline)."""
     if type(record) is dict:
         kind = record.get("kind")
-        if kind == "deliver":
-            line = _deliver(record)
-        elif kind == "send":
-            line = _send(record)
-        elif kind == "threshold":
-            line = _threshold(record)
-        else:
-            line = None
-        if line is not None:
-            return line
+        # only a string kind is looked up: another may be unhashable
+        formatter = _FORMATTERS.get(kind) if type(kind) is str else None
+        if formatter is not None:
+            line = formatter(record)
+            if line is not None:
+                return line
     return _ENCODER.encode(record)
 
 

@@ -351,6 +351,27 @@ def test_replay_rows_match_live_rows(tmp_path):
         assert row == live[(row["config"], row["seed"])]
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "my-run-2.jsonl",
+        "trace-final.jsonl",
+        "trace-0123456789abcdef.jsonl",
+        "trace-0123456789ABCDEF-s0.jsonl",
+        "trace-0123456789abcdef-s0.json",
+        "xtrace-0123456789abcdef-s0.jsonl",
+    ],
+)
+def test_a_renamed_trace_replays_without_a_config(tmp_path, name):
+    # only the name run_cell writes carries the config digest
+    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
+    (trace,) = tmp_path.glob("*.jsonl")
+    assert trace.name == f"trace-{row['config']}-s0.jsonl"
+    assert replay_cell(trace) == row
+    renamed = trace.rename(tmp_path / name)
+    assert replay_cell(renamed) == {**row, "config": None}
+
+
 def test_replay_mode_requires_traces():
     with pytest.raises(ExperimentError, match="traces_dir"):
         run_experiment(ExperimentSpec(mode="replay"))
@@ -741,10 +762,10 @@ def analysis_fault_then_bad_end_time(recs):
 
 def field_the_scan_passes_then_one_it_fails_on(recs):
     sends = [i for i, r in enumerate(recs) if r["kind"] == "send"]
-    first = next(i for i in sends if recs[i]["payload"]["type"] == "proposal")
-    recs[first]["payload"]["leader"] = 0.0  # which the scan does not read
+    first = next(i for i, r in enumerate(recs) if r["kind"] == "corrupt")
+    recs[first]["strategy"] = 0.0  # which the scan does not read
     recs[sends[-1]].pop("sender")
-    message = f"send record at seq {first}: field 'payload.leader' is malformed: 0.0"
+    message = f"corrupt record at seq {first}: field 'strategy' is malformed: 0.0"
     return dumped(recs), TraceAnalysisError, message
 
 
@@ -760,8 +781,9 @@ def field_the_scan_passes_then_one_it_fails_on(recs):
 )
 def test_replay_reports_the_fault_a_whole_trace_read_finds_first(tmp_path, capsys, plant):
     # A parse error anywhere beats an analysis error, and a located field
-    # is the first malformed one in the whole trace.
-    run_cell({**BASE, "seed": 0}, str(tmp_path))
+    # is the first malformed one in the whole trace. The cell has a
+    # corruption, whose strategy the scan does not read.
+    run_cell({**BASE, "f": 1, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
     lines, error, message = plant([json.loads(line) for line in trace.read_text().splitlines()])
     trace.write_text("".join(line + "\n" for line in lines))

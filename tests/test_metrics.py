@@ -405,6 +405,11 @@ class ReferenceAnalyzer(_Analyzer):
                 pr.sent_votes.add(view)
                 if pr.view != view:
                     self.flag("vote_view", seq, f"vote for {view} while in view {pr.view}")
+        elif ptype == "proposal":
+            view, leader = payload["view"], payload["leader"]
+            if correct and not (view >= 0 and leader == sender and self.leader(view) == leader):
+                detail = f"processor {sender} proposed view {view} naming leader {leader}"
+                self.flag("proposal_leader", seq, detail)
         elif ptype == "view_certificate":
             self._check_certificate("vc", payload["view"], payload["signers"], seq)
         elif ptype == "quorum_certificate":
@@ -1462,6 +1467,7 @@ def one_as(records, kind, name, value):
         ("deliver", "send"),
         ("send", "payload.signer"),
         ("send", "payload.signers"),
+        ("send", "payload.leader"),
     ],
 )
 def test_a_processor_id_that_is_not_an_int_is_located(kind, name, value):
@@ -1494,6 +1500,48 @@ def test_a_certificate_formed_by_a_non_leader_is_flagged(kind, proc):
     assert records[i]["proc"] == leader_of(records[i]["view"], params_from(records)) != proc
     records[i]["proc"] = proc
     assert [v[:2] for v in violations(records)] == [("aggregator_leader", i)]
+
+
+def proposal(records, index):
+    """The seq of the proposal at ``index`` among those of found_run,
+    checked to be by its view's leader and to name it."""
+    sends = [i for i, r in enumerate(records) if r["kind"] == "send"]
+    i = [i for i in sends if records[i]["payload"]["type"] == "proposal"][index]
+    sender, payload = records[i]["sender"], records[i]["payload"]
+    assert payload["leader"] == sender == leader_of(payload["view"], params_from(records))
+    return i
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(leader=p["leader"] + 1),  # a leader other than its sender
+        lambda p: p.update(view=p["view"] + 3),  # a view its sender does not lead
+        lambda p: p.update(view=-1),  # a view nobody leads
+    ],
+    ids=["leader", "view", "negative_view"],
+)
+def test_a_correct_proposal_naming_another_leader_is_flagged(edit):
+    records = copied(found_run())
+    i = proposal(records, 1)
+    edit(records[i]["payload"])
+    assert [v[:2] for v in violations(records)] == [("proposal_leader", i)]
+
+
+def test_a_corrupted_proposer_may_name_any_leader():
+    records = copied(
+        Simulation(
+            SimConfig(
+                n=4, corruptions=[Corruption(0, "selective_vc")], stop="horizon", horizon=30
+            )
+        ).run()
+    )
+    sends = [r for r in records if r["kind"] == "send" and r["payload"]["type"] == "proposal"]
+    assert 0 in {r["sender"] for r in sends}
+    for r in sends:
+        if r["sender"] == 0:
+            r["payload"]["leader"] = 2
+    assert violations(records) == []
 
 
 @pytest.mark.parametrize(
@@ -1584,7 +1632,7 @@ def test_a_threshold_one_sub_tick_late_is_a_violation():
 
 
 # Table fields the analysis never reads: a record without one analyzes as it did.
-UNREAD = {"corrupt.strategy", "wake.proc", "end.reason", "payload.leader"}
+UNREAD = {"corrupt.strategy", "wake.proc", "end.reason"}
 
 
 def test_every_field_the_analysis_reads_is_located_when_missing():

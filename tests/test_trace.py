@@ -303,6 +303,84 @@ def test_a_hot_record_that_carries_a_seq_goes_to_the_encoder():
             assert dumps_record(old) == reference(old)
 
 
+# -- formatters compiled from the table --------------------------------------
+
+COMPILED_KINDS = {"send", "deliver", "threshold", "form_qc", "form_vc", "wake"}
+
+
+def test_each_kind_without_a_string_field_has_a_compiled_formatter():
+    assert set(trace._FORMATTERS) == COMPILED_KINDS
+    assert {k for k, row in RECORD_FIELDS.items() if "str" not in row.values()} == COMPILED_KINDS
+    for kind, formatter in trace._FORMATTERS.items():
+        assert formatter.__code__.co_filename == f"<trace formatter: {kind}>"
+    assert (trace._send, trace._deliver, trace._threshold) == tuple(
+        trace._FORMATTERS[k] for k in HOT_KINDS
+    )
+
+
+class CompiledKindsRefused(json.JSONEncoder):
+    def encode(self, o):
+        assert o.get("kind") not in COMPILED_KINDS, o
+        return super().encode(o)
+
+
+def test_every_simulated_record_of_a_compiled_kind_is_formatted_directly(monkeypatch):
+    refusing = CompiledKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    monkeypatch.setattr(trace, "_ENCODER", refusing)
+    records = sample_runs()
+    assert {r["kind"] for r in records} >= COMPILED_KINDS
+    assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
+
+
+def test_every_odd_value_in_every_field_of_a_cold_compiled_kind_matches_json_dumps():
+    # the kinds few records are: one record of each, every field and the
+    # last signer set to every odd value in turn
+    shapes = {}
+    for r in sample_runs():
+        if r["kind"] in COMPILED_KINDS - set(HOT_KINDS):
+            shapes.setdefault(r["kind"], r)
+    assert set(shapes) == {"form_qc", "form_vc", "wake"}
+    for record in shapes.values():
+        keys = [(k,) for k in record] + [("signers", -1)] * ("signers" in record)
+        for key in keys:
+            for value in ODD:
+                bad = copy.deepcopy(record)
+                where = bad[key[0]] if len(key) == 2 else bad
+                where[key[-1]] = value
+                agrees_with_reference(bad)
+
+
+@pytest.mark.parametrize("kind", [["send"], {"send": 1}, 7, None])
+def test_a_kind_that_is_not_a_string_goes_to_the_encoder(kind):
+    record = {**next(r for r in sample_runs() if r["kind"] == "send"), "kind": kind}
+    assert dumps_record(record) == reference(record)
+
+
+def test_each_payload_dict_is_compiled_for_its_type():
+    names = {f.__code__.co_filename for f in simnet._PAYLOAD_DICTS.values()}
+    assert names == {f"<payload dict: {ptype}>" for ptype in PAYLOAD_FIELDS}
+
+
+def test_a_formatter_follows_its_table_row():
+    # a formatter built from a row with one more int field, and one built for
+    # a new kind of int fields only, write json.dumps's bytes for a record of
+    # their row, and refuse a record of the shape before
+    send = next(r for r in sample_runs() if r["kind"] == "send")
+    grown = trace._formatter("send", {**RECORD_FIELDS["send"], "extra": "int"})
+    for record in ({**send, "extra": 7}, {**send, "extra": -(2**70)}):
+        assert grown(record) == reference(record)
+    assert grown(send) is None
+    assert grown({**send, "extra": True}) is None
+    assert trace._send({**send, "extra": 7}) is None
+
+    tally = trace._formatter("tally", {"time": "tick", "proc": "proc", "count": "int"})
+    record = {"kind": "tally", "time": 12, "proc": 1, "count": 3}
+    assert tally(record) == reference(record)
+    assert tally({"kind": "tally", "time": 12, "proc": 1}) is None
+    assert tally({**record, "count": 3.0}) is None
+    assert tally.__code__.co_filename == "<trace formatter: tally>"
+
+
 # -- the tables: RECORD_FIELDS and PAYLOAD_FIELDS are what the simulator writes --
 
 
