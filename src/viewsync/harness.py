@@ -169,7 +169,8 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
     """One simulation plus analysis, reduced to the flat metrics record.
 
     Only a cell that cannot be configured is an error row here; anything
-    the run or its analysis raises is a bug, and propagates.
+    the run or its analysis raises is a bug, and propagates. The simulation
+    is freed once it has returned its records, before they are analyzed.
     """
     try:
         config = build_config(cell)
@@ -177,6 +178,7 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
     except (ExperimentError, ValueError) as exc:
         return _error_row(exc, cell)
     records = sim.run()
+    del sim  # its heap, ledger and states: nothing below reads them
     metrics = analyze(records)
     digest = config_hash(config)
     if traces_dir is not None:

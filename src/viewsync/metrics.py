@@ -21,7 +21,9 @@ recipient already had this send delivered. So does a ``sender``,
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
 whose range is an invariant. So does a ``proc_view``, a payload's ``view``
 or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
-``form_vc`` record's ``view`` that is not an int at least 0. Such an error,
+``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
+record's ``reason`` that is neither ``"horizon"`` nor the header's stop
+mode, the only reasons a run stops for. Such an error,
 like any failed read of a record, names the field through
 ``trace.malformed_field``; a time that is not an exact int (a trace v3
 ``"p/q"`` tick included) names the seq it is read at. A certificate formed
@@ -34,13 +36,16 @@ one send share.
 
 The analyzer reads the records once, in order, and keeps none once its scan
 has passed it: a ``send`` record leaves only the index entry that its
-deliveries are joined to. So a trace can be analyzed as it is parsed
-(``trace.iter_trace``), and the end record's seq and time are taken after
-the scan. Given a list, a failed analysis names a malformed end time first,
-then the analysis's own error, else the first malformed field of the whole
-trace. The scan also builds each view's ``(start, until, proc)`` spans as
-processors enter views, and the underlying-contract check reads them rather
-than rebuilding them from the entries.
+deliveries are joined to, and once each of its recipients had it delivered,
+only its recipients, which a later ``deliver`` naming it is refused by. So
+memory grows with the sends still owed a delivery, not with all sends; a
+trace can be analyzed as it is parsed (``trace.iter_trace``), and the end
+record's seq and time are taken after the scan. Given a list, a failed
+analysis names a malformed end time first, then the analysis's own error,
+else the first malformed field of the whole trace. The scan also builds
+each view's ``(start, until, proc)`` spans as processors enter views, and
+the underlying-contract check reads them rather than rebuilding them from
+the entries.
 
 Violations are data, not exceptions: each carries the invariant id and the
 seq of the offending record, so a planted fault can be located in the trace
@@ -136,6 +141,11 @@ def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]
         at = starts[i][0]
 
 
+def _views(first: int, last: int) -> str:
+    """A run of boundary views, as a violation's detail names it."""
+    return f"view {first}" if first == last else f"views {first} to {last}"
+
+
 class _Proc:
     __slots__ = (
         "rate",
@@ -170,6 +180,11 @@ class _Proc:
 
 
 class _Analyzer:
+    # The scan reads this object's attributes at every record. CPython 3.11
+    # to 3.13 read an object's attributes more slowly once its __init__ sets
+    # 30 or more (a scan of the 69 033-record long_run trace took about 4%
+    # longer at 30), so __init__ sets 29.
+
     def __init__(self, records: Iterable[Record]):
         records = iter(records)
         head = next(records, None)
@@ -190,7 +205,6 @@ class _Analyzer:
             for off, rate in zip(self.offsets, r.rates)
         ]
         self.none_corrupted = True  # until a corrupt record is scanned
-        self.max_initial = max(r.offsets[p] for p in r.never_corrupted)
         # the run's constants, read at every record of the scan
         self.gst, self.windows, self.uniform_rates = r.gst, r.windows, r.uniform_rates
         self.delta_cap, self.delta_actual, self.delta_eff = r.delta_cap, r.delta_actual, r.delta_eff
@@ -203,9 +217,12 @@ class _Analyzer:
         self.signatures: set[tuple[int, str, int]] = set()
         self.checked_certs: set[tuple] = set()
         self.word_events: list[tuple[Any, int]] = []  # (send_time, words), correct senders
-        # seq -> [send_time, sender, payload, recipients, deliver_times, delivered],
-        # where delivered has bit i set once recipients[i] had the send delivered
+        # seq -> [send_time, sender, payload, recipients, deliver_times, owed]
+        # of each send still owed a delivery, where owed has bit i set until
+        # recipients[i] has the send delivered; once no bit is left, the send
+        # moves to ``delivered`` with its recipients alone, for the join errors
         self.sends: dict[int, list] = {}
+        self.delivered: dict[int, list[int]] = {}  # seq -> recipients
         self.qc_first_sight: dict[int, Any] = {}  # view -> first correct sighting time
         # (time, view, seq) of each quorum formed after gst by its view's
         # never-corrupted leader, in trace order
@@ -318,7 +335,14 @@ class _Analyzer:
                     self._scan_form(rec, "vc", seq)
                 elif kind == "form_qc":
                     self._scan_form_qc(rec, now, seq)
-                elif kind != "wake" and kind != "end":
+                elif kind == "end":
+                    reason = rec["reason"]  # why the run stopped: its horizon or its stop mode
+                    if reason != "horizon" and reason != r.stop:
+                        raise TraceAnalysisError(
+                            f"end record at seq {seq}: field 'reason' is malformed: "
+                            f"{reason!r} under stop mode {r.stop!r}"
+                        )
+                elif kind != "wake":
                     raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
             if before_gst:
                 if now > gst:
@@ -344,11 +368,15 @@ class _Analyzer:
         return p
 
     def _unjoined(self, rec: Record) -> str:
-        """Why a ``deliver`` record has no send in the index to join."""
-        src = rec["send"]
-        if src not in self.sends:
+        """Why a ``deliver`` record has no delivery owed to join."""
+        src, p = rec["send"], rec["recipient"]
+        sent = self.sends.get(src)
+        recipients = self.delivered.get(src) if sent is None else sent[3]
+        if recipients is None:
             return f"field 'send' names no earlier send record: {src!r}"
-        return f"send record at seq {src} does not list recipient {rec['recipient']!r}"
+        if p not in recipients:
+            return f"send record at seq {src} does not list recipient {p!r}"
+        return f"send record at seq {src} was already delivered to recipient {p!r}"
 
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
@@ -414,7 +442,8 @@ class _Analyzer:
         words = len(recipients) - (sender in recipients)
         if correct and words:
             self.word_events.append((now, words))
-        self.sends[seq] = [now, sender, payload, recipients, deliver_times, 0]
+        owed = (1 << len(recipients)) - 1  # bit i: recipients[i] is owed a delivery
+        self.sends[seq] = [now, sender, payload, recipients, deliver_times, owed]
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -458,15 +487,17 @@ class _Analyzer:
             sent = self.sends[src]
             i = sent[3].index(p)
         except (KeyError, ValueError):
+            i = None
+        if i is None or not sent[5] >> i & 1:
             why = self._unjoined(rec)
-            raise TraceAnalysisError(f"deliver record at seq {seq}: {why}") from None
-        send_time, sender, payload, _recipients, deliver_times, delivered = sent
-        if delivered >> i & 1:
-            raise TraceAnalysisError(
-                f"deliver record at seq {seq}: send record at seq {src} "
-                f"was already delivered to recipient {p!r}"
-            )
-        sent[5] = delivered | 1 << i
+            raise TraceAnalysisError(f"deliver record at seq {seq}: {why}")
+        send_time, sender, payload, recipients, deliver_times, owed = sent
+        owed ^= 1 << i
+        if owed:
+            sent[5] = owed
+        else:  # delivered to every recipient: only the join errors read it again
+            del self.sends[src]
+            self.delivered[src] = recipients
         now = deliver_times[i]  # an exact int, checked with its send record
         proc_view, clock = rec["proc_view"], rec["proc_clock"]
         if type(clock) is not int:
@@ -556,7 +587,8 @@ class _Analyzer:
         the run begins, so the entry-ordering claims only apply from here up.
         """
         r = self.resolved
-        return -(-self.max_initial // r.period) * r.period
+        max_initial = max(r.offsets[p] for p in r.never_corrupted)
+        return -(-max_initial // r.period) * r.period
 
     def check_first_entry(self, entries) -> None:
         """At each boundary view v, the first entries at or above v enter v
@@ -564,34 +596,44 @@ class _Analyzer:
 
         One walk over the entries, which are in (time, seq) order, an instant
         tau at a time: the entries at tau are the first at or above every
-        boundary view that is above all views entered before tau.
+        boundary view that is above all views entered before tau. Those
+        boundaries are not visited one by one: an entrant fails the order at
+        each of them below its own view, and a clock is past a prefix of the
+        boundaries whose first entry is one record. So each such run of
+        boundaries is flagged once, naming its first and last view.
         """
         r = self.resolved
-        cv = self._clean_start()  # the lowest boundary clock not yet reached
-        view_of = itemgetter(1)
+        k, gamma_q = r.k, r.gamma * self.q  # view v's boundary clock, times q, is v * gamma_q
+        low = self._clean_start() // r.gamma  # the lowest boundary view not yet entered
         for tau, at_tau in groupby(entries, key=itemgetter(0)):
             at_tau = list(at_tau)
-            top = max(map(view_of, at_tau)) * r.gamma
-            while cv <= top:
-                v = cv // r.gamma
-                firsts = [e for e in at_tau if e[1] >= v]
-                entry_seq = firsts[0][2]
-                for _when, view, seq, _p in firsts:
-                    if view != v:
-                        self.flag(
-                            "first_entry_order",
-                            max(seq, 0),
-                            f"first crossing of view {v} entered {view} instead",
-                        )
-                for q in range(r.n):
-                    pr = self.procs[q]
-                    if pr.correct_at(tau) and pr.clock_before(tau, entry_seq) > cv * self.q:
+            for _when, view, seq, _p in at_tau:
+                if view > low:
+                    views = _views(low, low + (view - 1 - low) // k * k)
+                    self.flag(
+                        "first_entry_order",
+                        max(seq, 0),
+                        f"first crossing of {views} entered {view} instead",
+                    )
+            for _when, view, seq, _p in at_tau:
+                if view < low:
+                    continue
+                # the first entry at or above each boundary from low up to last
+                last = low + (view - low) // k * k
+                for q, pr in enumerate(self.procs):
+                    if not pr.correct_at(tau):
+                        continue
+                    # the highest view whose boundary the clock is above
+                    above = (pr.clock_before(tau, seq) - 1) // gamma_q
+                    if above >= low:
+                        top = min(last, low + (above - low) // k * k)
                         self.flag(
                             "first_entry_clocks",
-                            max(entry_seq, 0),
-                            f"processor {q} clock above {cv} when view {v} first entered",
+                            max(seq, 0),
+                            f"processor {q} clock above {top * r.gamma} "
+                            f"when {_views(low, top)} first entered",
                         )
-                cv += r.period
+                low = last + k
 
     def check_entry_identity(self, t_of: dict[int, Any]) -> None:
         """First-entry recurrence between consecutive boundary views.

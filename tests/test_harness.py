@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,28 @@ def test_cells_leave_the_callers_gc_setting(callers_gc, tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="analysis bug"):
         replay_cell(trace)
     assert gc.isenabled() is callers_gc
+
+
+def test_run_cell_frees_the_simulation_before_analyzing(monkeypatch, tmp_path):
+    sims = []  # a weak reference to each Simulation the cell builds
+
+    class Watched(Simulation):
+        def __init__(self, config):
+            super().__init__(config)
+            sims.append(weakref.ref(self))
+
+    alive = []  # whether each was alive when analyze was called
+
+    def watching(records):
+        alive.extend(ref() is not None for ref in sims)
+        return analyze(records)
+
+    monkeypatch.setattr(harness, "Simulation", Watched)
+    monkeypatch.setattr(harness, "analyze", watching)
+    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
+    assert alive == [False]
+    monkeypatch.undo()
+    assert row == run_cell({**BASE, "seed": 0})
 
 
 def test_library_calls_leave_gc_alone(callers_gc):
