@@ -4,10 +4,15 @@ A corrupted processor is driven by a control object instead of the correct
 handlers. Three strategies are passive (the processor falls silent apart from
 a one-shot signature flood at corruption time); three are active (the correct
 handlers still run, but the control filters or augments the resulting actions
-before the host performs them). Signing power is exactly simulated
-unforgeability: a corrupted processor may record and send its own signature
-for any view at any time after corruption, but can never produce another
-processor's signature, so certificates still require genuine contributions.
+before the host performs them). The host decides each of these once:
+``simnet.Simulation._apply_corruption`` marks a passive processor silent, so
+no handler runs for it again, and ``Simulation._dispatch`` is the one place
+that calls ``transform``, on each action list of an active one. Signing power
+is exactly simulated unforgeability: a corrupted processor may send its own
+signature for any view at any time after corruption, but can never produce
+another processor's signature, so certificates still require genuine
+contributions. The ledger has one writer, ``Simulation.send``, which records
+every vote and view message as it is sent, the floods here included.
 
 Every choice a strategy makes (subsets, release delays) is drawn from a
 dedicated per-processor seeded generator, keeping runs replayable.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from .certificates import SIGN_VIEW, SIGN_VOTE, QuorumCertificate, ViewCertificate, ViewMessage
+from .certificates import QuorumCertificate, ViewCertificate, ViewMessage
 from .core import ALL, Action, FormVC, Send, leader_of
 from .underlying import FormQC, Proposal, Vote
 
@@ -63,12 +68,10 @@ class ByzantineControl:
         if self.strategy == EARLY_SIGNER:
             params = run.params
             for v in range(0, run.max_flood_view + 1, params.k):
-                host.ledger.record(self.proc, SIGN_VIEW, v)
                 host.send(self.proc, leader_of(v, params), ViewMessage(v, self.proc), now)
         elif self.strategy == VOTE_STUFFER:
             params = run.params
             for v in range(0, run.max_flood_view + 1):
-                host.ledger.record(self.proc, SIGN_VOTE, v)
                 host.send(self.proc, leader_of(v, params), Vote(v, self.proc), now)
 
     def transform(self, actions: list[Action], host, now) -> list[Action]:

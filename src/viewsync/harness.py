@@ -207,11 +207,11 @@ def _row(digest: Optional[str], metrics) -> dict[str, Any]:
 
 
 def _worker(args):
-    index, cell, traces_dir = args
+    cell, traces_dir = args
     try:
-        return index, run_cell(cell, traces_dir)
+        return run_cell(cell, traces_dir)
     except Exception as exc:  # isolate the batch from any single blow-up
-        return index, _error_row(exc, cell)
+        return _error_row(exc, cell)
 
 
 # the name run_cell gives a trace: its config digest and seed
@@ -291,17 +291,15 @@ def run_experiment(
         paths = sorted(Path(spec.traces_dir).glob("*.jsonl"))
         rows = [replay_cell(p) for p in paths]
     else:
-        cells = spec.cells()
-        work = [(i, cell, spec.traces_dir) for i, cell in enumerate(cells)]
+        work = [(cell, spec.traces_dir) for cell in spec.cells()]
         workers = min(jobs, len(work))  # a worker beyond one per cell would idle
         if workers > 1:
             import multiprocessing  # here, so that a serial run's set-up skips it
 
             with multiprocessing.Pool(workers) as pool:
-                indexed = pool.map(_worker, work)
+                rows = pool.map(_worker, work)  # in the order of work
         else:
-            indexed = [_worker(w) for w in work]
-        rows = [row for _i, row in sorted(indexed, key=lambda x: x[0])]
+            rows = [_worker(w) for w in work]
     if metrics_path is not None:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             for row in rows:

@@ -19,7 +19,8 @@ unusable if it names no earlier send listing its recipient, or if that
 recipient already had this send delivered. So does a ``sender``,
 ``recipients`` entry, recipient, ``proc`` or signer that is not a processor
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
-whose range is an invariant. So does a ``proc_view``, a payload's ``view``
+whose range is an invariant, and a send's ``recipients`` that lists no
+processor, or one twice. So does a ``proc_view``, a payload's ``view``
 or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
@@ -396,6 +397,13 @@ class _Analyzer:
             _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
         ):
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+        # no recipient, or one listed twice (a deliver would join the first);
+        # a send to one recipient, as most are, is neither
+        count = len(recipients)
+        if count != 1 and not 0 < count == len(set(recipients)):
+            raise TraceAnalysisError(
+                f"send record at seq {seq}: field 'recipients' is malformed: {recipients!r}"
+            )
         ptype, view = payload["type"], payload["view"]
         if type(view) is not int:
             raise TypeError(f"payload view {view!r} at seq {seq}")  # analyze() names it
@@ -439,10 +447,10 @@ class _Analyzer:
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
-        words = len(recipients) - (sender in recipients)
+        words = count - (sender in recipients)
         if correct and words:
             self.word_events.append((now, words))
-        owed = (1 << len(recipients)) - 1  # bit i: recipients[i] is owed a delivery
+        owed = (1 << count) - 1  # bit i: recipients[i] is owed a delivery
         self.sends[seq] = [now, sender, payload, recipients, deliver_times, owed]
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:

@@ -17,6 +17,20 @@ delivered in the same instant and cost nothing. A clock forward supersedes
 its processor's queued threshold: a superseded one is skipped if popped, and
 all of them are swept out of the heap once they could be half of it.
 
+A corrupted processor's strategy (``adversary.ByzantineControl``) is applied
+in one place each. ``_apply_corruption`` decides once whether the processor
+falls silent, under a passive strategy, after which no handler runs for it
+and no threshold is queued for it. ``_dispatch`` is the one transform point:
+it passes each action list of an active corrupted processor through
+``transform`` before performing it: after the event that made the list is
+recorded, a threshold's successor queued and a delivered quorum certificate
+shown to the strategy (``saw_qc``). Every draw and every event keeps its
+order only because neither a threshold nor a delivered quorum certificate
+makes a list holding a quorum certificate send, the one action ``transform``
+stashes for later. ``send`` is the
+signature ledger's one writer: it records every vote and view message as it
+is sent, a corrupted processor's floods included.
+
 Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
 hashing, so changing one dimension of a configuration never perturbs the
@@ -71,7 +85,6 @@ from .trace import PAYLOAD_FIELDS, TRACE_VERSION, Record
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
 NETWORK_STRATEGIES = ("fixed_delta", "worst_case_max_delay", "uniform_random")
-OFFSET_MODES = ("all_zero", "two_cluster", "adversarial_spread")
 LEADER_MODES = ("round_robin", "random_permutations")
 STOP_MODES = ("t_star", "sync_plus", "horizon")
 
@@ -835,8 +848,9 @@ class Simulation:
         # _drop_superseded sweeps them out once that bound passes half of it
         self.gen = [0] * r.n
         self._superseded = 0
-        self.next_boundary = [0] * r.n
         self.corrupted = [False] * r.n
+        # corrupted under a passive strategy: no handler runs for it again
+        self.silent = [False] * r.n
         self.controls = {
             c.proc: ByzantineControl(
                 c.proc, c.strategy, r.n, random.Random(subseed(r.seed, f"byz:{c.proc}"))
@@ -847,10 +861,6 @@ class Simulation:
         self._sync_target_view: Optional[int] = None
 
     # -- clock model --------------------------------------------------------
-
-    def _first_boundary(self, p: int) -> int:
-        period = self.resolved.period
-        return -(-self.resolved.offsets[p] // period) * period  # rounded up to a boundary
 
     def _threshold_time(self, p: int, boundary: int) -> int:
         num, den = self.rates[p]
@@ -928,6 +938,10 @@ class Simulation:
     # -- action dispatch ----------------------------------------------------
 
     def _dispatch(self, p: int, actions: list, now: int) -> None:
+        """Perform processor p's actions. A corrupted processor's list goes
+        through its strategy first: the one place ``transform`` is called."""
+        if self.corrupted[p]:
+            actions = self.controls[p].transform(actions, self, now)
         r = self.resolved
         for act in actions:
             kind = type(act)
@@ -942,49 +956,32 @@ class Simulation:
                 self._superseded += 1
                 if 2 * self._superseded > len(self.heap):
                     self._drop_superseded()
-                self.next_boundary[p] = (target // r.period + 1) * r.period
-                self._schedule_threshold(p)
+                self._schedule_threshold(p, (target // r.period + 1) * r.period)
             elif kind is EnterView:
-                extra = self._enter_view(p, act.view, now)
+                extra = on_enter_view(self.states[p], self.subs[p], act.view, self.params)
                 if extra:
                     self._dispatch(p, extra, now)
-            elif kind is FormQC:
-                qc = act.qc
+            elif kind is FormQC or kind is FormVC:
+                cert = act.qc if kind is FormQC else act.vc
                 self.records.append(
                     {
-                        "kind": "form_qc",
+                        "kind": "form_qc" if kind is FormQC else "form_vc",
                         "time": self._real(now),
                         "proc": p,
-                        "view": qc.view,
-                        "signers": list(qc.signers),
+                        "view": cert.view,
+                        "signers": list(cert.signers),
                     }
                 )
                 if (
-                    self.t_star_ticks is None
+                    kind is FormQC
+                    and self.t_star_ticks is None
                     and p in r.never_corrupted
                     and now > r.gst
                 ):
                     self.t_star_ticks = now
-                    self._sync_target_view = (qc.view // r.k + 1) * r.k
-            elif kind is FormVC:
-                vc = act.vc
-                self.records.append(
-                    {
-                        "kind": "form_vc",
-                        "time": self._real(now),
-                        "proc": p,
-                        "view": vc.view,
-                        "signers": list(vc.signers),
-                    }
-                )
+                    self._sync_target_view = (cert.view // r.k + 1) * r.k
             else:
                 raise SimulationError(f"unhandled action {act!r}")
-
-    def _enter_view(self, p: int, view: int, now: int) -> list:
-        actions = on_enter_view(self.states[p], self.subs[p], view, self.params)
-        if self.corrupted[p]:
-            actions = self.controls[p].transform(actions, self, now)
-        return actions
 
     # -- event handlers -----------------------------------------------------
 
@@ -1001,16 +998,9 @@ class Simulation:
         """Deliver ``envelope``, ``(send_seq, payload)``, to processor ``p``;
         ``send_seq`` is the seq of the ``send`` record it belongs to."""
         send_seq, payload = envelope
-        actions: list = []
-        if self.corrupted[p]:
-            ctl = self.controls[p]
-            if not ctl.passive:
-                actions = self._receive_correct(p, payload, now)
-                actions = ctl.transform(actions, self, now)
-            if isinstance(payload, QuorumCertificate):
-                ctl.saw_qc(payload, self, now)
-        else:
-            actions = self._receive_correct(p, payload, now)
+        actions = None if self.silent[p] else self._receive_correct(p, payload, now)
+        if self.corrupted[p] and isinstance(payload, QuorumCertificate):
+            self.controls[p].saw_qc(payload, self, now)
         state = self.states[p]
         # due at its send's deliver_times entry for p, so no time of its own
         self.records.append(
@@ -1026,15 +1016,11 @@ class Simulation:
             self._dispatch(p, actions, now)
 
     def _handle_threshold(self, p: int, boundary: int, gen: int, now: int) -> None:
-        if gen != self.gen[p]:
-            return  # superseded by a clock forward
-        if self.corrupted[p] and self.controls[p].passive:
-            return
+        if gen != self.gen[p] or self.silent[p]:
+            return  # superseded by a clock forward, or silenced since it was queued
         state = self.states[p]
         state.clock = boundary
         actions = on_clock_reaches(state, boundary, self.params)
-        if self.corrupted[p]:
-            actions = self.controls[p].transform(actions, self, now)
         self.records.append(
             {
                 "kind": "threshold",
@@ -1044,15 +1030,14 @@ class Simulation:
                 "proc_view": state.view,
             }
         )
-        self.next_boundary[p] = boundary + self.resolved.period
-        self._schedule_threshold(p)
+        self._schedule_threshold(p, boundary + self.resolved.period)
         if actions:
             self._dispatch(p, actions, now)
 
-    def _schedule_threshold(self, p: int) -> None:
-        if self.corrupted[p] and self.controls[p].passive:
+    def _schedule_threshold(self, p: int, boundary: int) -> None:
+        """Queue processor p's next threshold, at clock ``boundary``."""
+        if self.silent[p]:
             return
-        boundary = self.next_boundary[p]
         when = self._threshold_time(p, boundary)
         if when <= self.resolved.horizon:
             data = (boundary, self.gen[p])
@@ -1069,6 +1054,7 @@ class Simulation:
 
     def _apply_corruption(self, proc: int, strategy: str, now: int) -> None:
         self.corrupted[proc] = True
+        self.silent[proc] = self.controls[proc].passive
         self.records.append(
             {
                 "kind": "corrupt",
@@ -1111,13 +1097,12 @@ class Simulation:
 
         # Everyone starts in view 0; the view-0 leader proposes immediately.
         for p in range(r.n):
-            if self.corrupted[p] and self.controls[p].passive:
-                continue
-            actions = self._enter_view(p, 0, 0)
-            self._dispatch(p, actions, 0)
-        for p in range(r.n):
-            self.next_boundary[p] = self._first_boundary(p)
-            self._schedule_threshold(p)
+            if not self.silent[p]:
+                actions = on_enter_view(self.states[p], self.subs[p], 0, self.params)
+                if actions:
+                    self._dispatch(p, actions, 0)
+        for p in range(r.n):  # the first boundary at or above each initial clock
+            self._schedule_threshold(p, -(-r.offsets[p] // r.period) * r.period)
 
         stop_reason, stop_time = "horizon", r.horizon
         heap, horizon, may_stop = self.heap, r.horizon, r.stop != "horizon"

@@ -107,8 +107,9 @@ _INT = {int}
 #   payload  an object with a "type" string, an int "view" and the fields
 #            PAYLOAD_FIELDS gives that type
 #   procs, ints, ticks
-#            a list of the shape without the "s"; "ticks" has one entry
-#            per entry of "recipients"
+#            a list of the shape without the "s"; "procs" is not empty and
+#            lists no id twice, and "ticks" has one entry per entry of
+#            "recipients"
 RECORD_FIELDS = {
     "send": {
         "time": "tick",
@@ -163,6 +164,8 @@ def malformed_field(rec, n: int) -> tuple[str, str] | None:
         if not _fits(value, shape, n):
             problem = "is not an object" if shape == "payload" else "is malformed"
             return name, f"{problem}: {value!r}"
+        if shape == "procs" and not 0 < len(value) == len(set(value)):  # each id passed _fits
+            return name, f"is malformed: {value!r}"
         if shape == "ticks" and len(value) != len(rec["recipients"]):
             return name, f"has {len(value)} entries for {len(rec['recipients'])} recipients"
         if shape != "payload":
@@ -269,7 +272,6 @@ _FORMATTERS = {
     for kind, fields in RECORD_FIELDS.items()
     if "str" not in fields.values()
 }
-_send, _deliver, _threshold = (_FORMATTERS[k] for k in ("send", "deliver", "threshold"))
 
 
 def dumps_record(record: Record) -> str:

@@ -125,7 +125,7 @@ def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
     cell = {**BASE, "seed": 0}
     with pytest.raises(TypeError, match="analysis bug"):
         run_cell(cell)
-    _index, row = harness._worker((0, cell, None))
+    row = harness._worker((cell, None))
     assert row["error"].startswith("TypeError: analysis bug")
 
 
@@ -139,7 +139,7 @@ def test_protocol_error_mid_run_is_not_an_unsatisfiable_cell(monkeypatch):
     cell = {**BASE, "seed": 0}
     with pytest.raises(CertificateError, match="needs 3 distinct signers"):
         run_cell(cell)
-    _index, row = harness._worker((0, cell, None))
+    row = harness._worker((cell, None))
     assert row["error"].startswith("CertificateError: quorum certificate for view 1")
 
 
@@ -654,10 +654,12 @@ def point_at_a_later_send(recs, at):
 
 
 def drop_the_recipient(recs, at):
+    # another processor takes its place: a send must list at least one
     deliver = recs[at]
     send = recs[deliver["send"]]
     i = send["recipients"].index(deliver["recipient"])
-    del send["recipients"][i], send["deliver_times"][i]
+    n = recs[0]["config"]["n"]
+    send["recipients"][i] = next(q for q in range(n) if q not in send["recipients"])
     return f"send record at seq {deliver['send']} does not list recipient {deliver['recipient']}"
 
 

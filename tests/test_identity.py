@@ -1,0 +1,60 @@
+"""tools/identity.py digests every byte a workload's run writes, and --check names what differs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from viewsync import harness
+from viewsync.harness import ExperimentSpec
+
+IDENTITY = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+
+
+def load_identity():
+    spec = importlib.util.spec_from_file_location("identity", IDENTITY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tiny(seed=0):
+    return ExperimentSpec(
+        base={"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 20},
+        sweeps={"corruptions": [[], [{"proc": 0, "strategy": "late_qc_relayer"}]]},
+        seeds=2,
+        base_seed=seed,
+    )
+
+
+def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
+    identity = load_identity()
+    first = identity.digest(tiny(), tmp_path / "a")
+    assert len(first) == 64
+    assert identity.digest(tiny(), tmp_path / "b") == first
+    assert identity.digest(tiny(seed=1), tmp_path / "c") != first
+
+    # the same records written with spaces: rows and summary stay the same
+    def spaced(records, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+    monkeypatch.setattr(harness, "write_trace", spaced)
+    assert identity.digest(tiny(), tmp_path / "d") != first
+    for name in ("measure.jsonl", "replay.jsonl", "summary.csv"):
+        assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_check_names_each_workload_that_differs(tmp_path, monkeypatch, capsys):
+    identity = load_identity()
+    found = {"tiny": identity.digest(tiny(), tmp_path / "run"), "other": "0" * 64}
+    monkeypatch.setattr(identity, "digests", lambda seed: found)
+    stored = tmp_path / "identity.json"
+    stored.write_text(json.dumps({"0": found}), encoding="utf-8")
+    assert identity.main(["--check", str(stored)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"0": found}
+    stored.write_text(json.dumps({"0": {**found, "other": "1" * 64}}), encoding="utf-8")
+    assert identity.main(["--check", str(stored)]) == 1
+    assert capsys.readouterr().err == f"differs from {stored}: seed 0 other\n"
+    # a seed the file does not hold differs in every workload
+    assert identity.main(["--check", str(stored), "--seed", "7"]) == 1
+    assert capsys.readouterr().err.count("seed 7") == 2

@@ -1475,17 +1475,44 @@ def test_the_join_index_keeps_only_sends_still_owed_a_delivery(base, read):
     assert set(analyzer.delivered) == sends - owed
 
 
-@pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])
-def test_a_send_listing_a_recipient_twice_stays_owed(read):
-    # index() finds the first of the two, so the second is never delivered
+def listed_twice(send):
+    # index() would join each deliver to the first of the two, so the second
+    # would stay owed for good, and the trace analyze clean
+    send["recipients"] *= 2
+    send["deliver_times"] *= 2
+
+
+def listed_none(send):
+    # it would stay in the join index for good, owed to nobody
+    send["recipients"], send["deliver_times"] = [], []
+
+
+@pytest.mark.parametrize("edit", [listed_twice, listed_none], ids=["twice", "none"])
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+def test_a_send_listing_a_recipient_twice_or_none_is_located(read, edit, tmp_path, capsys):
     records = copied(found_run())
     i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) == 1)
-    records[i]["recipients"] *= 2
-    records[i]["deliver_times"] *= 2
-    analyzer = _Analyzer(read(records))
-    analyzer.scan()
-    assert i in analyzer.sends and analyzer.sends[i][5] == 0b10
-    assert set(analyzer.sends) == owed_sends(records) | {i}
+    edit(records[i])
+    bad = records[i]["recipients"]
+    message = f"send record at seq {i}: field 'recipients' is malformed: {bad!r}"
+    if read == "replay":
+        path = tmp_path / "bad.jsonl"
+        path.write_text(to_jsonl(records), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        assert f"malformed trace: {message}\n" == capsys.readouterr().err
+        return
+    with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
+        analyze(records if read == "list" else iter(records))
+
+
+def test_a_recipient_that_cannot_be_hashed_is_located():
+    records = copied(found_run())
+    i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) == 1)
+    records[i]["recipients"] = [[1]]
+    message = f"send record at seq {i}: field 'recipients' is malformed: [[1]]"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
+        analyze(records)
 
 
 def recounted_quorum(spans, need, gst):

@@ -541,7 +541,7 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
     with pytest.raises(SimulationError, match="carries signatures nobody made"):
         Simulation(sim_config(stop="horizon", horizon=30)).run()
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
-    _index, row = _worker((0, cell, None))
+    row = _worker((cell, None))
     assert row["error"].startswith("SimulationError: delivered QuorumCertificate")
 
 

@@ -277,13 +277,11 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
     assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
     send, deliver, threshold = (next(r for r in hot(records) if r["kind"] == k) for k in HOT_KINDS)
-    assert trace._send({**send, "time": "1/2"}) is None
-    assert trace._send({**send, "deliver_times": ["1/2", *send["deliver_times"][1:]]}) is None
-    assert trace._deliver({**deliver, "proc_clock": "1/2"}) is None
-    assert trace._threshold({**threshold, "boundary_clock": "1/2"}) is None
-
-
-FORMATTERS = {"send": trace._send, "deliver": trace._deliver, "threshold": trace._threshold}
+    assert trace._FORMATTERS["send"]({**send, "time": "1/2"}) is None
+    times = ["1/2", *send["deliver_times"][1:]]
+    assert trace._FORMATTERS["send"]({**send, "deliver_times": times}) is None
+    assert trace._FORMATTERS["deliver"]({**deliver, "proc_clock": "1/2"}) is None
+    assert trace._FORMATTERS["threshold"]({**threshold, "boundary_clock": "1/2"}) is None
 
 
 def test_a_hot_record_that_carries_a_seq_goes_to_the_encoder():
@@ -291,9 +289,9 @@ def test_a_hot_record_that_carries_a_seq_goes_to_the_encoder():
     # back, is no record the simulator writes: its formatter refuses it, and
     # the encoder writes it; the simulator's own records are formatted
     for seq, record in enumerate(sample_runs()):
-        formatter = FORMATTERS.get(record["kind"])
-        if formatter is None:
+        if record["kind"] not in HOT_KINDS:
             continue
+        formatter = trace._FORMATTERS[record["kind"]]
         assert formatter(record) == reference(record), record
         v4 = [{**record, "seq": seq}]
         if record["kind"] == "deliver":
@@ -313,9 +311,6 @@ def test_each_kind_without_a_string_field_has_a_compiled_formatter():
     assert {k for k, row in RECORD_FIELDS.items() if "str" not in row.values()} == COMPILED_KINDS
     for kind, formatter in trace._FORMATTERS.items():
         assert formatter.__code__.co_filename == f"<trace formatter: {kind}>"
-    assert (trace._send, trace._deliver, trace._threshold) == tuple(
-        trace._FORMATTERS[k] for k in HOT_KINDS
-    )
 
 
 class CompiledKindsRefused(json.JSONEncoder):
@@ -371,7 +366,7 @@ def test_a_formatter_follows_its_table_row():
         assert grown(record) == reference(record)
     assert grown(send) is None
     assert grown({**send, "extra": True}) is None
-    assert trace._send({**send, "extra": 7}) is None
+    assert trace._FORMATTERS["send"]({**send, "extra": 7}) is None
 
     tally = trace._formatter("tally", {"time": "tick", "proc": "proc", "count": "int"})
     record = {"kind": "tally", "time": 12, "proc": 1, "count": 3}
@@ -429,6 +424,10 @@ def test_each_payload_field_sorts_before_type_and_view():
     [
         (lambda r: r.update(sender=True), ("sender", "is malformed: True")),
         (lambda r: r["recipients"].append(4), ("recipients", "is malformed: [0, 1, 2, 3, 4]")),
+        (lambda r: r["recipients"].__setitem__(3, 0), ("recipients", "is malformed: [0, 1, 2, 0]")),
+        (lambda r: r.update(recipients=[], deliver_times=[]), ("recipients", "is malformed: []")),
+        # each id is checked before a set is built of them
+        (lambda r: r["recipients"].append([0]), ("recipients", "is malformed: [0, 1, 2, 3, [0]]")),
         (lambda r: r["deliver_times"].pop(), ("deliver_times", "has 3 entries for 4 recipients")),
         (
             lambda r: r["deliver_times"].__setitem__(0, 0.5),

@@ -1,0 +1,95 @@
+"""One SHA-256 per benchmark workload over every byte a run of it writes.
+
+For each workload of perfbench/workloads.py at a seed, the digest covers,
+in this order: the name and bytes of every trace file the measure pass
+writes, the measure rows and the replay rows as ``run_experiment`` writes
+them (JSON lines), and the measure pass's summary, as its JSON and as its
+CSV table. Two source trees that give the same digests write the same
+traces, rows and summaries for every cell of the workloads. Cells run
+serially, in this process.
+
+Usage:
+    python tools/identity.py [--seed S ...]
+        print {"S": {workload: digest}} as JSON (seed 0 if none is given)
+    python tools/identity.py --check tools/identity.json [--seed S ...]
+        compare with the digests stored there; exit 1, naming each
+        workload that differs, if any does
+
+Write the stored file from the tree whose bytes are the reference:
+``python tools/identity.py --seed 0 --seed 104729 > tools/identity.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(spec, work_dir) -> str:
+    """The SHA-256 of everything a measure and a replay pass of ``spec``
+    write, with the traces and rows kept under ``work_dir``."""
+    from viewsync.harness import ExperimentSpec, run_experiment
+
+    work = Path(work_dir)
+    traces = work / "traces"
+    measure = run_experiment(
+        dataclasses.replace(spec, traces_dir=str(traces)),
+        metrics_path=work / "measure.jsonl",
+        summary_path=work / "summary.csv",
+    )
+    run_experiment(
+        ExperimentSpec(mode="replay", traces_dir=str(traces)),
+        metrics_path=work / "replay.jsonl",
+    )
+    sha = hashlib.sha256()
+    for path in sorted(traces.iterdir()):
+        sha.update(path.name.encode() + b"\n")
+        sha.update(path.read_bytes())
+    for name in ("measure.jsonl", "replay.jsonl", "summary.csv"):
+        sha.update((work / name).read_bytes())
+    sha.update(json.dumps(measure["summary"], sort_keys=True).encode())
+    return sha.hexdigest()
+
+
+def digests(seed: int) -> dict[str, str]:
+    """Each benchmark workload's digest at ``seed``."""
+    import workloads
+
+    out = {}
+    for name, build in workloads.WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out[name] = digest(build(seed), tmp)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, action="append", help="base seed (repeatable)")
+    parser.add_argument("--check", type=Path, help="stored digests to compare with")
+    args = parser.parse_args(argv)
+    found = {str(seed): digests(seed) for seed in args.seed or [0]}
+    print(json.dumps(found, indent=2, sort_keys=True))
+    if args.check is None:
+        return 0
+    stored = json.loads(args.check.read_text(encoding="utf-8"))
+    differ = [
+        f"seed {seed} {name}"
+        for seed, by_name in found.items()
+        for name, value in by_name.items()
+        if stored.get(seed, {}).get(name) != value
+    ]
+    for where in differ:
+        print(f"differs from {args.check}: {where}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.exit(main(sys.argv[1:]))
