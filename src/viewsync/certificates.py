@@ -54,18 +54,29 @@ class SignatureLedger:
     that view's start time, and a vote only while the view is current; Byzantine
     processors may append anything once corrupted. Entries are never removed,
     so prior signatures of a later-corrupted processor stay valid.
+
+    Each kind keeps one ``{view: bitmask}`` map, where bit s is set once
+    signer s signed that view: one int per view instead of one tuple per
+    signature. A signer is a processor id, so ``record`` refuses one that is
+    not a non-negative int (a bool included), and ``holds`` is False for it.
     """
 
     def __init__(self) -> None:
-        self._entries: set[tuple[int, str, int]] = set()
+        self._signed: dict[str, dict[int, int]] = {SIGN_VIEW: {}, SIGN_VOTE: {}}
 
     def record(self, signer: int, kind: str, view: int) -> None:
         if kind not in (SIGN_VIEW, SIGN_VOTE):
             raise ValueError(f"unknown signature kind {kind!r}")
-        self._entries.add((signer, kind, view))
+        if type(signer) is not int or signer < 0:
+            raise ValueError(f"signer {signer!r} is not a processor id")
+        signed = self._signed[kind]
+        signed[view] = signed.get(view, 0) | 1 << signer
 
     def holds(self, signer: int, kind: str, view: int) -> bool:
-        return (signer, kind, view) in self._entries
+        signed = self._signed.get(kind)
+        if signed is None or type(signer) is not int or signer < 0:
+            return False
+        return signed.get(view, 0) >> signer & 1 == 1
 
 
 def _distinct_signers(items: Iterable[tuple[int, int]], view: int, what: str) -> tuple[int, ...]:

@@ -136,13 +136,13 @@ def config_hash(config: SimConfig) -> str:
 def _without_cyclic_gc(cell_fn):
     """Run each call of ``cell_fn`` with the cyclic garbage collector off.
 
-    A cell frees its record dicts through reference counts and leaves no
-    reference cycle behind (tests/test_harness.py checks every kind of
-    cell), so collection passes over its records only cost time. The
-    collector is switched back on only if it was on at entry, and only once
-    ``cell_fn`` has returned and freed its records, with nothing allocated
-    in between: a collection started there would traverse every record
-    still alive.
+    A cell frees its record dicts through reference counts, each as the
+    analyzer's scan passes it, and leaves no reference cycle behind
+    (tests/test_harness.py checks every kind of cell), so collection passes
+    over its records only cost time. The collector is switched back on only
+    if it was on at entry, and only once ``cell_fn`` has returned, with
+    nothing allocated in between: a collection started there would traverse
+    every record a caller still holds.
     """
 
     @functools.wraps(cell_fn)
@@ -170,7 +170,14 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
 
     Only a cell that cannot be configured is an error row here; anything
     the run or its analysis raises is a bug, and propagates. The simulation
-    is freed once it has returned its records, before they are analyzed.
+    is freed once it has returned its records, and the trace is written
+    before they are analyzed, so a cell whose analysis raises leaves its
+    trace for ``viewsync replay`` to locate the fault in. The analysis
+    reads a reversed copy of the records, popped as the scan takes each
+    one: once this function has let go of the list the simulation
+    returned, each record is freed as the scan passes it, and the
+    analyzer's state grows into the memory they give back. That list is
+    neither emptied nor reordered, for any other holder of it.
     """
     try:
         config = build_config(cell)
@@ -179,11 +186,12 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
         return _error_row(exc, cell)
     records = sim.run()
     del sim  # its heap, ledger and states: nothing below reads them
-    metrics = analyze(records)
     digest = config_hash(config)
     if traces_dir is not None:
         write_trace(records, Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl")
-    return _row(digest, metrics)
+    pending = [None, *reversed(records)]  # popped from the end, down to the None
+    del records
+    return _row(digest, analyze(iter(pending.pop, None)))
 
 
 def _row(digest: Optional[str], metrics) -> dict[str, Any]:

@@ -24,7 +24,9 @@ processor, or one twice. So does a ``proc_view``, a payload's ``view``
 or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
-mode, the only reasons a run stops for. Such an error,
+mode, the only reasons a run stops for, or a ``corrupt`` record whose
+``proc`` is not one of the header's corruptions, or whose ``strategy`` or
+``time`` is not that corruption's. Such an error,
 like any failed read of a record, names the field through
 ``trace.malformed_field``; a time that is not an exact int (a trace v3
 ``"p/q"`` tick included) names the seq it is read at. A certificate formed
@@ -129,6 +131,8 @@ def _first_quorum(spans, need: int, gst) -> Optional[tuple[Any, dict[int, Any]]]
     while True:
         while i < len(starts) and starts[i][0] <= at:
             _start, until, p = starts[i]
+            # an edited trace's span may end before it starts, at an end
+            # the loop below has already passed
             if until > at:
                 members[p] = until
             i += 1
@@ -328,8 +332,7 @@ class _Analyzer:
                     if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
                         recheck_dagger = True
                 elif kind == "corrupt":
-                    p = self._proc(rec, seq)
-                    self.procs[p].corrupted_at = min(self.procs[p].corrupted_at, now)
+                    self.procs[self._scan_corrupt(rec, now, seq)].corrupted_at = now
                     self.none_corrupted = False
                     recheck_dagger = True
                 elif kind == "form_vc":
@@ -367,6 +370,23 @@ class _Analyzer:
         if type(p) is not int or p not in self.ids:
             raise IndexError(f"proc {p!r} at seq {seq}")  # analyze() names the field
         return p
+
+    def _scan_corrupt(self, rec: Record, now: int, seq: int) -> int:
+        """The processor a ``corrupt`` record names, which must be one of the
+        header's corruptions, with that corruption's strategy and time."""
+        p = self._proc(rec, seq)
+        strategy = rec["strategy"]
+        planned = next((c for c in self.resolved.corruptions if c.proc == p), None)
+        if planned is None:
+            name, problem = "proc", f"{p} is not a corruption the header lists"
+        elif strategy != planned.strategy:
+            name, problem = "strategy", f"{strategy!r}, where the header has {planned.strategy!r}"
+        elif now != planned.time:
+            name, problem = "time", f"{now}, where the header has {planned.time}"
+        else:
+            return p
+        where = f"corrupt record at seq {seq}: field {name!r}"
+        raise TraceAnalysisError(f"{where} is malformed: {problem}")
 
     def _unjoined(self, rec: Record) -> str:
         """Why a ``deliver`` record has no delivery owed to join."""

@@ -112,6 +112,37 @@ def test_ledger_kinds_are_disjoint():
         ledger.record(0, "block", 3)
 
 
+@pytest.mark.parametrize("signer", [-1, True, 1.0, "1", None])
+def test_ledger_refuses_a_signer_that_is_not_a_processor_id(signer):
+    ledger = SignatureLedger()
+    ledger.record(1, SIGN_VOTE, 3)
+    with pytest.raises(ValueError, match="is not a processor id"):
+        ledger.record(signer, SIGN_VOTE, 3)
+    assert not ledger.holds(signer, SIGN_VOTE, 3)  # True and 1.0 do not pass for 1
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 62, 63, 64, 65, 99, 1000]),  # past one machine word
+            st.sampled_from([SIGN_VIEW, SIGN_VOTE]),
+            st.integers(-3, 5),
+        ),
+        max_size=40,
+    )
+)
+def test_ledger_holds_exactly_what_was_recorded(events):
+    ledger = SignatureLedger()
+    for event in events:  # repeats included
+        ledger.record(*event)
+    recorded = set(events)
+    for signer in (0, 1, 2, 62, 63, 64, 65, 66, 99, 999, 1000, 1001):
+        assert not ledger.holds(signer, "block", 0)
+        for kind in (SIGN_VIEW, SIGN_VOTE):
+            for view in range(-3, 6):
+                assert ledger.holds(signer, kind, view) is ((signer, kind, view) in recorded)
+
+
 @given(st.sets(st.integers(0, 30), min_size=1, max_size=31), st.integers(0, 9))
 def test_form_vc_signers_sorted_and_exact(signers, t):
     msgs = [ViewMessage(0, s) for s in signers]

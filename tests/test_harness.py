@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -248,6 +249,68 @@ def test_run_cell_frees_the_simulation_before_analyzing(monkeypatch, tmp_path):
     assert alive == [False]
     monkeypatch.undo()
     assert row == run_cell({**BASE, "seed": 0})
+
+
+# about 10 000 records: n=10 at delta = delta_cap/100, to a horizon of 9
+MEMORY_CELL = {
+    "n": 10,
+    "delta_cap": 2,
+    "delta_actual": "1/50",
+    "gst": 0,
+    "network": "fixed_delta",
+    "stop": "horizon",
+    "horizon": 9,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["trace_written", "no_trace"])
+def test_a_cells_peak_memory_is_its_simulations(traced, tmp_path):
+    # the analysis grows only into what the freed simulation and the records
+    # already scanned give back (tracemalloc counts Python's allocations)
+    traces_dir = str(tmp_path) if traced else None
+    run_cell(MEMORY_CELL, traces_dir)  # first-call caches, outside the count
+    config = build_config(MEMORY_CELL)
+    tracemalloc.start()
+    try:
+        records = Simulation(config).run()
+        _, sim_peak = tracemalloc.get_traced_memory()
+        assert 9_000 < len(records) < 11_000
+        del records
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        run_cell(MEMORY_CELL, traces_dir)
+        _, cell_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cell_peak - base <= 1.02 * sim_peak
+
+
+def test_run_cell_leaves_the_list_run_returned_intact(monkeypatch):
+    returned = []  # the list each run returned, and a copy of it
+
+    class Kept(Simulation):
+        def run(self):
+            records = super().run()
+            returned.append((records, list(records)))
+            return records
+
+    monkeypatch.setattr(harness, "Simulation", Kept)
+    row = run_cell({**BASE, "seed": 0})
+    (records, copy), = returned
+    assert len(records) == len(copy) and all(a is b for a, b in zip(records, copy))
+    monkeypatch.undo()
+    assert row == run_cell({**BASE, "seed": 0})
+
+
+def test_a_cell_whose_analysis_raises_leaves_its_trace(monkeypatch, tmp_path):
+    cell = {**BASE, "seed": 0}
+    want = to_jsonl(Simulation(build_config(cell)).run())
+    monkeypatch.setattr(harness, "analyze", analysis_bug)
+    with pytest.raises(TypeError, match="analysis bug"):
+        run_cell(cell, str(tmp_path))
+    trace, = tmp_path.glob("*.jsonl")
+    assert trace.read_text(encoding="utf-8") == want
 
 
 def test_library_calls_leave_gc_alone(callers_gc):

@@ -8,7 +8,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import matrix_cells
 
@@ -1196,7 +1196,8 @@ def test_late_delivery_from_a_corrupted_sender_leaves_the_view_timely(base):
 
     q = sent(bad, bad[late_vote(bad)])["sender"]
     bad[0]["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": 0}]
-    bad = renumbered([bad[0], {"kind": "corrupt", "time": 0, "proc": q}, *bad[1:]], bad)
+    corrupt = {"kind": "corrupt", "time": 0, "proc": q, "strategy": "silent"}
+    bad = renumbered([bad[0], corrupt, *bad[1:]], bad)
     i = late_vote(bad)
     send = sent(bad, bad[i])
     send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
@@ -1534,6 +1535,14 @@ def recounted_quorum(spans, need, gst):
     need=st.integers(1, 6),
     gst=st.integers(0, 10),
 )
+# A span that starts and ends at gst holds no instant: the ends loop pops it
+# in the pass that adds it, so the starts loop's ``until > at`` and
+# ``until >= at`` agree.
+@example(bounds=[(5, 5), (5, INF), (3, INF)], need=3, gst=5)
+@example(bounds=[(5, 5), (5, INF), (3, INF)], need=2, gst=5)
+# A span that ends before it starts: the ends loop passes its end at 4, and
+# only the starts loop's ``until > at`` keeps it out at 6.
+@example(bounds=[(6, 3), (4, INF)], need=2, gst=0)
 def test_first_quorum_matches_a_recount(bounds, need, gst):
     # spans may be empty or end before they start, as an edited trace's can
     spans = [(start, until, p) for p, (start, until) in enumerate(bounds)]
@@ -1799,7 +1808,7 @@ def test_a_threshold_one_sub_tick_late_is_a_violation():
 
 
 # Table fields the analysis never reads: a record without one analyzes as it did.
-UNREAD = {"corrupt.strategy", "wake.proc"}
+UNREAD = {"wake.proc"}
 
 
 def test_every_field_the_analysis_reads_is_located_when_missing():
@@ -1848,6 +1857,32 @@ def test_processor_id_out_of_range_is_located(kind, proc):
     message = f"{kind} record at seq {i}: field 'proc' is malformed: {proc}"
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
         analyze(records)
+
+
+@pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("strategy", "nonsense", "'nonsense', where the header has 'early_signer'"),
+        ("strategy", 1.5, "1.5, where the header has 'early_signer'"),
+        ("strategy", "silent", "'silent', where the header has 'early_signer'"),
+        ("time", 1, "1, where the header has 0"),
+        ("proc", 3, "3 is not a corruption the header lists"),
+    ],
+)
+def test_a_corrupt_record_that_differs_from_the_header_is_located(read, field, value, problem):
+    records = copied(
+        Simulation(
+            SimConfig(n=7, corruptions=[Corruption(0, "early_signer", 0)], stop="horizon",
+                      horizon=30)
+        ).run()
+    )
+    i = find(records, lambda r: r["kind"] == "corrupt")
+    assert analyze(read(records)).violations == []
+    records[i][field] = value
+    message = f"corrupt record at seq {i}: field {field!r} is malformed: {problem}"
+    with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
+        analyze(read(records))
 
 
 @pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])
