@@ -15,7 +15,8 @@ contributions. The ledger has one writer, ``Simulation.send``, which records
 every vote and view message as it is sent, the floods here included.
 
 Every choice a strategy makes (subsets, release delays) is drawn from a
-dedicated per-processor seeded generator, keeping runs replayable.
+dedicated per-processor seeded generator, keeping runs replayable. Only the
+strategies that draw build one.
 """
 
 from __future__ import annotations
@@ -44,18 +45,20 @@ BYZANTINE_STRATEGIES = (
 
 # Passive strategies stop reacting to deliveries and clock thresholds entirely.
 PASSIVE_STRATEGIES = frozenset({SILENT, EARLY_SIGNER, VOTE_STUFFER})
+# The strategies that make random choices (_subset and _stash).
+_DRAWING_STRATEGIES = frozenset({SELECTIVE_VC, LATE_QC_RELAYER})
 
 
 class ByzantineControl:
     """Per-processor adversary hook; the host consults it once corrupted."""
 
-    def __init__(self, proc: int, strategy: str, n: int, rng: random.Random):
+    def __init__(self, proc: int, strategy: str, n: int, seed: int):
         if strategy not in BYZANTINE_STRATEGIES:
             raise ValueError(f"unknown byzantine strategy {strategy!r}")
         self.proc = proc
         self.strategy = strategy
         self.n = n
-        self.rng = rng
+        self.rng = random.Random(seed) if strategy in _DRAWING_STRATEGIES else None
         self._relayed_views: set[int] = set()
 
     @property

@@ -146,7 +146,7 @@ class FormVC:
 Action = Send | ForwardClock | EnterView | FormVC
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessorState:
     """Mutable per-processor synchroniser state.
 

@@ -16,6 +16,7 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -37,13 +38,16 @@ class ExperimentError(Exception):
 
 DEFAULT_MAX_CELLS = 20_000
 
+# every key a cell may give: a SimConfig field, or ``f``, a knob that expands
+# to silent corruption of the first f processors (the round-robin leaders of
+# the first f groups)
+_CELL_KEYS = frozenset({f.name for f in dataclasses.fields(SimConfig)} | {"f"})
+
+
 def _check_fields(keys) -> None:
-    """Refuse keys that are neither a SimConfig field nor ``f``, a knob that
-    expands to silent corruption of the first f processors (the round-robin
-    leaders of the first f groups)."""
-    known = {f.name for f in dataclasses.fields(SimConfig)}
+    """Refuse keys that are neither a SimConfig field nor ``f``."""
     for key in keys:
-        if key not in known and key != "f":
+        if key not in _CELL_KEYS:
             raise ExperimentError(f"unknown config field {key!r}")
 
 
@@ -117,6 +121,9 @@ def build_config(cell: dict[str, Any]) -> SimConfig:
 
 def _enc(value):
     """One config value in the JSON form config_hash digests."""
+    # most values, and isinstance(value, Fraction) is an abstract-class check
+    if type(value) is int or type(value) is str or value is None:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Corruption):
@@ -126,11 +133,14 @@ def _enc(value):
     return value
 
 
+# json.dumps(doc, sort_keys=True, separators=(",", ":")), built once
+_HASH_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(config: SimConfig) -> str:
     """Stable digest of a fully resolved configuration."""
-    doc = {k: _enc(v) for k, v in sorted(vars(config).items())}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    doc = {k: _enc(v) for k, v in vars(config).items()}
+    return hashlib.sha256(_HASH_ENCODER.encode(doc).encode()).hexdigest()[:16]
 
 
 def _without_cyclic_gc(cell_fn):
@@ -188,7 +198,7 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
     del sim  # its heap, ledger and states: nothing below reads them
     digest = config_hash(config)
     if traces_dir is not None:
-        write_trace(records, Path(traces_dir) / f"trace-{digest}-s{config.seed}.jsonl")
+        write_trace(records, os.path.join(traces_dir, f"trace-{digest}-s{config.seed}.jsonl"))
     pending = [None, *reversed(records)]  # popped from the end, down to the None
     del records
     return _row(digest, analyze(iter(pending.pop, None)))

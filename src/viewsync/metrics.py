@@ -26,13 +26,19 @@ or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
 mode, the only reasons a run stops for, or a ``corrupt`` record whose
 ``proc`` is not one of the header's corruptions, or whose ``strategy`` or
-``time`` is not that corruption's. Such an error,
+``time`` is not that corruption's, or that names a processor an earlier one
+corrupted; so does a trace that ends at or after a header corruption's time
+without its ``corrupt`` record. Such an error,
 like any failed read of a record, names the field through
 ``trace.malformed_field``; a time that is not an exact int (a trace v3
 ``"p/q"`` tick included) names the seq it is read at. A certificate formed
 by anyone but its view's leader is an ``aggregator_leader`` violation, and a
 proposal that a correct sender makes for a view it does not lead, or naming
-another leader, a ``proposal_leader`` one. A ``send`` record costs one word
+another leader, a ``proposal_leader`` one. A vote or view message whose
+``signer`` is not its sender is a forged signature, which the model
+excludes: whoever sent it, it is a ``vote_view`` or ``signing_clock``
+violation at its send, and it signs for nobody, so no certificate check
+counts it. A ``send`` record costs one word
 per recipient other than its sender: every word window (the first-quorum
 budget and the pace gaps) is keyed on send time, which all recipients of
 one send share.
@@ -360,6 +366,7 @@ class _Analyzer:
                     self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
                 recheck_dagger = False
         self.end_seq, self.end_time = seq, now
+        self._check_corrupted(now, seq)
         for p in self.never_corrupted:  # the view each processor ends the trace in
             pr = self.procs[p]
             self.spans.setdefault(pr.view, []).append((pr.entries[-1][0], INF, p))
@@ -373,7 +380,8 @@ class _Analyzer:
 
     def _scan_corrupt(self, rec: Record, now: int, seq: int) -> int:
         """The processor a ``corrupt`` record names, which must be one of the
-        header's corruptions, with that corruption's strategy and time."""
+        header's corruptions, with that corruption's strategy and time, and
+        not named by an earlier ``corrupt`` record."""
         p = self._proc(rec, seq)
         strategy = rec["strategy"]
         planned = next((c for c in self.resolved.corruptions if c.proc == p), None)
@@ -383,10 +391,22 @@ class _Analyzer:
             name, problem = "strategy", f"{strategy!r}, where the header has {planned.strategy!r}"
         elif now != planned.time:
             name, problem = "time", f"{now}, where the header has {planned.time}"
+        elif self.procs[p].corrupted_at != INF:
+            name, problem = "proc", f"{p} was corrupted by an earlier corrupt record"
         else:
             return p
         where = f"corrupt record at seq {seq}: field {name!r}"
         raise TraceAnalysisError(f"{where} is malformed: {problem}")
+
+    def _check_corrupted(self, end_time, end_seq: int) -> None:
+        """Each of the header's corruptions at or before the trace's end
+        time has its ``corrupt`` record (``_scan_corrupt`` refuses a second)."""
+        for c in self.resolved.corruptions:
+            if c.time <= end_time and self.procs[c.proc].corrupted_at == INF:
+                raise TraceAnalysisError(
+                    f"trace ends at seq {end_seq}, time {end_time}, with no corrupt record "
+                    f"for processor {c.proc}, which the header corrupts at {c.time}"
+                )
 
     def _unjoined(self, rec: Record) -> str:
         """Why a ``deliver`` record has no delivery owed to join."""
@@ -411,19 +431,29 @@ class _Analyzer:
             raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
         # a negative id would index from the end, and a bool or a float
         # would pass for an int; a deliver's recipient is one of these
-        if type(sender) is not int or sender < 0 or not self.ids.issuperset(recipients):
+        if type(sender) is not int or sender < 0:
             raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
-        if not (
-            _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
-        ):
-            raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
-        # no recipient, or one listed twice (a deliver would join the first);
-        # a send to one recipient, as most are, is neither
         count = len(recipients)
-        if count != 1 and not 0 < count == len(set(recipients)):
-            raise TraceAnalysisError(
-                f"send record at seq {seq}: field 'recipients' is malformed: {recipients!r}"
-            )
+        if count == 1:  # one recipient, as most sends have
+            (recipient,) = recipients
+            if recipient not in self.ids:
+                raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+            if type(recipient) is not int or type(deliver_times[0]) is not int:
+                raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+            words = 0 if recipient == sender else 1
+        else:
+            if not self.ids.issuperset(recipients):
+                raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+            if not (
+                _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
+            ):
+                raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+            # no recipient, or one listed twice (a deliver would join the first)
+            if not 0 < count == len(set(recipients)):
+                raise TraceAnalysisError(
+                    f"send record at seq {seq}: field 'recipients' is malformed: {recipients!r}"
+                )
+            words = count - (sender in recipients)
         ptype, view = payload["type"], payload["view"]
         if type(view) is not int:
             raise TypeError(f"payload view {view!r} at seq {seq}")  # analyze() names it
@@ -433,12 +463,15 @@ class _Analyzer:
             signer = payload["signer"]
             if type(signer) is not int:
                 raise TypeError(f"signer at seq {seq}")  # analyze() names the field
+            signed = signer == sender
+            if signed:
+                self.signatures.add((signer, "view_msg" if ptype == "view_message" else "vote", view))
+            else:  # a forgery, from any sender: it signs for nobody
+                invariant = "signing_clock" if ptype == "view_message" else "vote_view"
+                self.flag(invariant, seq, f"processor {sender} signed as processor {signer}")
         if ptype == "view_message":
-            self.signatures.add((signer, "view_msg", view))
             if correct:
-                if signer != sender:
-                    self.flag("signing_clock", seq, "correct sender signed for another id")
-                elif view in pr.sent_view_msgs:
+                if signed and view in pr.sent_view_msgs:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
                 floor = view * self.resolved.gamma
@@ -447,11 +480,8 @@ class _Analyzer:
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
         elif ptype == "vote":
-            self.signatures.add((signer, "vote", view))
             if correct:
-                if signer != sender:
-                    self.flag("vote_view", seq, "correct sender voted for another id")
-                elif view in pr.sent_votes:
+                if signed and view in pr.sent_votes:
                     self.flag("duplicate_vote", seq, f"second vote for {view}")
                 pr.sent_votes.add(view)
                 if pr.view != view:
@@ -467,7 +497,6 @@ class _Analyzer:
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
-        words = count - (sender in recipients)
         if correct and words:
             self.word_events.append((now, words))
         owed = (1 << count) - 1  # bit i: recipients[i] is owed a delivery
@@ -608,6 +637,7 @@ class _Analyzer:
                 t_of[view] = when
         return t_of
 
+    @cached_property
     def _clean_start(self) -> int:
         """Lowest boundary clock value no correct processor started beyond.
 
@@ -632,7 +662,7 @@ class _Analyzer:
         """
         r = self.resolved
         k, gamma_q = r.k, r.gamma * self.q  # view v's boundary clock, times q, is v * gamma_q
-        low = self._clean_start() // r.gamma  # the lowest boundary view not yet entered
+        low = self._clean_start // r.gamma  # the lowest boundary view not yet entered
         for tau, at_tau in groupby(entries, key=itemgetter(0)):
             at_tau = list(at_tau)
             for _when, view, seq, _p in at_tau:
@@ -649,7 +679,7 @@ class _Analyzer:
                 # the first entry at or above each boundary from low up to last
                 last = low + (view - low) // k * k
                 for q, pr in enumerate(self.procs):
-                    if not pr.correct_at(tau):
+                    if tau >= pr.corrupted_at:  # not correct at tau
                         continue
                     # the highest view whose boundary the clock is above
                     above = (pr.clock_before(tau, seq) - 1) // gamma_q
@@ -673,7 +703,7 @@ class _Analyzer:
         r = self.resolved
         if not r.uniform_rates:
             return
-        clean = self._clean_start()
+        clean = self._clean_start
         for v in sorted(v for v in t_of if v % r.k == 0):
             if v * r.gamma < clean or v + r.k not in t_of:
                 continue
@@ -699,7 +729,7 @@ class _Analyzer:
         r = self.resolved
         if r.windows is not None:
             return
-        clean = self._clean_start()
+        clean = self._clean_start
         for v in sorted(v for v in t_of if v % r.k == 0):
             if v * r.gamma < clean:
                 continue
@@ -731,7 +761,8 @@ class _Analyzer:
     def _word_sums(self) -> tuple[list, list[int]]:
         """The times of ``word_events`` in order, and the running word sums:
         the first i events sent ``sums[i]`` words."""
-        events = sorted(self.word_events, key=itemgetter(0))
+        # by time; an order among equal times moves no sum at a time boundary
+        events = sorted(self.word_events)
         return [when for when, _w in events], list(accumulate((w for _, w in events), initial=0))
 
     def words_between(self, lo, hi) -> int:

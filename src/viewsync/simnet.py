@@ -169,6 +169,15 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _integers(values, where: str) -> tuple[int, ...]:
+    """A list of integers as a tuple; the ValueError names the first entry
+    that is not one."""
+    if not {int}.issuperset(map(type, values)):
+        for i, value in enumerate(values):
+            _integer(value, f"{where}[{i}]")
+    return tuple(values)
+
+
 def _items(value, where: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{where}: expected a list, got {value!r}")
@@ -391,9 +400,12 @@ def _unit(rates) -> int:
     so every event time is a multiple of Q (a threshold comes ``(boundary -
     target) * den / num`` after a forward) and every clock value an int.
     ValueError for a rate that is not positive, which would make it 0."""
-    if any(r <= 0 for r in rates):
+    distinct = set(rates)  # one rate, 1, for every clock that does not drift
+    if any(r <= 0 for r in distinct):
         raise ValueError("clock rates must be positive")
-    return math.lcm(*(r.numerator for r in rates)) * math.lcm(*(r.denominator for r in rates))
+    return math.lcm(*(r.numerator for r in distinct)) * math.lcm(
+        *(r.denominator for r in distinct)
+    )
 
 
 def _check_counts(n: int, t: int, k: int, x: int) -> None:
@@ -408,9 +420,10 @@ def _check_counts(n: int, t: int, k: int, x: int) -> None:
         raise ValueError("clock spacing multiplier must be at least 2")
 
 
-# Header config entries written as they are, and those written as times.
-_HEADER_PLAIN = ("n", "t", "k", "x", "seed", "network", "leaders", "stop")
-_HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+# Header config entries that are exact ints (counts, the seed and times in
+# ticks), and those that are mode names.
+_HEADER_INTS = ("n", "t", "k", "x", "seed", "gamma", "delta_cap", "delta_actual", "gst", "horizon")
+_HEADER_MODES = ("network", "leaders", "stop")
 
 
 def _derived():
@@ -515,7 +528,7 @@ class Resolved:
             raise ValueError("need one offset per processor")
         if len(self.rates) != n:
             raise ValueError("need one clock rate per processor")
-        unit = _unit(self.rates)
+        unit = _unit(self.rates)  # checks that every rate is positive
         targets = set()
         for i, c in enumerate(self.corruptions):
             if type(c.proc) is not int or not 0 <= c.proc < n:
@@ -543,7 +556,7 @@ class Resolved:
         derive("params", ProtocolParams(n=n, t=self.t, k=self.k, gamma=self.gamma, schedule=schedule))
         derive("unit", unit)
         derive("period", self.k * self.gamma)
-        derive("uniform_rates", all(r == 1 for r in self.rates))
+        derive("uniform_rates", unit == 1)
         derive("never_corrupted", frozenset(range(n)) - targets)
         worst = self.network == "worst_case_max_delay"
         derive("delta_eff", self.delta_cap if worst else self.delta_actual)
@@ -551,7 +564,7 @@ class Resolved:
 
     def header(self) -> Record:
         """The trace's header record, at seq 0. Times are in ticks."""
-        config = {name: getattr(self, name) for name in (*_HEADER_PLAIN, *_HEADER_TIMES)}
+        config = {name: getattr(self, name) for name in (*_HEADER_INTS, *_HEADER_MODES)}
         config.update(
             offsets=list(self.offsets),
             rates=[dump_ticks(r) for r in self.rates],
@@ -585,10 +598,10 @@ class Resolved:
             windows = cfg.get("sync_windows")
             return cls(
                 grid=_integer(header["grid"], "grid"),
-                **{name: coerce(name, cfg[name]) for name in _HEADER_PLAIN},
-                **{name: _integer(cfg[name], name) for name in _HEADER_TIMES},
-                offsets=tuple(_integer(o, f"offsets[{i}]") for i, o in enumerate(cfg["offsets"])),
-                rates=tuple(load_ticks(r) for r in cfg["rates"]),
+                **{name: _integer(cfg[name], name) for name in _HEADER_INTS},
+                **{name: cfg[name] for name in _HEADER_MODES},  # checked as modes below
+                offsets=_integers(cfg["offsets"], "offsets"),
+                rates=tuple(map(load_ticks, cfg["rates"])),
                 corruptions=tuple(
                     Corruption(c["proc"], c["strategy"], _integer(c["time"], f"corruptions[{i}]"))
                     for i, c in enumerate(cfg["corruptions"])
@@ -632,8 +645,6 @@ def resolve(config: SimConfig) -> Resolved:
     corruptions = cfg.corruptions
     if len(corruptions) > t:
         raise ValueError("more corruptions than the resilience bound allows")
-    gamma = cfg.x * delta_cap
-    horizon = gst + 3 * cfg.k * (t + 3) * gamma if cfg.horizon is None else cfg.horizon
     windows = cfg.sync_windows
 
     mode, gap, explicit = cfg.offsets, None, None
@@ -644,7 +655,10 @@ def resolve(config: SimConfig) -> Resolved:
     elif mode == "two_cluster":
         gap = Fraction(DEFAULT_CLUSTER_GAP)
 
-    on_grid = [delta_cap, delta_actual, gst, horizon, *(c.time for c in corruptions)]
+    # a default horizon is gst plus whole views, so on the grid of these
+    on_grid = [delta_cap, delta_actual, gst, *(c.time for c in corruptions)]
+    if cfg.horizon is not None:
+        on_grid.append(cfg.horizon)
     for start, end in windows or ():
         on_grid.append(start)
         if end is not None:
@@ -652,7 +666,9 @@ def resolve(config: SimConfig) -> Resolved:
     if gap is not None:
         on_grid.append(gap)
     on_grid.extend(explicit or ())
-    base_grid = grid_of(on_grid, floor=math.ceil(Fraction(MIN_TICKS_PER_CAP) / delta_cap))
+    # ceil(MIN_TICKS_PER_CAP / delta_cap), delta_cap > 0
+    floor = -(-MIN_TICKS_PER_CAP * delta_cap.denominator // delta_cap.numerator)
+    base_grid = grid_of(on_grid, floor=floor)
 
     eps = cfg.drift_epsilon
     if eps < 0:
@@ -668,7 +684,7 @@ def resolve(config: SimConfig) -> Resolved:
     grid = base_grid * unit
 
     tick = partial(to_ticks, grid=grid)
-    gamma_ticks = tick(gamma)
+    gamma_ticks = cfg.x * tick(delta_cap)
     period = cfg.k * gamma_ticks
     correct = sorted(set(range(n)) - {c.proc for c in corruptions})
     if explicit is not None:
@@ -680,7 +696,7 @@ def resolve(config: SimConfig) -> Resolved:
         correct_offs = [offsets[p] for p in correct]
         if not check_dagger(correct_offs, gamma_ticks, t):
             raise ValueError("initial clocks violate the dispersion condition")
-        if all(r == 1 for r in rates):
+        if unit == 1:  # every rate is 1
             hit = _lattice_collision(correct_offs, period)
             if hit is not None:
                 raise ValueError(
@@ -713,7 +729,9 @@ def resolve(config: SimConfig) -> Resolved:
         delta_cap=tick(delta_cap),
         delta_actual=tick(delta_actual),
         gst=tick(gst),
-        horizon=tick(horizon),
+        horizon=tick(gst) + 3 * cfg.k * (t + 3) * gamma_ticks
+        if cfg.horizon is None
+        else tick(cfg.horizon),
         offsets=tuple(offsets),
         rates=rates,
         corruptions=tuple(Corruption(c.proc, c.strategy, tick(c.time)) for c in corruptions),
@@ -816,13 +834,14 @@ class Simulation:
         self.records: list[Record] = []
         self.heap: list = []
         self.counter = itertools.count()
-        self.net_rng = random.Random(subseed(r.seed, "net"))
         self.params = r.params
         # A message to another processor arrives when _arrival says, or at
         # _never, after the last event, when no bound applies. With one
         # stabilisation time and no draw, that is a fixed _delay after
-        # max(now, gst), which send computes itself.
+        # max(now, gst), which _due computes itself. Only uniform_random
+        # draws, so only it has a network stream.
         self._draws = r.network == "uniform_random"
+        self.net_rng = random.Random(subseed(r.seed, "net")) if self._draws else None
         self._never = r.horizon + r.delta_cap + r.unit
         self._delay = None if self._draws or r.windows is not None else r.delta_eff
         self._arrival = partial(
@@ -837,7 +856,7 @@ class Simulation:
         )
         self.ledger = SignatureLedger()
         self.valid_certs: set = set()  # see _receive_qc
-        self.states = [ProcessorState(id=p, clock=r.offsets[p]) for p in range(r.n)]
+        self.states = [ProcessorState(p, clock) for p, clock in enumerate(r.offsets)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
         self.offset: list[int] = list(r.offsets)  # clock model intercepts
         # each clock reads offset + num * now // den, an exact division on the grid
@@ -852,9 +871,7 @@ class Simulation:
         # corrupted under a passive strategy: no handler runs for it again
         self.silent = [False] * r.n
         self.controls = {
-            c.proc: ByzantineControl(
-                c.proc, c.strategy, r.n, random.Random(subseed(r.seed, f"byz:{c.proc}"))
-            )
+            c.proc: ByzantineControl(c.proc, c.strategy, r.n, subseed(r.seed, f"byz:{c.proc}"))
             for c in r.corruptions
         }
         self.t_star_ticks: Optional[int] = None
@@ -886,6 +903,15 @@ class Simulation:
 
     # -- sending ------------------------------------------------------------
 
+    def _due(self, now: int) -> int:
+        """When a message sent at ``now`` to another processor is due; under
+        uniform_random, each call is one draw."""
+        if self._delay is not None:
+            gst = self.resolved.gst
+            return (now if now > gst else gst) + self._delay
+        when = self._arrival(now)
+        return self._never if when is None else when
+
     def send(self, sender: int, to, payload, now: int) -> None:
         ptype = type(payload)
         if ptype is Vote or ptype is ViewMessage:
@@ -896,34 +922,27 @@ class Simulation:
             sign = SIGN_VIEW if ptype is ViewMessage else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
         r = self.resolved
-        send_seq = len(self.records)  # nothing is emitted before this send's record
-        recipients = list(range(r.n)) if to == ALL else [to]
-        # uniform_random draws once per other recipient, in recipient order;
-        # every other network gives all of them one time
-        arrival, never = self._arrival, self._never
-        if self._draws:
-            far = None
-        elif self._delay is not None:
-            far = (now if now > r.gst else r.gst) + self._delay
+        # nothing is emitted before this send's record, whose seq it names
+        envelope = (len(self.records), payload)
+        if to != ALL:  # one recipient, as most sends have
+            recipients = [to]
+            when = now if to == sender else self._due(now)
+            deliver_times = [when]
+            if when <= r.horizon:
+                heappush(self.heap, (when, _PRIO_DELIVER, sender, to, next(self.counter), "dlv", envelope))
         else:
-            far = arrival(now)
-            if far is None:
-                far = never
-        horizon, heap, counter = r.horizon, self.heap, self.counter
-        envelope = (send_seq, payload)
-        deliver_times = []
-        for q in recipients:
-            if q == sender:
-                when = now
-            elif far is None:
-                when = arrival(now)
-                if when is None:
-                    when = never
-            else:
-                when = far
-            deliver_times.append(when)
-            if when <= horizon:
-                heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
+            recipients = list(range(r.n))
+            deliver_times = []
+            # uniform_random draws once per other recipient, in recipient
+            # order; every other network gives all of them one time
+            due = self._due
+            far = None if self._draws else due(now)
+            horizon, heap, counter = r.horizon, self.heap, self.counter
+            for q in recipients:
+                when = now if q == sender else due(now) if far is None else far
+                deliver_times.append(when)
+                if when <= horizon:
+                    heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
         self.records.append(
             {
                 "kind": "send",

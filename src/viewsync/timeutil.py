@@ -23,6 +23,8 @@ from typing import Union
 
 def to_frac(value: object) -> Fraction:
     """Parse a config-level number: int, decimal literal, or a "p/q" string."""
+    if type(value) is Fraction:  # already canonical, as a coerced config's numbers are
+        return value
     if isinstance(value, bool):
         raise ValueError("booleans are not time values")
     if isinstance(value, int):
@@ -46,10 +48,12 @@ def grid_of(values: list[Fraction], floor: int = 1) -> int:
 
 
 def to_ticks(value: Fraction, grid: int) -> int:
-    scaled = value * grid
-    if scaled.denominator != 1:
+    """``value * grid``, which must be whole, computed on ints: a value in
+    lowest terms is on the grid exactly when its denominator divides it."""
+    steps, off_grid = divmod(grid, value.denominator)
+    if off_grid:
         raise ValueError(f"{value} does not lie on the 1/{grid} grid")
-    return scaled.numerator
+    return value.numerator * steps
 
 
 def from_ticks(ticks: int, grid: int) -> Fraction:

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
 TRACE_VERSION = 5
@@ -291,10 +291,15 @@ def to_jsonl(records: Iterable[Record]) -> str:
     return "".join(dumps_record(r) + "\n" for r in records)
 
 
+_CHUNK = 256  # records whose lines one write joins: a few dozen KiB
+
+
 def write_trace(records: Iterable[Record], path) -> None:
+    lines = map(dumps_record, records)
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(dumps_record(r) + "\n")
+        while chunk := list(islice(lines, _CHUNK)):
+            chunk.append("")  # the last line's newline
+            fh.write("\n".join(chunk))
 
 
 def _records(lines: Iterable[str]) -> Iterator[Record]:

@@ -37,7 +37,7 @@ class FormQC:
     qc: QuorumCertificate
 
 
-@dataclass
+@dataclass(slots=True)
 class UnderlyingState:
     """Per-processor round bookkeeping, separate from the synchroniser state."""
 

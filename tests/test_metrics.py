@@ -19,6 +19,7 @@ from viewsync.harness import build_config
 from viewsync.metrics import (
     INF,
     TraceAnalysisError,
+    Violation,
     _Analyzer,
     _first_quorum,
     _Proc,
@@ -85,6 +86,16 @@ def mutated(records, index, **changes):
     out = copied(records)
     out[index].update(changes)
     return out
+
+
+def corrupted_from_start(records, *procs):
+    """A copy of ``records`` whose header corrupts ``procs`` at time 0 under
+    ``silent``, with their ``corrupt`` records right after the header, where
+    a run writes them."""
+    head = copy.deepcopy(records[0])
+    head["config"]["corruptions"] = [{"proc": p, "strategy": "silent", "time": 0} for p in procs]
+    planted = [{"kind": "corrupt", "time": 0, "proc": p, "strategy": "silent"} for p in procs]
+    return renumbered([head, *planted, *records[1:]], records)
 
 
 def duplicated(records, index):
@@ -175,7 +186,7 @@ class QuadraticAnalyzer(_Analyzer):
         runs = []  # [invariant, seq, entered view or processor, first view, last view]
         latest = {}  # (invariant, seq, entered view or processor) -> its latest run
         max_view = max(v for _, v, _, _ in entries)
-        for cv in range(self._clean_start(), max_view * self.resolved.gamma + 1, self.resolved.period):
+        for cv in range(self._clean_start, max_view * self.resolved.gamma + 1, self.resolved.period):
             v = cv // self.resolved.gamma
             at_or_above = [e for e in entries if e[1] >= v]
             if not at_or_above:
@@ -206,7 +217,7 @@ class QuadraticAnalyzer(_Analyzer):
     def check_qc_before_advance(self, t_of) -> None:
         if self.resolved.windows is not None:
             return
-        clean = self._clean_start()
+        clean = self._clean_start
         for v in sorted(v for v in t_of if v % self.resolved.k == 0):
             if v * self.resolved.gamma < clean:
                 continue
@@ -388,13 +399,18 @@ class ReferenceAnalyzer(_Analyzer):
         ptype = payload["type"]
         pr = self.procs[sender]
         correct = pr.correct_at(now)
+        if ptype in ("view_message", "vote"):
+            signer = payload["signer"]
+            if signer == sender:
+                kind = "view_msg" if ptype == "view_message" else "vote"
+                self.signatures.add((signer, kind, payload["view"]))
+            else:
+                invariant = "signing_clock" if ptype == "view_message" else "vote_view"
+                self.flag(invariant, seq, f"processor {sender} signed as processor {signer}")
         if ptype == "view_message":
-            self.signatures.add((payload["signer"], "view_msg", payload["view"]))
             if correct:
                 view = payload["view"]
-                if payload["signer"] != sender:
-                    self.flag("signing_clock", seq, "correct sender signed for another id")
-                elif view in pr.sent_view_msgs:
+                if payload["signer"] == sender and view in pr.sent_view_msgs:
                     self.flag("duplicate_view_message", seq, f"second view message for {view}")
                 pr.sent_view_msgs.add(view)
                 floor = view * self.resolved.gamma
@@ -403,12 +419,9 @@ class ReferenceAnalyzer(_Analyzer):
                         "signing_clock", seq, f"view message {view} signed below clock {floor}"
                     )
         elif ptype == "vote":
-            self.signatures.add((payload["signer"], "vote", payload["view"]))
             if correct:
                 view = payload["view"]
-                if payload["signer"] != sender:
-                    self.flag("vote_view", seq, "correct sender voted for another id")
-                elif view in pr.sent_votes:
+                if payload["signer"] == sender and view in pr.sent_votes:
                     self.flag("duplicate_vote", seq, f"second vote for {view}")
                 pr.sent_votes.add(view)
                 if pr.view != view:
@@ -815,23 +828,16 @@ def test_unsigned_certificate_detected(base):
 def test_certificate_without_correct_signer_detected(base):
     i = find(base, lambda r: r["kind"] == "form_vc")
     signers = base[i]["signers"]
-    bad = copied(base)
-    bad[0]["config"]["corruptions"] = [
-        {"proc": s, "strategy": "silent", "time": 0} for s in signers
-    ]
+    bad = corrupted_from_start(base, *signers)
     found = violations(bad)
-    assert any(v.invariant == "vc_honesty" and v.seq == i for v in found)
+    assert any(v.invariant == "vc_honesty" and v.seq == i + len(signers) for v in found)
 
 
 def test_quorum_without_enough_correct_signers_detected(base):
     i = find(base, lambda r: r["kind"] == "form_qc")
-    bad = copied(base)
-    bad[i]["signers"] = [0, 1, 2, 3, 4]
-    bad[0]["config"]["corruptions"] = [
-        {"proc": p, "strategy": "silent", "time": 0} for p in (0, 1, 2)
-    ]
+    bad = corrupted_from_start(mutated(base, i, signers=[0, 1, 2, 3, 4]), 0, 1, 2)
     found = violations(bad)
-    assert any(v.invariant == "qc_honesty" and v.seq == i for v in found)
+    assert any(v.invariant == "qc_honesty" and v.seq == i + 3 for v in found)
 
 
 def scanned(records):
@@ -993,6 +999,86 @@ def test_words_before_first_quorum_break_word_bound(base):
     found = violations(bad)
     assert analyze(bad).words_counted > budget
     assert ("word_bound", first_leader_qc(bad, 0)) in {(x.invariant, x.seq) for x in found}
+
+
+# Boundary pins: each check below is silent exactly at its bound and fires one
+# unit past it, so flipping its comparison (``>`` to ``>=``) fails the first
+# half and weakening it fails the second.
+
+
+def test_latency_bound_is_silent_at_its_bound_and_fires_one_tick_past(base):
+    """Kills flipping ``latency > bound`` to ``latency >= bound`` in
+    ``metrics._Analyzer.check_bounds``."""
+    i = first_leader_qc(base, 0)  # t_star's record
+    cfg = base[0]["config"]
+    bound = cfg["k"] * 3 * cfg["gamma"]  # f_star is 0
+    assert violations(mutated(base, i, time=cfg["gst"] + bound)) == []
+    found = violations(mutated(base, i, time=cfg["gst"] + bound + 1))
+    assert found == [Violation("latency_bound", i, f"latency {bound + 1} exceeds {bound} ticks")]
+
+
+def with_words(records, i, count, time):
+    """``records`` with ``count`` more words sent at ``time`` by send record
+    i's sender: copies of it, planted right after it, each to at most all
+    its other recipients, and never delivered. Record i must be a broadcast
+    whose payload has no duplicate check: a proposal or a certificate."""
+    send = records[i]
+    assert send["payload"]["type"] not in ("vote", "view_message")
+    others = [(q, due) for q, due in zip(send["recipients"], send["deliver_times"])
+              if q != send["sender"]]
+    planted = []
+    while count > 0:
+        part = others[:count]
+        recipients, due = [q for q, _ in part], [d for _, d in part]
+        planted.append({**send, "time": time, "recipients": recipients, "deliver_times": due})
+        count -= len(part)
+    return renumbered([*records[: i + 1], *planted, *records[i + 1 :]], records)
+
+
+def correct_words(records, lo, hi):
+    """Words that correct processors sent at times in [lo, hi]."""
+    corrupted = {c["proc"] for c in records[0]["config"]["corruptions"]}
+    return sum(
+        words(r)
+        for r in records
+        if r["kind"] == "send" and lo <= r["time"] <= hi and r["sender"] not in corrupted
+    )
+
+
+def test_word_bound_is_silent_at_its_budget_and_fires_one_word_past(base):
+    """Kills flipping ``words > budget`` to ``words >= budget`` in
+    ``metrics._Analyzer.check_bounds``."""
+    cfg = base[0]["config"]
+    q = first_leader_qc(base, 0)  # t_star's record, then its quorum broadcast
+    t_star = base[q]["time"]
+    i = find(base, lambda r: r["kind"] == "send" and r["payload"]["type"] == "quorum_certificate")
+    lo = cfg["gst"] + cfg["delta_cap"]  # the words counted lie in [lo, t_star]
+    budget = WORD_RATE_W * 3 * cfg["n"]  # f_star is 0
+    # planted before t_star, so in no pace gap, which starts at t_star
+    extra = budget - correct_words(base, lo, t_star)
+    at = with_words(base, i, extra, t_star - 1)
+    assert analyze(at).words_counted == budget
+    assert violations(at) == []
+    past = with_words(base, i, extra + 1, t_star - 1)
+    detail = f"{budget + 1} words exceed {budget}"
+    assert violations(past) == [Violation("word_bound", q, detail)]
+
+
+def test_post_sync_words_is_silent_at_its_budget_and_fires_one_word_past(base):
+    """Kills flipping ``words > budget`` to ``words >= budget`` in
+    ``metrics._Analyzer.check_post_sync``."""
+    lo, hi = (base[first_leader_qc(base, g)]["time"] for g in (0, 1))  # t_star's group on
+    i = find(
+        base,
+        lambda r: r["kind"] == "send" and r["payload"]["type"] == "quorum_certificate"
+        and r["time"] == lo,
+    )
+    budget = WORD_RATE_W * base[0]["config"]["n"]  # one group apart
+    extra = budget - correct_words(base, lo, hi)
+    assert violations(with_words(base, i, extra, lo + 1)) == []
+    past = with_words(base, i, extra + 1, lo + 1)
+    detail = f"groups 0->1 sent {budget + 1} words, allowed {budget}"
+    assert violations(past) == [Violation("post_sync_words", len(past) - 1, detail)]
 
 
 def test_slow_first_quorum_breaks_responsiveness():
@@ -1340,17 +1426,22 @@ def test_each_structural_header_fault_is_located(edit, fault, tmp_path, capsys):
     assert err == f"malformed trace: {message}\n"
 
 
+def dispersed(records):
+    records = copied(records)
+    records[0]["config"]["offsets"][-1] = 100 * records[0]["grid"]
+    return records
+
+
 @pytest.mark.parametrize(
     "edit, invariant",
     [
-        (lambda head: head["config"]["offsets"].__setitem__(-1, 100 * head["grid"]), "dagger"),
-        (lambda head: corrupting(0, 1)(head["config"]), "qc_honesty"),  # more than t=1
+        (dispersed, "dagger"),
+        (lambda records: corrupted_from_start(records, 0, 1), "qc_honesty"),  # more than t=1
     ],
     ids=["dispersed-offsets", "over-resilience"],
 )
 def test_policy_header_faults_still_read_and_are_flagged(edit, invariant, tmp_path, capsys):
-    records = copied(found_run())
-    edit(records[0])
+    records = edit(found_run())
     assert invariant in ids(records)
     path = tmp_path / "flagged.jsonl"
     path.write_text(to_jsonl(records), encoding="utf-8")
@@ -1883,6 +1974,116 @@ def test_a_corrupt_record_that_differs_from_the_header_is_located(read, field, v
     message = f"corrupt record at seq {i}: field {field!r} is malformed: {problem}"
     with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
         analyze(read(records))
+
+
+def corrupting_run(strategy, time):
+    """found_run's configuration with processor 3 corrupted under
+    ``strategy`` at ``time``: the runs whose ``corrupt`` record, deleted or
+    listed twice, used to analyze clean."""
+    return Simulation(
+        SimConfig(n=4, stop="horizon", horizon=30, seed=0,
+                  corruptions=[Corruption(3, strategy, time)])
+    ).run()
+
+
+def deleted_corrupt(records, c):
+    return renumbered(records[:c] + records[c + 1:], records)
+
+
+def located(records, read, message, tmp_path, capsys):
+    """``message`` is the TraceAnalysisError a list, a stream or ``viewsync
+    replay`` (exit 2) gives for ``records``."""
+    if read == "replay":
+        path = tmp_path / "bad.jsonl"
+        path.write_text(to_jsonl(records), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"malformed trace: {message}\n"
+        return
+    with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
+        analyze(records if read == "list" else iter(records))
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("strategy, time", [("crash_leader", 5), ("late_qc_relayer", 2)])
+def test_a_corruption_without_its_corrupt_record_is_located(read, strategy, time, tmp_path,
+                                                            capsys):
+    records = corrupting_run(strategy, time)
+    assert analyze(records).violations == []
+    c = find(records, lambda r: r["kind"] == "corrupt")
+    bad = deleted_corrupt(records, c)
+    end = bad[-1]
+    message = (
+        f"trace ends at seq {len(bad) - 1}, time {end['time']}, with no corrupt record "
+        f"for processor 3, which the header corrupts at {records[c]['time']}"
+    )
+    located(bad, read, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("strategy, time", [("crash_leader", 5), ("late_qc_relayer", 2)])
+def test_a_corrupt_record_listed_twice_is_located(read, strategy, time, tmp_path, capsys):
+    records = corrupting_run(strategy, time)
+    c = find(records, lambda r: r["kind"] == "corrupt")
+    message = (
+        f"corrupt record at seq {c + 1}: field 'proc' is malformed: "
+        "3 was corrupted by an earlier corrupt record"
+    )
+    located(duplicated(records, c), read, message, tmp_path, capsys)
+
+
+def test_a_corruption_after_the_trace_ends_needs_no_corrupt_record():
+    # a corruption past the horizon never happens, so the run writes no record
+    records = run_records(n=4, corruptions=(Corruption(3, "crash_leader", 31),), stop="horizon",
+                          horizon=30)
+    assert not any(r["kind"] == "corrupt" for r in records)
+    assert analyze(records).violations == []
+
+
+def test_a_forged_signer_is_flagged_and_signs_for_nobody():
+    # a corrupted sender's view message naming correct processor 3: a
+    # forgery, which the model excludes, flagged at its send's seq and not
+    # credited to 3 (who never signs view 15) in certificate checks
+    records = copied(
+        Simulation(
+            SimConfig(n=7, corruptions=[Corruption(0, "early_signer", 0)], stop="horizon",
+                      horizon=30)
+        ).run()
+    )
+    i = find(
+        records,
+        lambda r: r["kind"] == "send"
+        and r["payload"] == {"type": "view_message", "view": 15, "signer": 0},
+    )
+    assert not any(
+        r["kind"] == "send" and r["sender"] == 3 and r["payload"]["type"] == "view_message"
+        and r["payload"]["view"] == 15
+        for r in records
+    )
+    records[i]["payload"]["signer"] = 3
+    want = Violation("signing_clock", i, "processor 0 signed as processor 3")
+    for read in (list, iter):
+        assert want in analyze(read(records)).violations
+    scan = _Analyzer(records)
+    scan.scan()
+    assert (3, "view_msg", 15) not in scan.signatures
+    assert (0, "view_msg", 15) not in scan.signatures
+
+
+@pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])
+def test_a_forged_vote_is_flagged_from_any_sender(read):
+    records = copied(
+        run_records(n=7, corruptions=(Corruption(0, "vote_stuffer", 0),), stop="horizon",
+                    horizon=30)
+    )
+    i = find(
+        records,
+        lambda r: r["kind"] == "send" and r["sender"] == 0 and r["payload"]["type"] == "vote",
+    )
+    records[i]["payload"]["signer"] = 3
+    assert Violation("vote_view", i, "processor 0 signed as processor 3") in analyze(
+        read(records)
+    ).violations
 
 
 @pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])

@@ -622,11 +622,14 @@ ANNOUNCED_IDS = [*NETWORK_STRATEGIES, "n31", "fixed_delta-gst", "worst_case_max_
 def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
     # whatever the simulator computes once per send, the times it announces
     # are those of one delivery_time call per other recipient, in order, on
-    # the network's random stream
+    # the network's random stream, which only uniform_random has
     sim = Simulation(cfg)
     r = sim.resolved
+    assert (sim.net_rng is None) == (r.network != "uniform_random")
     rng = random.Random()
-    rng.setstate(sim.net_rng.getstate())
+    if sim.net_rng is not None:
+        rng.setstate(sim.net_rng.getstate())
+    unused = rng.getstate()
     records = sim.run()
     never = r.horizon + r.delta_cap + r.unit  # no bound applies: after the last event
     unbounded = 0
@@ -651,7 +654,7 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
                 unbounded += when is None
             want.append(never if when is None else when)
         assert rec["deliver_times"] == want, seq
-    assert rng.getstate() == sim.net_rng.getstate()
+    assert rng.getstate() == (unused if sim.net_rng is None else sim.net_rng.getstate())
     assert unbounded or r.windows is None
 
 
