@@ -465,7 +465,8 @@ class _Analyzer:
                 raise TypeError(f"signer at seq {seq}")  # analyze() names the field
             signed = signer == sender
             if signed:
-                self.signatures.add((signer, "view_msg" if ptype == "view_message" else "vote", view))
+                sig_kind = "view_msg" if ptype == "view_message" else "vote"
+                self.signatures.add((signer, sig_kind, view))
             else:  # a forgery, from any sender: it signs for nobody
                 invariant = "signing_clock" if ptype == "view_message" else "vote_view"
                 self.flag(invariant, seq, f"processor {sender} signed as processor {signer}")

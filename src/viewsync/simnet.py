@@ -929,7 +929,8 @@ class Simulation:
             when = now if to == sender else self._due(now)
             deliver_times = [when]
             if when <= r.horizon:
-                heappush(self.heap, (when, _PRIO_DELIVER, sender, to, next(self.counter), "dlv", envelope))
+                event = (when, _PRIO_DELIVER, sender, to, next(self.counter), "dlv", envelope)
+                heappush(self.heap, event)
         else:
             recipients = list(range(r.n))
             deliver_times = []
