@@ -1,72 +1,89 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
 A trace is a list of flat dict records, one per simulation event. A record's
-seq is its 0-based line index, the header's 0, and is not written. Version 5
-carries every time, clock value and delivery time as a JSON int count of
-ticks on the grid the header names; only the header's clock rates may be
-``"p/q"`` strings (``timeutil.dump_ticks``). Each ``send()`` call is one
-``send`` record, and each of its deliveries one ``deliver`` record that
-names it by seq instead of repeating it::
+seq is its 0-based line index, the header's 0, and is not written. Version 6
+writes the header as a JSON object and every other record as one JSON array:
+its kind, then its fields in the order of its ``RECORD_FIELDS`` row, which is
+the order the simulator builds them in. A payload is the array ``[type,
+view, value]``, where value is its type's one ``PAYLOAD_FIELDS`` field::
 
-    {"deliver_times":[…],"kind":"send","payload":{…},"recipients":[…],
-     "sender":s,"time":T}
-    {"kind":"deliver","proc_clock":C,"proc_view":V,"recipient":p,"send":S}
+    ["send",time,sender,[recipients…],[type,view,value],[deliver_times…]]
+    ["deliver",send,recipient,proc_view,proc_clock]
 
-``deliver_times`` lists when each of ``recipients`` is due, and a
-``deliver`` record has no time of its own: it happens at its send's entry
-for its recipient. Every other record has a ``time``. A send costs one word
-per recipient other than the sender, which the reader derives from
-``recipients``. Versions 1 to 4 are not read: 1 and 2 wrote one ``send``
-record per recipient and repeated the sender, payload and send time in every
-``deliver``, 3 wrote a drifted clock's times as ``"p/q"`` strings on a
-coarser grid and stored each send's word count, and 4 wrote every record's
-seq and every deliver's time.
+for instance ``["send",24,7,[1],["vote",3,7],[27]]`` and
+``["deliver",165,7,3,2703]``. Every time, clock value and delivery time is a
+JSON int count of ticks on the grid the header names; only the header's clock
+rates may be ``"p/q"`` strings (``timeutil.dump_ticks``). Each ``send()``
+call is one ``send`` record, and each of its deliveries one ``deliver``
+record that names it by seq instead of repeating it. ``deliver_times`` lists
+when each of ``recipients`` is due, and a ``deliver`` record has no time of
+its own: it happens at its send's entry for its recipient. Every other
+record has a ``time``. A send costs one word per recipient other than the
+sender, which the reader derives from ``recipients``. Versions 1 to 5 are
+not read: 1 and 2 wrote one ``send`` record per recipient and repeated the
+sender, payload and send time in every ``deliver``, 3 wrote a drifted
+clock's times as ``"p/q"`` strings on a coarser grid and stored each send's
+word count, 4 wrote every record's seq and every deliver's time, and 5 wrote
+every record as an object with sorted keys.
 
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
-each kind's fields and their shapes, and ``PAYLOAD_FIELDS`` each payload
-type's. Built from them are ``malformed_field``, which the analyzer calls to
-name the first absent or malformed field once a read has failed, the payload
-formatter, and the fast paths of the writer and of ``simnet.payload_to_dict``.
-Each fast path is a function compiled at import from source text generated
-from a table row, the way ``dataclasses`` builds its methods, so it runs as
-the handwritten one did. Two readers of the tables stay written out, and are
-tested against them: the simulator's record literals, as a dict display is
-the quickest way to build a record, and the analyzer's scan, whose per-kind
-code is the invariants, not the schema.
+each kind's fields, in their written order, and their shapes, and
+``PAYLOAD_FIELDS`` each payload type's. Built from them are
+``malformed_field``, which the analyzer calls to name the first absent or
+malformed field once a read has failed, the writer's formatters, the
+reader's decoders and ``simnet.payload_to_dict``. Each formatter and decoder
+is a function compiled at import from source text generated from a table
+row, the way ``dataclasses`` builds its methods, so it runs as a handwritten
+one would. Two readers of the tables stay written out, and are tested
+against them: the simulator's record literals, as a dict display is the
+quickest way to build a record, and the analyzer's scan, whose per-kind code
+is the invariants, not the schema.
 
 The serialized form is the canonical identity of a run: determinism and
-replay guarantees are stated over these bytes. A record's canonical line is
-``json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
-Every kind with no string field (``send``, ``deliver``, ``threshold``,
-``form_qc``, ``form_vc`` and ``wake``: all of a trace but its header, its
-corruptions and its end) has a formatter that writes those same bytes with
-one f-string over its fixed sorted key order. A list of exact ints is
-written as its repr without spaces, with two short paths: a list of one int
-(a send's one recipient and its delivery time) by an f-string, and
-``list(range(n))`` (a broadcast's recipients) as a string made once per
-``n``. A record of another kind, or one whose keys or value types are not
-exactly its row's, goes through the JSON encoder instead, which also escapes
-strings.
+replay guarantees are stated over these bytes. A record *fits* its row when
+its keys are exactly "kind" and its kind's fields, and its payload's exactly
+"type", "view" and its type's field. A fitting record's canonical line is
+``json.dumps([kind, *fields], sort_keys=True, separators=(",", ":"),
+allow_nan=False)``, with the payload as its array, whatever its values'
+types. Every kind with
+no string field (``send``, ``deliver``, ``threshold``, ``form_qc``,
+``form_vc`` and ``wake``: all of a trace but its header, its corruptions and
+its end) has a formatter that writes those same bytes with one f-string when
+every value has its row's type. A list of exact ints is written as its repr
+without spaces, with two short paths: a list of one int (a send's one
+recipient and its delivery time) by an f-string, and ``list(range(n))`` (a
+broadcast's recipients) as a string made once per ``n``. Any other fitting
+record goes through the JSON encoder as its array, which also escapes
+strings. A record that does not fit (the header, or one edited or built by
+hand) is written as ``json.dumps(record, sort_keys=True, separators=(",",
+":"), allow_nan=False)``, an object, and reads back as one, so the analyzer
+still names its absent or extra field.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
-its own, so a record is one line and an error names its line. It yields each
-record as soon as it is parsed, and checks the header (first, and of this
-version) and the end record (last) after the last line, so reading it to the
-end raises what a whole read would, in the same order: ``parse_jsonl`` and
-``read_trace`` are lists of what it yields. ``iter_trace`` streams a file
-through it, read a block at a time and cut after a newline byte, into exactly
-the lines a whole read would give; bytes that are not UTF-8 are an error on
-their line. A line is parsed by one call of the JSON scanner of a default
-``JSONDecoder`` at index 0, whose result is kept only when that scan
-consumes the whole line. That is exactly what
-``json.loads(line)`` returns: for a line with no leading whitespace it runs
-the same scan at the same index, and then only checks that nothing but
-whitespace follows. Any other line (leading or trailing whitespace, a BOM,
-a second value, bad JSON, a blank line) goes through the blank-line check
-and ``json.loads`` itself, for the same record or the same error. One
-``json.loads`` over the whole text would not be exact: a bracket left open
-on one line can swallow the next, and one line can hold two records.
+its own, so a record is one line and an error names its line. An array
+becomes the dict its kind's decoder builds, with the fields in row order and
+the payload a dict again; its values are kept as they are, for the analyzer
+to check. An array whose first item is not a kind with a row, whose length
+is not its row's, or whose payload is not a ``[type, view, value]`` array of
+a type with a row, is an error on its line. An object is kept as it is, if it
+has a ``kind``. The reader yields each record as soon as it is parsed, and
+checks the header (first, and of this version) and the end record (last)
+after the last line, so reading it to the end raises what a whole read
+would, in the same order: ``parse_jsonl`` and ``read_trace`` are lists of
+what it yields. ``iter_trace`` streams a file through it, read a block at a
+time and cut after a newline byte, into exactly the lines a whole read would
+give; bytes that are not UTF-8 are an error on their line. A line is parsed
+by one call of the JSON scanner of a default ``JSONDecoder`` at index 0,
+whose result is kept only when that scan consumes the whole line. That is
+exactly what ``json.loads(line)`` returns: for a line with no leading
+whitespace it runs the same scan at the same index, and then only checks
+that nothing but whitespace follows. Any other line (leading or trailing
+whitespace, a BOM, a second value, bad JSON, a blank line) goes through the
+blank-line check and ``json.loads`` itself, for the same value or the same
+error. One ``json.loads`` over the whole text would not be exact: a bracket
+left open on one line can swallow the next, and one line can hold two
+records.
 """
 
 from __future__ import annotations
@@ -76,7 +93,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 Record = dict[str, Any]
 
@@ -97,7 +114,8 @@ _INT = {int}
 # -- the record format ---------------------------------------------------------
 
 # Each kind the simulator writes, with its fields besides "kind", in the
-# order the simulator writes them: every kind but "deliver" has a "time".
+# order the simulator builds them and a trace writes them: every kind but
+# "deliver" has a "time".
 # Shapes are exact types, so a bool is not an int:
 #   int      an int
 #   proc     a processor id: an int in [0, n)
@@ -126,8 +144,8 @@ RECORD_FIELDS = {
     "wake": {"time": "tick", "proc": "proc"},
     "end": {"time": "tick", "reason": "str"},
 }
-# Each payload type's fields besides "type" and "view": exactly one, whose
-# name sorts before both, which _payload relies on.
+# Each payload type's fields besides "type" and "view": exactly one, the
+# third item of its array.
 PAYLOAD_FIELDS = {
     "view_message": {"signer": "int"},
     "vote": {"signer": "int"},
@@ -207,7 +225,8 @@ def _ints(values) -> str | None:
 
 
 def _payload(p) -> str | None:
-    """A payload as JSON, for the shapes PAYLOAD_FIELDS gives; None otherwise."""
+    """A payload as its JSON array ``[type, view, value]``, for the shapes
+    PAYLOAD_FIELDS gives; None otherwise."""
     if type(p) is not dict or len(p) != 3:
         return None
     try:
@@ -219,7 +238,7 @@ def _payload(p) -> str | None:
     value = _ints(value) if shape == "ints" else value if type(value) is int else None
     if value is None or type(ptype) is not str or type(view) is not int:
         return None
-    return f'{{"{name}":{value},"type":"{ptype}","view":{view}}}'
+    return f'["{ptype}",{view},{value}]'
 
 
 # The function a formatter passes a field of each shape through: a list or a
@@ -236,14 +255,14 @@ def _formatter(kind: str, fields: dict[str, str]):
     the builtins it calls.
 
     It reads every field of a record that has exactly those keys and "kind",
-    checks each value's type, and writes the bytes the encoder would, with
-    one f-string over the sorted keys; any other record gets None.
+    checks each value's type, and writes the record's array, the bytes the
+    encoder would write for it, with one f-string over the row; any other
+    record gets None.
     """
-    names = sorted(fields)
+    names = list(fields)
     converted = [n for n in names if fields[n] in _CONVERT]
     checks = [f"{n} is None" if n in converted else f"type({n}) is not int" for n in names]
-    values = {"kind": f'"{kind}"', **{n: f"{{{n}}}" for n in names}}
-    line = "{{" + ",".join(f'"{k}":{values[k]}' for k in sorted(values)) + "}}"
+    line = f'["{kind}",' + ",".join(f"{{{n}}}" for n in names) + "]"
     source = "\n".join(
         [
             f"def _{kind}(r):",
@@ -274,16 +293,38 @@ _FORMATTERS = {
 }
 
 
+def _array(record: Record) -> list | None:
+    """A record as its array, whatever its values' types, if it fits its
+    kind's row (see the module docstring); None if it does not."""
+    kind = record.get("kind")
+    row = RECORD_FIELDS.get(kind) if type(kind) is str else None
+    if row is None or record.keys() != {"kind", *row}:
+        return None
+    out = [kind]
+    for name, shape in row.items():
+        value = record[name]
+        if shape == "payload":
+            ptype = value.get("type") if type(value) is dict else None
+            fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
+            if fields is None or value.keys() != {"type", "view", *fields}:
+                return None
+            value = [ptype, value["view"], *map(value.get, fields)]
+        out.append(value)
+    return out
+
+
 def dumps_record(record: Record) -> str:
     """The canonical JSON line of one record (without its newline)."""
     if type(record) is dict:
         kind = record.get("kind")
         # only a string kind is looked up: another may be unhashable
         formatter = _FORMATTERS.get(kind) if type(kind) is str else None
-        if formatter is not None:
-            line = formatter(record)
-            if line is not None:
-                return line
+        line = formatter(record) if formatter is not None else None
+        if line is not None:
+            return line
+        array = _array(record)
+        if array is not None:
+            return _ENCODER.encode(array)
     return _ENCODER.encode(record)
 
 
@@ -302,6 +343,61 @@ def write_trace(records: Iterable[Record], path) -> None:
             fh.write("\n".join(chunk))
 
 
+# -- the reader ----------------------------------------------------------------
+
+def _decoder(kind: str, fields: dict[str, str]):
+    """The decoder of a ``kind`` record's array, for the RECORD_FIELDS row
+    ``fields``, compiled from source text built here like ``_formatter``, so
+    each field name must be an identifier other than ``a``, ``ptype``,
+    ``pview`` and ``pvalue``.
+
+    It returns the record's dict, fields in row order, with its payload a
+    dict again, and raises LookupError, TypeError or ValueError for an array
+    of another length or a payload that is not an array ``[type, view,
+    value]`` of a type PAYLOAD_FIELDS lists. It checks no other value.
+    """
+    names = list(fields)
+    payloads = [n for n in names if fields[n] == "payload"]
+    values = {"kind": repr(kind), **{n: n for n in names}}
+    source = "\n".join(
+        [
+            f"def _{kind}(a):",
+            f"    _, {', '.join(names)} = a",
+            *(
+                line
+                for n in payloads
+                for line in (
+                    f"    if type({n}) is not list:",
+                    "        raise TypeError",
+                    f"    ptype, pview, pvalue = {n}",
+                    f'    {n} = {{"type": ptype, "view": pview, _PAYLOAD_FIELD[ptype][0]: pvalue}}',
+                )
+            ),
+            "    return {" + ", ".join(f"{k!r}: {v}" for k, v in values.items()) + "}",
+        ]
+    )
+    made: dict[str, Any] = {}
+    exec(compile(source, f"<trace decoder: {kind}>", "exec"), globals(), made)
+    return made[f"_{kind}"]
+
+
+# kind -> the decoder of its array, for every kind but the header
+_DECODERS = {kind: _decoder(kind, fields) for kind, fields in RECORD_FIELDS.items()}
+
+
+def _array_problem(a: list) -> str:
+    """What is wrong with an array that its decoder refused."""
+    kind = a[0] if a else None
+    if type(kind) is not str:
+        return f"record array does not start with a kind string: {a!r}"
+    row = RECORD_FIELDS.get(kind)
+    if row is None:
+        return f"no record kind {kind!r} is written as an array"
+    if len(a) != len(row) + 1:
+        return f"{kind} record array has {len(a) - 1} fields, not {len(row)}"
+    return f"{kind} record's payload is not a [type, view, value] array of a known type: {a!r}"
+
+
 def _records(lines: Iterable[str]) -> Iterator[Record]:
     """The records on the lines of a whole trace, each yielded as soon as
     its line is parsed, validating shape enough to fail loudly, not deeply.
@@ -314,7 +410,7 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
     head = rec = None
     line_no = 0
     for line_no, line in enumerate(lines, start=1):
-        # a scan that ends at the line's end is json.loads(line)'s record
+        # a scan that ends at the line's end is json.loads(line)'s value
         # (see the module docstring); any other line goes to json.loads
         try:
             rec, end = _scan_once(line, 0)
@@ -327,8 +423,13 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict) or "kind" not in rec:
-            raise TraceParseError(line_no, "record is not an object with a 'kind'")
+        if type(rec) is list:
+            try:
+                rec = _DECODERS[rec[0]](rec)
+            except (LookupError, TypeError, ValueError):
+                raise TraceParseError(line_no, _array_problem(rec)) from None
+        elif type(rec) is not dict or "kind" not in rec:
+            raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
         if head is None:
             head = rec
         yield rec

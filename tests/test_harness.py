@@ -29,7 +29,7 @@ from viewsync.adversary import BYZANTINE_STRATEGIES
 from viewsync.certificates import CertificateError
 from viewsync.metrics import TraceAnalysisError, analyze
 from viewsync.simnet import Corruption, SimConfig, Simulation, coerce
-from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
+from viewsync.trace import TraceParseError, dumps_record, parse_jsonl, read_trace, to_jsonl
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
 
@@ -638,10 +638,10 @@ def edited_trace(spec_file, tmp_path, edit):
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])
     trace = sorted((out / "traces").glob("*.jsonl"))[0]
-    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    recs = read_trace(trace)
     edit(recs)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+    bad.write_text(to_jsonl(recs), encoding="utf-8")
     return str(bad)
 
 
@@ -801,10 +801,10 @@ def test_cli_replay_locates_a_value_that_passes_the_scan(
     # deliver's: a streamed replay fails on each, and the whole read locates it
     run_cell({**BASE, "f": 0, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
-    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    recs = read_trace(trace)
     seq, rec = [(i, r) for i, r in enumerate(recs) if r["kind"] == kind][index]
     edit(rec)
-    trace.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+    trace.write_text(to_jsonl(recs), encoding="utf-8")
     assert main(["replay", str(trace)]) == 2
     err = capsys.readouterr().err
     assert f"malformed trace: {kind} record at seq {seq}: {message}" in err
@@ -814,7 +814,7 @@ def test_cli_replay_locates_a_value_that_passes_the_scan(
 
 
 def dumped(recs):
-    return [json.dumps(r, sort_keys=True) for r in recs]
+    return [dumps_record(r) for r in recs]
 
 
 def unjoin_first_deliver(recs):
@@ -873,7 +873,7 @@ def test_replay_reports_the_fault_a_whole_trace_read_finds_first(tmp_path, capsy
     # corruption, whose strategy the scan does not read.
     run_cell({**BASE, "f": 1, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
-    lines, error, message = plant([json.loads(line) for line in trace.read_text().splitlines()])
+    lines, error, message = plant(read_trace(trace))
     trace.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(error) as info:
         replay_cell(trace)
@@ -887,7 +887,7 @@ def test_cli_replay_names_the_line_of_undecodable_bytes(tmp_path, capsys):
     run_cell({**BASE, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
     lines = trace.read_bytes().splitlines(keepends=True)
-    lines[6] = lines[6].replace(b'"kind"', b'"k\xffind"')
+    lines[6] = lines[6][:2] + b"\xff" + lines[6][2:]  # inside its kind tag
     trace.write_bytes(b"".join(lines))
     with pytest.raises(TraceParseError, match="^line 7: not UTF-8: "):
         replay_cell(trace)

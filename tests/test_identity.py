@@ -1,4 +1,5 @@
-"""tools/identity.py digests every byte a workload's run writes, and --check names what differs."""
+"""tools/identity.py digests every byte a workload's run writes, traces apart
+from rows and summaries, and --check names what differs."""
 
 import importlib.util
 import json
@@ -29,32 +30,44 @@ def tiny(seed=0):
 def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
     identity = load_identity()
     first = identity.digest(tiny(), tmp_path / "a")
-    assert len(first) == 64
+    assert sorted(first) == ["outputs", "traces"]
+    assert all(len(value) == 64 for value in first.values())
     assert identity.digest(tiny(), tmp_path / "b") == first
-    assert identity.digest(tiny(seed=1), tmp_path / "c") != first
+    other_seed = identity.digest(tiny(seed=1), tmp_path / "c")
+    assert all(other_seed[part] != first[part] for part in first)
 
-    # the same records written with spaces: rows and summary stay the same
+    # the same records written as objects with spaces: only the traces differ
     def spaced(records, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     monkeypatch.setattr(harness, "write_trace", spaced)
-    assert identity.digest(tiny(), tmp_path / "d") != first
+    respelled = identity.digest(tiny(), tmp_path / "d")
+    assert respelled["traces"] != first["traces"]
+    assert respelled["outputs"] == first["outputs"]
     for name in ("measure.jsonl", "replay.jsonl", "summary.csv"):
         assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def test_check_names_each_workload_that_differs(tmp_path, monkeypatch, capsys):
     identity = load_identity()
-    found = {"tiny": identity.digest(tiny(), tmp_path / "run"), "other": "0" * 64}
+    other = {"outputs": "0" * 64, "traces": "1" * 64}
+    found = {"tiny": identity.digest(tiny(), tmp_path / "run"), "other": other}
     monkeypatch.setattr(identity, "digests", lambda seed: found)
     stored = tmp_path / "identity.json"
     stored.write_text(json.dumps({"0": found}), encoding="utf-8")
     assert identity.main(["--check", str(stored)]) == 0
     assert json.loads(capsys.readouterr().out) == {"0": found}
-    stored.write_text(json.dumps({"0": {**found, "other": "1" * 64}}), encoding="utf-8")
+    # a changed trace format: the traces part alone differs, and is named
+    stored.write_text(
+        json.dumps({"0": {**found, "other": {**other, "traces": "2" * 64}}}), encoding="utf-8"
+    )
     assert identity.main(["--check", str(stored)]) == 1
-    assert capsys.readouterr().err == f"differs from {stored}: seed 0 other\n"
-    # a seed the file does not hold differs in every workload
+    assert capsys.readouterr().err == f"differs from {stored}: seed 0 other traces\n"
+    outputs_gone = {**found, "other": {"traces": other["traces"]}}
+    stored.write_text(json.dumps({"0": outputs_gone}), encoding="utf-8")
+    assert identity.main(["--check", str(stored)]) == 1
+    assert capsys.readouterr().err == f"differs from {stored}: seed 0 other outputs\n"
+    # a seed the file does not hold differs in every part of every workload
     assert identity.main(["--check", str(stored), "--seed", "7"]) == 1
-    assert capsys.readouterr().err.count("seed 7") == 2
+    assert capsys.readouterr().err.count("seed 7") == 4

@@ -28,7 +28,7 @@ from viewsync.metrics import (
 )
 from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
 from viewsync.timeutil import from_ticks
-from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, Record, to_jsonl
+from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, Record, read_trace, to_jsonl
 
 
 def run_records(**kw):
@@ -1081,6 +1081,62 @@ def test_post_sync_words_is_silent_at_its_budget_and_fires_one_word_past(base):
     assert violations(past) == [Violation("post_sync_words", len(past) - 1, detail)]
 
 
+def delivery_faults(records, i, send_time):
+    """The ``delivery_bound`` violations of ``records`` with deliver record
+    i's send moved to ``send_time``, from the analyzer alone, so that each
+    test below kills its flip by its own assertion, not by the oracles'."""
+    moved = mutated(records, records[i]["send"], time=send_time)
+    return [v for v in analyze(moved).violations if v.invariant == "delivery_bound"]
+
+
+def a_delivery_to_another(records):
+    """The seq of the last deliver record whose send is to one processor
+    other than its sender."""
+    return rfind(
+        records,
+        lambda r: r["kind"] == "deliver" and sent(records, r)["recipients"] == [r["recipient"]]
+        and sent(records, r)["sender"] != r["recipient"],
+    )
+
+
+def test_a_delivery_to_another_at_its_send_time_fires(base):
+    """Kills flipping ``now <= send_time`` to ``now < send_time`` in
+    ``metrics._Analyzer._scan_deliver``."""
+    i = a_delivery_to_another(base)
+    now, cap = time_of(base, base[i]), base[0]["config"]["delta_cap"]
+    detail = f"delivery at {now} outside ({now}, {now + cap}]"
+    assert delivery_faults(base, i, now) == [Violation("delivery_bound", i, detail)]
+
+
+def test_delivery_bound_is_silent_at_the_cap_and_fires_one_tick_past(base):
+    """Kills flipping ``now > bound`` to ``now >= bound`` in
+    ``metrics._Analyzer._scan_deliver``; ``base``'s network has no actual
+    delay bound, and its gst is 0."""
+    i = a_delivery_to_another(base)
+    now, cap = time_of(base, base[i]), base[0]["config"]["delta_cap"]
+    assert now - cap - 1 > 0  # both sends are after gst
+    assert delivery_faults(base, i, now - cap) == []
+    detail = f"delivery at {now} outside ({now - cap - 1}, {now - 1}]"
+    assert delivery_faults(base, i, now - cap - 1) == [Violation("delivery_bound", i, detail)]
+
+
+def test_delivery_bound_is_silent_at_the_actual_delay_and_fires_one_tick_past():
+    """Kills flipping ``now > send_time + self.delta_actual`` to ``>=`` in
+    ``metrics._Analyzer._scan_deliver``: a post-stabilisation delivery under
+    ``fixed_delta``, whose actual delay is under the cap."""
+    records = copied(run_records(network="fixed_delta", delta_actual="1/5", stop="horizon",
+                                 horizon=30))
+    cfg = records[0]["config"]
+    actual = cfg["delta_actual"]
+    assert 0 < actual + 1 < cfg["delta_cap"]
+    i = a_delivery_to_another(records)
+    now = time_of(records, records[i])
+    assert now - actual - 1 > cfg["gst"]
+    assert delivery_faults(records, i, now - actual) == []
+    detail = "post-stabilisation delivery exceeded delta"
+    assert delivery_faults(records, i, now - actual - 1) == [Violation("delivery_bound", i, detail)]
+
+
 def test_slow_first_quorum_breaks_responsiveness():
     records = run_records(network="fixed_delta", delta_actual="1/5")
     cfg = records[0]["config"]
@@ -1753,7 +1809,7 @@ def test_a_processor_id_that_is_true_fails_replay(tmp_path, capsys):
     i = one_as(records, "send", "sender", True)
     path = tmp_path / "bad.jsonl"
     path.write_text(to_jsonl(records), encoding="utf-8")
-    assert '"sender":true' in path.read_text(encoding="utf-8")
+    assert read_trace(path)[i]["sender"] is True  # written as JSON true
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     message = f"malformed trace: send record at seq {i}: field 'sender' is malformed: True"

@@ -13,15 +13,21 @@ send's sender, payload and time in every ``deliver``. Version 3 wrote one
 ``send`` record per ``send()`` call with its word count, and a drifted
 clock's times as ``"p/q"`` ticks on a coarser grid than version 4's. Version
 4 wrote every record's seq and every deliver's time, which version 5 leaves
-for the reader to derive. ``as_v4`` writes a version 5 trace in version 4's
-form, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2`` expands a
-version 3 trace into version 2's shape and ``as_v1`` spells a version 2 trace
-in real units again, so the same runs still match the digests of all four;
-each cell also pins its version 5 digest.
+for the reader to derive. Version 5 wrote every record as an object with
+sorted keys, where version 6 writes every record but the header as an array
+in its ``RECORD_FIELDS`` row's order. ``as_v5`` writes a version 6 trace in
+version 5's form, ``as_v4`` writes a version 5 trace's records in version
+4's, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2`` expands a
+version 3 trace into version 2's shape and ``as_v1`` spells a version 2
+trace in real units again, so the same runs still match the digests of all
+five; each cell also pins its version 6 digest. The records of versions 1 to
+4 carry a ``seq``, which no version 6 row has, so the writer writes them as
+objects, as it always did.
 """
 
 import copy
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -35,6 +41,16 @@ from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
+
+
+def as_v5(records) -> str:
+    """A version 6 trace's text as version 5 wrote it: every record through
+    the sorted-key encoder, as an object, and the header's version 5."""
+    head, *rest = records
+    return "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for r in [{**head, "version": 5}, *rest]
+    )
 
 
 def as_v4(records):
@@ -160,7 +176,10 @@ def as_v1(records):
 
 
 def sha256(records) -> str:
-    return hashlib.sha256(to_jsonl(records).encode()).hexdigest()
+    """The SHA-256 of a trace's text, or of its records written as text."""
+    text = records if isinstance(records, str) else to_jsonl(records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # cell -> config_hash, one cell per input form a spec or a caller may use
 HASHED_CELLS = [
@@ -231,7 +250,7 @@ DELTA_UNITS_HASHES = [
 
 # cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
 #          records, SHA-256 of the trace as_v3, SHA-256 of the trace as_v4,
-#          SHA-256 of the version 5 trace)
+#          SHA-256 of the trace as_v5, SHA-256 of the version 6 trace)
 TRACED_CELLS = [
     (
         {
@@ -250,6 +269,7 @@ TRACED_CELLS = [
         "4f56a324a48497a3317e65e82f5efdd681148a508f68b0979a5ed789a5568901",
         "73201971bdfb11df282741dc941d66e68c29499728e7a1a9664fc796120084cb",
         "206e9c5687bfc09365b6df8c2125a448cdce92a1253f837e931eb178310a5f6f",
+        "0bc121a79db9dcf41dde8c2a22d8b3235c3f4691b68d6cf164e4242c88c2e774",
     ),
     (
         {
@@ -269,6 +289,7 @@ TRACED_CELLS = [
         "befcb53442f2996a0a7520a8e05e9ca6d253b129b13fb80231ecdef4486b54bf",
         "15290b5991b9279e92073a16fce4b62c661bb433fa35a63f9f5b7467b297664d",
         "fb9978adad47b39c1a025888bd251775f6b03b62b783ae754982927ca742a654",
+        "6a767a51b78d09a5fd870795e825ef1b2c73324490824ce05ed2f8930a276660",
     ),
     (
         {
@@ -285,6 +306,7 @@ TRACED_CELLS = [
         "32b4c5633c4088674d0731c3df6e8a40c8a8f6719e11da1724ece6c233f2797c",
         "aedbdf05bae5dad74d41a78d4e3290f3ed32eb1ef159224fc575adc6b440c3f5",
         "f2d8a4548575cb226773f9b4d6f6ea2cfc5bbfaee65037ac926044321fccbe41",
+        "cbe41d5df1a2847f12af799010aaf485a4ee14523a638a0024a02165d6eacd7c",
     ),
     (
         {
@@ -303,6 +325,7 @@ TRACED_CELLS = [
         "f9537a082461409132387ab7efa4e8cb8777688839f4c05a7d4c5ddf3c955320",
         "6097e001a9b6d43ec525470f8c9999eb98da0cbbfe997635775dcabda4e42d31",
         "308dcfdb052e42f3630903aa536424a14ff7e30cd09a1d7a8929447779f150e0",
+        "d072beda2e1221bd572cea3322d8221093d98fc82e19c2b4d6e032f8c0c218b9",
     ),
     (
         {
@@ -319,6 +342,7 @@ TRACED_CELLS = [
         "5a6ed176181a7c2ab127d5c215ba471aae8f72ba462d2e2af4cca6fbb437ba7a",
         "ab36afb16bbba15a0d338d7fb3559266e8e4bd75098079ddffae64812335d8a0",
         "f12c939ac79d65c70286536fb118e3c80eeb44d9d19a2fede42b8d0e1de092a1",
+        "3dfcb1ce77c2e7c423e61a302e6c0ac033c3ddfa69a35570377321f8d34f78e6",
     ),
     (
         {
@@ -338,6 +362,7 @@ TRACED_CELLS = [
         "739cfb60b64e5691d96bc572132f659f0d79b848324fa1cc308a6daf693c0a41",
         "be898c7ed3212abb24a35b1b0e35df7d07839df09f716492b303e9ed82d6c33a",
         "62a8bd3ba39e02a6c14b6a41e7b88c61d99815ef5740dcd13f85f8fd3350d91a",
+        "bcfd1ae2576bd7d442ec6e9e04a5097d387ee25d4f7dca87086dea1ff5913497",
     ),
     (
         {
@@ -358,6 +383,7 @@ TRACED_CELLS = [
         "cb45fceb28c154edf238685d05863282cea6da57f82c15e2a546be498caf7667",
         "aadb22c77cfbac18453bf2613515e6ef7aeafdfc42eae8e6e1e6c8a2dc26f1b4",
         "f743c2d8efc333096aebd08274b81ee58e826cda4269994705aab17ad216302a",
+        "40ff91a5fe272741d9ed793c4ee7eecd3502d277eb5739654ad916da8026e4d2",
     ),
     (
         {
@@ -376,6 +402,7 @@ TRACED_CELLS = [
         "a31f4048aeafc1673db95c4299ce88e7e7e9f9a1ff2c2c1cbdbe894e56028840",
         "bd0be96586478fb7c914f5c499c90b91b86d3cac973b22fa11234c3512cafe94",
         "ca93dcba3509a32125b1f59ad98b426815620dc66481e39a821a711a706f6a4a",
+        "9b31003bbd9d58d2c50437d0f64684f2d12347d92b5adfe1e332fffaabc67f37",
     ),
 ]
 
@@ -395,9 +422,10 @@ def test_delta_units_config_hash_pins(tmp_path):
 
 # Drifting runs whose random draws (network delays, a relayer's wake-ups, the
 # initial clocks) are scaled onto the finer grid: cell -> (records, SHA-256
-# of the trace as_v3, SHA-256 of the trace as_v4, SHA-256 of the version 5
-# trace). The v3 digests were recorded by the version 3 simulator, and the
-# v4 digests by the version 4 one.
+# of the trace as_v3, SHA-256 of the trace as_v4, SHA-256 of the trace
+# as_v5, SHA-256 of the version 6 trace). The v3 digests were recorded by the
+# version 3 simulator, the v4 digests by the version 4 one and the v5 digests
+# by the version 5 one.
 DRAWING_DRIFT_CELLS = [
     (
         {
@@ -415,6 +443,7 @@ DRAWING_DRIFT_CELLS = [
         "91fcba670eb5868b723d6f384e715f790a689b5bd0817d0585c493dafd710425",
         "70bc031c6294c6f7ba59fda1f4ba7dcc5882e399f81f1ec1ec71abf4cf6476c1",
         "2881f568a1b18ceb69b446dcc301b098fc2b2224719be26f59c86f8a47586df0",
+        "82af9029abcb5779304aadc5f7fa390db5d66cf8dbd0452cfd03ccd20023efff",
     ),
     (
         {
@@ -429,6 +458,7 @@ DRAWING_DRIFT_CELLS = [
         "896d3689b3921d7a3aa3d9d6763c97116ad48d1d0d6d123ab780d5674d8fd219",
         "9ab56057ed81c3c7fdf16e30f8fa7ee544a2221b963a253fbff5547a2f5cf73d",
         "c1640c411d456f65eb9705a6419d530907c478968dbf18e6f0eb4af26b1323cb",
+        "6395ce9effd24fdd972707b92a32192900943ff1f33d5fb1ec0ad56a6486c795",
     ),
     (
         {
@@ -443,6 +473,7 @@ DRAWING_DRIFT_CELLS = [
         "805a3ccb2048901256d6449a87eba70c8a92e6631d74a5d7b8835c6f225735d1",
         "6a8aef7c95f812d7932661a42f03ab55bedcc5cc11921e4409786e26c3419180",
         "0cff4be9011708f3f438ce79cc8c8beabbd606d4d340dde3951a85938a44ec3e",
+        "7de688dbf2e78d4c279855c05d592618e10ff2f9b24f5fa3b35e70dc2e67a33c",
     ),
     (
         {
@@ -457,6 +488,7 @@ DRAWING_DRIFT_CELLS = [
         "f10cca62098ee585739dcf7ef1395549a17bf75e5245dad310f79ef899655be9",
         "34564b5e4e1bed8899ce77f1f0f35eef7828f3a966f7d248b1015af2bf1a3eb5",
         "c1330b70e956608780e2f2d61fdbede9a5083b43e38b83fdb1fb6b00bba9400a",
+        "058df91973e8091e65c238a613cc11da334b086676c2c242e11584f3633f4d0a",
     ),
 ]
 
@@ -476,6 +508,7 @@ def test_trace_sha256_pins():
                 len(v3),
                 sha256(v3),
                 sha256(v4),
+                sha256(as_v5(records)),
                 sha256(records),
             )
         )
@@ -487,7 +520,9 @@ def test_drawing_drift_trace_sha256_pins():
     for cell, *_ in DRAWING_DRIFT_CELLS:
         records = Simulation(build_config(cell)).run()
         v4 = as_v4(records)
-        got.append((len(records), sha256(as_v3(v4)), sha256(v4), sha256(records)))
+        got.append(
+            (len(records), sha256(as_v3(v4)), sha256(v4), sha256(as_v5(records)), sha256(records))
+        )
     assert got == [tuple(pins) for _, *pins in DRAWING_DRIFT_CELLS]
 
 
@@ -501,3 +536,15 @@ def test_a_version_4_trace_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 4\n"
+
+
+def test_a_version_5_trace_is_refused(tmp_path, capsys):
+    cell, *_ = TRACED_CELLS[2]
+    text = as_v5(Simulation(build_config(cell)).run())
+    with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 5$"):
+        parse_jsonl(text)
+    path = tmp_path / "v5.jsonl"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 5\n"

@@ -18,6 +18,7 @@ from viewsync.trace import (
     TRACE_VERSION,
     TraceParseError,
     dumps_record,
+    iter_trace,
     malformed_field,
     parse_jsonl,
     read_trace,
@@ -112,11 +113,35 @@ def test_rejects_record_without_kind(trace_text):
     assert err.line_no == 4
 
 
-# -- the writer: dumps_record is json.dumps with sorted keys -------------------
+# -- the writer: dumps_record is json.dumps of a record's array, or of it ------
+
+
+def fitting_array(record):
+    """The record's array if its keys are exactly its row's, and its
+    payload's exactly its type's, whatever its values' types; else None."""
+    kind = record.get("kind") if type(record) is dict else None
+    row = RECORD_FIELDS.get(kind) if type(kind) is str else None
+    if row is None or set(record) != {"kind", *row}:
+        return None
+    array = [kind]
+    for name in row:
+        value = record[name]
+        if name == "payload":
+            ptype = value.get("type") if type(value) is dict else None
+            fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
+            if fields is None or set(value) != {"type", "view", *fields}:
+                return None
+            value = [ptype, value["view"], *(value[f] for f in fields)]
+        array.append(value)
+    return array
 
 
 def reference(record):
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Trace v6's line for a record, written plainly: a record that fits its
+    row as its array, any other as an object."""
+    array = fitting_array(record)
+    value = record if array is None else array
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,9 +282,14 @@ def test_every_odd_value_in_every_hot_field_matches_json_dumps():
                 agrees_with_reference(bad)
 
 
+def kind_of(value):
+    """The kind of a record or of its array."""
+    return value[0] if type(value) is list else value.get("kind")
+
+
 class HotKindsRefused(json.JSONEncoder):
     def encode(self, o):
-        assert o.get("kind") not in HOT_KINDS, o
+        assert kind_of(o) not in HOT_KINDS, o
         return super().encode(o)
 
 
@@ -315,7 +345,7 @@ def test_each_kind_without_a_string_field_has_a_compiled_formatter():
 
 class CompiledKindsRefused(json.JSONEncoder):
     def encode(self, o):
-        assert o.get("kind") not in COMPILED_KINDS, o
+        assert kind_of(o) not in COMPILED_KINDS, o
         return super().encode(o)
 
 
@@ -358,19 +388,19 @@ def test_each_payload_dict_is_compiled_for_its_type():
 
 def test_a_formatter_follows_its_table_row():
     # a formatter built from a row with one more int field, and one built for
-    # a new kind of int fields only, write json.dumps's bytes for a record of
-    # their row, and refuse a record of the shape before
+    # a new kind of int fields only, write the record's array in row order for
+    # a record of their row, and refuse a record of the shape before
     send = next(r for r in sample_runs() if r["kind"] == "send")
     grown = trace._formatter("send", {**RECORD_FIELDS["send"], "extra": "int"})
-    for record in ({**send, "extra": 7}, {**send, "extra": -(2**70)}):
-        assert grown(record) == reference(record)
+    for extra in (7, -(2**70)):
+        assert grown({**send, "extra": extra}) == reference(send)[:-1] + f",{extra}]"
     assert grown(send) is None
     assert grown({**send, "extra": True}) is None
     assert trace._FORMATTERS["send"]({**send, "extra": 7}) is None
 
     tally = trace._formatter("tally", {"time": "tick", "proc": "proc", "count": "int"})
-    record = {"kind": "tally", "time": 12, "proc": 1, "count": 3}
-    assert tally(record) == reference(record)
+    record = {"kind": "tally", "proc": 1, "count": 3, "time": 12}
+    assert tally(record) == '["tally",12,1,3]'  # the row's order, not the record's
     assert tally({"kind": "tally", "time": 12, "proc": 1}) is None
     assert tally({**record, "count": 3.0}) is None
     assert tally.__code__.co_filename == "<trace formatter: tally>"
@@ -412,11 +442,11 @@ def test_the_simulators_payload_tables_are_the_payload_schema():
     assert set(written) == set(PAYLOAD_FIELDS)
 
 
-def test_each_payload_field_sorts_before_type_and_view():
-    # which lets one f-string write every payload in sorted key order
+def test_each_payload_type_has_one_field():
+    # which a payload's array [type, view, value] holds third
     for fields in PAYLOAD_FIELDS.values():
         (name,) = fields
-        assert name < "type" < "view"
+        assert name not in ("type", "view")
 
 
 @pytest.mark.parametrize(
@@ -458,11 +488,43 @@ def test_malformed_field_names_the_first_field_out_of_shape(edit, found):
     assert malformed_field(record, 4) == found
 
 
-# -- the reader: parse_jsonl is a json.loads per line ---------------------------
+# -- the reader: parse_jsonl is a json.loads per line, arrays made records -----
+
+
+def reference_record(line_no, value):
+    """The record a line's JSON value is under trace v6, written plainly."""
+    if type(value) is dict and "kind" in value:
+        return value
+    if type(value) is not list:
+        raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
+    if not value or type(value[0]) is not str:
+        raise TraceParseError(line_no, f"record array does not start with a kind string: {value!r}")
+    kind, *values = value
+    if kind not in RECORD_FIELDS:
+        raise TraceParseError(line_no, f"no record kind {kind!r} is written as an array")
+    row = RECORD_FIELDS[kind]
+    if len(values) != len(row):
+        message = f"{kind} record array has {len(values)} fields, not {len(row)}"
+        raise TraceParseError(line_no, message)
+    record = {"kind": kind, **dict(zip(row, values))}
+    for name, shape in row.items():
+        p = record[name]
+        if shape != "payload":
+            continue
+        known = type(p) is list and len(p) == 3 and type(p[0]) is str
+        if not known or p[0] not in PAYLOAD_FIELDS:
+            raise TraceParseError(
+                line_no,
+                f"{kind} record's payload is not a [type, view, value] array of a known type: "
+                f"{value!r}",
+            )
+        (field,) = PAYLOAD_FIELDS[p[0]]
+        record[name] = {"type": p[0], "view": p[1], field: p[2]}
+    return record
 
 
 def reference_parse(text):
-    """The reader as a plain json.loads per line."""
+    """The reader as a plain json.loads per line, under trace v6's rule."""
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -471,9 +533,7 @@ def reference_parse(text):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict) or "kind" not in rec:
-            raise TraceParseError(line_no, "record is not an object with a 'kind'")
-        records.append(rec)
+        records.append(reference_record(line_no, rec))
     if not records:
         raise TraceParseError(1, "empty trace")
     head = records[0]
@@ -548,6 +608,28 @@ ODD_LINES = {
     "duplicate keys": with_line(2, lambda s: '{"kind":"wake","kind":"end"}'),
     "big int": with_line(2, lambda s: '{"kind":"wake","x":' + "9" * 40 + "}"),
     "float forms": with_line(2, lambda s: '{"kind":"wake","x":[1.0,-0.0,1e3,1E-2]}'),
+    "spaces inside an array": with_line(2, lambda s: s.replace(",", " , ")),
+    "floats in an array": with_line(2, lambda s: '["deliver",1.0,-0.0,1e3,1E-2]'),
+    "an object of a kind with a row": with_line(
+        2, lambda s: '{"kind":"deliver","send":1,"recipient":0,"proc_view":0,"proc_clock":0}'
+    ),
+    "an array of an unknown kind": with_line(2, lambda s: '["telemetry",1,2]'),
+    "an array of a kind that is not a string": with_line(2, lambda s: "[7,1,2]"),
+    "an empty array": with_line(2, lambda s: "[]"),
+    "an array one field short": with_line(2, lambda s: '["deliver",1,0,0]'),
+    "an array one field long": with_line(2, lambda s: '["deliver",1,0,0,0,0]'),
+    "a payload of an unknown type": with_line(2, lambda s: '["send",0,0,[0],["ping",0,0],[0]]'),
+    "a payload one item short": with_line(2, lambda s: '["send",0,0,[0],["vote",0],[0]]'),
+    "a payload one item long": with_line(2, lambda s: '["send",0,0,[0],["vote",0,0,1],[0]]'),
+    "a payload as an object": with_line(
+        2, lambda s: '["send",0,0,[0],{"type":"vote","view":0,"signer":0},[0]]'
+    ),
+    "a payload of three keys": with_line(
+        2, lambda s: '["send",0,0,[0],{"vote":0,"a":0,"b":0},[0]]'
+    ),
+    "a payload of three characters": with_line(2, lambda s: '["send",0,0,[0],"abc",[0]]'),
+    "an array on the header line": with_line(0, lambda s: '["header",6]'),
+    "a record array on the header line": with_line(0, lambda s: '["wake",0,1]'),
     "no header": "\n".join(short_trace_lines()[1:]) + "\n",
     "no end": "\n".join(short_trace_lines()[:-1]) + "\n",
     "empty": "",
@@ -562,6 +644,86 @@ def test_reader_matches_json_loads_per_line(text):
 def test_reader_matches_json_loads_on_canonical_traces(trace_text):
     for text in (trace_text, to_jsonl(sample_runs()[:1]) + to_jsonl(sample_runs()[-1:])):
         assert isinstance(reads_like_json_loads(text), str)
+
+
+PAYLOAD_REFUSED = "send record's payload is not a [type, view, value] array of a known type"
+
+# ODD_LINES key -> (the line its error names, the start of its message)
+MALFORMED_ARRAYS = {
+    "an array of an unknown kind": (3, "no record kind 'telemetry' is written as an array"),
+    "an array of a kind that is not a string": (
+        3,
+        "record array does not start with a kind string: [7, 1, 2]",
+    ),
+    "an empty array": (3, "record array does not start with a kind string: []"),
+    "a list": (3, "record array does not start with a kind string: [["),
+    "an array one field short": (3, "deliver record array has 3 fields, not 4"),
+    "an array one field long": (3, "deliver record array has 5 fields, not 4"),
+    "a payload of an unknown type": (3, PAYLOAD_REFUSED),
+    "a payload one item short": (3, PAYLOAD_REFUSED),
+    "a payload one item long": (3, PAYLOAD_REFUSED),
+    "a payload as an object": (3, PAYLOAD_REFUSED),
+    "a payload of three keys": (3, PAYLOAD_REFUSED),
+    "a payload of three characters": (3, PAYLOAD_REFUSED),
+    "an array on the header line": (1, "no record kind 'header' is written as an array"),
+    "a record array on the header line": (1, "first record must be the header"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_ARRAYS)
+def test_a_malformed_array_is_an_error_on_its_line(name, tmp_path):
+    # the same error from a whole text and from a streamed file
+    line_no, message = MALFORMED_ARRAYS[name]
+    text = ODD_LINES[name]
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    pattern = f"^line {line_no}: {re.escape(message)}"
+    with pytest.raises(TraceParseError, match=pattern) as whole:
+        parse_jsonl(text)
+    with pytest.raises(TraceParseError, match=pattern) as streamed:
+        list(iter_trace(path))
+    assert whole.value.line_no == streamed.value.line_no == line_no
+    assert str(whole.value) == str(streamed.value)
+
+
+ESCAPED = 'é"\\\n\u2028\x01'  # a string the encoder escapes
+
+
+def test_every_kind_reads_back_as_written():
+    # each kind, each payload type, strings to escape, values of the wrong
+    # type in a record that fits its row (an array), and records that do not
+    # fit (objects), each written and read back as the dict it was
+    runs = list(sample_runs())
+    head, end = runs[0], runs[-1]
+    send = next(r for r in runs if r["kind"] == "send")
+    fitting = [r for r in runs if r["kind"] != "header"]
+    fitting += [
+        {"kind": "corrupt", "time": 3, "proc": 1, "strategy": ESCAPED},
+        {"kind": "end", "time": 9, "reason": ESCAPED},
+        {"kind": "deliver", "send": True, "recipient": 1.5, "proc_view": None, "proc_clock": "1/2"},
+        {**send, "payload": {"type": "vote", "view": "x", "signer": [1, {"b": 2, "a": 1}]}},
+    ]
+    misfits = [
+        {**send, "seq": 4},
+        {k: v for k, v in send.items() if k != "sender"},
+        {**send, "payload": {**send["payload"], "extra": 0}},
+        {**send, "payload": {"type": "ping", "view": 0, "signer": 0}},
+        {**send, "payload": ["vote", 0, 0]},
+        {"kind": "telemetry", "time": 0},
+        {"kind": "end", "time": 9, "reason": ESCAPED, "seq": 10},
+    ]
+    assert {r["kind"] for r in fitting} == set(RECORD_FIELDS)
+    types = {r["payload"]["type"] for r in fitting if r["kind"] == "send"}
+    assert types == set(PAYLOAD_FIELDS)
+    records = [head, *fitting, *misfits, end]
+    lines = to_jsonl(records).splitlines()
+    assert lines[0].startswith("{")
+    assert all(line.startswith('["') for line in lines[1 : 1 + len(fitting)])
+    assert all(line.startswith("{") for line in lines[1 + len(fitting) : -1])
+    back = parse_jsonl("\n".join(lines) + "\n")
+    assert back == records
+    for got, want in zip(back[1 : 1 + len(fitting)], fitting):
+        assert list(got) == ["kind", *RECORD_FIELDS[want["kind"]]]  # the row's order
 
 
 FRAGMENTS = [

@@ -1,19 +1,21 @@
-"""One SHA-256 per benchmark workload over every byte a run of it writes.
+"""Two SHA-256 digests per benchmark workload over every byte a run of it writes.
 
-For each workload of perfbench/workloads.py at a seed, the digest covers,
-in this order: the name and bytes of every trace file the measure pass
-writes, the measure rows and the replay rows as ``run_experiment`` writes
-them (JSON lines), and the measure pass's summary, as its JSON and as its
-CSV table. Two source trees that give the same digests write the same
-traces, rows and summaries for every cell of the workloads. Cells run
-serially, in this process.
+For each workload of perfbench/workloads.py at a seed, ``traces`` digests the
+name and bytes of every trace file the measure pass writes, and ``outputs``
+digests, in this order, the measure rows and the replay rows as
+``run_experiment`` writes them (JSON lines), and the measure pass's summary,
+as its CSV table and as its JSON. Two source trees that give the same digests
+write the same traces, rows and summaries for every cell of the workloads; a
+change to the trace format alone changes only the ``traces`` digests. Cells
+run serially, in this process.
 
 Usage:
     python tools/identity.py [--seed S ...]
-        print {"S": {workload: digest}} as JSON (seed 0 if none is given)
+        print {"S": {workload: {"outputs": digest, "traces": digest}}} as
+        JSON (seed 0 if none is given)
     python tools/identity.py --check tools/identity.json [--seed S ...]
-        compare with the digests stored there; exit 1, naming each
-        workload that differs, if any does
+        compare with the digests stored there; exit 1, naming each digest
+        that differs (its seed, workload and part), if any does
 
 Write the stored file from the tree whose bytes are the reference:
 ``python tools/identity.py --seed 0 --seed 104729 > tools/identity.json``.
@@ -32,9 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest(spec, work_dir) -> str:
-    """The SHA-256 of everything a measure and a replay pass of ``spec``
-    write, with the traces and rows kept under ``work_dir``."""
+def digest(spec, work_dir) -> dict[str, str]:
+    """The ``traces`` and ``outputs`` SHA-256 digests of what a measure and a
+    replay pass of ``spec`` write, with the traces and rows kept under
+    ``work_dir``."""
     from viewsync.harness import ExperimentSpec, run_experiment
 
     work = Path(work_dir)
@@ -48,18 +51,19 @@ def digest(spec, work_dir) -> str:
         ExperimentSpec(mode="replay", traces_dir=str(traces)),
         metrics_path=work / "replay.jsonl",
     )
-    sha = hashlib.sha256()
+    trace_sha = hashlib.sha256()
     for path in sorted(traces.iterdir()):
-        sha.update(path.name.encode() + b"\n")
-        sha.update(path.read_bytes())
+        trace_sha.update(path.name.encode() + b"\n")
+        trace_sha.update(path.read_bytes())
+    output_sha = hashlib.sha256()
     for name in ("measure.jsonl", "replay.jsonl", "summary.csv"):
-        sha.update((work / name).read_bytes())
-    sha.update(json.dumps(measure["summary"], sort_keys=True).encode())
-    return sha.hexdigest()
+        output_sha.update((work / name).read_bytes())
+    output_sha.update(json.dumps(measure["summary"], sort_keys=True).encode())
+    return {"outputs": output_sha.hexdigest(), "traces": trace_sha.hexdigest()}
 
 
-def digests(seed: int) -> dict[str, str]:
-    """Each benchmark workload's digest at ``seed``."""
+def digests(seed: int) -> dict[str, dict[str, str]]:
+    """Each benchmark workload's two digests at ``seed``."""
     import workloads
 
     out = {}
@@ -80,10 +84,11 @@ def main(argv: list[str]) -> int:
         return 0
     stored = json.loads(args.check.read_text(encoding="utf-8"))
     differ = [
-        f"seed {seed} {name}"
+        f"seed {seed} {name} {part}"
         for seed, by_name in found.items()
-        for name, value in by_name.items()
-        if stored.get(seed, {}).get(name) != value
+        for name, parts in by_name.items()
+        for part, value in parts.items()
+        if stored.get(seed, {}).get(name, {}).get(part) != value
     ]
     for where in differ:
         print(f"differs from {args.check}: {where}", file=sys.stderr)
