@@ -5,11 +5,16 @@ Verbs:
   sweep <spec>    run the full cartesian sweep from the spec file
   verify <spec>   like sweep, but exit 1 if any invariant violation or any
                   cell error turns up (CI gate)
-  replay <trace>  recompute metrics from a stored trace, streamed through
-                  the analyzer; exit 2 if the file cannot be read, on parse
-                  errors (reported with line number, bytes that are not
-                  UTF-8 included) or on an unusable header, time or record
-                  field, 1 if the trace holds invariant violations
+  replay <trace>...
+                  recompute metrics from stored traces, each streamed
+                  through the analyzer: one trace's row as indented JSON,
+                  several traces' rows one compact line each, in the order
+                  given; exit 2 at the first file that cannot be read, on
+                  parse errors (reported with line number, bytes that are
+                  not UTF-8 included) or on an unusable header, time or
+                  record field, naming the file if several were given, and
+                  if --out cannot be written; 1 if any trace holds
+                  invariant violations
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
@@ -176,22 +181,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    try:
-        row = replay_cell(args.trace)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    except (TraceParseError, TraceAnalysisError) as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(row, indent=2, sort_keys=True)
+    several = len(args.trace) > 1
+    rows = []
+    for path in args.trace:
+        named = f"{path}: " if several else ""
+        try:
+            rows.append(replay_cell(path))
+        except OSError as exc:
+            print(f"cannot read trace: {named}{exc}", file=sys.stderr)
+            return 2
+        except (TraceParseError, TraceAnalysisError) as exc:
+            print(f"malformed trace: {named}{exc}", file=sys.stderr)
+            return 2
+    if several:  # as metrics.jsonl holds them
+        text = "\n".join(json.dumps(row, sort_keys=True) for row in rows)
+    else:
+        text = json.dumps(rows[0], indent=2, sort_keys=True)
     if args.out is not None:
         out = Path(args.out)
         if out.is_dir():
-            out = out / "replay.json"
-        out.write_text(text + "\n", encoding="utf-8")
+            out = out / ("replay.jsonl" if several else "replay.json")
+        try:
+            out.write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write: {exc}", file=sys.stderr)
+            return 2
     print(text)
-    return 1 if row["violations_count"] else 0
+    return 1 if any(row["violations_count"] for row in rows) else 0
 
 
 def _positive_int(text: str) -> int:
@@ -229,9 +245,9 @@ def main(argv=None) -> int:
     batch_verb("sweep", "run the full parameter sweep", _cmd_sweep)
     batch_verb("verify", "sweep and gate on invariant violations", _cmd_verify)
 
-    p = sub.add_parser("replay", help="recompute metrics from a stored trace")
-    p.add_argument("trace", help="ND-JSON trace file")
-    p.add_argument("--out", default=None, help="write the record here as well")
+    p = sub.add_parser("replay", help="recompute metrics from stored traces")
+    p.add_argument("trace", nargs="+", help="ND-JSON trace file")
+    p.add_argument("--out", default=None, help="write the rows here as well")
     p.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)

@@ -1,89 +1,102 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
 A trace is a list of flat dict records, one per simulation event. A record's
-seq is its 0-based line index, the header's 0, and is not written. Version 6
+seq is its 0-based line index, the header's 0, and is not written. Version 7
 writes the header as a JSON object and every other record as one JSON array:
-its kind, then its fields in the order of its ``RECORD_FIELDS`` row, which is
-the order the simulator builds them in. A payload is the array ``[type,
-view, value]``, where value is its type's one ``PAYLOAD_FIELDS`` field::
+its kind's one-letter code, then its fields in the order of its
+``RECORD_FIELDS`` row, which is the order the simulator builds them in. A
+payload is the array ``[code, view, value]``: its type's one-letter code,
+its view and its type's one ``PAYLOAD_FIELDS`` field::
 
-    ["send",time,sender,[recipients…],[type,view,value],[deliver_times…]]
-    ["deliver",send,recipient,proc_view,proc_clock]
+    ["s",time,sender,[recipients…],[code,view,value],[deliver_times…]]
+    ["d",send,recipient,proc_view,proc_clock]
 
-for instance ``["send",24,7,[1],["vote",3,7],[27]]`` and
-``["deliver",165,7,3,2703]``. Every time, clock value and delivery time is a
-JSON int count of ticks on the grid the header names; only the header's clock
-rates may be ``"p/q"`` strings (``timeutil.dump_ticks``). Each ``send()``
-call is one ``send`` record, and each of its deliveries one ``deliver``
-record that names it by seq instead of repeating it. ``deliver_times`` lists
+for instance ``["s",24,7,[1],["v",3,7],[27]]`` and ``["d",165,7,3,2703]``,
+which read back as ``{"kind": "send", …}`` with the payload ``{"type":
+"vote", …}`` and ``{"kind": "deliver", …}``. The codes are
+(``RECORD_CODES`` and ``PAYLOAD_CODES``)::
+
+    kinds  s send, d deliver, t threshold, c corrupt, q form_qc,
+           v form_vc, w wake, e end
+    types  p proposal, v vote, m view_message, q quorum_certificate,
+           c view_certificate
+
+Every time, clock value and delivery time is a JSON int count of ticks on
+the grid the header names; only the header's clock rates may be ``"p/q"``
+strings (``timeutil.dump_ticks``). Each ``send()`` call is one ``send``
+record, and each of its deliveries one ``deliver`` record that names it by
+seq instead of repeating it. ``deliver_times`` lists
 when each of ``recipients`` is due, and a ``deliver`` record has no time of
 its own: it happens at its send's entry for its recipient. Every other
 record has a ``time``. A send costs one word per recipient other than the
-sender, which the reader derives from ``recipients``. Versions 1 to 5 are
+sender, which the reader derives from ``recipients``. Versions 1 to 6 are
 not read: 1 and 2 wrote one ``send`` record per recipient and repeated the
 sender, payload and send time in every ``deliver``, 3 wrote a drifted
 clock's times as ``"p/q"`` strings on a coarser grid and stored each send's
-word count, 4 wrote every record's seq and every deliver's time, and 5 wrote
-every record as an object with sorted keys.
+word count, 4 wrote every record's seq and every deliver's time, 5 wrote
+every record as an object with sorted keys, and 6 wrote each array's kind
+and payload type by their full names.
 
 Two tables define every record but the header (whose one writer and reader
-are ``simnet.Resolved.header`` and ``from_header``): ``RECORD_FIELDS`` gives
-each kind's fields, in their written order, and their shapes, and
-``PAYLOAD_FIELDS`` each payload type's. Built from them are
-``malformed_field``, which the analyzer calls to name the first absent or
-malformed field once a read has failed, the writer's formatters, the
-reader's decoders and ``simnet.payload_to_dict``. Each formatter and decoder
-is a function compiled at import from source text generated from a table
-row, the way ``dataclasses`` builds its methods, so it runs as a handwritten
-one would. Two readers of the tables stay written out, and are tested
-against them: the simulator's record literals, as a dict display is the
-quickest way to build a record, and the analyzer's scan, whose per-kind code
-is the invariants, not the schema.
+are ``simnet.Resolved.header`` and ``from_header``): each kind's row gives
+its code and its fields, in their written order, with their shapes
+(``RECORD_CODES`` and ``RECORD_FIELDS``), and each payload type's row its
+code and its field (``PAYLOAD_CODES`` and ``PAYLOAD_FIELDS``); a code is
+unique within its table. Built from them are ``malformed_field``, which the
+analyzer calls to name the first absent or malformed field once a read has
+failed, the writer's formatters, the reader's decoders and
+``simnet.payload_to_dict``. Each formatter and decoder is a function compiled
+at import from source text generated from a table row, the way
+``dataclasses`` builds its methods, so it runs as a handwritten one would.
+Two readers of the tables stay written out, and are tested against them: the
+simulator's record literals, as a dict display is the quickest way to build a
+record, and the analyzer's scan, whose per-kind code is the invariants, not
+the schema.
 
 The serialized form is the canonical identity of a run: determinism and
 replay guarantees are stated over these bytes. A record *fits* its row when
 its keys are exactly "kind" and its kind's fields, and its payload's exactly
 "type", "view" and its type's field. A fitting record's canonical line is
-``json.dumps([kind, *fields], sort_keys=True, separators=(",", ":"),
+``json.dumps([code, *fields], sort_keys=True, separators=(",", ":"),
 allow_nan=False)``, with the payload as its array, whatever its values'
-types. Every kind with
-no string field (``send``, ``deliver``, ``threshold``, ``form_qc``,
-``form_vc`` and ``wake``: all of a trace but its header, its corruptions and
-its end) has a formatter that writes those same bytes with one f-string when
-every value has its row's type. A list of exact ints is written as its repr
-without spaces, with two short paths: a list of one int (a send's one
-recipient and its delivery time) by an f-string, and ``list(range(n))`` (a
-broadcast's recipients) as a string made once per ``n``. Any other fitting
-record goes through the JSON encoder as its array, which also escapes
-strings. A record that does not fit (the header, or one edited or built by
-hand) is written as ``json.dumps(record, sort_keys=True, separators=(",",
-":"), allow_nan=False)``, an object, and reads back as one, so the analyzer
-still names its absent or extra field.
+types. Every kind with no string field (``send``, ``deliver``, ``threshold``,
+``form_qc``, ``form_vc`` and ``wake``: all of a trace but its header, its
+corruptions and its end) has a formatter that writes those same bytes with
+one f-string when every value has its row's type. A list of exact ints is
+written as its repr without spaces, with two short paths: a list of one int
+(a send's one recipient and its delivery time) by an f-string, and
+``list(range(n))`` (a broadcast's recipients) as a string made once per
+``n``. Any other fitting record goes through the JSON encoder as its array,
+which also escapes strings. A record that does not fit (the header, or one
+edited or built by hand) is written as ``json.dumps(record, sort_keys=True,
+separators=(",", ":"), allow_nan=False)``, an object with its kind's and
+payload type's full names, and reads back as one, so the analyzer still names
+its absent or extra field.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
 its own, so a record is one line and an error names its line. An array
 becomes the dict its kind's decoder builds, with the fields in row order and
 the payload a dict again; its values are kept as they are, for the analyzer
-to check. An array whose first item is not a kind with a row, whose length
-is not its row's, or whose payload is not a ``[type, view, value]`` array of
-a type with a row, is an error on its line. An object is kept as it is, if it
-has a ``kind``. The reader yields each record as soon as it is parsed, and
+to check. An array whose first item is not a kind's code, whose length is not
+its row's, or whose payload is not a ``[code, view, value]`` array of a
+payload type's code, is an error on its line; in a trace whose header names
+another version, it is that version's error. An object is kept as it is, if
+it has a ``kind``. The reader yields each record as soon as it is parsed, and
 checks the header (first, and of this version) and the end record (last)
-after the last line, so reading it to the end raises what a whole read
-would, in the same order: ``parse_jsonl`` and ``read_trace`` are lists of
-what it yields. ``iter_trace`` streams a file through it, read a block at a
-time and cut after a newline byte, into exactly the lines a whole read would
-give; bytes that are not UTF-8 are an error on their line. A line is parsed
-by one call of the JSON scanner of a default ``JSONDecoder`` at index 0,
-whose result is kept only when that scan consumes the whole line. That is
-exactly what ``json.loads(line)`` returns: for a line with no leading
-whitespace it runs the same scan at the same index, and then only checks
-that nothing but whitespace follows. Any other line (leading or trailing
-whitespace, a BOM, a second value, bad JSON, a blank line) goes through the
-blank-line check and ``json.loads`` itself, for the same value or the same
-error. One ``json.loads`` over the whole text would not be exact: a bracket
-left open on one line can swallow the next, and one line can hold two
-records.
+after the last line, so reading it to the end raises what a whole read would,
+in the same order: ``parse_jsonl`` and ``read_trace`` are lists of what it
+yields. ``iter_trace`` streams a file through it, read a block at a time and
+cut after a newline byte, into exactly the lines a whole read would give;
+bytes that are not UTF-8 are an error on their line. A line is parsed by one
+call of the JSON scanner of a default ``JSONDecoder`` at index 0, whose
+result is kept only when that scan consumes the whole line. That is exactly
+what ``json.loads(line)`` returns: for a line with no leading whitespace it
+runs the same scan at the same index, and then only checks that nothing but
+whitespace follows. Any other line (leading or trailing whitespace, a BOM, a
+second value, bad JSON, a blank line) goes through the blank-line check and
+``json.loads`` itself, for the same value or the same error. One
+``json.loads`` over the whole text would not be exact: a bracket left open on
+one line can swallow the next, and one line can hold two records.
 """
 
 from __future__ import annotations
@@ -93,7 +106,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 Record = dict[str, Any]
 
@@ -113,9 +126,10 @@ _INT = {int}
 
 # -- the record format ---------------------------------------------------------
 
-# Each kind the simulator writes, with its fields besides "kind", in the
-# order the simulator builds them and a trace writes them: every kind but
-# "deliver" has a "time".
+# Each kind the simulator writes: the one-letter code a trace writes for it,
+# unique among the kinds, and its fields besides "kind", in the order the
+# simulator builds them and a trace writes them: every kind but "deliver"
+# has a "time".
 # Shapes are exact types, so a bool is not an int:
 #   int      an int
 #   proc     a processor id: an int in [0, n)
@@ -128,32 +142,51 @@ _INT = {int}
 #            a list of the shape without the "s"; "procs" is not empty and
 #            lists no id twice, and "ticks" has one entry per entry of
 #            "recipients"
-RECORD_FIELDS = {
-    "send": {
-        "time": "tick",
-        "sender": "proc",
-        "recipients": "procs",
-        "payload": "payload",
-        "deliver_times": "ticks",
-    },
-    "deliver": {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
-    "threshold": {"time": "tick", "proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
-    "corrupt": {"time": "tick", "proc": "proc", "strategy": "str"},
-    "form_qc": {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"},
-    "form_vc": {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"},
-    "wake": {"time": "tick", "proc": "proc"},
-    "end": {"time": "tick", "reason": "str"},
+_RECORD_ROWS = {
+    "send": (
+        "s",
+        {
+            "time": "tick",
+            "sender": "proc",
+            "recipients": "procs",
+            "payload": "payload",
+            "deliver_times": "ticks",
+        },
+    ),
+    "deliver": (
+        "d",
+        {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
+    ),
+    "threshold": (
+        "t",
+        {"time": "tick", "proc": "proc", "boundary_clock": "tick", "proc_view": "int"},
+    ),
+    "corrupt": ("c", {"time": "tick", "proc": "proc", "strategy": "str"}),
+    "form_qc": ("q", {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"}),
+    "form_vc": ("v", {"time": "tick", "proc": "proc", "view": "view", "signers": "ints"}),
+    "wake": ("w", {"time": "tick", "proc": "proc"}),
+    "end": ("e", {"time": "tick", "reason": "str"}),
 }
-# Each payload type's fields besides "type" and "view": exactly one, the
-# third item of its array.
-PAYLOAD_FIELDS = {
-    "view_message": {"signer": "int"},
-    "vote": {"signer": "int"},
-    "proposal": {"leader": "int"},
-    "view_certificate": {"signers": "ints"},
-    "quorum_certificate": {"signers": "ints"},
+# Each payload type: its one-letter code, unique among the types, and its
+# fields besides "type" and "view": exactly one, the third item of its array.
+_PAYLOAD_ROWS = {
+    "view_message": ("m", {"signer": "int"}),
+    "vote": ("v", {"signer": "int"}),
+    "proposal": ("p", {"leader": "int"}),
+    "view_certificate": ("c", {"signers": "ints"}),
+    "quorum_certificate": ("q", {"signers": "ints"}),
 }
-_PAYLOAD_FIELD = {t: next(iter(fields.items())) for t, fields in PAYLOAD_FIELDS.items()}
+RECORD_FIELDS = {kind: fields for kind, (_, fields) in _RECORD_ROWS.items()}
+RECORD_CODES = {kind: code for kind, (code, _) in _RECORD_ROWS.items()}
+PAYLOAD_FIELDS = {ptype: fields for ptype, (_, fields) in _PAYLOAD_ROWS.items()}
+PAYLOAD_CODES = {ptype: code for ptype, (code, _) in _PAYLOAD_ROWS.items()}
+# type -> (code, field, shape), for the writer
+_PAYLOAD_FIELD = {
+    ptype: (code, *next(iter(fields.items()))) for ptype, (code, fields) in _PAYLOAD_ROWS.items()
+}
+# code -> (type, field), for the reader
+_PAYLOAD_TYPE = {code: (ptype, field) for ptype, (code, field, _) in _PAYLOAD_FIELD.items()}
+_KIND = {code: kind for kind, code in RECORD_CODES.items()}  # code -> kind
 _SCALAR_TYPES = {"int": _INT, "tick": _INT, "str": {str}, "payload": {dict}}
 
 
@@ -225,20 +258,20 @@ def _ints(values) -> str | None:
 
 
 def _payload(p) -> str | None:
-    """A payload as its JSON array ``[type, view, value]``, for the shapes
+    """A payload as its JSON array ``[code, view, value]``, for the shapes
     PAYLOAD_FIELDS gives; None otherwise."""
     if type(p) is not dict or len(p) != 3:
         return None
     try:
         ptype, view = p["type"], p["view"]
-        name, shape = _PAYLOAD_FIELD[ptype]
+        code, name, shape = _PAYLOAD_FIELD[ptype]
         value = p[name]
     except (KeyError, TypeError):  # TypeError: an unhashable type
         return None
     value = _ints(value) if shape == "ints" else value if type(value) is int else None
     if value is None or type(ptype) is not str or type(view) is not int:
         return None
-    return f'["{ptype}",{view},{value}]'
+    return f'["{code}",{view},{value}]'
 
 
 # The function a formatter passes a field of each shape through: a list or a
@@ -247,12 +280,12 @@ def _payload(p) -> str | None:
 _CONVERT = {"procs": "_ints", "ints": "_ints", "ticks": "_ints", "payload": "_payload"}
 
 
-def _formatter(kind: str, fields: dict[str, str]):
+def _formatter(kind: str, code: str, fields: dict[str, str]):
     """The formatter of a ``kind`` record with exactly ``fields``, a
-    RECORD_FIELDS row with no "str" field, compiled from source text built
-    here, the way ``dataclasses`` builds its methods. Field names are local
-    names in that source, so each must be an identifier other than ``r`` and
-    the builtins it calls.
+    RECORD_FIELDS row with no "str" field, written with ``code``, compiled
+    from source text built here, the way ``dataclasses`` builds its methods.
+    Field names are local names in that source, so each must be an
+    identifier other than ``r`` and the builtins it calls.
 
     It reads every field of a record that has exactly those keys and "kind",
     checks each value's type, and writes the record's array, the bytes the
@@ -262,7 +295,7 @@ def _formatter(kind: str, fields: dict[str, str]):
     names = list(fields)
     converted = [n for n in names if fields[n] in _CONVERT]
     checks = [f"{n} is None" if n in converted else f"type({n}) is not int" for n in names]
-    line = f'["{kind}",' + ",".join(f"{{{n}}}" for n in names) + "]"
+    line = f'["{code}",' + ",".join(f"{{{n}}}" for n in names) + "]"
     source = "\n".join(
         [
             f"def _{kind}(r):",
@@ -287,8 +320,8 @@ def _formatter(kind: str, fields: dict[str, str]):
 # kind -> its formatter, for each kind with no string field, whose escaping
 # is the encoder's: every record of a trace but the header, corrupt and end
 _FORMATTERS = {
-    kind: _formatter(kind, fields)
-    for kind, fields in RECORD_FIELDS.items()
+    kind: _formatter(kind, code, fields)
+    for kind, (code, fields) in _RECORD_ROWS.items()
     if "str" not in fields.values()
 }
 
@@ -300,7 +333,7 @@ def _array(record: Record) -> list | None:
     row = RECORD_FIELDS.get(kind) if type(kind) is str else None
     if row is None or record.keys() != {"kind", *row}:
         return None
-    out = [kind]
+    out = [RECORD_CODES[kind]]
     for name, shape in row.items():
         value = record[name]
         if shape == "payload":
@@ -308,7 +341,7 @@ def _array(record: Record) -> list | None:
             fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
             if fields is None or value.keys() != {"type", "view", *fields}:
                 return None
-            value = [ptype, value["view"], *map(value.get, fields)]
+            value = [PAYLOAD_CODES[ptype], value["view"], *map(value.get, fields)]
         out.append(value)
     return out
 
@@ -348,13 +381,13 @@ def write_trace(records: Iterable[Record], path) -> None:
 def _decoder(kind: str, fields: dict[str, str]):
     """The decoder of a ``kind`` record's array, for the RECORD_FIELDS row
     ``fields``, compiled from source text built here like ``_formatter``, so
-    each field name must be an identifier other than ``a``, ``ptype``,
-    ``pview`` and ``pvalue``.
+    each field name must be an identifier other than ``a``, ``pcode``,
+    ``pview``, ``pvalue``, ``ptype`` and ``pname``.
 
     It returns the record's dict, fields in row order, with its payload a
     dict again, and raises LookupError, TypeError or ValueError for an array
-    of another length or a payload that is not an array ``[type, view,
-    value]`` of a type PAYLOAD_FIELDS lists. It checks no other value.
+    of another length or a payload that is not an array ``[code, view,
+    value]`` of a code PAYLOAD_CODES lists. It checks no other value.
     """
     names = list(fields)
     payloads = [n for n in names if fields[n] == "payload"]
@@ -369,8 +402,9 @@ def _decoder(kind: str, fields: dict[str, str]):
                 for line in (
                     f"    if type({n}) is not list:",
                     "        raise TypeError",
-                    f"    ptype, pview, pvalue = {n}",
-                    f'    {n} = {{"type": ptype, "view": pview, _PAYLOAD_FIELD[ptype][0]: pvalue}}',
+                    f"    pcode, pview, pvalue = {n}",
+                    "    ptype, pname = _PAYLOAD_TYPE[pcode]",
+                    f'    {n} = {{"type": ptype, "view": pview, pname: pvalue}}',
                 )
             ),
             "    return {" + ", ".join(f"{k!r}: {v}" for k, v in values.items()) + "}",
@@ -381,21 +415,27 @@ def _decoder(kind: str, fields: dict[str, str]):
     return made[f"_{kind}"]
 
 
-# kind -> the decoder of its array, for every kind but the header
-_DECODERS = {kind: _decoder(kind, fields) for kind, fields in RECORD_FIELDS.items()}
+# code -> the decoder of its kind's array, for every kind but the header
+_DECODERS = {code: _decoder(kind, fields) for kind, (code, fields) in _RECORD_ROWS.items()}
 
 
 def _array_problem(a: list) -> str:
     """What is wrong with an array that its decoder refused."""
-    kind = a[0] if a else None
-    if type(kind) is not str:
-        return f"record array does not start with a kind string: {a!r}"
-    row = RECORD_FIELDS.get(kind)
-    if row is None:
-        return f"no record kind {kind!r} is written as an array"
+    code = a[0] if a else None
+    if type(code) is not str:
+        return f"record array does not start with a kind code: {a!r}"
+    kind = _KIND.get(code)
+    if kind is None:
+        return f"no record kind is written as {code!r}"
+    row = RECORD_FIELDS[kind]
     if len(a) != len(row) + 1:
         return f"{kind} record array has {len(a) - 1} fields, not {len(row)}"
-    return f"{kind} record's payload is not a [type, view, value] array of a known type: {a!r}"
+    return f"{kind} record's payload is not a [code, view, value] array of a known code: {a!r}"
+
+
+def _check_version(head: Record) -> None:
+    if head.get("version") != TRACE_VERSION:
+        raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
 
 
 def _records(lines: Iterable[str]) -> Iterator[Record]:
@@ -427,6 +467,9 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
             try:
                 rec = _DECODERS[rec[0]](rec)
             except (LookupError, TypeError, ValueError):
+                # another version's arrays are refused as that version
+                if head is not None and head.get("kind") == "header":
+                    _check_version(head)
                 raise TraceParseError(line_no, _array_problem(rec)) from None
         elif type(rec) is not dict or "kind" not in rec:
             raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
@@ -437,8 +480,7 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
         raise TraceParseError(1, "empty trace")
     if head.get("kind") != "header":
         raise TraceParseError(1, "first record must be the header")
-    if head.get("version") != TRACE_VERSION:
-        raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
+    _check_version(head)
     if rec.get("kind") != "end":
         raise TraceParseError(line_no, "trace truncated: no end record")
 

@@ -621,6 +621,66 @@ def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):
     assert row == live[(row["config"], row["seed"])]
 
 
+def test_cli_replay_of_several_traces(spec_file, tmp_path, capsys):
+    # one compact row per line, as metrics.jsonl holds them, in the order
+    # the traces are given; --out writes the same lines
+    out = tmp_path / "out"
+    main(["sweep", spec_file, "--out", str(out)])
+    traces = sorted((out / "traces").glob("*.jsonl"), reverse=True)
+    assert len(traces) == 2
+    live = {
+        (r["config"], r["seed"]): line
+        for line in (out / "metrics.jsonl").read_text().splitlines()
+        for r in [json.loads(line)]
+    }
+    capsys.readouterr()
+    assert main(["replay", *map(str, traces), "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    lines = printed.splitlines()
+    assert [json.loads(line)["config"] for line in lines] == [t.name.split("-")[1] for t in traces]
+    assert lines == [live[(r["config"], r["seed"])] for r in map(json.loads, lines)]
+    assert (tmp_path / "replay.jsonl").read_text(encoding="utf-8") == printed
+
+
+def test_cli_replay_of_several_traces_stops_at_the_first_bad_one(spec_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["sweep", spec_file, "--out", str(out)])
+    good = str(sorted((out / "traces").glob("*.jsonl"))[0])
+    clipped = tmp_path / "clipped.jsonl"
+    clipped.write_text("".join(Path(good).read_text().splitlines(True)[:5]), encoding="utf-8")
+    missing = str(tmp_path / "missing.jsonl")
+    capsys.readouterr()
+    assert main(["replay", good, str(clipped), missing]) == 2
+    err = capsys.readouterr().err
+    assert err == f"malformed trace: {clipped}: line 5: trace truncated: no end record\n"
+    assert main(["replay", good, missing, str(clipped)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read trace: {missing}: [Errno 2] No such")
+
+
+def test_cli_replay_of_several_traces_exits_1_if_any_holds_a_violation(spec_file, tmp_path, capsys):
+    bad = edited_trace(spec_file, tmp_path, backward_clock)
+    good = sorted((tmp_path / "out" / "traces").glob("*.jsonl"))[0]
+    capsys.readouterr()
+    assert main(["replay", str(good), bad]) == 1
+    first, second = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first["violations_count"] == 0 < second["violations_count"]
+
+
+def test_cli_replay_out_that_cannot_be_written_exits_2(spec_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["sweep", spec_file, "--out", str(out)])
+    traces = [str(t) for t in sorted((out / "traces").glob("*.jsonl"))]
+    target = tmp_path / "missing" / "dir" / "x.json"
+    for given in (traces[:1], traces):
+        capsys.readouterr()
+        assert main(["replay", *given, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write: [Errno 2] No such file or directory")
+        assert str(target) in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_replay_reports_parse_error_line(spec_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])
@@ -913,14 +973,15 @@ def test_analyzer_bug_propagates_from_analyze(monkeypatch):
         analyze(records)
 
 
-def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):
-    def backward_clock(recs):
-        corrupted = {c["proc"] for c in recs[0]["config"]["corruptions"]}
-        for r in recs:
-            if r["kind"] == "deliver" and r["recipient"] not in corrupted:
-                r["proc_clock"] = -5 * recs[0]["grid"]
-                break
+def backward_clock(recs):
+    corrupted = {c["proc"] for c in recs[0]["config"]["corruptions"]}
+    for r in recs:
+        if r["kind"] == "deliver" and r["recipient"] not in corrupted:
+            r["proc_clock"] = -5 * recs[0]["grid"]
+            break
 
+
+def test_cli_replay_flags_violations(spec_file, tmp_path, capsys):
     bad = edited_trace(spec_file, tmp_path, backward_clock)
     capsys.readouterr()
     assert main(["replay", bad]) == 1

@@ -1017,6 +1017,50 @@ def test_latency_bound_is_silent_at_its_bound_and_fires_one_tick_past(base):
     assert found == [Violation("latency_bound", i, f"latency {bound + 1} exceeds {bound} ticks")]
 
 
+def with_gst(records, gst):
+    out = copied(records)
+    out[0]["config"]["gst"] = gst
+    return out
+
+
+def test_t_star_is_no_quorum_at_gst_and_one_a_tick_later(base):
+    """Kills flipping ``now > self.resolved.gst`` to ``now >= ...`` in
+    ``metrics._Analyzer._scan_form_qc``, by the analyzer alone: a correct
+    leader's quorum formed exactly at gst is not t_star, and one formed a
+    tick after gst is."""
+    i = first_leader_qc(base, 0)
+    when, grid = base[i]["time"], base[0]["grid"]
+    at = analyze(with_gst(base, when))
+    assert at.t_star is not None and at.t_star > from_ticks(when, grid)
+    after = analyze(with_gst(base, when - 1))
+    assert (after.t_star, after.latency) == (from_ticks(when, grid), from_ticks(1, grid))
+
+
+def test_latency_bound_without_a_quorum_fires_at_a_horizon_of_gst_plus_the_bound(base):
+    """Kills flipping ``r.horizon >= r.gst + bound`` to ``>`` in
+    ``metrics._Analyzer.check_bounds``, by the analyzer alone: a trace with
+    no correct-leader quorum after gst, cut before its first, is flagged
+    when its horizon is exactly gst plus the bound, and not when it is a
+    tick shorter. The cut trace ends where it is cut, so that no processor
+    goes without a quorum for long enough to break the underlying
+    contract."""
+    i = first_leader_qc(base, 0)
+    cfg = base[0]["config"]
+    bound = cfg["k"] * 3 * cfg["gamma"]  # f_star is 0
+    end = {"kind": "end", "time": base[i]["time"], "reason": "horizon"}
+
+    def cut(horizon):
+        out = copied([*base[:i], end])
+        out[0]["config"]["horizon"] = horizon
+        return out
+
+    at = analyze(cut(cfg["gst"] + bound))
+    assert (at.t_star, at.f_star) == (None, 0)
+    detail = "no correct-leader quorum within the bound"
+    assert at.violations == [Violation("latency_bound", i, detail)]
+    assert analyze(cut(cfg["gst"] + bound - 1)).violations == []
+
+
 def with_words(records, i, count, time):
     """``records`` with ``count`` more words sent at ``time`` by send record
     i's sender: copies of it, planted right after it, each to at most all

@@ -14,15 +14,17 @@ send's sender, payload and time in every ``deliver``. Version 3 wrote one
 clock's times as ``"p/q"`` ticks on a coarser grid than version 4's. Version
 4 wrote every record's seq and every deliver's time, which version 5 leaves
 for the reader to derive. Version 5 wrote every record as an object with
-sorted keys, where version 6 writes every record but the header as an array
-in its ``RECORD_FIELDS`` row's order. ``as_v5`` writes a version 6 trace in
-version 5's form, ``as_v4`` writes a version 5 trace's records in version
-4's, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2`` expands a
-version 3 trace into version 2's shape and ``as_v1`` spells a version 2
-trace in real units again, so the same runs still match the digests of all
-five; each cell also pins its version 6 digest. The records of versions 1 to
-4 carry a ``seq``, which no version 6 row has, so the writer writes them as
-objects, as it always did.
+sorted keys, where version 6 wrote every record but the header as an array
+in its ``RECORD_FIELDS`` row's order. Version 6 wrote each array's kind and
+payload type by their full names, where version 7 writes their one-letter
+codes. ``as_v6`` writes a version 7 trace in version 6's form, ``as_v5``
+writes a version 7 trace's records in version 5's, ``as_v4`` writes them in
+version 4's, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2``
+expands a version 3 trace into version 2's shape and ``as_v1`` spells a
+version 2 trace in real units again, so the same runs still match the
+digests of all six; each cell also pins its version 7 digest. The records of
+versions 1 to 4 carry a ``seq``, which no row has, so the writer writes them
+as objects, as it always did.
 """
 
 import copy
@@ -37,14 +39,38 @@ from viewsync.cli import load_spec, main
 from viewsync.harness import build_config, config_hash
 from viewsync.simnet import Corruption, Resolved, Simulation
 from viewsync.timeutil import from_ticks, load_ticks
-from viewsync.trace import TraceParseError, parse_jsonl, to_jsonl
+from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, TraceParseError, parse_jsonl, to_jsonl
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
 
 
+def v6_array(record) -> list:
+    """A record's array as version 6 wrote it: its kind, its fields in row
+    order, and its payload as ``[type, view, value]``, each by its name."""
+    array = [record["kind"]]
+    for name in RECORD_FIELDS[record["kind"]]:
+        value = record[name]
+        if name == "payload":
+            fields = PAYLOAD_FIELDS[value["type"]]
+            value = [value["type"], value["view"], *(value[f] for f in fields)]
+        array.append(value)
+    return array
+
+
+def as_v6(records) -> str:
+    """A version 7 trace's text as version 6 wrote it: the header's version
+    6, and every other record, each of which fits its row, as its array by
+    name."""
+    head, *rest = records
+    return "".join(
+        json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for value in [{**head, "version": 6}, *map(v6_array, rest)]
+    )
+
+
 def as_v5(records) -> str:
-    """A version 6 trace's text as version 5 wrote it: every record through
+    """A version 7 trace's text as version 5 wrote it: every record through
     the sorted-key encoder, as an object, and the header's version 5."""
     head, *rest = records
     return "".join(
@@ -250,7 +276,8 @@ DELTA_UNITS_HASHES = [
 
 # cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
 #          records, SHA-256 of the trace as_v3, SHA-256 of the trace as_v4,
-#          SHA-256 of the trace as_v5, SHA-256 of the version 6 trace)
+#          SHA-256 of the trace as_v5, SHA-256 of the trace as_v6,
+#          SHA-256 of the version 7 trace)
 TRACED_CELLS = [
     (
         {
@@ -270,6 +297,7 @@ TRACED_CELLS = [
         "73201971bdfb11df282741dc941d66e68c29499728e7a1a9664fc796120084cb",
         "206e9c5687bfc09365b6df8c2125a448cdce92a1253f837e931eb178310a5f6f",
         "0bc121a79db9dcf41dde8c2a22d8b3235c3f4691b68d6cf164e4242c88c2e774",
+        "0994e2dfb663aad852d598e57535e9ebe9d2a2390c27d322c54cadba8947b2fa",
     ),
     (
         {
@@ -290,6 +318,7 @@ TRACED_CELLS = [
         "15290b5991b9279e92073a16fce4b62c661bb433fa35a63f9f5b7467b297664d",
         "fb9978adad47b39c1a025888bd251775f6b03b62b783ae754982927ca742a654",
         "6a767a51b78d09a5fd870795e825ef1b2c73324490824ce05ed2f8930a276660",
+        "c13734d3eca93eadcc83d317630fb7f35b773e1ebd831ae95641d35c059a2594",
     ),
     (
         {
@@ -307,6 +336,7 @@ TRACED_CELLS = [
         "aedbdf05bae5dad74d41a78d4e3290f3ed32eb1ef159224fc575adc6b440c3f5",
         "f2d8a4548575cb226773f9b4d6f6ea2cfc5bbfaee65037ac926044321fccbe41",
         "cbe41d5df1a2847f12af799010aaf485a4ee14523a638a0024a02165d6eacd7c",
+        "fc6e731a1ed82f595f9208632d6d0e89654491154af69f4d37a20357693fb555",
     ),
     (
         {
@@ -326,6 +356,7 @@ TRACED_CELLS = [
         "6097e001a9b6d43ec525470f8c9999eb98da0cbbfe997635775dcabda4e42d31",
         "308dcfdb052e42f3630903aa536424a14ff7e30cd09a1d7a8929447779f150e0",
         "d072beda2e1221bd572cea3322d8221093d98fc82e19c2b4d6e032f8c0c218b9",
+        "75e4dbf0e43da0ea1851dc44c421ff886aae36c4d3af7763225373e8bf59cdce",
     ),
     (
         {
@@ -343,6 +374,7 @@ TRACED_CELLS = [
         "ab36afb16bbba15a0d338d7fb3559266e8e4bd75098079ddffae64812335d8a0",
         "f12c939ac79d65c70286536fb118e3c80eeb44d9d19a2fede42b8d0e1de092a1",
         "3dfcb1ce77c2e7c423e61a302e6c0ac033c3ddfa69a35570377321f8d34f78e6",
+        "ff06a4c6645f269bc4cdc3362bb12d2459743c4b0522f74d321a48ef4d9f03fd",
     ),
     (
         {
@@ -363,6 +395,7 @@ TRACED_CELLS = [
         "be898c7ed3212abb24a35b1b0e35df7d07839df09f716492b303e9ed82d6c33a",
         "62a8bd3ba39e02a6c14b6a41e7b88c61d99815ef5740dcd13f85f8fd3350d91a",
         "bcfd1ae2576bd7d442ec6e9e04a5097d387ee25d4f7dca87086dea1ff5913497",
+        "7c909a24daefbb65b9742b829ba0bcf41696645cf7b984e3081eae4d5199e707",
     ),
     (
         {
@@ -384,6 +417,7 @@ TRACED_CELLS = [
         "aadb22c77cfbac18453bf2613515e6ef7aeafdfc42eae8e6e1e6c8a2dc26f1b4",
         "f743c2d8efc333096aebd08274b81ee58e826cda4269994705aab17ad216302a",
         "40ff91a5fe272741d9ed793c4ee7eecd3502d277eb5739654ad916da8026e4d2",
+        "ef53eafe15b4c4ad5e7e15da68ad01a5c85b4b26b24f95300d24d36ee2fef24a",
     ),
     (
         {
@@ -403,6 +437,7 @@ TRACED_CELLS = [
         "bd0be96586478fb7c914f5c499c90b91b86d3cac973b22fa11234c3512cafe94",
         "ca93dcba3509a32125b1f59ad98b426815620dc66481e39a821a711a706f6a4a",
         "9b31003bbd9d58d2c50437d0f64684f2d12347d92b5adfe1e332fffaabc67f37",
+        "66c5579d87cdb864a60e4ae7aae0c71c276b2fb65f1a4b1852871334d6552c0d",
     ),
 ]
 
@@ -423,9 +458,10 @@ def test_delta_units_config_hash_pins(tmp_path):
 # Drifting runs whose random draws (network delays, a relayer's wake-ups, the
 # initial clocks) are scaled onto the finer grid: cell -> (records, SHA-256
 # of the trace as_v3, SHA-256 of the trace as_v4, SHA-256 of the trace
-# as_v5, SHA-256 of the version 6 trace). The v3 digests were recorded by the
-# version 3 simulator, the v4 digests by the version 4 one and the v5 digests
-# by the version 5 one.
+# as_v5, SHA-256 of the trace as_v6, SHA-256 of the version 7 trace). The v3
+# digests were recorded by the version 3 simulator, the v4 digests by the
+# version 4 one, the v5 digests by the version 5 one and the v6 digests by
+# the version 6 one.
 DRAWING_DRIFT_CELLS = [
     (
         {
@@ -444,6 +480,7 @@ DRAWING_DRIFT_CELLS = [
         "70bc031c6294c6f7ba59fda1f4ba7dcc5882e399f81f1ec1ec71abf4cf6476c1",
         "2881f568a1b18ceb69b446dcc301b098fc2b2224719be26f59c86f8a47586df0",
         "82af9029abcb5779304aadc5f7fa390db5d66cf8dbd0452cfd03ccd20023efff",
+        "1f1222a3c0029d3a67ef263b37d5d998ee4ddef2f687fbbe77db3a968750c089",
     ),
     (
         {
@@ -459,6 +496,7 @@ DRAWING_DRIFT_CELLS = [
         "9ab56057ed81c3c7fdf16e30f8fa7ee544a2221b963a253fbff5547a2f5cf73d",
         "c1640c411d456f65eb9705a6419d530907c478968dbf18e6f0eb4af26b1323cb",
         "6395ce9effd24fdd972707b92a32192900943ff1f33d5fb1ec0ad56a6486c795",
+        "b2362fa761a20a4474a166ae67615da76b1d078e05c09d338640aeefe06c38f7",
     ),
     (
         {
@@ -474,6 +512,7 @@ DRAWING_DRIFT_CELLS = [
         "6a8aef7c95f812d7932661a42f03ab55bedcc5cc11921e4409786e26c3419180",
         "0cff4be9011708f3f438ce79cc8c8beabbd606d4d340dde3951a85938a44ec3e",
         "7de688dbf2e78d4c279855c05d592618e10ff2f9b24f5fa3b35e70dc2e67a33c",
+        "b59be28766936781fb1301267ee1936411a167d60366c9314f439cf92607e9f7",
     ),
     (
         {
@@ -489,6 +528,7 @@ DRAWING_DRIFT_CELLS = [
         "34564b5e4e1bed8899ce77f1f0f35eef7828f3a966f7d248b1015af2bf1a3eb5",
         "c1330b70e956608780e2f2d61fdbede9a5083b43e38b83fdb1fb6b00bba9400a",
         "058df91973e8091e65c238a613cc11da334b086676c2c242e11584f3633f4d0a",
+        "67f577bfd3686b93b988e0352b9858469896dcc7e462e4080e4f2f99cd47a313",
     ),
 ]
 
@@ -509,6 +549,7 @@ def test_trace_sha256_pins():
                 sha256(v3),
                 sha256(v4),
                 sha256(as_v5(records)),
+                sha256(as_v6(records)),
                 sha256(records),
             )
         )
@@ -521,7 +562,14 @@ def test_drawing_drift_trace_sha256_pins():
         records = Simulation(build_config(cell)).run()
         v4 = as_v4(records)
         got.append(
-            (len(records), sha256(as_v3(v4)), sha256(v4), sha256(as_v5(records)), sha256(records))
+            (
+                len(records),
+                sha256(as_v3(v4)),
+                sha256(v4),
+                sha256(as_v5(records)),
+                sha256(as_v6(records)),
+                sha256(records),
+            )
         )
     assert got == [tuple(pins) for _, *pins in DRAWING_DRIFT_CELLS]
 
@@ -548,3 +596,18 @@ def test_a_version_5_trace_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 5\n"
+
+
+def test_a_version_6_trace_is_refused(tmp_path, capsys):
+    # its second line, a send by name, is no array of this version, and is
+    # refused as its header's version
+    cell, *_ = TRACED_CELLS[2]
+    text = as_v6(Simulation(build_config(cell)).run())
+    assert text.splitlines()[1].startswith('["send",')
+    with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 6$"):
+        parse_jsonl(text)
+    path = tmp_path / "v6.jsonl"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 6\n"

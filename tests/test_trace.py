@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from viewsync import simnet, trace
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
+    PAYLOAD_CODES,
     PAYLOAD_FIELDS,
+    RECORD_CODES,
     RECORD_FIELDS,
     TRACE_VERSION,
     TraceParseError,
@@ -123,7 +125,7 @@ def fitting_array(record):
     row = RECORD_FIELDS.get(kind) if type(kind) is str else None
     if row is None or set(record) != {"kind", *row}:
         return None
-    array = [kind]
+    array = [RECORD_CODES[kind]]
     for name in row:
         value = record[name]
         if name == "payload":
@@ -131,13 +133,13 @@ def fitting_array(record):
             fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
             if fields is None or set(value) != {"type", "view", *fields}:
                 return None
-            value = [ptype, value["view"], *(value[f] for f in fields)]
+            value = [PAYLOAD_CODES[ptype], value["view"], *(value[f] for f in fields)]
         array.append(value)
     return array
 
 
 def reference(record):
-    """Trace v6's line for a record, written plainly: a record that fits its
+    """Trace v7's line for a record, written plainly: a record that fits its
     row as its array, any other as an object."""
     array = fitting_array(record)
     value = record if array is None else array
@@ -282,9 +284,13 @@ def test_every_odd_value_in_every_hot_field_matches_json_dumps():
                 agrees_with_reference(bad)
 
 
+KINDS = {code: kind for kind, code in RECORD_CODES.items()}  # code -> kind
+PAYLOAD_TYPES = {code: ptype for ptype, code in PAYLOAD_CODES.items()}
+
+
 def kind_of(value):
     """The kind of a record or of its array."""
-    return value[0] if type(value) is list else value.get("kind")
+    return KINDS.get(value[0]) if type(value) is list else value.get("kind")
 
 
 class HotKindsRefused(json.JSONEncoder):
@@ -391,16 +397,16 @@ def test_a_formatter_follows_its_table_row():
     # a new kind of int fields only, write the record's array in row order for
     # a record of their row, and refuse a record of the shape before
     send = next(r for r in sample_runs() if r["kind"] == "send")
-    grown = trace._formatter("send", {**RECORD_FIELDS["send"], "extra": "int"})
+    grown = trace._formatter("send", "s", {**RECORD_FIELDS["send"], "extra": "int"})
     for extra in (7, -(2**70)):
         assert grown({**send, "extra": extra}) == reference(send)[:-1] + f",{extra}]"
     assert grown(send) is None
     assert grown({**send, "extra": True}) is None
     assert trace._FORMATTERS["send"]({**send, "extra": 7}) is None
 
-    tally = trace._formatter("tally", {"time": "tick", "proc": "proc", "count": "int"})
+    tally = trace._formatter("tally", "y", {"time": "tick", "proc": "proc", "count": "int"})
     record = {"kind": "tally", "proc": 1, "count": 3, "time": 12}
-    assert tally(record) == '["tally",12,1,3]'  # the row's order, not the record's
+    assert tally(record) == '["y",12,1,3]'  # the row's order, not the record's
     assert tally({"kind": "tally", "time": 12, "proc": 1}) is None
     assert tally({**record, "count": 3.0}) is None
     assert tally.__code__.co_filename == "<trace formatter: tally>"
@@ -442,8 +448,15 @@ def test_the_simulators_payload_tables_are_the_payload_schema():
     assert set(written) == set(PAYLOAD_FIELDS)
 
 
+@pytest.mark.parametrize("codes", [RECORD_CODES, PAYLOAD_CODES], ids=["kinds", "payload types"])
+def test_each_code_is_one_ascii_letter_unique_in_its_table(codes):
+    # a code is written bare inside the line's quotes, so it needs no escape
+    assert all(len(code) == 1 and code.isascii() and code.isalpha() for code in codes.values())
+    assert len(set(codes.values())) == len(codes)
+
+
 def test_each_payload_type_has_one_field():
-    # which a payload's array [type, view, value] holds third
+    # which a payload's array [code, view, value] holds third
     for fields in PAYLOAD_FIELDS.values():
         (name,) = fields
         assert name not in ("type", "view")
@@ -492,16 +505,17 @@ def test_malformed_field_names_the_first_field_out_of_shape(edit, found):
 
 
 def reference_record(line_no, value):
-    """The record a line's JSON value is under trace v6, written plainly."""
+    """The record a line's JSON value is under trace v7, written plainly."""
     if type(value) is dict and "kind" in value:
         return value
     if type(value) is not list:
         raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
     if not value or type(value[0]) is not str:
-        raise TraceParseError(line_no, f"record array does not start with a kind string: {value!r}")
-    kind, *values = value
-    if kind not in RECORD_FIELDS:
-        raise TraceParseError(line_no, f"no record kind {kind!r} is written as an array")
+        raise TraceParseError(line_no, f"record array does not start with a kind code: {value!r}")
+    code, *values = value
+    if code not in KINDS:
+        raise TraceParseError(line_no, f"no record kind is written as {code!r}")
+    kind = KINDS[code]
     row = RECORD_FIELDS[kind]
     if len(values) != len(row):
         message = f"{kind} record array has {len(values)} fields, not {len(row)}"
@@ -512,19 +526,20 @@ def reference_record(line_no, value):
         if shape != "payload":
             continue
         known = type(p) is list and len(p) == 3 and type(p[0]) is str
-        if not known or p[0] not in PAYLOAD_FIELDS:
+        if not known or p[0] not in PAYLOAD_TYPES:
             raise TraceParseError(
                 line_no,
-                f"{kind} record's payload is not a [type, view, value] array of a known type: "
+                f"{kind} record's payload is not a [code, view, value] array of a known code: "
                 f"{value!r}",
             )
-        (field,) = PAYLOAD_FIELDS[p[0]]
-        record[name] = {"type": p[0], "view": p[1], field: p[2]}
+        ptype = PAYLOAD_TYPES[p[0]]
+        (field,) = PAYLOAD_FIELDS[ptype]
+        record[name] = {"type": ptype, "view": p[1], field: p[2]}
     return record
 
 
 def reference_parse(text):
-    """The reader as a plain json.loads per line, under trace v6's rule."""
+    """The reader as a plain json.loads per line, under trace v7's rule."""
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -533,7 +548,16 @@ def reference_parse(text):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        records.append(reference_record(line_no, rec))
+        try:
+            records.append(reference_record(line_no, rec))
+        except TraceParseError:
+            # an array of a trace whose header names another version is
+            # refused as that version
+            head = records[0] if records else {}
+            other = head.get("kind") == "header" and head.get("version") != TRACE_VERSION
+            if type(rec) is list and other:
+                raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
+            raise
     if not records:
         raise TraceParseError(1, "empty trace")
     head = records[0]
@@ -609,27 +633,33 @@ ODD_LINES = {
     "big int": with_line(2, lambda s: '{"kind":"wake","x":' + "9" * 40 + "}"),
     "float forms": with_line(2, lambda s: '{"kind":"wake","x":[1.0,-0.0,1e3,1E-2]}'),
     "spaces inside an array": with_line(2, lambda s: s.replace(",", " , ")),
-    "floats in an array": with_line(2, lambda s: '["deliver",1.0,-0.0,1e3,1E-2]'),
+    "floats in an array": with_line(2, lambda s: '["d",1.0,-0.0,1e3,1E-2]'),
     "an object of a kind with a row": with_line(
         2, lambda s: '{"kind":"deliver","send":1,"recipient":0,"proc_view":0,"proc_clock":0}'
     ),
     "an array of an unknown kind": with_line(2, lambda s: '["telemetry",1,2]'),
     "an array of a kind that is not a string": with_line(2, lambda s: "[7,1,2]"),
     "an empty array": with_line(2, lambda s: "[]"),
-    "an array one field short": with_line(2, lambda s: '["deliver",1,0,0]'),
-    "an array one field long": with_line(2, lambda s: '["deliver",1,0,0,0,0]'),
-    "a payload of an unknown type": with_line(2, lambda s: '["send",0,0,[0],["ping",0,0],[0]]'),
-    "a payload one item short": with_line(2, lambda s: '["send",0,0,[0],["vote",0],[0]]'),
-    "a payload one item long": with_line(2, lambda s: '["send",0,0,[0],["vote",0,0,1],[0]]'),
+    "an array one field short": with_line(2, lambda s: '["d",1,0,0]'),
+    "an array one field long": with_line(2, lambda s: '["d",1,0,0,0,0]'),
+    "an array of a kind's name": with_line(2, lambda s: '["deliver",1,0,0,0]'),
+    "a payload of an unknown type": with_line(2, lambda s: '["s",0,0,[0],["ping",0,0],[0]]'),
+    "a payload of a type's name": with_line(2, lambda s: '["s",0,0,[0],["vote",0,0],[0]]'),
+    "a payload one item short": with_line(2, lambda s: '["s",0,0,[0],["v",0],[0]]'),
+    "a payload one item long": with_line(2, lambda s: '["s",0,0,[0],["v",0,0,1],[0]]'),
     "a payload as an object": with_line(
-        2, lambda s: '["send",0,0,[0],{"type":"vote","view":0,"signer":0},[0]]'
+        2, lambda s: '["s",0,0,[0],{"type":"vote","view":0,"signer":0},[0]]'
     ),
-    "a payload of three keys": with_line(
-        2, lambda s: '["send",0,0,[0],{"vote":0,"a":0,"b":0},[0]]'
-    ),
-    "a payload of three characters": with_line(2, lambda s: '["send",0,0,[0],"abc",[0]]'),
-    "an array on the header line": with_line(0, lambda s: '["header",6]'),
-    "a record array on the header line": with_line(0, lambda s: '["wake",0,1]'),
+    "a payload of three keys": with_line(2, lambda s: '["s",0,0,[0],{"v":0,"a":0,"b":0},[0]]'),
+    "a payload of three characters": with_line(2, lambda s: '["s",0,0,[0],"abc",[0]]'),
+    "an array on the header line": with_line(0, lambda s: '["header",7]'),
+    "a record array on the header line": with_line(0, lambda s: '["w",0,1]'),
+    "an array in a trace of another version": with_line(
+        0, lambda s: s.replace(f'"version":{TRACE_VERSION}', '"version":6')
+    ).replace('["s",', '["send",', 1),
+    "a line that is no record in a trace of another version": with_line(
+        0, lambda s: s.replace(f'"version":{TRACE_VERSION}', '"version":6')
+    ).replace('["s",', '3\n["s",', 1),
     "no header": "\n".join(short_trace_lines()[1:]) + "\n",
     "no end": "\n".join(short_trace_lines()[:-1]) + "\n",
     "empty": "",
@@ -646,27 +676,30 @@ def test_reader_matches_json_loads_on_canonical_traces(trace_text):
         assert isinstance(reads_like_json_loads(text), str)
 
 
-PAYLOAD_REFUSED = "send record's payload is not a [type, view, value] array of a known type"
+PAYLOAD_REFUSED = "send record's payload is not a [code, view, value] array of a known code"
 
 # ODD_LINES key -> (the line its error names, the start of its message)
 MALFORMED_ARRAYS = {
-    "an array of an unknown kind": (3, "no record kind 'telemetry' is written as an array"),
+    "an array of an unknown kind": (3, "no record kind is written as 'telemetry'"),
     "an array of a kind that is not a string": (
         3,
-        "record array does not start with a kind string: [7, 1, 2]",
+        "record array does not start with a kind code: [7, 1, 2]",
     ),
-    "an empty array": (3, "record array does not start with a kind string: []"),
-    "a list": (3, "record array does not start with a kind string: [["),
+    "an empty array": (3, "record array does not start with a kind code: []"),
+    "a list": (3, "record array does not start with a kind code: [["),
     "an array one field short": (3, "deliver record array has 3 fields, not 4"),
     "an array one field long": (3, "deliver record array has 5 fields, not 4"),
+    "an array of a kind's name": (3, "no record kind is written as 'deliver'"),
     "a payload of an unknown type": (3, PAYLOAD_REFUSED),
+    "a payload of a type's name": (3, PAYLOAD_REFUSED),
     "a payload one item short": (3, PAYLOAD_REFUSED),
     "a payload one item long": (3, PAYLOAD_REFUSED),
     "a payload as an object": (3, PAYLOAD_REFUSED),
     "a payload of three keys": (3, PAYLOAD_REFUSED),
     "a payload of three characters": (3, PAYLOAD_REFUSED),
-    "an array on the header line": (1, "no record kind 'header' is written as an array"),
+    "an array on the header line": (1, "no record kind is written as 'header'"),
     "a record array on the header line": (1, "first record must be the header"),
+    "an array in a trace of another version": (1, "unsupported trace version 6"),
 }
 
 
