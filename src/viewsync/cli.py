@@ -12,9 +12,11 @@ Verbs:
                   given; exit 2 at the first file that cannot be read, on
                   parse errors (reported with line number, bytes that are
                   not UTF-8 included) or on an unusable header, time or
-                  record field, naming the file if several were given, and
-                  if --out cannot be written; 1 if any trace holds
-                  invariant violations
+                  record field (reported with its record's seq), naming
+                  the file if several were given, and if --out cannot be
+                  written; 1 if any trace holds invariant violations. Each
+                  file is read once, and the first fault in file order is
+                  the one reported
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window

@@ -1,11 +1,14 @@
 """Batch experiment runner: sweeps, per-cell metrics, and roll-up summaries.
 
 An experiment is a base configuration plus lists of values to sweep; the
-cartesian product, crossed with a seed range, gives the cells. Each cell is
-an isolated single-threaded simulation, so cells parallelise trivially with
-a worker pool. One flat metrics record is written per cell (JSON lines), a
+cartesian product, crossed with a seed range (``seeds`` from ``base_seed``,
+so a cell's ``seed`` is never given), gives the cells. Each cell is an
+isolated single-threaded simulation, so cells parallelise trivially with a
+worker pool. One flat metrics record is written per cell (JSON lines), a
 per-(n, f) aggregate table is written as CSV, and unsatisfiable cells are
-reported as error rows without aborting the batch.
+reported as error rows without aborting the batch. A stored trace is
+replayed by streaming it through the analyzer once: a malformed one raises
+its first fault in file order, as a parse error or a located analysis error.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .constants import RESPONSE_STEPS_C, WORD_RATE_W
 from .metrics import analyze
 from .simnet import Corruption, SimConfig, Simulation, coerce
 from .timeutil import from_ticks, to_frac
-from .trace import iter_trace, read_trace, write_trace
+from .trace import iter_trace, write_trace
 
 
 class ExperimentError(Exception):
@@ -78,6 +81,9 @@ class ExperimentSpec:
         if self.seeds < 1:
             raise ExperimentError("seeds must be >= 1")
         check_shape(self.base, self.sweeps)
+        if "seed" in self.base or "seed" in self.sweeps:
+            # cells() sets each cell's seed, from seeds and base_seed
+            raise ExperimentError("seed: give seeds and base_seed instead")
         _check_fields(list(self.base) + list(self.sweeps))
         size = self.cell_count()
         if size > self.max_cells:
@@ -241,17 +247,13 @@ def replay_cell(trace_path) -> dict[str, Any]:
     """Recompute the flat metrics record from a stored trace alone.
 
     Each record is analyzed as it is parsed, and dropped once the scan has
-    passed it. If that fails, the file is read again whole and analyzed
-    again, to raise what a whole read finds first: a parse error anywhere
-    in the file, then an analysis error, located as ``analyze`` locates it.
-    The row's ``config`` is the digest in the file's name if that is the
-    name ``run_cell`` gives a trace, and None otherwise.
+    passed it, so the file is read once, and a malformed trace raises its
+    first fault in file order: a parse error on its line, or an analysis
+    error at its record's seq, located as ``analyze`` locates it. The row's
+    ``config`` is the digest in the file's name if that is the name
+    ``run_cell`` gives a trace, and None otherwise.
     """
-    try:
-        metrics = analyze(iter_trace(trace_path))
-    except Exception:
-        analyze(read_trace(trace_path))
-        raise
+    metrics = analyze(iter_trace(trace_path))
     named = _TRACE_NAME.fullmatch(Path(trace_path).name)
     return _row(named and named[1], metrics)
 
@@ -301,14 +303,16 @@ def run_experiment(
     jobs: int = 1,
 ) -> dict[str, Any]:
     """Execute every cell, write metric records and the CSV summary."""
-    if spec.traces_dir is not None:
-        Path(spec.traces_dir).mkdir(parents=True, exist_ok=True)
     if spec.mode == "replay":
         if spec.traces_dir is None:
             raise ExperimentError("replay mode needs traces_dir")
+        if not Path(spec.traces_dir).is_dir():
+            raise ExperimentError(f"replay mode: no directory {spec.traces_dir!r}")
         paths = sorted(Path(spec.traces_dir).glob("*.jsonl"))
         rows = [replay_cell(p) for p in paths]
     else:
+        if spec.traces_dir is not None:
+            Path(spec.traces_dir).mkdir(parents=True, exist_ok=True)
         work = [(cell, spec.traces_dir) for cell in spec.cells()]
         workers = min(jobs, len(work))  # a worker beyond one per cell would idle
         if workers > 1:

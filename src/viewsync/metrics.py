@@ -20,28 +20,30 @@ recipient already had this send delivered. So does a ``sender``,
 ``recipients`` entry, recipient, ``proc`` or signer that is not a processor
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
 whose range is an invariant, and a send's ``recipients`` that lists no
-processor, or one twice. So does a ``proc_view``, a payload's ``view``
-or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
+processor, or one twice. So does a payload ``type`` that
+``trace.PAYLOAD_FIELDS`` does not list, a ``proc_view``, a payload's
+``view`` or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
 mode, the only reasons a run stops for, or a ``corrupt`` record whose
 ``proc`` is not one of the header's corruptions, or whose ``strategy`` or
 ``time`` is not that corruption's, or that names a processor an earlier one
 corrupted; so does a trace that ends at or after a header corruption's time
-without its ``corrupt`` record. Such an error,
-like any failed read of a record, names the field through
-``trace.malformed_field``; a time that is not an exact int (a trace v3
-``"p/q"`` tick included) names the seq it is read at. A certificate formed
-by anyone but its view's leader is an ``aggregator_leader`` violation, and a
-proposal that a correct sender makes for a view it does not lead, or naming
-another leader, a ``proposal_leader`` one. A vote or view message whose
-``signer`` is not its sender is a forged signature, which the model
-excludes: whoever sent it, it is a ``vote_view`` or ``signing_clock``
-violation at its send, and it signs for nobody, so no certificate check
-counts it. A ``send`` record costs one word
-per recipient other than its sender: every word window (the first-quorum
-budget and the pace gaps) is keyed on send time, which all recipients of
-one send share.
+without its ``corrupt`` record. Such an error names its record's seq. A
+read that fails in the scan (a ``KeyError``, ``TypeError`` or
+``IndexError``) is located at the record being scanned: it names that
+record's first absent or malformed field (``trace.malformed_field``), and if
+the record has none, it is a bug here and propagates. A time that is not an
+exact int (a trace v3 ``"p/q"`` tick included) names the seq it is read at.
+A certificate formed by anyone but its view's leader is an
+``aggregator_leader`` violation, and a proposal that a correct sender makes
+for a view it does not lead, or naming another leader, a ``proposal_leader``
+one. A vote or view message whose ``signer`` is not its sender is a forged
+signature, which the model excludes: whoever sent it, it is a ``vote_view``
+or ``signing_clock`` violation at its send, and it signs for nobody, so no
+certificate check counts it. A ``send`` record costs one word per recipient
+other than its sender: every word window (the first-quorum budget and the
+pace gaps) is keyed on send time, which all recipients of one send share.
 
 The analyzer reads the records once, in order, and keeps none once its scan
 has passed it: a ``send`` record leaves only the index entry that its
@@ -49,12 +51,12 @@ deliveries are joined to, and once each of its recipients had it delivered,
 only its recipients, which a later ``deliver`` naming it is refused by. So
 memory grows with the sends still owed a delivery, not with all sends; a
 trace can be analyzed as it is parsed (``trace.iter_trace``), and the end
-record's seq and time are taken after the scan. Given a list, a failed
-analysis names a malformed end time first, then the analysis's own error,
-else the first malformed field of the whole trace. The scan also builds
-each view's ``(start, until, proc)`` spans as processors enter views, and
-the underlying-contract check reads them rather than rebuilding them from
-the entries.
+record's seq and time are taken after the scan. A list and a stream of the
+same records give the same result or the same error: the first fault in
+file order, since each record is checked as the scan reaches it. The scan
+also builds each view's ``(start, until, proc)`` spans as processors enter
+views, and the underlying-contract check reads them rather than rebuilding
+them from the entries.
 
 Violations are data, not exceptions: each carries the invariant id and the
 seq of the offending record, so a planted fault can be located in the trace
@@ -276,7 +278,7 @@ class _Analyzer:
     def _check_certificate(self, kind: str, view: int, signers: Sequence[int], seq: int) -> None:
         # before the cache: (True, 2, 3) and (1.0, 2, 3) hash like (1, 2, 3)
         if not _INT.issuperset(map(type, signers)):
-            raise TypeError(f"signers at seq {seq}")  # analyze() names the field
+            raise TypeError(f"signers at seq {seq}")  # scan() names the field
         key = (kind, view, tuple(signers))
         if key in self.checked_certs:
             return
@@ -314,57 +316,70 @@ class _Analyzer:
         dagger_at = dagger_held = None  # the instant of the last check and its result
         before_gst = True
         now = 0  # the header's time
-        for seq, rec in enumerate(self.records):
-            kind = rec["kind"]
-            if kind == "deliver":
-                now, forwarded = scan_deliver(rec, seq)
-                if forwarded:
-                    recheck_dagger = True
-            elif kind == "header":
-                check_dagger_now(0, seq)
-                continue
-            else:
-                now = rec["time"]
-                if type(now) is not int:
-                    now = _ticks(now, seq)
-                if kind == "send":
-                    scan_send(rec, now, seq)
-                elif kind == "threshold":
-                    boundary = rec["boundary_clock"]
-                    if type(boundary) is not int:
-                        boundary = _ticks(boundary, seq)
-                    if boundary % period != 0:
-                        self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
-                    if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
+        try:
+            for seq, rec in enumerate(self.records):
+                kind = rec["kind"]
+                if kind == "deliver":
+                    now, forwarded = scan_deliver(rec, seq)
+                    if forwarded:
                         recheck_dagger = True
-                elif kind == "corrupt":
-                    self.procs[self._scan_corrupt(rec, now, seq)].corrupted_at = now
-                    self.none_corrupted = False
-                    recheck_dagger = True
-                elif kind == "form_vc":
-                    self._scan_form(rec, "vc", seq)
-                elif kind == "form_qc":
-                    self._scan_form_qc(rec, now, seq)
-                elif kind == "end":
-                    reason = rec["reason"]  # why the run stopped: its horizon or its stop mode
-                    if reason != "horizon" and reason != r.stop:
-                        raise TraceAnalysisError(
-                            f"end record at seq {seq}: field 'reason' is malformed: "
-                            f"{reason!r} under stop mode {r.stop!r}"
-                        )
-                elif kind != "wake":
-                    raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
-            if before_gst:
-                if now > gst:
-                    before_gst = False
+                elif kind == "header":
+                    check_dagger_now(0, seq)
+                    continue
                 else:
-                    self.gst_seq = seq
-            if recheck_dagger or not uniform_rates:
-                if recheck_dagger or now != dagger_at:
-                    dagger_at, dagger_held = now, check_dagger_now(now, seq)
-                elif not dagger_held:  # the same clocks as at the last check
-                    self.flag("dagger", seq, f"correct clock dispersion exceeded at {now} ticks")
-                recheck_dagger = False
+                    now = rec["time"]
+                    if type(now) is not int:
+                        now = _ticks(now, seq)
+                    if kind == "send":
+                        scan_send(rec, now, seq)
+                    elif kind == "threshold":
+                        boundary = rec["boundary_clock"]
+                        if type(boundary) is not int:
+                            boundary = _ticks(boundary, seq)
+                        if boundary % period != 0:
+                            self.flag("threshold_alignment", seq, f"threshold at clock {boundary}")
+                        if scan_stamp(self._proc(rec, seq), rec["proc_view"], boundary, now, seq):
+                            recheck_dagger = True
+                    elif kind == "corrupt":
+                        self.procs[self._scan_corrupt(rec, now, seq)].corrupted_at = now
+                        self.none_corrupted = False
+                        recheck_dagger = True
+                    elif kind == "form_vc":
+                        self._scan_form(rec, "vc", seq)
+                    elif kind == "form_qc":
+                        self._scan_form_qc(rec, now, seq)
+                    elif kind == "end":
+                        reason = rec["reason"]  # why the run stopped: its horizon or its stop mode
+                        if reason != "horizon" and reason != r.stop:
+                            raise TraceAnalysisError(
+                                f"end record at seq {seq}: field 'reason' is malformed: "
+                                f"{reason!r} under stop mode {r.stop!r}"
+                            )
+                    elif kind == "wake":
+                        self._proc(rec, seq)  # read for its shape alone
+                    else:
+                        raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
+                if before_gst:
+                    if now > gst:
+                        before_gst = False
+                    else:
+                        self.gst_seq = seq
+                if recheck_dagger or not uniform_rates:
+                    if recheck_dagger or now != dagger_at:
+                        dagger_at, dagger_held = now, check_dagger_now(now, seq)
+                    elif not dagger_held:  # the same clocks as at the last check
+                        detail = f"correct clock dispersion exceeded at {now} ticks"
+                        self.flag("dagger", seq, detail)
+                    recheck_dagger = False
+        except (KeyError, TypeError, IndexError) as exc:
+            # a failed read: the record being scanned is the first fault in
+            # file order, and its first field out of shape is the fault
+            found = malformed_field(rec, r.n)
+            if found is None:
+                raise  # every field in shape: a bug here
+            name, problem = found
+            where = f"record {seq}" if name == "kind" else f"{rec['kind']} record at seq {seq}"
+            raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
         self.end_seq, self.end_time = seq, now
         self._check_corrupted(now, seq)
         for p in self.never_corrupted:  # the view each processor ends the trace in
@@ -375,7 +390,7 @@ class _Analyzer:
         """The ``proc`` of a record, which must be a processor id."""
         p = rec["proc"]
         if type(p) is not int or p not in self.ids:
-            raise IndexError(f"proc {p!r} at seq {seq}")  # analyze() names the field
+            raise IndexError(f"proc {p!r} at seq {seq}")  # scan() names the field
         return p
 
     def _scan_corrupt(self, rec: Record, now: int, seq: int) -> int:
@@ -428,26 +443,26 @@ class _Analyzer:
             or type(deliver_times) is not list
             or len(deliver_times) != len(recipients)
         ):
-            raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+            raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
         # a negative id would index from the end, and a bool or a float
         # would pass for an int; a deliver's recipient is one of these
         if type(sender) is not int or sender < 0:
-            raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+            raise IndexError(f"sender or recipients at seq {seq}")  # scan() names it
         count = len(recipients)
         if count == 1:  # one recipient, as most sends have
             (recipient,) = recipients
             if recipient not in self.ids:
-                raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+                raise IndexError(f"sender or recipients at seq {seq}")  # scan() names it
             if type(recipient) is not int or type(deliver_times[0]) is not int:
-                raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+                raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
             words = 0 if recipient == sender else 1
         else:
             if not self.ids.issuperset(recipients):
-                raise IndexError(f"sender or recipients at seq {seq}")  # analyze() names it
+                raise IndexError(f"sender or recipients at seq {seq}")  # scan() names it
             if not (
                 _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
             ):
-                raise TypeError(f"recipients or deliver_times at seq {seq}")  # analyze() names it
+                raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
             # no recipient, or one listed twice (a deliver would join the first)
             if not 0 < count == len(set(recipients)):
                 raise TraceAnalysisError(
@@ -456,13 +471,13 @@ class _Analyzer:
             words = count - (sender in recipients)
         ptype, view = payload["type"], payload["view"]
         if type(view) is not int:
-            raise TypeError(f"payload view {view!r} at seq {seq}")  # analyze() names it
+            raise TypeError(f"payload view {view!r} at seq {seq}")  # scan() names it
         pr = self.procs[sender]
         correct = now < pr.corrupted_at
         if ptype == "view_message" or ptype == "vote":
             signer = payload["signer"]
             if type(signer) is not int:
-                raise TypeError(f"signer at seq {seq}")  # analyze() names the field
+                raise TypeError(f"signer at seq {seq}")  # scan() names the field
             signed = signer == sender
             if signed:
                 sig_kind = "view_msg" if ptype == "view_message" else "vote"
@@ -490,7 +505,7 @@ class _Analyzer:
         elif ptype == "proposal":
             leader = payload["leader"]
             if type(leader) is not int:
-                raise TypeError(f"leader at seq {seq}")  # analyze() names the field
+                raise TypeError(f"leader at seq {seq}")  # scan() names the field
             if correct and (leader != sender or view < 0 or self.leader(view) != sender):
                 detail = f"processor {sender} proposed view {view} naming leader {leader}"
                 self.flag("proposal_leader", seq, detail)
@@ -498,6 +513,9 @@ class _Analyzer:
             self._check_certificate("vc", view, payload["signers"], seq)
         elif ptype == "quorum_certificate":
             self._check_certificate("qc", view, payload["signers"], seq)
+        else:
+            where = f"send record at seq {seq}: field 'payload.type'"
+            raise TraceAnalysisError(f"{where} is no payload type: {ptype!r}")
         if correct and words:
             self.word_events.append((now, words))
         owed = (1 << count) - 1  # bit i: recipients[i] is owed a delivery
@@ -509,7 +527,7 @@ class _Analyzer:
         Returns True when the processor's clock was forwarded here.
         """
         if type(view) is not int:
-            raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
+            raise TypeError(f"view {view!r} at seq {seq}")  # scan() names the field
         pr = self.procs[p]
         if not now < pr.corrupted_at:
             return False
@@ -540,7 +558,7 @@ class _Analyzer:
         p = rec["recipient"]
         src = rec["send"]
         if type(p) is not int or type(src) is not int:  # True would join as 1
-            raise TypeError(f"recipient or send at seq {seq}")  # analyze() names it
+            raise TypeError(f"recipient or send at seq {seq}")  # scan() names it
         try:
             sent = self.sends[src]
             i = sent[3].index(p)
@@ -604,7 +622,7 @@ class _Analyzer:
         former, and whether the former leads the view."""
         view, proc = rec["view"], self._proc(rec, seq)
         if type(view) is not int or view < 0:
-            raise TypeError(f"view {view!r} at seq {seq}")  # analyze() names the field
+            raise TypeError(f"view {view!r} at seq {seq}")  # scan() names the field
         self._check_certificate(kind, view, rec["signers"], seq)
         lead = self.leader(view)
         if proc != lead:
@@ -975,33 +993,9 @@ def analyze(records: Iterable[Record]) -> RunMetrics:
     """Full analysis of one trace: headline metrics plus every invariant.
 
     The records are read once, in order, and none is kept once the scan has
-    passed it, so ``records`` may be a stream such as ``trace.iter_trace``.
-    When it is a sequence, a failed analysis raises a TraceAnalysisError for
-    the end record's time if that is malformed, else the analysis's own
-    TraceAnalysisError, else one naming the first record field in the whole
-    trace that is absent or not in its shape (``trace.malformed_field``),
-    wherever in the analysis the bad value made a read fail. From a stream,
-    which cannot be read twice, the failed read propagates as it is.
-    A failed read with every field in shape is a bug here, and propagates.
+    passed it, so ``records`` may be a list or a stream such as
+    ``trace.iter_trace``, with the same result or the same error: the first
+    fault in file order, a failed read located at its record's first absent
+    or malformed field (``trace.malformed_field``).
     """
-    analyzer = _Analyzer(records)
-    try:
-        return analyzer.analyze()
-    except (KeyError, TypeError, IndexError, TraceAnalysisError) as exc:
-        if not isinstance(records, Sequence):
-            raise
-        # a malformed end time outranks every other fault of a whole trace
-        try:
-            _ticks(records[-1]["time"], len(records) - 1)
-        except (KeyError, TypeError):
-            pass  # located below
-        else:
-            if isinstance(exc, TraceAnalysisError):
-                raise
-        for i, rec in enumerate(records):
-            found = malformed_field(rec, analyzer.resolved.n)
-            if found is not None:
-                name, problem = found
-                where = f"record {i}" if name == "kind" else f"{rec['kind']} record at seq {i}"
-                raise TraceAnalysisError(f"{where}: field {name!r} {problem}") from exc
-        raise
+    return _Analyzer(records).analyze()

@@ -43,8 +43,8 @@ its code and its fields, in their written order, with their shapes
 (``RECORD_CODES`` and ``RECORD_FIELDS``), and each payload type's row its
 code and its field (``PAYLOAD_CODES`` and ``PAYLOAD_FIELDS``); a code is
 unique within its table. Built from them are ``malformed_field``, which the
-analyzer calls to name the first absent or malformed field once a read has
-failed, the writer's formatters, the reader's decoders and
+analyzer's scan calls to name the first absent or malformed field of the
+record whose read failed, the writer's formatters, the reader's decoders and
 ``simnet.payload_to_dict``. Each formatter and decoder is a function compiled
 at import from source text generated from a table row, the way
 ``dataclasses`` builds its methods, so it runs as a handwritten one would.
@@ -79,13 +79,13 @@ becomes the dict its kind's decoder builds, with the fields in row order and
 the payload a dict again; its values are kept as they are, for the analyzer
 to check. An array whose first item is not a kind's code, whose length is not
 its row's, or whose payload is not a ``[code, view, value]`` array of a
-payload type's code, is an error on its line; in a trace whose header names
-another version, it is that version's error. An object is kept as it is, if
-it has a ``kind``. The reader yields each record as soon as it is parsed, and
-checks the header (first, and of this version) and the end record (last)
-after the last line, so reading it to the end raises what a whole read would,
-in the same order: ``parse_jsonl`` and ``read_trace`` are lists of what it
-yields. ``iter_trace`` streams a file through it, read a block at a time and
+payload type's code, is an error on its line. An object is kept as it is, if
+it has a ``kind``. The reader yields each record as soon as it is parsed,
+and raises the first fault in file order: it checks the header (first, and
+of this version) as line 1 is read, every line as it is read, and the end
+record (last) after the last line. ``parse_jsonl`` and ``read_trace`` are
+lists of what it yields, so a whole read raises what a stream does.
+``iter_trace`` streams a file through it, read a block at a time and
 cut after a newline byte, into exactly the lines a whole read would give;
 bytes that are not UTF-8 are an error on their line. A line is parsed by one
 call of the JSON scanner of a default ``JSONDecoder`` at index 0, whose
@@ -433,21 +433,15 @@ def _array_problem(a: list) -> str:
     return f"{kind} record's payload is not a [code, view, value] array of a known code: {a!r}"
 
 
-def _check_version(head: Record) -> None:
-    if head.get("version") != TRACE_VERSION:
-        raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
-
-
 def _records(lines: Iterable[str]) -> Iterator[Record]:
     """The records on the lines of a whole trace, each yielded as soon as
     its line is parsed, validating shape enough to fail loudly, not deeply.
 
-    A line that is not a record raises as it is reached. The checks on the
-    header (first, and of this version) and on the end record (last) run
-    after the last line, so a consumer that reads to the end gets the same
-    error, in the same order, as ``parse_jsonl``.
+    Each check runs as its line is read, so the first fault in file order is
+    the one raised: a line that is not a record, the header (first, and of
+    this version) on line 1, and the end record (last) after the last line.
     """
-    head = rec = None
+    rec = None
     line_no = 0
     for line_no, line in enumerate(lines, start=1):
         # a scan that ends at the line's end is json.loads(line)'s value
@@ -467,20 +461,17 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
             try:
                 rec = _DECODERS[rec[0]](rec)
             except (LookupError, TypeError, ValueError):
-                # another version's arrays are refused as that version
-                if head is not None and head.get("kind") == "header":
-                    _check_version(head)
                 raise TraceParseError(line_no, _array_problem(rec)) from None
         elif type(rec) is not dict or "kind" not in rec:
             raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
-        if head is None:
-            head = rec
+        if line_no == 1:
+            if rec["kind"] != "header":
+                raise TraceParseError(1, "first record must be the header")
+            if rec.get("version") != TRACE_VERSION:
+                raise TraceParseError(1, f"unsupported trace version {rec.get('version')!r}")
         yield rec
-    if head is None:
+    if rec is None:
         raise TraceParseError(1, "empty trace")
-    if head.get("kind") != "header":
-        raise TraceParseError(1, "first record must be the header")
-    _check_version(head)
     if rec.get("kind") != "end":
         raise TraceParseError(line_no, "trace truncated: no end record")
 

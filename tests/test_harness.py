@@ -79,6 +79,18 @@ def test_spec_sweep_values_may_be_a_tuple():
     assert ExperimentSpec(base=BASE, sweeps={"gst": (0, 3)}).cell_count() == 2
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(base={**BASE, "seed": 5}), dict(sweeps={"seed": [1, 2]})], ids=["base", "sweeps"]
+)
+def test_a_seed_in_the_spec_is_refused(kw):
+    # cells() gives each cell its seed from seeds and base_seed, so a seed
+    # given here would be dropped without a word
+    with pytest.raises(ExperimentError, match="^seed: give seeds and base_seed instead$"):
+        ExperimentSpec(**{"base": BASE, **kw})
+    spec = ExperimentSpec(base=BASE, seeds=2, base_seed=5)
+    assert [c["seed"] for c in spec.cells()] == [5, 6]
+
+
 def test_f_knob_expands_to_silent_leaders():
     cfg = build_config({**BASE, "f": 1, "seed": 0})
     assert cfg.corruptions == (Corruption(0, "silent", 0),)
@@ -461,6 +473,16 @@ def test_a_renamed_trace_replays_without_a_config(tmp_path, name):
 def test_replay_mode_requires_traces():
     with pytest.raises(ExperimentError, match="traces_dir"):
         run_experiment(ExperimentSpec(mode="replay"))
+
+
+def test_replay_mode_refuses_a_missing_directory(tmp_path):
+    missing = tmp_path / "no_such_dir"
+    with pytest.raises(ExperimentError, match=re.escape(f"no directory {str(missing)!r}")):
+        run_experiment(ExperimentSpec(mode="replay", traces_dir=str(missing)))
+    assert not missing.exists()
+    measured = tmp_path / "made"
+    run_experiment(ExperimentSpec(base=BASE, traces_dir=str(measured / "traces")))
+    assert len(list((measured / "traces").glob("*.jsonl"))) == 1
 
 
 # -- spec files and delta units ---------------------------------------------------
@@ -858,7 +880,7 @@ def test_cli_replay_locates_a_value_that_passes_the_scan(
     tmp_path, capsys, kind, index, edit, message
 ):
     # the end record is the last the scan reads, and the view is the last
-    # deliver's: a streamed replay fails on each, and the whole read locates it
+    # deliver's: the scan locates each at its record
     run_cell({**BASE, "f": 0, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
     recs = read_trace(trace)
@@ -878,42 +900,48 @@ def dumped(recs):
 
 
 def unjoin_first_deliver(recs):
-    next(r for r in recs if r["kind"] == "deliver")["send"] = 0  # the header
+    """Make the first deliver name the header as its send; return the
+    located error that deliver is."""
+    seq = next(i for i, r in enumerate(recs) if r["kind"] == "deliver")
+    recs[seq]["send"] = 0
+    return f"deliver record at seq {seq}: field 'send' names no earlier send record: 0"
 
 
 def json_error_on_the_last_line(recs):
-    unjoin_first_deliver(recs)
+    message = unjoin_first_deliver(recs)
     lines = dumped(recs)
     lines[-1] = lines[-1][:-1]
-    return lines, TraceParseError, f"line {len(lines)}: invalid JSON: "
+    return lines, TraceAnalysisError, message
 
 
 def truncated_after_an_analysis_fault(recs):
-    unjoin_first_deliver(recs)
+    message = unjoin_first_deliver(recs)
     lines = dumped(recs)[:-1]
-    return lines, TraceParseError, f"line {len(lines)}: trace truncated: no end record"
+    return lines, TraceAnalysisError, message
 
 
 def bad_version_then_json_error(recs):
     recs[0]["version"] = 99
     lines = dumped(recs)
     lines[9] = "not json"
-    return lines, TraceParseError, "line 10: invalid JSON: "
+    return lines, TraceParseError, "line 1: unsupported trace version 99"
 
 
 def analysis_fault_then_bad_end_time(recs):
-    # the end record's time is read before the scan
-    unjoin_first_deliver(recs)
+    message = unjoin_first_deliver(recs)
     recs[-1]["time"] = "x"
-    return dumped(recs), TraceAnalysisError, f"malformed time 'x' at seq {len(recs) - 1}"
+    return dumped(recs), TraceAnalysisError, message
 
 
 def field_the_scan_passes_then_one_it_fails_on(recs):
     sends = [i for i, r in enumerate(recs) if r["kind"] == "send"]
     first = next(i for i, r in enumerate(recs) if r["kind"] == "corrupt")
-    recs[first]["strategy"] = 0.0  # which the scan does not read
+    recs[first]["strategy"] = 0.0  # not the header's strategy
     recs[sends[-1]].pop("sender")
-    message = f"corrupt record at seq {first}: field 'strategy' is malformed: 0.0"
+    message = (
+        f"corrupt record at seq {first}: field 'strategy' is malformed: 0.0, "
+        "where the header has 'silent'"
+    )
     return dumped(recs), TraceAnalysisError, message
 
 
@@ -927,10 +955,9 @@ def field_the_scan_passes_then_one_it_fails_on(recs):
         field_the_scan_passes_then_one_it_fails_on,
     ],
 )
-def test_replay_reports_the_fault_a_whole_trace_read_finds_first(tmp_path, capsys, plant):
-    # A parse error anywhere beats an analysis error, and a located field
-    # is the first malformed one in the whole trace. The cell has a
-    # corruption, whose strategy the scan does not read.
+def test_replay_reports_the_first_fault_in_file_order(tmp_path, capsys, plant):
+    # A parse error and an analysis error rank alike: the one on the earlier
+    # line is reported, and the file is read once.
     run_cell({**BASE, "f": 1, "seed": 0}, str(tmp_path))
     trace = next(tmp_path.glob("*.jsonl"))
     lines, error, message = plant(read_trace(trace))

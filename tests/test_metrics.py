@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import matrix_cells
 
+import viewsync.trace
 from viewsync.constants import RESPONSE_STEPS_C, WORD_RATE_W
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
 from viewsync.cli import main
-from viewsync.harness import build_config
+from viewsync.harness import build_config, replay_cell
 from viewsync.metrics import (
     INF,
     TraceAnalysisError,
@@ -28,7 +29,14 @@ from viewsync.metrics import (
 )
 from viewsync.simnet import Corruption, SimConfig, Simulation, check_dagger, subseed, sync_start
 from viewsync.timeutil import from_ticks
-from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, Record, read_trace, to_jsonl
+from viewsync.trace import (
+    PAYLOAD_FIELDS,
+    RECORD_FIELDS,
+    Record,
+    read_trace,
+    to_jsonl,
+    write_trace,
+)
 
 
 def run_records(**kw):
@@ -1998,19 +2006,20 @@ def test_a_threshold_one_sub_tick_late_is_a_violation():
     assert ("clock_monotonicity", i) in {v[:2] for v in violations(records)}
 
 
-# Table fields the analysis never reads: a record without one analyzes as it did.
-UNREAD = {"wake.proc"}
-
-
-def test_every_field_the_analysis_reads_is_located_when_missing():
-    # each field of the tables deleted in turn, from the first record of its
-    # kind or payload type
-    records = Simulation(
+def every_kind_run():
+    """A pinned run with a record of every kind, ``wake`` and ``corrupt``
+    among them, and a send of every payload type."""
+    return Simulation(
         SimConfig(
             n=4, corruptions=[Corruption(3, "late_qc_relayer", 2)], stop="horizon", horizon=40
         )
     ).run()
-    want = analyze(records)
+
+
+def test_every_field_the_analysis_reads_is_located_when_missing():
+    # each field of the tables deleted in turn, from the first record of its
+    # kind or payload type: the scan reads every one, from a list or a stream
+    records = every_kind_run()
     first = {}
     for i, r in enumerate(records):
         first.setdefault(r["kind"], i)
@@ -2018,21 +2027,84 @@ def test_every_field_the_analysis_reads_is_located_when_missing():
             first.setdefault(r["payload"]["type"], i)
     fields = [(kind, name) for kind, row in RECORD_FIELDS.items() for name in row]
     fields += [(ptype, f"payload.{name}") for ptype, row in PAYLOAD_FIELDS.items() for name in row]
-    unread = set()
     for owner, name in fields:
         bad = copied(records)
         rec = bad[first[owner]]
         *inside, key = name.split(".")
         del (rec[inside[0]] if inside else rec)[key]
-        try:
-            got = analyze(bad)
-        except TraceAnalysisError as exc:
-            where = f"{rec['kind']} record at seq {first[owner]}"
-            assert str(exc) == f"{where}: field {name!r} is missing", (owner, name)
-            continue
-        assert got == want, (owner, name)
-        unread.add(name if inside else f"{owner}.{name}")
-    assert unread == UNREAD
+        message = f"{rec['kind']} record at seq {first[owner]}: field {name!r} is missing"
+        for given in (bad, iter(bad)):
+            with pytest.raises(TraceAnalysisError) as info:
+                analyze(given)
+            assert str(info.value) == message, (owner, name)
+
+
+# (record kind or payload type, field) -> how the scan words a value of the
+# wrong type planted there, where that is not "is malformed: <value>" ("is
+# no payload type: <value>" for payload.type); a tick field's is _ticks'
+PLANTED_MESSAGES = {
+    ("send", "payload"): "is not an object: 'x'",
+    ("corrupt", "strategy"): "is malformed: 7, where the header has 'late_qc_relayer'",
+    ("end", "reason"): "is malformed: 7 under stop mode 'horizon'",
+}
+PLANTED = [(kind, name) for kind, row in RECORD_FIELDS.items() for name in row] + [
+    (ptype, f"payload.{name}")
+    for ptype, row in PAYLOAD_FIELDS.items()
+    for name in ("type", "view", *row)
+]
+
+
+@pytest.mark.parametrize("owner,name", PLANTED, ids=[f"{o}.{n}" for o, n in PLANTED])
+def test_a_planted_field_is_located_alike_by_every_reader(
+    tmp_path, capsys, monkeypatch, owner, name
+):
+    # a value of the wrong type in the first record of its kind or payload
+    # type gives one message from a list, a stream and viewsync replay, and
+    # the replay reads the file once
+    records = every_kind_run()
+    seq = find(records, lambda r: owner in (r["kind"], r.get("payload", {}).get("type")))
+    *inside, key = name.split(".")
+    shape = PAYLOAD_FIELDS.get(owner, {}).get(key, "int") if inside else RECORD_FIELDS[owner][key]
+    bad = 7 if shape == "str" else "x"
+    rec = records[seq]
+    (rec[inside[0]] if inside else rec)[key] = bad
+    if shape == "tick":
+        message = f"malformed time {bad!r} at seq {seq}"
+    else:
+        tail = "is no payload type" if name == "payload.type" else "is malformed"
+        tail = PLANTED_MESSAGES.get((owner, name), f"{tail}: {bad!r}")
+        message = f"{rec['kind']} record at seq {seq}: field {name!r} {tail}"
+    for given in (records, iter(records)):
+        with pytest.raises(TraceAnalysisError) as info:
+            analyze(given)
+        assert str(info.value) == message
+    path = tmp_path / "planted.jsonl"
+    write_trace(records, path)
+
+    def refuse(path):
+        raise AssertionError("a second read of the trace")
+
+    monkeypatch.setattr("viewsync.trace.read_trace", refuse)
+    opened = []
+    line_blocks = viewsync.trace._line_blocks
+    monkeypatch.setattr("viewsync.trace._line_blocks", lambda p: opened.append(p) or line_blocks(p))
+    with pytest.raises(TraceAnalysisError) as info:
+        replay_cell(path)
+    assert str(info.value) == message and opened == [path]
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"malformed trace: {message}\n"
+
+
+@pytest.mark.parametrize("proc", ["x", None, 99, -1, 1.5, [1], True])
+def test_a_wake_record_names_a_processor(proc):
+    records = every_kind_run()
+    seq = find(records, lambda r: r["kind"] == "wake")
+    records[seq]["proc"] = proc
+    message = f"wake record at seq {seq}: field 'proc' is malformed: {proc!r}"
+    for given in (records, iter(records)):
+        with pytest.raises(TraceAnalysisError) as info:
+            analyze(given)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("kind", ["threshold", "form_vc", "form_qc", "corrupt"])
@@ -2354,10 +2426,12 @@ def test_every_analyzer_reads_a_stream():
     assert compute_f_star(iter(records), params_from(records)) == want.f_star
 
 
-def test_a_failed_read_of_a_stream_propagates_as_it_is(base):
+def test_a_stream_is_located_as_a_list_is(base):
     bad = copied(base)
-    next(r for r in bad if r["kind"] == "deliver").pop("proc_clock")
-    with pytest.raises(KeyError, match="proc_clock"):
+    seq = find(bad, lambda r: r["kind"] == "deliver")
+    bad[seq].pop("proc_clock")
+    message = f"deliver record at seq {seq}: field 'proc_clock' is missing"
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
         analyze(iter(bad))
-    with pytest.raises(TraceAnalysisError, match="field 'proc_clock' is missing"):
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
         analyze(bad)

@@ -539,7 +539,8 @@ def reference_record(line_no, value):
 
 
 def reference_parse(text):
-    """The reader as a plain json.loads per line, under trace v7's rule."""
+    """The reader as a plain json.loads per line, under trace v7's rule:
+    each line checked as it is read, the header with line 1."""
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -548,23 +549,15 @@ def reference_parse(text):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        try:
-            records.append(reference_record(line_no, rec))
-        except TraceParseError:
-            # an array of a trace whose header names another version is
-            # refused as that version
-            head = records[0] if records else {}
-            other = head.get("kind") == "header" and head.get("version") != TRACE_VERSION
-            if type(rec) is list and other:
-                raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
-            raise
+        rec = reference_record(line_no, rec)
+        records.append(rec)
+        if line_no == 1:
+            if rec.get("kind") != "header":
+                raise TraceParseError(1, "first record must be the header")
+            if rec.get("version") != TRACE_VERSION:
+                raise TraceParseError(1, f"unsupported trace version {rec.get('version')!r}")
     if not records:
         raise TraceParseError(1, "empty trace")
-    head = records[0]
-    if head.get("kind") != "header":
-        raise TraceParseError(1, "first record must be the header")
-    if head.get("version") != TRACE_VERSION:
-        raise TraceParseError(1, f"unsupported trace version {head.get('version')!r}")
     if records[-1].get("kind") != "end":
         raise TraceParseError(len(records), "trace truncated: no end record")
     return records
