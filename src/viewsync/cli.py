@@ -16,7 +16,8 @@ Verbs:
                   the file if several were given, and if --out cannot be
                   written; 1 if any trace holds invariant violations. Each
                   file is read once, and the first fault in file order is
-                  the one reported
+                  the one reported; a header record after seq 0 is such a
+                  fault, reported with its seq
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
@@ -24,7 +25,9 @@ bounds, corruption times) multiples of the base delta_cap; delta_cap itself
 is always absolute, and such a spec may not sweep it. Spec values are read by
 ``simnet.coerce``, the same reading every config gets. Outputs land under
 --out: metrics.jsonl, summary.csv, summary.json, and traces/*.jsonl when the
-spec sets ``traces: true``.
+spec sets ``traces: true``. Both flags must be YAML booleans (a string such
+as ``"false"`` is a bad spec, exit 2), and ``seeds``, ``base_seed`` and
+``max_cells`` integers.
 """
 
 from __future__ import annotations
@@ -71,10 +74,13 @@ def _apply_delta_units(base: dict, sweeps: dict) -> tuple[dict, dict]:
     )
 
 
-def _integer(doc: dict, key: str, default: int) -> int:
+def _typed(doc: dict, key: str, default, kind: type):
+    """The spec's ``key``, or ``default``, which must be exactly a ``kind``:
+    an int (not a bool) or a YAML boolean (not a string such as "false")."""
     value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ExperimentError(f"{key}: expected an integer, got {value!r}")
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "true or false"
+        raise ExperimentError(f"{key}: expected {expected}, got {value!r}")
     return value
 
 
@@ -93,17 +99,17 @@ def load_spec(path, *, seed=None, horizon=None, mode="measure", drop_sweeps=Fals
     if horizon is not None:  # applied before unit scaling, so spec-file units
         base["horizon"] = horizon
         base.setdefault("stop", "horizon")
-    if doc.get("delta_units"):
+    if _typed(doc, "delta_units", False, bool):
         base, sweeps = _apply_delta_units(base, sweeps)
     spec = ExperimentSpec(
         base=base,
         sweeps={} if drop_sweeps else sweeps,
-        seeds=_integer(doc, "seeds", 1),
-        base_seed=_integer(doc, "base_seed", 0) if seed is None else seed,
+        seeds=_typed(doc, "seeds", 1, int),
+        base_seed=_typed(doc, "base_seed", 0, int) if seed is None else seed,
         mode=mode,
-        max_cells=_integer(doc, "max_cells", ExperimentSpec.max_cells),
+        max_cells=_typed(doc, "max_cells", ExperimentSpec.max_cells, int),
     )
-    return spec, bool(doc.get("traces", False))
+    return spec, _typed(doc, "traces", False, bool)
 
 
 def _print_summary(summary: dict, rows: list) -> None:

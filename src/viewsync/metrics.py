@@ -21,7 +21,8 @@ recipient already had this send delivered. So does a ``sender``,
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
 whose range is an invariant, and a send's ``recipients`` that lists no
 processor, or one twice. So does a payload ``type`` that
-``trace.PAYLOAD_FIELDS`` does not list, a ``proc_view``, a payload's
+``trace.PAYLOAD_FIELDS`` does not list, a ``header`` record at any seq but
+0 (a trace has one header), a ``proc_view``, a payload's
 ``view`` or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
@@ -324,6 +325,10 @@ class _Analyzer:
                     if forwarded:
                         recheck_dagger = True
                 elif kind == "header":
+                    if seq:
+                        raise TraceAnalysisError(
+                            f"header record at seq {seq}: a trace has one header, at seq 0"
+                        )
                     check_dagger_now(0, seq)
                     continue
                 else:
@@ -541,6 +546,7 @@ class _Analyzer:
             pr.offset_log.append((seq, offset))
             forwarded = True
         if view != pr.view:
+            # inside view != pr.view, view < pr.view and view <= pr.view agree
             if view < pr.view:
                 self.flag("view_monotonicity", seq, f"processor {p} view moved backwards")
             else:

@@ -54,24 +54,24 @@ record, and the analyzer's scan, whose per-kind code is the invariants, not
 the schema.
 
 The serialized form is the canonical identity of a run: determinism and
-replay guarantees are stated over these bytes. A record *fits* its row when
-its keys are exactly "kind" and its kind's fields, and its payload's exactly
-"type", "view" and its type's field. A fitting record's canonical line is
+replay guarantees are stated over these bytes. Every kind has a formatter,
+which writes a record as its array with one f-string when its keys are
+exactly "kind" and its kind's fields, its payload's exactly "type", "view"
+and its type's field, and every value has its row's type: an exact int for
+``int``, ``tick``, ``proc`` and ``view`` (no range is checked), a string for
+``str``, a list of exact ints for ``procs``, ``ints`` and ``ticks``, and an
+int view and an int or int-list value in a payload. The line is
 ``json.dumps([code, *fields], sort_keys=True, separators=(",", ":"),
-allow_nan=False)``, with the payload as its array, whatever its values'
-types. Every kind with no string field (``send``, ``deliver``, ``threshold``,
-``form_qc``, ``form_vc`` and ``wake``: all of a trace but its header, its
-corruptions and its end) has a formatter that writes those same bytes with
-one f-string when every value has its row's type. A list of exact ints is
+allow_nan=False)``, with the payload as its array. A list of exact ints is
 written as its repr without spaces, with two short paths: a list of one int
 (a send's one recipient and its delivery time) by an f-string, and
 ``list(range(n))`` (a broadcast's recipients) as a string made once per
-``n``. Any other fitting record goes through the JSON encoder as its array,
-which also escapes strings. A record that does not fit (the header, or one
-edited or built by hand) is written as ``json.dumps(record, sort_keys=True,
-separators=(",", ":"), allow_nan=False)``, an object with its kind's and
-payload type's full names, and reads back as one, so the analyzer still names
-its absent or extra field.
+``n``; a string is the encoder's JSON of it alone, which escapes it as it
+would inside the array. Any other record (the header, or one edited or built
+by hand) is written as ``json.dumps(record, sort_keys=True, separators=(",",
+":"), allow_nan=False)``, an object with its kind's and payload type's full
+names, and reads back as the same dict, so the analyzer still names its
+absent, extra or malformed field.
 
 The reader splits the text with ``str.splitlines`` and parses each line on
 its own, so a record is one line and an error names its line. An array
@@ -274,18 +274,24 @@ def _payload(p) -> str | None:
     return f'["{code}",{view},{value}]'
 
 
-# The function a formatter passes a field of each shape through: a list or a
-# payload becomes its JSON, or None if it is not in its shape. A field of any
-# other shape must be an exact int.
-_CONVERT = {"procs": "_ints", "ints": "_ints", "ticks": "_ints", "payload": "_payload"}
+def _str(value) -> str | None:
+    """A string as its JSON, escaped as the encoder escapes it inside an
+    array; None for anything else."""
+    return _ENCODER.encode(value) if type(value) is str else None
+
+
+# The function a formatter passes a field of each shape through: a string, a
+# list or a payload becomes its JSON, or None if it is not in its shape. A
+# field of any other shape must be an exact int.
+_CONVERT = {"str": "_str", "procs": "_ints", "ints": "_ints", "ticks": "_ints", "payload": "_payload"}
 
 
 def _formatter(kind: str, code: str, fields: dict[str, str]):
     """The formatter of a ``kind`` record with exactly ``fields``, a
-    RECORD_FIELDS row with no "str" field, written with ``code``, compiled
-    from source text built here, the way ``dataclasses`` builds its methods.
-    Field names are local names in that source, so each must be an
-    identifier other than ``r`` and the builtins it calls.
+    RECORD_FIELDS row, written with ``code``, compiled from source text built
+    here, the way ``dataclasses`` builds its methods. Field names are local
+    names in that source, so each must be an identifier other than ``r`` and
+    the builtins it calls.
 
     It reads every field of a record that has exactly those keys and "kind",
     checks each value's type, and writes the record's array, the bytes the
@@ -317,37 +323,15 @@ def _formatter(kind: str, code: str, fields: dict[str, str]):
     return made[f"_{kind}"]
 
 
-# kind -> its formatter, for each kind with no string field, whose escaping
-# is the encoder's: every record of a trace but the header, corrupt and end
+# kind -> its formatter, for every kind but the header
 _FORMATTERS = {
-    kind: _formatter(kind, code, fields)
-    for kind, (code, fields) in _RECORD_ROWS.items()
-    if "str" not in fields.values()
+    kind: _formatter(kind, code, fields) for kind, (code, fields) in _RECORD_ROWS.items()
 }
 
 
-def _array(record: Record) -> list | None:
-    """A record as its array, whatever its values' types, if it fits its
-    kind's row (see the module docstring); None if it does not."""
-    kind = record.get("kind")
-    row = RECORD_FIELDS.get(kind) if type(kind) is str else None
-    if row is None or record.keys() != {"kind", *row}:
-        return None
-    out = [RECORD_CODES[kind]]
-    for name, shape in row.items():
-        value = record[name]
-        if shape == "payload":
-            ptype = value.get("type") if type(value) is dict else None
-            fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
-            if fields is None or value.keys() != {"type", "view", *fields}:
-                return None
-            value = [PAYLOAD_CODES[ptype], value["view"], *map(value.get, fields)]
-        out.append(value)
-    return out
-
-
 def dumps_record(record: Record) -> str:
-    """The canonical JSON line of one record (without its newline)."""
+    """The canonical JSON line of one record (without its newline): its
+    kind's formatter's line, or the record as an object if that refuses it."""
     if type(record) is dict:
         kind = record.get("kind")
         # only a string kind is looked up: another may be unhashable
@@ -355,9 +339,6 @@ def dumps_record(record: Record) -> str:
         line = formatter(record) if formatter is not None else None
         if line is not None:
             return line
-        array = _array(record)
-        if array is not None:
-            return _ENCODER.encode(array)
     return _ENCODER.encode(record)
 
 

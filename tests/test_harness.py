@@ -629,6 +629,39 @@ def test_cli_rejects_malformed_spec_values(tmp_path, capsys, extra, key):
     assert f"bad spec: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_the_delta_units_flag_is_a_yaml_boolean(tmp_path, capsys, value):
+    # a truthy string or int used to scale every time: "false" read gst 3 as 6
+    doc = {"delta_units": value, "base": {"n": 4, "delta_cap": 2, "gst": 3}}
+    path = write_spec(tmp_path / "s.yaml", doc)
+    message = f"delta_units: expected true or false, got {value!r}"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        load_spec(path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"bad spec: {message}\n"
+    for flag, gst in ((False, 3), (True, 6)):
+        spec, _ = load_spec(write_spec(tmp_path / "s.yaml", {**doc, "delta_units": flag}))
+        assert spec.base["gst"] == gst
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_the_traces_flag_is_a_yaml_boolean(tmp_path, capsys, value):
+    # a truthy string or int used to write traces: "no" wrote them
+    doc = {"traces": value, "base": {"n": 4, "delta_cap": 2}}
+    path = write_spec(tmp_path / "s.yaml", doc)
+    message = f"traces: expected true or false, got {value!r}"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        load_spec(path)
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad spec: {message}\n"
+    assert not out.exists()
+    # YAML 1.1's unquoted no and yes are booleans
+    for text, want in (("no", False), ("yes", True)):
+        (tmp_path / "s.yaml").write_text(f"base: {{n: 4}}\ntraces: {text}\n", encoding="utf-8")
+        assert load_spec(path)[1] is want
+
+
 def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])

@@ -948,6 +948,41 @@ def test_advance_before_quorum_detected(base):
     assert ("qc_before_advance", j) in {(x.invariant, x.seq) for x in found}
 
 
+def qc_before_advance(records):
+    return [x.seq for x in analyze(records).violations if x.invariant == "qc_before_advance"]
+
+
+def test_qc_before_advance_applies_to_a_group_entered_at_gst(base):
+    """Kills flipping ``t_of[v] < r.gst`` to ``<=`` in
+    ``metrics._Analyzer.check_qc_before_advance``, by the analyzer alone:
+    processor 0 claims view 9 before it holds the quorum for 6, which is
+    flagged when group 6 is first entered exactly at gst, and not when it is
+    entered a tick before gst."""
+    v, p = 6, 0
+    _when, receipt = scanned(base).procs[p].qc_receipt[v]
+    j = rfind(base[:receipt], lambda r: r["kind"] == "deliver" and r["recipient"] == p)
+    bad = mutated(base, j, proc_view=v + 3)
+    entered = first_entry_at_or_above(base, v)[0]
+    assert entered > 0 and qc_before_advance(base) == []
+    assert qc_before_advance(with_gst(bad, entered)) == [j]
+    assert qc_before_advance(with_gst(bad, entered + 1)) == []
+
+
+def test_qc_before_advance_needs_the_quorum_before_the_advancing_record(base):
+    """Kills flipping ``got[1] >= adv_seq`` to ``>`` in
+    ``metrics._Analyzer.check_qc_before_advance``, by the analyzer alone:
+    processor 0 claims view 9 at the very record that delivers it the
+    quorum for 6, which is flagged, and at its next delivery, which is not.
+    No simulated trace has the first case: a quorum for u <= v + k - 3 moves
+    a processor at most to view u + 1."""
+    v, p = 6, 0
+    _when, receipt = scanned(base).procs[p].qc_receipt[v]
+    assert base[receipt]["kind"] == "deliver" and base[receipt]["recipient"] == p
+    after = find(base[receipt + 1 :], lambda r: r["kind"] == "deliver" and r["recipient"] == p)
+    assert qc_before_advance(mutated(base, receipt, proc_view=v + 3)) == [receipt]
+    assert qc_before_advance(mutated(base, receipt + 1 + after, proc_view=v + 3)) == []
+
+
 @pytest.mark.parametrize("gst", [0, 4, "13/3"])
 def test_gst_seq_is_the_last_record_before_the_first_after_gst(gst):
     records = run_records(gst=gst)
@@ -2091,6 +2126,28 @@ def test_a_planted_field_is_located_alike_by_every_reader(
     with pytest.raises(TraceAnalysisError) as info:
         replay_cell(path)
     assert str(info.value) == message and opened == [path]
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"malformed trace: {message}\n"
+
+
+@pytest.mark.parametrize("seq, whole", [(5, False), (1, True)], ids=["bare_at_5", "copy_at_1"])
+def test_a_second_header_is_located(tmp_path, capsys, seq, whole):
+    # a bare header record inside the trace, or a copy of the header right
+    # after it, with the deliveries renumbered past it: one message from a
+    # list, a stream, replay_cell and viewsync replay
+    records = every_kind_run()
+    header = records[0] if whole else {"kind": "header"}
+    bad = renumbered([*records[:seq], header, *records[seq:]], records)
+    message = f"header record at seq {seq}: a trace has one header, at seq 0"
+    for given in (bad, iter(bad)):
+        with pytest.raises(TraceAnalysisError) as info:
+            analyze(given)
+        assert str(info.value) == message
+    path = tmp_path / "two-headers.jsonl"
+    write_trace(bad, path)
+    with pytest.raises(TraceAnalysisError) as info:
+        replay_cell(path)
+    assert str(info.value) == message
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == f"malformed trace: {message}\n"
 

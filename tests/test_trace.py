@@ -118,30 +118,43 @@ def test_rejects_record_without_kind(trace_text):
 # -- the writer: dumps_record is json.dumps of a record's array, or of it ------
 
 
-def fitting_array(record):
-    """The record's array if its keys are exactly its row's, and its
-    payload's exactly its type's, whatever its values' types; else None."""
+def json_typed(value, shape):
+    """Whether a value has a row shape's JSON type; no range is checked."""
+    if shape in ("procs", "ints", "ticks"):
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is (str if shape == "str" else int)
+
+
+def typed_array(record):
+    """The record's array if its keys are exactly its row's, its payload's
+    exactly its type's, and every value has its row's JSON type; else None."""
     kind = record.get("kind") if type(record) is dict else None
     row = RECORD_FIELDS.get(kind) if type(kind) is str else None
     if row is None or set(record) != {"kind", *row}:
         return None
     array = [RECORD_CODES[kind]]
-    for name in row:
+    for name, shape in row.items():
         value = record[name]
-        if name == "payload":
+        if shape == "payload":
             ptype = value.get("type") if type(value) is dict else None
             fields = PAYLOAD_FIELDS.get(ptype) if type(ptype) is str else None
             if fields is None or set(value) != {"type", "view", *fields}:
                 return None
-            value = [PAYLOAD_CODES[ptype], value["view"], *(value[f] for f in fields)]
+            ((field, field_shape),) = fields.items()
+            if type(value["view"]) is not int or not json_typed(value[field], field_shape):
+                return None
+            value = [PAYLOAD_CODES[ptype], value["view"], value[field]]
+        elif not json_typed(value, shape):
+            return None
         array.append(value)
     return array
 
 
 def reference(record):
     """Trace v7's line for a record, written plainly: a record that fits its
-    row as its array, any other as an object."""
-    array = fitting_array(record)
+    row with every value of its row's type as its array, any other as an
+    object."""
+    array = typed_array(record)
     value = record if array is None else array
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -184,16 +197,11 @@ def sample_runs():
     return tuple(r for cfg in configs for r in Simulation(cfg).run())
 
 
-HOT_KINDS = ("send", "deliver", "threshold")  # the kinds formatted directly
-
-
-def hot(records):
-    return [r for r in records if r["kind"] in HOT_KINDS]
-
+HOT_KINDS = ("send", "deliver", "threshold")  # the kinds most of a trace is
 
 # values to put in any field: floats json.dumps refuses (NaN, inf), types no
-# hot field has, and two that some fields may hold ("3/7" as a trace v3
-# tick, a big int)
+# field has, strings to escape, and two that some fields may hold ("3/7" as a
+# trace v3 tick or a string, a big int)
 ODD = [True, False, 1.0, -0.0, float("nan"), float("inf"), None, "é", '"\\\n', "3/7", [1], {}, 2**70]
 ODD_VALUES = st.sampled_from(ODD)
 
@@ -257,67 +265,106 @@ def test_dumps_record_is_json_dumps(record):
 
 
 @settings(max_examples=400, deadline=None)
-@given(record=st.sampled_from(HOT_KINDS).flatmap(edited_records))
-def test_every_edited_hot_record_is_json_dumps(record):
-    # as many of each hot kind, though a trace holds few threshold records
+@given(record=st.sampled_from(sorted(RECORD_FIELDS)).flatmap(edited_records))
+def test_every_edited_record_of_each_kind_is_json_dumps(record):
+    # as many of each kind, though a trace holds few records of most kinds
     agrees_with_reference(record)
 
 
-def test_every_odd_value_in_every_hot_field_matches_json_dumps():
-    # one record per (kind, payload type), every field of it, of its payload
-    # and the last item of each list set to every odd value in turn
+def one_record_of_each_shape(kinds):
+    """One simulated record per (kind, payload type) of the given kinds."""
     shapes = {}
-    for r in hot(sample_runs()):
-        shapes.setdefault((r["kind"], r.get("payload", {}).get("type")), r)
-    assert len(shapes) == 7
+    for r in sample_runs():
+        if r["kind"] in kinds:
+            shapes.setdefault((r["kind"], r.get("payload", {}).get("type")), r)
+    return shapes
+
+
+def each_field_set_to_each_odd_value(record):
+    # every field of the record, of its payload and the last item of each of
+    # their lists set to every odd value in turn
+    payload = record.get("payload", {})
+    keys = [(k,) for k in record] + [("payload", k) for k in payload]
+    keys += [(k, -1) for k, v in record.items() if type(v) is list]
+    keys += [("payload", k, -1) for k, v in payload.items() if type(v) is list]
+    for key in keys:
+        for value in ODD:
+            bad = copy.deepcopy(record)
+            where = bad
+            for step in key[:-1]:
+                where = where[step]
+            where[key[-1]] = value
+            agrees_with_reference(bad)
+
+
+def test_every_odd_value_in_every_hot_field_matches_json_dumps():
+    shapes = one_record_of_each_shape(HOT_KINDS)
+    assert len(shapes) == len(HOT_KINDS) - 1 + len(PAYLOAD_FIELDS)
     for record in shapes.values():
-        keys = [(k,) for k in record]
-        keys += [("payload", k) for k in record.get("payload", ())]
-        keys += [(k, -1) for k in ("recipients", "deliver_times") if k in record]
-        for key in keys:
-            for value in ODD:
-                bad = copy.deepcopy(record)
-                where = bad
-                for step in key[:-1]:
-                    where = where[step]
-                where[key[-1]] = value
-                agrees_with_reference(bad)
+        each_field_set_to_each_odd_value(record)
+
+
+def test_every_odd_value_in_every_field_of_a_cold_compiled_kind_matches_json_dumps():
+    # the kinds few records are, each of which has a compiled formatter now
+    cold = set(RECORD_FIELDS) - set(HOT_KINDS)
+    shapes = one_record_of_each_shape(cold)
+    assert {kind for kind, _ in shapes} == cold
+    for record in shapes.values():
+        each_field_set_to_each_odd_value(record)
 
 
 KINDS = {code: kind for kind, code in RECORD_CODES.items()}  # code -> kind
 PAYLOAD_TYPES = {code: ptype for ptype, code in PAYLOAD_CODES.items()}
 
 
-def kind_of(value):
-    """The kind of a record or of its array."""
-    return KINDS.get(value[0]) if type(value) is list else value.get("kind")
+class RowKindsRefused(json.JSONEncoder):
+    """An encoder that refuses every record of a row's kind, as an object or
+    as its array; a string alone, a str field's JSON, passes."""
 
-
-class HotKindsRefused(json.JSONEncoder):
     def encode(self, o):
-        assert kind_of(o) not in HOT_KINDS, o
+        if type(o) is list:
+            assert KINDS.get(o[0]) is None, o
+        elif type(o) is not str:
+            assert o.get("kind") not in RECORD_FIELDS, o
         return super().encode(o)
 
 
 def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
-    refusing = HotKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    refusing = RowKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
     monkeypatch.setattr(trace, "_ENCODER", refusing)
     records = sample_runs()
-    types = {r["payload"]["type"] for r in hot(records) if r["kind"] == "send"}
-    assert types == {"view_message", "vote", "proposal", "view_certificate", "quorum_certificate"}
-    # the drifted run's times are ints too, and a "p/q" time, which trace v5
-    # has no form for, goes to the encoder
-    for r in hot(records):
+    hot = [r for r in records if r["kind"] in HOT_KINDS]
+    types = {r["payload"]["type"] for r in hot if r["kind"] == "send"}
+    assert types == set(PAYLOAD_FIELDS)
+    # the drifted run's times are ints too; a "p/q" time, which trace v5 has
+    # no form for, is refused by its formatter
+    for r in hot:
         times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("deliver_times", ())]
         assert {*map(type, times)} == {int}, r
     assert max(len(r.get("recipients", ())) for r in records) == 31
-    assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
-    send, deliver, threshold = (next(r for r in hot(records) if r["kind"] == k) for k in HOT_KINDS)
+    assert to_jsonl(hot) == "".join(reference(r) + "\n" for r in hot)
+    send, deliver, threshold = (next(r for r in hot if r["kind"] == k) for k in HOT_KINDS)
     assert trace._FORMATTERS["send"]({**send, "time": "1/2"}) is None
     times = ["1/2", *send["deliver_times"][1:]]
     assert trace._FORMATTERS["send"]({**send, "deliver_times": times}) is None
     assert trace._FORMATTERS["deliver"]({**deliver, "proc_clock": "1/2"}) is None
     assert trace._FORMATTERS["threshold"]({**threshold, "boundary_clock": "1/2"}) is None
+
+
+def test_every_simulated_record_of_a_compiled_kind_is_formatted_directly(monkeypatch):
+    refusing = RowKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    monkeypatch.setattr(trace, "_ENCODER", refusing)
+    records = sample_runs()
+    assert {r["kind"] for r in records} == {"header", *RECORD_FIELDS}
+    for r in records:
+        times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("deliver_times", ())]
+        assert {*map(type, times)} == {int}, r
+    assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
+    first = {}
+    for r in records:
+        first.setdefault(r["kind"], r)
+    assert trace._FORMATTERS["corrupt"]({**first["corrupt"], "strategy": 3}) is None
+    assert trace._FORMATTERS["end"]({**first["end"], "reason": None}) is None
 
 
 def test_a_hot_record_that_carries_a_seq_goes_to_the_encoder():
@@ -339,46 +386,14 @@ def test_a_hot_record_that_carries_a_seq_goes_to_the_encoder():
 
 # -- formatters compiled from the table --------------------------------------
 
-COMPILED_KINDS = {"send", "deliver", "threshold", "form_qc", "form_vc", "wake"}
 
-
-def test_each_kind_without_a_string_field_has_a_compiled_formatter():
-    assert set(trace._FORMATTERS) == COMPILED_KINDS
-    assert {k for k, row in RECORD_FIELDS.items() if "str" not in row.values()} == COMPILED_KINDS
+def test_each_kind_has_a_compiled_formatter():
+    assert set(trace._FORMATTERS) == set(RECORD_FIELDS)
     for kind, formatter in trace._FORMATTERS.items():
         assert formatter.__code__.co_filename == f"<trace formatter: {kind}>"
 
 
-class CompiledKindsRefused(json.JSONEncoder):
-    def encode(self, o):
-        assert kind_of(o) not in COMPILED_KINDS, o
-        return super().encode(o)
-
-
-def test_every_simulated_record_of_a_compiled_kind_is_formatted_directly(monkeypatch):
-    refusing = CompiledKindsRefused(sort_keys=True, separators=(",", ":"), allow_nan=False)
-    monkeypatch.setattr(trace, "_ENCODER", refusing)
-    records = sample_runs()
-    assert {r["kind"] for r in records} >= COMPILED_KINDS
-    assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
-
-
-def test_every_odd_value_in_every_field_of_a_cold_compiled_kind_matches_json_dumps():
-    # the kinds few records are: one record of each, every field and the
-    # last signer set to every odd value in turn
-    shapes = {}
-    for r in sample_runs():
-        if r["kind"] in COMPILED_KINDS - set(HOT_KINDS):
-            shapes.setdefault(r["kind"], r)
-    assert set(shapes) == {"form_qc", "form_vc", "wake"}
-    for record in shapes.values():
-        keys = [(k,) for k in record] + [("signers", -1)] * ("signers" in record)
-        for key in keys:
-            for value in ODD:
-                bad = copy.deepcopy(record)
-                where = bad[key[0]] if len(key) == 2 else bad
-                where[key[-1]] = value
-                agrees_with_reference(bad)
+ESCAPED = 'é"\\\n\u2028\x01'  # a string the encoder escapes
 
 
 @pytest.mark.parametrize("kind", [["send"], {"send": 1}, 7, None])
@@ -410,6 +425,11 @@ def test_a_formatter_follows_its_table_row():
     assert tally({"kind": "tally", "time": 12, "proc": 1}) is None
     assert tally({**record, "count": 3.0}) is None
     assert tally.__code__.co_filename == "<trace formatter: tally>"
+
+    note = trace._formatter("note", "n", {"time": "tick", "text": "str"})
+    record = {"kind": "note", "time": 12, "text": ESCAPED}
+    assert note(record) == json.dumps(["n", 12, ESCAPED], separators=(",", ":"))
+    assert note({**record, "text": 7}) is None
 
 
 # -- the tables: RECORD_FIELDS and PAYLOAD_FIELDS are what the simulator writes --
@@ -712,13 +732,10 @@ def test_a_malformed_array_is_an_error_on_its_line(name, tmp_path):
     assert str(whole.value) == str(streamed.value)
 
 
-ESCAPED = 'é"\\\n\u2028\x01'  # a string the encoder escapes
-
-
 def test_every_kind_reads_back_as_written():
-    # each kind, each payload type, strings to escape, values of the wrong
-    # type in a record that fits its row (an array), and records that do not
-    # fit (objects), each written and read back as the dict it was
+    # each kind, each payload type and strings to escape in records that
+    # fit their rows (arrays), and records that do not fit or hold a value of
+    # the wrong type (objects), each written and read back as the dict it was
     runs = list(sample_runs())
     head, end = runs[0], runs[-1]
     send = next(r for r in runs if r["kind"] == "send")
@@ -726,10 +743,11 @@ def test_every_kind_reads_back_as_written():
     fitting += [
         {"kind": "corrupt", "time": 3, "proc": 1, "strategy": ESCAPED},
         {"kind": "end", "time": 9, "reason": ESCAPED},
-        {"kind": "deliver", "send": True, "recipient": 1.5, "proc_view": None, "proc_clock": "1/2"},
-        {**send, "payload": {"type": "vote", "view": "x", "signer": [1, {"b": 2, "a": 1}]}},
     ]
     misfits = [
+        {"kind": "deliver", "send": True, "recipient": 1.5, "proc_view": None, "proc_clock": "1/2"},
+        {**send, "payload": {"type": "vote", "view": "x", "signer": [1, {"b": 2, "a": 1}]}},
+        {"kind": "corrupt", "time": 3, "proc": 1, "strategy": None},
         {**send, "seq": 4},
         {k: v for k, v in send.items() if k != "sender"},
         {**send, "payload": {**send["payload"], "extra": 0}},
