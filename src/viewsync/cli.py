@@ -16,8 +16,10 @@ Verbs:
                   the file if several were given, and if --out cannot be
                   written; 1 if any trace holds invariant violations. Each
                   file is read once, and the first fault in file order is
-                  the one reported; a header record after seq 0 is such a
-                  fault, reported with its seq
+                  the one reported; a header record after seq 0, a record
+                  after the end record, and an end record whose reason is
+                  "horizon" away from the header's horizon are such faults,
+                  each reported with its seq
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window

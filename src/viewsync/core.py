@@ -151,10 +151,17 @@ class ProcessorState:
     """Mutable per-processor synchroniser state.
 
     clock carries the current local reading (host-maintained between events,
-    jumped by ForwardClock within them) and never runs backward. view is
-    likewise monotone. Dedup sets make certificate replays no-ops and bound
-    the messages a correct processor signs: at most one view message per
-    boundary view, at most one certificate formed per view led.
+    jumped by ForwardClock within them) and never runs backward; view is
+    likewise monotone. That rule alone makes a repeated certificate a no-op,
+    with no record of what was seen: a quorum certificate for view u left the
+    clock at or past the start of u+1 and the view above u (or where it was,
+    if already above), and a view certificate left the view at or above its
+    own. A leader's list of distinct signers for a view only grows, so it
+    reaches t+1 on one call, and one certificate is formed per view led.
+
+    Two fields hold what no such rule gives: sent_view_msgs, so that a host
+    that fires one boundary twice still sends one view message for it, and
+    collected_view_msgs, each led view's signers in arrival order.
     """
 
     id: int
@@ -162,9 +169,6 @@ class ProcessorState:
     view: int = 0
     sent_view_msgs: set[int] = field(default_factory=set)
     collected_view_msgs: dict[int, list[int]] = field(default_factory=dict)
-    formed_vcs: set[int] = field(default_factory=set)
-    seen_qcs: set[int] = field(default_factory=set)
-    seen_vcs: set[int] = field(default_factory=set)
 
 
 def on_clock_reaches(state: ProcessorState, c: int, params: ProtocolParams) -> list[Action]:
@@ -172,8 +176,9 @@ def on_clock_reaches(state: ProcessorState, c: int, params: ProtocolParams) -> l
 
     Fires both on natural clock progression and when a certificate forwards
     the clock onto the boundary exactly. Start times jumped over by a forward
-    never fire, and a stale boundary (view below current) is a no-op, as is a
-    boundary whose view message already went out: the view message for a
+    never fire. A stale boundary (view below current) is a no-op, as is a
+    boundary whose view message already went out: both guard against a host
+    that fires a boundary twice or late, so that the view message for a
     boundary view is sent at most once.
     """
     v = view_at(c, params)
@@ -193,23 +198,20 @@ def on_clock_reaches(state: ProcessorState, c: int, params: ProtocolParams) -> l
 
 
 def on_qc(state: ProcessorState, qc: QuorumCertificate, params: ProtocolParams) -> list[Action]:
-    """First sight of a quorum certificate; replays are no-ops.
+    """A quorum certificate; a repeat is a no-op, as its first sight left the
+    clock and view where it would move them.
 
-    Any first-seen certificate may drag the clock forward to the start of the
+    Any certificate may drag the clock forward to the start of the
     following view. Only certificates for the current view or above advance
     the view; a forward that lands the clock exactly on a boundary start also
     fires the boundary handler, so the view message still goes out.
     """
-    if qc.view in state.seen_qcs:
-        return []
-    state.seen_qcs.add(qc.view)
     target = qc.view + 1
     start = clock_time(target, params)
     actions: list[Action] = []
-    landed = False
-    if state.clock < start:
+    landed = state.clock < start
+    if landed:
         state.clock = start
-        landed = True
         actions.append(ForwardClock(start))
     if qc.view >= state.view:
         if target > state.view:
@@ -221,19 +223,16 @@ def on_qc(state: ProcessorState, qc: QuorumCertificate, params: ProtocolParams) 
 
 
 def on_vc(state: ProcessorState, vc: ViewCertificate, params: ProtocolParams) -> list[Action]:
-    """First sight of a view certificate for a boundary view above the current one.
+    """A view certificate for a boundary view above the current one.
 
     Enters the certificate's view directly and forwards the clock to its start
     if behind. When the forward lands exactly on the start (always, if it
     happens at all) and no view message for that view went out yet, the
     boundary handler fires so the message is still sent. Certificates at or
-    below the current view, and replays, are no-ops.
+    below the current view, a repeat among them, are no-ops.
     """
     if not is_boundary(vc.view, params):
         raise ValueError(f"view certificate for non-boundary view {vc.view}")
-    if vc.view in state.seen_vcs:
-        return []
-    state.seen_vcs.add(vc.view)
     if vc.view <= state.view:
         return []
     start = clock_time(vc.view, params)
@@ -262,8 +261,7 @@ def on_view_message(state: ProcessorState, msg: ViewMessage, params: ProtocolPar
     if msg.signer in got:
         return []
     got.append(msg.signer)
-    if len(got) == params.t + 1 and msg.view not in state.formed_vcs:
-        state.formed_vcs.add(msg.view)
+    if len(got) == params.t + 1:
         vc = form_vc(msg.view, [ViewMessage(msg.view, s) for s in got], params.t)
         return [FormVC(vc), Send(ALL, vc)]
     return []

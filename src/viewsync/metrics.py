@@ -26,7 +26,11 @@ processor, or one twice. So does a payload ``type`` that
 ``view`` or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
-mode, the only reasons a run stops for, or a ``corrupt`` record whose
+mode, the only reasons a run stops for, or an ``end`` record whose reason
+is ``"horizon"`` and whose time is not the header's horizon, where a run
+that stops there writes it, or any record after the ``end`` record, which
+a run writes last (the error names the record after it), or a
+``corrupt`` record whose
 ``proc`` is not one of the header's corruptions, or whose ``strategy`` or
 ``time`` is not that corruption's, or that names a processor an earlier one
 corrupted; so does a trace that ends at or after a header corruption's time
@@ -360,6 +364,20 @@ class _Analyzer:
                                 f"end record at seq {seq}: field 'reason' is malformed: "
                                 f"{reason!r} under stop mode {r.stop!r}"
                             )
+                        if reason == "horizon" and now != r.horizon:
+                            raise TraceAnalysisError(
+                                f"end record at seq {seq}: field 'time' is malformed: "
+                                f"{now!r}, where the header's horizon is {r.horizon}"
+                            )
+                        # a run writes its end record last: what follows is
+                        # the fault, located at its own record
+                        after = next(self.records, None)
+                        if after is not None:
+                            rec, seq = after, seq + 1
+                            raise TraceAnalysisError(
+                                f"{rec['kind']} record at seq {seq}: "
+                                f"a trace ends at its end record, at seq {seq - 1}"
+                            )
                     elif kind == "wake":
                         self._proc(rec, seq)  # read for its shape alone
                     else:
@@ -597,6 +615,7 @@ class _Analyzer:
                 sync = sync_start(send_time, gst, self.windows)
                 if sync is None:  # sent after the final window closed: no upper bound
                     sync = INF
+            # max(sync, send_time); where they are equal, > and >= agree
             bound = (sync if sync > send_time else send_time) + self.delta_cap
             if now <= send_time or now > bound:
                 self.flag(
@@ -611,7 +630,8 @@ class _Analyzer:
             self._sight_qc(p, view, now, seq)
         elif ptype != "proposal" and ptype != "vote":
             return now, forwarded  # a certificate's signers were checked with its send record
-        # only a late delivery can make view v untimely in check_underlying_contract
+        # only a late delivery can make view v untimely in check_underlying_contract;
+        # max(gst, send_time), where > and >= agree
         if now > (gst if gst > send_time else send_time) + self.delta_eff:
             self.late_deliveries.setdefault(view, []).append((send_time, sender))
         return now, forwarded
@@ -619,7 +639,7 @@ class _Analyzer:
     def _sight_qc(self, p: int, view: int, now, seq: int) -> None:
         """Never-corrupted processor p holds view's quorum certificate from now on."""
         self.procs[p].qc_receipt.setdefault(view, (now, seq))
-        if now < self.qc_first_sight.get(view, INF):
+        if now < self.qc_first_sight.get(view, INF):  # <= would store the same time
             self.qc_first_sight[view] = now
 
     def _scan_form(self, rec: Record, kind: str, seq: int) -> tuple[int, int, bool]:
@@ -872,7 +892,7 @@ class _Analyzer:
         r = self.resolved
         group_qc: dict[int, Any] = {}
         for when, view, _seq in self.leader_qcs:
-            if when < group_qc.get(view // r.k, INF):
+            if when < group_qc.get(view // r.k, INF):  # <= would store the same time
                 group_qc[view // r.k] = when
         correct_led = [
             g

@@ -10,6 +10,13 @@ only certificate production matters here.
 Proposals arriving ahead of the recipient's view are buffered and replayed on
 entry; proposals for views already left are dropped. Votes are never buffered:
 a correct processor votes only while the proposal's view is current.
+
+A leader's list of distinct voters for a view only grows, so it reaches n-t
+on one call, and one quorum certificate is formed per view led with no record
+of it. Three fields hold what that rule does not give: ``proposed``, so that a
+host that enters a view twice still sees one proposal, ``voted``, so that a
+Byzantine leader's second proposal for a view gets no second vote, and
+``buffered``, the early proposals; ``votes`` holds each led view's voters.
 """
 
 from __future__ import annotations
@@ -39,13 +46,13 @@ class FormQC:
 
 @dataclass(slots=True)
 class UnderlyingState:
-    """Per-processor round bookkeeping, separate from the synchroniser state."""
+    """Per-processor round bookkeeping, separate from the synchroniser state;
+    the module docstring says why each field is kept."""
 
     proposed: set[int] = field(default_factory=set)
     voted: set[int] = field(default_factory=set)
     buffered: dict[int, Proposal] = field(default_factory=dict)
     votes: dict[int, list[int]] = field(default_factory=dict)
-    formed_qcs: set[int] = field(default_factory=set)
 
 
 def on_enter_view(
@@ -93,8 +100,7 @@ def on_vote(
     if vote.signer in got:
         return []
     got.append(vote.signer)
-    if len(got) == params.n - params.t and vote.view not in sub.formed_qcs:
-        sub.formed_qcs.add(vote.view)
+    if len(got) == params.n - params.t:
         qc = form_qc(vote.view, [(vote.view, s) for s in got], params.n, params.t)
         return [FormQC(qc), Send(ALL, qc)]
     return []

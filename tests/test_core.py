@@ -1,13 +1,20 @@
 """Frozen examples and properties for the per-processor synchroniser handlers."""
 
 import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsync.certificates import QuorumCertificate, ViewCertificate, ViewMessage
+from viewsync.certificates import (
+    QuorumCertificate,
+    ViewCertificate,
+    ViewMessage,
+    form_qc,
+    form_vc,
+)
 from viewsync.core import (
     ALL,
     EnterView,
@@ -27,6 +34,7 @@ from viewsync.core import (
     on_view_message,
     view_at,
 )
+from viewsync.underlying import FormQC, UnderlyingState, Vote, on_vote
 
 
 def params(n=4, t=1, k=3, gamma=6, schedule=None):
@@ -196,11 +204,14 @@ def test_stale_qc_still_forwards_clock():
 
 
 def test_qc_tracks_highest_seen():
+    # below the view and behind the clock, a certificate and its repeat are
+    # no-ops: no record of what was seen is needed to tell
     p = params()
     st_ = ProcessorState(id=0, clock=100, view=5)
-    on_qc(st_, QuorumCertificate(4, (0, 1, 2)), p)
-    on_qc(st_, QuorumCertificate(1, (0, 1, 2)), p)
-    assert st_.seen_qcs == {1, 4} and st_.view == 5
+    snap = copy.deepcopy(st_)
+    for view in (4, 1, 4):
+        assert on_qc(st_, QuorumCertificate(view, (0, 1, 2)), p) == []
+        assert st_ == snap
 
 
 # -- view-certificate handler -------------------------------------------------
@@ -273,9 +284,9 @@ def test_leader_forms_no_second_vc():
     on_view_message(st_, ViewMessage(3, 0), p)
     on_view_message(st_, ViewMessage(3, 2), p)
     assert on_view_message(st_, ViewMessage(3, 3), p) == []
+    assert on_view_message(st_, ViewMessage(3, 1), p) == []
     # certificate carries exactly the first t+1 signers
-    assert st_.collected_view_msgs[3] == [0, 2, 3]
-    assert st_.formed_vcs == {3}
+    assert st_.collected_view_msgs[3] == [0, 2, 3, 1]
 
 
 def test_non_leader_ignores_view_messages():
@@ -355,3 +366,166 @@ def test_at_most_one_view_message_per_boundary(events):
     # signing discipline: the clock sat exactly on the view's start at emission
     for v in sent:
         assert clock_time(v, p) <= st_.clock
+
+
+# -- one replay rule: views and clocks only move forward -----------------------
+# The four handlers as they were when per-view sets also recorded each
+# certificate seen or formed (seen_qcs, seen_vcs, formed_vcs, and the
+# underlying round's formed_qcs). The property below drives them and the
+# handlers side by side through the same deliveries, with a clock that only
+# moves forward as the host's does, and requires the same actions and state.
+
+
+@dataclass(slots=True)
+class _SetState(ProcessorState):
+    formed_vcs: set = field(default_factory=set)
+    seen_qcs: set = field(default_factory=set)
+    seen_vcs: set = field(default_factory=set)
+
+
+@dataclass(slots=True)
+class _SetSub(UnderlyingState):
+    formed_qcs: set = field(default_factory=set)
+
+
+def _set_on_qc(state, qc, params):
+    if qc.view in state.seen_qcs:
+        return []
+    state.seen_qcs.add(qc.view)
+    target = qc.view + 1
+    start = clock_time(target, params)
+    actions = []
+    landed = False
+    if state.clock < start:
+        state.clock = start
+        landed = True
+        actions.append(ForwardClock(start))
+    if qc.view >= state.view:
+        if target > state.view:
+            state.view = target
+            actions.append(EnterView(target))
+        if landed and is_boundary(target, params):
+            actions.extend(on_clock_reaches(state, start, params))
+    return actions
+
+
+def _set_on_vc(state, vc, params):
+    if not is_boundary(vc.view, params):
+        raise ValueError(f"view certificate for non-boundary view {vc.view}")
+    if vc.view in state.seen_vcs:
+        return []
+    state.seen_vcs.add(vc.view)
+    if vc.view <= state.view:
+        return []
+    start = clock_time(vc.view, params)
+    state.view = vc.view
+    actions = [EnterView(vc.view)]
+    if state.clock < start:
+        state.clock = start
+        actions.append(ForwardClock(start))
+        actions.extend(on_clock_reaches(state, start, params))
+    return actions
+
+
+def _set_on_view_message(state, msg, params):
+    if state.id != leader_of(msg.view, params):
+        return []
+    if msg.view < state.view:
+        return []
+    got = state.collected_view_msgs.setdefault(msg.view, [])
+    if msg.signer in got:
+        return []
+    got.append(msg.signer)
+    if len(got) == params.t + 1 and msg.view not in state.formed_vcs:
+        state.formed_vcs.add(msg.view)
+        vc = form_vc(msg.view, [ViewMessage(msg.view, s) for s in got], params.t)
+        return [FormVC(vc), Send(ALL, vc)]
+    return []
+
+
+def _set_on_vote(state, sub, vote, params):
+    if state.id != leader_of(vote.view, params):
+        return []
+    got = sub.votes.setdefault(vote.view, [])
+    if vote.signer in got:
+        return []
+    got.append(vote.signer)
+    if len(got) == params.n - params.t and vote.view not in sub.formed_qcs:
+        sub.formed_qcs.add(vote.view)
+        qc = form_qc(vote.view, [(vote.view, s) for s in got], params.n, params.t)
+        return [FormQC(qc), Send(ALL, qc)]
+    return []
+
+
+@st.composite
+def _replay_runs(draw):
+    n = draw(st.sampled_from((4, 7)))
+    k = draw(st.sampled_from((3, 4)))
+    views = st.integers(0, 2 * k)  # few views, so that signers pile up past a quorum
+    # a run of deliveries for one view (see _deliveries)
+    signed = st.tuples(st.sampled_from(("view_message", "vote")), views, st.integers(1, n + 1))
+    event = st.one_of(
+        st.tuples(st.just("tick"), st.integers(0, 20)),
+        st.tuples(st.just("boundary")),
+        st.tuples(st.just("qc"), views),
+        st.tuples(st.just("vc"), st.integers(0, 2).map(lambda j: j * k)),
+        # drawn more often than a certificate, which may leave the views behind
+        signed,
+        signed,
+        signed,
+        signed,
+    )
+    clock = draw(st.integers(0, 30))
+    # processors 0 to 2 lead the views drawn from; the clock is at or past the
+    # view's start (gamma is 6), as the host keeps it
+    start = (draw(st.integers(0, 2)), clock, draw(st.integers(0, clock // 6)))
+    return n, k, start, draw(st.lists(event, min_size=20, max_size=80))
+
+
+def _deliveries(n, events):
+    """The events, with each run of signed messages for a view delivered one
+    message at a time, from signers 0 to n-1 in turn and then from them again."""
+    delivered = {}  # (kind, view) -> messages delivered so far
+    for kind, *args in events:
+        if kind in ("view_message", "vote"):
+            view, count = args
+            first = delivered.get((kind, view), 0)
+            delivered[kind, view] = first + count
+            for i in range(first, first + count):
+                yield kind, view, i % n
+        else:
+            yield kind, *args
+
+
+@settings(max_examples=200, deadline=None)
+@given(_replay_runs())
+def test_handlers_match_their_seen_set_versions(run):
+    n, k, (pid, clock, view), events = run
+    p = params(n=n, t=(n - 1) // 3, k=k)
+    new, old = ProcessorState(pid, clock, view), _SetState(pid, clock, view)
+    new_sub, old_sub = UnderlyingState(), _SetSub()
+    for kind, *args in _deliveries(n, events):
+        if kind == "tick":  # the host moves the clock forward between events
+            new.clock = old.clock = new.clock + args[0]
+            continue
+        if kind == "boundary":  # ... up to the next boundary, which fires
+            period = k * p.gamma
+            new.clock = old.clock = -(-new.clock // period) * period
+            got = on_clock_reaches(new, new.clock, p), on_clock_reaches(old, old.clock, p)
+        elif kind == "qc":
+            qc = QuorumCertificate(args[0], tuple(range(n - p.t)))
+            got = on_qc(new, qc, p), _set_on_qc(old, qc, p)
+        elif kind == "vc":
+            vc = ViewCertificate(args[0], tuple(range(p.t + 1)))
+            got = on_vc(new, vc, p), _set_on_vc(old, vc, p)
+        elif kind == "view_message":
+            msg = ViewMessage(*args)
+            got = on_view_message(new, msg, p), _set_on_view_message(old, msg, p)
+        else:
+            vote = Vote(*args)
+            got = on_vote(new, new_sub, vote, p), _set_on_vote(old, old_sub, vote, p)
+        assert got[0] == got[1]
+        assert (new.view, new.clock) == (old.view, old.clock)
+        assert new.collected_view_msgs == old.collected_view_msgs
+        assert new.sent_view_msgs == old.sent_view_msgs
+        assert new_sub.votes == old_sub.votes

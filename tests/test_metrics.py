@@ -2,6 +2,7 @@
 
 import copy
 import gc
+from dataclasses import replace
 import math
 import re
 import time
@@ -33,6 +34,7 @@ from viewsync.trace import (
     PAYLOAD_FIELDS,
     RECORD_FIELDS,
     Record,
+    parse_jsonl,
     read_trace,
     to_jsonl,
     write_trace,
@@ -848,6 +850,15 @@ def test_quorum_without_enough_correct_signers_detected(base):
     assert any(v.invariant == "qc_honesty" and v.seq == i + 3 for v in found)
 
 
+def test_a_quorum_certificate_of_all_n_signers_is_well_formed_at_t_0():
+    """Kills flipping ``not distinct <= self.ids`` to ``not distinct <
+    self.ids`` in ``metrics._Analyzer._check_certificate``: with t = 0 a
+    quorum certificate carries n signers, every processor id there is."""
+    records = run_records(n=4, t=0, stop="horizon", horizon=30)
+    assert any(r["kind"] == "form_qc" and sorted(r["signers"]) == [0, 1, 2, 3] for r in records)
+    assert analyze(records).violations == []
+
+
 def scanned(records):
     analyzer = _Analyzer(records)
     analyzer.scan()
@@ -884,6 +895,34 @@ def test_clock_past_boundary_at_first_entry_detected(base):
     bad = mutated(base, j, proc_clock=1000 * base[0]["grid"])
     found = violations(bad)
     assert ("first_entry_clocks", seq) in {(x.invariant, x.seq) for x in found}
+
+
+def test_a_processor_corrupted_at_a_first_entry_is_not_checked_there(base):
+    """Kills flipping ``tau >= pr.corrupted_at`` to ``>`` in
+    ``metrics._Analyzer.check_first_entry``. Processor q's clock is edited
+    to jump past view v's boundary before v is first entered (a forward
+    with no cause, which the analyzer accepts: ROADMAP item 4). Corrupted
+    at that first entry, q is no longer correct there and is not checked;
+    corrupted a tick later, it still is, and its clock is flagged."""
+    v, q = 6, 5
+    tau = first_entry_times(base)[v]
+    j = rfind(base, lambda r: r["kind"] == "deliver" and r["recipient"] == q
+              and time_of(base, r) < tau)
+
+    def corrupted_at(when):
+        head = copy.deepcopy(base[0])
+        head["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": when}]
+        at = find(base, lambda r: r["kind"] != "header" and time_of(base, r) >= when)
+        planted = {"kind": "corrupt", "time": when, "proc": q, "strategy": "silent"}
+        out = renumbered([head, *base[1:at], planted, *base[at:]], base)
+        out[j]["proc_clock"] = v * base[0]["config"]["gamma"] + 1
+        return [x for x in analyze(out).violations if f"processor {q} clock above" in x.detail]
+
+    assert corrupted_at(tau) == []
+    (found,) = corrupted_at(tau + 1)
+    assert (found.invariant, found.detail.endswith(f"when view {v} first entered")) == (
+        "first_entry_clocks", True
+    )
 
 
 def first_entry_faults(records, seq):
@@ -1084,24 +1123,106 @@ def test_latency_bound_without_a_quorum_fires_at_a_horizon_of_gst_plus_the_bound
     ``metrics._Analyzer.check_bounds``, by the analyzer alone: a trace with
     no correct-leader quorum after gst, cut before its first, is flagged
     when its horizon is exactly gst plus the bound, and not when it is a
-    tick shorter. The cut trace ends where it is cut, so that no processor
-    goes without a quorum for long enough to break the underlying
-    contract."""
+    tick shorter. The cut trace ends at its header's horizon, as a run's
+    horizon end does, so processors may also go without a quorum for long
+    enough to break the underlying contract: only ``latency_bound`` is
+    compared."""
     i = first_leader_qc(base, 0)
     cfg = base[0]["config"]
     bound = cfg["k"] * 3 * cfg["gamma"]  # f_star is 0
-    end = {"kind": "end", "time": base[i]["time"], "reason": "horizon"}
 
     def cut(horizon):
-        out = copied([*base[:i], end])
+        out = copied([*base[:i], {"kind": "end", "time": horizon, "reason": "horizon"}])
         out[0]["config"]["horizon"] = horizon
         return out
+
+    def latency_faults(metrics):
+        return [v for v in metrics.violations if v.invariant == "latency_bound"]
 
     at = analyze(cut(cfg["gst"] + bound))
     assert (at.t_star, at.f_star) == (None, 0)
     detail = "no correct-leader quorum within the bound"
-    assert at.violations == [Violation("latency_bound", i, detail)]
-    assert analyze(cut(cfg["gst"] + bound - 1)).violations == []
+    assert latency_faults(at) == [Violation("latency_bound", i, detail)]
+    assert latency_faults(analyze(cut(cfg["gst"] + bound - 1))) == []
+
+
+def test_entry_time_identity_checks_a_boundary_at_the_clean_start_and_not_one_below():
+    """Kills flipping ``v * r.gamma < clean`` to ``<=`` in
+    ``metrics._Analyzer.check_entry_identity``, by the analyzer alone: a
+    processor claims the last boundary view, top, early, which breaks the
+    recurrence from top - k, and top's own is not checked (no entry into
+    top + k). The recurrence from top - k is checked when the clean start
+    is exactly its boundary, a header offset of (top - k) * gamma, and not
+    when that offset is a tick more, which moves the clean start a group up."""
+    records = run_records(stop="horizon", horizon=60)
+    cfg = records[0]["config"]
+    k, gamma = cfg["k"], cfg["gamma"]
+    t_of = first_entry_times(records)
+    top = max(v for v in t_of if v % k == 0 and v + k not in t_of)
+    j = rfind(
+        records,
+        lambda r: r["kind"] == "deliver" and t_of[top - 1] < time_of(records, r) < t_of[top],
+    )
+    early = mutated(records, j, proc_view=top)
+
+    def identity_faults(offset):
+        out = copied(early)
+        out[0]["config"]["offsets"][0] = offset
+        return [v for v in analyze(out).violations if v.invariant == "entry_time_identity"]
+
+    at = identity_faults((top - k) * gamma)
+    assert [(v.seq, v.detail.startswith(f"entry into {top} at ")) for v in at] == [
+        (len(records) - 1, True)
+    ]
+    assert identity_faults((top - k) * gamma + 1) == []
+
+
+def test_f_star_counts_an_entry_at_gst_and_not_one_a_tick_later():
+    """Kills flipping ``when <= r.gst`` to ``<`` in
+    ``metrics._Analyzer.compute_f_star``, by the analyzer alone. Processor 1,
+    the leader of group 1, is corrupted, so a run whose correct processors
+    are in group 0 at gst has f_star 1. A record of processor 0 is edited to
+    claim view 2k, past the corrupted group: with gst at that record's time
+    the claim moves the pivot to group 2 and f_star to 0, and with gst a
+    tick earlier it is not counted."""
+    records = run_records(
+        n=4, corruptions=(Corruption(1, "silent", 0),), stop="horizon", horizon=60
+    )
+    cfg = records[0]["config"]
+    k, period = cfg["k"], cfg["k"] * cfg["gamma"]
+    assert analyze(records).f_star == 1
+    # a delivery to processor 0 in group 0, at no boundary's clock value
+    i = find(
+        records,
+        lambda r: r["kind"] == "deliver" and r["recipient"] == 0 and r["proc_view"] < k
+        and time_of(records, r) % period != 0,
+    )
+    when = time_of(records, records[i])
+    claimed = mutated(records, i, proc_view=2 * k)
+    assert analyze(with_gst(claimed, when)).f_star == 0
+    assert analyze(with_gst(claimed, when - 1)).f_star == 1
+
+
+def test_underlying_contract_is_silent_at_a_deadline_at_the_end_and_fires_one_tick_before(base):
+    """Kills flipping ``deadline >= self.end_time`` to ``>`` in
+    ``metrics._Analyzer.check_underlying_contract``, by the analyzer alone:
+    the trace that loses view v's quorum certificate to processor p, cut
+    after its last record at or before the contract's deadline D and ended
+    at its header's horizon, is silent when that horizon is D (the
+    conclusion is not yet due) and flags p when it is D + 1."""
+    bad, v, p = lost_quorum_certificate(base)
+    (found,) = [x for x in violations(bad) if x.invariant == "underlying_contract"]
+    deadline = int(re.fullmatch(rf"processor {p} lacked the view {v} quorum by (\d+) ticks",
+                                found.detail)[1])
+    kept = bad[:find(bad, lambda r: time_of(bad, r) > deadline)]
+
+    def contract_faults(horizon):
+        out = copied([*kept, {"kind": "end", "time": horizon, "reason": "horizon"}])
+        out[0]["config"]["horizon"] = horizon
+        return [x for x in analyze(out).violations if x.invariant == "underlying_contract"]
+
+    assert contract_faults(deadline) == []
+    assert contract_faults(deadline + 1) == [found._replace(seq=len(kept))]
 
 
 def with_words(records, i, count, time):
@@ -1222,6 +1343,21 @@ def test_delivery_bound_is_silent_at_the_actual_delay_and_fires_one_tick_past():
     assert delivery_faults(records, i, now - actual) == []
     detail = "post-stabilisation delivery exceeded delta"
     assert delivery_faults(records, i, now - actual - 1) == [Violation("delivery_bound", i, detail)]
+
+
+def test_a_send_at_gst_is_held_to_the_actual_delay_and_one_before_is_not():
+    """Kills flipping ``sync <= send_time`` to ``<`` in
+    ``metrics._Analyzer._scan_deliver``: the delivery of the test above, one
+    tick slower than the actual delay, is flagged when its send is exactly
+    at gst, and not when gst is a tick later, where only the cap binds."""
+    records = copied(run_records(network="fixed_delta", delta_actual="1/5", stop="horizon",
+                                 horizon=30))
+    i = a_delivery_to_another(records)
+    send_time = time_of(records, records[i]) - records[0]["config"]["delta_actual"] - 1
+    detail = "post-stabilisation delivery exceeded delta"
+    at_gst = delivery_faults(with_gst(records, send_time), i, send_time)
+    assert at_gst == [Violation("delivery_bound", i, detail)]
+    assert delivery_faults(with_gst(records, send_time + 1), i, send_time) == []
 
 
 def test_slow_first_quorum_breaks_responsiveness():
@@ -2269,6 +2405,26 @@ def test_a_corruption_after_the_trace_ends_needs_no_corrupt_record():
     assert analyze(records).violations == []
 
 
+def test_a_corruption_at_the_end_time_needs_its_corrupt_record():
+    """Kills flipping ``c.time <= end_time`` to ``<`` in
+    ``metrics._Analyzer._check_corrupted``: a corruption at the horizon
+    happens, so the run writes its corrupt record before the end record,
+    and a trace without it is refused (one a tick later needs none: the
+    test above)."""
+    records = run_records(n=4, corruptions=(Corruption(3, "crash_leader", 30),), stop="horizon",
+                          horizon=30)
+    c = find(records, lambda r: r["kind"] == "corrupt")
+    end = records[-1]["time"]
+    assert records[c]["time"] == end and analyze(records).violations == []
+    bad = deleted_corrupt(records, c)
+    message = (
+        f"trace ends at seq {len(bad) - 1}, time {end}, with no corrupt record "
+        f"for processor 3, which the header corrupts at {end}"
+    )
+    with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
+        analyze(bad)
+
+
 def test_a_forged_signer_is_flagged_and_signs_for_nobody():
     # a corrupted sender's view message naming correct processor 3: a
     # forgery, which the model excludes, flagged at its send's seq and not
@@ -2333,11 +2489,56 @@ def test_an_end_reason_is_the_horizon_or_the_stop_mode():
     records = copied(run_records(n=4, stop="t_star"))
     assert records[-1]["reason"] == "t_star"
     want = analyze(records)
-    records[-1]["reason"] = "horizon"  # a run with no t_star ends there
-    assert analyze(records) == want
+    # a run with no t_star ends at its horizon: here, one where this run stopped
+    records[-1]["reason"] = "horizon"
+    records[0]["config"]["horizon"] = records[-1]["time"]
+    got = analyze(records)
+    assert replace(got, run=want.run) == want and got.run.horizon == records[-1]["time"]
     records[-1]["reason"] = "sync_plus"
     with pytest.raises(TraceAnalysisError, match="field 'reason' is malformed: 'sync_plus'"):
         analyze(records)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_horizon_end_off_the_headers_horizon_is_located(read, shift, tmp_path, capsys):
+    # a run that stops at its horizon writes its end record there; one a
+    # tick either side claims a horizon the run did not run to
+    records = copied(found_run())
+    end, horizon = len(records) - 1, records[0]["config"]["horizon"]
+    assert records[end] == {"kind": "end", "time": horizon, "reason": "horizon"}
+    records[end]["time"] = horizon + shift
+    message = (
+        f"end record at seq {end}: field 'time' is malformed: {horizon + shift}, "
+        f"where the header's horizon is {horizon}"
+    )
+    located(records, read, message, tmp_path, capsys)
+
+
+def test_an_end_record_before_the_last_is_located(tmp_path, capsys):
+    # found_run's end record, at the header's horizon, planted again at seq
+    # 5 with the deliveries renumbered past it, so that only the rule that a
+    # trace ends at its end record refuses it: one message from a list, a
+    # stream, a list parsed back from its text, replay_cell and viewsync replay
+    records = found_run()
+    seq = 5
+    bad = renumbered([*records[:seq], records[-1], *records[seq:]], records)
+    assert bad[seq]["time"] == bad[0]["config"]["horizon"]
+    message = (
+        f"{bad[seq + 1]['kind']} record at seq {seq + 1}: "
+        f"a trace ends at its end record, at seq {seq}"
+    )
+    for given in (bad, iter(bad), parse_jsonl(to_jsonl(bad))):
+        with pytest.raises(TraceAnalysisError) as info:
+            analyze(given)
+        assert str(info.value) == message
+    path = tmp_path / "early-end.jsonl"
+    write_trace(bad, path)
+    with pytest.raises(TraceAnalysisError) as info:
+        replay_cell(path)
+    assert str(info.value) == message
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"malformed trace: {message}\n"
 
 
 def test_header_corruption_out_of_range_rejected():

@@ -84,11 +84,10 @@ def test_no_second_qc_per_view(p):
 def test_votes_accumulate_per_view(p):
     leader = ProcessorState(id=0, view=0)
     sub = UnderlyingState()
-    on_vote(leader, sub, Vote(0, 1), p)
-    on_vote(leader, sub, Vote(1, 2), p)
-    on_vote(leader, sub, Vote(0, 2), p)
     # three votes, but no view has n-t=3 distinct signers yet
-    assert not sub.formed_qcs
+    for vote in (Vote(0, 1), Vote(1, 2), Vote(0, 2)):
+        assert on_vote(leader, sub, vote, p) == []
+    assert sub.votes == {0: [1, 2], 1: [2]}
 
 
 def test_duplicate_votes_ignored(p):
