@@ -159,15 +159,14 @@ class ProcessorState:
     own. A leader's list of distinct signers for a view only grows, so it
     reaches t+1 on one call, and one certificate is formed per view led.
 
-    Two fields hold what no such rule gives: sent_view_msgs, so that a host
-    that fires one boundary twice still sends one view message for it, and
-    collected_view_msgs, each led view's signers in arrival order.
+    One field holds what no such rule gives: collected_view_msgs, each led
+    view's signers in arrival order. No record of sent view messages is
+    kept: the host fires each boundary once (see on_clock_reaches).
     """
 
     id: int
     clock: int = 0
     view: int = 0
-    sent_view_msgs: set[int] = field(default_factory=set)
     collected_view_msgs: dict[int, list[int]] = field(default_factory=dict)
 
 
@@ -176,23 +175,22 @@ def on_clock_reaches(state: ProcessorState, c: int, params: ProtocolParams) -> l
 
     Fires both on natural clock progression and when a certificate forwards
     the clock onto the boundary exactly. Start times jumped over by a forward
-    never fire. A stale boundary (view below current) is a no-op, as is a
-    boundary whose view message already went out: both guard against a host
-    that fires a boundary twice or late, so that the view message for a
-    boundary view is sent at most once.
+    never fire. The host fires each boundary once, when the clock reaches it
+    from below (or starts on it): a forward bumps the processor's gen, which
+    supersedes its queued threshold, and queues the next one above the
+    forward's target. A view is entered only with the clock at or past its
+    start, so view <= v holds here: no boundary is stale, and each boundary
+    view's message goes out once with no record of it.
     """
     v = view_at(c, params)
     if not is_boundary(v, params):
         raise ValueError(f"view {v} is not a boundary view")
     if state.clock != c:
         raise ValueError(f"clock {state.clock} not on boundary {c}")
-    if v < state.view or v in state.sent_view_msgs:
-        return []
     actions: list[Action] = []
     if v > state.view:
         state.view = v
         actions.append(EnterView(v))
-    state.sent_view_msgs.add(v)
     actions.append(Send(leader_of(v, params), ViewMessage(v, state.id)))
     return actions
 
@@ -227,8 +225,8 @@ def on_vc(state: ProcessorState, vc: ViewCertificate, params: ProtocolParams) ->
 
     Enters the certificate's view directly and forwards the clock to its start
     if behind. When the forward lands exactly on the start (always, if it
-    happens at all) and no view message for that view went out yet, the
-    boundary handler fires so the message is still sent. Certificates at or
+    happens at all), the boundary handler fires so the message is still sent;
+    the clock was below the start, so it had not fired there. Certificates at or
     below the current view, a repeat among them, are no-ops.
     """
     if not is_boundary(vc.view, params):

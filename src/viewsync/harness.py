@@ -22,6 +22,7 @@ import json
 import os
 import re
 from collections.abc import Mapping
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -253,7 +254,8 @@ def replay_cell(trace_path) -> dict[str, Any]:
     ``config`` is the digest in the file's name if that is the name
     ``run_cell`` gives a trace, and None otherwise.
     """
-    metrics = analyze(iter_trace(trace_path))
+    with closing(iter_trace(trace_path)) as records:  # closed on a fault, too
+        metrics = analyze(records)
     named = _TRACE_NAME.fullmatch(Path(trace_path).name)
     return _row(named and named[1], metrics)
 

@@ -695,7 +695,12 @@ class _Analyzer:
 
     def check_first_entry(self, entries) -> None:
         """At each boundary view v, the first entries at or above v enter v
-        itself, and no correct clock is already past v's boundary then.
+        itself, and no never-corrupted clock is already past v's boundary then.
+
+        The clocks checked are those of the processors whose entries are
+        walked (``all_entries``). A processor corrupted later, even after the
+        trace ends, enters views the walk does not see, so its clock, moved
+        by an entry of its own, would be held to another processor's entry.
 
         One walk over the entries, which are in (time, seq) order, an instant
         tau at a time: the entries at tau are the first at or above every
@@ -708,6 +713,7 @@ class _Analyzer:
         r = self.resolved
         k, gamma_q = r.k, r.gamma * self.q  # view v's boundary clock, times q, is v * gamma_q
         low = self._clean_start // r.gamma  # the lowest boundary view not yet entered
+        never_corrupted = sorted(self.never_corrupted)
         for tau, at_tau in groupby(entries, key=itemgetter(0)):
             at_tau = list(at_tau)
             for _when, view, seq, _p in at_tau:
@@ -723,11 +729,9 @@ class _Analyzer:
                     continue
                 # the first entry at or above each boundary from low up to last
                 last = low + (view - low) // k * k
-                for q, pr in enumerate(self.procs):
-                    if tau >= pr.corrupted_at:  # not correct at tau
-                        continue
+                for q in never_corrupted:
                     # the highest view whose boundary the clock is above
-                    above = (pr.clock_before(tau, seq) - 1) // gamma_q
+                    above = (self.procs[q].clock_before(tau, seq) - 1) // gamma_q
                     if above >= low:
                         top = min(last, low + (above - low) // k * k)
                         self.flag(

@@ -27,9 +27,16 @@ recorded, a threshold's successor queued and a delivered quorum certificate
 shown to the strategy (``saw_qc``). Every draw and every event keeps its
 order only because neither a threshold nor a delivered quorum certificate
 makes a list holding a quorum certificate send, the one action ``transform``
-stashes for later. ``send`` is the
-signature ledger's one writer: it records every vote and view message as it
-is sent, a corrupted processor's floods included.
+stashes for later.
+
+``send`` is the one gate into the network, for a correct and a corrupted
+sender alike. It is the signature ledger's one writer: it refuses a vote or
+view message signed by anyone but its sender and records the rest as they
+are sent, a corrupted processor's floods included. And it checks every
+quorum and view certificate against the ledger as it is sent
+(``validate_qc``, ``validate_vc``), a ``SimulationError`` if one carries a
+signature nobody made. The ledger is append-only, so what was valid when
+sent is valid when delivered, and a delivery checks nothing again.
 
 Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
@@ -775,13 +782,7 @@ def payload_to_dict(payload) -> dict:
     return to_dict(payload)
 
 
-def _unsigned(payload) -> SimulationError:
-    return SimulationError(f"delivered {payload!r} carries signatures nobody made")
-
-
 def _receive_vote(sim: Simulation, p: int, state: ProcessorState, vote: Vote) -> list:
-    if not sim.ledger.holds(vote.signer, SIGN_VOTE, vote.view):
-        raise _unsigned(vote)
     return on_vote(state, sim.subs[p], vote, sim.params)
 
 
@@ -790,28 +791,14 @@ def _receive_proposal(sim: Simulation, p: int, state: ProcessorState, prop: Prop
 
 
 def _receive_view_message(sim: Simulation, p: int, state: ProcessorState, msg: ViewMessage) -> list:
-    if not sim.ledger.holds(msg.signer, SIGN_VIEW, msg.view):
-        raise _unsigned(msg)
     return on_view_message(state, msg, sim.params)
 
 
-# A certificate that passed validation is kept in valid_certs: the ledger is
-# append-only, so a certificate valid once stays valid.
-
-
 def _receive_qc(sim: Simulation, p: int, state: ProcessorState, qc: QuorumCertificate) -> list:
-    if qc not in sim.valid_certs:
-        if not validate_qc(qc, sim.resolved.n, sim.resolved.t, sim.ledger):
-            raise _unsigned(qc)
-        sim.valid_certs.add(qc)
     return on_qc(state, qc, sim.params)
 
 
 def _receive_vc(sim: Simulation, p: int, state: ProcessorState, vc: ViewCertificate) -> list:
-    if vc not in sim.valid_certs:
-        if not validate_vc(vc, sim.resolved.n, sim.resolved.t, sim.ledger):
-            raise _unsigned(vc)
-        sim.valid_certs.add(vc)
     return on_vc(state, vc, sim.params)
 
 
@@ -855,7 +842,6 @@ class Simulation:
             unit=r.unit,
         )
         self.ledger = SignatureLedger()
-        self.valid_certs: set = set()  # see _receive_qc
         self.states = [ProcessorState(p, clock) for p, clock in enumerate(r.offsets)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
         self.offset: list[int] = list(r.offsets)  # clock model intercepts
@@ -913,7 +899,9 @@ class Simulation:
         return self._never if when is None else when
 
     def send(self, sender: int, to, payload, now: int) -> None:
+        """The one gate into the network (see the module docstring)."""
         ptype = type(payload)
+        r = self.resolved
         if ptype is Vote or ptype is ViewMessage:
             if payload.signer != sender:
                 raise SimulationError(
@@ -921,7 +909,10 @@ class Simulation:
                 )
             sign = SIGN_VIEW if ptype is ViewMessage else SIGN_VOTE
             self.ledger.record(sender, sign, payload.view)
-        r = self.resolved
+        elif ptype is QuorumCertificate or ptype is ViewCertificate:
+            validate = validate_qc if ptype is QuorumCertificate else validate_vc
+            if not validate(payload, r.n, r.t, self.ledger):
+                raise SimulationError(f"sent {payload!r} carries signatures nobody made")
         # nothing is emitted before this send's record, whose seq it names
         envelope = (len(self.records), payload)
         if to != ALL:  # one recipient, as most sends have

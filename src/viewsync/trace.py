@@ -499,8 +499,17 @@ def _line_blocks(path) -> Iterator[list[str]]:
 def iter_trace(path) -> Iterator[Record]:
     """The records of the trace file at ``path``, each parsed as it is asked
     for, with ``read_trace``'s checks and errors. The file is opened when the
-    first record is asked for, and read a block at a time."""
-    return _records(chain.from_iterable(_line_blocks(path)))
+    first record is asked for, and read a block at a time.
+
+    The file is closed when the stream ends, at its last record or at a
+    fault it raises. A reader that stops early, on a fault of its own,
+    closes the stream (``contextlib.closing``), which closes the file.
+    """
+    blocks = _line_blocks(path)
+    try:
+        yield from _records(chain.from_iterable(blocks))
+    finally:
+        blocks.close()
 
 
 def read_trace(path) -> list[Record]:

@@ -13,10 +13,12 @@ a correct processor votes only while the proposal's view is current.
 
 A leader's list of distinct voters for a view only grows, so it reaches n-t
 on one call, and one quorum certificate is formed per view led with no record
-of it. Three fields hold what that rule does not give: ``proposed``, so that a
-host that enters a view twice still sees one proposal, ``voted``, so that a
-Byzantine leader's second proposal for a view gets no second vote, and
-``buffered``, the early proposals; ``votes`` holds each led view's voters.
+of it. A leader proposes once per view it leads with no record either: the
+host enters view 0 once, at the start, and every later entry comes from an
+``EnterView`` action, which a handler emits only when the view rises. Two
+fields hold what those rules do not give: ``voted``, so that a Byzantine
+leader's second proposal for a view gets no second vote, and ``buffered``,
+the early proposals; ``votes`` holds each led view's voters.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class UnderlyingState:
     """Per-processor round bookkeeping, separate from the synchroniser state;
     the module docstring says why each field is kept."""
 
-    proposed: set[int] = field(default_factory=set)
     voted: set[int] = field(default_factory=set)
     buffered: dict[int, Proposal] = field(default_factory=dict)
     votes: dict[int, list[int]] = field(default_factory=dict)
@@ -58,10 +59,10 @@ class UnderlyingState:
 def on_enter_view(
     state: ProcessorState, sub: UnderlyingState, view: int, params: ProtocolParams
 ) -> list[Action]:
-    """Entry into a view by any path (clock, certificate, or protocol start)."""
+    """Entry into a view by any path (clock, certificate, or protocol start),
+    once per view."""
     actions: list[Action] = []
-    if state.id == leader_of(view, params) and view not in sub.proposed:
-        sub.proposed.add(view)
+    if state.id == leader_of(view, params):
         actions.append(Send(ALL, Proposal(view, state.id)))
     held = sub.buffered.pop(view, None)
     if held is not None:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewsync import core, simnet
+from viewsync.adversary import BYZANTINE_STRATEGIES
 from viewsync.certificates import (
     QuorumCertificate,
     ViewCertificate,
@@ -34,7 +36,16 @@ from viewsync.core import (
     on_view_message,
     view_at,
 )
-from viewsync.underlying import FormQC, UnderlyingState, Vote, on_vote
+from viewsync.simnet import NETWORK_STRATEGIES, Corruption, SimConfig, Simulation
+from viewsync.underlying import (
+    FormQC,
+    Proposal,
+    UnderlyingState,
+    Vote,
+    on_enter_view,
+    on_proposal,
+    on_vote,
+)
 
 
 def params(n=4, t=1, k=3, gamma=6, schedule=None):
@@ -122,20 +133,76 @@ def test_clock_reaches_sends_view_message():
     acts = on_clock_reaches(st_, 18, p)
     assert st_.view == 3
     assert acts == [EnterView(3), Send(leader_of(3, p), ViewMessage(3, 1))]
-    assert 3 in st_.sent_view_msgs
 
 
-def test_clock_reaches_stale_boundary_noop():
-    p = params()
-    st_ = ProcessorState(id=1, clock=18, view=5)
-    assert on_clock_reaches(st_, 18, p) == []
-    assert st_.view == 5
+# runs over the host's every path to a boundary and a view entry: thresholds
+# and forwards under every network, drifting clocks, dispersed offsets, and
+# each strategy corrupting a processor, from the start or mid-run
+HOST_RUNS = [
+    SimConfig(n=4, delta_cap=2, network=network, delta_actual="1/2", gst=5, offsets=offsets,
+              stop="horizon", horizon=80, seed=3)
+    for network in NETWORK_STRATEGIES
+    for offsets in ("all_zero", "adversarial_spread")
+] + [
+    SimConfig(n=7, delta_cap=2, gst=3, offsets="adversarial_spread", network="uniform_random",
+              corruptions=[Corruption(c, strategy, time)], stop="horizon", horizon=60, seed=c)
+    for c, strategy in enumerate(BYZANTINE_STRATEGIES)
+    for time in (0, 7)
+] + [
+    SimConfig(n=4, delta_cap=1, drift_epsilon="1/10", drift_rates=["1", "11/10", "9/10", "1"],
+              offsets="adversarial_spread", stop="horizon", horizon=60),
+]
 
 
-def test_clock_reaches_fires_at_most_once():
-    p = params()
-    st_ = ProcessorState(id=1, clock=18, view=3, sent_view_msgs={3})
-    assert on_clock_reaches(st_, 18, p) == []
+def host_calls(monkeypatch, config):
+    """Run config with the host's boundary and view-entry calls recorded:
+    (id, boundary, view at the call, boundary's view) per fired boundary,
+    (id, view) per entered view, and the run's records."""
+    fired, entered = [], []
+
+    def reaches(state, c, params):
+        fired.append((state.id, c, state.view, c // params.gamma))
+        return on_clock_reaches(state, c, params)
+
+    def enter(state, sub, view, params):
+        entered.append((state.id, view))
+        return on_enter_view(state, sub, view, params)
+
+    with monkeypatch.context() as m:
+        for module in (core, simnet):
+            m.setattr(module, "on_clock_reaches", reaches)
+        m.setattr(simnet, "on_enter_view", enter)
+        records = Simulation(config).run()
+    return fired, entered, records
+
+
+def test_clock_reaches_stale_boundary_noop(monkeypatch):
+    """on_clock_reaches keeps no stale-boundary no-op: the host never fires
+    a boundary below its processor's view, since a forward bumps the gen
+    that its queued threshold carries."""
+    for config in HOST_RUNS:
+        fired, _, _ = host_calls(monkeypatch, config)
+        assert fired
+        for pid, c, view, boundary_view in fired:
+            assert view <= boundary_view, (pid, c, view)
+
+
+def test_clock_reaches_fires_at_most_once(monkeypatch):
+    """The host fires each boundary of a processor once and enters each view
+    once: what on_clock_reaches and on_enter_view no longer guard against
+    themselves."""
+    for config in HOST_RUNS:
+        fired, entered, records = host_calls(monkeypatch, config)
+        assert fired and entered
+        boundaries = [(pid, c) for pid, c, _, _ in fired]
+        assert len(boundaries) == len(set(boundaries))
+        assert len(entered) == len(set(entered))
+        views = [
+            (r["sender"], r["payload"]["view"])
+            for r in records
+            if r["kind"] == "send" and r["payload"]["type"] == "view_message"
+        ]
+        assert len(views) == len(set(views))  # one view message per boundary view
 
 
 def test_clock_reaches_rejects_off_schedule():
@@ -252,10 +319,12 @@ def test_vc_non_boundary_rejected():
 
 
 def test_vc_does_not_resend_view_message():
+    # the clock reached view 3's boundary and sent its view message; a view
+    # certificate for view 3 then finds the view entered and does nothing
     p = params()
-    st_ = ProcessorState(id=1, clock=2, view=0, sent_view_msgs={3})
-    acts = on_vc(st_, ViewCertificate(3, (0, 2)), p)
-    assert acts == [EnterView(3), ForwardClock(18)]
+    st_ = ProcessorState(id=1, clock=18, view=0)
+    assert on_clock_reaches(st_, 18, p) == [EnterView(3), Send(leader_of(3, p), ViewMessage(3, 1))]
+    assert on_vc(st_, ViewCertificate(3, (0, 2)), p) == []
 
 
 # -- leader-side view-message collection ---------------------------------------
@@ -369,15 +438,19 @@ def test_at_most_one_view_message_per_boundary(events):
 
 
 # -- one replay rule: views and clocks only move forward -----------------------
-# The four handlers as they were when per-view sets also recorded each
-# certificate seen or formed (seen_qcs, seen_vcs, formed_vcs, and the
-# underlying round's formed_qcs). The property below drives them and the
-# handlers side by side through the same deliveries, with a clock that only
-# moves forward as the host's does, and requires the same actions and state.
+# The handlers as they were when per-view sets also recorded each certificate
+# seen or formed (seen_qcs, seen_vcs, formed_vcs, and the underlying round's
+# formed_qcs), each boundary's view message sent (sent_view_msgs, with the
+# stale-boundary guard beside it) and each view proposed in (proposed). The
+# property below drives them and the handlers side by side through the same
+# deliveries, under a host that moves the clock forward, fires each boundary
+# once as the clock reaches it from below and enters each view once, as the
+# simulator does, and requires the same actions and state.
 
 
 @dataclass(slots=True)
 class _SetState(ProcessorState):
+    sent_view_msgs: set = field(default_factory=set)
     formed_vcs: set = field(default_factory=set)
     seen_qcs: set = field(default_factory=set)
     seen_vcs: set = field(default_factory=set)
@@ -385,7 +458,36 @@ class _SetState(ProcessorState):
 
 @dataclass(slots=True)
 class _SetSub(UnderlyingState):
+    proposed: set = field(default_factory=set)
     formed_qcs: set = field(default_factory=set)
+
+
+def _set_on_clock_reaches(state, c, params):
+    v = view_at(c, params)
+    if not is_boundary(v, params):
+        raise ValueError(f"view {v} is not a boundary view")
+    if state.clock != c:
+        raise ValueError(f"clock {state.clock} not on boundary {c}")
+    if v < state.view or v in state.sent_view_msgs:
+        return []
+    actions = []
+    if v > state.view:
+        state.view = v
+        actions.append(EnterView(v))
+    state.sent_view_msgs.add(v)
+    actions.append(Send(leader_of(v, params), ViewMessage(v, state.id)))
+    return actions
+
+
+def _set_on_enter_view(state, sub, view, params):
+    actions = []
+    if state.id == leader_of(view, params) and view not in sub.proposed:
+        sub.proposed.add(view)
+        actions.append(Send(ALL, Proposal(view, state.id)))
+    held = sub.buffered.pop(view, None)
+    if held is not None:
+        actions.extend(on_proposal(state, sub, held, params))
+    return actions
 
 
 def _set_on_qc(state, qc, params):
@@ -405,7 +507,7 @@ def _set_on_qc(state, qc, params):
             state.view = target
             actions.append(EnterView(target))
         if landed and is_boundary(target, params):
-            actions.extend(on_clock_reaches(state, start, params))
+            actions.extend(_set_on_clock_reaches(state, start, params))
     return actions
 
 
@@ -423,7 +525,7 @@ def _set_on_vc(state, vc, params):
     if state.clock < start:
         state.clock = start
         actions.append(ForwardClock(start))
-        actions.extend(on_clock_reaches(state, start, params))
+        actions.extend(_set_on_clock_reaches(state, start, params))
     return actions
 
 
@@ -457,6 +559,63 @@ def _set_on_vote(state, sub, vote, params):
     return []
 
 
+# event kind -> handler(state, sub, input, params), for each version
+_HANDLERS = {
+    "boundary": lambda state, sub, c, p: on_clock_reaches(state, c, p),
+    "enter": on_enter_view,
+    "qc": lambda state, sub, qc, p: on_qc(state, qc, p),
+    "vc": lambda state, sub, vc, p: on_vc(state, vc, p),
+    "view_message": lambda state, sub, msg, p: on_view_message(state, msg, p),
+    "vote": on_vote,
+    "proposal": on_proposal,
+}
+_SET_HANDLERS = {
+    "boundary": lambda state, sub, c, p: _set_on_clock_reaches(state, c, p),
+    "enter": _set_on_enter_view,
+    "qc": lambda state, sub, qc, p: _set_on_qc(state, qc, p),
+    "vc": lambda state, sub, vc, p: _set_on_vc(state, vc, p),
+    "view_message": lambda state, sub, msg, p: _set_on_view_message(state, msg, p),
+    "vote": _set_on_vote,
+    "proposal": on_proposal,
+}
+
+
+class _Host:
+    """One processor's handlers, driven as the simulator drives them: its
+    boundary fires once, when the clock reaches it from below (or starts on
+    it), a forward queues the next boundary above its target, and each
+    EnterView enters its view at once; the start view is entered once."""
+
+    def __init__(self, state, sub, handlers, params):
+        self.state, self.sub, self.handlers, self.params = state, sub, handlers, params
+        self.period = params.k * params.gamma
+        self.next = -(-state.clock // self.period) * self.period  # the queued boundary
+        self.log = []  # every action, in the order the host performs it
+        self.deliver("enter", state.view)
+
+    def deliver(self, kind, payload):
+        self.perform(self.handlers[kind](self.state, self.sub, payload, self.params))
+
+    def perform(self, actions):
+        for act in actions:
+            self.log.append(act)
+            if type(act) is ForwardClock:
+                self.next = (act.to // self.period + 1) * self.period
+            elif type(act) is EnterView:
+                self.deliver("enter", act.view)
+
+    def tick(self, d):
+        """The clock moves d forward, or fires the boundary it passes."""
+        if self.state.clock + d > self.next:
+            self.fire()
+        else:
+            self.state.clock += d
+
+    def fire(self):
+        self.state.clock, self.next = self.next, self.next + self.period
+        self.deliver("boundary", self.state.clock)
+
+
 @st.composite
 def _replay_runs(draw):
     n = draw(st.sampled_from((4, 7)))
@@ -469,6 +628,7 @@ def _replay_runs(draw):
         st.tuples(st.just("boundary")),
         st.tuples(st.just("qc"), views),
         st.tuples(st.just("vc"), st.integers(0, 2).map(lambda j: j * k)),
+        st.tuples(st.just("proposal"), views),
         # drawn more often than a certificate, which may leave the views behind
         signed,
         signed,
@@ -476,8 +636,8 @@ def _replay_runs(draw):
         signed,
     )
     clock = draw(st.integers(0, 30))
-    # processors 0 to 2 lead the views drawn from; the clock is at or past the
-    # view's start (gamma is 6), as the host keeps it
+    # processors 0 to 2 lead the views drawn from; the view's start is at or
+    # below the clock (gamma is 6), as the host keeps it
     start = (draw(st.integers(0, 2)), clock, draw(st.integers(0, clock // 6)))
     return n, k, start, draw(st.lists(event, min_size=20, max_size=80))
 
@@ -502,30 +662,25 @@ def _deliveries(n, events):
 def test_handlers_match_their_seen_set_versions(run):
     n, k, (pid, clock, view), events = run
     p = params(n=n, t=(n - 1) // 3, k=k)
-    new, old = ProcessorState(pid, clock, view), _SetState(pid, clock, view)
-    new_sub, old_sub = UnderlyingState(), _SetSub()
+    new = _Host(ProcessorState(pid, clock, view), UnderlyingState(), _HANDLERS, p)
+    old = _Host(_SetState(pid, clock, view), _SetSub(), _SET_HANDLERS, p)
     for kind, *args in _deliveries(n, events):
-        if kind == "tick":  # the host moves the clock forward between events
-            new.clock = old.clock = new.clock + args[0]
-            continue
-        if kind == "boundary":  # ... up to the next boundary, which fires
-            period = k * p.gamma
-            new.clock = old.clock = -(-new.clock // period) * period
-            got = on_clock_reaches(new, new.clock, p), on_clock_reaches(old, old.clock, p)
-        elif kind == "qc":
-            qc = QuorumCertificate(args[0], tuple(range(n - p.t)))
-            got = on_qc(new, qc, p), _set_on_qc(old, qc, p)
-        elif kind == "vc":
-            vc = ViewCertificate(args[0], tuple(range(p.t + 1)))
-            got = on_vc(new, vc, p), _set_on_vc(old, vc, p)
-        elif kind == "view_message":
-            msg = ViewMessage(*args)
-            got = on_view_message(new, msg, p), _set_on_view_message(old, msg, p)
-        else:
-            vote = Vote(*args)
-            got = on_vote(new, new_sub, vote, p), _set_on_vote(old, old_sub, vote, p)
-        assert got[0] == got[1]
-        assert (new.view, new.clock) == (old.view, old.clock)
-        assert new.collected_view_msgs == old.collected_view_msgs
-        assert new.sent_view_msgs == old.sent_view_msgs
-        assert new_sub.votes == old_sub.votes
+        for host in (new, old):
+            if kind == "tick":
+                host.tick(args[0])
+            elif kind == "boundary":
+                host.fire()
+            elif kind == "qc":
+                host.deliver(kind, QuorumCertificate(args[0], tuple(range(n - p.t))))
+            elif kind == "vc":
+                host.deliver(kind, ViewCertificate(args[0], tuple(range(p.t + 1))))
+            elif kind == "proposal":
+                host.deliver(kind, Proposal(args[0], leader_of(args[0], p)))
+            else:
+                host.deliver(kind, (ViewMessage if kind == "view_message" else Vote)(*args))
+        assert new.log == old.log
+        assert (new.state.view, new.state.clock) == (old.state.view, old.state.clock)
+        assert new.state.collected_view_msgs == old.state.collected_view_msgs
+        assert (new.sub.votes, new.sub.voted, new.sub.buffered) == (
+            old.sub.votes, old.sub.voted, old.sub.buffered
+        )

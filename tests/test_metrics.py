@@ -205,9 +205,8 @@ class QuadraticAnalyzer(_Analyzer):
             firsts = [e for e in at_or_above if e[0] == tau]
             entry_seq = min(e[2] for e in firsts)
             failed = [("first_entry_order", max(seq, 0), view) for _, view, seq, _ in firsts if view != v]
-            for q in range(self.resolved.n):
-                pr = self.procs[q]
-                if pr.correct_at(tau) and pr.clock_before(tau, entry_seq) > cv * self.q:
+            for q in sorted(self.never_corrupted):  # the processors whose entries count
+                if self.procs[q].clock_before(tau, entry_seq) > cv * self.q:
                     failed.append(("first_entry_clocks", max(entry_seq, 0), q))
             for key in failed:
                 run = latest.get(key)
@@ -898,28 +897,31 @@ def test_clock_past_boundary_at_first_entry_detected(base):
 
 
 def test_a_processor_corrupted_at_a_first_entry_is_not_checked_there(base):
-    """Kills flipping ``tau >= pr.corrupted_at`` to ``>`` in
-    ``metrics._Analyzer.check_first_entry``. Processor q's clock is edited
-    to jump past view v's boundary before v is first entered (a forward
-    with no cause, which the analyzer accepts: ROADMAP item 4). Corrupted
-    at that first entry, q is no longer correct there and is not checked;
-    corrupted a tick later, it still is, and its clock is flagged."""
+    """``check_first_entry`` checks the clocks of the processors whose
+    entries it walks, the never-corrupted ones. Processor q's clock is
+    edited to jump past view v's boundary before v is first entered (a
+    forward with no cause, which the analyzer accepts: ROADMAP item 4).
+    Corrupted at that first entry, or a tick later, q is not checked there;
+    never corrupted, it is, and its clock is flagged."""
     v, q = 6, 5
     tau = first_entry_times(base)[v]
     j = rfind(base, lambda r: r["kind"] == "deliver" and r["recipient"] == q
               and time_of(base, r) < tau)
 
     def corrupted_at(when):
-        head = copy.deepcopy(base[0])
-        head["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": when}]
-        at = find(base, lambda r: r["kind"] != "header" and time_of(base, r) >= when)
-        planted = {"kind": "corrupt", "time": when, "proc": q, "strategy": "silent"}
-        out = renumbered([head, *base[1:at], planted, *base[at:]], base)
+        out = copy.deepcopy(base)
+        if when is not None:
+            head = out[0]
+            head["config"]["corruptions"] = [{"proc": q, "strategy": "silent", "time": when}]
+            at = find(base, lambda r: r["kind"] != "header" and time_of(base, r) >= when)
+            planted = {"kind": "corrupt", "time": when, "proc": q, "strategy": "silent"}
+            out = renumbered([head, *base[1:at], planted, *base[at:]], base)
         out[j]["proc_clock"] = v * base[0]["config"]["gamma"] + 1
         return [x for x in analyze(out).violations if f"processor {q} clock above" in x.detail]
 
     assert corrupted_at(tau) == []
-    (found,) = corrupted_at(tau + 1)
+    assert corrupted_at(tau + 1) == []
+    (found,) = corrupted_at(None)
     assert (found.invariant, found.detail.endswith(f"when view {v} first entered")) == (
         "first_entry_clocks", True
     )
@@ -2349,6 +2351,15 @@ def corrupting_run(strategy, time):
         SimConfig(n=4, stop="horizon", horizon=30, seed=0,
                   corruptions=[Corruption(3, strategy, time)])
     ).run()
+
+
+@pytest.mark.parametrize("time", [29, 30])
+def test_a_processor_corrupted_late_leaves_a_clean_run_clean(time):
+    """Processor 3, corrupted at the horizon (30) or at 29, entered view 12
+    first, its clock forwarded to view 12's boundary; processor 0's later
+    entry is the first that ``check_first_entry`` walks, and 3's clock is
+    not held to it."""
+    assert analyze(corrupting_run("crash_leader", time)).violations == []
 
 
 def deleted_corrupt(records, c):

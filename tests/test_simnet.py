@@ -533,7 +533,7 @@ def test_an_event_of_no_known_kind_is_a_simulation_error():
 
 
 def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeypatch):
-    # a certificate that fails validation on delivery means the simulator
+    # a certificate that fails validation as it is sent means the simulator
     # fabricated it; the check must hold under python -O and must not be
     # reported as an unsatisfiable cell
     monkeypatch.setattr(simnet, "validate_qc", lambda *args: False)
@@ -542,10 +542,11 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
         Simulation(sim_config(stop="horizon", horizon=30)).run()
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
     row = _worker((cell, None))
-    assert row["error"].startswith("SimulationError: delivered QuorumCertificate")
+    assert row["error"].startswith("SimulationError: sent QuorumCertificate")
 
 
 def test_each_certificate_is_validated_once(monkeypatch):
+    """Once per send, by the name send calls, and at no delivery."""
     validated = []
 
     def counted(check):
@@ -557,17 +558,28 @@ def test_each_certificate_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(simnet, "validate_qc", counted(simnet.validate_qc))
     monkeypatch.setattr(simnet, "validate_vc", counted(simnet.validate_vc))
-    sim = Simulation(sim_config(n=7, stop="horizon", horizon=60))
-    sim.run()
-    assert {type(c) for c in validated} == {QuorumCertificate, ViewCertificate}
-    assert len(validated) == len(set(validated))
-    assert set(validated) == sim.valid_certs
+    kinds = {"quorum_certificate": QuorumCertificate, "view_certificate": ViewCertificate}
+    # a relayer resends the certificates it receives, each send checked
+    relayer = [Corruption(2, "late_qc_relayer", 5)]
+    for corruptions in ((), relayer):
+        validated.clear()
+        config = sim_config(n=7, corruptions=corruptions, stop="horizon", horizon=60)
+        sends = [
+            r for r in Simulation(config).run()
+            if r["kind"] == "send" and r["payload"]["type"] in kinds
+        ]
+        assert {type(c) for c in validated} == {QuorumCertificate, ViewCertificate}
+        assert validated == [
+            kinds[r["payload"]["type"]](r["payload"]["view"], tuple(r["payload"]["signers"]))
+            for r in sends
+        ]
+        assert sum(len(r["recipients"]) for r in sends) > len(sends)  # not once per delivery
 
 
 @pytest.mark.parametrize("kind", ["qc", "vc"])
-def test_forged_certificate_raises_after_a_valid_one_is_cached(kind):
+def test_a_forged_certificate_is_refused_when_sent(kind):
     # processor 3 is silent from time 0, so it never signs anything: a
-    # certificate naming it is forged, whatever is cached for its view
+    # certificate naming it is forged, whoever sends it and however often
     sim = Simulation(
         sim_config(corruptions=[Corruption(3, "silent")], stop="horizon", horizon=30)
     )
@@ -579,12 +591,12 @@ def test_forged_certificate_raises_after_a_valid_one_is_cached(kind):
     forged = make(view, tuple(sorted([*signers[1:], 3])))
     assert not sim.ledger.holds(3, sign, view)
     now = records[-1]["time"]
-    sim._receive_correct(0, valid, now)
-    assert valid in sim.valid_certs
-    for _ in range(2):  # a failure is never cached
-        with pytest.raises(SimulationError, match="carries signatures nobody made"):
-            sim._receive_correct(0, forged, now)
-    assert forged not in sim.valid_certs
+    sim.send(0, ALL, valid, now)
+    count = len(sim.records)
+    for sender in (0, 3, 0):  # a correct sender, the corrupted one, and again
+        with pytest.raises(SimulationError, match=r"^sent .* carries signatures nobody made$"):
+            sim.send(sender, 1, forged, now)
+    assert len(sim.records) == count  # no send record, no delivery
 
 
 ANNOUNCED_DELIVERIES = [
@@ -716,4 +728,4 @@ def test_protocol_checks_survive_python_O():
     assert lines[2].startswith("action: unhandled action <object object")
     assert lines[3] == "event: unhandled event kind 'dlv '"
     assert lines[4].startswith("serialise: cannot serialise payload <object object")
-    assert lines[5].startswith("invalid: delivered QuorumCertificate")
+    assert lines[5].startswith("invalid: sent QuorumCertificate")

@@ -3,14 +3,20 @@
 import copy
 import dataclasses
 import functools
+import gc
 import json
 import re
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewsync import simnet, trace
+from viewsync.cli import main
+from viewsync.harness import replay_cell
+from viewsync.metrics import TraceAnalysisError
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
     PAYLOAD_CODES,
@@ -848,3 +854,62 @@ def test_undecodable_bytes_are_read_in_line_order(block, tmp_path, monkeypatch):
     line_no = len(short_trace_lines()) + 1
     with pytest.raises(TraceParseError, match=f"^line {line_no}: not UTF-8: unexpected end"):
         read_trace(path)
+
+
+# -- a read that stops on a fault closes its file at once ----------------------
+
+
+def mid_file_fault(fault, path):
+    """Write a trace to ``path`` with a fault half-way through it: a line
+    that is no JSON, or a record the analyzer refuses (a send whose time is
+    no tick), which parses."""
+    records = Simulation(SimConfig(n=4, delta_cap=2, stop="horizon", horizon=30)).run()
+    mid = len(records) // 2
+    if fault == "analysis":
+        seq = next(i for i in range(mid, len(records)) if records[i]["kind"] == "send")
+        records[seq]["time"] = "x"
+    lines = to_jsonl(records).splitlines(keepends=True)
+    if fault == "line":
+        lines[mid] = "{\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "reader, fault",
+    [
+        ("read_trace", "line"),
+        ("replay_cell", "line"),
+        ("replay_cell", "analysis"),
+        ("viewsync replay", "line"),
+        ("viewsync replay", "analysis"),
+    ],
+)
+def test_a_read_that_stops_on_a_fault_closes_its_file(reader, fault, tmp_path, monkeypatch,
+                                                      capsys):
+    path = tmp_path / "t.jsonl"
+    mid_file_fault(fault, path)
+    opened = []
+
+    def tracked(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(trace, "open", tracked, raising=False)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        if reader == "viewsync replay":
+            assert main(["replay", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("malformed trace: ")
+        else:
+            error = TraceParseError if fault == "line" else TraceAnalysisError
+            with pytest.raises(error) as info:
+                (read_trace if reader == "read_trace" else replay_cell)(path)
+        # closed as the read stopped: here the exception and its traceback,
+        # which hold the stream's frames, are still alive
+        assert len(opened) == 1 and opened[0].closed
+        info = None  # let the collection below reach the stream's frames
+        gc.collect()
+    assert unraisable == []
