@@ -37,6 +37,7 @@ from .harness import (
     build_config,
     config_hash,
     replay_cell,
+    replay_file,
     run_cell,
     run_experiment,
 )
@@ -59,7 +60,7 @@ from .simnet import (
     resolve,
     subseed,
 )
-from .trace import Record, TraceParseError, iter_trace, parse_jsonl, read_trace, to_jsonl, write_trace
+from .trace import Record, TraceParseError, iter_trace, iter_traces, parse_jsonl, read_trace, to_jsonl, write_trace
 from .underlying import FormQC, Proposal, UnderlyingState, Vote, on_enter_view, on_proposal, on_vote
 
 __version__ = "0.1.0"

@@ -6,30 +6,36 @@ Verbs:
   verify <spec>   like sweep, but exit 1 if any invariant violation or any
                   cell error turns up (CI gate)
   replay <trace>...
-                  recompute metrics from stored traces, each streamed
-                  through the analyzer: one trace's row as indented JSON,
-                  several traces' rows one compact line each, in the order
-                  given; exit 2 at the first file that cannot be read, on
-                  parse errors (reported with line number, bytes that are
-                  not UTF-8 included) or on an unusable header, time or
-                  record field (reported with its record's seq), naming
-                  the file if several were given, and if --out cannot be
-                  written; 1 if any trace holds invariant violations. Each
-                  file is read once, and the first fault in file order is
-                  the one reported; a header record after seq 0, a record
-                  after the end record, and an end record whose reason is
-                  "horizon" away from the header's horizon are such faults,
-                  each reported with its seq
+                  recompute metrics from stored trace files, each trace
+                  streamed through the analyzer: one trace's row as
+                  indented JSON, several traces' rows (in one file or in
+                  several) one compact line each, in file order and in the
+                  order the files are given; exit 2 at the first file that
+                  cannot be read, on parse errors (reported with line
+                  number, bytes that are not UTF-8 included) or on an
+                  unusable header, time or record field (reported with its
+                  record's seq), naming the file if several were given, and
+                  if --out cannot be written; 1 if any trace holds
+                  invariant violations. Each file is read once, and the
+                  first fault in file order is the one reported; a header
+                  record after seq 0 that does not start the next trace
+                  (one does directly after an end record), any other
+                  record after the end record, an end record whose reason
+                  is "horizon" away from the header's horizon, a record
+                  whose time is before its predecessor's and a header
+                  ``digest`` that is not 16 lowercase hex digits are such
+                  faults, each reported with its seq
 
 Spec files are YAML (JSON works too). Setting ``delta_units: true`` makes the
 time-valued fields (gst, delta_actual, horizon, offsets lists, sync window
 bounds, corruption times) multiples of the base delta_cap; delta_cap itself
 is always absolute, and such a spec may not sweep it. Spec values are read by
 ``simnet.coerce``, the same reading every config gets. Outputs land under
---out: metrics.jsonl, summary.csv, summary.json, and traces/*.jsonl when the
-spec sets ``traces: true``. Both flags must be YAML booleans (a string such
-as ``"false"`` is a bad spec, exit 2), and ``seeds``, ``base_seed`` and
-``max_cells`` integers.
+--out: metrics.jsonl, summary.csv, summary.json, and, when the spec sets
+``traces: true``, traces/traces.jsonl, every cell's trace in cell order, each
+header naming its row's config digest. Both flags must be YAML booleans (a
+string such as ``"false"`` is a bad spec, exit 2), and ``seeds``,
+``base_seed`` and ``max_cells`` integers.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .harness import (
     ExperimentError,
     ExperimentSpec,
     check_shape,
-    replay_cell,
+    replay_file,
     run_experiment,
 )
 from .metrics import TraceAnalysisError
@@ -191,18 +197,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    several = len(args.trace) > 1
+    several_files = len(args.trace) > 1
     rows = []
     for path in args.trace:
-        named = f"{path}: " if several else ""
+        named = f"{path}: " if several_files else ""
         try:
-            rows.append(replay_cell(path))
+            rows += replay_file(path)
         except OSError as exc:
             print(f"cannot read trace: {named}{exc}", file=sys.stderr)
             return 2
         except (TraceParseError, TraceAnalysisError) as exc:
             print(f"malformed trace: {named}{exc}", file=sys.stderr)
             return 2
+    several = len(rows) > 1
     if several:  # as metrics.jsonl holds them
         text = "\n".join(json.dumps(row, sort_keys=True) for row in rows)
     else:

@@ -6,9 +6,11 @@ so a cell's ``seed`` is never given), gives the cells. Each cell is an
 isolated single-threaded simulation, so cells parallelise trivially with a
 worker pool. One flat metrics record is written per cell (JSON lines), a
 per-(n, f) aggregate table is written as CSV, and unsatisfiable cells are
-reported as error rows without aborting the batch. A stored trace is
-replayed by streaming it through the analyzer once: a malformed one raises
-its first fault in file order, as a parse error or a located analysis error.
+reported as error rows without aborting the batch. With a traces directory,
+a measure pass appends every cell's trace to one file, ``traces.jsonl``, in
+cell order, whatever the worker count. A stored trace is replayed by
+streaming it through the analyzer once: a malformed one raises its first
+fault in file order, as a parse error or a located analysis error.
 """
 
 from __future__ import annotations
@@ -18,22 +20,22 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import json
-import os
 import re
-from collections.abc import Mapping
-from contextlib import closing
+from collections.abc import Iterable, Mapping
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, TextIO
 
 from .constants import RESPONSE_STEPS_C, WORD_RATE_W
-from .metrics import analyze
+from .metrics import TraceAnalysisError, analyze
 from .simnet import Corruption, SimConfig, Simulation, coerce
 from .timeutil import from_ticks, to_frac
-from .trace import iter_trace, write_trace
+from .trace import Record, iter_traces, write_trace
 
 
 class ExperimentError(Exception):
@@ -182,14 +184,15 @@ def _error_row(exc: Exception, cell: dict[str, Any]) -> dict[str, Any]:
 
 
 @_without_cyclic_gc
-def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str, Any]:
+def run_cell(cell: dict[str, Any], out: Optional[TextIO] = None) -> dict[str, Any]:
     """One simulation plus analysis, reduced to the flat metrics record.
 
     Only a cell that cannot be configured is an error row here; anything
     the run or its analysis raises is a bug, and propagates. The simulation
-    is freed once it has returned its records, and the trace is written
-    before they are analyzed, so a cell whose analysis raises leaves its
-    trace for ``viewsync replay`` to locate the fault in. The analysis
+    is freed once it has returned its records, and the trace, its header
+    naming the row's config digest, is appended to the open text stream
+    ``out`` before they are analyzed, so a cell whose analysis raises leaves
+    its trace for ``viewsync replay`` to locate the fault in. The analysis
     reads a reversed copy of the records, popped as the scan takes each
     one: once this function has let go of the list the simulation
     returned, each record is freed as the scan passes it, and the
@@ -204,8 +207,9 @@ def run_cell(cell: dict[str, Any], traces_dir: Optional[str] = None) -> dict[str
     records = sim.run()
     del sim  # its heap, ledger and states: nothing below reads them
     digest = config_hash(config)
-    if traces_dir is not None:
-        write_trace(records, os.path.join(traces_dir, f"trace-{digest}-s{config.seed}.jsonl"))
+    if out is not None:
+        header = {**records[0], "digest": digest}
+        write_trace(chain((header,), islice(records, 1, None)), out)
     pending = [None, *reversed(records)]  # popped from the end, down to the None
     del records
     return _row(digest, analyze(iter(pending.pop, None)))
@@ -231,33 +235,54 @@ def _row(digest: Optional[str], metrics) -> dict[str, Any]:
     }
 
 
-def _worker(args):
-    cell, traces_dir = args
+def _worker(cell: dict[str, Any], out: Optional[TextIO] = None) -> dict[str, Any]:
     try:
-        return run_cell(cell, traces_dir)
+        return run_cell(cell, out)
     except Exception as exc:  # isolate the batch from any single blow-up
         return _error_row(exc, cell)
 
 
-# the name run_cell gives a trace: its config digest and seed
-_TRACE_NAME = re.compile(r"trace-([0-9a-f]{16})-s-?[0-9]+\.jsonl")
+_POOL_CHUNK = 8  # cells per pool task, at most (see run_experiment)
+
+
+def _pool_worker(args) -> tuple[dict[str, Any], str]:
+    """A pool worker's cell: its row, and its trace's text if it is traced."""
+    cell, traced = args
+    out = io.StringIO() if traced else None
+    row = _worker(cell, out)
+    return row, out.getvalue() if traced else ""
+
+
+# a config digest, as config_hash gives it and run_cell writes it in a header
+_DIGEST = re.compile(r"[0-9a-f]{16}")
 
 
 @_without_cyclic_gc
-def replay_cell(trace_path) -> dict[str, Any]:
-    """Recompute the flat metrics record from a stored trace alone.
+def replay_cell(records: Iterable[Record]) -> dict[str, Any]:
+    """Recompute the flat metrics record from one stored trace alone.
 
-    Each record is analyzed as it is parsed, and dropped once the scan has
-    passed it, so the file is read once, and a malformed trace raises its
-    first fault in file order: a parse error on its line, or an analysis
-    error at its record's seq, located as ``analyze`` locates it. The row's
-    ``config`` is the digest in the file's name if that is the name
-    ``run_cell`` gives a trace, and None otherwise.
+    ``records`` is the trace's record stream, such as one of
+    ``trace.iter_traces``. Each record is analyzed as it is read, and dropped
+    once the scan has passed it, so a malformed trace raises its first fault
+    in file order: a parse error on its line, or an analysis error at its
+    record's seq, located as ``analyze`` locates it. The row's ``config`` is
+    the digest the header names (``run_cell`` writes it), or None if it
+    names none; a digest that is not 16 lowercase hex digits is an error at
+    the header.
     """
-    with closing(iter_trace(trace_path)) as records:  # closed on a fault, too
-        metrics = analyze(records)
-    named = _TRACE_NAME.fullmatch(Path(trace_path).name)
-    return _row(named and named[1], metrics)
+    records = iter(records)
+    head = next(records, None)
+    digest = head.get("digest") if type(head) is dict else None
+    if digest is not None and not (type(digest) is str and _DIGEST.fullmatch(digest)):
+        raise TraceAnalysisError(f"header record at seq 0: field 'digest' is malformed: {digest!r}")
+    return _row(digest, analyze(chain((head,), records)))
+
+
+def replay_file(path) -> list[dict[str, Any]]:
+    """The row of each trace in the file at ``path``, in file order
+    (``replay_cell``). The file is read once, and closed at a fault too."""
+    with closing(iter_traces(path)) as traces:
+        return [replay_cell(records) for records in traces]
 
 
 def summarize(rows: list[dict[str, Any]]) -> dict[str, Any]:
@@ -311,19 +336,33 @@ def run_experiment(
         if not Path(spec.traces_dir).is_dir():
             raise ExperimentError(f"replay mode: no directory {spec.traces_dir!r}")
         paths = sorted(Path(spec.traces_dir).glob("*.jsonl"))
-        rows = [replay_cell(p) for p in paths]
+        rows = [row for path in paths for row in replay_file(path)]
     else:
-        if spec.traces_dir is not None:
+        cells = spec.cells()
+        traces = nullcontext()
+        if spec.traces_dir is not None:  # one file, every cell's trace appended in cell order
             Path(spec.traces_dir).mkdir(parents=True, exist_ok=True)
-        work = [(cell, spec.traces_dir) for cell in spec.cells()]
-        workers = min(jobs, len(work))  # a worker beyond one per cell would idle
-        if workers > 1:
-            import multiprocessing  # here, so that a serial run's set-up skips it
+            traces = open(Path(spec.traces_dir) / "traces.jsonl", "w", encoding="utf-8")
+        with traces as out:
+            workers = min(jobs, len(cells))  # a worker beyond one per cell would idle
+            if workers > 1:
+                import multiprocessing  # here, so that a serial run's set-up skips it
 
-            with multiprocessing.Pool(workers) as pool:
-                rows = pool.map(_worker, work)  # in the order of work
-        else:
-            rows = [_worker(w) for w in work]
+                # imap gives each result back in cell order as it arrives, so
+                # each trace is written as soon as the traces before it are,
+                # whatever the worker count. A chunk's traces reach this
+                # process together: the chunk size Pool.map picks, at most
+                # _POOL_CHUNK cells, bounds what it holds at once
+                chunksize = min(-(-len(cells) // (workers * 4)), _POOL_CHUNK)
+                work = [(cell, out is not None) for cell in cells]
+                rows = []
+                with multiprocessing.Pool(workers) as pool:
+                    for row, text in pool.imap(_pool_worker, work, chunksize):
+                        if out is not None:
+                            out.write(text)
+                        rows.append(row)
+            else:
+                rows = [_worker(cell, out) for cell in cells]
     if metrics_path is not None:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             for row in rows:

@@ -22,14 +22,17 @@ id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
 whose range is an invariant, and a send's ``recipients`` that lists no
 processor, or one twice. So does a payload ``type`` that
 ``trace.PAYLOAD_FIELDS`` does not list, a ``header`` record at any seq but
-0 (a trace has one header), a ``proc_view``, a payload's
+0 (a trace has one header: a file's reader starts the next trace at a header
+directly after an end record), a ``proc_view``, a payload's
 ``view`` or a proposal's ``leader`` that is not an int, or a ``form_qc`` or
 ``form_vc`` record's ``view`` that is not an int at least 0, or an ``end``
 record's ``reason`` that is neither ``"horizon"`` nor the header's stop
 mode, the only reasons a run stops for, or an ``end`` record whose reason
 is ``"horizon"`` and whose time is not the header's horizon, where a run
 that stops there writes it, or any record after the ``end`` record, which
-a run writes last (the error names the record after it), or a
+a run writes last (the error names the record after it), or a record whose
+time (a ``deliver``'s is its due time) is before the time of the record
+before it, as a run writes its records in time order, or a
 ``corrupt`` record whose
 ``proc`` is not one of the header's corruptions, or whose ``strategy`` or
 ``time`` is not that corruption's, or that names a processor an earlier one
@@ -320,7 +323,7 @@ class _Analyzer:
         recheck_dagger = True  # a clock was forwarded or a processor corrupted
         dagger_at = dagger_held = None  # the instant of the last check and its result
         before_gst = True
-        now = 0  # the header's time
+        now = last = 0  # the header's time
         try:
             for seq, rec in enumerate(self.records):
                 kind = rec["kind"]
@@ -370,8 +373,9 @@ class _Analyzer:
                                 f"{now!r}, where the header's horizon is {r.horizon}"
                             )
                         # a run writes its end record last: what follows is
-                        # the fault, located at its own record
-                        after = next(self.records, None)
+                        # the fault, located at its own record, unless this
+                        # record's own time is (checked below), which comes first
+                        after = next(self.records, None) if now >= last else None
                         if after is not None:
                             rec, seq = after, seq + 1
                             raise TraceAnalysisError(
@@ -382,6 +386,12 @@ class _Analyzer:
                         self._proc(rec, seq)  # read for its shape alone
                     else:
                         raise TraceAnalysisError(f"unknown record kind {kind!r} at seq {seq}")
+                if now < last:  # a run writes its records in time order
+                    raise TraceAnalysisError(
+                        f"{kind} record at seq {seq}: its time {now} is before "
+                        f"the time {last} of the record before it"
+                    )
+                last = now
                 if before_gst:
                     if now > gst:
                         before_gst = False

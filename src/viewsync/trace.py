@@ -38,7 +38,9 @@ every record as an object with sorted keys, and 6 wrote each array's kind
 and payload type by their full names.
 
 Two tables define every record but the header (whose one writer and reader
-are ``simnet.Resolved.header`` and ``from_header``): each kind's row gives
+are ``simnet.Resolved.header`` and ``from_header``; ``harness.run_cell`` adds
+its row's config digest as ``digest``, which ``harness.replay_cell`` reads
+back as the row's ``config``): each kind's row gives
 its code and its fields, in their written order, with their shapes
 (``RECORD_CODES`` and ``RECORD_FIELDS``), and each payload type's row its
 code and its field (``PAYLOAD_CODES`` and ``PAYLOAD_FIELDS``); a code is
@@ -83,11 +85,23 @@ payload type's code, is an error on its line. An object is kept as it is, if
 it has a ``kind``. The reader yields each record as soon as it is parsed,
 and raises the first fault in file order: it checks the header (first, and
 of this version) as line 1 is read, every line as it is read, and the end
-record (last) after the last line. ``parse_jsonl`` and ``read_trace`` are
-lists of what it yields, so a whole read raises what a stream does.
-``iter_trace`` streams a file through it, read a block at a time and
-cut after a newline byte, into exactly the lines a whole read would give;
-bytes that are not UTF-8 are an error on their line. A line is parsed by one
+record (last) after the last line.
+
+A text may hold several traces back to back, as a measure pass writes every
+cell's trace to one file: a ``header`` record directly after an ``end``
+record starts the next trace, whose header is checked for this version as
+its line is read. A header anywhere else, and any other record after an end,
+is read as a record, for the analyzer to refuse (a trace has one header, and
+ends at its end record). The reader looks for that split only where a header
+can arrive, on the path of a record written as an object, so the arrays
+every other record is written as pass no check for it. A one-trace text is
+the degenerate case: there is one format, and no file name is read.
+``iter_traces`` streams a file's traces, each as the stream of its records,
+read a block at a time and cut after a newline byte, into exactly the lines
+a whole read would give; bytes that are not UTF-8 are an error on their
+line. ``iter_trace`` streams every record of a file, each trace's in turn,
+and ``parse_jsonl`` and ``read_trace`` are lists of those, so a whole read
+raises what a stream does. A line is parsed by one
 call of the JSON scanner of a default ``JSONDecoder`` at index 0, whose
 result is kept only when that scan consumes the whole line. That is exactly
 what ``json.loads(line)`` returns: for a line with no leading whitespace it
@@ -102,9 +116,10 @@ one line can swallow the next, and one line can hold two records.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 TRACE_VERSION = 7
 
@@ -349,12 +364,12 @@ def to_jsonl(records: Iterable[Record]) -> str:
 _CHUNK = 256  # records whose lines one write joins: a few dozen KiB
 
 
-def write_trace(records: Iterable[Record], path) -> None:
+def write_trace(records: Iterable[Record], out: TextIO) -> None:
+    """Append the lines of ``records`` to the open text stream ``out``."""
     lines = map(dumps_record, records)
-    with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(islice(lines, _CHUNK)):
-            chunk.append("")  # the last line's newline
-            fh.write("\n".join(chunk))
+    while chunk := list(islice(lines, _CHUNK)):
+        chunk.append("")  # the last line's newline
+        out.write("\n".join(chunk))
 
 
 # -- the reader ----------------------------------------------------------------
@@ -414,42 +429,60 @@ def _array_problem(a: list) -> str:
     return f"{kind} record's payload is not a [code, view, value] array of a known code: {a!r}"
 
 
-def _records(lines: Iterable[str]) -> Iterator[Record]:
-    """The records on the lines of a whole trace, each yielded as soon as
-    its line is parsed, validating shape enough to fail loudly, not deeply.
+def _version(line_no: int, header: Record) -> None:
+    if header.get("version") != TRACE_VERSION:
+        raise TraceParseError(line_no, f"unsupported trace version {header.get('version')!r}")
 
-    Each check runs as its line is read, so the first fault in file order is
-    the one raised: a line that is not a record, the header (first, and of
-    this version) on line 1, and the end record (last) after the last line.
+
+def _records(numbered: Iterator[tuple[int, str]], start, after: list) -> Iterator[Record]:
+    """The records of one trace, read from the numbered lines of a text
+    that may hold several traces back to back, each yielded as soon as its
+    line is parsed, validating shape enough to fail loudly, not deeply.
+
+    ``start`` is ``(line_no, header)`` of the trace's header when its line
+    has been read already, and ``(0, None)`` for a text's first trace. A
+    header directly after an end record starts the next trace (see the
+    module docstring): it is appended to ``after`` as that trace's start,
+    and this stream ends. Each check runs as its line is read, so the first
+    fault in file order is the one raised: a line that is not a record, the
+    header (first, and of this version) on line 1 and after each split, and
+    the end record (last) after the last line.
     """
-    rec = None
-    line_no = 0
-    for line_no, line in enumerate(lines, start=1):
+    line_no, rec = start
+    if rec is not None:
+        yield rec
+    for line_no, line in numbered:
         # a scan that ends at the line's end is json.loads(line)'s value
         # (see the module docstring); any other line goes to json.loads
         try:
-            rec, end = _scan_once(line, 0)
+            value, end = _scan_once(line, 0)
         except (StopIteration, json.JSONDecodeError):
             end = -1
         if end != len(line):
             if not line.strip():
                 raise TraceParseError(line_no, "blank line inside trace")
             try:
-                rec = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        if type(rec) is list:
+        if type(value) is list:
             try:
-                rec = _DECODERS[rec[0]](rec)
+                rec = _DECODERS[value[0]](value)
             except (LookupError, TypeError, ValueError):
-                raise TraceParseError(line_no, _array_problem(rec)) from None
-        elif type(rec) is not dict or "kind" not in rec:
+                raise TraceParseError(line_no, _array_problem(value)) from None
+        elif type(value) is dict and "kind" in value:
+            # rec is still the record before this one
+            if value["kind"] == "header" and rec is not None and rec["kind"] == "end":
+                _version(line_no, value)
+                after.append((line_no, value))
+                return
+            rec = value
+        else:
             raise TraceParseError(line_no, "record is not an array or an object with a 'kind'")
         if line_no == 1:
             if rec["kind"] != "header":
                 raise TraceParseError(1, "first record must be the header")
-            if rec.get("version") != TRACE_VERSION:
-                raise TraceParseError(1, f"unsupported trace version {rec.get('version')!r}")
+            _version(1, rec)
         yield rec
     if rec is None:
         raise TraceParseError(1, "empty trace")
@@ -457,12 +490,27 @@ def _records(lines: Iterable[str]) -> Iterator[Record]:
         raise TraceParseError(line_no, "trace truncated: no end record")
 
 
+def _traces(lines: Iterable[str]) -> Iterator[Iterator[Record]]:
+    """Each trace on the lines of a whole text, in order, as the stream of
+    its records (``_records``). What a reader leaves unread of one trace is
+    read, and checked, before the next is given, as ``itertools.groupby``
+    reads a group."""
+    numbered = enumerate(lines, start=1)
+    after = [(0, None)]
+    while after:
+        records = _records(numbered, after.pop(), after)
+        yield records
+        for _ in records:
+            pass
+
+
 def parse_jsonl(text: str) -> list[Record]:
-    """Parse a whole trace text (see ``_records``)."""
-    return list(_records(text.splitlines()))
+    """Every record of a whole trace text, the records of each trace it
+    holds in turn (see ``_records``)."""
+    return list(chain.from_iterable(_traces(text.splitlines())))
 
 
-_BLOCK = 1 << 20  # bytes of a trace file read at a time
+_BLOCK = 1 << 16  # bytes of a trace file read at a time, whose lines are held at once
 
 
 def _line_blocks(path) -> Iterator[list[str]]:
@@ -496,20 +544,30 @@ def _line_blocks(path) -> Iterator[list[str]]:
                 return
 
 
-def iter_trace(path) -> Iterator[Record]:
-    """The records of the trace file at ``path``, each parsed as it is asked
-    for, with ``read_trace``'s checks and errors. The file is opened when the
-    first record is asked for, and read a block at a time.
+def iter_traces(path) -> Iterator[Iterator[Record]]:
+    """Each trace in the file at ``path``, in file order, as the stream of
+    its records, each parsed as it is asked for, with ``read_trace``'s checks
+    and errors. The file is opened when the first record is asked for, and
+    read a block at a time.
 
-    The file is closed when the stream ends, at its last record or at a
-    fault it raises. A reader that stops early, on a fault of its own,
-    closes the stream (``contextlib.closing``), which closes the file.
+    The file is closed when the last trace ends, at its last record or at a
+    fault, or when this generator is closed: a reader that stops early, on
+    a fault of its own or of a trace's stream, closes it
+    (``contextlib.closing``).
     """
     blocks = _line_blocks(path)
     try:
-        yield from _records(chain.from_iterable(blocks))
+        yield from _traces(chain.from_iterable(blocks))
     finally:
         blocks.close()
+
+
+def iter_trace(path) -> Iterator[Record]:
+    """Every record of the file at ``path``, those of each trace it holds in
+    turn (``iter_traces``), closed as ``iter_traces`` closes it, and at a
+    fault that a trace's stream raises."""
+    with closing(iter_traces(path)) as traces:
+        yield from chain.from_iterable(traces)
 
 
 def read_trace(path) -> list[Record]:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from contextlib import closing, nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from viewsync.harness import (
     ExperimentSpec,
     build_config,
     config_hash,
-    replay_cell,
+    replay_file,
     run_cell,
     run_experiment,
 )
@@ -29,7 +31,14 @@ from viewsync.adversary import BYZANTINE_STRATEGIES
 from viewsync.certificates import CertificateError
 from viewsync.metrics import TraceAnalysisError, analyze
 from viewsync.simnet import Corruption, SimConfig, Simulation, coerce
-from viewsync.trace import TraceParseError, dumps_record, parse_jsonl, read_trace, to_jsonl
+from viewsync.trace import (
+    TraceParseError,
+    dumps_record,
+    iter_traces,
+    parse_jsonl,
+    read_trace,
+    to_jsonl,
+)
 
 BASE = dict(n=4, delta_cap=2, gst=6, offsets="all_zero", network="worst_case_max_delay")
 
@@ -133,12 +142,18 @@ def analysis_bug(records):
     raise TypeError("analysis bug")
 
 
+def run_traced(cell, path):
+    """run_cell's row, with its trace written to a new file at ``path``."""
+    with open(path, "w", encoding="utf-8") as out:
+        return run_cell(cell, out)
+
+
 def test_bug_in_a_cell_is_not_an_unsatisfiable_cell(monkeypatch):
     monkeypatch.setattr(harness, "analyze", analysis_bug)
     cell = {**BASE, "seed": 0}
     with pytest.raises(TypeError, match="analysis bug"):
         run_cell(cell)
-    row = harness._worker((cell, None))
+    row = harness._worker(cell)
     assert row["error"].startswith("TypeError: analysis bug")
 
 
@@ -152,7 +167,7 @@ def test_protocol_error_mid_run_is_not_an_unsatisfiable_cell(monkeypatch):
     cell = {**BASE, "seed": 0}
     with pytest.raises(CertificateError, match="needs 3 distinct signers"):
         run_cell(cell)
-    row = harness._worker((cell, None))
+    row = harness._worker(cell)
     assert row["error"].startswith("CertificateError: quorum certificate for view 1")
 
 
@@ -198,15 +213,14 @@ def test_a_cell_leaves_no_cyclic_garbage(cell, tmp_path):
     gc.collect()
     gc.disable()
     try:
-        row = run_cell(cell, str(tmp_path))
-        traces = list(tmp_path.glob("*.jsonl"))
-        for trace in traces:
-            assert replay_cell(trace) == row
+        trace = tmp_path / "t.jsonl"
+        row = run_traced(cell, trace)
+        replayed = replay_file(trace) if trace.stat().st_size else []
         unreachable = gc.collect()
     finally:
         if was_enabled:
             gc.enable()
-    assert len(traces) == (0 if "error" in row else 1)
+    assert replayed == ([] if "error" in row else [row])
     assert unreachable == 0
 
 
@@ -219,17 +233,17 @@ def callers_gc(request):
 
 
 def test_cells_leave_the_callers_gc_setting(callers_gc, tmp_path, monkeypatch):
-    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
+    trace = tmp_path / "t.jsonl"
+    row = run_traced({**BASE, "seed": 0}, trace)
     assert "error" not in row and gc.isenabled() is callers_gc
-    trace = next(tmp_path.glob("*.jsonl"))
-    assert replay_cell(trace) == row and gc.isenabled() is callers_gc
+    assert replay_file(trace) == [row] and gc.isenabled() is callers_gc
 
     assert "error" in run_cell({**BASE, "t": 2, "seed": 0})
     assert gc.isenabled() is callers_gc
     malformed = tmp_path / "malformed.jsonl"
     malformed.write_text(trace.read_text().replace('"gamma":', '"gammo":', 1))
     with pytest.raises(TraceAnalysisError, match="header is missing or malformed"):
-        replay_cell(malformed)
+        replay_file(malformed)
     assert gc.isenabled() is callers_gc
 
     monkeypatch.setattr(harness, "analyze", analysis_bug)
@@ -237,7 +251,7 @@ def test_cells_leave_the_callers_gc_setting(callers_gc, tmp_path, monkeypatch):
         run_cell({**BASE, "seed": 0})
     assert gc.isenabled() is callers_gc
     with pytest.raises(TypeError, match="analysis bug"):
-        replay_cell(trace)
+        replay_file(trace)
     assert gc.isenabled() is callers_gc
 
 
@@ -257,7 +271,7 @@ def test_run_cell_frees_the_simulation_before_analyzing(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "Simulation", Watched)
     monkeypatch.setattr(harness, "analyze", watching)
-    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
+    row = run_traced({**BASE, "seed": 0}, tmp_path / "t.jsonl")
     assert alive == [False]
     monkeypatch.undo()
     assert row == run_cell({**BASE, "seed": 0})
@@ -280,21 +294,22 @@ MEMORY_CELL = {
 def test_a_cells_peak_memory_is_its_simulations(traced, tmp_path):
     # the analysis grows only into what the freed simulation and the records
     # already scanned give back (tracemalloc counts Python's allocations)
-    traces_dir = str(tmp_path) if traced else None
-    run_cell(MEMORY_CELL, traces_dir)  # first-call caches, outside the count
-    config = build_config(MEMORY_CELL)
-    tracemalloc.start()
-    try:
-        records = Simulation(config).run()
-        _, sim_peak = tracemalloc.get_traced_memory()
-        assert 9_000 < len(records) < 11_000
-        del records
-        tracemalloc.reset_peak()
-        base, _ = tracemalloc.get_traced_memory()
-        run_cell(MEMORY_CELL, traces_dir)
-        _, cell_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traces = open(tmp_path / "t.jsonl", "w", encoding="utf-8") if traced else nullcontext()
+    with traces as out:
+        run_cell(MEMORY_CELL, out)  # first-call caches, outside the count
+        config = build_config(MEMORY_CELL)
+        tracemalloc.start()
+        try:
+            records = Simulation(config).run()
+            _, sim_peak = tracemalloc.get_traced_memory()
+            assert 9_000 < len(records) < 11_000
+            del records
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            run_cell(MEMORY_CELL, out)
+            _, cell_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert cell_peak - base <= 1.02 * sim_peak
 
 
@@ -315,14 +330,42 @@ def test_run_cell_leaves_the_list_run_returned_intact(monkeypatch):
     assert row == run_cell({**BASE, "seed": 0})
 
 
+def written_trace(cell):
+    """The trace run_cell writes for ``cell``: the run's records, with its
+    config digest in the header."""
+    config = build_config(cell)
+    head, *rest = Simulation(config).run()
+    return to_jsonl([{**head, "digest": config_hash(config)}, *rest])
+
+
 def test_a_cell_whose_analysis_raises_leaves_its_trace(monkeypatch, tmp_path):
     cell = {**BASE, "seed": 0}
-    want = to_jsonl(Simulation(build_config(cell)).run())
+    want = written_trace(cell)
     monkeypatch.setattr(harness, "analyze", analysis_bug)
+    trace = tmp_path / "t.jsonl"
     with pytest.raises(TypeError, match="analysis bug"):
-        run_cell(cell, str(tmp_path))
-    trace, = tmp_path.glob("*.jsonl")
+        run_traced(cell, trace)
     assert trace.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_whose_analysis_raises_keeps_its_place_in_the_file(monkeypatch, tmp_path, jobs):
+    # the second of three cells is an error row, and its trace sits between
+    # the other two; the pool's workers are forked, so they see the patch
+    spec = ExperimentSpec(base=BASE, seeds=3, traces_dir=str(tmp_path / "traces"))
+
+    def analysis_bug_at_seed_1(records):
+        metrics = analyze(records)
+        if metrics.run.seed == 1:
+            raise TypeError("analysis bug")
+        return metrics
+
+    monkeypatch.setattr(harness, "analyze", analysis_bug_at_seed_1)
+    rows = run_experiment(spec, jobs=jobs)["rows"]
+    assert ["error" in row for row in rows] == [False, True, False]
+    assert rows[1]["error"] == "TypeError: analysis bug"
+    text = (tmp_path / "traces" / "traces.jsonl").read_text(encoding="utf-8")
+    assert text == "".join(written_trace(cell) for cell in spec.cells())
 
 
 def test_library_calls_leave_gc_alone(callers_gc):
@@ -404,7 +447,7 @@ def test_parallel_batch_matches_serial(tmp_path):
     assert serial == parallel
 
 
-@pytest.mark.parametrize("cells,jobs,workers", [(4, 3, 3), (2, 8, 2), (1, 8, None), (4, 1, None)])
+@pytest.mark.parametrize("cells,jobs,workers", [(4, 3, 3), (2, 8, 2), (100, 2, 2), (1, 8, None), (4, 1, None)])
 def test_the_pool_has_no_more_workers_than_cells(monkeypatch, cells, jobs, workers):
     sizes = []
 
@@ -413,6 +456,7 @@ def test_the_pool_has_no_more_workers_than_cells(monkeypatch, cells, jobs, worke
 
         def __init__(self, processes):
             sizes.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -420,8 +464,10 @@ def test_the_pool_has_no_more_workers_than_cells(monkeypatch, cells, jobs, worke
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
-            return [fn(w) for w in work]
+        def imap(self, fn, work, chunksize):
+            # the chunk size Pool.map would pick, at most _POOL_CHUNK cells
+            assert chunksize == min(-(-len(work) // (self.processes * 4)), harness._POOL_CHUNK)
+            return map(fn, work)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     spec = ExperimentSpec(base=BASE, seeds=cells)
@@ -440,13 +486,24 @@ def test_replay_rows_match_live_rows(tmp_path):
         seeds=2,
         traces_dir=str(tmp_path / "traces"),
     )
-    live = {(r["config"], r["seed"]): r for r in run_experiment(spec)["rows"]}
+    live = run_experiment(spec)["rows"]
     replayed = run_experiment(
         ExperimentSpec(mode="replay", traces_dir=str(tmp_path / "traces"))
     )["rows"]
-    assert len(replayed) == len(live) == 4
-    for row in replayed:
-        assert row == live[(row["config"], row["seed"])]
+    assert len(live) == 4 and not any("error" in row for row in live)
+    assert replayed == live  # in cell order
+
+
+def test_a_pass_writes_one_trace_file_whose_bytes_do_not_depend_on_jobs(tmp_path):
+    spec = ExperimentSpec(base=BASE, sweeps={"f": [0, 1], "gst": [0, 6]}, seeds=2)
+    texts = []
+    for jobs in (1, 2):
+        traces = tmp_path / f"jobs{jobs}"
+        run_experiment(replace(spec, traces_dir=str(traces)), jobs=jobs)
+        assert [p.name for p in traces.iterdir()] == ["traces.jsonl"]
+        texts.append((traces / "traces.jsonl").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].decode() == "".join(written_trace(cell) for cell in spec.cells())
 
 
 @pytest.mark.parametrize(
@@ -461,13 +518,35 @@ def test_replay_rows_match_live_rows(tmp_path):
     ],
 )
 def test_a_renamed_trace_replays_without_a_config(tmp_path, name):
-    # only the name run_cell writes carries the config digest
-    row = run_cell({**BASE, "seed": 0}, str(tmp_path))
-    (trace,) = tmp_path.glob("*.jsonl")
-    assert trace.name == f"trace-{row['config']}-s0.jsonl"
-    assert replay_cell(trace) == row
+    # a row's config is the digest its trace's header names, and no file
+    # name is read: a renamed trace keeps its digest, and a trace whose
+    # header names none replays with a null config, whatever it is named
+    cell = {**BASE, "seed": 0}
+    trace = tmp_path / "t.jsonl"
+    row = run_traced(cell, trace)
+    assert row["config"] == config_hash(build_config(cell))
     renamed = trace.rename(tmp_path / name)
-    assert replay_cell(renamed) == {**row, "config": None}
+    assert replay_file(renamed) == [row]
+    head, *rest = read_trace(renamed)
+    del head["digest"]
+    renamed.write_text(to_jsonl([head, *rest]), encoding="utf-8")
+    assert replay_file(renamed) == [{**row, "config": None}]
+
+
+@pytest.mark.parametrize(
+    "digest",
+    ["0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0", "", 12, ["0123456789abcdef"]],
+)
+def test_a_malformed_digest_is_located_at_the_header(tmp_path, capsys, digest):
+    trace = tmp_path / "t.jsonl"
+    run_traced({**BASE, "seed": 0}, trace)
+    head, *rest = read_trace(trace)
+    trace.write_text(to_jsonl([{**head, "digest": digest}, *rest]), encoding="utf-8")
+    message = f"header record at seq 0: field 'digest' is malformed: {digest!r}"
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
+        replay_file(trace)
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err == f"malformed trace: {message}\n"
 
 
 def test_replay_mode_requires_traces():
@@ -662,45 +741,47 @@ def test_the_traces_flag_is_a_yaml_boolean(tmp_path, capsys, value):
         assert load_spec(path)[1] is want
 
 
-def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):
+def sweep_traces(spec_file, tmp_path):
+    """The spec's sweep, under ``tmp_path / "out"``, and each trace it wrote
+    in a file of its own, in cell order."""
     out = tmp_path / "out"
     main(["sweep", spec_file, "--out", str(out)])
-    trace = sorted((out / "traces").glob("*.jsonl"))[0]
-    live = {
-        (r["config"], r["seed"]): r
-        for r in map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
-    }
+    paths = []
+    with closing(iter_traces(out / "traces" / "traces.jsonl")) as traces:
+        for i, records in enumerate(traces):
+            paths.append(tmp_path / f"trace-{i}.jsonl")
+            paths[-1].write_text(to_jsonl(records), encoding="utf-8")
+    return paths
+
+
+def test_cli_replay_roundtrip(spec_file, tmp_path, capsys):
+    trace = sweep_traces(spec_file, tmp_path)[0]
+    first = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()[0]
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row == live[(row["config"], row["seed"])]
+    assert json.loads(capsys.readouterr().out) == json.loads(first)
 
 
 def test_cli_replay_of_several_traces(spec_file, tmp_path, capsys):
     # one compact row per line, as metrics.jsonl holds them, in the order
-    # the traces are given; --out writes the same lines
-    out = tmp_path / "out"
-    main(["sweep", spec_file, "--out", str(out)])
-    traces = sorted((out / "traces").glob("*.jsonl"), reverse=True)
+    # the traces are given; --out writes the same lines. Several counts
+    # traces: the sweep's one file holds two
+    traces = sweep_traces(spec_file, tmp_path)
     assert len(traces) == 2
-    live = {
-        (r["config"], r["seed"]): line
-        for line in (out / "metrics.jsonl").read_text().splitlines()
-        for r in [json.loads(line)]
-    }
+    measured = (tmp_path / "out" / "metrics.jsonl").read_text(encoding="utf-8")
     capsys.readouterr()
-    assert main(["replay", *map(str, traces), "--out", str(tmp_path)]) == 0
+    replayed = tmp_path / "replayed.jsonl"
+    whole = tmp_path / "out" / "traces" / "traces.jsonl"
+    assert main(["replay", str(whole), "--out", str(replayed)]) == 0
+    assert capsys.readouterr().out == measured == replayed.read_text(encoding="utf-8")
+    assert main(["replay", *map(str, reversed(traces)), "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out
-    lines = printed.splitlines()
-    assert [json.loads(line)["config"] for line in lines] == [t.name.split("-")[1] for t in traces]
-    assert lines == [live[(r["config"], r["seed"])] for r in map(json.loads, lines)]
+    assert printed.splitlines() == measured.splitlines()[::-1]
     assert (tmp_path / "replay.jsonl").read_text(encoding="utf-8") == printed
 
 
 def test_cli_replay_of_several_traces_stops_at_the_first_bad_one(spec_file, tmp_path, capsys):
-    out = tmp_path / "out"
-    main(["sweep", spec_file, "--out", str(out)])
-    good = str(sorted((out / "traces").glob("*.jsonl"))[0])
+    good = str(sweep_traces(spec_file, tmp_path)[0])
     clipped = tmp_path / "clipped.jsonl"
     clipped.write_text("".join(Path(good).read_text().splitlines(True)[:5]), encoding="utf-8")
     missing = str(tmp_path / "missing.jsonl")
@@ -714,7 +795,7 @@ def test_cli_replay_of_several_traces_stops_at_the_first_bad_one(spec_file, tmp_
 
 def test_cli_replay_of_several_traces_exits_1_if_any_holds_a_violation(spec_file, tmp_path, capsys):
     bad = edited_trace(spec_file, tmp_path, backward_clock)
-    good = sorted((tmp_path / "out" / "traces").glob("*.jsonl"))[0]
+    good = tmp_path / "trace-0.jsonl"
     capsys.readouterr()
     assert main(["replay", str(good), bad]) == 1
     first, second = map(json.loads, capsys.readouterr().out.splitlines())
@@ -722,9 +803,7 @@ def test_cli_replay_of_several_traces_exits_1_if_any_holds_a_violation(spec_file
 
 
 def test_cli_replay_out_that_cannot_be_written_exits_2(spec_file, tmp_path, capsys):
-    out = tmp_path / "out"
-    main(["sweep", spec_file, "--out", str(out)])
-    traces = [str(t) for t in sorted((out / "traces").glob("*.jsonl"))]
+    traces = [str(t) for t in sweep_traces(spec_file, tmp_path)]
     target = tmp_path / "missing" / "dir" / "x.json"
     for given in (traces[:1], traces):
         capsys.readouterr()
@@ -737,9 +816,7 @@ def test_cli_replay_out_that_cannot_be_written_exits_2(spec_file, tmp_path, caps
 
 
 def test_cli_replay_reports_parse_error_line(spec_file, tmp_path, capsys):
-    out = tmp_path / "out"
-    main(["sweep", spec_file, "--out", str(out)])
-    trace = sorted((out / "traces").glob("*.jsonl"))[0]
+    trace = sweep_traces(spec_file, tmp_path)[0]
     text = trace.read_text().splitlines()
     clipped = tmp_path / "clipped.jsonl"
     clipped.write_text("\n".join(text[:5]) + "\n", encoding="utf-8")
@@ -749,11 +826,8 @@ def test_cli_replay_reports_parse_error_line(spec_file, tmp_path, capsys):
 
 
 def edited_trace(spec_file, tmp_path, edit):
-    """A trace from the spec's sweep, its records passed through edit."""
-    out = tmp_path / "out"
-    main(["sweep", spec_file, "--out", str(out)])
-    trace = sorted((out / "traces").glob("*.jsonl"))[0]
-    recs = read_trace(trace)
+    """The trace of the spec's last cell (f = 1), its records passed through edit."""
+    recs = read_trace(sweep_traces(spec_file, tmp_path)[-1])
     edit(recs)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(to_jsonl(recs), encoding="utf-8")
@@ -914,8 +988,8 @@ def test_cli_replay_locates_a_value_that_passes_the_scan(
 ):
     # the end record is the last the scan reads, and the view is the last
     # deliver's: the scan locates each at its record
-    run_cell({**BASE, "f": 0, "seed": 0}, str(tmp_path))
-    trace = next(tmp_path.glob("*.jsonl"))
+    trace = tmp_path / "t.jsonl"
+    run_traced({**BASE, "f": 0, "seed": 0}, trace)
     recs = read_trace(trace)
     seq, rec = [(i, r) for i, r in enumerate(recs) if r["kind"] == kind][index]
     edit(rec)
@@ -991,12 +1065,12 @@ def field_the_scan_passes_then_one_it_fails_on(recs):
 def test_replay_reports_the_first_fault_in_file_order(tmp_path, capsys, plant):
     # A parse error and an analysis error rank alike: the one on the earlier
     # line is reported, and the file is read once.
-    run_cell({**BASE, "f": 1, "seed": 0}, str(tmp_path))
-    trace = next(tmp_path.glob("*.jsonl"))
+    trace = tmp_path / "t.jsonl"
+    run_traced({**BASE, "f": 1, "seed": 0}, trace)
     lines, error, message = plant(read_trace(trace))
     trace.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(error) as info:
-        replay_cell(trace)
+        replay_file(trace)
     assert str(info.value).startswith(message)
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 2
@@ -1004,13 +1078,13 @@ def test_replay_reports_the_first_fault_in_file_order(tmp_path, capsys, plant):
 
 
 def test_cli_replay_names_the_line_of_undecodable_bytes(tmp_path, capsys):
-    run_cell({**BASE, "seed": 0}, str(tmp_path))
-    trace = next(tmp_path.glob("*.jsonl"))
+    trace = tmp_path / "t.jsonl"
+    run_traced({**BASE, "seed": 0}, trace)
     lines = trace.read_bytes().splitlines(keepends=True)
     lines[6] = lines[6][:2] + b"\xff" + lines[6][2:]  # inside its kind tag
     trace.write_bytes(b"".join(lines))
     with pytest.raises(TraceParseError, match="^line 7: not UTF-8: "):
-        replay_cell(trace)
+        replay_file(trace)
     assert main(["replay", str(trace)]) == 2
     assert capsys.readouterr().err.startswith("malformed trace: line 7: not UTF-8: ")
 

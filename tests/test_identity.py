@@ -3,7 +3,11 @@ from rows and summaries, and --check names what differs."""
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from viewsync import harness
 from viewsync.harness import ExperimentSpec
@@ -37,9 +41,8 @@ def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
     assert all(other_seed[part] != first[part] for part in first)
 
     # the same records written as objects with spaces: only the traces differ
-    def spaced(records, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    def spaced(records, out):
+        out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     monkeypatch.setattr(harness, "write_trace", spaced)
     respelled = identity.digest(tiny(), tmp_path / "d")
@@ -71,3 +74,18 @@ def test_check_names_each_workload_that_differs(tmp_path, monkeypatch, capsys):
     # a seed the file does not hold differs in every part of every workload
     assert identity.main(["--check", str(stored), "--seed", "7"]) == 1
     assert capsys.readouterr().err.count("seed 7") == 4
+
+
+def test_replay_rows_that_are_not_the_measure_rows_exit_1(tmp_path, monkeypatch, capsys):
+    identity = load_identity()
+    monkeypatch.setitem(sys.modules, "workloads", types.SimpleNamespace(WORKLOADS={"tiny": tiny}))
+    assert identity.main(["--seed", "3"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["3"]) == ["tiny"]
+    replay_cell = harness.replay_cell
+    monkeypatch.setattr(harness, "replay_cell", lambda records: {**replay_cell(records), "words": -1})
+    with pytest.raises(identity.ReplayDiffers, match="^the replay rows differ from the measure rows$"):
+        identity.digest(tiny(), tmp_path / "run")
+    assert identity.main(["--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "seed 3 tiny: the replay rows differ from the measure rows\n"
+    assert captured.out == ""

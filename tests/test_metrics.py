@@ -17,7 +17,7 @@ import viewsync.trace
 from viewsync.constants import RESPONSE_STEPS_C, WORD_RATE_W
 from viewsync.core import PermutationSchedule, ProtocolParams, RoundRobinSchedule, leader_of
 from viewsync.cli import main
-from viewsync.harness import build_config, replay_cell
+from viewsync.harness import build_config, replay_file
 from viewsync.metrics import (
     INF,
     TraceAnalysisError,
@@ -37,7 +37,6 @@ from viewsync.trace import (
     parse_jsonl,
     read_trace,
     to_jsonl,
-    write_trace,
 )
 
 
@@ -96,6 +95,23 @@ def mutated(records, index, **changes):
     out = copied(records)
     out[index].update(changes)
     return out
+
+
+def time_ordered(records):
+    """``records``, whose edits left their times out of order, with every
+    record between the header and the end record stably sorted by time (a
+    deliver's is its due time), as a run writes them, and renumbered; and
+    the new seq of each old one, as a dict. The analyzer refuses a record
+    whose time is before the record's before it."""
+    middle = sorted(range(1, len(records) - 1), key=lambda i: time_of(records, records[i]))
+    order = [0, *middle, len(records) - 1]
+    return renumbered([records[i] for i in order], records), {i: j for j, i in enumerate(order)}
+
+
+def retimed(records, index, time):
+    """``records`` with record ``index`` moved to ``time``, where a run
+    would write it, as ``time_ordered`` gives it."""
+    return time_ordered(mutated(records, index, time=time))
 
 
 def corrupted_from_start(records, *procs):
@@ -715,7 +731,7 @@ def test_late_delivery_detected(base):
         and sent(base, r)["sender"] != r["recipient"]
         and time_of(base, r) > 3 * base[0]["grid"],
     )
-    bad = mutated(base, base[i]["send"], time=0)
+    bad, _ = retimed(base, base[i]["send"], 0)  # the deliver, after it, keeps its seq
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
@@ -741,7 +757,7 @@ def test_late_delivery_inside_a_bounded_window_detected():
         and 5 * g < sent(records, r)["time"]
         and 7 * g < time_of(records, r) < 20 * g,
     )
-    records[records[i]["send"]]["time"] = 5 * g
+    records, _ = retimed(records, records[i]["send"], 5 * g)
     assert ("delivery_bound", i) in {v[:2] for v in violations(records)}
 
 
@@ -761,7 +777,7 @@ def test_a_send_after_every_bounded_window_is_never_late(before_end):
         and sent(records, r)["sender"] not in sent(records, r)["recipients"]
         and sent(records, r)["time"] >= 40 * g,
     )
-    records[records[i]["send"]]["time"] = 20 * g - before_end
+    records, _ = retimed(records, records[i]["send"], 20 * g - before_end)
     found = {v.seq for v in violations(records) if v.invariant == "delivery_bound"}
     if before_end:
         assert i in found
@@ -784,7 +800,7 @@ def test_a_delivery_at_the_cap_is_late_only_where_the_actual_delay_binds(network
         and sent(records, r)["sender"] not in sent(records, r)["recipients"]
         and time_of(records, r) >= 2 * g,
     )
-    records[records[i]["send"]]["time"] = time_of(records, records[i]) - 2 * g
+    records, _ = retimed(records, records[i]["send"], time_of(records, records[i]) - 2 * g)
     found = [v for v in violations(records) if v.invariant == "delivery_bound"]
     if network == "worst_case_max_delay":
         assert found == []
@@ -806,9 +822,11 @@ def test_a_corrupted_processors_clock_leaves_the_dispersion_check():
 def test_delayed_self_delivery_detected(base):
     # a self-delivery one time unit after its send: the send is stamped earlier
     i = find(
-        base, lambda r: r["kind"] == "deliver" and sent(base, r)["sender"] == r["recipient"]
+        base,
+        lambda r: r["kind"] == "deliver" and sent(base, r)["sender"] == r["recipient"]
+        and time_of(base, r) >= base[0]["grid"],
     )
-    bad = mutated(base, base[i]["send"], time=time_of(base, base[i]) - base[0]["grid"])
+    bad, _ = retimed(base, base[i]["send"], time_of(base, base[i]) - base[0]["grid"])
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
@@ -1049,12 +1067,30 @@ def first_leader_qc(records, group):
     )
 
 
+def quorums_from(records, when, groups=None):
+    """``records`` with each quorum that a view's leader forms after gst, in
+    one of ``groups`` (any group if None), formed at ``when`` instead if it
+    was formed earlier, where a run would write it, as ``time_ordered``
+    gives it."""
+    cfg = records[0]["config"]
+    params = params_from(records)
+    out = copied(records)
+    for r in out:
+        if (
+            r["kind"] == "form_qc"
+            and (groups is None or r["view"] // cfg["k"] in groups)
+            and r["proc"] == leader_of(r["view"], params)
+            and r["time"] > cfg["gst"]
+        ):
+            r["time"] = max(r["time"], when)
+    return time_ordered(out)
+
+
 def test_late_first_quorum_breaks_latency_bound(base):
     i = first_leader_qc(base, 0)  # t_star's record: gst is 0
-    gamma = base[0]["config"]["gamma"]
-    bad = mutated(base, i, time=base[i]["time"] + 100 * gamma)
+    bad, seq_of = quorums_from(base, base[-1]["time"])  # every one at the horizon
     found = violations(bad)
-    assert ("latency_bound", i) in {(x.invariant, x.seq) for x in found}
+    assert ("latency_bound", seq_of[i]) in {(x.invariant, x.seq) for x in found}
 
 
 def words(send):
@@ -1096,9 +1132,10 @@ def test_latency_bound_is_silent_at_its_bound_and_fires_one_tick_past(base):
     i = first_leader_qc(base, 0)  # t_star's record
     cfg = base[0]["config"]
     bound = cfg["k"] * 3 * cfg["gamma"]  # f_star is 0
-    assert violations(mutated(base, i, time=cfg["gst"] + bound)) == []
-    found = violations(mutated(base, i, time=cfg["gst"] + bound + 1))
-    assert found == [Violation("latency_bound", i, f"latency {bound + 1} exceeds {bound} ticks")]
+    assert violations(quorums_from(base, cfg["gst"] + bound)[0]) == []
+    past, seq_of = quorums_from(base, cfg["gst"] + bound + 1)
+    detail = f"latency {bound + 1} exceeds {bound} ticks"
+    assert violations(past) == [Violation("latency_bound", seq_of[i], detail)]
 
 
 def with_gst(records, gst):
@@ -1229,8 +1266,8 @@ def test_underlying_contract_is_silent_at_a_deadline_at_the_end_and_fires_one_ti
 
 def with_words(records, i, count, time):
     """``records`` with ``count`` more words sent at ``time`` by send record
-    i's sender: copies of it, planted right after it, each to at most all
-    its other recipients, and never delivered. Record i must be a broadcast
+    i's sender: copies of it, planted at ``time`` (``time_ordered``), each
+    to at most all its other recipients, and never delivered. Record i must be a broadcast
     whose payload has no duplicate check: a proposal or a certificate."""
     send = records[i]
     assert send["payload"]["type"] not in ("vote", "view_message")
@@ -1242,7 +1279,7 @@ def with_words(records, i, count, time):
         recipients, due = [q for q, _ in part], [d for _, d in part]
         planted.append({**send, "time": time, "recipients": recipients, "deliver_times": due})
         count -= len(part)
-    return renumbered([*records[: i + 1], *planted, *records[i + 1 :]], records)
+    return time_ordered(renumbered([*records[: i + 1], *planted, *records[i + 1 :]], records))[0]
 
 
 def correct_words(records, lo, hi):
@@ -1271,7 +1308,7 @@ def test_word_bound_is_silent_at_its_budget_and_fires_one_word_past(base):
     assert violations(at) == []
     past = with_words(base, i, extra + 1, t_star - 1)
     detail = f"{budget + 1} words exceed {budget}"
-    assert violations(past) == [Violation("word_bound", q, detail)]
+    assert violations(past) == [Violation("word_bound", first_leader_qc(past, 0), detail)]
 
 
 def test_post_sync_words_is_silent_at_its_budget_and_fires_one_word_past(base):
@@ -1295,7 +1332,8 @@ def delivery_faults(records, i, send_time):
     """The ``delivery_bound`` violations of ``records`` with deliver record
     i's send moved to ``send_time``, from the analyzer alone, so that each
     test below kills its flip by its own assertion, not by the oracles'."""
-    moved = mutated(records, records[i]["send"], time=send_time)
+    moved, seq_of = retimed(records, records[i]["send"], send_time)
+    assert seq_of[i] == i  # a send moved back, or forward as far as its delivery
     return [v for v in analyze(moved).violations if v.invariant == "delivery_bound"]
 
 
@@ -1363,17 +1401,18 @@ def test_a_send_at_gst_is_held_to_the_actual_delay_and_one_before_is_not():
 
 
 def test_slow_first_quorum_breaks_responsiveness():
-    records = run_records(network="fixed_delta", delta_actual="1/5")
+    records = run_records(network="fixed_delta", delta_actual="1/5", stop="horizon", horizon=30)
     cfg = records[0]["config"]
     i = first_leader_qc(records, 0)
     # silent at the responsive bound, firing one tick past it, well inside
-    # the latency bound
+    # the latency bound; the words sent before so late a t_star also break
+    # the word bound, which is not what this pins
     resp = RESPONSE_STEPS_C * cfg["delta_actual"] + cfg["gamma"] + cfg["delta_cap"]
-    assert violations(mutated(records, i, time=cfg["gst"] + resp)) == []
-    bad = mutated(records, i, time=cfg["gst"] + resp + 1)
+    assert "responsiveness" not in ids(quorums_from(records, cfg["gst"] + resp)[0])
+    bad, seq_of = quorums_from(records, cfg["gst"] + resp + 1)
     found = {(x.invariant, x.seq) for x in violations(bad)}
-    assert ("responsiveness", i) in found
-    assert ("latency_bound", i) not in found
+    assert ("responsiveness", seq_of[i]) in found
+    assert ("latency_bound", seq_of[i]) not in found
 
 
 def test_words_between_group_quorums_break_post_sync_words(base):
@@ -1402,27 +1441,18 @@ def test_early_boundary_entry_breaks_entry_time_identity(base):
 
 def test_slow_group_quorum_breaks_post_sync_latency(base):
     cfg = base[0]["config"]
-    params = params_from(base)
-    lo = base[first_leader_qc(base, 2)]["time"]
+    lo = base[first_leader_qc(base, 1)]["time"]
     # one group's pace budget; the actual delay on this network is delta_cap
     allowed = cfg["k"] * cfg["gamma"] + RESPONSE_STEPS_C * cfg["delta_cap"]
 
-    def group_3_quorums_at(when):
-        # every quorum group 3's leader forms is stamped no earlier than when
-        out = copied(base)
-        for r in out:
-            if (
-                r["kind"] == "form_qc"
-                and r["view"] // cfg["k"] == 3
-                and r["proc"] == leader_of(r["view"], params)
-            ):
-                r["time"] = max(r["time"], when)
-        return out
+    def group_2_quorums_at(when):
+        # every quorum group 2's leader forms is stamped no earlier than when
+        return quorums_from(base, when, groups={2})[0]
 
     # silent at the allowed pace gap, firing one tick past it
-    silent = {(x.invariant, x.seq) for x in violations(group_3_quorums_at(lo + allowed))}
+    silent = {(x.invariant, x.seq) for x in violations(group_2_quorums_at(lo + allowed))}
     assert ("post_sync_latency", len(base) - 1) not in silent
-    found = violations(group_3_quorums_at(lo + allowed + 1))
+    found = violations(group_2_quorums_at(lo + allowed + 1))
     assert ("post_sync_latency", len(base) - 1) in {(x.invariant, x.seq) for x in found}
 
 
@@ -1538,8 +1568,9 @@ def test_late_delivery_makes_the_view_untimely(base, ptype):
     assert send["sender"] not in {c["proc"] for c in bad[0]["config"]["corruptions"]}
     send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
     bad[i]["proc_clock"] += 1  # the recipient's clock ran on with it
+    bad, seq_of = time_ordered(bad)
     found = violations(bad)
-    assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
+    assert ("delivery_bound", seq_of[i]) in {(x.invariant, x.seq) for x in found}
     assert not any(
         x.invariant == "underlying_contract" and f"view {v} quorum" in x.detail for x in found
     )
@@ -1569,8 +1600,9 @@ def test_late_delivery_from_a_corrupted_sender_leaves_the_view_timely(base):
     send = sent(bad, bad[i])
     send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
     bad[i]["proc_clock"] += 1
+    bad, seq_of = time_ordered(bad)
     found = violations(bad)
-    assert ("delivery_bound", i) in {(x.invariant, x.seq) for x in found}
+    assert ("delivery_bound", seq_of[i]) in {(x.invariant, x.seq) for x in found}
     assert any(
         x.invariant == "underlying_contract"
         and f"processor {p} lacked the view {v} quorum" in x.detail
@@ -1747,11 +1779,15 @@ def test_every_non_integer_view_is_located():
 
 def test_a_delivery_happens_at_its_announced_time():
     # a deliver record has no time of its own: with every entry of one
-    # broadcast's deliver_times moved far out, each of its deliveries is read
-    # there, and each is flagged, the sender's own for not being instantaneous
+    # broadcast's deliver_times moved out to the horizon, each of its
+    # deliveries is read there, and each is flagged, the sender's own for
+    # not being instantaneous
     records = copied(found_run())
+    horizon = records[0]["config"]["horizon"]
     i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) > 1)
-    records[i]["deliver_times"] = [10**6] * len(records[i]["recipients"])
+    records[i]["deliver_times"] = [horizon] * len(records[i]["recipients"])
+    records, seq_of = time_ordered(records)
+    i = seq_of[i]
     delivered = {
         j: r["recipient"] for j, r in enumerate(records) if r["kind"] == "deliver" and r["send"] == i
     }
@@ -1761,7 +1797,7 @@ def test_a_delivery_happens_at_its_announced_time():
         if p == records[i]["sender"]:
             assert found[j] == "self delivery not instantaneous"
         else:
-            assert found[j].startswith("delivery at 1000000 outside ")
+            assert found[j].startswith(f"delivery at {horizon} outside ")
 
 
 def test_duplicate_delivery_rejected():
@@ -2175,8 +2211,8 @@ def test_a_threshold_one_sub_tick_late_is_a_violation():
     q = scanned(records).q
     i = find(records, lambda r: r["kind"] == "threshold" and r["time"] > 0)
     assert q > 1 and records[i]["time"] % q == 0
-    records[i]["time"] += 1
-    assert ("clock_monotonicity", i) in {v[:2] for v in violations(records)}
+    records, seq_of = retimed(records, i, records[i]["time"] + 1)
+    assert ("clock_monotonicity", seq_of[i]) in {v[:2] for v in violations(records)}
 
 
 def every_kind_run():
@@ -2252,7 +2288,7 @@ def test_a_planted_field_is_located_alike_by_every_reader(
             analyze(given)
         assert str(info.value) == message
     path = tmp_path / "planted.jsonl"
-    write_trace(records, path)
+    path.write_text(to_jsonl(records), encoding="utf-8")
 
     def refuse(path):
         raise AssertionError("a second read of the trace")
@@ -2262,7 +2298,7 @@ def test_a_planted_field_is_located_alike_by_every_reader(
     line_blocks = viewsync.trace._line_blocks
     monkeypatch.setattr("viewsync.trace._line_blocks", lambda p: opened.append(p) or line_blocks(p))
     with pytest.raises(TraceAnalysisError) as info:
-        replay_cell(path)
+        replay_file(path)
     assert str(info.value) == message and opened == [path]
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == f"malformed trace: {message}\n"
@@ -2272,7 +2308,7 @@ def test_a_planted_field_is_located_alike_by_every_reader(
 def test_a_second_header_is_located(tmp_path, capsys, seq, whole):
     # a bare header record inside the trace, or a copy of the header right
     # after it, with the deliveries renumbered past it: one message from a
-    # list, a stream, replay_cell and viewsync replay
+    # list, a stream, replay_file and viewsync replay
     records = every_kind_run()
     header = records[0] if whole else {"kind": "header"}
     bad = renumbered([*records[:seq], header, *records[seq:]], records)
@@ -2282,9 +2318,9 @@ def test_a_second_header_is_located(tmp_path, capsys, seq, whole):
             analyze(given)
         assert str(info.value) == message
     path = tmp_path / "two-headers.jsonl"
-    write_trace(bad, path)
+    path.write_text(to_jsonl(bad), encoding="utf-8")
     with pytest.raises(TraceAnalysisError) as info:
-        replay_cell(path)
+        replay_file(path)
     assert str(info.value) == message
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == f"malformed trace: {message}\n"
@@ -2526,11 +2562,79 @@ def test_a_horizon_end_off_the_headers_horizon_is_located(read, shift, tmp_path,
     located(records, read, message, tmp_path, capsys)
 
 
+def timed_at(records, seq, time):
+    """A copy of ``records`` with record seq at ``time``: a deliver's due
+    time, its send's ``deliver_times`` entry for it, or any other's
+    ``time``."""
+    out = copied(records)
+    rec = out[seq]
+    if rec["kind"] == "deliver":
+        src = out[rec["send"]]
+        src["deliver_times"][src["recipients"].index(rec["recipient"])] = time
+    else:
+        rec["time"] = time
+    return out
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+def test_a_record_time_that_runs_back_is_located(read, tmp_path, capsys):
+    # found_run's form_vc at seq 156 set to time -61 once analyzed with no
+    # violation and the clean run's t_star and words
+    records = found_run()
+    assert records[156]["kind"] == "form_vc" and records[155]["kind"] == "deliver"
+    before = time_of(records, records[155])
+    message = f"form_vc record at seq 156: its time -61 is before the time {before} of the record before it"
+    located(timed_at(records, 156, -61), read, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("kind", ["form_vc", "deliver"])
+def test_a_record_may_share_its_predecessors_time_and_not_precede_it(kind, read, tmp_path,
+                                                                    capsys):
+    """Silent at the bound, where a record's time is its predecessor's (a
+    deliver's due time is its time), and located one tick below it."""
+    records = found_run()
+    seq = next(
+        i
+        for i in range(1, len(records))
+        if records[i]["kind"] == kind and 0 < time_of(records, records[i - 1])
+    )
+    prev = time_of(records, records[seq - 1])
+    at = timed_at(records, seq, prev)
+    if read == "replay":
+        path = tmp_path / "at.jsonl"
+        path.write_text(to_jsonl(at), encoding="utf-8")
+        assert main(["replay", str(path)]) in (0, 1)
+    else:
+        analyze(at if read == "list" else iter(at))
+    message = (
+        f"{kind} record at seq {seq}: its time {prev - 1} is before "
+        f"the time {prev} of the record before it"
+    )
+    located(timed_at(records, seq, prev - 1), read, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+def test_an_end_record_that_runs_back_is_located_before_the_record_after_it(read, tmp_path,
+                                                                           capsys):
+    # a t_star run's end record planted again after the first record past
+    # time 0, one tick before it: the end's own time is the first fault in
+    # file order, not the record after it
+    records = Simulation(SimConfig(n=4, seed=0)).run()
+    assert records[-1]["reason"] == records[0]["config"]["stop"] == "t_star"
+    seq = next(i for i in range(1, len(records)) if time_of(records, records[i - 1]) > 0)
+    prev = time_of(records, records[seq - 1])
+    end = {**records[-1], "time": prev - 1}
+    bad = renumbered([*records[:seq], end, *records[seq:]], records)
+    message = f"end record at seq {seq}: its time {prev - 1} is before the time {prev} of the record before it"
+    located(bad, read, message, tmp_path, capsys)
+
+
 def test_an_end_record_before_the_last_is_located(tmp_path, capsys):
     # found_run's end record, at the header's horizon, planted again at seq
     # 5 with the deliveries renumbered past it, so that only the rule that a
     # trace ends at its end record refuses it: one message from a list, a
-    # stream, a list parsed back from its text, replay_cell and viewsync replay
+    # stream, a list parsed back from its text, replay_file and viewsync replay
     records = found_run()
     seq = 5
     bad = renumbered([*records[:seq], records[-1], *records[seq:]], records)
@@ -2544,9 +2648,9 @@ def test_an_end_record_before_the_last_is_located(tmp_path, capsys):
             analyze(given)
         assert str(info.value) == message
     path = tmp_path / "early-end.jsonl"
-    write_trace(bad, path)
+    path.write_text(to_jsonl(bad), encoding="utf-8")
     with pytest.raises(TraceAnalysisError) as info:
-        replay_cell(path)
+        replay_file(path)
     assert str(info.value) == message
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == f"malformed trace: {message}\n"

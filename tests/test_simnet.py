@@ -541,7 +541,7 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
     with pytest.raises(SimulationError, match="carries signatures nobody made"):
         Simulation(sim_config(stop="horizon", horizon=30)).run()
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
-    row = _worker((cell, None))
+    row = _worker(cell)
     assert row["error"].startswith("SimulationError: sent QuorumCertificate")
 
 

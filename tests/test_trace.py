@@ -8,6 +8,7 @@ import json
 import re
 import sys
 import warnings
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from viewsync import simnet, trace
 from viewsync.cli import main
-from viewsync.harness import replay_cell
-from viewsync.metrics import TraceAnalysisError
+from viewsync.harness import replay_file
+from viewsync.metrics import TraceAnalysisError, analyze
 from viewsync.simnet import Corruption, SimConfig, Simulation
 from viewsync.trace import (
     PAYLOAD_CODES,
@@ -27,6 +28,7 @@ from viewsync.trace import (
     TraceParseError,
     dumps_record,
     iter_trace,
+    iter_traces,
     malformed_field,
     parse_jsonl,
     read_trace,
@@ -67,9 +69,11 @@ def test_records_in_memory_are_their_json_values():
 def test_write_trace_matches_to_jsonl(trace_text, tmp_path):
     records = parse_jsonl(trace_text)
     path = tmp_path / "t.jsonl"
-    write_trace(records, path)
-    assert path.read_text(encoding="utf-8") == trace_text
-    assert read_trace(path) == records
+    with open(path, "w", encoding="utf-8") as out:
+        write_trace(records, out)
+        write_trace(records, out)  # appended: the file holds two traces
+    assert path.read_text(encoding="utf-8") == trace_text * 2
+    assert read_trace(path) == records * 2
 
 
 def test_serialisation_is_canonical():
@@ -800,9 +804,86 @@ def test_reader_matches_json_loads_on_random_edits(data):
     reads_like_json_loads("\n".join(lines) + "\n")
 
 
+# -- a file of several traces: a header right after an end starts the next ----
+
+
+def two_runs():
+    return [
+        Simulation(SimConfig(n=4, delta_cap=2, stop="horizon", horizon=horizon)).run()
+        for horizon in (20, 30)
+    ]
+
+
+def test_a_header_right_after_an_end_starts_the_next_trace(tmp_path):
+    first, second = two_runs()
+    text = to_jsonl(first) + to_jsonl(second)
+    assert parse_jsonl(text) == first + second
+    assert to_jsonl(parse_jsonl(text)) == text
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert read_trace(path) == first + second
+    with closing(iter_traces(path)) as traces:
+        assert [list(records) for records in traces] == [first, second]
+    assert [row["t_star"] for row in replay_file(path)] == [
+        str(analyze(first).t_star), str(analyze(second).t_star)
+    ]
+
+
+def test_what_a_reader_leaves_of_a_trace_is_read_before_the_next(tmp_path):
+    first, second = two_runs()
+    path = tmp_path / "t.jsonl"
+    path.write_text(to_jsonl(first) + to_jsonl(second), encoding="utf-8")
+    with closing(iter_traces(path)) as traces:
+        assert next(next(traces)) == first[0]  # the first trace's header alone
+        assert list(next(traces)) == second
+        assert next(traces, None) is None
+    lines = (to_jsonl(first) + to_jsonl(second)).splitlines(keepends=True)
+    lines[5] = "{\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with closing(iter_traces(path)) as traces:
+        next(traces)
+        with pytest.raises(TraceParseError, match="^line 6: invalid JSON"):
+            next(traces)
+
+
+def test_each_trace_of_a_file_is_checked_at_its_header_and_its_end():
+    first, second = two_runs()
+    text = to_jsonl(first)
+    bad_version = to_jsonl([{**second[0], "version": 6}, *second[1:]])
+    at = len(first) + 1
+    with pytest.raises(TraceParseError, match=f"^line {at}: unsupported trace version 6$"):
+        parse_jsonl(text + bad_version)
+    cut = to_jsonl(second[:-1])
+    last = len(first) + len(second) - 1
+    with pytest.raises(TraceParseError, match=f"^line {last}: trace truncated: no end record$"):
+        parse_jsonl(text + cut)
+
+
+def test_a_header_anywhere_but_after_an_end_and_a_record_after_an_end_stay_located(tmp_path):
+    # the first is the second header a trace may not hold, and the second
+    # the record after an end that a trace may not hold: a file whose second
+    # trace lost its header, or whose first lost its end
+    first, second = two_runs()
+    path = tmp_path / "t.jsonl"
+    path.write_text(to_jsonl(first) + to_jsonl(second[1:]), encoding="utf-8")
+    end = len(first) - 1
+    message = (
+        f"{second[1]['kind']} record at seq {end + 1}: "
+        f"a trace ends at its end record, at seq {end}"
+    )
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
+        replay_file(path)
+    path.write_text(to_jsonl(first[:-1]) + to_jsonl(second), encoding="utf-8")
+    message = f"header record at seq {end}: a trace has one header, at seq 0"
+    with pytest.raises(TraceAnalysisError, match=f"^{re.escape(message)}$"):
+        replay_file(path)
+
+
 # -- the file reader: read_trace reads as parse_jsonl reads the whole text -----
 
-BLOCKS = [1, 7, 4096, trace._BLOCK]
+# block sizes in bytes: the last holds each of these files whole, as the
+# reader's own block (trace._BLOCK) does
+BLOCKS = [1, 7, 4096, 1 << 20]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -862,16 +943,18 @@ def test_undecodable_bytes_are_read_in_line_order(block, tmp_path, monkeypatch):
 def mid_file_fault(fault, path):
     """Write a trace to ``path`` with a fault half-way through it: a line
     that is no JSON, or a record the analyzer refuses (a send whose time is
-    no tick), which parses."""
+    no tick), which parses; after a clean trace, if the fault is in the
+    file's second trace."""
     records = Simulation(SimConfig(n=4, delta_cap=2, stop="horizon", horizon=30)).run()
+    clean = to_jsonl(records) if fault.endswith("in the second trace") else ""
     mid = len(records) // 2
-    if fault == "analysis":
+    if fault.startswith("analysis"):
         seq = next(i for i in range(mid, len(records)) if records[i]["kind"] == "send")
         records[seq]["time"] = "x"
     lines = to_jsonl(records).splitlines(keepends=True)
-    if fault == "line":
+    if fault.startswith("line"):
         lines[mid] = "{\n"
-    path.write_text("".join(lines), encoding="utf-8")
+    path.write_text(clean + "".join(lines), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -882,6 +965,11 @@ def mid_file_fault(fault, path):
         ("replay_cell", "analysis"),
         ("viewsync replay", "line"),
         ("viewsync replay", "analysis"),
+        ("read_trace", "line in the second trace"),
+        ("replay_cell", "line in the second trace"),
+        ("replay_cell", "analysis in the second trace"),
+        ("viewsync replay", "line in the second trace"),
+        ("viewsync replay", "analysis in the second trace"),
     ],
 )
 def test_a_read_that_stops_on_a_fault_closes_its_file(reader, fault, tmp_path, monkeypatch,
@@ -904,9 +992,10 @@ def test_a_read_that_stops_on_a_fault_closes_its_file(reader, fault, tmp_path, m
             assert main(["replay", str(path)]) == 2
             assert capsys.readouterr().err.startswith("malformed trace: ")
         else:
-            error = TraceParseError if fault == "line" else TraceAnalysisError
+            error = TraceParseError if fault.startswith("line") else TraceAnalysisError
             with pytest.raises(error) as info:
-                (read_trace if reader == "read_trace" else replay_cell)(path)
+                # replay_file replays each trace of the file with replay_cell
+                (read_trace if reader == "read_trace" else replay_file)(path)
         # closed as the read stopped: here the exception and its traceback,
         # which hold the stream's frames, are still alive
         assert len(opened) == 1 and opened[0].closed

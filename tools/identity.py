@@ -1,13 +1,16 @@
 """Two SHA-256 digests per benchmark workload over every byte a run of it writes.
 
 For each workload of perfbench/workloads.py at a seed, ``traces`` digests the
-name and bytes of every trace file the measure pass writes, and ``outputs``
-digests, in this order, the measure rows and the replay rows as
+name and bytes of every trace file the measure pass writes (one,
+``traces.jsonl``, which holds every cell's trace in cell order), and
+``outputs`` digests, in this order, the measure rows and the replay rows as
 ``run_experiment`` writes them (JSON lines), and the measure pass's summary,
 as its CSV table and as its JSON. Two source trees that give the same digests
 write the same traces, rows and summaries for every cell of the workloads; a
-change to the trace format alone changes only the ``traces`` digests. Cells
-run serially, in this process.
+change to the trace format alone changes only the ``traces`` digests. The
+replay rows must be the measure rows, byte for byte: where they are not, the
+tool names the seed and workload and exits 1, with or without ``--check``.
+Cells run serially, in this process.
 
 Usage:
     python tools/identity.py [--seed S ...]
@@ -34,10 +37,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class ReplayDiffers(Exception):
+    """A replay pass's rows are not its measure pass's, byte for byte."""
+
+
 def digest(spec, work_dir) -> dict[str, str]:
     """The ``traces`` and ``outputs`` SHA-256 digests of what a measure and a
     replay pass of ``spec`` write, with the traces and rows kept under
-    ``work_dir``."""
+    ``work_dir``; ReplayDiffers if the replay rows are not the measure
+    rows."""
     from viewsync.harness import ExperimentSpec, run_experiment
 
     work = Path(work_dir)
@@ -51,6 +59,8 @@ def digest(spec, work_dir) -> dict[str, str]:
         ExperimentSpec(mode="replay", traces_dir=str(traces)),
         metrics_path=work / "replay.jsonl",
     )
+    if (work / "replay.jsonl").read_bytes() != (work / "measure.jsonl").read_bytes():
+        raise ReplayDiffers("the replay rows differ from the measure rows")
     trace_sha = hashlib.sha256()
     for path in sorted(traces.iterdir()):
         trace_sha.update(path.name.encode() + b"\n")
@@ -69,7 +79,10 @@ def digests(seed: int) -> dict[str, dict[str, str]]:
     out = {}
     for name, build in workloads.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            out[name] = digest(build(seed), tmp)
+            try:
+                out[name] = digest(build(seed), tmp)
+            except ReplayDiffers as exc:
+                raise ReplayDiffers(f"seed {seed} {name}: {exc}") from None
     return out
 
 
@@ -78,7 +91,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, action="append", help="base seed (repeatable)")
     parser.add_argument("--check", type=Path, help="stored digests to compare with")
     args = parser.parse_args(argv)
-    found = {str(seed): digests(seed) for seed in args.seed or [0]}
+    try:
+        found = {str(seed): digests(seed) for seed in args.seed or [0]}
+    except ReplayDiffers as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(json.dumps(found, indent=2, sort_keys=True))
     if args.check is None:
         return 0
