@@ -35,7 +35,8 @@ is always absolute, and such a spec may not sweep it. Spec values are read by
 ``traces: true``, traces/traces.jsonl, every cell's trace in cell order, each
 header naming its row's config digest. Both flags must be YAML booleans (a
 string such as ``"false"`` is a bad spec, exit 2), and ``seeds``,
-``base_seed`` and ``max_cells`` integers.
+``base_seed`` and ``max_cells`` integers, ``seeds`` and ``max_cells`` at
+least 1.
 """
 
 from __future__ import annotations

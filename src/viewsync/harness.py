@@ -83,6 +83,8 @@ class ExperimentSpec:
             raise ExperimentError(f"unknown mode {self.mode!r}")
         if self.seeds < 1:
             raise ExperimentError("seeds must be >= 1")
+        if self.max_cells < 1:
+            raise ExperimentError("max_cells must be >= 1")
         check_shape(self.base, self.sweeps)
         if "seed" in self.base or "seed" in self.sweeps:
             # cells() sets each cell's seed, from seeds and base_seed

@@ -12,11 +12,14 @@ leader) are evaluated against the recorded data and skipped as vacuous when
 the hypothesis fails, never silently weakened.
 
 A record's seq is its index in the trace, which the scan counts. Each
-``deliver`` record is joined to the ``send`` record at the seq it names, for
-the send's time, sender and payload, and for its own time: the send's
-``deliver_times`` entry for its recipient. A ``deliver`` makes the trace
-unusable if it names no earlier send listing its recipient, or if that
-recipient already had this send delivered. So does a ``sender``,
+``deliver`` record is joined to the ``send`` record ``back`` records before
+it, at seq ``seq - back``, for the send's time, sender and payload, and for
+its own time: the send's time plus its ``delays`` entry for its recipient.
+The trace keeps those two differences as they are, and the join is the one
+place they are added back. A ``deliver`` makes the trace unusable if it
+names no earlier send listing its recipient (a ``back`` below 1, or one that
+reaches the header or past it, names none), or if that recipient already
+had this send delivered. So does a ``sender``,
 ``recipients`` entry, recipient, ``proc`` or signer that is not a processor
 id: an int, not a bool or a float, and in ``[0, n)`` except for signers,
 whose range is an invariant, and a send's ``recipients`` that lists no
@@ -238,7 +241,7 @@ class _Analyzer:
         self.signatures: set[tuple[int, str, int]] = set()
         self.checked_certs: set[tuple] = set()
         self.word_events: list[tuple[Any, int]] = []  # (send_time, words), correct senders
-        # seq -> [send_time, sender, payload, recipients, deliver_times, owed]
+        # seq -> [send_time, sender, payload, recipients, delays, owed]
         # of each send still owed a delivery, where owed has bit i set until
         # recipients[i] has the send delivered; once no bit is left, the send
         # moves to ``delivered`` with its recipients alone, for the join errors
@@ -456,13 +459,14 @@ class _Analyzer:
                     f"for processor {c.proc}, which the header corrupts at {c.time}"
                 )
 
-    def _unjoined(self, rec: Record) -> str:
-        """Why a ``deliver`` record has no delivery owed to join."""
-        src, p = rec["send"], rec["recipient"]
+    def _unjoined(self, rec: Record, src: int) -> str:
+        """Why a ``deliver`` record, whose send would be at seq ``src``, has
+        no delivery owed to join."""
+        p = rec["recipient"]
         sent = self.sends.get(src)
         recipients = self.delivered.get(src) if sent is None else sent[3]
         if recipients is None:
-            return f"field 'send' names no earlier send record: {src!r}"
+            return f"field 'back' names no earlier send record: {rec['back']!r}"
         if p not in recipients:
             return f"send record at seq {src} does not list recipient {p!r}"
         return f"send record at seq {src} was already delivered to recipient {p!r}"
@@ -470,13 +474,13 @@ class _Analyzer:
     def _scan_send(self, rec: Record, now, seq: int) -> None:
         sender = rec["sender"]
         payload = rec["payload"]
-        recipients, deliver_times = rec["recipients"], rec["deliver_times"]
+        recipients, delays = rec["recipients"], rec["delays"]
         if (
             type(recipients) is not list
-            or type(deliver_times) is not list
-            or len(deliver_times) != len(recipients)
+            or type(delays) is not list
+            or len(delays) != len(recipients)
         ):
-            raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
+            raise TypeError(f"recipients or delays at seq {seq}")  # scan() names it
         # a negative id would index from the end, and a bool or a float
         # would pass for an int; a deliver's recipient is one of these
         if type(sender) is not int or sender < 0:
@@ -486,16 +490,16 @@ class _Analyzer:
             (recipient,) = recipients
             if recipient not in self.ids:
                 raise IndexError(f"sender or recipients at seq {seq}")  # scan() names it
-            if type(recipient) is not int or type(deliver_times[0]) is not int:
-                raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
+            if type(recipient) is not int or type(delays[0]) is not int:
+                raise TypeError(f"recipients or delays at seq {seq}")  # scan() names it
             words = 0 if recipient == sender else 1
         else:
             if not self.ids.issuperset(recipients):
                 raise IndexError(f"sender or recipients at seq {seq}")  # scan() names it
             if not (
-                _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, deliver_times))
+                _INT.issuperset(map(type, recipients)) and _INT.issuperset(map(type, delays))
             ):
-                raise TypeError(f"recipients or deliver_times at seq {seq}")  # scan() names it
+                raise TypeError(f"recipients or delays at seq {seq}")  # scan() names it
             # no recipient, or one listed twice (a deliver would join the first)
             if not 0 < count == len(set(recipients)):
                 raise TraceAnalysisError(
@@ -552,7 +556,7 @@ class _Analyzer:
         if correct and words:
             self.word_events.append((now, words))
         owed = (1 << count) - 1  # bit i: recipients[i] is owed a delivery
-        self.sends[seq] = [now, sender, payload, recipients, deliver_times, owed]
+        self.sends[seq] = [now, sender, payload, recipients, delays, owed]
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -585,30 +589,32 @@ class _Analyzer:
         return forwarded
 
     def _scan_deliver(self, rec: Record, seq: int) -> tuple[int, bool]:
-        """One ``deliver`` record, joined to the send it names: its time,
-        which is the send's ``deliver_times`` entry for its recipient, its
-        recipient's snapshot, then the delivery itself. Returns the time,
-        and whether the recipient's clock was forwarded here."""
+        """One ``deliver`` record, joined to the send ``back`` records before
+        it: its time, which is the send's time plus its ``delays`` entry for
+        its recipient, its recipient's snapshot, then the delivery itself.
+        Returns the time, and whether the recipient's clock was forwarded
+        here."""
         p = rec["recipient"]
-        src = rec["send"]
-        if type(p) is not int or type(src) is not int:  # True would join as 1
-            raise TypeError(f"recipient or send at seq {seq}")  # scan() names it
+        back = rec["back"]
+        if type(p) is not int or type(back) is not int:  # True would join as 1
+            raise TypeError(f"recipient or back at seq {seq}")  # scan() names it
+        src = seq - back
         try:
             sent = self.sends[src]
             i = sent[3].index(p)
         except (KeyError, ValueError):
             i = None
         if i is None or not sent[5] >> i & 1:
-            why = self._unjoined(rec)
+            why = self._unjoined(rec, src)
             raise TraceAnalysisError(f"deliver record at seq {seq}: {why}")
-        send_time, sender, payload, recipients, deliver_times, owed = sent
+        send_time, sender, payload, recipients, delays, owed = sent
         owed ^= 1 << i
         if owed:
             sent[5] = owed
         else:  # delivered to every recipient: only the join errors read it again
             del self.sends[src]
             self.delivered[src] = recipients
-        now = deliver_times[i]  # an exact int, checked with its send record
+        now = send_time + delays[i]  # exact ints, checked with its send record
         proc_view, clock = rec["proc_view"], rec["proc_clock"]
         if type(clock) is not int:
             clock = _ticks(clock, seq)

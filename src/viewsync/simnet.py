@@ -45,8 +45,9 @@ draws of another.
 
 The records ``run`` returns are read-only. A record's seq is its index in
 them, written nowhere. Each ``send()`` call writes one ``send`` record,
-naming every recipient, and each delivery a ``deliver`` record that points
-at it by seq and takes its time from it.
+naming every recipient and each one's delay, and each delivery a
+``deliver`` record that names it by how many records back it is and takes
+its time from it: the send's time plus its delay for the recipient.
 """
 
 from __future__ import annotations
@@ -817,7 +818,7 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         r = self.resolved = resolve(config)
-        # a record's seq is its index here, which a deliver's "send" names
+        # a record's seq is its index here, which a deliver's "back" counts from
         self.records: list[Record] = []
         self.heap: list = []
         self.counter = itertools.count()
@@ -913,28 +914,39 @@ class Simulation:
             validate = validate_qc if ptype is QuorumCertificate else validate_vc
             if not validate(payload, r.n, r.t, self.ledger):
                 raise SimulationError(f"sent {payload!r} carries signatures nobody made")
-        # nothing is emitted before this send's record, whose seq it names
+        # nothing is emitted before this send's record, whose seq the envelope carries
         envelope = (len(self.records), payload)
         if to != ALL:  # one recipient, as most sends have
             recipients = [to]
             when = now if to == sender else self._due(now)
-            deliver_times = [when]
+            delays = [when - now]
             if when <= r.horizon:
                 event = (when, _PRIO_DELIVER, sender, to, next(self.counter), "dlv", envelope)
                 heappush(self.heap, event)
         else:
             recipients = list(range(r.n))
-            deliver_times = []
-            # uniform_random draws once per other recipient, in recipient
-            # order; every other network gives all of them one time
-            due = self._due
-            far = None if self._draws else due(now)
             horizon, heap, counter = r.horizon, self.heap, self.counter
-            for q in recipients:
-                when = now if q == sender else due(now) if far is None else far
-                deliver_times.append(when)
-                if when <= horizon:
-                    heappush(heap, (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope))
+            if self._draws:  # uniform_random: one draw per other recipient, in recipient order
+                due = self._due
+                delays = []
+                for q in recipients:
+                    when = now if q == sender else due(now)
+                    delays.append(when - now)
+                    if when <= horizon:
+                        event = (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope)
+                        heappush(heap, event)
+            else:
+                # every other network gives all of them one time, so one
+                # delay, computed once; the events share the one time object,
+                # which the heap's tuple comparisons match by identity
+                far = self._due(now)
+                delays = [far - now] * r.n
+                delays[sender] = 0
+                for q in recipients:
+                    when = now if q == sender else far
+                    if when <= horizon:
+                        event = (when, _PRIO_DELIVER, sender, q, next(counter), "dlv", envelope)
+                        heappush(heap, event)
         self.records.append(
             {
                 "kind": "send",
@@ -942,7 +954,7 @@ class Simulation:
                 "sender": sender,
                 "recipients": recipients,
                 "payload": payload_to_dict(payload),
-                "deliver_times": deliver_times,
+                "delays": delays,
             }
         )
 
@@ -1013,11 +1025,13 @@ class Simulation:
         if self.corrupted[p] and isinstance(payload, QuorumCertificate):
             self.controls[p].saw_qc(payload, self, now)
         state = self.states[p]
-        # due at its send's deliver_times entry for p, so no time of its own
-        self.records.append(
+        records = self.records
+        # due at its send's time plus its send's delay for p, so no time of
+        # its own; its send is back that many records from its own seq
+        records.append(
             {
                 "kind": "deliver",
-                "send": send_seq,
+                "back": len(records) - send_seq,
                 "recipient": p,
                 "proc_view": state.view,
                 "proc_clock": state.clock,

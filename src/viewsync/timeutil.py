@@ -6,7 +6,7 @@ per run, so every time and every clock value is an int, drifting clocks
 included: ``simnet.resolve`` splits each tick into as many sub-ticks as the
 clock rates need for that.
 
-Traces (version 7) carry every time as a JSON int count of ticks on the grid
+Traces (version 8) carry every time as a JSON int count of ticks on the grid
 their header names. Only the clock rates, which have no unit and may be any
 positive rational, are written as ``"p/q"`` strings when not whole:
 ``dump_ticks`` writes a rate and ``load_ticks`` reads it back. Real units

@@ -1,17 +1,17 @@
 """Newline-delimited JSON traces: canonical serialization and strict parsing.
 
 A trace is a list of flat dict records, one per simulation event. A record's
-seq is its 0-based line index, the header's 0, and is not written. Version 7
+seq is its 0-based line index, the header's 0, and is not written. Version 8
 writes the header as a JSON object and every other record as one JSON array:
 its kind's one-letter code, then its fields in the order of its
 ``RECORD_FIELDS`` row, which is the order the simulator builds them in. A
 payload is the array ``[code, view, value]``: its type's one-letter code,
 its view and its type's one ``PAYLOAD_FIELDS`` field::
 
-    ["s",time,sender,[recipients…],[code,view,value],[deliver_times…]]
-    ["d",send,recipient,proc_view,proc_clock]
+    ["s",time,sender,[recipients…],[code,view,value],[delays…]]
+    ["d",back,recipient,proc_view,proc_clock]
 
-for instance ``["s",24,7,[1],["v",3,7],[27]]`` and ``["d",165,7,3,2703]``,
+for instance ``["s",24,7,[1],["v",3,7],[3]]`` and ``["d",12,7,3,2703]``,
 which read back as ``{"kind": "send", …}`` with the payload ``{"type":
 "vote", …}`` and ``{"kind": "deliver", …}``. The codes are
 (``RECORD_CODES`` and ``PAYLOAD_CODES``)::
@@ -21,21 +21,26 @@ which read back as ``{"kind": "send", …}`` with the payload ``{"type":
     types  p proposal, v vote, m view_message, q quorum_certificate,
            c view_certificate
 
-Every time, clock value and delivery time is a JSON int count of ticks on
-the grid the header names; only the header's clock rates may be ``"p/q"``
-strings (``timeutil.dump_ticks``). Each ``send()`` call is one ``send``
-record, and each of its deliveries one ``deliver`` record that names it by
-seq instead of repeating it. ``deliver_times`` lists
-when each of ``recipients`` is due, and a ``deliver`` record has no time of
-its own: it happens at its send's entry for its recipient. Every other
-record has a ``time``. A send costs one word per recipient other than the
-sender, which the reader derives from ``recipients``. Versions 1 to 6 are
-not read: 1 and 2 wrote one ``send`` record per recipient and repeated the
-sender, payload and send time in every ``deliver``, 3 wrote a drifted
-clock's times as ``"p/q"`` strings on a coarser grid and stored each send's
-word count, 4 wrote every record's seq and every deliver's time, 5 wrote
-every record as an object with sorted keys, and 6 wrote each array's kind
-and payload type by their full names.
+Every time, clock value and delay is a JSON int count of ticks on the grid
+the header names; only the header's clock rates may be ``"p/q"`` strings
+(``timeutil.dump_ticks``). Each ``send()`` call is one ``send`` record, and
+each of its deliveries one ``deliver`` record that names it instead of
+repeating it: ``back`` is the deliver's seq minus its send's. ``delays``
+lists, for each of ``recipients``, how long after the send's ``time`` it is
+due (0 for the sender itself), and a ``deliver`` record has no time of its
+own: it happens at its send's time plus its send's delay for its recipient.
+Both fields are kept as written, differences the analyzer adds back when it
+joins a deliver to its send (``metrics``), so neither reader nor writer
+does arithmetic on them. Every other record has a ``time``. A send costs one
+word per recipient other than the sender, which the reader derives from
+``recipients``. Versions 1 to 7 are not read: 1 and 2 wrote one ``send``
+record per recipient and repeated the sender, payload and send time in every
+``deliver``, 3 wrote a drifted clock's times as ``"p/q"`` strings on a
+coarser grid and stored each send's word count, 4 wrote every record's seq
+and every deliver's time, 5 wrote every record as an object with sorted
+keys, 6 wrote each array's kind and payload type by their full names, and 7
+named a deliver's send by its absolute seq (``send``) and listed a send's
+absolute due times (``deliver_times``).
 
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``; ``harness.run_cell`` adds
@@ -66,7 +71,7 @@ int view and an int or int-list value in a payload. The line is
 ``json.dumps([code, *fields], sort_keys=True, separators=(",", ":"),
 allow_nan=False)``, with the payload as its array. A list of exact ints is
 written as its repr without spaces, with two short paths: a list of one int
-(a send's one recipient and its delivery time) by an f-string, and
+(a send's one recipient and its delay) by an f-string, and
 ``list(range(n))`` (a broadcast's recipients) as a string made once per
 ``n``; a string is the encoder's JSON of it alone, which escapes it as it
 would inside the array. Any other record (the header, or one edited or built
@@ -121,7 +126,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, TextIO
 
-TRACE_VERSION = 7
+TRACE_VERSION = 8
 
 Record = dict[str, Any]
 
@@ -165,12 +170,12 @@ _RECORD_ROWS = {
             "sender": "proc",
             "recipients": "procs",
             "payload": "payload",
-            "deliver_times": "ticks",
+            "delays": "ticks",
         },
     ),
     "deliver": (
         "d",
-        {"send": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
+        {"back": "int", "recipient": "proc", "proc_view": "int", "proc_clock": "tick"},
     ),
     "threshold": (
         "t",

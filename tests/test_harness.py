@@ -708,6 +708,29 @@ def test_cli_rejects_malformed_spec_values(tmp_path, capsys, extra, key):
     assert f"bad spec: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"seeds": 0}, "seeds must be >= 1"),
+        ({"max_cells": 0}, "max_cells must be >= 1"),
+        ({"max_cells": -1}, "max_cells must be >= 1"),
+    ],
+)
+def test_cli_refuses_a_count_below_one(tmp_path, capsys, extra, message):
+    # a cap of 0 used to read "sweep expands to 1 cells, over the cap of 0"
+    doc = {"base": {"n": 4, "delta_cap": 2}, **extra}
+    path = write_spec(tmp_path / "bad.yaml", doc)
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"bad spec: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_cap_of_one_cell_is_a_cap():
+    assert ExperimentSpec(base=BASE, max_cells=1).cell_count() == 1
+    with pytest.raises(ExperimentError, match="^sweep expands to 2 cells, over the cap of 1$"):
+        ExperimentSpec(base=BASE, seeds=2, max_cells=1)
+
+
 @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
 def test_the_delta_units_flag_is_a_yaml_boolean(tmp_path, capsys, value):
     # a truthy string or int used to scale every time: "false" read gst 3 as 6
@@ -895,37 +918,38 @@ def test_cli_replay_refuses_a_rational_tick(spec_file, tmp_path, capsys, kind, n
 
 
 def point_at_header(recs, at):
-    recs[at]["send"] = 0
-    return "field 'send' names no earlier send record: 0"
+    recs[at]["back"] = at
+    return f"field 'back' names no earlier send record: {at}"
 
 
 def point_at_a_later_send(recs, at):
     later = next(i for i in range(at + 1, len(recs)) if recs[i]["kind"] == "send")
-    recs[at]["send"] = later
-    return f"field 'send' names no earlier send record: {later}"
+    recs[at]["back"] = at - later
+    return f"field 'back' names no earlier send record: {at - later}"
 
 
 def drop_the_recipient(recs, at):
     # another processor takes its place: a send must list at least one
     deliver = recs[at]
-    send = recs[deliver["send"]]
+    src = at - deliver["back"]
+    send = recs[src]
     i = send["recipients"].index(deliver["recipient"])
     n = recs[0]["config"]["n"]
     send["recipients"][i] = next(q for q in range(n) if q not in send["recipients"])
-    return f"send record at seq {deliver['send']} does not list recipient {deliver['recipient']}"
+    return f"send record at seq {src} does not list recipient {deliver['recipient']}"
 
 
 def deliver_twice(recs, at):
-    # a copy goes in first, so the record itself, one further on, is the repeat
+    # a copy goes in first, so the record itself, one further on, is the
+    # repeat, and so is every later deliver whose send stays before it
     deliver = recs[at]
-    for r in recs[at:]:
-        if r["kind"] == "deliver" and r["send"] >= at:
-            r["send"] += 1
-    recs.insert(at, dict(deliver))
-    return (
-        f"send record at seq {deliver['send']} "
-        f"was already delivered to recipient {deliver['recipient']}"
-    )
+    src = at - deliver["back"]
+    first = dict(deliver)
+    for seq, r in enumerate(recs[at:], at):
+        if r["kind"] == "deliver" and seq - r["back"] < at:
+            r["back"] += 1
+    recs.insert(at, first)
+    return f"send record at seq {src} was already delivered to recipient {deliver['recipient']}"
 
 
 @pytest.mark.parametrize(
@@ -1010,8 +1034,8 @@ def unjoin_first_deliver(recs):
     """Make the first deliver name the header as its send; return the
     located error that deliver is."""
     seq = next(i for i, r in enumerate(recs) if r["kind"] == "deliver")
-    recs[seq]["send"] = 0
-    return f"deliver record at seq {seq}: field 'send' names no earlier send record: 0"
+    recs[seq]["back"] = seq
+    return f"deliver record at seq {seq}: field 'back' names no earlier send record: {seq}"
 
 
 def json_error_on_the_last_line(recs):

@@ -1,5 +1,6 @@
 """tools/identity.py digests every byte a workload's run writes, traces apart
-from rows and summaries, and --check names what differs."""
+from rows and summaries, counts the trace bytes, and --check names what
+differs."""
 
 import importlib.util
 import json
@@ -34,8 +35,10 @@ def tiny(seed=0):
 def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
     identity = load_identity()
     first = identity.digest(tiny(), tmp_path / "a")
-    assert sorted(first) == ["outputs", "traces"]
-    assert all(len(value) == 64 for value in first.values())
+    assert sorted(first) == ["outputs", "trace_bytes", "traces"]
+    assert len(first["outputs"]) == len(first["traces"]) == 64
+    (trace,) = (tmp_path / "a" / "traces").iterdir()
+    assert first["trace_bytes"] == trace.stat().st_size
     assert identity.digest(tiny(), tmp_path / "b") == first
     other_seed = identity.digest(tiny(seed=1), tmp_path / "c")
     assert all(other_seed[part] != first[part] for part in first)
@@ -47,6 +50,7 @@ def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "write_trace", spaced)
     respelled = identity.digest(tiny(), tmp_path / "d")
     assert respelled["traces"] != first["traces"]
+    assert respelled["trace_bytes"] > first["trace_bytes"]
     assert respelled["outputs"] == first["outputs"]
     for name in ("measure.jsonl", "replay.jsonl", "summary.csv"):
         assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
@@ -54,7 +58,7 @@ def test_a_digest_follows_the_seed_and_every_trace_byte(tmp_path, monkeypatch):
 
 def test_check_names_each_workload_that_differs(tmp_path, monkeypatch, capsys):
     identity = load_identity()
-    other = {"outputs": "0" * 64, "traces": "1" * 64}
+    other = {"outputs": "0" * 64, "trace_bytes": 5, "traces": "1" * 64}
     found = {"tiny": identity.digest(tiny(), tmp_path / "run"), "other": other}
     monkeypatch.setattr(identity, "digests", lambda seed: found)
     stored = tmp_path / "identity.json"
@@ -67,13 +71,18 @@ def test_check_names_each_workload_that_differs(tmp_path, monkeypatch, capsys):
     )
     assert identity.main(["--check", str(stored)]) == 1
     assert capsys.readouterr().err == f"differs from {stored}: seed 0 other traces\n"
-    outputs_gone = {**found, "other": {"traces": other["traces"]}}
+    outputs_gone = {**found, "other": {k: v for k, v in other.items() if k != "outputs"}}
     stored.write_text(json.dumps({"0": outputs_gone}), encoding="utf-8")
     assert identity.main(["--check", str(stored)]) == 1
     assert capsys.readouterr().err == f"differs from {stored}: seed 0 other outputs\n"
     # a seed the file does not hold differs in every part of every workload
     assert identity.main(["--check", str(stored), "--seed", "7"]) == 1
-    assert capsys.readouterr().err.count("seed 7") == 4
+    assert capsys.readouterr().err.count("seed 7") == 6
+    # a changed trace size alone is named too
+    resized = {**found, "other": {**other, "trace_bytes": 6}}
+    stored.write_text(json.dumps({"0": resized}), encoding="utf-8")
+    assert identity.main(["--check", str(stored)]) == 1
+    assert capsys.readouterr().err == f"differs from {stored}: seed 0 other trace_bytes\n"
 
 
 def test_replay_rows_that_are_not_the_measure_rows_exit_1(tmp_path, monkeypatch, capsys):

@@ -63,32 +63,54 @@ def copied(records):
 
 def renumbered(records, source):
     """A copy of ``records``, which lists records of the trace ``source``
-    (some repeated, some left out) and new ones, with each deliver's
-    ``send`` pointing at its send record's new seq, its index."""
+    (some repeated, some left out) and new ones, with each deliver of
+    ``source`` pointing at its send record's new seq, its index: its
+    ``back`` is its own new seq minus that one, or None if its send was
+    left out. A new deliver's ``back`` already counts in ``records``."""
     records = list(records)
     new_seq = {}
     for i, r in enumerate(records):
         new_seq.setdefault(id(r), i)  # a duplicate's deliveries stay with the first
+    old_seq = {id(r): j for j, r in enumerate(source)}
     moved = [new_seq.get(id(r)) for r in source]
     out = copied(records)
-    for r in out:
-        if r["kind"] == "deliver":
-            r["send"] = moved[r["send"]]
+    for i, (r, new) in enumerate(zip(records, out)):
+        j = old_seq.get(id(r))
+        if new["kind"] == "deliver" and j is not None:
+            src = moved[j - r["back"]]
+            new["back"] = None if src is None else i - src
     return out
 
 
+def seq_of(records, rec):
+    """The seq of ``rec``, one of ``records``: its index."""
+    return next(i for i, r in enumerate(records) if r is rec)
+
+
+def send_seq(records, i):
+    """The seq of the send record that the deliver record at seq ``i``
+    joins: ``back`` records before it."""
+    return i - records[i]["back"]
+
+
 def sent(records, deliver):
-    """The send record a deliver record joins: the one at the seq it names."""
-    return records[deliver["send"]]
+    """The send record a deliver record joins."""
+    return records[send_seq(records, seq_of(records, deliver))]
+
+
+def time_at(records, i):
+    """The time of the record at seq ``i``; a deliver's is its send's time
+    plus its send's delays entry for its recipient."""
+    rec = records[i]
+    if rec["kind"] != "deliver":
+        return rec["time"]
+    src = records[i - rec["back"]]
+    return src["time"] + src["delays"][src["recipients"].index(rec["recipient"])]
 
 
 def time_of(records, rec):
-    """A record's time; a deliver's is its send's deliver_times entry for its
-    recipient."""
-    if rec["kind"] != "deliver":
-        return rec["time"]
-    src = sent(records, rec)
-    return src["deliver_times"][src["recipients"].index(rec["recipient"])]
+    """A record's time, as ``time_at`` gives it."""
+    return time_at(records, seq_of(records, rec))
 
 
 def mutated(records, index, **changes):
@@ -103,15 +125,20 @@ def time_ordered(records):
     deliver's is its due time), as a run writes them, and renumbered; and
     the new seq of each old one, as a dict. The analyzer refuses a record
     whose time is before the record's before it."""
-    middle = sorted(range(1, len(records) - 1), key=lambda i: time_of(records, records[i]))
+    middle = sorted(range(1, len(records) - 1), key=lambda i: time_at(records, i))
     order = [0, *middle, len(records) - 1]
     return renumbered([records[i] for i in order], records), {i: j for j, i in enumerate(order)}
 
 
 def retimed(records, index, time):
     """``records`` with record ``index`` moved to ``time``, where a run
-    would write it, as ``time_ordered`` gives it."""
-    return time_ordered(mutated(records, index, time=time))
+    would write it, as ``time_ordered`` gives it. A send's deliveries stay
+    at their times: its delays take up the move."""
+    rec = records[index]
+    changes = {"time": time}
+    if rec["kind"] == "send":
+        changes["delays"] = [rec["time"] + delay - time for delay in rec["delays"]]
+    return time_ordered(mutated(records, index, **changes))
 
 
 def corrupted_from_start(records, *procs):
@@ -371,10 +398,12 @@ class ReferenceAnalyzer(_Analyzer):
                 self._check_dagger_now(0, seq)
                 continue
             if kind == "deliver":  # due when its send record says
-                p, sent = rec["recipient"], sends.get(rec["send"])
+                src = seq - rec["back"]
+                p, sent = rec["recipient"], sends.get(src)
                 if sent is None or p not in sent[3]:
-                    raise TraceAnalysisError(f"deliver record at seq {seq}: {self._unjoined(rec)}")
-                now = sent[4][sent[3].index(p)]
+                    why = self._unjoined(rec, src)
+                    raise TraceAnalysisError(f"deliver record at seq {seq}: {why}")
+                now = sent[0] + sent[4][sent[3].index(p)]
             else:
                 now = _ticks(rec["time"], seq)
             if before_gst:
@@ -463,7 +492,7 @@ class ReferenceAnalyzer(_Analyzer):
         words = sum(q != sender for q in rec["recipients"])
         if correct and words:
             self.word_events.append((now, words))
-        self.sends[seq] = (now, sender, payload, rec["recipients"], rec["deliver_times"])
+        self.sends[seq] = (now, sender, payload, rec["recipients"], rec["delays"])
 
     def _scan_stamp(self, p: int, view: int, clock, now, seq: int) -> bool:
         """Fold one observed (view, clock) snapshot into the replayed model.
@@ -494,7 +523,7 @@ class ReferenceAnalyzer(_Analyzer):
     def _scan_deliver(self, sent: tuple, recipient: int, now, seq: int) -> None:
         """One delivery of ``sent``, the send index's entry for its send."""
         r = self.resolved
-        send_time, sender, payload, _recipients, _deliver_times = sent
+        send_time, sender, payload, _recipients, _delays = sent
         if sender == recipient:
             if now != send_time:
                 self.flag("delivery_bound", seq, "self delivery not instantaneous")
@@ -731,7 +760,7 @@ def test_late_delivery_detected(base):
         and sent(base, r)["sender"] != r["recipient"]
         and time_of(base, r) > 3 * base[0]["grid"],
     )
-    bad, _ = retimed(base, base[i]["send"], 0)  # the deliver, after it, keeps its seq
+    bad, _ = retimed(base, send_seq(base, i), 0)  # the deliver, after it, keeps its seq
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
@@ -757,7 +786,7 @@ def test_late_delivery_inside_a_bounded_window_detected():
         and 5 * g < sent(records, r)["time"]
         and 7 * g < time_of(records, r) < 20 * g,
     )
-    records, _ = retimed(records, records[i]["send"], 5 * g)
+    records, _ = retimed(records, send_seq(records, i), 5 * g)
     assert ("delivery_bound", i) in {v[:2] for v in violations(records)}
 
 
@@ -777,7 +806,7 @@ def test_a_send_after_every_bounded_window_is_never_late(before_end):
         and sent(records, r)["sender"] not in sent(records, r)["recipients"]
         and sent(records, r)["time"] >= 40 * g,
     )
-    records, _ = retimed(records, records[i]["send"], 20 * g - before_end)
+    records, _ = retimed(records, send_seq(records, i), 20 * g - before_end)
     found = {v.seq for v in violations(records) if v.invariant == "delivery_bound"}
     if before_end:
         assert i in found
@@ -800,7 +829,7 @@ def test_a_delivery_at_the_cap_is_late_only_where_the_actual_delay_binds(network
         and sent(records, r)["sender"] not in sent(records, r)["recipients"]
         and time_of(records, r) >= 2 * g,
     )
-    records, _ = retimed(records, records[i]["send"], time_of(records, records[i]) - 2 * g)
+    records, _ = retimed(records, send_seq(records, i), time_of(records, records[i]) - 2 * g)
     found = [v for v in violations(records) if v.invariant == "delivery_bound"]
     if network == "worst_case_max_delay":
         assert found == []
@@ -826,7 +855,7 @@ def test_delayed_self_delivery_detected(base):
         lambda r: r["kind"] == "deliver" and sent(base, r)["sender"] == r["recipient"]
         and time_of(base, r) >= base[0]["grid"],
     )
-    bad, _ = retimed(base, base[i]["send"], time_of(base, base[i]) - base[0]["grid"])
+    bad, _ = retimed(base, send_seq(base, i), time_of(base, base[i]) - base[0]["grid"])
     found = violations(bad)
     assert any(v.invariant == "delivery_bound" and v.seq == i for v in found)
 
@@ -1271,13 +1300,13 @@ def with_words(records, i, count, time):
     whose payload has no duplicate check: a proposal or a certificate."""
     send = records[i]
     assert send["payload"]["type"] not in ("vote", "view_message")
-    others = [(q, due) for q, due in zip(send["recipients"], send["deliver_times"])
+    others = [(q, send["time"] + delay) for q, delay in zip(send["recipients"], send["delays"])
               if q != send["sender"]]
     planted = []
     while count > 0:
         part = others[:count]
-        recipients, due = [q for q, _ in part], [d for _, d in part]
-        planted.append({**send, "time": time, "recipients": recipients, "deliver_times": due})
+        recipients, delays = [q for q, _ in part], [due - time for _, due in part]
+        planted.append({**send, "time": time, "recipients": recipients, "delays": delays})
         count -= len(part)
     return time_ordered(renumbered([*records[: i + 1], *planted, *records[i + 1 :]], records))[0]
 
@@ -1332,7 +1361,7 @@ def delivery_faults(records, i, send_time):
     """The ``delivery_bound`` violations of ``records`` with deliver record
     i's send moved to ``send_time``, from the analyzer alone, so that each
     test below kills its flip by its own assertion, not by the oracles'."""
-    moved, seq_of = retimed(records, records[i]["send"], send_time)
+    moved, seq_of = retimed(records, send_seq(records, i), send_time)
     assert seq_of[i] == i  # a send moved back, or forward as far as its delivery
     return [v for v in analyze(moved).violations if v.invariant == "delivery_bound"]
 
@@ -1566,7 +1595,7 @@ def test_late_delivery_makes_the_view_untimely(base, ptype):
     )
     send = sent(bad, bad[i])
     assert send["sender"] not in {c["proc"] for c in bad[0]["config"]["corruptions"]}
-    send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
+    send["delays"][send["recipients"].index(bad[i]["recipient"])] += 1
     bad[i]["proc_clock"] += 1  # the recipient's clock ran on with it
     bad, seq_of = time_ordered(bad)
     found = violations(bad)
@@ -1598,7 +1627,7 @@ def test_late_delivery_from_a_corrupted_sender_leaves_the_view_timely(base):
     bad = renumbered([bad[0], corrupt, *bad[1:]], bad)
     i = late_vote(bad)
     send = sent(bad, bad[i])
-    send["deliver_times"][send["recipients"].index(bad[i]["recipient"])] += 1
+    send["delays"][send["recipients"].index(bad[i]["recipient"])] += 1
     bad[i]["proc_clock"] += 1
     bad, seq_of = time_ordered(bad)
     found = violations(bad)
@@ -1779,17 +1808,19 @@ def test_every_non_integer_view_is_located():
 
 def test_a_delivery_happens_at_its_announced_time():
     # a deliver record has no time of its own: with every entry of one
-    # broadcast's deliver_times moved out to the horizon, each of its
-    # deliveries is read there, and each is flagged, the sender's own for
-    # not being instantaneous
+    # broadcast's delays moved out to the horizon, each of its deliveries
+    # is read there, and each is flagged, the sender's own for not being
+    # instantaneous
     records = copied(found_run())
     horizon = records[0]["config"]["horizon"]
     i = find(records, lambda r: r["kind"] == "send" and len(r["recipients"]) > 1)
-    records[i]["deliver_times"] = [horizon] * len(records[i]["recipients"])
-    records, seq_of = time_ordered(records)
-    i = seq_of[i]
+    records[i]["delays"] = [horizon - records[i]["time"]] * len(records[i]["recipients"])
+    records, new_seq = time_ordered(records)
+    i = new_seq[i]
     delivered = {
-        j: r["recipient"] for j, r in enumerate(records) if r["kind"] == "deliver" and r["send"] == i
+        j: r["recipient"]
+        for j, r in enumerate(records)
+        if r["kind"] == "deliver" and send_seq(records, j) == i
     }
     assert len(delivered) == len(records[i]["recipients"])
     found = {v.seq: v.detail for v in violations(records) if v.invariant == "delivery_bound"}
@@ -1809,7 +1840,7 @@ def test_duplicate_delivery_rejected():
     )
     bad = duplicated(records, i)
     message = (
-        f"deliver record at seq {i + 1}: send record at seq {bad[i]['send']} "
+        f"deliver record at seq {i + 1}: send record at seq {send_seq(bad, i)} "
         f"was already delivered to recipient {bad[i]['recipient']}"
     )
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
@@ -1818,26 +1849,29 @@ def test_duplicate_delivery_rejected():
 
 
 def after_last_delivery(records, extra, pick):
-    """A copy of ``records`` with the deliver record ``extra(send seq, send)``
+    """A copy of ``records`` with the deliver record ``extra(back, send)``
     inserted right after the last delivery of the first send ``pick``
-    accepts, and the seq it is inserted at."""
+    accepts, ``back`` records after that send, and the seq it is inserted
+    at."""
     i = find(records, lambda r: r["kind"] == "send" and pick(r))
-    last = rfind(records, lambda r: r["kind"] == "deliver" and r["send"] == i)
+    delivers = [j for j, r in enumerate(records) if r["kind"] == "deliver"]
+    last = max(j for j in delivers if send_seq(records, j) == i)
     out = list(records)
-    out.insert(last + 1, extra(i, records[i]))
+    out.insert(last + 1, extra(last + 1 - i, records[i]))
     return renumbered(out, records), last + 1
 
 
-def deliver_of(i, recipient):
-    return {"kind": "deliver", "send": i, "recipient": recipient, "proc_view": 0, "proc_clock": 0}
+def deliver_of(back, recipient):
+    return {"kind": "deliver", "back": back, "recipient": recipient, "proc_view": 0,
+            "proc_clock": 0}
 
 
-def delivered_again(i, send):
-    return deliver_of(i, send["recipients"][-1])
+def delivered_again(back, send):
+    return deliver_of(back, send["recipients"][-1])
 
 
-def to_another(i, send):
-    return deliver_of(i, next(p for p in range(4) if p not in send["recipients"]))  # n=4
+def to_another(back, send):
+    return deliver_of(back, next(p for p in range(4) if p not in send["recipients"]))  # n=4
 
 
 @pytest.mark.parametrize("read", [list, iter], ids=["list", "stream"])
@@ -1855,16 +1889,69 @@ def test_a_deliver_after_a_sends_last_delivery_is_refused(read, extra, pick, why
     bad, at = after_last_delivery(found_run(), extra, pick)
     deliver = bad[at]
     message = (
-        f"deliver record at seq {at}: send record at seq {deliver['send']} "
+        f"deliver record at seq {at}: send record at seq {at - deliver['back']} "
         f"{why} {deliver['recipient']}"
     )
     with pytest.raises(TraceAnalysisError, match=re.escape(message) + "$"):
         analyze(read(bad))
 
 
+# each a deliver's seq -> a back that names no earlier send from there
+NO_SEND_BACKS = {
+    "zero": lambda seq: 0,  # the deliver itself
+    "below_zero": lambda seq: -1,  # the record after it
+    "to_the_header": lambda seq: seq,
+    "past_the_header": lambda seq: seq + 1,
+}
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("back", list(NO_SEND_BACKS.values()), ids=list(NO_SEND_BACKS))
+def test_a_back_that_names_no_earlier_send_is_located(read, back, tmp_path, capsys):
+    # the join reads the send at the deliver's seq minus its back
+    records = copied(found_run())
+    delivers = [i for i, r in enumerate(records) if r["kind"] == "deliver"]
+    seq = delivers[len(delivers) // 2]
+    value = records[seq]["back"] = back(seq)
+    message = f"deliver record at seq {seq}: field 'back' names no earlier send record: {value}"
+    located(records, read, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+def test_a_back_of_true_is_located(read, tmp_path, capsys):
+    # true would join as 1, the back it replaces
+    records = copied(found_run())
+    seq = one_as(records, "deliver", "back", True)
+    message = f"deliver record at seq {seq}: field 'back' is malformed: True"
+    located(records, read, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("read", ["list", "stream", "replay"])
+@pytest.mark.parametrize("recipients", ["one", "all"])
+@pytest.mark.parametrize("edit", ["true", "float", "short"])
+def test_a_delays_list_out_of_shape_is_located(read, recipients, edit, tmp_path, capsys):
+    # the scan checks one recipient's delays apart from a broadcast's
+    records = copied(found_run())
+    one = recipients == "one"
+    i = find(records, lambda r: r["kind"] == "send" and (len(r["recipients"]) == 1) == one)
+    delays = records[i]["delays"]
+    count = len(delays)
+    if edit == "short":
+        delays.pop()
+        problem = f"has {count - 1} entries for {count} recipients"
+    else:
+        delays[-1] = True if edit == "true" else 1.0
+        problem = f"is malformed: {delays!r}"
+    located(records, read, f"send record at seq {i}: field 'delays' {problem}", tmp_path, capsys)
+
+
 def owed_sends(records) -> set[int]:
     """The seqs of the sends that some recipient had no delivery of."""
-    delivered = {(r["send"], r["recipient"]) for r in records if r["kind"] == "deliver"}
+    delivered = {
+        (send_seq(records, j), r["recipient"])
+        for j, r in enumerate(records)
+        if r["kind"] == "deliver"
+    }
     return {
         i
         for i, r in enumerate(records)
@@ -1888,12 +1975,12 @@ def listed_twice(send):
     # index() would join each deliver to the first of the two, so the second
     # would stay owed for good, and the trace analyze clean
     send["recipients"] *= 2
-    send["deliver_times"] *= 2
+    send["delays"] *= 2
 
 
 def listed_none(send):
     # it would stay in the join index for good, owed to nobody
-    send["recipients"], send["deliver_times"] = [], []
+    send["recipients"], send["delays"] = [], []
 
 
 @pytest.mark.parametrize("edit", [listed_twice, listed_none], ids=["twice", "none"])
@@ -1994,7 +2081,7 @@ def negative_recipient(records):
     src = sent(records, records[i])
     src["recipients"][src["recipients"].index(3)] = -1
     records[i]["recipient"] = -1
-    return records[i]["send"], "recipients"
+    return send_seq(records, i), "recipients"
 
 
 def negative_sender(records):
@@ -2048,7 +2135,7 @@ def one_as(records, kind, name, value):
         ("deliver", "recipient"),
         ("form_qc", "signers"),
         # not processor ids, but read as such all the same
-        ("deliver", "send"),
+        ("deliver", "back"),
         ("send", "payload.signer"),
         ("send", "payload.signers"),
         ("send", "payload.leader"),
@@ -2166,17 +2253,17 @@ def test_a_negative_form_view_fails_replay(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "kind,name",
-    [("send", "time"), ("deliver", "proc_clock"), ("threshold", "boundary_clock"), ("send", "deliver_times")],
+    [("send", "time"), ("deliver", "proc_clock"), ("threshold", "boundary_clock"), ("send", "delays")],
 )
 def test_a_rational_tick_is_located(kind, name):
     # trace v3 wrote a drifted clock's time between two ticks as a "p/q"
     # string; v4 refines the grid instead and reads no such string
     records = copied(found_run())
     i = find(records, lambda r: r["kind"] == kind)
-    if name == "deliver_times":  # any entry, delivered or not
-        times = records[i]["deliver_times"]
-        times[-1] = f"{2 * times[-1] + 1}/2"
-        message = f"send record at seq {i}: field 'deliver_times' is malformed: {times!r}"
+    if name == "delays":  # any entry, delivered or not
+        delays = records[i]["delays"]
+        delays[-1] = f"{2 * delays[-1] + 1}/2"
+        message = f"send record at seq {i}: field 'delays' is malformed: {delays!r}"
     else:
         value = records[i][name] = f"{2 * records[i][name] + 1}/2"
         message = f"malformed time {value!r} at seq {i}"
@@ -2186,17 +2273,22 @@ def test_a_rational_tick_is_located(kind, name):
 
 @pytest.mark.parametrize("value", ["1/2", "x", True, 1.0])
 def test_an_undelivered_deliver_time_is_read_exactly(value):
-    # an entry that no deliver record reads is checked with its send record
+    # a delays entry that no deliver record reads is checked with its send
+    # record
     records = copied(found_run())
-    delivered = {(r["send"], r["recipient"]) for r in records if r["kind"] == "deliver"}
+    delivered = {
+        (send_seq(records, j), r["recipient"])
+        for j, r in enumerate(records)
+        if r["kind"] == "deliver"
+    }
     i = next(
         i
         for i, r in enumerate(records)
         if r["kind"] == "send" and any((i, q) not in delivered for q in r["recipients"])
     )
     at = next(j for j, q in enumerate(records[i]["recipients"]) if (i, q) not in delivered)
-    records[i]["deliver_times"][at] = value
-    message = f"send record at seq {i}: field 'deliver_times' is malformed: "
+    records[i]["delays"][at] = value
+    message = f"send record at seq {i}: field 'delays' is malformed: "
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
         analyze(records)
 
@@ -2564,13 +2656,13 @@ def test_a_horizon_end_off_the_headers_horizon_is_located(read, shift, tmp_path,
 
 def timed_at(records, seq, time):
     """A copy of ``records`` with record seq at ``time``: a deliver's due
-    time, its send's ``deliver_times`` entry for it, or any other's
-    ``time``."""
+    time, its send's time plus its send's ``delays`` entry for it, or any
+    other's ``time``."""
     out = copied(records)
     rec = out[seq]
     if rec["kind"] == "deliver":
-        src = out[rec["send"]]
-        src["deliver_times"][src["recipients"].index(rec["recipient"])] = time
+        src = out[send_seq(out, seq)]
+        src["delays"][src["recipients"].index(rec["recipient"])] = time - src["time"]
     else:
         rec["time"] = time
     return out
@@ -2668,17 +2760,18 @@ def test_header_corruption_out_of_range_rejected():
 @pytest.mark.parametrize(
     "edit,problem",
     [
-        (lambda r: r.pop("deliver_times"), "is missing"),
-        (lambda r: r["deliver_times"].pop(), "has 6 entries for 7 recipients"),
-        (lambda r: r["deliver_times"].append(0), "has 8 entries for 7 recipients"),
-        (lambda r: r.update(deliver_times=5), "is malformed: 5"),
+        (lambda r: r.pop("delays"), "is missing"),
+        (lambda r: r["delays"].pop(), "has 6 entries for 7 recipients"),
+        (lambda r: r["delays"].append(0), "has 8 entries for 7 recipients"),
+        (lambda r: r.update(delays=5), "is malformed: 5"),
     ],
 )
 def test_malformed_deliver_times_is_named(base, edit, problem):
+    # a send's delays, which give its deliveries' times
     i = find(base, lambda r: r["kind"] == "send" and len(r["recipients"]) == 7)
     bad = copied(base)
     edit(bad[i])
-    message = f"send record at seq {i}: field 'deliver_times' {problem}"
+    message = f"send record at seq {i}: field 'delays' {problem}"
     with pytest.raises(TraceAnalysisError, match=re.escape(message)):
         analyze(bad)
 

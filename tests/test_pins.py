@@ -17,14 +17,18 @@ for the reader to derive. Version 5 wrote every record as an object with
 sorted keys, where version 6 wrote every record but the header as an array
 in its ``RECORD_FIELDS`` row's order. Version 6 wrote each array's kind and
 payload type by their full names, where version 7 writes their one-letter
-codes. ``as_v6`` writes a version 7 trace in version 6's form, ``as_v5``
-writes a version 7 trace's records in version 5's, ``as_v4`` writes them in
-version 4's, ``as_v3`` writes a version 4 trace in version 3's, ``as_v2``
-expands a version 3 trace into version 2's shape and ``as_v1`` spells a
-version 2 trace in real units again, so the same runs still match the
-digests of all six; each cell also pins its version 7 digest. The records of
-versions 1 to 4 carry a ``seq``, which no row has, so the writer writes them
-as objects, as it always did.
+codes. Version 7 named a deliver's send by its absolute seq and listed a
+send's absolute due times, where version 8 writes the deliver's distance
+back to its send and the send's delays. ``as_v7`` rewrites a version 8
+trace's records as version 7's, which ``v7_text`` writes, ``as_v6`` writes
+a version 7 trace in version 6's form, ``as_v5`` writes a version 7 trace's
+records in version 5's, ``as_v4`` writes them in version 4's, ``as_v3``
+writes a version 4 trace in version 3's, ``as_v2`` expands a version 3
+trace into version 2's shape and ``as_v1`` spells a version 2 trace in real
+units again, so the same runs still match the digests of all seven; each
+cell also pins its version 8 digest. The records of versions 1 to 4 carry a
+``seq``, which no row has, so the writer writes them as objects, as it
+always did.
 """
 
 import copy
@@ -39,23 +43,72 @@ from viewsync.cli import load_spec, main
 from viewsync.harness import build_config, config_hash
 from viewsync.simnet import Corruption, Resolved, Simulation
 from viewsync.timeutil import from_ticks, load_ticks
-from viewsync.trace import PAYLOAD_FIELDS, RECORD_FIELDS, TraceParseError, parse_jsonl, to_jsonl
+from viewsync.trace import (
+    PAYLOAD_CODES,
+    PAYLOAD_FIELDS,
+    RECORD_CODES,
+    RECORD_FIELDS,
+    TraceParseError,
+    parse_jsonl,
+    to_jsonl,
+)
 
 RECORD_TIMES = ("time", "send_time", "deliver_time", "proc_clock", "boundary_clock")
 HEADER_TIMES = ("gamma", "delta_cap", "delta_actual", "gst", "horizon")
 
 
+# each RECORD_FIELDS row as version 7 named its fields: a deliver named its
+# send by its absolute seq, and a send listed its recipients' due times
+V7_NAMES = {"back": "send", "delays": "deliver_times"}
+V7_FIELDS = {kind: [V7_NAMES.get(n, n) for n in row] for kind, row in RECORD_FIELDS.items()}
+
+
+def as_v7(records):
+    """A version 8 trace's records as version 7 wrote them: each deliver's
+    ``back`` as ``send``, the absolute seq of its send, and each send's
+    ``delays`` as ``deliver_times``, its time plus each delay, each field in
+    its place and the header's version 7."""
+    out = []
+    for seq, rec in enumerate(records):
+        if rec["kind"] == "deliver":
+            rec = {k: seq - v if k == "back" else v for k, v in rec.items()}
+        elif rec["kind"] == "send":
+            rec = {k: [rec["time"] + d for d in v] if k == "delays" else v for k, v in rec.items()}
+        out.append({V7_NAMES.get(k, k): v for k, v in rec.items()})
+    out[0] = {**out[0], "version": 7}
+    return copy.deepcopy(out)
+
+
 def v6_array(record) -> list:
-    """A record's array as version 6 wrote it: its kind, its fields in row
-    order, and its payload as ``[type, view, value]``, each by its name."""
+    """A version 7 record's array as version 6 wrote it: its kind, its
+    fields in row order, and its payload as ``[type, view, value]``, each
+    by its name."""
     array = [record["kind"]]
-    for name in RECORD_FIELDS[record["kind"]]:
+    for name in V7_FIELDS[record["kind"]]:
         value = record[name]
         if name == "payload":
             fields = PAYLOAD_FIELDS[value["type"]]
             value = [value["type"], value["view"], *(value[f] for f in fields)]
         array.append(value)
     return array
+
+
+def v7_text(records) -> str:
+    """A version 7 trace's text: the header as an object, and every other
+    record as its version 6 array with its kind and payload type by their
+    codes."""
+    head, *rest = records
+    lines = [head]
+    for array in map(v6_array, rest):
+        if array[0] == "send":
+            payload = array[1 + V7_FIELDS["send"].index("payload")]
+            payload[0] = PAYLOAD_CODES[payload[0]]
+        array[0] = RECORD_CODES[array[0]]
+        lines.append(array)
+    return "".join(
+        json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for value in lines
+    )
 
 
 def as_v6(records) -> str:
@@ -277,7 +330,7 @@ DELTA_UNITS_HASHES = [
 # cell -> (records as_v2, SHA-256 of the trace as_v1, SHA-256 of the trace as_v2,
 #          records, SHA-256 of the trace as_v3, SHA-256 of the trace as_v4,
 #          SHA-256 of the trace as_v5, SHA-256 of the trace as_v6,
-#          SHA-256 of the version 7 trace)
+#          SHA-256 of the trace as_v7, SHA-256 of the version 8 trace)
 TRACED_CELLS = [
     (
         {
@@ -298,6 +351,7 @@ TRACED_CELLS = [
         "206e9c5687bfc09365b6df8c2125a448cdce92a1253f837e931eb178310a5f6f",
         "0bc121a79db9dcf41dde8c2a22d8b3235c3f4691b68d6cf164e4242c88c2e774",
         "0994e2dfb663aad852d598e57535e9ebe9d2a2390c27d322c54cadba8947b2fa",
+        "2343e882681b689a7c39fce35e13c395a27ea5c199b4f7fc6c52f576a68ad51e",
     ),
     (
         {
@@ -319,6 +373,7 @@ TRACED_CELLS = [
         "fb9978adad47b39c1a025888bd251775f6b03b62b783ae754982927ca742a654",
         "6a767a51b78d09a5fd870795e825ef1b2c73324490824ce05ed2f8930a276660",
         "c13734d3eca93eadcc83d317630fb7f35b773e1ebd831ae95641d35c059a2594",
+        "30bc423f6752949ddb30d92bfa907f14e3ee6e85a9316cdec4b831f33ec5ccf7",
     ),
     (
         {
@@ -337,6 +392,7 @@ TRACED_CELLS = [
         "f2d8a4548575cb226773f9b4d6f6ea2cfc5bbfaee65037ac926044321fccbe41",
         "cbe41d5df1a2847f12af799010aaf485a4ee14523a638a0024a02165d6eacd7c",
         "fc6e731a1ed82f595f9208632d6d0e89654491154af69f4d37a20357693fb555",
+        "80a579ff48a874dc1dfe5ac59f2ba6dbbf653c1a697233bce286113f0f78f004",
     ),
     (
         {
@@ -357,6 +413,7 @@ TRACED_CELLS = [
         "308dcfdb052e42f3630903aa536424a14ff7e30cd09a1d7a8929447779f150e0",
         "d072beda2e1221bd572cea3322d8221093d98fc82e19c2b4d6e032f8c0c218b9",
         "75e4dbf0e43da0ea1851dc44c421ff886aae36c4d3af7763225373e8bf59cdce",
+        "3c86cdbbb7b5abd468e28df96c4cd6f73ebecfe9f5fde56322d830de99e8c03e",
     ),
     (
         {
@@ -375,6 +432,7 @@ TRACED_CELLS = [
         "f12c939ac79d65c70286536fb118e3c80eeb44d9d19a2fede42b8d0e1de092a1",
         "3dfcb1ce77c2e7c423e61a302e6c0ac033c3ddfa69a35570377321f8d34f78e6",
         "ff06a4c6645f269bc4cdc3362bb12d2459743c4b0522f74d321a48ef4d9f03fd",
+        "e784901d08e68089262e3c57f3a24bd46e92c4094fc349d8b6ad2b9d3122669e",
     ),
     (
         {
@@ -396,6 +454,7 @@ TRACED_CELLS = [
         "62a8bd3ba39e02a6c14b6a41e7b88c61d99815ef5740dcd13f85f8fd3350d91a",
         "bcfd1ae2576bd7d442ec6e9e04a5097d387ee25d4f7dca87086dea1ff5913497",
         "7c909a24daefbb65b9742b829ba0bcf41696645cf7b984e3081eae4d5199e707",
+        "23d90d782828ad150013a6bc0993831cf17a8cbb0193d3f90047bb3cdb601f16",
     ),
     (
         {
@@ -418,6 +477,7 @@ TRACED_CELLS = [
         "f743c2d8efc333096aebd08274b81ee58e826cda4269994705aab17ad216302a",
         "40ff91a5fe272741d9ed793c4ee7eecd3502d277eb5739654ad916da8026e4d2",
         "ef53eafe15b4c4ad5e7e15da68ad01a5c85b4b26b24f95300d24d36ee2fef24a",
+        "fc8df473297d2301de0132eeee8ff34d61cedc1620c19c50b49334c4a4ffd2f7",
     ),
     (
         {
@@ -438,6 +498,7 @@ TRACED_CELLS = [
         "ca93dcba3509a32125b1f59ad98b426815620dc66481e39a821a711a706f6a4a",
         "9b31003bbd9d58d2c50437d0f64684f2d12347d92b5adfe1e332fffaabc67f37",
         "66c5579d87cdb864a60e4ae7aae0c71c276b2fb65f1a4b1852871334d6552c0d",
+        "b89f542c18d988048c15ac064bb24ca69162ecd02df234c928a7d429773971f3",
     ),
 ]
 
@@ -458,10 +519,11 @@ def test_delta_units_config_hash_pins(tmp_path):
 # Drifting runs whose random draws (network delays, a relayer's wake-ups, the
 # initial clocks) are scaled onto the finer grid: cell -> (records, SHA-256
 # of the trace as_v3, SHA-256 of the trace as_v4, SHA-256 of the trace
-# as_v5, SHA-256 of the trace as_v6, SHA-256 of the version 7 trace). The v3
-# digests were recorded by the version 3 simulator, the v4 digests by the
-# version 4 one, the v5 digests by the version 5 one and the v6 digests by
-# the version 6 one.
+# as_v5, SHA-256 of the trace as_v6, SHA-256 of the trace as_v7, SHA-256 of
+# the version 8 trace). The v3 digests were recorded by the version 3
+# simulator, the v4 digests by the version 4 one, the v5 digests by the
+# version 5 one, the v6 digests by the version 6 one and the v7 digests by
+# the version 7 one.
 DRAWING_DRIFT_CELLS = [
     (
         {
@@ -481,6 +543,7 @@ DRAWING_DRIFT_CELLS = [
         "2881f568a1b18ceb69b446dcc301b098fc2b2224719be26f59c86f8a47586df0",
         "82af9029abcb5779304aadc5f7fa390db5d66cf8dbd0452cfd03ccd20023efff",
         "1f1222a3c0029d3a67ef263b37d5d998ee4ddef2f687fbbe77db3a968750c089",
+        "7e94442f32e45aa4ec7d2184f3986b1544f1761fb4692bd92779a4000c21332d",
     ),
     (
         {
@@ -497,6 +560,7 @@ DRAWING_DRIFT_CELLS = [
         "c1640c411d456f65eb9705a6419d530907c478968dbf18e6f0eb4af26b1323cb",
         "6395ce9effd24fdd972707b92a32192900943ff1f33d5fb1ec0ad56a6486c795",
         "b2362fa761a20a4474a166ae67615da76b1d078e05c09d338640aeefe06c38f7",
+        "854e38c97fa71c2f5e8535b9c7e289fa5b60bbabfb015fb97def4d8a9f84f554",
     ),
     (
         {
@@ -513,6 +577,7 @@ DRAWING_DRIFT_CELLS = [
         "0cff4be9011708f3f438ce79cc8c8beabbd606d4d340dde3951a85938a44ec3e",
         "7de688dbf2e78d4c279855c05d592618e10ff2f9b24f5fa3b35e70dc2e67a33c",
         "b59be28766936781fb1301267ee1936411a167d60366c9314f439cf92607e9f7",
+        "5f298fadf356846a6296b8f3664789bc5ae0fbc0e9538f4f5d4a4b0efde05370",
     ),
     (
         {
@@ -529,6 +594,7 @@ DRAWING_DRIFT_CELLS = [
         "c1330b70e956608780e2f2d61fdbede9a5083b43e38b83fdb1fb6b00bba9400a",
         "058df91973e8091e65c238a613cc11da334b086676c2c242e11584f3633f4d0a",
         "67f577bfd3686b93b988e0352b9858469896dcc7e462e4080e4f2f99cd47a313",
+        "fc2494e545e96935acc5af637f65960272094997561476e2dfd46103b7d5ed93",
     ),
 ]
 
@@ -537,7 +603,8 @@ def test_trace_sha256_pins():
     got = []
     for cell, *_ in TRACED_CELLS:
         records = Simulation(build_config(cell)).run()
-        v4 = as_v4(records)
+        v7 = as_v7(records)
+        v4 = as_v4(v7)
         v3 = as_v3(v4)
         v2 = as_v2(v3)
         got.append(
@@ -548,8 +615,9 @@ def test_trace_sha256_pins():
                 len(v3),
                 sha256(v3),
                 sha256(v4),
-                sha256(as_v5(records)),
-                sha256(as_v6(records)),
+                sha256(as_v5(v7)),
+                sha256(as_v6(v7)),
+                sha256(v7_text(v7)),
                 sha256(records),
             )
         )
@@ -560,14 +628,16 @@ def test_drawing_drift_trace_sha256_pins():
     got = []
     for cell, *_ in DRAWING_DRIFT_CELLS:
         records = Simulation(build_config(cell)).run()
-        v4 = as_v4(records)
+        v7 = as_v7(records)
+        v4 = as_v4(v7)
         got.append(
             (
                 len(records),
                 sha256(as_v3(v4)),
                 sha256(v4),
-                sha256(as_v5(records)),
-                sha256(as_v6(records)),
+                sha256(as_v5(v7)),
+                sha256(as_v6(v7)),
+                sha256(v7_text(v7)),
                 sha256(records),
             )
         )
@@ -576,7 +646,7 @@ def test_drawing_drift_trace_sha256_pins():
 
 def test_a_version_4_trace_is_refused(tmp_path, capsys):
     cell, *_ = TRACED_CELLS[2]
-    text = to_jsonl(as_v4(Simulation(build_config(cell)).run()))
+    text = to_jsonl(as_v4(as_v7(Simulation(build_config(cell)).run())))
     with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 4$"):
         parse_jsonl(text)
     path = tmp_path / "v4.jsonl"
@@ -588,7 +658,7 @@ def test_a_version_4_trace_is_refused(tmp_path, capsys):
 
 def test_a_version_5_trace_is_refused(tmp_path, capsys):
     cell, *_ = TRACED_CELLS[2]
-    text = as_v5(Simulation(build_config(cell)).run())
+    text = as_v5(as_v7(Simulation(build_config(cell)).run()))
     with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 5$"):
         parse_jsonl(text)
     path = tmp_path / "v5.jsonl"
@@ -602,7 +672,7 @@ def test_a_version_6_trace_is_refused(tmp_path, capsys):
     # its second line, a send by name, is no array of this version, and is
     # refused as its header's version
     cell, *_ = TRACED_CELLS[2]
-    text = as_v6(Simulation(build_config(cell)).run())
+    text = as_v6(as_v7(Simulation(build_config(cell)).run()))
     assert text.splitlines()[1].startswith('["send",')
     with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 6$"):
         parse_jsonl(text)
@@ -611,3 +681,17 @@ def test_a_version_6_trace_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 6\n"
+
+
+def test_a_version_7_trace_is_refused(tmp_path, capsys):
+    # its deliver arrays have version 8's length, so only the header's
+    # version tells the two apart
+    cell, *_ = TRACED_CELLS[2]
+    text = v7_text(as_v7(Simulation(build_config(cell)).run()))
+    with pytest.raises(TraceParseError, match=r"^line 1: unsupported trace version 7$"):
+        parse_jsonl(text)
+    path = tmp_path / "v7.jsonl"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed trace: line 1: unsupported trace version 7\n"

@@ -414,8 +414,9 @@ def test_drifting_runs_keep_every_time_and_clock_an_exact_int(cfg):
         assert type(config[name]) is int and config[name] % r.unit == 0, name
     assert {type(o) for o in config["offsets"]} == {int}
     for rec in records[1:]:
-        times = [*rec.get("deliver_times", ())]
-        if rec["kind"] != "deliver":  # a delivery's time is its send's entry
+        # a delivery's time is its send's time plus its send's delay for it
+        times = [*rec.get("delays", ())]
+        if rec["kind"] != "deliver":
             times.append(rec["time"])
         clocks = [rec[name] for name in ("proc_clock", "boundary_clock") if name in rec]
         assert {*map(type, times + clocks)} == {int}, rec
@@ -632,9 +633,9 @@ ANNOUNCED_IDS = [*NETWORK_STRATEGIES, "n31", "fixed_delta-gst", "worst_case_max_
 
 @pytest.mark.parametrize("cfg", ANNOUNCED_DELIVERIES, ids=ANNOUNCED_IDS)
 def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
-    # whatever the simulator computes once per send, the times it announces
-    # are those of one delivery_time call per other recipient, in order, on
-    # the network's random stream, which only uniform_random has
+    # whatever the simulator computes once per send, the times its delays
+    # announce are those of one delivery_time call per other recipient, in
+    # order, on the network's random stream, which only uniform_random has
     sim = Simulation(cfg)
     r = sim.resolved
     assert (sim.net_rng is None) == (r.network != "uniform_random")
@@ -665,7 +666,7 @@ def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
                 )
                 unbounded += when is None
             want.append(never if when is None else when)
-        assert rec["deliver_times"] == want, seq
+        assert [now + delay for delay in rec["delays"]] == want, seq
     assert rng.getstate() == (unused if sim.net_rng is None else sim.net_rng.getstate())
     assert unbounded or r.windows is None
 

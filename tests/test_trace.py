@@ -220,12 +220,12 @@ ODD_VALUES = st.sampled_from(ODD)
 def edited_records(draw, kind=None):
     """A record of the sample runs (of ``kind``, if given), whole or with one
     edit the simulator never makes: an odd value, a missing or an extra key,
-    an odd item in a list, a tuple of signers, recipients or deliver times,
+    an odd item in a list, a tuple of signers, recipients or delays,
     an unknown payload type."""
     records = [r for r in sample_runs() if kind in (None, r["kind"])]
     record = copy.deepcopy(draw(st.sampled_from(records)))
     payload = record.get("payload")
-    lists = [k for k in ("recipients", "deliver_times") if k in record]
+    lists = [k for k in ("recipients", "delays") if k in record]
     edit = draw(
         st.sampled_from(
             ["none", "value", "drop", "extra", "item", "tuple", "payload", "signers", "type"]
@@ -349,14 +349,14 @@ def test_every_simulated_send_and_deliver_is_formatted_directly(monkeypatch):
     # the drifted run's times are ints too; a "p/q" time, which trace v5 has
     # no form for, is refused by its formatter
     for r in hot:
-        times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("deliver_times", ())]
+        times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("delays", ())]
         assert {*map(type, times)} == {int}, r
     assert max(len(r.get("recipients", ())) for r in records) == 31
     assert to_jsonl(hot) == "".join(reference(r) + "\n" for r in hot)
     send, deliver, threshold = (next(r for r in hot if r["kind"] == k) for k in HOT_KINDS)
     assert trace._FORMATTERS["send"]({**send, "time": "1/2"}) is None
-    times = ["1/2", *send["deliver_times"][1:]]
-    assert trace._FORMATTERS["send"]({**send, "deliver_times": times}) is None
+    times = ["1/2", *send["delays"][1:]]
+    assert trace._FORMATTERS["send"]({**send, "delays": times}) is None
     assert trace._FORMATTERS["deliver"]({**deliver, "proc_clock": "1/2"}) is None
     assert trace._FORMATTERS["threshold"]({**threshold, "boundary_clock": "1/2"}) is None
 
@@ -367,7 +367,7 @@ def test_every_simulated_record_of_a_compiled_kind_is_formatted_directly(monkeyp
     records = sample_runs()
     assert {r["kind"] for r in records} == {"header", *RECORD_FIELDS}
     for r in records:
-        times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("deliver_times", ())]
+        times = [r.get("time", 0), r.get("proc_clock", 0), *r.get("delays", ())]
         assert {*map(type, times)} == {int}, r
     assert to_jsonl(records) == "".join(reference(r) + "\n" for r in records)
     first = {}
@@ -498,17 +498,17 @@ def test_each_payload_type_has_one_field():
         (lambda r: r.update(sender=True), ("sender", "is malformed: True")),
         (lambda r: r["recipients"].append(4), ("recipients", "is malformed: [0, 1, 2, 3, 4]")),
         (lambda r: r["recipients"].__setitem__(3, 0), ("recipients", "is malformed: [0, 1, 2, 0]")),
-        (lambda r: r.update(recipients=[], deliver_times=[]), ("recipients", "is malformed: []")),
+        (lambda r: r.update(recipients=[], delays=[]), ("recipients", "is malformed: []")),
         # each id is checked before a set is built of them
         (lambda r: r["recipients"].append([0]), ("recipients", "is malformed: [0, 1, 2, 3, [0]]")),
-        (lambda r: r["deliver_times"].pop(), ("deliver_times", "has 3 entries for 4 recipients")),
+        (lambda r: r["delays"].pop(), ("delays", "has 3 entries for 4 recipients")),
         (
-            lambda r: r["deliver_times"].__setitem__(0, 0.5),
-            ("deliver_times", "is malformed: [0.5, 1, 1, 1]"),
+            lambda r: r["delays"].__setitem__(0, 0.5),
+            ("delays", "is malformed: [0.5, 1, 1, 1]"),
         ),
         (
-            lambda r: r["deliver_times"].__setitem__(1, "1/2"),
-            ("deliver_times", "is malformed: [0, '1/2', 1, 1]"),
+            lambda r: r["delays"].__setitem__(1, "1/2"),
+            ("delays", "is malformed: [0, '1/2', 1, 1]"),
         ),
         (lambda r: r.update(payload=[]), ("payload", "is not an object: []")),
         (lambda r: r["payload"].pop("type"), ("payload.type", "is missing or not a string")),
@@ -524,7 +524,7 @@ def test_malformed_field_names_the_first_field_out_of_shape(edit, found):
         "sender": 0,
         "recipients": [0, 1, 2, 3],
         "payload": {"type": "proposal", "view": 0, "leader": 0},
-        "deliver_times": [0, 1, 1, 1],
+        "delays": [0, 1, 1, 1],
     }
     assert malformed_field(record, 4) is None
     edit(record)
@@ -658,7 +658,7 @@ ODD_LINES = {
     "spaces inside an array": with_line(2, lambda s: s.replace(",", " , ")),
     "floats in an array": with_line(2, lambda s: '["d",1.0,-0.0,1e3,1E-2]'),
     "an object of a kind with a row": with_line(
-        2, lambda s: '{"kind":"deliver","send":1,"recipient":0,"proc_view":0,"proc_clock":0}'
+        2, lambda s: '{"kind":"deliver","back":1,"recipient":0,"proc_view":0,"proc_clock":0}'
     ),
     "an array of an unknown kind": with_line(2, lambda s: '["telemetry",1,2]'),
     "an array of a kind that is not a string": with_line(2, lambda s: "[7,1,2]"),
@@ -755,7 +755,7 @@ def test_every_kind_reads_back_as_written():
         {"kind": "end", "time": 9, "reason": ESCAPED},
     ]
     misfits = [
-        {"kind": "deliver", "send": True, "recipient": 1.5, "proc_view": None, "proc_clock": "1/2"},
+        {"kind": "deliver", "back": True, "recipient": 1.5, "proc_view": None, "proc_clock": "1/2"},
         {**send, "payload": {"type": "vote", "view": "x", "signer": [1, {"b": 2, "a": 1}]}},
         {"kind": "corrupt", "time": 3, "proc": 1, "strategy": None},
         {**send, "seq": 4},
