@@ -1,13 +1,10 @@
 """Deterministic simulation and invariant checking for clock-driven view synchronisation."""
 
 from .certificates import (
-    CertificateError,
     QuorumCertificate,
     SignatureLedger,
     ViewCertificate,
     ViewMessage,
-    form_qc,
-    form_vc,
     validate_qc,
     validate_vc,
 )
@@ -55,7 +52,6 @@ from .simnet import (
     SimulationError,
     check_dagger,
     default_resilience,
-    delivery_time,
     generate_initial_offsets,
     resolve,
     subseed,

@@ -50,11 +50,13 @@ _DRAWING_STRATEGIES = frozenset({SELECTIVE_VC, LATE_QC_RELAYER})
 
 
 class ByzantineControl:
-    """Per-processor adversary hook; the host consults it once corrupted."""
+    """Per-processor adversary hook; the host consults it once corrupted.
+
+    ``strategy`` is one of ``BYZANTINE_STRATEGIES``: ``simnet.Resolved``
+    refuses any other before a run builds its controls.
+    """
 
     def __init__(self, proc: int, strategy: str, n: int, seed: int):
-        if strategy not in BYZANTINE_STRATEGIES:
-            raise ValueError(f"unknown byzantine strategy {strategy!r}")
         self.proc = proc
         self.strategy = strategy
         self.n = n

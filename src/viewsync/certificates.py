@@ -4,19 +4,16 @@ Two certificate kinds exist: a view certificate (t+1 distinct signed view
 messages for one view, aggregated by that view's leader) and a quorum
 certificate (n-t distinct signed votes, produced by the round structure of the
 underlying protocol). Signatures are simulated: the ledger records who signed
-what, and validation is a membership query. Certificate objects can only be
-built through the forming functions, which keeps unforgeability constructive:
-no certificate exists in a run unless enough signatures were actually issued.
+what, and validation is a membership query. A handler builds a certificate
+directly from the signers it collected; ``simnet.Simulation.send`` is the one
+gate that checks it, with ``validate_vc`` or ``validate_qc``, before it
+reaches the network. That keeps unforgeability constructive: no certificate
+is delivered in a run unless enough distinct signatures were actually issued.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-
-class CertificateError(ValueError):
-    """Raised when a forming/validation precondition fails."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,26 +76,6 @@ class SignatureLedger:
         return signed.get(view, 0) >> signer & 1 == 1
 
 
-def _distinct_signers(items: Iterable[tuple[int, int]], view: int, what: str) -> tuple[int, ...]:
-    signers: list[int] = []
-    for item_view, signer in items:
-        if item_view != view:
-            raise CertificateError(f"{what} for view {item_view} mixed into view {view}")
-        if signer not in signers:
-            signers.append(signer)
-    return tuple(sorted(signers))
-
-
-def form_vc(view: int, messages: Iterable[ViewMessage], t: int) -> ViewCertificate:
-    """Aggregate view messages into a certificate; needs t+1 distinct signers."""
-    signers = _distinct_signers(((m.view, m.signer) for m in messages), view, "view message")
-    if len(signers) < t + 1:
-        raise CertificateError(
-            f"view certificate for view {view} needs {t + 1} distinct signers, got {len(signers)}"
-        )
-    return ViewCertificate(view, signers)
-
-
 def validate_vc(vc: ViewCertificate, n: int, t: int, ledger: SignatureLedger) -> bool:
     """Check signer count, id range and that the ledger holds every signature."""
     signers = set(vc.signers)
@@ -107,16 +84,6 @@ def validate_vc(vc: ViewCertificate, n: int, t: int, ledger: SignatureLedger) ->
     if not all(0 <= s < n for s in signers):
         return False
     return all(ledger.holds(s, SIGN_VIEW, vc.view) for s in signers)
-
-
-def form_qc(view: int, votes: Iterable[tuple[int, int]], n: int, t: int) -> QuorumCertificate:
-    """Aggregate (view, signer) votes into a certificate; needs n-t distinct signers."""
-    signers = _distinct_signers(votes, view, "vote")
-    if len(signers) < n - t:
-        raise CertificateError(
-            f"quorum certificate for view {view} needs {n - t} distinct signers, got {len(signers)}"
-        )
-    return QuorumCertificate(view, signers)
 
 
 def validate_qc(qc: QuorumCertificate, n: int, t: int, ledger: SignatureLedger) -> bool:

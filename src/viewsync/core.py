@@ -19,12 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .certificates import (
-    QuorumCertificate,
-    ViewCertificate,
-    ViewMessage,
-    form_vc,
-)
+from .certificates import QuorumCertificate, ViewCertificate, ViewMessage
 
 ALL = "*"  # broadcast recipient marker
 
@@ -63,6 +58,8 @@ class ProtocolParams:
     gamma is the view duration in clock units and must equal x * delta_cap for
     the underlying protocol's hop count x >= 2. k >= 3 is the number of
     consecutive views per leader; views divisible by k are boundary views.
+    ``simnet.Resolved`` builds the one a run uses, once it has checked these
+    rules and 0 <= t < n/3, so nothing here checks them again.
     """
 
     n: int
@@ -72,14 +69,6 @@ class ProtocolParams:
     schedule: RoundRobinSchedule | PermutationSchedule
     # view -> leader, filled by leader_of
     leaders: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.t or not 3 * self.t < self.n:
-            raise ValueError(f"need 0 <= t < n/3, got n={self.n} t={self.t}")
-        if self.k < 3:
-            raise ValueError(f"need k >= 3, got {self.k}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 def clock_time(view: int, params: ProtocolParams) -> int:
@@ -249,7 +238,8 @@ def on_view_message(state: ProcessorState, msg: ViewMessage, params: ProtocolPar
     Accepts messages for any view this processor leads at or above its current
     view (future views included; early arrivals wait here). The certificate is
     formed the moment the count of distinct signers reaches exactly t+1 and
-    carries exactly those first t+1 signers; later arrivals change nothing.
+    carries exactly those first t+1 signers, sorted; later arrivals change
+    nothing. The host's ``send`` validates it as it goes out.
     """
     if state.id != leader_of(msg.view, params):
         return []
@@ -260,6 +250,6 @@ def on_view_message(state: ProcessorState, msg: ViewMessage, params: ProtocolPar
         return []
     got.append(msg.signer)
     if len(got) == params.t + 1:
-        vc = form_vc(msg.view, [ViewMessage(msg.view, s) for s in got], params.t)
+        vc = ViewCertificate(msg.view, tuple(sorted(got)))
         return [FormVC(vc), Send(ALL, vc)]
     return []

@@ -124,8 +124,8 @@ def build_config(cell: dict[str, Any]) -> SimConfig:
     if f is not None:
         if kwargs.get("corruptions"):
             raise ExperimentError("give either f or corruptions, not both")
-        if isinstance(f, bool) or not isinstance(f, int):
-            raise ExperimentError(f"f: expected an integer, got {f!r}")
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise ExperimentError(f"f: expected a non-negative integer, got {f!r}")
         kwargs["corruptions"] = tuple(Corruption(i, "silent") for i in range(f))
     return SimConfig(**{key: coerce(key, value) for key, value in kwargs.items()})
 

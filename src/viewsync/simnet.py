@@ -13,9 +13,11 @@ message deliveries and adversary wakeups, then clock thresholds. Within a
 class, the two processors an event names break ties: a delivery's sender and
 then its recipient (a wakeup, threshold or corruption names its processor
 twice), and insertion order only after those. Self-addressed messages are
-delivered in the same instant and cost nothing. A clock forward supersedes
-its processor's queued threshold: a superseded one is skipped if popped, and
-all of them are swept out of the heap once they could be half of it.
+delivered in the same instant and cost nothing; any other message is due
+when ``Simulation._due`` says, by one formula for every network. A clock
+forward supersedes its processor's queued threshold: a superseded one is
+skipped if popped, and all of them are swept out of the heap once they could
+be half of it.
 
 A corrupted processor's strategy (``adversary.ByzantineControl``) is applied
 in one place each. ``_apply_corruption`` decides once whether the processor
@@ -32,11 +34,13 @@ stashes for later.
 ``send`` is the one gate into the network, for a correct and a corrupted
 sender alike. It is the signature ledger's one writer: it refuses a vote or
 view message signed by anyone but its sender and records the rest as they
-are sent, a corrupted processor's floods included. And it checks every
-quorum and view certificate against the ledger as it is sent
-(``validate_qc``, ``validate_vc``), a ``SimulationError`` if one carries a
-signature nobody made. The ledger is append-only, so what was valid when
-sent is valid when delivered, and a delivery checks nothing again.
+are sent, a corrupted processor's floods included. And it is the one place
+a certificate is checked: the handlers build theirs from the signers they
+collected, and ``send`` checks every quorum and view certificate against
+the ledger (``validate_qc``, ``validate_vc``), a ``SimulationError`` unless
+it carries n-t (or t+1) distinct signatures that were made. The ledger is
+append-only, so what was valid when sent is valid when delivered, and a
+delivery checks nothing again.
 
 Randomness is split into independent streams (offsets, network jitter, leader
 schedule, clock rates, per-adversary choices) derived from the run seed by
@@ -364,41 +368,6 @@ def sync_start(send_time: int, gst: int, windows) -> Optional[int]:
             continue
         return start
     return None
-
-
-def delivery_time(
-    strategy: str,
-    send_time: int,
-    *,
-    gst: int,
-    delta_cap: int,
-    delta_actual: int,
-    rng: Optional[random.Random] = None,
-    sync_windows=None,
-    unit: int = 1,
-) -> Optional[int]:
-    """When one envelope arrives, in ticks. None means no bound applies
-    (sent after the final synchronous window closes).
-
-    ``worst_case_max_delay`` always exhausts the cap; ``fixed_delta`` always
-    takes the actual network delay; ``uniform_random`` draws a whole number
-    of ``unit`` ticks up to whichever bound governs.
-    """
-    if strategy not in NETWORK_STRATEGIES:
-        raise ValueError(f"unknown network strategy {strategy!r}")
-    sync = sync_start(send_time, gst, sync_windows)
-    if sync is None:
-        return None
-    anchor = max(sync, send_time)
-    if strategy == "worst_case_max_delay":
-        return anchor + delta_cap
-    if strategy == "fixed_delta":
-        return anchor + delta_actual
-    upper = send_time + delta_actual if sync <= send_time else anchor + delta_cap
-    latest = (upper - send_time) // unit
-    if latest < 1:
-        return upper
-    return send_time + unit * rng.randint(1, latest)
 
 
 def _unit(rates) -> int:
@@ -762,13 +731,6 @@ def _payload_dict(ptype: str):
     return eval(compile(source, f"<payload dict: {ptype}>", "eval"))
 
 
-# The simulator dispatches on a payload's exact type through the two tables
-# below. They live at module level, not as bound methods kept on a
-# Simulation: an instance holding its own bound methods is a reference cycle,
-# which a cell, run with the cyclic collector off, would leave behind. Each
-# entry calls its handler by the module's global name at call time, so a
-# handler rebound on the module (as a tracer does) is the one called.
-
 # payload class -> its trace form; each class is named for its type in
 # CamelCase ("view_message" is ViewMessage)
 _PAYLOAD_DICTS = {
@@ -783,36 +745,6 @@ def payload_to_dict(payload) -> dict:
     return to_dict(payload)
 
 
-def _receive_vote(sim: Simulation, p: int, state: ProcessorState, vote: Vote) -> list:
-    return on_vote(state, sim.subs[p], vote, sim.params)
-
-
-def _receive_proposal(sim: Simulation, p: int, state: ProcessorState, prop: Proposal) -> list:
-    return on_proposal(state, sim.subs[p], prop, sim.params)
-
-
-def _receive_view_message(sim: Simulation, p: int, state: ProcessorState, msg: ViewMessage) -> list:
-    return on_view_message(state, msg, sim.params)
-
-
-def _receive_qc(sim: Simulation, p: int, state: ProcessorState, qc: QuorumCertificate) -> list:
-    return on_qc(state, qc, sim.params)
-
-
-def _receive_vc(sim: Simulation, p: int, state: ProcessorState, vc: ViewCertificate) -> list:
-    return on_vc(state, vc, sim.params)
-
-
-# payload type -> what a correct recipient does with it
-_RECEIVERS = {
-    Vote: _receive_vote,
-    Proposal: _receive_proposal,
-    QuorumCertificate: _receive_qc,
-    ViewMessage: _receive_view_message,
-    ViewCertificate: _receive_vc,
-}
-
-
 class Simulation:
     """One configured run. Build, then call run() for the trace records."""
 
@@ -823,25 +755,10 @@ class Simulation:
         self.heap: list = []
         self.counter = itertools.count()
         self.params = r.params
-        # A message to another processor arrives when _arrival says, or at
-        # _never, after the last event, when no bound applies. With one
-        # stabilisation time and no draw, that is a fixed _delay after
-        # max(now, gst), which _due computes itself. Only uniform_random
-        # draws, so only it has a network stream.
-        self._draws = r.network == "uniform_random"
-        self.net_rng = random.Random(subseed(r.seed, "net")) if self._draws else None
-        self._never = r.horizon + r.delta_cap + r.unit
-        self._delay = None if self._draws or r.windows is not None else r.delta_eff
-        self._arrival = partial(
-            delivery_time,
-            r.network,
-            gst=r.gst,
-            delta_cap=r.delta_cap,
-            delta_actual=r.delta_actual,
-            rng=self.net_rng,
-            sync_windows=r.windows,
-            unit=r.unit,
-        )
+        # only uniform_random draws due times, so only it has a network stream
+        uniform = r.network == "uniform_random"
+        self.net_rng = random.Random(subseed(r.seed, "net")) if uniform else None
+        self._never = r.horizon + r.delta_cap + r.unit  # after the last event
         self.ledger = SignatureLedger()
         self.states = [ProcessorState(p, clock) for p, clock in enumerate(r.offsets)]
         self.subs = [UnderlyingState() for _ in range(r.n)]
@@ -891,13 +808,28 @@ class Simulation:
     # -- sending ------------------------------------------------------------
 
     def _due(self, now: int) -> int:
-        """When a message sent at ``now`` to another processor is due; under
-        uniform_random, each call is one draw."""
-        if self._delay is not None:
-            gst = self.resolved.gst
-            return (now if now > gst else gst) + self._delay
-        when = self._arrival(now)
-        return self._never if when is None else when
+        """When a message sent at ``now`` to another processor is due, in ticks.
+
+        From ``sync``, when the network is (or next becomes) synchronous
+        (``sync_start``), it is due at ``max(sync, now) + delta_eff``: the
+        cap under worst_case_max_delay, the actual delay otherwise. Under
+        uniform_random, each call is instead one draw of a whole number of
+        ``unit`` ticks, at least one, up to the bound that governs: the
+        actual delay when sent in synchrony, ``sync`` plus the cap before
+        it. A message sent after the final synchronous window closes has no
+        bound and is due at ``_never``, after the last event.
+        """
+        r = self.resolved
+        sync = sync_start(now, r.gst, r.windows)
+        if sync is None:
+            return self._never
+        if self.net_rng is None:
+            return (now if now > sync else sync) + r.delta_eff
+        upper = now + r.delta_actual if sync <= now else sync + r.delta_cap
+        latest = (upper - now) // r.unit
+        if latest < 1:
+            return upper
+        return now + r.unit * self.net_rng.randint(1, latest)
 
     def send(self, sender: int, to, payload, now: int) -> None:
         """The one gate into the network (see the module docstring)."""
@@ -913,7 +845,8 @@ class Simulation:
         elif ptype is QuorumCertificate or ptype is ViewCertificate:
             validate = validate_qc if ptype is QuorumCertificate else validate_vc
             if not validate(payload, r.n, r.t, self.ledger):
-                raise SimulationError(f"sent {payload!r} carries signatures nobody made")
+                need = r.n - r.t if ptype is QuorumCertificate else r.t + 1
+                raise SimulationError(f"sent {payload!r} needs {need} distinct signatures that were made")
         # nothing is emitted before this send's record, whose seq the envelope carries
         envelope = (len(self.records), payload)
         if to != ALL:  # one recipient, as most sends have
@@ -926,7 +859,7 @@ class Simulation:
         else:
             recipients = list(range(r.n))
             horizon, heap, counter = r.horizon, self.heap, self.counter
-            if self._draws:  # uniform_random: one draw per other recipient, in recipient order
+            if self.net_rng is not None:  # one draw per other recipient, in recipient order
                 due = self._due
                 delays = []
                 for q in recipients:
@@ -1012,10 +945,20 @@ class Simulation:
         state = self.states[p]
         num, den = self.rates[p]
         state.clock = self.offset[p] + num * now // den
-        receive = _RECEIVERS.get(type(payload))
-        if receive is None:
-            raise SimulationError(f"unhandled payload {payload!r}")
-        return receive(self, p, state, payload)
+        # by exact type, and each handler by its module-global name at call
+        # time, so a handler rebound on the module (as a tracer does) is called
+        ptype = type(payload)
+        if ptype is Vote:
+            return on_vote(state, self.subs[p], payload, self.params)
+        if ptype is Proposal:
+            return on_proposal(state, self.subs[p], payload, self.params)
+        if ptype is QuorumCertificate:
+            return on_qc(state, payload, self.params)
+        if ptype is ViewMessage:
+            return on_view_message(state, payload, self.params)
+        if ptype is ViewCertificate:
+            return on_vc(state, payload, self.params)
+        raise SimulationError(f"unhandled payload {payload!r}")
 
     def _handle_delivery(self, p: int, envelope: tuple, now: int) -> None:
         """Deliver ``envelope``, ``(send_seq, payload)``, to processor ``p``;

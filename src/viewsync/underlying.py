@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certificates import QuorumCertificate, form_qc
+from .certificates import QuorumCertificate
 from .core import ALL, Action, ProcessorState, ProtocolParams, Send, leader_of
 
 
@@ -90,7 +90,8 @@ def on_proposal(
 def on_vote(
     state: ProcessorState, sub: UnderlyingState, vote: Vote, params: ProtocolParams
 ) -> list[Action]:
-    """Leader-side vote aggregation; fires at exactly n-t distinct signers.
+    """Leader-side vote aggregation; fires at exactly n-t distinct signers,
+    and the certificate carries those signers, sorted.
 
     Votes count toward their view even after the leader has moved on, so a
     round still completes when the leader races ahead of its own quorum.
@@ -102,6 +103,6 @@ def on_vote(
         return []
     got.append(vote.signer)
     if len(got) == params.n - params.t:
-        qc = form_qc(vote.view, [(vote.view, s) for s in got], params.n, params.t)
+        qc = QuorumCertificate(vote.view, tuple(sorted(got)))
         return [FormQC(qc), Send(ALL, qc)]
     return []

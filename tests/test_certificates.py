@@ -1,66 +1,18 @@
-"""Certificate formation, validation, and the simulated signature ledger."""
+"""Certificate validation and the simulated signature ledger."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from viewsync.certificates import (
-    CertificateError,
     QuorumCertificate,
     SignatureLedger,
     SIGN_VIEW,
     SIGN_VOTE,
     ViewCertificate,
-    ViewMessage,
-    form_qc,
-    form_vc,
     validate_qc,
     validate_vc,
 )
-
-
-def test_form_vc_minimal_quorum():
-    vc = form_vc(3, [ViewMessage(3, 0), ViewMessage(3, 2)], t=1)
-    assert vc.view == 3
-    assert vc.signers == (0, 2)
-
-
-def test_form_vc_duplicate_signer_rejected():
-    with pytest.raises(CertificateError):
-        form_vc(3, [ViewMessage(3, 0), ViewMessage(3, 0)], t=1)
-
-
-def test_form_vc_t2_boundary():
-    vc = form_vc(0, [ViewMessage(0, 1), ViewMessage(0, 3), ViewMessage(0, 5)], t=2)
-    assert vc.view == 0
-    assert vc.signers == (1, 3, 5)
-
-
-def test_form_vc_mixed_views_rejected():
-    with pytest.raises(CertificateError):
-        form_vc(3, [ViewMessage(3, 0), ViewMessage(6, 2)], t=1)
-
-
-def test_form_qc_boundary_n4():
-    qc = form_qc(5, [(5, 0), (5, 1), (5, 2)], n=4, t=1)
-    assert qc.view == 5
-    assert qc.signers == (0, 1, 2)
-
-
-def test_form_qc_insufficient():
-    with pytest.raises(CertificateError):
-        form_qc(5, [(5, 0), (5, 1)], n=4, t=1)
-
-
-def test_form_qc_boundary_n7():
-    qc = form_qc(0, [(0, s) for s in (6, 4, 2, 1, 0)], n=7, t=2)
-    assert qc.signers == (0, 1, 2, 4, 6)
-
-
-def test_form_qc_duplicates_collapse():
-    # 4 votes but only 2 distinct signers: below the n-t=3 threshold.
-    with pytest.raises(CertificateError):
-        form_qc(5, [(5, 0), (5, 0), (5, 1), (5, 1)], n=4, t=1)
 
 
 def test_validate_vc_against_ledger():
@@ -141,29 +93,3 @@ def test_ledger_holds_exactly_what_was_recorded(events):
         for kind in (SIGN_VIEW, SIGN_VOTE):
             for view in range(-3, 6):
                 assert ledger.holds(signer, kind, view) is ((signer, kind, view) in recorded)
-
-
-@given(st.sets(st.integers(0, 30), min_size=1, max_size=31), st.integers(0, 9))
-def test_form_vc_signers_sorted_and_exact(signers, t):
-    msgs = [ViewMessage(0, s) for s in signers]
-    if len(signers) >= t + 1:
-        vc = form_vc(0, msgs, t)
-        assert vc.signers == tuple(sorted(signers))
-    else:
-        with pytest.raises(CertificateError):
-            form_vc(0, msgs, t)
-
-
-@given(st.sets(st.integers(0, 30), min_size=1, max_size=31))
-def test_form_qc_threshold_is_n_minus_t(signers):
-    n, t = 31, 10
-    votes = [(7, s) for s in signers]
-    if len(signers) >= n - t:
-        qc = form_qc(7, votes, n, t)
-        ledger = SignatureLedger()
-        for s in signers:
-            ledger.record(s, SIGN_VOTE, 7)
-        assert validate_qc(qc, n, t, ledger)
-    else:
-        with pytest.raises(CertificateError):
-            form_qc(7, votes, n, t)

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from viewsync import core, simnet
 from viewsync.adversary import BYZANTINE_STRATEGIES
-from viewsync.certificates import (
-    QuorumCertificate,
-    ViewCertificate,
-    ViewMessage,
-    form_qc,
-    form_vc,
-)
+from viewsync.certificates import QuorumCertificate, ViewCertificate, ViewMessage
 from viewsync.core import (
     ALL,
     EnterView,
@@ -113,15 +107,6 @@ def test_permutation_schedule_deterministic_and_uniform_blocks():
     # every block of n groups is a permutation of the ids
     for i in range(0, 20, 5):
         assert sorted(got[i : i + 5]) == list(range(5))
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        params(n=3, t=1)  # 3t < n fails
-    with pytest.raises(ValueError):
-        params(k=2)
-    with pytest.raises(ValueError):
-        params(gamma=0)
 
 
 # -- boundary-threshold handler -----------------------------------------------
@@ -379,6 +364,58 @@ def test_leader_drops_messages_below_current_view():
     assert st_.collected_view_msgs == {}
 
 
+@st.composite
+def _arrivals(draw):
+    """A group size n >= 2, a resilience t < n/3, and any order of arrivals
+    from signers 0 to n-1, repeats included."""
+    n = draw(st.integers(2, 31))
+    t = draw(st.integers(0, (n - 1) // 3))
+    return n, t, draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+
+
+def _first_reaching(arrivals, need):
+    """The arrival index at which the need-th distinct signer arrives, and
+    the first need distinct signers; None and [] if fewer ever arrive."""
+    distinct = []
+    for i, signer in enumerate(arrivals):
+        if signer not in distinct:
+            distinct.append(signer)
+            if len(distinct) == need:
+                return i, distinct
+    return None, []
+
+
+@given(_arrivals())
+def test_on_view_message_forms_one_vc_at_the_t_plus_1th_distinct_signer(run):
+    n, t, arrivals = run
+    p = params(n=n, t=t)
+    st_ = ProcessorState(id=leader_of(3, p), clock=18, view=3)
+    formed = [
+        (i, acts)
+        for i, signer in enumerate(arrivals)
+        if (acts := on_view_message(st_, ViewMessage(3, signer), p))
+    ]
+    at, first = _first_reaching(arrivals, t + 1)
+    vc = ViewCertificate(3, tuple(sorted(first)))
+    assert formed == ([] if at is None else [(at, [FormVC(vc), Send(ALL, vc)])])
+
+
+@given(_arrivals())
+def test_on_vote_forms_one_qc_at_the_n_minus_t_th_distinct_signer(run):
+    # the underlying round's leader, by the same rule
+    n, t, arrivals = run
+    p = params(n=n, t=t)
+    st_, sub = ProcessorState(id=leader_of(5, p), clock=30, view=5), UnderlyingState()
+    formed = [
+        (i, acts)
+        for i, signer in enumerate(arrivals)
+        if (acts := on_vote(st_, sub, Vote(5, signer), p))
+    ]
+    at, first = _first_reaching(arrivals, n - t)
+    qc = QuorumCertificate(5, tuple(sorted(first)))
+    assert formed == ([] if at is None else [(at, [FormQC(qc), Send(ALL, qc)])])
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -540,7 +577,7 @@ def _set_on_view_message(state, msg, params):
     got.append(msg.signer)
     if len(got) == params.t + 1 and msg.view not in state.formed_vcs:
         state.formed_vcs.add(msg.view)
-        vc = form_vc(msg.view, [ViewMessage(msg.view, s) for s in got], params.t)
+        vc = ViewCertificate(msg.view, tuple(sorted(got)))
         return [FormVC(vc), Send(ALL, vc)]
     return []
 
@@ -554,7 +591,7 @@ def _set_on_vote(state, sub, vote, params):
     got.append(vote.signer)
     if len(got) == params.n - params.t and vote.view not in sub.formed_qcs:
         sub.formed_qcs.add(vote.view)
-        qc = form_qc(vote.view, [(vote.view, s) for s in got], params.n, params.t)
+        qc = QuorumCertificate(vote.view, tuple(sorted(got)))
         return [FormQC(qc), Send(ALL, qc)]
     return []
 

@@ -28,7 +28,6 @@ from viewsync.harness import (
 )
 from viewsync import harness, metrics, simnet
 from viewsync.adversary import BYZANTINE_STRATEGIES
-from viewsync.certificates import CertificateError
 from viewsync.metrics import TraceAnalysisError, analyze
 from viewsync.simnet import Corruption, SimConfig, Simulation, coerce
 from viewsync.trace import (
@@ -107,6 +106,29 @@ def test_f_knob_expands_to_silent_leaders():
         build_config({**BASE, "f": 1, "corruptions": [{"proc": 1, "strategy": "silent"}], "seed": 0})
 
 
+@pytest.mark.parametrize("f", [-1, True, 1.0, "1"])
+def test_an_f_that_is_not_a_non_negative_integer_is_an_error_row(f):
+    # range(f) is empty for a negative f, which would run as f = 0
+    message = f"f: expected a non-negative integer, got {f!r}"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        build_config({**BASE, "f": f, "seed": 0})
+    row = run_cell({**BASE, "f": f, "seed": 0})
+    assert row["error"] == f"ExperimentError: {message}"
+
+
+def test_cli_verify_fails_on_a_negative_f(tmp_path, capsys):
+    doc = {"base": {"n": 4, "delta_cap": 2}, "sweeps": {"f": [-1, 0]}}
+    path = write_spec(tmp_path / "neg.yaml", doc)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 1
+    assert "cell error: ExperimentError: f: expected a non-negative integer, got -1" in (
+        capsys.readouterr().err
+    )
+    lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert ["error" in row for row in rows] == [True, False]
+    assert rows[1]["f"] == 0
+
+
 def test_corruption_dicts_normalised():
     cfg = build_config(
         {**BASE, "corruptions": [{"proc": 1, "strategy": "crash_leader", "time": 4}], "seed": 0}
@@ -161,14 +183,14 @@ def test_protocol_error_mid_run_is_not_an_unsatisfiable_cell(monkeypatch):
     # a ValueError the protocol raises while the cell runs is a bug in the
     # program, not a cell that cannot be configured
     def forged(*args):
-        raise CertificateError("quorum certificate for view 1 needs 3 distinct signers, got 2")
+        raise ValueError("quorum certificate for view 1 needs 3 distinct signers, got 2")
 
     monkeypatch.setattr(simnet, "on_vote", forged)
     cell = {**BASE, "seed": 0}
-    with pytest.raises(CertificateError, match="needs 3 distinct signers"):
+    with pytest.raises(ValueError, match="needs 3 distinct signers"):
         run_cell(cell)
     row = harness._worker(cell)
-    assert row["error"].startswith("CertificateError: quorum certificate for view 1")
+    assert row["error"].startswith("ValueError: quorum certificate for view 1")
 
 
 # -- garbage collection around a cell -------------------------------------------

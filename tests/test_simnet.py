@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,6 @@ from viewsync.simnet import (
     SimulationError,
     check_dagger,
     default_resilience,
-    delivery_time,
     generate_initial_offsets,
     resolve,
     subseed,
@@ -137,53 +137,52 @@ def test_offsets_adversarial_spread_admissible(seed):
 
 
 # -- delivery schedule ---------------------------------------------------------
+# Simulation._due, on built runs; times go in and come out in ticks, grid per
+# time unit.
 
 
 def test_delivery_worst_case_before_stabilisation():
-    assert delivery_time("worst_case_max_delay", 5, gst=100, delta_cap=2, delta_actual=1) == 102
+    sim = Simulation(sim_config(network="worst_case_max_delay", gst=100, delta_actual=1))
+    g = sim.resolved.grid
+    assert sim._due(5 * g) == 102 * g
 
 
 def test_delivery_fixed_delta_after_stabilisation():
-    got = delivery_time(
-        "fixed_delta", 200, gst=100, delta_cap=1, delta_actual=Fraction(1, 10)
-    )
-    assert got == Fraction(2001, 10)
+    sim = Simulation(sim_config(network="fixed_delta", delta_cap=1, gst=100, delta_actual="1/10"))
+    g = sim.resolved.grid
+    assert sim._due(200 * g) == Fraction(2001, 10) * g
 
 
 def test_delivery_outside_final_window_never_arrives():
-    windows = ((100, 150),)
-    bounds = dict(gst=100, delta_cap=2, delta_actual=2, sync_windows=windows)
-    assert delivery_time("fixed_delta", 160, **bounds) is None
-    assert delivery_time("fixed_delta", 120, **bounds) == 122
-
-
-def test_delivery_unknown_strategy():
-    with pytest.raises(ValueError):
-        delivery_time("pigeon", 0, gst=0, delta_cap=1, delta_actual=1)
+    sim = Simulation(
+        sim_config(network="fixed_delta", gst=100, sync_windows=[(100, 150)], horizon=200)
+    )
+    r, g = sim.resolved, sim.resolved.grid
+    # no bound applies: due after the run's last event
+    assert sim._due(160 * g) == r.horizon + r.delta_cap + r.unit
+    assert sim._due(120 * g) == 122 * g
 
 
 @given(
     send=st.integers(min_value=0, max_value=300),
     gst=st.integers(min_value=0, max_value=200),
     seed=st.integers(min_value=0, max_value=999),
+    rates=st.sampled_from([None, ["1", "1", "9/8", "7/8"]]),
 )
-def test_delivery_uniform_random_respects_bounds(send, gst, seed):
-    import random
-
-    delta_cap, delta_actual = 10, 3
-    got = delivery_time(
-        "uniform_random",
-        send,
-        gst=gst,
-        delta_cap=delta_cap,
-        delta_actual=delta_actual,
-        rng=random.Random(seed),
+@settings(deadline=None)
+def test_delivery_uniform_random_respects_bounds(send, gst, seed, rates):
+    cfg = sim_config(
+        network="uniform_random", delta_cap=10, delta_actual=3, gst=gst, drift_rates=rates, seed=seed
     )
-    assert got > send
+    sim = Simulation(cfg)
+    r, g = sim.resolved, sim.resolved.grid
+    got = sim._due(send * g)
+    assert got > send * g
+    assert (got - send * g) % r.unit == 0  # whole drawn units
     if send >= gst:
-        assert got <= send + delta_actual
+        assert got <= (send + 3) * g
     else:
-        assert got <= gst + delta_cap
+        assert got <= (gst + 10) * g
 
 
 # -- deterministic runs --------------------------------------------------------
@@ -494,13 +493,14 @@ def test_forged_signature_send_raises_simulation_error():
         sim.send(0, ALL, ViewMessage(3, 1), 0)
 
 
-# The simulator dispatches on exact types through tables; a type a table does
-# not list is the located error below, never a bare KeyError. None of these
-# checks is an assert, so each holds under python -O too.
+# The simulator dispatches on exact types: a payload's trace form through a
+# table, its handler through an if chain. A type neither lists is the located
+# error below, never a bare KeyError. None of these checks is an assert, so
+# each holds under python -O too.
 
 
 class Bulletin(Vote):
-    """A payload type no table lists, though it subclasses one that does."""
+    """A payload type nothing lists, though it subclasses one that is."""
 
 
 @pytest.mark.parametrize("payload", [object(), Bulletin(0, 0)], ids=["object", "subclass"])
@@ -539,7 +539,7 @@ def test_invalid_certificate_delivery_is_a_bug_not_an_unsatisfiable_cell(monkeyp
     # reported as an unsatisfiable cell
     monkeypatch.setattr(simnet, "validate_qc", lambda *args: False)
     assert not issubclass(SimulationError, ValueError)
-    with pytest.raises(SimulationError, match="carries signatures nobody made"):
+    with pytest.raises(SimulationError, match="needs 3 distinct signatures that were made"):
         Simulation(sim_config(stop="horizon", horizon=30)).run()
     cell = {"n": 4, "delta_cap": 2, "stop": "horizon", "horizon": 30}
     row = _worker(cell)
@@ -594,10 +594,37 @@ def test_a_forged_certificate_is_refused_when_sent(kind):
     now = records[-1]["time"]
     sim.send(0, ALL, valid, now)
     count = len(sim.records)
+    need = 3 if kind == "qc" else 2  # n - t and t + 1
     for sender in (0, 3, 0):  # a correct sender, the corrupted one, and again
-        with pytest.raises(SimulationError, match=r"^sent .* carries signatures nobody made$"):
+        with pytest.raises(
+            SimulationError, match=rf"^sent .* needs {need} distinct signatures that were made$"
+        ):
             sim.send(sender, 1, forged, now)
     assert len(sim.records) == count  # no send record, no delivery
+
+
+@pytest.mark.parametrize("kind", ["qc", "vc"])
+def test_a_certificate_one_signer_short_is_refused_when_sent(kind):
+    # every signature it names was made, but it names one distinct signer
+    # fewer than its threshold, or repeats one to make up the count: the
+    # handlers build certificates unchecked, and send alone counts signers
+    sim = Simulation(sim_config(stop="horizon", horizon=30))
+    records = sim.run()
+    formed = next(r for r in records if r["kind"] == f"form_{kind}")
+    view, signers = formed["view"], tuple(formed["signers"])
+    make, need = (QuorumCertificate, 3) if kind == "qc" else (ViewCertificate, 2)
+    assert len(signers) == need  # n - t and t + 1
+    now = records[-1]["time"]
+    count = len(sim.records)
+    for short in (signers[:-1], (signers[0], *signers[:-1])):
+        with pytest.raises(
+            SimulationError,
+            match=rf"^sent {make.__name__}\(view={view}, .* needs {need} distinct signatures that were made$",
+        ):
+            sim.send(0, ALL, make(view, short), now)
+    assert len(sim.records) == count  # no send record, no delivery
+    sim.send(0, ALL, make(view, signers), now)  # at the threshold, it goes out
+    assert len(sim.records) == count + 1
 
 
 ANNOUNCED_DELIVERIES = [
@@ -622,7 +649,7 @@ ANNOUNCED_DELIVERIES = [
         stop="sync_plus",
         seed=11,
     ),
-    # one stabilisation time and no draw: the delay the simulator binds per run
+    # one stabilisation time and no draw
     *(
         sim_config(network=network, delta_actual="1/2", gst=5, stop="horizon", horizon=40)
         for network in ("fixed_delta", "worst_case_max_delay")
@@ -631,11 +658,48 @@ ANNOUNCED_DELIVERIES = [
 ANNOUNCED_IDS = [*NETWORK_STRATEGIES, "n31", "fixed_delta-gst", "worst_case_max_delay-gst"]
 
 
+def delivery_time(
+    strategy: str,
+    send_time: int,
+    *,
+    gst: int,
+    delta_cap: int,
+    delta_actual: int,
+    rng: Optional[random.Random] = None,
+    sync_windows=None,
+    unit: int = 1,
+) -> Optional[int]:
+    """When one envelope arrives, in ticks. None means no bound applies
+    (sent after the final synchronous window closes).
+
+    ``worst_case_max_delay`` always exhausts the cap; ``fixed_delta`` always
+    takes the actual network delay; ``uniform_random`` draws a whole number
+    of ``unit`` ticks up to whichever bound governs.
+    """
+    if strategy not in NETWORK_STRATEGIES:
+        raise ValueError(f"unknown network strategy {strategy!r}")
+    sync = simnet.sync_start(send_time, gst, sync_windows)
+    if sync is None:
+        return None
+    anchor = max(sync, send_time)
+    if strategy == "worst_case_max_delay":
+        return anchor + delta_cap
+    if strategy == "fixed_delta":
+        return anchor + delta_actual
+    upper = send_time + delta_actual if sync <= send_time else anchor + delta_cap
+    latest = (upper - send_time) // unit
+    if latest < 1:
+        return upper
+    return send_time + unit * rng.randint(1, latest)
+
+
 @pytest.mark.parametrize("cfg", ANNOUNCED_DELIVERIES, ids=ANNOUNCED_IDS)
 def test_deliver_times_are_one_delivery_time_per_recipient(cfg):
     # whatever the simulator computes once per send, the times its delays
-    # announce are those of one delivery_time call per other recipient, in
-    # order, on the network's random stream, which only uniform_random has
+    # announce are those of one call per other recipient, in order, on the
+    # network's random stream, which only uniform_random has, of
+    # delivery_time above: the simulator's own, per-network formula before
+    # Simulation._due folded the networks into one
     sim = Simulation(cfg)
     r = sim.resolved
     assert (sim.net_rng is None) == (r.network != "uniform_random")

@@ -463,19 +463,31 @@ def test_the_simulator_writes_the_tables():
     assert seen == {*RECORD_FIELDS, *PAYLOAD_FIELDS}
 
 
-def test_the_simulators_payload_tables_are_the_payload_schema():
-    # the payload classes the simulator receives and writes are exactly those
-    # PAYLOAD_FIELDS names, each written as the type it names
-    assert set(simnet._RECEIVERS) == set(simnet._PAYLOAD_DICTS)
-    written = {}
+def test_the_simulators_payload_tables_are_the_payload_schema(monkeypatch):
+    # the payload classes the simulator writes are exactly those
+    # PAYLOAD_FIELDS names, each written as the type it names, and a correct
+    # recipient takes each of them, handed to its handler by the handler's
+    # name on simnet, which a tracer rebinds
+    for name in ("on_vote", "on_proposal", "on_qc", "on_view_message", "on_vc"):
+        monkeypatch.setattr(simnet, name, lambda *args, name=name: [name])
+    sim = Simulation(SimConfig(n=4))
+    received, written = {}, {}
     for cls in simnet._PAYLOAD_DICTS:
         fields = [f.name for f in dataclasses.fields(cls)]
         payload = cls(*(() if name == "signers" else 0 for name in fields))
+        [received[cls.__name__]] = sim._receive_correct(1, payload, 0)
         record = simnet.payload_to_dict(payload)
         assert record["type"] == re.sub(r"(?<!^)([A-Z])", r"_\1", cls.__name__).lower()
         assert list(record) == ["type", "view", *PAYLOAD_FIELDS[record["type"]]]
         written[record["type"]] = cls
     assert set(written) == set(PAYLOAD_FIELDS)
+    assert received == {
+        "Vote": "on_vote",
+        "Proposal": "on_proposal",
+        "QuorumCertificate": "on_qc",
+        "ViewMessage": "on_view_message",
+        "ViewCertificate": "on_vc",
+    }
 
 
 @pytest.mark.parametrize("codes", [RECORD_CODES, PAYLOAD_CODES], ids=["kinds", "payload types"])
