@@ -139,7 +139,7 @@ def _enc(value):
         return str(value)
     if isinstance(value, Corruption):
         return {"proc": value.proc, "strategy": value.strategy, "time": str(value.time)}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_enc(v) for v in value]
     return value
 

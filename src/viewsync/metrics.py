@@ -117,7 +117,6 @@ class RunMetrics:
     latency: Optional[Fraction]
     words_counted: int
     f_star: int
-    first_sync_view: Optional[int]
     run: Resolved = field(repr=False)  # the run the trace's header describes
     violations: list[Violation] = field(default_factory=list)
 
@@ -1029,7 +1028,6 @@ class _Analyzer:
             latency=None if t_star is None else from_ticks(t_star - r.gst, r.grid),
             words_counted=words,
             f_star=f_star,
-            first_sync_view=t_star_view,
             violations=self.violations,
             run=r,
         )

@@ -33,14 +33,7 @@ Both fields are kept as written, differences the analyzer adds back when it
 joins a deliver to its send (``metrics``), so neither reader nor writer
 does arithmetic on them. Every other record has a ``time``. A send costs one
 word per recipient other than the sender, which the reader derives from
-``recipients``. Versions 1 to 7 are not read: 1 and 2 wrote one ``send``
-record per recipient and repeated the sender, payload and send time in every
-``deliver``, 3 wrote a drifted clock's times as ``"p/q"`` strings on a
-coarser grid and stored each send's word count, 4 wrote every record's seq
-and every deliver's time, 5 wrote every record as an object with sorted
-keys, 6 wrote each array's kind and payload type by their full names, and 7
-named a deliver's send by its absolute seq (``send``) and listed a send's
-absolute due times (``deliver_times``).
+``recipients``. Versions 1 to 7 are not read.
 
 Two tables define every record but the header (whose one writer and reader
 are ``simnet.Resolved.header`` and ``from_header``; ``harness.run_cell`` adds

@@ -1,14 +1,17 @@
-"""Checks on the repository's own text: README's Python runs as written, and
-every name a module under src/viewsync/ imports is used in it."""
+"""Checks on the repository's own text: README's Python runs as written,
+every name a module under src/viewsync/ imports is used in it, and every
+top-level definition in tests/ is named somewhere in tests/."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "viewsync"
+TESTS = ROOT / "tests"
 
 
 def python_blocks(text: str) -> list[str]:
@@ -62,3 +65,51 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__i
 @pytest.mark.parametrize("module", MODULES)
 def test_every_name_a_module_imports_is_used_in_it(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's,
+    or each name an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """Each top-level definition in the modules ``sources`` (file name ->
+    text) that no other top-level statement of any of them names, as
+    ``file:name``. Tests, fixtures and pytest hooks, which pytest itself
+    names, are exempt."""
+    stmts = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
+    reads = [
+        {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and type(n.ctx) is not ast.Store}
+        for _, stmt in stmts
+    ]
+    named = Counter(name for names in reads for name in names)
+    unnamed = []
+    for (module, stmt), own in zip(stmts, reads):
+        decorators = map(ast.unparse, getattr(stmt, "decorator_list", []))
+        if any("fixture" in d for d in decorators):
+            continue
+        for name in defined_names(stmt):
+            # named by no statement, or by its own alone
+            if not name.startswith(("test_", "Test", "pytest_")) and named[name] == (name in own):
+                unnamed.append(f"{module}:{name}")
+    return unnamed
+
+
+def test_unnamed_definitions_are_found():
+    sources = {
+        "a.py": "X, Y = 1, 2\ndef helper(n):\n    return helper(n - 1)\n",
+        "b.py": "@pytest.fixture\ndef f():\n    return Y\ndef pytest_configure(c):\n    pass\n",
+        "c.py": "class Unused:\n    pass\ndef test_c():\n    pass\n",
+    }
+    assert unnamed_definitions(sources) == ["a.py:X", "a.py:helper", "c.py:Unused"]
+
+
+def test_every_top_level_definition_in_tests_is_named():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))}
+    assert unnamed_definitions(sources) == []
